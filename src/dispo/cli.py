@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .streams import stream
-from .tasks import make_task, save_instances
+from .tasks import save_instances
 from .trainer import (
     RunConfig,
     build_schedule,
@@ -109,9 +109,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params = init_policy(config, build_task(config))
     task = build_task(config)
     schedule = build_schedule(config, task)
-    result = evaluate(
-        params, task, config.n_denoising_steps, schedule, workers=args.workers
-    )
+    result = evaluate(params, task, config.n_denoising_steps, schedule)
     print(f"task            {config.task}")
     print(f"instances       {len(task.instances)}")
     print(f"accuracy        {result.accuracy:.4f}")
@@ -281,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-step", type=float, dest="alpha_step", help="step-loss weight")
         p.add_argument("--z", type=int, help="branch group size override")
         p.add_argument("--sampler", help="timestep sampler law (uniform, poly_late, poly_early)")
-        p.add_argument("--workers", type=int, default=1, help="worker threads where applicable")
 
     p_train = sub.add_parser("train", help="run a training loop")
     common(p_train)

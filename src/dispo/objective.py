@@ -29,14 +29,14 @@ sampling laws used to pick which intermediate states get step groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, backprop
+from .policy import PolicyParams, backprop, log_softmax, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     PromptMaskPattern,
@@ -160,13 +160,7 @@ def _group_loss_and_grad(
         if unclipped_active and adv != 0.0:
             coef = -(adv * rho) / (n * len(ctx_new))
             for ctx in ctx_new:
-                dlogits = np.zeros_like(ctx.rows)
-                probs = np.exp(ctx.logp)
-                for pos, tok in zip(positions, targets):
-                    r = ctx.row_index(pos)
-                    dlogits[r] -= coef * probs[r]
-                    dlogits[r, tok] += coef
-                grad += backprop(params, ctx, dlogits)
+                grad += backprop(params, ctx, score_dlogits(ctx, positions, targets, coef))
     return loss, grad
 
 
@@ -189,9 +183,6 @@ def step_loss(
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
     """
-    for action, _ in branches:
-        if action.positions() != state.completion.mask_positions():
-            raise ContractViolation("every branch action must cover the state's mask set")
     return _group_loss_and_grad(
         params,
         old_params,
@@ -291,8 +282,6 @@ def terminal_loss(
 
 def kl_rows(logits_p: np.ndarray, logits_q: np.ndarray) -> np.ndarray:
     """Exact per-row KL(p || q) between categorical rows given as logits."""
-    from .policy import log_softmax
-
     lp = log_softmax(np.atleast_2d(logits_p))
     lq = log_softmax(np.atleast_2d(logits_q))
     p = np.exp(lp)

@@ -31,24 +31,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .sequences import Action, DiffusionState, Vocab
+from .sequences import Action, DiffusionState, Vocab, check_action
 
 
 @dataclass(frozen=True)
-class LinearArch:
-    """Logits = W @ features, W of shape (vocab, feature_dim)."""
+class Arch:
+    """Shape shared by every parameterization: vocab, lengths, window radius."""
 
     vocab: Vocab
     prompt_len: int
     completion_len: int
     window: int = 2
-
-    kind = "linear"
 
     def __post_init__(self) -> None:
         if self.prompt_len < 1 or self.completion_len < 1:
@@ -60,10 +57,6 @@ class LinearArch:
     def feature_dim(self) -> int:
         v = self.vocab.size
         return self.completion_len + 2 * self.window * (v + 2) + (v + 1) + 1
-
-    @property
-    def num_params(self) -> int:
-        return self.vocab.size * self.feature_dim
 
     def descriptor(self) -> dict:
         return {
@@ -77,29 +70,28 @@ class LinearArch:
 
 
 @dataclass(frozen=True)
-class MlpArch:
+class LinearArch(Arch):
+    """Logits = W @ features, W of shape (vocab, feature_dim)."""
+
+    kind = "linear"
+
+    @property
+    def num_params(self) -> int:
+        return self.vocab.size * self.feature_dim
+
+
+@dataclass(frozen=True)
+class MlpArch(Arch):
     """Logits = W2 @ tanh(W1 @ features + b1) + b2."""
 
-    vocab: Vocab
-    prompt_len: int
-    completion_len: int
-    window: int = 2
     hidden: int = 16
 
     kind = "mlp"
 
     def __post_init__(self) -> None:
-        if self.prompt_len < 1 or self.completion_len < 1:
-            raise ConfigurationError("prompt and completion lengths must be >= 1")
-        if self.window < 0:
-            raise ConfigurationError("window radius must be >= 0")
+        super().__post_init__()
         if self.hidden < 1:
             raise ConfigurationError("hidden width must be >= 1")
-
-    @property
-    def feature_dim(self) -> int:
-        v = self.vocab.size
-        return self.completion_len + 2 * self.window * (v + 2) + (v + 1) + 1
 
     @property
     def num_params(self) -> int:
@@ -107,19 +99,7 @@ class MlpArch:
         return h * f + h + v * h + v
 
     def descriptor(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "vocab_size": self.vocab.size,
-            "mask_id": self.vocab.mask_id,
-            "prompt_len": self.prompt_len,
-            "completion_len": self.completion_len,
-            "window": self.window,
-            "hidden": self.hidden,
-        }
-        return d
-
-
-Arch = Union[LinearArch, MlpArch]
+        return {**super().descriptor(), "hidden": self.hidden}
 
 
 def arch_from_descriptor(d: dict) -> Arch:
@@ -173,25 +153,6 @@ def init_params(arch: Arch, rng: np.random.Generator | None = None, scale: float
     return PolicyParams(rng.normal(0.0, scale, arch.num_params), arch)
 
 
-@dataclass(frozen=True)
-class LogitsGrid:
-    """One logits row per requested completion position."""
-
-    positions: tuple[int, ...]
-    rows: np.ndarray  # (len(positions), vocab_size)
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        if rows.shape[0] != len(self.positions):
-            raise ContractViolation("one row per position required")
-
-    def row_for(self, pos: int) -> np.ndarray:
-        return self.rows[self.positions.index(pos)]
-
-
 def log_softmax(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.size == 0:
@@ -205,9 +166,13 @@ def softmax(rows: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(rows))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowsContext:
-    """Forward activations for a set of positions, kept for backprop."""
+    """One forward pass: logits rows for a set of completion positions.
+
+    Keeps the activations backprop needs.  Immutable with read-only
+    arrays, so a rollout can cache it and branch from it later.
+    """
 
     positions: tuple[int, ...]
     rows: np.ndarray  # logits, (n, V)
@@ -215,11 +180,15 @@ class RowsContext:
     feats: np.ndarray  # (n, F)
     hidden: np.ndarray | None  # (n, H) tanh activations, mlp only
 
+    def __post_init__(self) -> None:
+        for arr in (self.rows, self.logp, self.feats, self.hidden):
+            if arr is not None:
+                arr.setflags(write=False)
+        if self.rows.shape[0] != len(self.positions):
+            raise ContractViolation("one row per position required")
+
     def row_index(self, pos: int) -> int:
         return self.positions.index(pos)
-
-    def grid(self) -> LogitsGrid:
-        return LogitsGrid(self.positions, self.rows)
 
 
 def _check_state(arch: Arch, state: DiffusionState) -> None:
@@ -325,23 +294,6 @@ def backprop(params: PolicyParams, ctx: RowsContext, dlogits: np.ndarray) -> np.
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 
-def forward(
-    params: PolicyParams, state: DiffusionState, positions: tuple[int, ...] | None = None
-) -> LogitsGrid:
-    """Logits grid over the state's mask set (or an explicit position set)."""
-    return rows_context(params, state, positions).grid()
-
-
-def _check_action(state: DiffusionState, action: Action) -> None:
-    masked = state.completion.mask_positions()
-    if action.positions() != masked:
-        raise ContractViolation(f"action positions {action.positions()} != mask set {masked}")
-    vocab = state.vocab
-    for _, tok in action.assignments:
-        if not vocab.is_ordinary(tok):
-            raise ContractViolation(f"action token {tok} is not an ordinary token")
-
-
 def action_logprob(
     params: PolicyParams, state: DiffusionState, action: Action
 ) -> tuple[float, dict[int, float]]:
@@ -349,7 +301,7 @@ def action_logprob(
 
     The joint factorizes over masked positions; total <= 0 always.
     """
-    _check_action(state, action)
+    check_action(state, action)
     ctx = rows_context(params, state)
     per_pos: dict[int, float] = {}
     total = 0.0
@@ -371,7 +323,7 @@ def grad_action_logprob(
     ``positions`` restricts the sum to a subset of the mask set (used for
     masked-subset estimators); defaults to the full mask set.
     """
-    _check_action(state, action)
+    check_action(state, action)
     masked = state.completion.mask_positions()
     if positions is None:
         positions = masked
@@ -380,30 +332,42 @@ def grad_action_logprob(
         if not set(positions) <= set(masked):
             raise ContractViolation("positions must be a subset of the mask set")
     ctx = rows_context(params, state)
-    dlogits = np.zeros_like(ctx.rows)
-    probs = np.exp(ctx.logp)
-    for pos in positions:
-        r = ctx.row_index(pos)
-        dlogits[r] = -probs[r]
-        dlogits[r, action[pos]] += 1.0
+    dlogits = score_dlogits(ctx, positions, tuple(action[p] for p in positions))
     return backprop(params, ctx, dlogits)
 
 
-def sample_action(grid: LogitsGrid, rng: np.random.Generator) -> Action:
+def score_dlogits(
+    ctx: RowsContext, positions: tuple[int, ...], targets: tuple[int, ...], coef: float = 1.0
+) -> np.ndarray:
+    """Logit gradient of ``coef`` times the summed log-probability of ``targets``.
+
+    Each scored row gets ``coef * (onehot(target) - probs)``; unscored
+    rows stay zero.  Feed the result to ``backprop``.
+    """
+    dlogits = np.zeros_like(ctx.rows)
+    probs = np.exp(ctx.logp)
+    for pos, tok in zip(positions, targets):
+        r = ctx.row_index(pos)
+        dlogits[r] -= coef * probs[r]
+        dlogits[r, tok] += coef
+    return dlogits
+
+
+def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
     """Draw one token per row, independently, in position order."""
-    probs = softmax(grid.rows)
+    probs = np.exp(ctx.logp)
     pairs = []
-    for r, pos in enumerate(grid.positions):
+    for r, pos in enumerate(ctx.positions):
         tok = int(rng.choice(probs.shape[1], p=probs[r]))
         pairs.append((pos, tok))
     return Action(tuple(pairs))
 
 
-def greedy_action(grid: LogitsGrid) -> Action:
+def greedy_action(ctx: RowsContext) -> Action:
     """Argmax token per row; ties resolve to the lowest token id."""
     pairs = []
-    for r, pos in enumerate(grid.positions):
-        pairs.append((pos, int(np.argmax(grid.rows[r]))))
+    for r, pos in enumerate(ctx.positions):
+        pairs.append((pos, int(np.argmax(ctx.rows[r]))))
     return Action(tuple(pairs))
 
 

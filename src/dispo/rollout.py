@@ -25,14 +25,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import (
-    LogitsGrid,
-    PolicyParams,
-    greedy_action,
-    rows_context,
-    sample_action,
-    softmax,
-)
+from .policy import PolicyParams, RowsContext, greedy_action, rows_context, sample_action
 from .sequences import Action, DiffusionState, MaskedSequence, fill
 
 
@@ -96,7 +89,7 @@ class Trajectory:
     prompt: MaskedSequence
     states: tuple[DiffusionState, ...]  # length T+1; last one is terminal (no masks)
     events: tuple[tuple[tuple[int, int], ...], ...]  # per step: ((pos, token), ...)
-    cache: tuple[LogitsGrid, ...]  # length T, behavior logits at each state
+    cache: tuple[RowsContext, ...]  # length T, behavior logits at each state
 
     @property
     def n_steps(self) -> int:
@@ -108,7 +101,7 @@ class Trajectory:
             raise ContractViolation(f"step index {t} outside 1..{self.n_steps + 1}")
         return self.states[t - 1]
 
-    def cache_at(self, t: int) -> LogitsGrid:
+    def cache_at(self, t: int) -> RowsContext:
         if not 1 <= t <= self.n_steps:
             raise ContractViolation(f"no cached logits for step {t}; valid range 1..{self.n_steps}")
         return self.cache[t - 1]
@@ -150,15 +143,14 @@ def rollout(
         ctx = rows_context(params, state)
         if counters is not None:
             counters.rollout_forward_passes += 1
-        grid = ctx.grid()
-        cache.append(grid)
-        action = greedy_action(grid) if greedy else sample_action(grid, rng)
-        probs = softmax(grid.rows)
+        cache.append(ctx)
+        action = greedy_action(ctx) if greedy else sample_action(ctx, rng)
+        probs = np.exp(ctx.logp)
         scored = []
-        for r, pos in enumerate(grid.positions):
+        for r, pos in enumerate(ctx.positions):
             tok = action[pos]
             scored.append((-probs[r, tok], pos, tok))
-        eligible = set(schedule.eligible(grid.positions))
+        eligible = set(schedule.eligible(ctx.positions))
         scored = [s for s in scored if s[1] in eligible]
         scored.sort()
         commit = scored[: min(schedule.tokens_per_step, len(scored))]
@@ -177,16 +169,16 @@ def branch(
 
     Each action covers the state's full mask set and is completed
     deterministically, yielding alternative terminal sequences from the
-    same state.  No policy forward passes happen here: the behavior grid
-    was cached by the rollout.
+    same state.  No policy forward passes happen here: the behavior rows
+    were cached by the rollout.
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
-    grid = traj.cache_at(t)
+    ctx = traj.cache_at(t)
     state = traj.state_at(t)
     out = []
     for _ in range(n_branches):
-        action = sample_action(grid, rng)
+        action = sample_action(ctx, rng)
         out.append((action, fill(state, action)))
     return out
 

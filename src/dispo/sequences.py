@@ -101,11 +101,6 @@ class MaskedSequence:
         return cls(tuple(vocab.mask_id if v == MASK_JSON else v for v in values), vocab)
 
 
-def mask_set(seq: MaskedSequence) -> tuple[int, ...]:
-    """Masked positions of ``seq`` in increasing order."""
-    return seq.mask_positions()
-
-
 @dataclass(frozen=True)
 class Action:
     """A joint assignment of ordinary tokens to a set of positions."""
@@ -158,21 +153,23 @@ class DiffusionState:
         return self.completion.mask_positions()
 
 
-def fill(state: DiffusionState, action: Action) -> MaskedSequence:
-    """Complete ``state`` by writing ``action`` into the masked positions.
-
-    The action must cover exactly the completion's mask set with ordinary
-    tokens; visible positions are untouched.  Deterministic.
-    """
+def check_action(state: DiffusionState, action: Action) -> None:
+    """Require ``action`` to cover exactly the completion's mask set with ordinary tokens."""
     masked = state.completion.mask_positions()
     if action.positions() != masked:
-        raise ContractViolation(
-            f"action positions {action.positions()} != mask set {masked}"
-        )
-    vocab = state.completion.vocab
+        raise ContractViolation(f"action positions {action.positions()} != mask set {masked}")
+    vocab = state.vocab
     for _, tok in action.assignments:
         if not vocab.is_ordinary(tok):
             raise ContractViolation(f"action token {tok} is not an ordinary token")
+
+
+def fill(state: DiffusionState, action: Action) -> MaskedSequence:
+    """Complete ``state`` by writing ``action`` into the masked positions.
+
+    Visible positions are untouched.  Deterministic.
+    """
+    check_action(state, action)
     return state.completion.with_tokens(action.to_dict())
 
 

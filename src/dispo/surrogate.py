@@ -32,8 +32,8 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, RowsContext, backprop, rows_context
-from .sequences import Action, DiffusionState, MaskedSequence
+from .policy import PolicyParams, RowsContext, backprop, rows_context, score_dlogits
+from .sequences import Action, DiffusionState, MaskedSequence, check_action
 
 RatioLaw = str | float
 
@@ -129,9 +129,8 @@ def scoring_targets(
     completion position against its own token (the action never overlaps
     visible positions, whose features exclude the position's own token).
     """
+    check_action(state, action)
     masked = state.completion.mask_positions()
-    if action.positions() != masked:
-        raise ContractViolation(f"action positions {action.positions()} != mask set {masked}")
     if scope == "action":
         return masked, tuple(action[p] for p in masked)
     if scope == "all":
@@ -196,13 +195,7 @@ def grad_from_contexts(
     """Gradient of the pattern-averaged log-probability."""
     grad = np.zeros(params.dim)
     for ctx in contexts:
-        dlogits = np.zeros_like(ctx.rows)
-        probs = np.exp(ctx.logp)
-        for pos, tok in zip(positions, targets):
-            r = ctx.row_index(pos)
-            dlogits[r] -= probs[r]
-            dlogits[r, tok] += 1.0
-        grad += backprop(params, ctx, dlogits)
+        grad += backprop(params, ctx, score_dlogits(ctx, positions, targets))
     return grad / len(contexts)
 
 

@@ -24,7 +24,7 @@ optimization target).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -381,12 +381,7 @@ class Task:
 
 
 def _task_instance(name: str, inst: Instance, vocab: Vocab) -> TaskInstance:
-    if name == "sudoku":
-        tokens = inst.prompt_tokens()
-    elif name == "countdown":
-        tokens = inst.prompt_tokens()
-    else:
-        tokens = inst.target
+    tokens = inst.target if name == "stringmatch" else inst.prompt_tokens()
     return TaskInstance(MaskedSequence(tokens, vocab), RewardFn(name, inst))
 
 

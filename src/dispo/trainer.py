@@ -19,8 +19,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +44,9 @@ from .policy import (
     save_policy,
 )
 from .rollout import UnmaskSchedule, branch, rollout, select_states
-from .sequences import MaskedSequence
 from .streams import stream
 from .surrogate import SurrogateConfig
-from .tasks import Task, load_instances, make_task
+from .tasks import Task, first_violation_time, load_instances, make_task
 
 METRIC_COLUMNS = [
     "update",
@@ -416,6 +414,11 @@ def train(
         want_d.pop("n_updates")
         if saved_d != want_d:
             raise ConfigurationError("checkpoint config differs from the requested config")
+        if config.n_updates < first_update:
+            raise ConfigurationError(
+                f"checkpoint already holds {first_update - 1} updates; "
+                f"n_updates={config.n_updates} must exceed that to resume"
+            )
     else:
         params = init_policy(config, task)
         ref_params = params
@@ -571,47 +574,27 @@ class EvalResult:
     rewards: tuple[float, ...]
 
 
-def evaluate(
-    params: PolicyParams,
-    task: Task,
-    n_steps: int,
-    schedule: UnmaskSchedule,
-    *,
-    workers: int = 1,
-) -> EvalResult:
+def evaluate(params: PolicyParams, task: Task, n_steps: int, schedule: UnmaskSchedule) -> EvalResult:
     """Greedy-decode every instance once and score it.
 
     Greedy decoding is the rollout with argmax tokens and confidence
-    commits, so it is deterministic; worker count never changes results
-    (ordered map over instances).  For Sudoku the mean first-violation
+    commits, so it is deterministic.  For Sudoku the mean first-violation
     step is reported too, with violation-free decodes counted as
     n_steps + 1.
     """
     rng = stream(0, "eval-greedy")  # unused by greedy rollouts
-
-    def run_one(inst):
+    rewards: list[float] = []
+    violations: list[float] = []
+    for inst in task.instances:
         traj = rollout(params, inst.prompt, n_steps, schedule, rng, greedy=True)
-        reward = inst.reward(inst.prompt, traj.final_completion())
-        violation = None
+        rewards.append(float(inst.reward(inst.prompt, traj.final_completion())))
         if task.name == "sudoku":
-            from .tasks import first_violation_time
-
             v = first_violation_time(inst.reward.instance, traj)
-            violation = float(v) if v is not None else float(n_steps + 1)
-        return reward, violation
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, task.instances))
-    else:
-        results = [run_one(inst) for inst in task.instances]
-
-    rewards = tuple(float(r) for r, _ in results)
-    violations = [v for _, v in results if v is not None]
+            violations.append(float(v) if v is not None else float(n_steps + 1))
     return EvalResult(
         accuracy=sum(1 for r in rewards if r >= 1.0 - 1e-12) / len(rewards),
         mean_reward=float(np.mean(rewards)),
         mean_first_violation=float(np.mean(violations)) if violations else None,
         completion_len=task.completion_len,
-        rewards=rewards,
+        rewards=tuple(rewards),
     )

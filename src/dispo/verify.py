@@ -285,10 +285,14 @@ def group_gradient_rows(tables: StateTables, idx: np.ndarray) -> np.ndarray:
     group idx[r], exactly what the production loss computes one group at a
     time; a property test pins the two routes together.
     """
-    n, z = idx.shape
     r = tables.rewards[idx]
     adv = r - r.mean(axis=1, keepdims=True)
-    coef = tables.ratios[idx] * adv / z
+    return _weighted_grad_rows(tables, idx, tables.ratios[idx] * adv / idx.shape[1])
+
+
+def _weighted_grad_rows(tables: StateTables, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Row r is sum_z coef[r, z] * grads[idx[r, z]]: scatter into action slots, then one matmul."""
+    n, z = idx.shape
     scatter = np.zeros((n, tables.n_actions))
     rows = np.arange(n)
     for col in range(z):
@@ -448,21 +452,6 @@ def theorem1_check(
         mode = "on-policy" if old_params is None else "off-policy"
         name = f"step-gradient-identity Z={n_branches} {mode}"
     return _finish_report(name, per_sample, np.asarray(target), max_ratio, z_threshold, rel_tol)
-
-
-def theorem1_offpolicy_check(
-    params: PolicyParams,
-    old_params: PolicyParams,
-    problem: OracleProblem,
-    n_branches: int = 2,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    **kwargs,
-) -> GradientCheckReport:
-    """The step identity with groups drawn from perturbed behavior parameters."""
-    return theorem1_check(
-        params, problem, n_branches, n_samples, seed, old_params=old_params, **kwargs
-    )
 
 
 def theorem2_check(
@@ -652,13 +641,8 @@ def prop2_check(
     notes: list[str] = []
     for z in group_sizes:
         rng = stream(seed, "prop2", z)
-        idx = rng.choice(tables.n_actions, size=(n_samples, z), p=tables.probs_old)
-        coef = tables.ratios[idx] * centered[idx] / z
-        scatter = np.zeros((n_samples, tables.n_actions))
-        rows = np.arange(n_samples)
-        for col in range(z):
-            scatter[rows, idx[:, col]] += coef[:, col]
-        ghat = scatter @ tables.grads
+        idx = sample_group_indices(tables, z, n_samples, rng)
+        ghat = _weighted_grad_rows(tables, idx, tables.ratios[idx] * centered[idx] / z)
         trcovs.append(float(ghat.var(axis=0, ddof=1).sum()))
     if all(v == 0.0 for v in trcovs):
         notes.append("degenerate: zero variance at every group size")
@@ -842,7 +826,7 @@ def trcov_protocol(
     survived: dict[str, list[bool]] = {c.name: [] for c in conditions}
 
     for i, cand in enumerate(maskable):
-        grid = rows_context(old_params, cand.state).grid()
+        behavior = rows_context(old_params, cand.state)
         groups_by_size: dict[int, list[list[tuple[Action, float]]]] = {}
         for cond in conditions:
             z = cond.n_branches
@@ -852,7 +836,7 @@ def trcov_protocol(
                     rng = stream(seed, "trcov-group", i, r, z)
                     members = []
                     for _ in range(z):
-                        action = sample_action(grid, rng)
+                        action = sample_action(behavior, rng)
                         completed = fill(cand.state, action)
                         members.append((action, cand.reward(cand.state.prompt, completed)))
                     groups.append(members)

@@ -25,7 +25,7 @@ from dispo.policy import (
     init_params,
 )
 from dispo.rollout import UnmaskSchedule, branch, rollout
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill, mask_set
+from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -470,7 +470,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", no_forward)
     for t in (1, 2):
-        branch_mask = mask_set(traj.state_at(t).completion)
+        branch_mask = traj.state_at(t).completion.mask_positions()
         for act, completed in branch(traj, t, 4, stream(1003, "invariant-branch", t)):
             assert act.positions() == branch_mask
             assert completed.fully_visible

@@ -96,6 +96,21 @@ def test_train_resume_extends_a_run(tmp_path):
     assert (run / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes()
 
 
+def test_resume_without_new_updates_is_rejected_before_writing(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, dict(TINY_TRAIN, n_updates=5)), "--out", str(run)]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    for n in (3, 5):
+        cfg = write_config(tmp_path, dict(TINY_TRAIN, n_updates=n), f"n{n}.json")
+        fresh = tmp_path / f"fresh{n}"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(fresh), "--resume", str(run)]) == 2
+        assert "holds 5 updates" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert main(["train", "--config", cfg, "--out", str(run), "--resume", str(run)]) == 2
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_TRAIN)
     run = tmp_path / "run"
@@ -104,7 +119,7 @@ def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     assert main(["eval", "--run", str(run)]) == 0
     out = capsys.readouterr().out
     assert "accuracy" in out and "mean reward" in out
-    assert main(["eval", "--config", cfg, "--workers", "2"]) == 0
+    assert main(["eval", "--config", cfg]) == 0
     assert main(["eval", "--run", str(tmp_path / "nowhere")]) == 1
 
 

@@ -11,7 +11,6 @@ from dispo.policy import (
     MlpArch,
     action_logprob,
     arch_from_descriptor,
-    forward,
     grad_action_logprob,
     greedy_action,
     init_params,
@@ -67,7 +66,7 @@ def test_large_bias_saturates_one_token():
     state = DiffusionState(MaskedSequence((0, 0), vocab), MaskedSequence.masked(3, vocab))
     total, _ = action_logprob(params, state, Action(((0, 1), (1, 1), (2, 1))))
     assert abs(total) < 1e-9
-    probs = softmax(forward(params, state).rows)
+    probs = softmax(rows_context(params, state).rows)
     assert np.all(probs[:, 1] > 1.0 - 1e-9)
 
 
@@ -151,12 +150,12 @@ def test_sampling_frequencies_match_probabilities():
     params = init_params(arch, rng, scale=0.8)
     state = make_state(vocab, 2, 2, rng, n_masked=1)
     pos = state.mask()[0]
-    grid = forward(params, state)
-    probs = softmax(grid.rows)[0]
+    ctx = rows_context(params, state)
+    probs = softmax(ctx.rows)[0]
     n = 20_000
     counts = np.zeros(vocab.size)
     for _ in range(n):
-        counts[sample_action(grid, rng)[pos]] += 1
+        counts[sample_action(ctx, rng)[pos]] += 1
     freq = counts / n
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(freq - probs) <= 4 * sigma + 1e-9)
@@ -167,7 +166,7 @@ def test_greedy_breaks_ties_toward_low_token_ids():
     arch = LinearArch(vocab, prompt_len=2, completion_len=3)
     params = init_params(arch)
     state = DiffusionState(MaskedSequence((1, 2), vocab), MaskedSequence.masked(3, vocab))
-    action = greedy_action(forward(params, state))
+    action = greedy_action(rows_context(params, state))
     assert action.to_dict() == {0: 0, 1: 0, 2: 0}
 
 

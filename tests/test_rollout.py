@@ -72,8 +72,12 @@ def test_cache_matches_fresh_forward_bitwise():
     traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(3, "roll"))
     for t in range(1, traj.n_steps + 1):
         fresh = rows_context(params, traj.state_at(t)).rows
-        assert np.array_equal(traj.cache_at(t).rows, fresh)
-        assert traj.cache_at(t).positions == traj.state_at(t).mask()
+        cached = traj.cache_at(t)
+        assert np.array_equal(cached.rows, fresh)
+        assert cached.positions == traj.state_at(t).mask()
+        # branch draws from this cache later, so nothing may write into it
+        assert not cached.rows.flags.writeable
+        assert not cached.logp.flags.writeable
 
 
 def test_greedy_commits_highest_confidence_eligible():

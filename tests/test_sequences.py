@@ -14,7 +14,6 @@ from dispo.sequences import (
     Vocab,
     enumerate_actions,
     fill,
-    mask_set,
 )
 from dispo.streams import stream
 
@@ -105,7 +104,7 @@ def test_fill_leaves_visible_positions_untouched():
         if all(t != v.mask_id for t in toks):
             toks[0] = v.mask_id
         state = DiffusionState(MaskedSequence((0,), v), MaskedSequence(tuple(toks), v))
-        action = Action(tuple((p, int(rng.integers(0, 4))) for p in mask_set(state.completion)))
+        action = Action(tuple((p, int(rng.integers(0, 4))) for p in state.completion.mask_positions()))
         done = fill(state, action)
         for p in state.completion.visible_positions():
             assert done.tokens[p] == state.completion.tokens[p]

@@ -288,5 +288,3 @@ def test_evaluate_uniform_policy_on_a_known_target():
     assert result.rewards == (0.25,)
     assert result.accuracy == 0.0
     assert result.mean_first_violation is None
-    threaded = evaluate(params, task, 2, UnmaskSchedule(2), workers=3)
-    assert threaded.rewards == result.rewards

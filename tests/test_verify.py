@@ -31,7 +31,6 @@ from dispo.verify import (
     prop2_check,
     sample_group_indices,
     theorem1_check,
-    theorem1_offpolicy_check,
     theorem2_check,
     trcov_estimate,
     trcov_protocol,
@@ -164,7 +163,7 @@ def test_step_identity_zscores_at_modest_samples():
 def test_step_identity_offpolicy_smoke():
     problem, params = build_oracle_problem()
     old = perturb_params(params, stream(6, "old"), scale=0.05)
-    report = theorem1_offpolicy_check(params, old, problem, n_samples=20_000, seed=6)
+    report = theorem1_check(params, problem, n_samples=20_000, seed=6, old_params=old)
     assert "off-policy" in report.name
     assert report.max_abs_z <= 4.5
     assert report.max_ratio > 1.0
