@@ -33,7 +33,9 @@ def main() -> None:
     n_steps = 4
     schedule = UnmaskSchedule(2)  # commit two tokens per step
     counters = OpCounters()
-    traj = rollout(params, inst.prompt, n_steps, schedule, stream(args.seed, "demo-roll"), counters=counters)
+    (traj,) = rollout(
+        params, inst.prompt, n_steps, schedule, [stream(args.seed, "demo-roll")], counters=counters
+    )
 
     print(f"prompt     {show(inst.prompt)}   (the target to reproduce)")
     for t in range(1, n_steps + 1):

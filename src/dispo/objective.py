@@ -42,10 +42,12 @@ from .surrogate import (
     PromptMaskPattern,
     SurrogateConfig,
     completion_action,
+    corrupted_features,
     draw_patterns,
     full_mask_state,
     logprob_from_contexts,
     pattern_contexts,
+    scored_positions,
     scoring_targets,
 )
 
@@ -92,6 +94,43 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
     return min(unclipped, clipped), unclipped <= clipped
 
 
+def _group_patterns(
+    prompt_len: int,
+    n_sets: int,
+    surr_cfg: SurrogateConfig,
+    rng: np.random.Generator | None,
+    patterns: tuple[PromptMaskPattern, ...] | None,
+) -> tuple[tuple[PromptMaskPattern, ...], tuple[PromptMaskPattern, ...]]:
+    """A group's pattern sets for the current and the old policy, each flattened.
+
+    ``n_sets`` sets for the current policy are drawn first (or are all
+    ``patterns``), then, unless patterns are shared, as many for the old
+    policy.  Shared patterns return the same tuple twice.
+    """
+    new: tuple[PromptMaskPattern, ...] = ()
+    for _ in range(n_sets):
+        new += patterns if patterns is not None else draw_patterns(prompt_len, surr_cfg, rng)
+    if surr_cfg.share_patterns:
+        return new, new
+    old: tuple[PromptMaskPattern, ...] = ()
+    for _ in range(n_sets):
+        old += draw_patterns(prompt_len, surr_cfg, rng)
+    return new, old
+
+
+def _group_jobs(
+    state: DiffusionState,
+    positions: tuple[int, ...],
+    pats_new: tuple[PromptMaskPattern, ...],
+    pats_old: tuple[PromptMaskPattern, ...],
+) -> list[tuple[DiffusionState, tuple[PromptMaskPattern, ...], tuple[int, ...]]]:
+    """``corrupted_features`` jobs for a group: the current policy's copies, then the old one's."""
+    jobs = [(state, pats_new, positions)]
+    if pats_old is not pats_new:
+        jobs.append((state, pats_old, positions))
+    return jobs
+
+
 def _group_loss_and_grad(
     params: PolicyParams,
     old_params: PolicyParams,
@@ -106,61 +145,69 @@ def _group_loss_and_grad(
     scope: str,
     kind: str,
     per_member_patterns: bool = False,
+    feats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Shared machinery for the step and terminal losses.
 
     With ``per_member_patterns`` each group member draws its own pattern
     set (terminal convention: one set per rollout); otherwise one set
-    serves the whole group and the per-pattern grids are shared.
+    serves the whole group and the per-pattern grids are shared.  Every
+    member is scored against every grid in one gather, and each grid
+    backpropagates all of its members' logit gradients in one batch.
+    ``feats`` holds the (current, old) copies' feature rows when the
+    caller has drawn the patterns and batched the features already.
     """
     n = len(members)
     if n == 0:
         raise ContractViolation("loss group must be non-empty")
     outcome = group_advantages([r for _, r in members])
-
-    if per_member_patterns:
-        pattern_sets = []
-        for _ in range(n):
-            if patterns is not None:
-                pattern_sets.append(patterns)
-            else:
-                pattern_sets.append(draw_patterns(state.prompt.length, surr_cfg, rng))
-    else:
-        if patterns is None:
-            patterns = draw_patterns(state.prompt.length, surr_cfg, rng)
-        pattern_sets = [patterns] * n
+    positions = scored_positions(state, scope)
+    targets = np.array([scoring_targets(state, a, scope)[1] for a, _ in members], dtype=np.intp)
+    n_sets = n if per_member_patterns else 1
+    if feats is None:
+        pats = _group_patterns(state.prompt.length, n_sets, surr_cfg, rng, patterns)
+        group_feats = corrupted_features(params.arch, _group_jobs(state, positions, *pats))
+        feats = (group_feats[0], group_feats[-1])
+    ctx_new = pattern_contexts(
+        params, state, None, positions, counters=counters, kind=kind, feats=feats[0]
+    )
+    ctx_old = pattern_contexts(
+        old_params, state, None, positions, counters=counters, kind=kind, feats=feats[1]
+    )
+    n_mc = len(ctx_new) // n_sets
+    # each member's own pattern set: its own one, or the group's single set
+    own = (np.arange(n), np.arange(n) if per_member_patterns else np.zeros(n, dtype=np.intp))
+    lp = logprob_from_contexts(ctx_new + ctx_old, positions, targets)
+    lp = lp.reshape(n, 2, n_sets, n_mc)[own[0], :, own[1]]
+    lp_new, lp_old = lp.sum(axis=-1).T / n_mc  # pattern means
 
     loss = 0.0
-    grad = np.zeros(params.dim)
-    shared_ctxs = None  # reused when every member has the same pattern set
-
-    for z, (action, _) in enumerate(members):
-        positions, targets = scoring_targets(state, action, scope)
-        pats = pattern_sets[z]
-        if per_member_patterns or shared_ctxs is None:
-            ctx_new = pattern_contexts(params, state, pats, positions, counters=counters, kind=kind)
-            if surr_cfg.share_patterns:
-                old_pats = pats
-            else:
-                old_pats = draw_patterns(state.prompt.length, surr_cfg, rng)
-            ctx_old = pattern_contexts(
-                old_params, state, old_pats, positions, counters=counters, kind=kind
-            )
-            if not per_member_patterns:
-                shared_ctxs = (ctx_new, ctx_old)
-        else:
-            ctx_new, ctx_old = shared_ctxs
-
-        lp_new = float(logprob_from_contexts(ctx_new, positions, targets).mean())
-        lp_old = float(logprob_from_contexts(ctx_old, positions, targets).mean())
-        rho = float(np.exp(lp_new - lp_old))
+    coefs = np.zeros(n)
+    active = []
+    for z in range(n):
+        rho = float(np.exp(lp_new[z] - lp_old[z]))
         adv = outcome.advantages[z]
         value, unclipped_active = clipped_objective(rho, adv, loss_cfg.clip_eps)
         loss -= value / n
         if unclipped_active and adv != 0.0:
-            coef = -(adv * rho) / (n * len(ctx_new))
-            for ctx in ctx_new:
-                grad += backprop(params, ctx, score_dlogits(ctx, positions, targets, coef))
+            coefs[z] = -(adv * rho) / (n * n_mc)
+            active.append(z)
+    active = np.array(active, dtype=np.intp)
+
+    member_grads: dict[tuple[int, int], np.ndarray] = {}
+    for s in range(n_sets):
+        users = active[own[1][active] == s]
+        if users.size == 0:
+            continue
+        for m in range(n_mc):
+            ctx = ctx_new[s * n_mc + m]
+            dlogits = score_dlogits(ctx, positions, targets[users], coefs[users])
+            for z, g in zip(users, backprop(params, ctx, dlogits)):
+                member_grads[z, m] = g
+    grad = np.zeros(params.dim)
+    for z in active:
+        for m in range(n_mc):
+            grad += member_grads[z, m]
     return loss, grad
 
 
@@ -176,12 +223,17 @@ def step_loss(
     patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
     scope: str = "action",
+    feats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss for a branch group at one intermediate state.
 
     ``branches`` pairs each sampled fill action with its terminal reward.
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
+    ``feats`` passes the (current, old) corrupted copies' feature rows
+    when the caller has drawn the patterns and batched the features
+    (``aggregate_step_loss`` does, for all of a prompt's groups at once);
+    no pattern is drawn then.
     """
     return _group_loss_and_grad(
         params,
@@ -195,6 +247,7 @@ def step_loss(
         counters=counters,
         scope=scope,
         kind="step",
+        feats=feats,
     )
 
 
@@ -217,10 +270,22 @@ def aggregate_step_loss(
     counters: OpCounters | None = None,
     scope: str = "action",
 ) -> tuple[float, np.ndarray]:
-    """Sum of step losses over the selected states (order-stable)."""
+    """Sum of step losses over the selected states (order-stable).
+
+    Patterns are drawn group by group, in the order ``step_loss`` would
+    draw them; the corrupted copies of every group are featurized together,
+    one pass per mask-set size.
+    """
+    jobs_per_group = []
+    for group in groups:
+        positions = scored_positions(group.state, scope)
+        pats = _group_patterns(group.state.prompt.length, 1, surr_cfg, rng, None)
+        jobs_per_group.append(_group_jobs(group.state, positions, *pats))
+    feats = iter(corrupted_features(params.arch, sum(jobs_per_group, [])))
     loss = 0.0
     grad = np.zeros(params.dim)
-    for group in groups:
+    for group, jobs in zip(groups, jobs_per_group):
+        group_feats = [next(feats) for _ in jobs]
         l, g = step_loss(
             group.state,
             list(group.branches),
@@ -231,6 +296,7 @@ def aggregate_step_loss(
             rng,
             counters=counters,
             scope=scope,
+            feats=(group_feats[0], group_feats[-1]),
         )
         loss += l
         grad += g
@@ -253,6 +319,7 @@ def terminal_loss(
 
     Ratios come from the sequence-level surrogate; each completion draws
     its own pattern set (shared between the current and old policies).
+    All members' corrupted copies are featurized in one pass.
     """
     if not completions:
         raise ContractViolation("terminal loss needs at least one completion")
@@ -303,17 +370,27 @@ def kl_penalty(
     For every state: average over shared corruption patterns of the sum
     over the state's masked positions of KL(current row || reference
     row).  Value is 0 at identical parameters and non-negative in exact
-    arithmetic.
+    arithmetic.  The states' corrupted copies are featurized together, one
+    pass per mask-set size, and each pass serves both policies.
     """
-    total = 0.0
-    grad = np.zeros(params.dim)
+    jobs = []
     for state in states:
         positions = state.completion.mask_positions()
-        if not positions:
-            continue
-        pats = patterns if patterns is not None else draw_patterns(state.prompt.length, surr_cfg, rng)
-        ctx_cur = pattern_contexts(params, state, pats, positions, counters=counters, kind="kl")
-        ctx_ref = pattern_contexts(ref_params, state, pats, positions, counters=counters, kind="kl")
+        if positions:
+            if patterns is None:
+                pats = draw_patterns(state.prompt.length, surr_cfg, rng)
+            else:
+                pats = patterns
+            jobs.append((state, pats, positions))
+    total = 0.0
+    grad = np.zeros(params.dim)
+    for (state, pats, positions), feats in zip(jobs, corrupted_features(params.arch, jobs)):
+        ctx_cur = pattern_contexts(
+            params, state, pats, positions, counters=counters, kind="kl", feats=feats
+        )
+        ctx_ref = pattern_contexts(
+            ref_params, state, pats, positions, counters=counters, kind="kl", feats=feats
+        )
         for cur, ref in zip(ctx_cur, ctx_ref):
             diff = cur.logp - ref.logp
             p = np.exp(cur.logp)

@@ -205,37 +205,50 @@ def _check_state(arch: Arch, state: DiffusionState) -> None:
         raise ConfigurationError("state vocab differs from architecture vocab")
 
 
-def _features(arch: Arch, state: DiffusionState, positions: tuple[int, ...]) -> np.ndarray:
-    v = arch.vocab.size
-    mask_id = arch.vocab.mask_id
+def state_tokens(arch: Arch, state: DiffusionState) -> np.ndarray:
+    """``state``'s context, prompt then completion, as an int array (checked against ``arch``)."""
+    _check_state(arch, state)
+    return np.array(state.prompt.tokens + state.completion.tokens, dtype=np.intp)
+
+
+def _features(arch: Arch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Feature rows for a batch of states, one vectorized pass.
+
+    ``tokens`` is ``(N, prompt_len + completion_len)``, one context per
+    state; ``positions`` is ``(N, P)``, the completion positions to
+    featurize in each state.  Returns ``(N, P, feature_dim)``.
+    """
+    v, mask_id = arch.vocab.size, arch.vocab.mask_id
     lp, lc, w = arch.prompt_len, arch.completion_len, arch.window
-    ctx = state.prompt.tokens + state.completion.tokens
-    offsets = [d for d in range(-w, w + 1) if d != 0]
+    tokens = np.asarray(tokens)
+    positions = np.asarray(positions, dtype=np.intp)
+    n, p = positions.shape
+    if tokens.shape != (n, lp + lc):
+        raise ContractViolation(f"tokens of shape {tokens.shape} do not fit {n} states")
+    bad = positions[(positions < 0) | (positions >= lc)]
+    if bad.size:
+        raise ContractViolation(f"position {bad[0]} outside completion of length {lc}")
 
-    hist = np.zeros(v + 1)
-    for tok in state.prompt.tokens:
-        hist[tok if tok != mask_id else v] += 1.0
-    hist /= lp
+    # token slots: ordinary tokens keep their id, the mask takes slot v,
+    # and window reads past either end land on the padding slot v + 1
+    padded = np.full((n, lp + lc + 2 * w), v + 1, dtype=np.intp)
+    padded[:, w : w + lp + lc] = tokens if mask_id == v else np.where(tokens == mask_id, v, tokens)
+    hist = np.bincount(
+        (padded[:, w : w + lp] + (v + 1) * np.arange(n)[:, None]).ravel(), minlength=n * (v + 1)
+    )
 
-    out = np.zeros((len(positions), arch.feature_dim))
-    for r, i in enumerate(positions):
-        if not 0 <= i < lc:
-            raise ContractViolation(f"position {i} outside completion of length {lc}")
-        row = out[r]
-        row[i] = 1.0
-        base = lc
-        j = lp + i
-        for d in offsets:
-            p = j + d
-            if 0 <= p < len(ctx):
-                tok = ctx[p]
-                slot = tok if tok != mask_id else v
-            else:
-                slot = v + 1
-            row[base + slot] = 1.0
-            base += v + 2
-        row[base : base + v + 1] = hist
-        row[-1] = 1.0
+    # every one-hot column of a row: its position, one slot per window
+    # offset, and the bias
+    offsets = np.array([d for d in range(-w, w + 1) if d != 0], dtype=np.intp)
+    hot = np.empty((n, p, len(offsets) + 2), dtype=np.intp)
+    hot[..., 0] = positions
+    hot[..., 1:-1] = padded[np.arange(n)[:, None, None], positions[..., None] + lp + w + offsets]
+    hot[..., 1:-1] += lc + (v + 2) * np.arange(len(offsets))
+    hot[..., -1] = arch.feature_dim - 1
+    out = np.zeros((n, p, arch.feature_dim))
+    out[np.arange(n)[:, None, None], np.arange(p)[:, None], hot] = 1.0
+    base = lc + len(offsets) * (v + 2)
+    out[:, :, base : base + v + 1] = hist.reshape(n, 1, v + 1) / lp
     return out
 
 
@@ -250,20 +263,30 @@ def _unpack_mlp(arch: MlpArch, theta: np.ndarray):
 
 
 def rows_context(
-    params: PolicyParams, state: DiffusionState, positions: tuple[int, ...] | None = None
+    params: PolicyParams,
+    state: DiffusionState | None,
+    positions: tuple[int, ...] | None = None,
+    *,
+    feats: np.ndarray | None = None,
 ) -> RowsContext:
     """Compute logits rows (and backprop activations) for ``positions``.
 
-    Defaults to the completion's mask set.  One call here is one policy
-    forward pass for accounting purposes.
+    Defaults to the completion's mask set.  ``feats`` passes the rows'
+    features when a caller has computed them for a batch of states in one
+    ``_features`` pass; ``positions`` must then be given, and ``state`` is
+    not read.  One call here is one policy forward pass for accounting
+    purposes.
     """
     arch = params.arch
-    _check_state(arch, state)
-    if positions is None:
-        positions = state.completion.mask_positions()
+    if feats is None:
+        tokens = state_tokens(arch, state)
+        positions = state.completion.mask_positions() if positions is None else positions
+        positions = tuple(map(int, positions))
+        feats = _features(arch, tokens[None], np.array(positions, dtype=np.intp)[None])[0]
+    elif positions is None:
+        raise ContractViolation("precomputed features need their positions")
     else:
-        positions = tuple(int(p) for p in positions)
-    feats = _features(arch, state, positions)
+        positions = tuple(map(int, positions))
     if isinstance(arch, LinearArch):
         w = params.theta.reshape(arch.vocab.size, arch.feature_dim)
         rows = feats @ w.T
@@ -276,22 +299,30 @@ def rows_context(
 
 
 def backprop(params: PolicyParams, ctx: RowsContext, dlogits: np.ndarray) -> np.ndarray:
-    """Chain per-row logit gradients back to a flat parameter gradient."""
+    """Chain per-row logit gradients back to a flat parameter gradient.
+
+    ``dlogits`` is ``(..., n, V)``: any leading batch axes give one
+    gradient each, computed exactly as for a single ``(n, V)`` block.
+    """
     arch = params.arch
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != ctx.rows.shape:
+    if dlogits.shape[-2:] != ctx.rows.shape:
         raise ContractViolation("dlogits shape must match the context's rows")
+    lead = dlogits.shape[:-2]
+    dlogits_t = np.swapaxes(dlogits, -1, -2)
     if isinstance(arch, LinearArch):
-        return (dlogits.T @ ctx.feats).ravel()
+        return (dlogits_t @ ctx.feats).reshape(lead + (-1,))
     w1, b1, w2, b2 = _unpack_mlp(arch, params.theta)
     h = ctx.hidden
-    dw2 = dlogits.T @ h
-    db2 = dlogits.sum(axis=0)
+    dw2 = dlogits_t @ h
+    db2 = dlogits.sum(axis=-2)
     dh = dlogits @ w2
     dz = dh * (1.0 - h * h)
-    dw1 = dz.T @ ctx.feats
-    db1 = dz.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    dw1 = np.swapaxes(dz, -1, -2) @ ctx.feats
+    db1 = dz.sum(axis=-2)
+    return np.concatenate(
+        [dw1.reshape(lead + (-1,)), db1, dw2.reshape(lead + (-1,)), db2], axis=-1
+    )
 
 
 def action_logprob(
@@ -337,30 +368,46 @@ def grad_action_logprob(
 
 
 def score_dlogits(
-    ctx: RowsContext, positions: tuple[int, ...], targets: tuple[int, ...], coef: float = 1.0
+    ctx: RowsContext,
+    positions: tuple[int, ...],
+    targets: np.ndarray | tuple[int, ...],
+    coef: float | np.ndarray = 1.0,
 ) -> np.ndarray:
     """Logit gradient of ``coef`` times the summed log-probability of ``targets``.
 
     Each scored row gets ``coef * (onehot(target) - probs)``; unscored
-    rows stay zero.  Feed the result to ``backprop``.
+    rows stay zero.  ``targets`` is one token per position, or a batch
+    ``(B, len(positions))`` with one ``coef`` per member, giving
+    ``(B, n, V)``.  Feed the result to ``backprop``.
     """
-    dlogits = np.zeros_like(ctx.rows)
+    targets = np.asarray(targets, dtype=np.intp)
     probs = np.exp(ctx.logp)
-    for pos, tok in zip(positions, targets):
-        r = ctx.row_index(pos)
-        dlogits[r] -= coef * probs[r]
-        dlogits[r, tok] += coef
+    if positions == ctx.positions:  # every row scored, in order
+        rows, scored = np.arange(len(positions)), slice(None)
+    else:
+        rows = scored = np.array([ctx.row_index(pos) for pos in positions], dtype=np.intp)
+    dlogits = np.zeros(targets.shape[:-1] + ctx.rows.shape)
+    if targets.ndim == 1:
+        dlogits[scored] -= coef * probs[scored]
+        dlogits[rows, targets] += coef
+    else:
+        coef = np.asarray(coef, dtype=np.float64).reshape(-1, 1, 1)
+        dlogits[:, scored] -= coef * probs[scored]
+        dlogits[np.arange(len(targets))[:, None], rows, targets] += coef[:, :, 0]
     return dlogits
 
 
 def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
-    """Draw one token per row, independently, in position order."""
-    probs = np.exp(ctx.logp)
-    pairs = []
-    for r, pos in enumerate(ctx.positions):
-        tok = int(rng.choice(probs.shape[1], p=probs[r]))
-        pairs.append((pos, tok))
-    return Action(tuple(pairs))
+    """Draw one token per row, independently, in position order.
+
+    Inverse CDF on one uniform per row, which gives the same tokens and
+    leaves the generator in the same state as ``rng.choice(V, p=row)``
+    called row by row.
+    """
+    cdf = np.cumsum(np.exp(ctx.logp), axis=1)
+    cdf /= cdf[:, -1:]
+    tokens = (cdf <= rng.random(len(ctx.positions))[:, None]).sum(axis=1)
+    return Action(tuple(zip(ctx.positions, tokens.tolist())))
 
 
 def greedy_action(ctx: RowsContext) -> Action:

@@ -19,13 +19,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, RowsContext, greedy_action, rows_context, sample_action
+from .policy import (
+    PolicyParams,
+    RowsContext,
+    _features,
+    greedy_action,
+    rows_context,
+    sample_action,
+    state_tokens,
+)
 from .sequences import Action, DiffusionState, MaskedSequence, fill
 
 
@@ -115,51 +123,64 @@ def rollout(
     prompt: MaskedSequence,
     n_steps: int,
     schedule: UnmaskSchedule,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     *,
     counters: OpCounters | None = None,
     greedy: bool = False,
-) -> Trajectory:
-    """Run one denoising trajectory under the behavior policy ``params``.
+) -> list[Trajectory]:
+    """Run one denoising trajectory per generator under the behavior policy ``params``.
 
-    Samples a token for every masked position each step (all sampled
-    tokens inform confidence; only the committed subset persists), caches
-    every logits grid, and returns the full trajectory.  ``greedy=True``
-    takes the argmax token per position instead of sampling, which makes
-    the rollout deterministic.
+    The trajectories advance in lockstep: every step computes the features
+    of all their states in one pass, then runs one forward per state.  Each
+    samples a token for every masked position from its own generator (all
+    sampled tokens inform confidence; only the committed subset persists),
+    caches every logits grid, and comes back whole, so the draws match
+    separate rollouts with the same generators.  ``greedy=True`` takes the
+    argmax token per position instead of sampling, which makes the rollout
+    deterministic.
     """
-    completion_len = params.arch.completion_len
-    schedule.validate(completion_len, n_steps)
-    if prompt.length != params.arch.prompt_len:
+    if not rngs:
+        raise ContractViolation("rollout needs one generator per trajectory")
+    arch = params.arch
+    schedule.validate(arch.completion_len, n_steps)
+    if prompt.length != arch.prompt_len:
         raise ConfigurationError(
-            f"prompt length {prompt.length} != architecture prompt_len {params.arch.prompt_len}"
+            f"prompt length {prompt.length} != architecture prompt_len {arch.prompt_len}"
         )
-    state = DiffusionState(prompt, MaskedSequence.masked(completion_len, prompt.vocab))
-    states = []
-    events = []
-    cache = []
+    start = DiffusionState(prompt, MaskedSequence.masked(arch.completion_len, prompt.vocab))
+    tokens = np.tile(state_tokens(arch, start), (len(rngs), 1))
+    states = [[start] for _ in rngs]
+    events: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in rngs]
+    cache: list[list[RowsContext]] = [[] for _ in rngs]
     for _ in range(n_steps):
-        states.append(state)
-        ctx = rows_context(params, state)
-        if counters is not None:
-            counters.rollout_forward_passes += 1
-        cache.append(ctx)
-        action = greedy_action(ctx) if greedy else sample_action(ctx, rng)
-        probs = np.exp(ctx.logp)
-        scored = []
-        for r, pos in enumerate(ctx.positions):
-            tok = action[pos]
-            scored.append((-probs[r, tok], pos, tok))
-        eligible = set(schedule.eligible(ctx.positions))
-        scored = [s for s in scored if s[1] in eligible]
-        scored.sort()
-        commit = scored[: min(schedule.tokens_per_step, len(scored))]
-        step_events = tuple(sorted((pos, tok) for _, pos, tok in commit))
-        events.append(step_events)
-        state = DiffusionState(prompt, state.completion.with_tokens(dict(step_events)))
-    assert state.completion.fully_visible(), "schedule validation guarantees an empty mask"
-    states.append(state)
-    return Trajectory(prompt, tuple(states), tuple(events), tuple(cache))
+        masked = [path[-1].completion.mask_positions() for path in states]
+        feats = _features(arch, tokens, np.array(masked, dtype=np.intp))
+        for k, rng in enumerate(rngs):
+            state = states[k][-1]
+            ctx = rows_context(params, state, masked[k], feats=feats[k])
+            if counters is not None:
+                counters.rollout_forward_passes += 1
+            cache[k].append(ctx)
+            action = greedy_action(ctx) if greedy else sample_action(ctx, rng)
+            probs = np.exp(ctx.logp)
+            eligible = set(schedule.eligible(ctx.positions))
+            scored = sorted(
+                (-probs[r, tok], pos, tok)
+                for r, (pos, tok) in enumerate(action.assignments)
+                if pos in eligible
+            )
+            commit = scored[: min(schedule.tokens_per_step, len(scored))]
+            step_events = tuple(sorted((pos, tok) for _, pos, tok in commit))
+            events[k].append(step_events)
+            for pos, tok in step_events:
+                tokens[k, arch.prompt_len + pos] = tok
+            completion = state.completion.with_tokens(dict(step_events))
+            states[k].append(DiffusionState(prompt, completion))
+    trajectories = []
+    for path, steps, grids in zip(states, events, cache):
+        assert path[-1].completion.fully_visible(), "schedule validation guarantees an empty mask"
+        trajectories.append(Trajectory(prompt, tuple(path), tuple(steps), tuple(grids)))
+    return trajectories
 
 
 def branch(

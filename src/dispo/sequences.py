@@ -10,7 +10,7 @@ dict keys; serialized form renders the mask as -1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ContractViolation
@@ -24,6 +24,7 @@ class Vocab:
 
     size: int
     mask_id: int = -1
+    allowed: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -34,12 +35,13 @@ class Vocab:
             raise ContractViolation(
                 f"mask id {self.mask_id} collides with the ordinary range [0, {self.size})"
             )
+        object.__setattr__(self, "allowed", frozenset(range(self.size)) | {self.mask_id})
 
     def is_ordinary(self, token: int) -> bool:
         return 0 <= token < self.size
 
     def check_token(self, token: int) -> None:
-        if not (self.is_ordinary(token) or token == self.mask_id):
+        if token not in self.allowed:
             raise ContractViolation(f"token {token} outside vocab (size {self.size}, mask {self.mask_id})")
 
 
@@ -51,12 +53,12 @@ class MaskedSequence:
     vocab: Vocab
 
     def __post_init__(self) -> None:
-        toks = tuple(int(t) for t in self.tokens)
+        toks = tuple(map(int, self.tokens))
         object.__setattr__(self, "tokens", toks)
         if not toks:
             raise ContractViolation("sequences must be non-empty")
-        for t in toks:
-            self.vocab.check_token(t)
+        if not self.vocab.allowed.issuperset(toks):
+            self.vocab.check_token(next(t for t in toks if t not in self.vocab.allowed))
 
     @classmethod
     def masked(cls, length: int, vocab: Vocab) -> "MaskedSequence":

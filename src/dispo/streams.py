@@ -5,8 +5,19 @@ named stream, addressed by a path of labels, e.g.
 ``stream(seed, "rollout", update, prompt, k)``.  String labels are hashed
 with SHA-256 so the mapping is stable across processes and platforms
 (``hash()`` randomization never enters), and integer labels feed the seed
-sequence directly.  Two distinct paths give independent generators; the
-same path always gives the same generator.
+sequence directly.  The same path always gives the same generator, and
+two distinct paths give independent generators, with one exception.
+
+The path becomes a list of 32-bit words: the root, one word per integer
+label (labels must lie in [0, 2**32), so no label spills into a second
+word) and four words per string label.  numpy's ``SeedSequence`` pads
+that list with zeros up to its pool size of four words, so paths whose
+word lists differ only by trailing zeros within the first four words
+collide: ``stream(1)``, ``stream(1, 0)`` and ``stream(1, 0, 0, 0)`` are
+one generator.  A path that holds a string label is at least five words
+long, so every path in this package, which names its purpose with a
+string, is clear of the rule.  The padding is documented rather than
+changed because changing it would change every existing stream.
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ Label = int | str
 
 def _label_words(label: Label) -> tuple[int, ...]:
     if isinstance(label, (int, np.integer)):
-        if label < 0:
-            raise ValueError(f"stream labels must be non-negative, got {label}")
+        if not 0 <= label < 2**32:
+            raise ValueError(f"stream labels must lie in [0, 2**32), got {label}")
         return (int(label),)
     if isinstance(label, str):
         digest = hashlib.sha256(label.encode("utf-8")).digest()

@@ -27,12 +27,22 @@ pattern (or held fixed, or zero to disable corruption).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, RowsContext, backprop, rows_context, score_dlogits
+from .policy import (
+    Arch,
+    PolicyParams,
+    RowsContext,
+    _features,
+    backprop,
+    rows_context,
+    score_dlogits,
+    state_tokens,
+)
 from .sequences import Action, DiffusionState, MaskedSequence, check_action
 
 RatioLaw = str | float
@@ -76,7 +86,7 @@ def draw_pattern(
     if ratio_law == "zero":
         return PromptMaskPattern((False,) * prompt_len, 0.0)
     ratio = float(rng.uniform()) if ratio_law == "uniform" else float(ratio_law)
-    mask = tuple(bool(b) for b in rng.random(prompt_len) < ratio)
+    mask = tuple((rng.random(prompt_len) < ratio).tolist())
     return PromptMaskPattern(mask, ratio)
 
 
@@ -104,10 +114,6 @@ def corrupt_prompt(
     return pattern, apply_pattern(prompt, pattern)
 
 
-def corrupted_state(state: DiffusionState, pattern: PromptMaskPattern) -> DiffusionState:
-    return DiffusionState(apply_pattern(state.prompt, pattern), state.completion)
-
-
 def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
     return DiffusionState(prompt, MaskedSequence.masked(completion_len, prompt.vocab))
 
@@ -117,6 +123,15 @@ def completion_action(completion: MaskedSequence) -> Action:
     if not completion.fully_visible():
         raise ContractViolation("completion must be fully visible")
     return Action(tuple(enumerate(completion.tokens)))
+
+
+def scored_positions(state: DiffusionState, scope: str = "action") -> tuple[int, ...]:
+    """Completion positions a surrogate scores at ``state``: the mask set, or all of them."""
+    if scope == "action":
+        return state.completion.mask_positions()
+    if scope == "all":
+        return tuple(range(state.completion.length))
+    raise ContractViolation(f"unknown scope {scope!r}")
 
 
 def scoring_targets(
@@ -129,33 +144,68 @@ def scoring_targets(
     completion position against its own token (the action never overlaps
     visible positions, whose features exclude the position's own token).
     """
+    positions = scored_positions(state, scope)
     check_action(state, action)
-    masked = state.completion.mask_positions()
-    if scope == "action":
-        return masked, tuple(action[p] for p in masked)
-    if scope == "all":
-        positions = tuple(range(state.completion.length))
-        targets = tuple(
-            action[p] if p in set(masked) else state.completion.tokens[p] for p in positions
-        )
-        return positions, targets
-    raise ContractViolation(f"unknown scope {scope!r}")
+    filled = dict(enumerate(state.completion.tokens)) if scope == "all" else {}
+    filled.update(action.assignments)
+    return positions, tuple(filled[p] for p in positions)
+
+
+def corrupted_features(
+    arch: Arch,
+    jobs: Sequence[tuple[DiffusionState, tuple[PromptMaskPattern, ...], tuple[int, ...]]],
+) -> list[np.ndarray]:
+    """Feature rows of corrupted state copies, one ``_features`` pass per positions count.
+
+    A job is ``(state, patterns, positions)``: one copy of ``state`` per
+    pattern, its prompt masked by the pattern, featurized at
+    ``positions``.  Its entry in the result is a
+    ``(len(patterns), len(positions), feature_dim)`` block, one row block
+    per copy, ready for ``pattern_contexts(..., feats=...)``.
+    """
+    mid = arch.vocab.mask_id
+    by_size: dict[int, list[int]] = {}
+    for j, (_, _, positions) in enumerate(jobs):
+        by_size.setdefault(len(positions), []).append(j)
+    out: list[np.ndarray] = [np.empty(0)] * len(jobs)
+    for size, members in by_size.items():
+        tokens, rows = [], []
+        for j in members:
+            state, patterns, positions = jobs[j]
+            masks = np.array([p.mask for p in patterns], dtype=bool)
+            if masks.shape != (len(patterns), state.prompt.length):
+                raise ContractViolation("pattern length must match the prompt")
+            copies = np.tile(state_tokens(arch, state), (len(patterns), 1))
+            copies[:, : arch.prompt_len][masks] = mid
+            tokens.append(copies)
+            rows.append(np.tile(np.array(positions, dtype=np.intp), (len(patterns), 1)))
+        feats = _features(arch, np.concatenate(tokens), np.concatenate(rows).reshape(-1, size))
+        start = 0
+        for j in members:
+            stop = start + len(jobs[j][1])
+            out[j] = feats[start:stop]
+            start = stop
+    return out
 
 
 def pattern_contexts(
     params: PolicyParams,
     state: DiffusionState,
-    patterns: tuple[PromptMaskPattern, ...],
+    patterns: tuple[PromptMaskPattern, ...] | None,
     positions: tuple[int, ...],
     *,
     counters: OpCounters | None = None,
     kind: str = "step",
+    feats: np.ndarray | None = None,
 ) -> list[RowsContext]:
     """One forward pass per pattern, on the corrupted copies of ``state``.
 
     Every context covers the same ``positions``, so any number of actions
     can be scored against one set of grids.  Each forward bumps the
     counter bucket named by ``kind`` ("step", "terminal", or "kl").
+    ``feats`` passes the copies' feature rows when the caller has batched
+    them with ``corrupted_features``; ``state`` and ``patterns`` are then
+    not read.  One feature pass serves every policy scored on the copies.
     """
     field = {
         "step": "surrogate_step_calls",
@@ -164,9 +214,11 @@ def pattern_contexts(
     }.get(kind)
     if field is None:
         raise ContractViolation(f"unknown surrogate call kind {kind!r}")
+    if feats is None:
+        (feats,) = corrupted_features(params.arch, [(state, patterns, positions)])
     out = []
-    for pattern in patterns:
-        ctx = rows_context(params, corrupted_state(state, pattern), positions)
+    for rows in feats:
+        ctx = rows_context(params, None, positions, feats=rows)
         if counters is not None:
             setattr(counters, field, getattr(counters, field) + 1)
         out.append(ctx)
@@ -174,26 +226,41 @@ def pattern_contexts(
 
 
 def logprob_from_contexts(
-    contexts: list[RowsContext], positions: tuple[int, ...], targets: tuple[int, ...]
+    contexts: list[RowsContext],
+    positions: tuple[int, ...],
+    targets: np.ndarray | tuple[int, ...],
 ) -> np.ndarray:
-    """Per-pattern summed log-probabilities of ``targets`` at ``positions``."""
-    vals = np.zeros(len(contexts))
-    for m, ctx in enumerate(contexts):
-        total = 0.0
-        for pos, tok in zip(positions, targets):
-            total += ctx.logp[ctx.row_index(pos), tok]
-        vals[m] = total
-    return vals
+    """Summed log-probabilities of ``targets`` at ``positions``, per context.
+
+    ``targets`` is ``(..., len(positions))``: one token tuple per member.
+    The result is ``(..., len(contexts))``; entry ``[z, m]`` scores member
+    ``z`` against context ``m``.  Positions add up in order, as a running
+    sum from zero.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    logp = np.stack(
+        [
+            ctx.logp
+            if ctx.positions == positions
+            else ctx.logp[[ctx.row_index(p) for p in positions]]
+            for ctx in contexts
+        ]
+    )
+    m = np.arange(len(contexts))[:, None]
+    picked = logp[m, np.arange(len(positions)), targets[..., None, :]]  # (..., contexts, positions)
+    if not positions:
+        return np.zeros(picked.shape[:-1])
+    return np.cumsum(picked, axis=-1)[..., -1]
 
 
 def grad_from_contexts(
     params: PolicyParams,
     contexts: list[RowsContext],
     positions: tuple[int, ...],
-    targets: tuple[int, ...],
+    targets: np.ndarray | tuple[int, ...],
 ) -> np.ndarray:
-    """Gradient of the pattern-averaged log-probability."""
-    grad = np.zeros(params.dim)
+    """Gradient of the pattern-averaged log-probability, one per leading index of ``targets``."""
+    grad = np.zeros(np.shape(targets)[:-1] + (params.dim,))
     for ctx in contexts:
         grad += backprop(params, ctx, score_dlogits(ctx, positions, targets))
     return grad / len(contexts)

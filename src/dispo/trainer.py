@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -151,28 +152,48 @@ _SECTION_TYPES = {
 }
 
 
+def _check_type(name: str, hint, value) -> None:
+    """Reject ``value`` unless it fits the field type ``hint``.
+
+    Ints stand in for floats, but neither floats nor bools stand in for
+    ints, and only bools are bools.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        ok = bool in allowed
+    elif isinstance(value, int):
+        ok = int in allowed or float in allowed
+    else:
+        ok = any(isinstance(value, t) for t in allowed if t not in (bool, int))
+    if not ok:
+        expected = " | ".join(t.__name__ for t in allowed)
+        raise ConfigurationError(f"config key {name!r} must be {expected}, got {value!r}")
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON, rejecting unknown keys by name."""
+    """Build a RunConfig from parsed JSON, rejecting unknown keys and ill-typed values by name."""
     if not isinstance(d, dict):
         raise ConfigurationError("config root must be a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
+    hints = typing.get_type_hints(RunConfig)
     kwargs: dict = {}
     for key, value in d.items():
-        if key not in known:
+        if key not in hints:
             raise ConfigurationError(f"unknown config key {key!r}")
         if key in _SECTION_TYPES:
             cls = _SECTION_TYPES[key]
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config section {key!r} must be an object")
-            section_known = set(cls.__dataclass_fields__)
-            for sub in value:
-                if sub not in section_known:
+            section_hints = typing.get_type_hints(cls)
+            for sub, sub_value in value.items():
+                if sub not in section_hints:
                     raise ConfigurationError(f"unknown key {sub!r} in config section {key!r}")
+                _check_type(f"{key}.{sub}", section_hints[sub], sub_value)
             try:
                 kwargs[key] = cls(**value)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"bad config section {key!r}: {exc}") from exc
         else:
+            _check_type(key, hints[key], value)
             kwargs[key] = value
     try:
         return RunConfig(**kwargs)
@@ -445,17 +466,14 @@ def train(
 
         for b, slot in enumerate(slots):
             inst = task.instances[slot]
-            trajs = [
-                rollout(
-                    old_params,
-                    inst.prompt,
-                    config.n_denoising_steps,
-                    schedule,
-                    stream(root, "rollout", u, b, k),
-                    counters=counters,
-                )
-                for k in range(config.n_rollouts)
-            ]
+            trajs = rollout(
+                old_params,
+                inst.prompt,
+                config.n_denoising_steps,
+                schedule,
+                [stream(root, "rollout", u, b, k) for k in range(config.n_rollouts)],
+                counters=counters,
+            )
             completions = []
             for traj in trajs:
                 final = traj.final_completion()
@@ -586,7 +604,7 @@ def evaluate(params: PolicyParams, task: Task, n_steps: int, schedule: UnmaskSch
     rewards: list[float] = []
     violations: list[float] = []
     for inst in task.instances:
-        traj = rollout(params, inst.prompt, n_steps, schedule, rng, greedy=True)
+        (traj,) = rollout(params, inst.prompt, n_steps, schedule, [rng], greedy=True)
         rewards.append(float(inst.reward(inst.prompt, traj.final_completion())))
         if task.name == "sudoku":
             v = first_violation_time(inst.reward.instance, traj)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .objective import LossConfig, step_loss
-from .policy import PolicyParams, rows_context, sample_action
+from .policy import PolicyParams, RowsContext, rows_context, sample_action
 from .rollout import UnmaskSchedule, rollout
 from .sequences import (
     Action,
@@ -52,8 +52,8 @@ from .surrogate import (
     PromptMaskPattern,
     SurrogateConfig,
     full_mask_state,
-    state_surrogate_grad,
-    state_surrogate_logprob,
+    grad_from_contexts,
+    logprob_from_contexts,
 )
 from .tasks import RewardFn, StringMatchInstance, Task
 
@@ -161,6 +161,30 @@ def build_oracle_problem(seed: int = 7) -> tuple[OracleProblem, PolicyParams]:
     return problem, params
 
 
+def _enumerated_targets(
+    state: DiffusionState, action_limit: int
+) -> tuple[tuple[Action, ...], tuple[int, ...], np.ndarray]:
+    """Every joint action at ``state``, its mask set, and its tokens as an (actions, |mask|) array.
+
+    ``enumerate_actions`` yields assignments in mask-set order, so row i of
+    the array lines up with ``positions``.
+    """
+    actions = tuple(enumerate_actions(state, limit=action_limit))
+    positions = state.completion.mask_positions()
+    targets = np.array([[tok for _, tok in a.assignments] for a in actions], dtype=np.intp)
+    return actions, positions, targets.reshape(len(actions), len(positions))
+
+
+def _surrogate_grid(
+    params: PolicyParams,
+    state: DiffusionState,
+    positions: tuple[int, ...],
+    surr_cfg: SurrogateConfig,
+) -> list[RowsContext]:
+    """The corruption-free surrogate's grids at ``state``: one forward, listed once per pattern."""
+    return [rows_context(params, state, positions)] * surr_cfg.n_mc
+
+
 def exact_step_gradient(
     params: PolicyParams,
     weighted: WeightedStates,
@@ -174,17 +198,19 @@ def exact_step_gradient(
     Uses the production surrogate likelihood and its gradient, so this is
     exact only when corruption is disabled (the surrogate is then a
     normalized distribution over joint actions; the sum of enumerated
-    probabilities is checked against 1).
+    probabilities is checked against 1).  Each state's grid is computed
+    once and every enumerated action is scored against it.
     """
     if surr_cfg.corruption_enabled:
         raise ContractViolation("exact enumeration requires corruption disabled")
     grad = np.zeros(params.dim)
     for state, weight in zip(weighted.states, weighted.weights):
-        patterns = zero_patterns(state.prompt.length, surr_cfg.n_mc)
+        actions, positions, targets = _enumerated_targets(state, action_limit)
+        grids = _surrogate_grid(params, state, positions, surr_cfg)
+        logps = logprob_from_contexts(grids, positions, targets).mean(axis=1)
+        grads = grad_from_contexts(params, grids, positions, targets)
         total_prob = 0.0
-        for action in enumerate_actions(state, limit=action_limit):
-            lp = state_surrogate_logprob(params, state, action, surr_cfg, patterns=patterns)
-            g = state_surrogate_grad(params, state, action, surr_cfg, patterns=patterns)
+        for action, lp, g in zip(actions, logps, grads):
             p = math.exp(lp)
             total_prob += p
             r = reward(state.prompt, fill(state, action))
@@ -243,20 +269,13 @@ def build_state_tables(
 ) -> StateTables:
     if surr_cfg.corruption_enabled:
         raise ContractViolation("state tables require corruption disabled")
-    patterns = zero_patterns(state.prompt.length, surr_cfg.n_mc)
-    actions = tuple(enumerate_actions(state, limit=action_limit))
-    n = len(actions)
-    logp_new = np.zeros(n)
-    logp_old = np.zeros(n)
-    rewards = np.zeros(n)
-    grads = np.zeros((n, params.dim))
-    for i, action in enumerate(actions):
-        logp_new[i] = state_surrogate_logprob(params, state, action, surr_cfg, patterns=patterns)
-        logp_old[i] = state_surrogate_logprob(
-            old_params, state, action, surr_cfg, patterns=patterns
-        )
-        grads[i] = state_surrogate_grad(params, state, action, surr_cfg, patterns=patterns)
-        rewards[i] = reward(state.prompt, fill(state, action))
+    actions, positions, targets = _enumerated_targets(state, action_limit)
+    grids = _surrogate_grid(params, state, positions, surr_cfg)
+    old_grids = _surrogate_grid(old_params, state, positions, surr_cfg)
+    logp_new = logprob_from_contexts(grids, positions, targets).mean(axis=1)
+    logp_old = logprob_from_contexts(old_grids, positions, targets).mean(axis=1)
+    grads = grad_from_contexts(params, grids, positions, targets)
+    rewards = np.array([reward(state.prompt, fill(state, a)) for a in actions], dtype=np.float64)
     probs_old = np.exp(logp_old)
     if abs(float(probs_old.sum()) - 1.0) > 1e-8:
         raise ContractViolation("behavior probabilities do not sum to 1")
@@ -732,10 +751,8 @@ def collect_states(
     """Harvest intermediate states by rolling the policy over the task pool."""
     out = []
     for i, inst in enumerate(task.instances):
-        for k in range(rollouts_per_instance):
-            traj = rollout(
-                params, inst.prompt, n_steps, schedule, stream(seed, "collect", i, k)
-            )
+        rngs = [stream(seed, "collect", i, k) for k in range(rollouts_per_instance)]
+        for traj in rollout(params, inst.prompt, n_steps, schedule, rngs):
             for t in timesteps:
                 out.append(CandidateState(traj.state_at(t), inst.reward))
     return out

@@ -1,0 +1,349 @@
+"""Bitwise differential tests: the batched hot path against per-item references.
+
+Training cannot see the log-probability path (its ratios are exactly 1),
+so these tests pin every batched kernel to a plain per-state or per-member
+loop, compared with ``==``: features, sampling, log-probabilities, and the
+step, terminal and KL losses with ``old_params != params`` and clipping
+firing.  The references are the straightforward loops the batched code
+replaces.
+"""
+
+import numpy as np
+import pytest
+
+from dispo.objective import (
+    LossConfig,
+    StepGroup,
+    aggregate_step_loss,
+    clipped_objective,
+    group_advantages,
+    kl_penalty,
+    step_loss,
+    terminal_loss,
+)
+from dispo.policy import (
+    LinearArch,
+    MlpArch,
+    RowsContext,
+    _features,
+    _unpack_mlp,
+    init_params,
+    log_softmax,
+    rows_context,
+    sample_action,
+)
+from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
+from dispo.streams import stream
+from dispo.surrogate import (
+    SurrogateConfig,
+    apply_pattern,
+    completion_action,
+    draw_patterns,
+    full_mask_state,
+    logprob_from_contexts,
+    scoring_targets,
+)
+from dispo.verify import perturb_params
+
+# -- per-item references -------------------------------------------------------
+
+
+def reference_features(arch, tokens, positions):
+    """One state's feature rows, position by position."""
+    v = arch.vocab.size
+    mask_id = arch.vocab.mask_id
+    lp, lc, w = arch.prompt_len, arch.completion_len, arch.window
+    ctx = list(tokens)
+    offsets = [d for d in range(-w, w + 1) if d != 0]
+    hist = np.zeros(v + 1)
+    for tok in ctx[:lp]:
+        hist[tok if tok != mask_id else v] += 1.0
+    hist /= lp
+    out = np.zeros((len(positions), arch.feature_dim))
+    for r, i in enumerate(positions):
+        row = out[r]
+        row[i] = 1.0
+        base = lc
+        j = lp + i
+        for d in offsets:
+            p = j + d
+            if 0 <= p < len(ctx):
+                tok = ctx[p]
+                slot = tok if tok != mask_id else v
+            else:
+                slot = v + 1
+            row[base + slot] = 1.0
+            base += v + 2
+        row[base : base + v + 1] = hist
+        row[-1] = 1.0
+    return out
+
+
+def reference_sample(ctx, rng):
+    probs = np.exp(ctx.logp)
+    return [int(rng.choice(probs.shape[1], p=probs[r])) for r in range(len(ctx.positions))]
+
+
+def reference_logprob(ctx, positions, targets):
+    total = 0.0
+    for pos, tok in zip(positions, targets):
+        total += ctx.logp[ctx.row_index(pos), tok]
+    return total
+
+
+def reference_backprop(params, ctx, dlogits):
+    arch = params.arch
+    if isinstance(arch, LinearArch):
+        return (dlogits.T @ ctx.feats).ravel()
+    w1, b1, w2, b2 = _unpack_mlp(arch, params.theta)
+    h = ctx.hidden
+    dw2 = dlogits.T @ h
+    db2 = dlogits.sum(axis=0)
+    dh = dlogits @ w2
+    dz = dh * (1.0 - h * h)
+    dw1 = dz.T @ ctx.feats
+    db1 = dz.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def reference_score_grad(params, ctx, positions, targets, coef):
+    dlogits = np.zeros_like(ctx.rows)
+    probs = np.exp(ctx.logp)
+    for pos, tok in zip(positions, targets):
+        r = ctx.row_index(pos)
+        dlogits[r] -= coef * probs[r]
+        dlogits[r, tok] += coef
+    return reference_backprop(params, ctx, dlogits)
+
+
+def reference_contexts(params, state, patterns, positions):
+    copies = [DiffusionState(apply_pattern(state.prompt, p), state.completion) for p in patterns]
+    return [rows_context(params, copy, positions) for copy in copies]
+
+
+def reference_group_loss(
+    params, old, state, members, loss_cfg, surr_cfg, rng, scope, per_member_patterns
+):
+    """Member by member, one forward per pattern per policy; returns (loss, grad, n_clipped)."""
+    n = len(members)
+    outcome = group_advantages([r for _, r in members])
+    if per_member_patterns:
+        pattern_sets = [draw_patterns(state.prompt.length, surr_cfg, rng) for _ in range(n)]
+    else:
+        pattern_sets = [draw_patterns(state.prompt.length, surr_cfg, rng)] * n
+    loss, grad, clipped, shared = 0.0, np.zeros(params.dim), 0, None
+    for z, (action, _) in enumerate(members):
+        positions, targets = scoring_targets(state, action, scope)
+        pats = pattern_sets[z]
+        if per_member_patterns or shared is None:
+            old_pats = pats if surr_cfg.share_patterns else draw_patterns(
+                state.prompt.length, surr_cfg, rng
+            )
+            shared = (
+                reference_contexts(params, state, pats, positions),
+                reference_contexts(old, state, old_pats, positions),
+            )
+        ctx_new, ctx_old = shared
+        lp_new = float(np.array([reference_logprob(c, positions, targets) for c in ctx_new]).mean())
+        lp_old = float(np.array([reference_logprob(c, positions, targets) for c in ctx_old]).mean())
+        rho = float(np.exp(lp_new - lp_old))
+        adv = outcome.advantages[z]
+        value, unclipped_active = clipped_objective(rho, adv, loss_cfg.clip_eps)
+        clipped += not unclipped_active
+        loss -= value / n
+        if unclipped_active and adv != 0.0:
+            coef = -(adv * rho) / (n * len(ctx_new))
+            for ctx in ctx_new:
+                grad += reference_score_grad(params, ctx, positions, targets, coef)
+    return loss, grad, clipped
+
+
+def reference_kl(params, ref, states, surr_cfg, rng):
+    total, grad = 0.0, np.zeros(params.dim)
+    for state in states:
+        positions = state.completion.mask_positions()
+        if not positions:
+            continue
+        pats = draw_patterns(state.prompt.length, surr_cfg, rng)
+        for cur, base in zip(
+            reference_contexts(params, state, pats, positions),
+            reference_contexts(ref, state, pats, positions),
+        ):
+            diff = cur.logp - base.logp
+            p = np.exp(cur.logp)
+            row_kl = (p * diff).sum(axis=-1)
+            total += float(row_kl.sum()) / len(pats)
+            grad += reference_backprop(params, cur, p * (diff - row_kl[:, None]) / len(pats))
+    return total, grad
+
+
+# -- random problems -------------------------------------------------------------
+
+
+def random_arch(rng):
+    size = int(rng.integers(2, 10))
+    mask_id = size + int(rng.integers(0, 3))  # also off the default id
+    return LinearArch(
+        Vocab(size, mask_id),
+        prompt_len=int(rng.integers(1, 33)),
+        completion_len=int(rng.integers(1, 33)),
+        window=int(rng.integers(0, 4)),
+    )
+
+
+def random_tokens(rng, vocab, length, p_mask):
+    return [
+        vocab.mask_id if rng.random() < p_mask else int(rng.integers(vocab.size))
+        for _ in range(length)
+    ]
+
+
+def random_state(rng, arch, p_mask=0.5):
+    vocab = arch.vocab
+    prompt = MaskedSequence(tuple(rng.integers(0, vocab.size, arch.prompt_len).tolist()), vocab)
+    completion = random_tokens(rng, vocab, arch.completion_len, p_mask)
+    completion[int(rng.integers(arch.completion_len))] = vocab.mask_id  # never fully visible
+    return DiffusionState(prompt, MaskedSequence(tuple(completion), vocab))
+
+
+def random_action(rng, state):
+    return Action(tuple((p, int(rng.integers(state.vocab.size))) for p in state.mask()))
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+def test_batched_features_equal_the_per_state_loop():
+    rng = stream(1, "diff-features")
+    for _ in range(150):
+        arch = random_arch(rng)
+        n = int(rng.integers(1, 41))
+        p = int(rng.integers(0, arch.completion_len + 1))
+        length = arch.prompt_len + arch.completion_len
+        tokens = np.array([random_tokens(rng, arch.vocab, length, 0.3) for _ in range(n)])
+        positions = np.array(
+            [rng.permutation(arch.completion_len)[:p] for _ in range(n)], dtype=np.intp
+        )
+        batched = _features(arch, tokens, positions.reshape(n, p))
+        assert batched.shape == (n, p, arch.feature_dim)
+        for k in range(n):
+            assert np.array_equal(batched[k], reference_features(arch, tokens[k], positions[k]))
+
+
+def test_inverse_cdf_sampling_matches_rng_choice_and_the_generator_state():
+    rng = stream(2, "diff-sampling")
+    for case in range(3000):
+        v, n = int(rng.integers(2, 10)), int(rng.integers(1, 9))
+        rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (n, v))
+        ctx = RowsContext(tuple(range(n)), rows, log_softmax(rows), np.zeros((n, 1)), None)
+        a, b = stream(3, "draw", case), stream(3, "draw", case)
+        tokens = [tok for _, tok in sample_action(ctx, a).assignments]
+        assert tokens == reference_sample(ctx, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_batched_logprobs_equal_the_running_sums():
+    rng = stream(4, "diff-logprob")
+    arch = random_arch(rng)
+    params = init_params(arch, rng, scale=1.0)
+    for _ in range(20):
+        state = random_state(rng, arch, p_mask=0.7)
+        positions = state.mask()
+        ctxs = [rows_context(params, random_state(rng, arch), positions) for _ in range(3)]
+        targets = rng.integers(0, arch.vocab.size, (5, len(positions)))
+        batched = logprob_from_contexts(ctxs, positions, targets)
+        assert batched.shape == (5, 3)
+        for z in range(5):
+            for m in range(3):
+                assert batched[z, m] == reference_logprob(ctxs[m], positions, targets[z])
+
+
+def loss_problem(kind, seed):
+    rng = stream(seed, "diff-loss", kind)
+    vocab = Vocab(4)
+    common = dict(vocab=vocab, prompt_len=9, completion_len=5, window=2)
+    arch = LinearArch(**common) if kind == "linear" else MlpArch(hidden=4, **common)
+    params = init_params(arch, rng, scale=0.8)
+    old = perturb_params(params, rng, scale=4.0)
+    return rng, arch, params, old
+
+
+CASES = [
+    (kind, share, scope)
+    for kind in ("linear", "mlp")
+    for share in (True, False)
+    for scope in ("action", "all")
+]
+
+
+@pytest.mark.parametrize("kind,share,scope", CASES)
+def test_step_losses_equal_the_per_member_reference(kind, share, scope):
+    rng, arch, params, old = loss_problem(kind, 5)
+    loss_cfg = LossConfig(clip_eps=0.05)
+    clipped = 0
+    groups = []
+    for n_mc in (1, 3, 9):
+        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform", share_patterns=share)
+        for g in range(6):
+            state = random_state(rng, arch)
+            members = [(random_action(rng, state), float(rng.normal())) for _ in range(4)]
+            groups.append(StepGroup(state, tuple(members)))
+            loss, grad = step_loss(
+                state, members, params, old, loss_cfg, surr_cfg, stream(6, n_mc, g), scope=scope
+            )
+            ref_loss, ref_grad, n_clipped = reference_group_loss(
+                params, old, state, members, loss_cfg, surr_cfg, stream(6, n_mc, g), scope, False
+            )
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            clipped += n_clipped
+    assert clipped > 0
+
+    # the whole prompt's groups at once: mixed mask-set sizes, one feature pass each
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform", share_patterns=share)
+    loss, grad = aggregate_step_loss(
+        groups, params, old, loss_cfg, surr_cfg, stream(7, "agg"), scope=scope
+    )
+    ref_rng, ref_loss, ref_grad = stream(7, "agg"), 0.0, np.zeros(params.dim)
+    for group in groups:
+        l, g, _ = reference_group_loss(
+            params, old, group.state, list(group.branches), loss_cfg, surr_cfg, ref_rng, scope,
+            False,
+        )
+        ref_loss += l
+        ref_grad += g
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("kind,share", [(k, s) for k in ("linear", "mlp") for s in (True, False)])
+def test_terminal_and_kl_losses_equal_the_per_member_reference(kind, share):
+    rng, arch, params, old = loss_problem(kind, 8)
+    loss_cfg = LossConfig(clip_eps=0.05)
+    clipped = 0
+    for n_mc in (1, 2, 9):
+        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform", share_patterns=share)
+        prompt = random_state(rng, arch).prompt
+        completions = [
+            (MaskedSequence(tuple(rng.integers(0, 4, 5).tolist()), arch.vocab), float(rng.normal()))
+            for _ in range(4)
+        ]
+        loss, grad = terminal_loss(
+            prompt, completions, params, old, loss_cfg, surr_cfg, stream(9, n_mc)
+        )
+        state = full_mask_state(prompt, 5)
+        members = [(completion_action(c), r) for c, r in completions]
+        ref_loss, ref_grad, n_clipped = reference_group_loss(
+            params, old, state, members, loss_cfg, surr_cfg, stream(9, n_mc), "action", True
+        )
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        clipped += n_clipped
+
+        states = [random_state(rng, arch) for _ in range(3)] + [state]
+        states.append(DiffusionState(prompt, completions[0][0]))  # no masks: skipped
+        kl, kl_grad = kl_penalty(params, old, states, surr_cfg, stream(10, n_mc))
+        ref_kl, ref_kl_grad = reference_kl(params, old, states, surr_cfg, stream(10, n_mc))
+        assert kl == ref_kl
+        assert np.array_equal(kl_grad, ref_kl_grad)
+    assert clipped > 0

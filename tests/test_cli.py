@@ -111,6 +111,26 @@ def test_resume_without_new_updates_is_rejected_before_writing(tmp_path, capsys)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+def test_ill_typed_config_values_exit_two_before_any_run_directory(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "runs"
+    monkeypatch.setenv("DISPO_OUT_ROOT", str(root))
+    bad_values = (
+        ("n_rollouts", 2.5),
+        ("n_updates", True),
+        ("kl_on_step", 1),
+        ("surrogate", {"n_mc": 2.0}),
+        ("optimizer", {"lr": "fast"}),
+    )
+    for key, value in bad_values:
+        cfg = write_config(tmp_path, dict(TINY_TRAIN, **{key: value}), f"{key}.json")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert f"config key '{key}" in capsys.readouterr().err  # 'key' or 'section.key'
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / key)]) == 2
+        assert not (tmp_path / key).exists()
+    assert not root.exists()
+
+
 def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_TRAIN)
     run = tmp_path / "run"

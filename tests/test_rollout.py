@@ -51,7 +51,7 @@ def test_block_schedule_restricts_eligibility():
 def test_mask_sets_shrink_on_schedule():
     params = random_params(1)
     sched = UnmaskSchedule(2)
-    traj = rollout(params, PROMPT, 2, sched, stream(1, "roll"))
+    traj = rollout(params, PROMPT, 2, sched, [stream(1, "roll")])[0]
     counts = sched.mask_counts(4, 2)
     for t in range(1, traj.n_steps + 2):
         assert len(traj.state_at(t).mask()) == counts[t - 1]
@@ -60,7 +60,7 @@ def test_mask_sets_shrink_on_schedule():
 
 def test_committed_tokens_persist():
     params = random_params(2)
-    traj = rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(2, "roll"))
+    traj = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(2, "roll")])[0]
     for t in range(1, traj.n_steps + 1):
         for pos, tok in traj.events[t - 1]:
             for later in range(t + 1, traj.n_steps + 2):
@@ -69,7 +69,7 @@ def test_committed_tokens_persist():
 
 def test_cache_matches_fresh_forward_bitwise():
     params = random_params(3)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(3, "roll"))
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(3, "roll")])[0]
     for t in range(1, traj.n_steps + 1):
         fresh = rows_context(params, traj.state_at(t)).rows
         cached = traj.cache_at(t)
@@ -83,7 +83,7 @@ def test_cache_matches_fresh_forward_bitwise():
 def test_greedy_commits_highest_confidence_eligible():
     params = random_params(4)
     sched = UnmaskSchedule(2, block_size=2)
-    traj = rollout(params, PROMPT, 2, sched, stream(4, "roll"), greedy=True)
+    traj = rollout(params, PROMPT, 2, sched, [stream(4, "roll")], greedy=True)[0]
     for t in range(1, traj.n_steps + 1):
         grid = traj.cache_at(t)
         action = greedy_action(grid)
@@ -100,20 +100,38 @@ def test_greedy_commits_highest_confidence_eligible():
 
 def test_ties_break_to_lowest_position_then_token():
     params = init_params(ARCH)  # uniform rows everywhere
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(5, "roll"), greedy=True)
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(5, "roll")], greedy=True)[0]
     assert traj.events == (((0, 0), (1, 0)), ((2, 0), (3, 0)))
 
 
 def test_rollout_counts_one_forward_per_step():
     params = random_params(6)
     counters = OpCounters()
-    rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(6, "roll"), counters=counters)
+    rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(6, "roll")], counters=counters)
     assert counters.rollout_forward_passes == 4
+
+
+def test_lockstep_trajectories_equal_solo_rollouts():
+    params = random_params(15)
+    sched = UnmaskSchedule(1, block_size=2)
+    counters = OpCounters()
+    rngs = [stream(15, "roll", k) for k in range(3)]
+    together = rollout(params, PROMPT, 4, sched, rngs, counters=counters)
+    assert counters.rollout_forward_passes == 3 * 4
+    for k, traj in enumerate(together):
+        (solo,) = rollout(params, PROMPT, 4, sched, [stream(15, "roll", k)])
+        assert traj.events == solo.events
+        assert traj.states == solo.states
+        for shared, alone in zip(traj.cache, solo.cache):
+            assert shared.positions == alone.positions
+            assert np.array_equal(shared.rows, alone.rows)
+    with pytest.raises(ContractViolation):
+        rollout(params, PROMPT, 4, sched, [])
 
 
 def test_branch_runs_no_forward_passes(monkeypatch):
     params = random_params(7)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(7, "roll"))
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(7, "roll")])[0]
 
     def boom(*a, **k):
         raise AssertionError("branch must not run the policy")
@@ -131,7 +149,7 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 
 def test_branch_is_reproducible():
     params = random_params(8)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(8, "roll"))
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(8, "roll")])[0]
     a = branch(traj, 2, 3, stream(8, "branch"))
     b = branch(traj, 2, 3, stream(8, "branch"))
     assert [x[0] for x in a] == [x[0] for x in b]
@@ -143,7 +161,7 @@ def test_branch_is_reproducible():
 
 def test_state_index_bounds():
     params = random_params(9)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(9, "roll"))
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(9, "roll")])[0]
     assert traj.state_at(3).completion.fully_visible()
     with pytest.raises(ContractViolation):
         traj.state_at(0)
@@ -153,18 +171,18 @@ def test_state_index_bounds():
 
 def test_rollout_is_seed_deterministic():
     params = random_params(10)
-    a = rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(10, "roll"))
-    b = rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(10, "roll"))
+    a = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
+    b = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
     assert a.events == b.events
     assert [s.completion.tokens for s in a.states] == [s.completion.tokens for s in b.states]
-    g = rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(11, "unused"), greedy=True)
-    h = rollout(params, PROMPT, 4, UnmaskSchedule(1), stream(12, "unused"), greedy=True)
+    g = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(11, "unused")], greedy=True)[0]
+    h = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(12, "unused")], greedy=True)[0]
     assert g.events == h.events
 
 
 def test_select_states_is_trajectory_major():
     params = random_params(13)
-    trajs = [rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(13, "roll", k)) for k in range(3)]
+    trajs = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(13, "roll", k) for k in range(3)])
     assert select_states(trajs, [1, 2]) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
     with pytest.raises(ContractViolation):
         select_states(trajs, [3])
@@ -172,7 +190,7 @@ def test_select_states_is_trajectory_major():
 
 def test_dump_trajectory_jsonl():
     params = random_params(14)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), stream(14, "roll"))
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(14, "roll")])[0]
     buf = io.StringIO()
     dump_trajectory(traj, buf)
     lines = buf.getvalue().strip().split("\n")

@@ -67,6 +67,20 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({"optimizer": {"lr": -1.0}})
 
 
+def test_config_values_are_type_checked_by_name():
+    for key, value in (("n_rollouts", 2.5), ("n_rollouts", True), ("kl_on_step", 1), ("task", 3)):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            config_from_dict({key: value})
+    with pytest.raises(ConfigurationError, match="'sampler.degree'"):
+        config_from_dict({"sampler": {"degree": 4.0}})
+    with pytest.raises(ConfigurationError, match="'surrogate.share_patterns'"):
+        config_from_dict({"surrogate": {"share_patterns": 0}})
+    # ints stand in for floats, and optional fields take None
+    cfg = config_from_dict({"alpha_step": 1, "clip_eps": None, "surrogate": {"ratio_law": 0}})
+    assert cfg.alpha_step == 1 and cfg.clip_eps is None
+    assert config_from_dict({"tokens_per_step": None, "block_size": 2}).block_size == 2
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigurationError):
         tiny_config(n_updates=0)
