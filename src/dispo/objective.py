@@ -36,7 +36,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, backprop, log_softmax, score_dlogits
+from .policy import Arch, PolicyParams, backprop, log_softmax, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     PromptMaskPattern,
@@ -129,6 +129,43 @@ def _group_jobs(
     if pats_old is not pats_new:
         jobs.append((state, pats_old, positions))
     return jobs
+
+
+def step_group_features(
+    arch: Arch,
+    states: Sequence[DiffusionState],
+    surr_cfg: SurrogateConfig,
+    rngs: Sequence[np.random.Generator | None],
+    scopes: Sequence[str],
+) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+    """Draw each step group's patterns once and featurize all groups' copies together.
+
+    Group ``g`` at ``states[g]`` draws its pattern sets from ``rngs[g]`` in
+    the order ``step_loss`` would (one generator may serve several groups
+    in turn).  The corrupted copies of every group under every scope go
+    through one ``corrupted_features`` call.  Entry ``[scope][g]`` is the
+    (current, old) feature rows to pass as ``step_loss(..., feats=...)``;
+    with shared patterns both are the same array.
+    """
+    pats = [
+        _group_patterns(state.prompt.length, 1, surr_cfg, rng, None)
+        for state, rng in zip(states, rngs, strict=True)
+    ]
+    jobs = {
+        scope: [
+            _group_jobs(state, scored_positions(state, scope), *p)
+            for state, p in zip(states, pats)
+        ]
+        for scope in scopes
+    }
+    feats = iter(corrupted_features(arch, [j for s in scopes for group in jobs[s] for j in group]))
+    out = {}
+    for scope in scopes:
+        out[scope] = []
+        for group in jobs[scope]:
+            group_feats = [next(feats) for _ in group]
+            out[scope].append((group_feats[0], group_feats[-1]))
+    return out
 
 
 def _group_loss_and_grad(
@@ -231,9 +268,9 @@ def step_loss(
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
     ``feats`` passes the (current, old) corrupted copies' feature rows
-    when the caller has drawn the patterns and batched the features
-    (``aggregate_step_loss`` does, for all of a prompt's groups at once);
-    no pattern is drawn then.
+    when the caller has drawn the patterns and batched the features with
+    ``step_group_features`` (``aggregate_step_loss`` does, for all of a
+    prompt's groups at once); no pattern is drawn then.
     """
     return _group_loss_and_grad(
         params,
@@ -276,16 +313,12 @@ def aggregate_step_loss(
     draw them; the corrupted copies of every group are featurized together,
     one pass per mask-set size.
     """
-    jobs_per_group = []
-    for group in groups:
-        positions = scored_positions(group.state, scope)
-        pats = _group_patterns(group.state.prompt.length, 1, surr_cfg, rng, None)
-        jobs_per_group.append(_group_jobs(group.state, positions, *pats))
-    feats = iter(corrupted_features(params.arch, sum(jobs_per_group, [])))
+    feats = step_group_features(
+        params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups), (scope,)
+    )[scope]
     loss = 0.0
     grad = np.zeros(params.dim)
-    for group, jobs in zip(groups, jobs_per_group):
-        group_feats = [next(feats) for _ in jobs]
+    for group, group_feats in zip(groups, feats):
         l, g = step_loss(
             group.state,
             list(group.branches),
@@ -296,7 +329,7 @@ def aggregate_step_loss(
             rng,
             counters=counters,
             scope=scope,
-            feats=(group_feats[0], group_feats[-1]),
+            feats=group_feats,
         )
         loss += l
         grad += g

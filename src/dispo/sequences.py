@@ -72,8 +72,14 @@ class MaskedSequence:
         return len(self.tokens)
 
     def mask_positions(self) -> tuple[int, ...]:
-        mid = self.vocab.mask_id
-        return tuple(i for i, t in enumerate(self.tokens) if t == mid)
+        # scanned once, on first use; an instance attribute, not a field, so
+        # it stays out of ==, hash and repr
+        cached = self.__dict__.get("_mask_positions")
+        if cached is None:
+            mid = self.vocab.mask_id
+            cached = tuple(i for i, t in enumerate(self.tokens) if t == mid)
+            object.__setattr__(self, "_mask_positions", cached)
+        return cached
 
     def visible_positions(self) -> tuple[int, ...]:
         mid = self.vocab.mask_id

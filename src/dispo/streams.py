@@ -18,10 +18,15 @@ one generator.  A path that holds a string label is at least five words
 long, so every path in this package, which names its purpose with a
 string, is clear of the rule.  The padding is documented rather than
 changed because changing it would change every existing stream.
+
+A string label's words are hashed once per process and cached, and a
+root in [0, 2**32) reaches ``SeedSequence`` as one ``uint32`` array: the
+same pool and the same generator as the list of words, built for less.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -35,15 +40,24 @@ def _label_words(label: Label) -> tuple[int, ...]:
             raise ValueError(f"stream labels must lie in [0, 2**32), got {label}")
         return (int(label),)
     if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+        return _string_words(label)
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _string_words(label: str) -> tuple[int, ...]:
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+
+
 def seed_sequence(root: int, *path: Label) -> np.random.SeedSequence:
-    words = [int(root)]
+    root = int(root)
+    words = [root]
     for label in path:
         words.extend(_label_words(label))
+    if 0 <= root < 2**32:
+        return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    # a larger root spans several words, and a negative one must be refused
     return np.random.SeedSequence(words)
 
 

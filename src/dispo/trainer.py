@@ -10,15 +10,21 @@ are bit-reproducible and resumable from a checkpoint.
 ``count_ops`` predicts the per-prompt operation counts in closed form;
 measured counters must match it exactly, which the tests enforce.  Metrics
 stream to CSV; checkpoints bundle the policy vector, the frozen KL
-reference, optimizer moments, counters, and the next update index.
+reference, optimizer moments, counters, and the next update index.  A run
+directory is rewritten all at once: every file is written to a staging
+directory first and moved into place only when all of them are complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -392,6 +398,25 @@ def save_checkpoint(
     (out / "train_state.json").write_text(json.dumps(state, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def _staged(out: Path) -> typing.Iterator[Path]:
+    """A staging directory inside ``out`` whose files replace ``out``'s on success.
+
+    The files move in by ``os.replace``, ``train_state.json`` last: it
+    records how many updates the other files hold, and resuming trusts it.
+    If the body raises, the staging directory is removed and ``out`` keeps
+    its old files byte for byte.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+        names = sorted((p.name for p in staging.iterdir()), key=lambda n: n == "train_state.json")
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def load_checkpoint(out_dir: str | Path):
     out = Path(out_dir)
     params = load_policy(out / "policy.bin")
@@ -552,21 +577,24 @@ def train(
                                     for c in METRIC_COLUMNS
                                 }
                             )
-        _write_metrics(out / "metrics.csv", prior_rows + metrics)
-        save_checkpoint(out, config, params, ref_params, opt_state, counters, config.n_updates + 1)
-        write_manifest(
-            out,
-            config,
-            [
-                "metrics.csv",
-                "policy.bin",
-                "policy.json",
-                "reference.bin",
-                "reference.json",
-                "optimizer.npz",
-                "train_state.json",
-            ],
-        )
+        with _staged(out) as staging:
+            _write_metrics(staging / "metrics.csv", prior_rows + metrics)
+            save_checkpoint(
+                staging, config, params, ref_params, opt_state, counters, config.n_updates + 1
+            )
+            write_manifest(
+                staging,
+                config,
+                [
+                    "metrics.csv",
+                    "policy.bin",
+                    "policy.json",
+                    "reference.bin",
+                    "reference.json",
+                    "optimizer.npz",
+                    "train_state.json",
+                ],
+            )
     return result
 
 

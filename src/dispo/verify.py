@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .objective import LossConfig, step_loss
+from .objective import LossConfig, step_group_features, step_loss
 from .policy import PolicyParams, RowsContext, rows_context, sample_action
 from .rollout import UnmaskSchedule, rollout
 from .sequences import (
@@ -828,6 +828,9 @@ def trcov_protocol(
 
     Conditions sharing a group size also share their branch draws, so a
     scope comparison sees identical actions and rewards in both arms.
+    Each trial's corruption patterns are drawn once and shared by every
+    condition; a state's trials are featurized together, for every scope
+    at once, and each condition's ``step_loss`` reuses those rows.
     """
     if n_trials < 2:
         raise ContractViolation("the trial estimator needs n_trials >= 2")
@@ -839,11 +842,19 @@ def trcov_protocol(
 
     maskable = [c for c in candidates if c.state.completion.mask_positions()]
     loss_cfg = LossConfig(clip_eps=None)
+    scopes = tuple(dict.fromkeys(c.scope for c in conditions))
     per_state_all: dict[str, list[float]] = {c.name: [] for c in conditions}
     survived: dict[str, list[bool]] = {c.name: [] for c in conditions}
 
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
+        feats = step_group_features(
+            params.arch,
+            [cand.state] * n_trials,
+            surr_cfg,
+            [stream(seed, "trcov-patterns", i, r) for r in range(n_trials)],
+            scopes,
+        )
         groups_by_size: dict[int, list[list[tuple[Action, float]]]] = {}
         for cond in conditions:
             z = cond.n_branches
@@ -871,12 +882,13 @@ def trcov_protocol(
                     old_params,
                     loss_cfg,
                     surr_cfg,
-                    stream(seed, "trcov-patterns", i, r),
                     scope=cond.scope,
+                    feats=feats[cond.scope][r],
                 )
                 ghats[r] = -grad
             per_state_all[cond.name].append(trcov_estimate(ghats))
             survived[cond.name].append(any_positive)
+        del feats  # freed before the next state's rows are built, to keep the peak low
 
     keep = [
         j

@@ -11,6 +11,7 @@ replaces.
 import numpy as np
 import pytest
 
+import dispo.verify as verify_module
 from dispo.objective import (
     LossConfig,
     StepGroup,
@@ -32,7 +33,8 @@ from dispo.policy import (
     rows_context,
     sample_action,
 )
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
+from dispo.rollout import UnmaskSchedule
+from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -43,7 +45,17 @@ from dispo.surrogate import (
     logprob_from_contexts,
     scoring_targets,
 )
-from dispo.verify import perturb_params
+from dispo.tasks import make_task
+from dispo.verify import (
+    CandidateState,
+    VarianceCondition,
+    VarianceReport,
+    bootstrap_ci,
+    collect_states,
+    perturb_params,
+    trcov_estimate,
+    trcov_protocol,
+)
 
 # -- per-item references -------------------------------------------------------
 
@@ -347,3 +359,125 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind, share):
         assert kl == ref_kl
         assert np.array_equal(kl_grad, ref_kl_grad)
     assert clipped > 0
+
+
+# -- the variance protocol: one pattern draw and one feature pass per state ---
+
+
+def reference_trcov_protocol(
+    params, old_params, candidates, conditions, n_trials, surr_cfg, seed, n_boot
+):
+    """The per-trial loop: every condition rebuilds each trial's pattern stream."""
+    maskable = [c for c in candidates if c.state.completion.mask_positions()]
+    loss_cfg = LossConfig(clip_eps=None)
+    per_state_all = {c.name: [] for c in conditions}
+    survived = {c.name: [] for c in conditions}
+    for i, cand in enumerate(maskable):
+        behavior = rows_context(old_params, cand.state)
+        groups_by_size = {}
+        for cond in conditions:
+            z = cond.n_branches
+            if z not in groups_by_size:
+                groups = []
+                for r in range(n_trials):
+                    rng = stream(seed, "trcov-group", i, r, z)
+                    members = []
+                    for _ in range(z):
+                        action = sample_action(behavior, rng)
+                        completed = fill(cand.state, action)
+                        members.append((action, cand.reward(cand.state.prompt, completed)))
+                    groups.append(members)
+                groups_by_size[z] = groups
+            ghats = np.zeros((n_trials, params.dim))
+            any_positive = False
+            for r, members in enumerate(groups_by_size[z]):
+                rewards = [rw for _, rw in members]
+                if max(rewards) > float(np.mean(rewards)):
+                    any_positive = True
+                _, grad = step_loss(
+                    cand.state, members, params, old_params, loss_cfg, surr_cfg,
+                    stream(seed, "trcov-patterns", i, r), scope=cond.scope,
+                )
+                ghats[r] = -grad
+            per_state_all[cond.name].append(trcov_estimate(ghats))
+            survived[cond.name].append(any_positive)
+
+    keep = [j for j in range(len(maskable)) if all(survived[c.name][j] for c in conditions)]
+    per_state = {name: tuple(vals[j] for j in keep) for name, vals in per_state_all.items()}
+    reference = conditions[0].name
+    diff_point, diff_ci = {}, {}
+    if len(keep) >= 2:
+        ref_vals = np.asarray(per_state[reference])
+        for cond in conditions[1:]:
+            diffs = np.asarray(per_state[cond.name]) - ref_vals
+            diff_point[cond.name] = float(diffs.mean())
+            diff_ci[cond.name] = bootstrap_ci(
+                diffs, n_boot, 0.95, stream(seed, "trcov-boot", cond.name)
+            )
+    return VarianceReport(
+        condition_names=tuple(c.name for c in conditions),
+        reference=reference,
+        per_state=per_state,
+        estimates={
+            name: (float(np.mean(vals)) if vals else float("nan"))
+            for name, vals in per_state.items()
+        },
+        diff_point=diff_point,
+        diff_ci=diff_ci,
+        n_candidates=len(candidates),
+        n_maskable=len(maskable),
+        n_retained=len(keep),
+        advantage_counts={name: int(sum(flags)) for name, flags in survived.items()},
+        n_trials=n_trials,
+    )
+
+
+TRCOV_CONDITIONS = [
+    VarianceCondition("action-z2", "action", 2),
+    VarianceCondition("all-z4", "all", 4),
+    VarianceCondition("all-z2", "all", 2),
+    VarianceCondition("action-z4", "action", 4),
+]
+
+
+def trcov_problem():
+    task = make_task("stringmatch", stream(31, "task"), 3, target_len=6, vocab_size=3)
+    arch = LinearArch(task.vocab, task.prompt_len, task.completion_len, window=2)
+    collector = init_params(arch, stream(31, "collector"), scale=0.5)
+    params = init_params(arch, stream(31, "theta"), scale=0.5)
+    old = perturb_params(params, stream(31, "old"), 0.5)
+    # mask sets of 6, 4 and 2 of 6 positions: at 6 both scopes share a feature pass
+    cands = collect_states(
+        collector, task, 3, UnmaskSchedule(2), (1, 2, 3), seed=32, rollouts_per_instance=2
+    )
+    done = cands[-1].state.completion.with_tokens(dict.fromkeys(range(6), 0))
+    cands.insert(2, CandidateState(DiffusionState(cands[-1].state.prompt, done), cands[-1].reward))
+    return params, old, cands
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_trcov_protocol_equals_the_per_trial_loop(share):
+    params, old, cands = trcov_problem()
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform", share_patterns=share)
+    report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200)
+    expected = reference_trcov_protocol(
+        params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200
+    )
+    assert report.n_retained >= 2
+    assert report.to_dict() == expected.to_dict()
+
+
+def test_trcov_protocol_calls_step_loss_once_per_state_condition_and_trial(monkeypatch):
+    params, old, cands = trcov_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["scope"])
+        return step_loss(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "step_loss", counted)
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 3, surr_cfg, seed=34, n_boot=50)
+    assert 0 < report.n_maskable < report.n_candidates
+    assert len(calls) == report.n_maskable * len(TRCOV_CONDITIONS) * 3
+    assert calls.count("all") == report.n_maskable * 2 * 3

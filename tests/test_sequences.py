@@ -36,6 +36,11 @@ def test_masked_sequence_positions():
     v = Vocab(3)
     s = MaskedSequence((0, v.mask_id, 2, v.mask_id), v)
     assert s.mask_positions() == (1, 3)
+    # scanned once and kept out of ==, hash and repr
+    fresh = MaskedSequence((0, v.mask_id, 2, v.mask_id), v)
+    assert s.mask_positions() is s.mask_positions()
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert s.with_tokens({1: 0}).mask_positions() == (3,)
     assert s.visible_positions() == (0, 2)
     assert not s.fully_visible()
     assert not s.fully_masked()

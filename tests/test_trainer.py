@@ -302,3 +302,25 @@ def test_evaluate_uniform_policy_on_a_known_target():
     assert result.rewards == (0.25,)
     assert result.accuracy == 0.0
     assert result.mean_first_violation is None
+
+
+def test_a_failed_write_leaves_the_run_directory_as_it_was(tmp_path, monkeypatch):
+    cfg = tiny_config(n_updates=3)
+    run = tmp_path / "run"
+    train(cfg, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        train(replace(cfg, n_updates=5), run, resume_from=run)
+    # byte-identical, and no staging file left behind
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    monkeypatch.undo()
+    train(replace(cfg, n_updates=5), run, resume_from=run)
+    train(replace(cfg, n_updates=5), tmp_path / "straight")
+    for name in before:
+        assert (run / name).read_bytes() == (tmp_path / "straight" / name).read_bytes(), name
