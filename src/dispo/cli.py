@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 from .streams import stream
 from .tasks import save_instances
 from .trainer import (
@@ -32,6 +32,7 @@ from .trainer import (
     write_manifest,
 )
 from .verify import (
+    N_SAMPLES,
     VarianceCondition,
     build_oracle_problem,
     collect_states,
@@ -47,14 +48,7 @@ from .verify import (
 def _read_config_dict(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: config root must be a JSON object")
     return d
@@ -104,10 +98,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params, _, _, _, config, _ = load_checkpoint(args.run)
         if args.seed is not None:
             config = config_from_dict({**config_to_dict(config), "seed": args.seed})
+        task = build_task(config)
     else:
         config = _load_run_config(args)
-        params = init_policy(config, build_task(config))
-    task = build_task(config)
+        task = build_task(config)
+        params = init_policy(config, task)
     schedule = build_schedule(config, task)
     result = evaluate(params, task, config.n_denoising_steps, schedule)
     print(f"task            {config.task}")
@@ -293,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the gradient and variance oracles")
     common(p_verify)
     p_verify.add_argument(
-        "--samples", type=int, default=100_000, help="Monte Carlo samples per check"
+        "--samples", type=int, default=N_SAMPLES, help="Monte Carlo samples per check"
     )
     p_verify.set_defaults(func=_cmd_verify)
 

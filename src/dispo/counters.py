@@ -26,18 +26,5 @@ class OpCounters:
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    def copy(self) -> "OpCounters":
-        return OpCounters(**self.as_dict())
-
-    def diff(self, earlier: "OpCounters") -> "OpCounters":
-        """Counter deltas since ``earlier`` (a snapshot taken from this object)."""
-        out = {}
-        for f in fields(self):
-            delta = getattr(self, f.name) - getattr(earlier, f.name)
-            if delta < 0:
-                raise ValueError(f"counter {f.name} decreased; counters are monotone")
-            out[f.name] = delta
-        return OpCounters(**out)
-
     def scaled(self, factor: int) -> "OpCounters":
         return OpCounters(**{f.name: getattr(self, f.name) * factor for f in fields(self)})

@@ -8,7 +8,7 @@ group mean (advantages sum to zero).  Two loss granularities exist:
     intermediate state, with importance ratios from the state-level
     surrogate restricted to the masked positions, and
   * terminal loss: the group of full rollouts for one prompt, with ratios
-    from the sequence-level surrogate.
+    from the same state-level surrogate at the fully masked state.
 
 Both use pessimistic PPO clipping (min of the unclipped and clipped
 objectives); clipping can be disabled for oracle runs by setting
@@ -36,7 +36,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import Arch, PolicyParams, backprop, log_softmax, score_dlogits
+from .policy import Arch, PolicyParams, backprop, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     PromptMaskPattern,
@@ -350,8 +350,9 @@ def terminal_loss(
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss over a prompt's rollout group.
 
-    Ratios come from the sequence-level surrogate; each completion draws
-    its own pattern set (shared between the current and old policies).
+    Ratios come from the state-level surrogate at the fully masked state;
+    each completion draws its own pattern set (shared between the current
+    and old policies).
     All members' corrupted copies are featurized in one pass.
     """
     if not completions:
@@ -378,14 +379,6 @@ def terminal_loss(
         kind="terminal",
         per_member_patterns=True,
     )
-
-
-def kl_rows(logits_p: np.ndarray, logits_q: np.ndarray) -> np.ndarray:
-    """Exact per-row KL(p || q) between categorical rows given as logits."""
-    lp = log_softmax(np.atleast_2d(logits_p))
-    lq = log_softmax(np.atleast_2d(logits_q))
-    p = np.exp(lp)
-    return (p * (lp - lq)).sum(axis=-1)
 
 
 def kl_penalty(

@@ -9,12 +9,12 @@ log-probabilities of the actual tokens.  Averaging over ``n_mc`` i.i.d.
 corruption patterns gives the estimator; with corruption disabled it is
 deterministic and equals the policy's factorized action log-probability.
 
-Two granularities share one implementation:
-
-  * sequence level: score a full completion against the fully masked
-    completion state (used for terminal importance ratios), and
-  * state level: score a fill action at an intermediate state, summing
-    over the currently masked positions only (used for step-wise ratios).
+One API scores a fill action at a state, summing over the currently
+masked positions (``state_surrogate_logprob``/``state_surrogate_grad``).
+A full completion is the action ``completion_action(c)`` at the fully
+masked state ``full_mask_state(prompt, L)``, scored with
+``kind="terminal"``: the terminal ratios are this fixed-state score at
+the fully masked state.
 
 Ratio computations must evaluate the current and old policies on the
 *same* drawn patterns; callers draw patterns once (``draw_patterns``) and
@@ -102,16 +102,6 @@ def apply_pattern(prompt: MaskedSequence, pattern: PromptMaskPattern) -> MaskedS
     mid = prompt.vocab.mask_id
     toks = tuple(mid if m else t for t, m in zip(prompt.tokens, pattern.mask))
     return MaskedSequence(toks, prompt.vocab)
-
-
-def corrupt_prompt(
-    prompt: MaskedSequence, rng: np.random.Generator, ratio_law: RatioLaw = "uniform"
-) -> tuple[PromptMaskPattern, MaskedSequence]:
-    """Draw one pattern and apply it.  The prompt must be fully visible."""
-    if not prompt.fully_visible():
-        raise ContractViolation("corrupt_prompt expects a fully visible prompt")
-    pattern = draw_pattern(prompt.length, rng, ratio_law)
-    return pattern, apply_pattern(prompt, pattern)
 
 
 def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
@@ -317,63 +307,3 @@ def state_surrogate_grad(
     positions, targets = scoring_targets(state, action, scope)
     ctxs = pattern_contexts(params, state, patterns, positions, counters=counters, kind=kind)
     return grad_from_contexts(params, ctxs, positions, targets)
-
-
-def seq_surrogate_samples(
-    params: PolicyParams,
-    prompt: MaskedSequence,
-    completion: MaskedSequence,
-    cfg: SurrogateConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
-    counters: OpCounters | None = None,
-) -> np.ndarray:
-    """Per-pattern sequence surrogate values (for convergence diagnostics)."""
-    state = full_mask_state(prompt, completion.length)
-    action = completion_action(completion)
-    patterns = _resolve_patterns(state, cfg, rng, patterns)
-    positions, targets = scoring_targets(state, action, "action")
-    ctxs = pattern_contexts(params, state, patterns, positions, counters=counters, kind="terminal")
-    return logprob_from_contexts(ctxs, positions, targets)
-
-
-def seq_surrogate_logprob(
-    params: PolicyParams,
-    prompt: MaskedSequence,
-    completion: MaskedSequence,
-    cfg: SurrogateConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
-    counters: OpCounters | None = None,
-) -> float:
-    """Sequence-level surrogate log-likelihood of a full completion.
-
-    Scores every completion token against the fully masked completion
-    state under a corrupted prompt; equals the state-level surrogate at
-    the fully masked state, and with corruption disabled reduces to the
-    policy's factorized action log-probability there.
-    """
-    return float(
-        seq_surrogate_samples(
-            params, prompt, completion, cfg, rng, patterns=patterns, counters=counters
-        ).mean()
-    )
-
-
-def seq_surrogate_grad(
-    params: PolicyParams,
-    prompt: MaskedSequence,
-    completion: MaskedSequence,
-    cfg: SurrogateConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
-    counters: OpCounters | None = None,
-) -> np.ndarray:
-    state = full_mask_state(prompt, completion.length)
-    action = completion_action(completion)
-    return state_surrogate_grad(
-        params, state, action, cfg, rng, patterns=patterns, counters=counters, kind="terminal"
-    )

@@ -1,9 +1,11 @@
 """Toy reward tasks: 4x4 Sudoku, Countdown arithmetic, and string match.
 
-Each task fixes a vocab, a prompt encoding, and a completion length, and
-scores fully visible completions with a deterministic reward in [0, 1].
-Rewards never raise on malformed completions; undecodable output scores
-zero.
+Every instance class carries ``vocab``, ``completion_len``,
+``prompt_tokens()``, ``reward(completion)`` and ``to_json()``/``from_json(d)``
+(its instances-file entry).  Rewards are deterministic scores in [0, 1] of
+fully visible completions; they never raise on malformed completions, and
+undecodable output scores zero.  ``TASKS`` maps task names to instance
+classes; ``instance_pool`` builds a ``Task`` from instances of one shape.
 
 Sudoku: one token per cell.  Vocab has 5 ordinary tokens (digit d is
 token d-1, blank marker 4), so prompts stay fully visible.  The
@@ -24,13 +26,15 @@ optimization target).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, read_json
 from .rollout import Trajectory
 from .sequences import MaskedSequence, Vocab
 
@@ -63,7 +67,8 @@ class SudokuInstance:
 
     grid: tuple[int, ...]
     solution: tuple[int, ...]
-    encoding: str = "cell-tokens"
+
+    vocab = SUDOKU_VOCAB
 
     def __post_init__(self) -> None:
         if len(self.grid) != 16 or len(self.solution) != 16:
@@ -77,22 +82,32 @@ class SudokuInstance:
     def empty_cells(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.grid) if v == 0)
 
+    @property
+    def completion_len(self) -> int:
+        return len(self.empty_cells())
+
     def prompt_tokens(self) -> tuple[int, ...]:
         return tuple(v - 1 if v != 0 else SUDOKU_BLANK for v in self.grid)
 
+    def reward(self, completion) -> float:
+        """Fraction of the originally empty cells filled with the solution digit."""
+        tokens = _tokens_of(completion)
+        empty = self.empty_cells()
+        if len(tokens) != len(empty):
+            return 0.0
+        if not empty:
+            return 1.0
+        correct = sum(
+            1 for tok, cell in zip(tokens, empty) if 0 <= tok <= 3 and tok + 1 == self.solution[cell]
+        )
+        return correct / len(empty)
 
-def sudoku_reward(instance: SudokuInstance, completion) -> float:
-    """Fraction of the originally empty cells filled with the solution digit."""
-    tokens = _tokens_of(completion)
-    empty = instance.empty_cells()
-    if len(tokens) != len(empty):
-        return 0.0
-    if not empty:
-        return 1.0
-    correct = sum(
-        1 for tok, cell in zip(tokens, empty) if 0 <= tok <= 3 and tok + 1 == instance.solution[cell]
-    )
-    return correct / len(empty)
+    def to_json(self) -> dict:
+        return {"grid": list(self.grid), "solution": list(self.solution)}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "SudokuInstance":
+        return cls(tuple(d["grid"]), tuple(d["solution"]))
 
 
 def _board_violates(cells: list[int]) -> bool:
@@ -203,9 +218,8 @@ def generate_sudoku(rng: np.random.Generator, n_empty: int = 6) -> SudokuInstanc
 
 COUNTDOWN_VOCAB = Vocab(10)
 COUNTDOWN_PAD = 8
-COUNTDOWN_OPS = {4: "+", 5: "-", 6: "*", 7: "/"}
+COUNTDOWN_OPS = {4: operator.add, 5: operator.sub, 6: operator.mul, 7: operator.truediv}
 COUNTDOWN_COMPLETION_LEN = 7  # postfix over at most 4 operands
-COUNTDOWN_PROMPT_LEN = 11  # four 2-digit operand slots + 3-digit target
 
 
 @dataclass(frozen=True)
@@ -214,23 +228,40 @@ class CountdownInstance:
 
     numbers: tuple[int, ...]
     target: int
-    encoding: str = "slot-postfix"
+
+    vocab = COUNTDOWN_VOCAB
+    completion_len = COUNTDOWN_COMPLETION_LEN
 
     def __post_init__(self) -> None:
         if not 3 <= len(self.numbers) <= 4:
             raise ContractViolation("instances carry 3 or 4 numbers")
-        if any(n < 1 or n > 99 for n in self.numbers):
-            raise ContractViolation("numbers must lie in 1..99")
-        if not 1 <= self.target <= 999:
-            raise ContractViolation("target must lie in 1..999")
+        if any(not isinstance(n, int) or not 1 <= n <= 99 for n in self.numbers):
+            raise ContractViolation("numbers must be integers in 1..99")
+        if not isinstance(self.target, int) or not 1 <= self.target <= 999:
+            raise ContractViolation("target must be an integer in 1..999")
 
     def prompt_tokens(self) -> tuple[int, ...]:
+        """Four 2-digit operand slots (0 pads a missing fourth), then the 3-digit target."""
         toks: list[int] = []
         for slot in range(4):
             n = self.numbers[slot] if slot < len(self.numbers) else 0
             toks.extend((n // 10, n % 10))
         toks.extend((self.target // 100, (self.target // 10) % 10, self.target % 10))
         return tuple(toks)
+
+    def reward(self, completion) -> float:
+        """1.0 for hitting the target exactly, 0.1 for any other well-formed expression."""
+        value = parse_postfix(_tokens_of(completion), self.numbers)
+        if value is None:
+            return 0.0
+        return 1.0 if value == self.target else 0.1
+
+    def to_json(self) -> dict:
+        return {"numbers": list(self.numbers), "target": self.target}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "CountdownInstance":
+        return cls(tuple(d["numbers"]), d["target"])
 
 
 def parse_postfix(tokens: tuple[int, ...], numbers: tuple[int, ...]) -> Fraction | None:
@@ -256,28 +287,12 @@ def parse_postfix(tokens: tuple[int, ...], numbers: tuple[int, ...]) -> Fraction
             if len(stack) < 2:
                 return None
             b, a = stack.pop(), stack.pop()
-            op = COUNTDOWN_OPS[tok]
-            if op == "+":
-                stack.append(a + b)
-            elif op == "-":
-                stack.append(a - b)
-            elif op == "*":
-                stack.append(a * b)
-            else:
-                if b == 0:
-                    return None
-                stack.append(a / b)
+            if tok == 7 and b == 0:
+                return None
+            stack.append(COUNTDOWN_OPS[tok](a, b))
         else:
             return None
     return stack[0] if len(stack) == 1 else None
-
-
-def countdown_reward(instance: CountdownInstance, completion) -> float:
-    """1.0 for hitting the target exactly, 0.1 for any other well-formed expression."""
-    value = parse_postfix(_tokens_of(completion), instance.numbers)
-    if value is None:
-        return 0.0
-    return 1.0 if value == instance.target else 0.1
 
 
 def generate_countdown(rng: np.random.Generator, n_numbers: int | None = None) -> CountdownInstance:
@@ -300,15 +315,7 @@ def generate_countdown(rng: np.random.Generator, n_numbers: int | None = None) -
             op = int(rng.choice([4, 5, 6, 7]))
             if op == 7 and (rv == 0 or (lv / rv).denominator != 1):
                 op = 6  # keep division exact; fall back to multiplication
-            if op == 4:
-                val = lv + rv
-            elif op == 5:
-                val = lv - rv
-            elif op == 6:
-                val = lv * rv
-            else:
-                val = lv / rv
-            return val, lt + rt + [op]
+            return COUNTDOWN_OPS[op](lv, rv), lt + rt + [op]
 
         slots = [int(s) for s in rng.permutation(k)]
         built = build(slots)
@@ -330,37 +337,51 @@ class StringMatchInstance:
     def __post_init__(self) -> None:
         if not self.target:
             raise ContractViolation("target must be non-empty")
-        if any(not 0 <= t < self.vocab_size for t in self.target):
-            raise ContractViolation("target tokens must be ordinary tokens")
+        if any(not isinstance(t, int) or not 0 <= t < self.vocab_size for t in self.target):
+            raise ContractViolation("target tokens must be ordinary tokens (integers)")
 
+    @property
+    def vocab(self) -> Vocab:
+        return Vocab(self.vocab_size)
 
-def stringmatch_reward(target, completion) -> float:
-    """Fraction of positions matching the target; 0 on a length mismatch."""
-    t = _tokens_of(target)
-    c = _tokens_of(completion)
-    if len(t) != len(c):
-        return 0.0
-    return sum(1 for a, b in zip(t, c) if a == b) / len(t)
+    @property
+    def completion_len(self) -> int:
+        return len(self.target)
+
+    def prompt_tokens(self) -> tuple[int, ...]:
+        return self.target
+
+    def reward(self, completion) -> float:
+        """Fraction of positions matching the target; 0 on a length mismatch."""
+        c = _tokens_of(completion)
+        if len(self.target) != len(c):
+            return 0.0
+        return sum(1 for a, b in zip(self.target, c) if a == b) / len(self.target)
+
+    def to_json(self) -> dict:
+        return {"target": list(self.target), "vocab_size": self.vocab_size}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "StringMatchInstance":
+        return cls(tuple(d["target"]), int(d.get("vocab_size", 4)))
 
 
 Instance = SudokuInstance | CountdownInstance | StringMatchInstance
+TASKS: dict[str, type] = {
+    "sudoku": SudokuInstance,
+    "countdown": CountdownInstance,
+    "stringmatch": StringMatchInstance,
+}
 
 
 @dataclass(frozen=True)
 class RewardFn:
-    """Terminal scorer bound to a task tag and one instance."""
+    """Terminal scorer bound to one instance: the one call every reward goes through."""
 
-    task: str
     instance: Instance
 
     def __call__(self, prompt: MaskedSequence, completion) -> float:
-        if self.task == "sudoku":
-            return sudoku_reward(self.instance, completion)
-        if self.task == "countdown":
-            return countdown_reward(self.instance, completion)
-        if self.task == "stringmatch":
-            return stringmatch_reward(self.instance.target, completion)
-        raise ConfigurationError(f"unknown task {self.task!r}")
+        return self.instance.reward(completion)
 
 
 @dataclass(frozen=True)
@@ -380,9 +401,23 @@ class Task:
     instances: tuple[TaskInstance, ...]
 
 
-def _task_instance(name: str, inst: Instance, vocab: Vocab) -> TaskInstance:
-    tokens = inst.target if name == "stringmatch" else inst.prompt_tokens()
-    return TaskInstance(MaskedSequence(tokens, vocab), RewardFn(name, inst))
+def instance_pool(name: str, instances: Sequence[Instance]) -> Task:
+    """The ``Task`` over ``instances``, which must share a vocab and both lengths."""
+    if not instances:
+        raise ConfigurationError("a task needs at least one instance")
+    shapes = [(inst.vocab, len(inst.prompt_tokens()), inst.completion_len) for inst in instances]
+    vocab, plen, clen = shapes[0]
+    for i, (v, p, c) in enumerate(shapes):
+        if (v, p, c) != shapes[0]:
+            raise ConfigurationError(
+                f"instance {i} has vocab size {v.size} and prompt/completion lengths {p}/{c}; "
+                f"instance 0 has {vocab.size} and {plen}/{clen}"
+            )
+    pool = tuple(
+        TaskInstance(MaskedSequence(inst.prompt_tokens(), vocab), RewardFn(inst))
+        for inst in instances
+    )
+    return Task(name, vocab, plen, clen, pool)
 
 
 def make_task(
@@ -396,14 +431,10 @@ def make_task(
     n_numbers: int | None = 4,
 ) -> Task:
     """Generate an instance pool with a fixed shape for one run."""
-    if n_instances < 1:
-        raise ConfigurationError("n_instances must be >= 1")
     if name == "sudoku":
         instances = [generate_sudoku(rng, n_empty) for _ in range(n_instances)]
-        vocab, plen, clen = SUDOKU_VOCAB, 16, n_empty
     elif name == "countdown":
         instances = [generate_countdown(rng, n_numbers) for _ in range(n_instances)]
-        vocab, plen, clen = COUNTDOWN_VOCAB, COUNTDOWN_PROMPT_LEN, COUNTDOWN_COMPLETION_LEN
     elif name == "stringmatch":
         instances = [
             StringMatchInstance(
@@ -411,26 +442,9 @@ def make_task(
             )
             for _ in range(n_instances)
         ]
-        vocab, plen, clen = Vocab(vocab_size), target_len, target_len
     else:
         raise ConfigurationError(f"unknown task {name!r}")
-    return Task(name, vocab, plen, clen, tuple(_task_instance(name, i, vocab) for i in instances))
-
-
-def _instance_to_json(name: str, inst: Instance) -> dict:
-    if name == "sudoku":
-        return {"grid": list(inst.grid), "solution": list(inst.solution)}
-    if name == "countdown":
-        return {"numbers": list(inst.numbers), "target": inst.target}
-    return {"target": list(inst.target), "vocab_size": inst.vocab_size}
-
-
-def _instance_from_json(name: str, d: dict) -> Instance:
-    if name == "sudoku":
-        return SudokuInstance(tuple(d["grid"]), tuple(d["solution"]))
-    if name == "countdown":
-        return CountdownInstance(tuple(d["numbers"]), int(d["target"]))
-    return StringMatchInstance(tuple(d["target"]), int(d.get("vocab_size", 4)))
+    return instance_pool(name, instances)
 
 
 def save_instances(path: str | Path, task: Task) -> None:
@@ -439,29 +453,31 @@ def save_instances(path: str | Path, task: Task) -> None:
         "prompt_len": task.prompt_len,
         "completion_len": task.completion_len,
         "vocab_size": task.vocab.size,
-        "instances": [_instance_to_json(task.name, ti.reward.instance) for ti in task.instances],
+        "instances": [ti.reward.instance.to_json() for ti in task.instances],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_instances(path: str | Path) -> Task:
-    d = json.loads(Path(path).read_text())
-    name = d["task"]
-    instances = [_instance_from_json(name, item) for item in d["instances"]]
-    if not instances:
-        raise ConfigurationError(f"{path} holds no instances")
-    if name == "sudoku":
-        vocab = SUDOKU_VOCAB
-        clen = len(instances[0].empty_cells())
-        for inst in instances:
-            if len(inst.empty_cells()) != clen:
-                raise ConfigurationError("sudoku instances in one set must share n_empty")
-        plen = 16
-    elif name == "countdown":
-        vocab, plen, clen = COUNTDOWN_VOCAB, COUNTDOWN_PROMPT_LEN, COUNTDOWN_COMPLETION_LEN
-    elif name == "stringmatch":
-        vocab = Vocab(instances[0].vocab_size)
-        plen = clen = len(instances[0].target)
-    else:
-        raise ConfigurationError(f"unknown task {name!r}")
-    return Task(name, vocab, plen, clen, tuple(_task_instance(name, i, vocab) for i in instances))
+    """Read a pool written by ``save_instances``.
+
+    Any fault raises ``ConfigurationError`` naming the file, and the instance if there is one.
+    """
+    d = read_json(path)
+    try:
+        if not isinstance(d, dict) or not isinstance(d.get("instances"), list):
+            raise ConfigurationError("expected an object with an 'instances' list")
+        cls = TASKS.get(d.get("task"))
+        if cls is None:
+            raise ConfigurationError(f"unknown task {d.get('task')!r}")
+        instances = []
+        for i, item in enumerate(d["instances"]):
+            try:
+                instances.append(cls.from_json(item))
+            except KeyError as exc:
+                raise ConfigurationError(f"instance {i}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"instance {i}: {exc}") from exc
+        return instance_pool(d["task"], instances)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

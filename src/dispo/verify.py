@@ -58,6 +58,7 @@ from .surrogate import (
 from .tasks import RewardFn, StringMatchInstance, Task
 
 ACTION_LIMIT = 100_000
+N_SAMPLES = 100_000  # default Monte Carlo samples per check; rel_tol holds at this count
 
 
 def c_factor(group_size: int) -> float:
@@ -149,7 +150,7 @@ def build_oracle_problem(seed: int = 7) -> tuple[OracleProblem, PolicyParams]:
     problem = OracleProblem(
         prompt=prompt,
         completion_len=completion_len,
-        reward=RewardFn("stringmatch", StringMatchInstance((0, 1, 2), vocab.size)),
+        reward=RewardFn(StringMatchInstance((0, 1, 2), vocab.size)),
         step_states={
             1: WeightedStates((full,), (1.0,)),
             2: WeightedStates(tuple(committed), (0.5, 0.3, 0.2)),
@@ -220,20 +221,6 @@ def exact_step_gradient(
                 f"enumerated action probabilities sum to {total_prob!r}, expected 1"
             )
     return grad
-
-
-def exact_seq_gradient(
-    params: PolicyParams,
-    prompt: MaskedSequence,
-    completion_len: int,
-    reward: RewardFn,
-    surr_cfg: SurrogateConfig,
-    *,
-    action_limit: int = ACTION_LIMIT,
-) -> np.ndarray:
-    """grad J_seq by enumerating whole completions at the fully masked state."""
-    weighted = WeightedStates((full_mask_state(prompt, completion_len),), (1.0,))
-    return exact_step_gradient(params, weighted, reward, surr_cfg, action_limit=action_limit)
 
 
 @dataclass
@@ -365,6 +352,7 @@ def _finish_report(
     std_err = per_sample.std(axis=0, ddof=1) / math.sqrt(n)
     diff = estimate - target
     notes: list[str] = []
+    rel_tol *= math.sqrt(N_SAMPLES / n)  # the bound follows the Monte Carlo error
     if max_ratio > 1e3:
         z_threshold *= 2.0
         rel_tol *= 2.0
@@ -436,11 +424,47 @@ def _scatter_cells(
         out[members] += scale * group_gradient_rows(tables, idx)
 
 
+def _identity_check(
+    params: PolicyParams, problem: OracleProblem, rng: np.random.Generator, name: str,
+    old_params: PolicyParams | None, *, alpha_step: float, alpha_term: float,
+    n_branches: int, n_completions: int, n_samples: int, z_threshold: float, rel_tol: float,
+) -> GradientCheckReport:
+    """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``."""
+    behavior = params if old_params is None else old_params
+    per_sample = np.zeros((n_samples, params.dim))
+    target = np.zeros(params.dim)
+    max_ratio = 1.0
+
+    if alpha_term > 0:
+        terminal = problem.terminal_state()
+        seq_tables = build_state_tables(params, behavior, terminal, problem.reward, problem.surrogate)
+        idx = sample_group_indices(seq_tables, n_completions, n_samples, rng)
+        per_sample += alpha_term * group_gradient_rows(seq_tables, idx)
+        weighted = WeightedStates((terminal,), (1.0,))
+        target += alpha_term * c_factor(n_completions) * exact_step_gradient(
+            params, weighted, problem.reward, problem.surrogate
+        )
+        max_ratio = max(max_ratio, float(seq_tables.ratios.max()))
+
+    if alpha_step > 0:
+        cells, probs = _step_cells(params, behavior, problem)
+        _scatter_cells(cells, probs, n_branches, n_samples, rng, per_sample, alpha_step)
+        mix = sum(
+            problem.step_weights[t]
+            * exact_step_gradient(params, problem.step_states[t], problem.reward, problem.surrogate)
+            for t in problem.step_states
+        )
+        target += alpha_step * c_factor(n_branches) * mix
+        max_ratio = max(max_ratio, max(float(t.ratios.max()) for t in cells))
+
+    return _finish_report(name, per_sample, target, max_ratio, z_threshold, rel_tol)
+
+
 def theorem1_check(
     params: PolicyParams,
     problem: OracleProblem,
     n_branches: int = 2,
-    n_samples: int = 100_000,
+    n_samples: int = N_SAMPLES,
     seed: int = 0,
     *,
     old_params: PolicyParams | None = None,
@@ -454,23 +478,17 @@ def theorem1_check(
     defaulting to on-policy); the target is enumerated at the current
     parameters and mixed over the problem's timestep weights.  Reported
     z-scores are per coordinate; a coordinate with zero Monte Carlo
-    variance must match the target exactly.
+    variance must match the target exactly.  It is the combined check at
+    alpha_step=1, alpha_term=0, on its own stream.
     """
-    behavior = params if old_params is None else old_params
-    cells, probs = _step_cells(params, behavior, problem)
-    target = c_factor(n_branches) * sum(
-        problem.step_weights[t]
-        * exact_step_gradient(params, problem.step_states[t], problem.reward, problem.surrogate)
-        for t in problem.step_states
-    )
-    rng = stream(seed, "theorem1", n_branches)
-    per_sample = np.zeros((n_samples, params.dim))
-    _scatter_cells(cells, probs, n_branches, n_samples, rng, per_sample, 1.0)
-    max_ratio = max(float(t.ratios.max()) for t in cells)
     if name is None:
         mode = "on-policy" if old_params is None else "off-policy"
         name = f"step-gradient-identity Z={n_branches} {mode}"
-    return _finish_report(name, per_sample, np.asarray(target), max_ratio, z_threshold, rel_tol)
+    return _identity_check(
+        params, problem, stream(seed, "theorem1", n_branches), name, old_params,
+        alpha_step=1.0, alpha_term=0.0, n_branches=n_branches, n_completions=1,
+        n_samples=n_samples, z_threshold=z_threshold, rel_tol=rel_tol,
+    )
 
 
 def theorem2_check(
@@ -481,7 +499,7 @@ def theorem2_check(
     alpha_term: float = 1.0,
     n_branches: int = 2,
     n_completions: int = 2,
-    n_samples: int = 100_000,
+    n_samples: int = N_SAMPLES,
     seed: int = 0,
     old_params: PolicyParams | None = None,
     z_threshold: float = 4.0,
@@ -496,45 +514,13 @@ def theorem2_check(
     parameters.  Both group factors are forced by the group-mean baseline;
     neither side escapes it.
     """
-    behavior = params if old_params is None else old_params
-    rng = stream(seed, "theorem2", n_branches, n_completions)
-    per_sample = np.zeros((n_samples, params.dim))
-    target = np.zeros(params.dim)
-    max_ratio = 1.0
-
-    if alpha_term > 0:
-        seq_tables = build_state_tables(
-            params, behavior, problem.terminal_state(), problem.reward, problem.surrogate
-        )
-        idx = sample_group_indices(seq_tables, n_completions, n_samples, rng)
-        per_sample += alpha_term * group_gradient_rows(seq_tables, idx)
-        target += (
-            alpha_term
-            * c_factor(n_completions)
-            * exact_seq_gradient(
-                params, problem.prompt, problem.completion_len, problem.reward, problem.surrogate
-            )
-        )
-        max_ratio = max(max_ratio, float(seq_tables.ratios.max()))
-
-    if alpha_step > 0:
-        cells, probs = _step_cells(params, behavior, problem)
-        _scatter_cells(cells, probs, n_branches, n_samples, rng, per_sample, alpha_step)
-        target += (
-            alpha_step
-            * c_factor(n_branches)
-            * sum(
-                problem.step_weights[t]
-                * exact_step_gradient(
-                    params, problem.step_states[t], problem.reward, problem.surrogate
-                )
-                for t in problem.step_states
-            )
-        )
-        max_ratio = max(max_ratio, max(float(t.ratios.max()) for t in cells))
-
     name = f"combined-gradient-identity a_step={alpha_step} a_term={alpha_term}"
-    return _finish_report(name, per_sample, target, max_ratio, z_threshold, rel_tol)
+    return _identity_check(
+        params, problem, stream(seed, "theorem2", n_branches, n_completions), name, old_params,
+        alpha_step=alpha_step, alpha_term=alpha_term, n_branches=n_branches,
+        n_completions=n_completions, n_samples=n_samples, z_threshold=z_threshold,
+        rel_tol=rel_tol,
+    )
 
 
 @dataclass
@@ -561,7 +547,7 @@ def prop1_check(
     n_positions: int,
     n_scored: int,
     sigma: float = 1.0,
-    n_samples: int = 100_000,
+    n_samples: int = N_SAMPLES,
     seed: int = 0,
     *,
     reward_law: str = "uniform",

@@ -153,6 +153,43 @@ def test_gen_data_writes_a_loadable_pool(tmp_path, capsys):
     assert "instances written" in capsys.readouterr().out
 
 
+BAD_INSTANCES = {
+    "mixed-vocab": (
+        {"task": "stringmatch", "instances": [
+            {"target": [0, 1, 2, 0], "vocab_size": 3},
+            {"target": [3, 0, 1, 2], "vocab_size": 4},
+        ]},
+        "instance 1 has vocab size 4",
+    ),
+    "unknown-task": ({"task": "poker", "instances": []}, "unknown task 'poker'"),
+    "missing-key": (
+        {"task": "stringmatch", "instances": [{"vocab_size": 3}]},
+        "instance 0: missing key 'target'",
+    ),
+    "malformed-json": ('{"task": "stringmatch",\n}', "instances.json:2:"),
+    "missing-file": (None, "No such file"),
+    "countdown-target-out-of-range": (
+        {"task": "countdown", "instances": [{"numbers": [1, 2, 3], "target": 1000}]},
+        "instance 0: target must be an integer in 1..999",
+    ),
+    "fractional-token": (
+        {"task": "stringmatch", "instances": [{"target": [1.5, 0, 2, 3]}]},
+        "instance 0: target tokens must be ordinary tokens",
+    ),
+}
+
+
+@pytest.mark.parametrize("content, cause", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
+def test_bad_instances_files_exit_two_naming_the_cause(tmp_path, capsys, content, cause):
+    path = tmp_path / "instances.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    cfg = write_config(tmp_path, {**TINY_TRAIN, "task_params": {"instances_file": str(path)}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and cause in err
+
+
 def test_out_root_env_is_honoured(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DISPO_OUT_ROOT", str(tmp_path / "root"))
     cfg = write_config(tmp_path, {"task": "stringmatch", "n_instances": 1, "seed": 2})
@@ -170,6 +207,13 @@ def test_verify_passes_at_full_sample_size(tmp_path, capsys):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is True
     assert len(payload["checks"]) == 9
+
+
+def test_verify_passes_below_the_default_sample_size(capsys):
+    # the relative-L2 bound widens with the Monte Carlo error at fewer samples
+    assert main(["verify", "--samples", "20000"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 9 and all(l.startswith("PASS") for l in lines)
 
 
 def test_varmeasure_writes_a_variance_report(tmp_path, capsys):

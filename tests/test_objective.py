@@ -1,7 +1,5 @@
 """Group losses, clipping, KL penalty, loss combination, timestep laws."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from dispo.objective import (
     combined_loss,
     group_advantages,
     kl_penalty,
-    kl_rows,
     sample_timesteps,
     step_loss,
     terminal_loss,
@@ -25,9 +22,9 @@ from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
+    completion_action,
     draw_patterns,
     full_mask_state,
-    seq_surrogate_grad,
     state_surrogate_grad,
 )
 
@@ -103,8 +100,9 @@ def test_terminal_loss_two_rollout_example():
     c2 = MaskedSequence((2, 2, 0), VOCAB)
     loss, grad = terminal_loss(PROMPT, [(c1, 1.0), (c2, 0.0)], params, params, NOCLIP, OFF)
     assert abs(loss) < 1e-15
-    g1 = seq_surrogate_grad(params, PROMPT, c1, OFF)
-    g2 = seq_surrogate_grad(params, PROMPT, c2, OFF)
+    full = full_mask_state(PROMPT, 3)
+    g1 = state_surrogate_grad(params, full, completion_action(c1), OFF, kind="terminal")
+    g2 = state_surrogate_grad(params, full, completion_action(c2), OFF, kind="terminal")
     assert np.allclose(grad, -0.25 * (g1 - g2), atol=1e-12)
     with pytest.raises(ContractViolation):
         terminal_loss(PROMPT, [], params, params, NOCLIP, OFF)
@@ -134,21 +132,6 @@ def test_step_loss_gradient_matches_finite_differences():
         e[i] = h
         fd[i] = (value(params.theta + e) - value(params.theta - e)) / (2 * h)
     assert np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12) < 1e-4
-
-
-def test_kl_rows_hand_example():
-    p_logits = np.array([0.7, -0.2, 0.1])
-    q_logits = np.array([-0.3, 0.4, 0.0])
-
-    def logsoft(x):
-        m = x - np.max(x)
-        return m - math.log(np.exp(m).sum())
-
-    lp, lq = logsoft(p_logits), logsoft(q_logits)
-    expect = float(np.sum(np.exp(lp) * (lp - lq)))
-    got = float(kl_rows(p_logits, q_logits)[0])
-    assert got == pytest.approx(expect, abs=1e-12)
-    assert float(kl_rows(p_logits, p_logits)[0]) == 0.0
 
 
 def test_kl_penalty_properties():

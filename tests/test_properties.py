@@ -1,14 +1,24 @@
-"""Property tests: advantages, schedule mask counts, and fills over enumerated actions."""
+"""Property tests: advantages, schedule mask counts, fills over enumerated actions, and
+exact gradients against central differences."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispo.errors import ConfigurationError
 from dispo.objective import group_advantages
+from dispo.policy import LinearArch, MlpArch, action_logprob, grad_action_logprob, init_params
 from dispo.rollout import UnmaskSchedule
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
+from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
+from dispo.streams import stream
+from dispo.surrogate import (
+    SurrogateConfig,
+    draw_patterns,
+    state_surrogate_grad,
+    state_surrogate_logprob,
+)
 
 SMALL = settings(max_examples=60, deadline=None, database=None)
 
@@ -72,3 +82,48 @@ def test_fills_of_enumerated_actions_are_distinct_complete_and_keep_visible_toke
         for p in completion.visible_positions():
             assert filled.tokens[p] == completion.tokens[p]
 
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_exact_gradients_match_central_differences_on_random_architectures(data):
+    draw = data.draw
+    vocab = Vocab(draw(st.integers(2, 4)))
+    prompt_len, completion_len = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = dict(vocab=vocab, prompt_len=prompt_len, completion_len=completion_len,
+                 window=draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        arch = MlpArch(hidden=draw(st.integers(1, 4)), **shape)
+    else:
+        arch = LinearArch(**shape)
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = init_params(arch, stream(seed, "theta"), scale=0.7)
+    token = st.integers(0, vocab.size - 1)
+    prompt = MaskedSequence(tuple(draw(st.lists(token, min_size=prompt_len, max_size=prompt_len))), vocab)
+    order = draw(st.permutations(range(completion_len)))
+    masked = sorted(order[: draw(st.integers(1, completion_len))])
+    completion = tuple(vocab.mask_id if p in masked else draw(token) for p in range(completion_len))
+    state = DiffusionState(prompt, MaskedSequence(completion, vocab))
+    action = Action(tuple((p, draw(token)) for p in masked))
+    scope = draw(st.sampled_from(["action", "all"]))
+    cfg = SurrogateConfig(n_mc=draw(st.integers(1, 3)), ratio_law="uniform")
+    patterns = draw_patterns(prompt_len, cfg, stream(seed, "patterns"))
+    subset = tuple(p for p in masked if draw(st.booleans()))
+
+    def surrogate(theta):
+        return state_surrogate_logprob(
+            params.replace_theta(theta), state, action, cfg, patterns=patterns, scope=scope
+        )
+
+    def subset_logprob(theta):
+        _, per_position = action_logprob(params.replace_theta(theta), state, action)
+        return sum(per_position[p] for p in subset)
+
+    h = 1e-5
+    steps = h * np.eye(params.dim)
+    for grad, fn in (
+        (state_surrogate_grad(params, state, action, cfg, patterns=patterns, scope=scope), surrogate),
+        (grad_action_logprob(params, state, action, subset), subset_logprob),
+    ):
+        fd = np.array([(fn(params.theta + e) - fn(params.theta - e)) / (2 * h) for e in steps])
+        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)

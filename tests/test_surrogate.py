@@ -14,15 +14,12 @@ from dispo.surrogate import (
     SurrogateConfig,
     apply_pattern,
     completion_action,
-    corrupt_prompt,
     draw_pattern,
     draw_patterns,
     full_mask_state,
+    logprob_from_contexts,
     pattern_contexts,
     scoring_targets,
-    seq_surrogate_grad,
-    seq_surrogate_logprob,
-    seq_surrogate_samples,
     state_surrogate_grad,
     state_surrogate_logprob,
 )
@@ -75,17 +72,15 @@ def test_apply_pattern_masks_chosen_positions():
             assert corrupted.tokens[i] == VOCAB.mask_id
         else:
             assert corrupted.tokens[i] == PROMPT.tokens[i]
-    _, c2 = corrupt_prompt(PROMPT, stream(3, "c2"))
-    assert c2.length == PROMPT.length
-    with pytest.raises(ContractViolation):
-        corrupt_prompt(MaskedSequence((VOCAB.mask_id, 0, 1, 2), VOCAB), stream(3, "c3"))
 
 
 def test_uniform_policy_sequence_value():
     params = init_params(ARCH)
     completion = MaskedSequence((0, 1, 2), VOCAB)
     cfg = SurrogateConfig(n_mc=3, ratio_law="uniform")
-    lp = seq_surrogate_logprob(params, PROMPT, completion, cfg, stream(4, "uni"))
+    lp = state_surrogate_logprob(
+        params, full_mask_state(PROMPT, 3), completion_action(completion), cfg, stream(4, "uni")
+    )
     assert lp == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
 
 
@@ -96,19 +91,6 @@ def test_corruption_off_equals_action_logprob():
     surr = state_surrogate_logprob(params, state, action, OFF, stream(5, "unused"))
     exact, _ = action_logprob(params, state, action)
     assert surr == exact
-
-
-def test_sequence_equals_state_at_full_mask():
-    params = init_params(ARCH, stream(6, "p"), scale=0.5)
-    completion = MaskedSequence((2, 0, 1), VOCAB)
-    cfg = SurrogateConfig(n_mc=4, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(6, "pat"))
-    via_seq = seq_surrogate_logprob(params, PROMPT, completion, cfg, patterns=patterns)
-    state = full_mask_state(PROMPT, 3)
-    via_state = state_surrogate_logprob(
-        params, state, completion_action(completion), cfg, patterns=patterns
-    )
-    assert via_seq == via_state
 
 
 @pytest.mark.parametrize("scope", ["action", "all"])
@@ -154,8 +136,15 @@ def test_pattern_average_is_consistent():
     params = init_params(ARCH, stream(9, "p"), scale=0.8)
     completion = MaskedSequence((1, 2, 0), VOCAB)
     cfg = SurrogateConfig(n_mc=256, ratio_law="uniform")
-    a = seq_surrogate_samples(params, PROMPT, completion, cfg, stream(9, "a"))
-    b = seq_surrogate_samples(params, PROMPT, completion, cfg, stream(9, "b"))
+    state = full_mask_state(PROMPT, 3)
+    positions, targets = scoring_targets(state, completion_action(completion))
+
+    def per_pattern(rng):
+        ctxs = pattern_contexts(params, state, draw_patterns(4, cfg, rng), positions)
+        return logprob_from_contexts(ctxs, positions, targets)
+
+    a = per_pattern(stream(9, "a"))
+    b = per_pattern(stream(9, "b"))
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     assert abs(a.mean() - b.mean()) <= 3 * se
 
@@ -170,7 +159,10 @@ def test_forward_counters_by_kind():
     assert counters.surrogate_step_calls == 5
     assert counters.surrogate_terminal_calls == 0
     completion = MaskedSequence((0, 0, 2), VOCAB)
-    seq_surrogate_grad(params, PROMPT, completion, cfg, stream(10, "b"), counters=counters)
+    state_surrogate_grad(
+        params, full_mask_state(PROMPT, 3), completion_action(completion), cfg, stream(10, "b"),
+        counters=counters, kind="terminal",
+    )
     assert counters.surrogate_terminal_calls == 5
     pats = draw_patterns(4, cfg, stream(10, "c"))
     pattern_contexts(params, state, pats, state.mask(), counters=counters, kind="kl")

@@ -17,7 +17,6 @@ from dispo.tasks import (
     StringMatchInstance,
     SudokuInstance,
     count_solutions,
-    countdown_reward,
     first_violation_time,
     generate_countdown,
     generate_sudoku,
@@ -25,8 +24,6 @@ from dispo.tasks import (
     make_task,
     parse_postfix,
     save_instances,
-    stringmatch_reward,
-    sudoku_reward,
     sudoku_valid_solution,
 )
 
@@ -64,14 +61,14 @@ def test_sudoku_instance_checks_consistency():
 
 def test_sudoku_reward_counts_correct_cells():
     perfect = (0, 2, 3, 1, 1, 3, 2, 0)  # solution digits minus one, in empty-cell order
-    assert sudoku_reward(INSTANCE, perfect) == 1.0
+    assert INSTANCE.reward(perfect) == 1.0
     six_of_eight = perfect[:6] + (0, 2)
-    assert sudoku_reward(INSTANCE, six_of_eight) == 0.75
-    assert sudoku_reward(INSTANCE, perfect[:7]) == 0.0  # wrong length
+    assert INSTANCE.reward(six_of_eight) == 0.75
+    assert INSTANCE.reward(perfect[:7]) == 0.0  # wrong length
     blanks = (4,) * 8
-    assert sudoku_reward(INSTANCE, blanks) == 0.0
+    assert INSTANCE.reward(blanks) == 0.0
     seq = MaskedSequence(perfect, SUDOKU_VOCAB)
-    assert sudoku_reward(INSTANCE, seq) == 1.0
+    assert INSTANCE.reward(seq) == 1.0
 
 
 def test_first_violation_time_hand_trajectory():
@@ -100,15 +97,15 @@ def test_generated_sudoku_is_unique_and_consistent():
 def test_countdown_rewards():
     inst = CountdownInstance((3, 4, 5), 17)
     hit = (0, 1, 6, 2, 4, COUNTDOWN_PAD, COUNTDOWN_PAD)  # 3 * 4 + 5
-    assert countdown_reward(inst, hit) == 1.0
+    assert inst.reward(hit) == 1.0
     near = (0, 1, 4, 2, 4, COUNTDOWN_PAD, COUNTDOWN_PAD)  # 3 + 4 + 5 = 12
-    assert countdown_reward(inst, near) == 0.1
+    assert inst.reward(near) == 0.1
     reuse = (0, 0, 6, 2, 4, COUNTDOWN_PAD, COUNTDOWN_PAD)
-    assert countdown_reward(inst, reuse) == 0.0
+    assert inst.reward(reuse) == 0.0
     inner_pad = (0, COUNTDOWN_PAD, 1, 6, 2, 4, COUNTDOWN_PAD)
-    assert countdown_reward(inst, inner_pad) == 0.0
+    assert inst.reward(inner_pad) == 0.0
     ops_first = (4, 0, 1, COUNTDOWN_PAD, COUNTDOWN_PAD, COUNTDOWN_PAD, COUNTDOWN_PAD)
-    assert countdown_reward(inst, ops_first) == 0.0
+    assert inst.reward(ops_first) == 0.0
 
 
 def test_parse_postfix_values():
@@ -156,10 +153,10 @@ def test_generated_countdown_is_solvable():
 
 
 def test_stringmatch_reward():
-    target = (0, 1, 2, 3)
-    assert stringmatch_reward(target, (0, 1, 2, 3)) == 1.0
-    assert stringmatch_reward(target, (0, 1, 3, 2)) == 0.5
-    assert stringmatch_reward(target, (0, 1, 2)) == 0.0
+    inst = StringMatchInstance((0, 1, 2, 3))
+    assert inst.reward((0, 1, 2, 3)) == 1.0
+    assert inst.reward((0, 1, 3, 2)) == 0.5
+    assert inst.reward((0, 1, 2)) == 0.0
     with pytest.raises(ContractViolation):
         StringMatchInstance((0, 4), vocab_size=4)
 
@@ -200,7 +197,5 @@ def test_instances_round_trip_through_json(name, tmp_path):
 
 def test_reward_fn_dispatch():
     inst = StringMatchInstance((0, 1), vocab_size=4)
-    fn = RewardFn("stringmatch", inst)
+    fn = RewardFn(inst)
     assert fn(None, (0, 1)) == 1.0
-    with pytest.raises(ConfigurationError):
-        RewardFn("poker", inst)(None, (0, 1))

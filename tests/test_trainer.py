@@ -289,7 +289,7 @@ def test_evaluate_uniform_policy_on_a_known_target():
         vocab,
         4,
         4,
-        (TaskInstance(MaskedSequence(inst.target, vocab), RewardFn("stringmatch", inst)),),
+        (TaskInstance(MaskedSequence(inst.target, vocab), RewardFn(inst)),),
     )
     arch_cfg = tiny_config(task_params={"target_len": 4, "vocab_size": 4})
     params = init_params(

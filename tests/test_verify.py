@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dispo import verify
 from dispo.errors import ContractViolation
 from dispo.objective import LossConfig, step_loss, terminal_loss
 from dispo.policy import LinearArch, init_params
@@ -14,16 +15,17 @@ from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig, completion_action, state_surrogate_logprob
 from dispo.tasks import RewardFn, StringMatchInstance, make_task
 from dispo.verify import (
+    N_SAMPLES,
     CandidateState,
     OracleProblem,
     VarianceCondition,
     WeightedStates,
+    _finish_report,
     bootstrap_ci,
     build_oracle_problem,
     build_state_tables,
     c_factor,
     collect_states,
-    exact_seq_gradient,
     exact_step_gradient,
     group_gradient_rows,
     perturb_params,
@@ -184,14 +186,26 @@ def test_group_factor_scales_the_target():
     assert np.allclose(r4.target, 1.5 * r2.target, atol=1e-12)  # c(4)/c(2) = 1.5
 
 
+def test_relative_bound_follows_the_monte_carlo_error(monkeypatch):
+    for n, tol in ((N_SAMPLES, 0.03), (4 * N_SAMPLES, 0.015), (N_SAMPLES // 4, 0.06)):
+        report = _finish_report("flat", np.ones((n, 1)), np.ones(1), 1.0, 4.0, 0.03)
+        assert report.rel_tol == tol
+    problem, params = build_oracle_problem()
+    # rel_l2 0.039 at max|z| 2.1: a fixed 0.03 bound fails this sound estimate
+    assert theorem1_check(params, problem, 2, 20_000, seed=103).passed
+    exact = verify.exact_step_gradient
+    monkeypatch.setattr(verify, "exact_step_gradient", lambda *a, **k: 1.1 * exact(*a, **k))
+    wrong = theorem1_check(params, problem, 2, 20_000, seed=103)
+    assert not wrong.passed and wrong.rel_l2 > wrong.rel_tol
+
+
 def test_combined_identity_single_family_targets():
     problem, params = build_oracle_problem()
     term_only = theorem2_check(
         params, problem, alpha_step=0.0, alpha_term=1.0, n_samples=10, seed=9
     )
-    expect = 0.5 * exact_seq_gradient(
-        params, problem.prompt, problem.completion_len, problem.reward, problem.surrogate
-    )
+    terminal = WeightedStates((problem.terminal_state(),), (1.0,))
+    expect = 0.5 * exact_step_gradient(params, terminal, problem.reward, problem.surrogate)
     assert np.allclose(term_only.target, expect, atol=1e-12)
     step_only = theorem2_check(
         params, problem, alpha_step=1.0, alpha_term=0.0, n_samples=10, seed=9
