@@ -122,10 +122,17 @@ def _report_line(report) -> str:
     )
 
 
+def _at_least_two(flag: str, value: int) -> int:
+    """A sample or trial count: variance estimates need two draws."""
+    if value < 2:
+        raise ConfigurationError(f"{flag} must be at least 2, got {value}")
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    n = _at_least_two("--samples", args.samples)
     problem, params = build_oracle_problem(seed=args.seed if args.seed is not None else 7)
     old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
-    n = args.samples
     reports = []
     for z in (2, 4):
         reports.append(theorem1_check(params, problem, z, n, seed=101 + z))
@@ -173,6 +180,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_varmeasure(args: argparse.Namespace) -> int:
+    n_trials = _at_least_two("--trials", args.trials)
     config = _load_run_config(args)
     task = build_task(config)
     schedule = build_schedule(config, task)
@@ -200,7 +208,7 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
         old,
         candidates,
         conditions,
-        n_trials=args.trials,
+        n_trials=n_trials,
         surr_cfg=config.surrogate,
         seed=config.seed,
     )

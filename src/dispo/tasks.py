@@ -194,7 +194,7 @@ def count_solutions(grid: tuple[int, ...], cap: int = 2) -> int:
     return found
 
 
-def generate_sudoku(rng: np.random.Generator, n_empty: int = 6) -> SudokuInstance:
+def generate_sudoku(rng: np.random.Generator, n_empty: int = 8) -> SudokuInstance:
     """A random puzzle with exactly ``n_empty`` empty cells and a unique solution."""
     if not 1 <= n_empty <= 12:
         raise ConfigurationError("n_empty must lie in 1..12 for unique 4x4 puzzles")
@@ -425,7 +425,7 @@ def make_task(
     rng: np.random.Generator,
     n_instances: int = 8,
     *,
-    n_empty: int = 6,
+    n_empty: int = 8,
     target_len: int = 8,
     vocab_size: int = 4,
     n_numbers: int | None = 4,

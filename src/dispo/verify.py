@@ -26,6 +26,11 @@ The expectation identities verified here:
 Enumeration requires the corruption-free surrogate: with corruption
 disabled the surrogate is a normalized product of per-position rows, so
 probabilities sum to one and the score identity holds exactly.
+
+The Monte Carlo side never materializes per-replicate gradients.  A
+replicate's -grad L is sum_j c_j * G[a_j] over its sampled members, so the
+checks need only sufficient statistics: the per-action sums of c for the
+mean and the action-pair sums of c_i c_j for the per-coordinate variance.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .objective import LossConfig, step_group_features, step_loss
-from .policy import PolicyParams, RowsContext, rows_context, sample_action
+from .policy import PolicyParams, rows_context, sample_action
 from .rollout import UnmaskSchedule, rollout
 from .sequences import (
     Action,
@@ -49,7 +54,6 @@ from .sequences import (
 )
 from .streams import stream
 from .surrogate import (
-    PromptMaskPattern,
     SurrogateConfig,
     full_mask_state,
     grad_from_contexts,
@@ -66,11 +70,6 @@ def c_factor(group_size: int) -> float:
     if group_size < 1:
         raise ContractViolation("group size must be >= 1")
     return (group_size - 1) / group_size
-
-
-def zero_patterns(prompt_len: int, n_mc: int = 1) -> tuple[PromptMaskPattern, ...]:
-    """Identity corruption patterns (nothing masked), for deterministic runs."""
-    return (PromptMaskPattern((False,) * prompt_len, 0.0),) * n_mc
 
 
 def perturb_params(
@@ -176,16 +175,6 @@ def _enumerated_targets(
     return actions, positions, targets.reshape(len(actions), len(positions))
 
 
-def _surrogate_grid(
-    params: PolicyParams,
-    state: DiffusionState,
-    positions: tuple[int, ...],
-    surr_cfg: SurrogateConfig,
-) -> list[RowsContext]:
-    """The corruption-free surrogate's grids at ``state``: one forward, listed once per pattern."""
-    return [rows_context(params, state, positions)] * surr_cfg.n_mc
-
-
 def exact_step_gradient(
     params: PolicyParams,
     weighted: WeightedStates,
@@ -207,7 +196,7 @@ def exact_step_gradient(
     grad = np.zeros(params.dim)
     for state, weight in zip(weighted.states, weighted.weights):
         actions, positions, targets = _enumerated_targets(state, action_limit)
-        grids = _surrogate_grid(params, state, positions, surr_cfg)
+        grids = [rows_context(params, state, positions)] * surr_cfg.n_mc
         logps = logprob_from_contexts(grids, positions, targets).mean(axis=1)
         grads = grad_from_contexts(params, grids, positions, targets)
         total_prob = 0.0
@@ -229,8 +218,10 @@ class StateTables:
 
     ``grads`` rows are gradients of the surrogate log-likelihood under the
     current parameters; ``ratios`` are current/behavior likelihood ratios;
-    ``probs_old`` is the behavior sampling law.  Built once per state so
-    the Monte Carlo reduces to index arithmetic.
+    ``probs_old`` is the behavior sampling law.  Built once per state, so a
+    Monte Carlo replicate is only action indices and weights: its gradient
+    is a weighted sum of ``grads`` rows, and ``gradient_moments`` reduces
+    the replicates to a mean and a variance without building those sums.
     """
 
     state: DiffusionState
@@ -257,8 +248,8 @@ def build_state_tables(
     if surr_cfg.corruption_enabled:
         raise ContractViolation("state tables require corruption disabled")
     actions, positions, targets = _enumerated_targets(state, action_limit)
-    grids = _surrogate_grid(params, state, positions, surr_cfg)
-    old_grids = _surrogate_grid(old_params, state, positions, surr_cfg)
+    grids = [rows_context(params, state, positions)] * surr_cfg.n_mc  # corruption-free: one grid
+    old_grids = [rows_context(old_params, state, positions)] * surr_cfg.n_mc
     logp_new = logprob_from_contexts(grids, positions, targets).mean(axis=1)
     logp_old = logprob_from_contexts(old_grids, positions, targets).mean(axis=1)
     grads = grad_from_contexts(params, grids, positions, targets)
@@ -284,26 +275,40 @@ def sample_group_indices(
     return rng.choice(tables.n_actions, size=(n_samples, group_size), p=tables.probs_old)
 
 
-def group_gradient_rows(tables: StateTables, idx: np.ndarray) -> np.ndarray:
-    """Per-group values of -grad L for the unclipped group loss, vectorized.
+def group_coefficients(tables: StateTables, idx: np.ndarray) -> np.ndarray:
+    """Per-member weights of the unclipped group loss, vectorized.
 
-    Row r is (1/Z) sum_z ratio * advantage * grad-log-likelihood for the
-    group idx[r], exactly what the production loss computes one group at a
-    time; a property test pins the two routes together.
+    -grad L for the group idx[r] is sum_z c[r, z] * grads[idx[r, z]] with
+    c = ratio * advantage / Z, exactly what the production loss computes
+    one group at a time; a property test pins the two routes together.
     """
     r = tables.rewards[idx]
     adv = r - r.mean(axis=1, keepdims=True)
-    return _weighted_grad_rows(tables, idx, tables.ratios[idx] * adv / idx.shape[1])
+    return tables.ratios[idx] * adv / idx.shape[1]
 
 
-def _weighted_grad_rows(tables: StateTables, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Row r is sum_z coef[r, z] * grads[idx[r, z]]: scatter into action slots, then one matmul."""
-    n, z = idx.shape
-    scatter = np.zeros((n, tables.n_actions))
-    rows = np.arange(n)
-    for col in range(z):
-        scatter[rows, idx[:, col]] += coef[:, col]
-    return scatter @ tables.grads
+def gradient_moments(
+    grads: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and unbiased variance of rows sum_j coefs[r, j] * grads[cols[r, j]].
+
+    No row is built.  The mean needs the per-action coefficient sums w,
+    and sum_r row_r[d]^2 = G[:, d]^T M G[:, d] with M = sum_r c_r c_r^T
+    over action slots, accumulated one member pair (i <= j) at a time with
+    the off-diagonal pairs doubled.  A gradient column that is zero in
+    every table therefore gets a variance of exactly 0.
+    """
+    n, width = cols.shape
+    a = grads.shape[0]
+    w = np.bincount(cols.ravel(), coefs.ravel(), minlength=a)
+    gram = np.zeros(a * a)
+    for i in range(width):
+        for j in range(i, width):
+            pair = coefs[:, i] * coefs[:, j] * (1.0 if i == j else 2.0)
+            gram += np.bincount(cols[:, i] * a + cols[:, j], pair, minlength=a * a)
+    mean = (w / n) @ grads
+    sumsq = ((gram.reshape(a, a) @ grads) * grads).sum(axis=0)
+    return mean, np.maximum(sumsq - n * mean**2, 0.0) / (n - 1)
 
 
 @dataclass
@@ -324,32 +329,17 @@ class GradientCheckReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "estimate": [float(x) for x in self.estimate],
-            "target": [float(x) for x in self.target],
-            "max_abs_z": self.max_abs_z,
-            "rel_l2": self.rel_l2,
-            "max_ratio": self.max_ratio,
-            "z_threshold": self.z_threshold,
-            "rel_tol": self.rel_tol,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "std_err"}
+        d.update(estimate=self.estimate.tolist(), target=self.target.tolist())
+        d["notes"] = list(self.notes)
+        return d
 
 
 def _finish_report(
-    name: str,
-    per_sample: np.ndarray,
-    target: np.ndarray,
-    max_ratio: float,
-    z_threshold: float,
-    rel_tol: float,
+    name: str, n: int, estimate: np.ndarray, variance: np.ndarray, target: np.ndarray,
+    max_ratio: float, z_threshold: float, rel_tol: float,
 ) -> GradientCheckReport:
-    n = per_sample.shape[0]
-    estimate = per_sample.mean(axis=0)
-    std_err = per_sample.std(axis=0, ddof=1) / math.sqrt(n)
+    std_err = np.sqrt(variance) / math.sqrt(n)
     diff = estimate - target
     notes: list[str] = []
     rel_tol *= math.sqrt(N_SAMPLES / n)  # the bound follows the Monte Carlo error
@@ -383,45 +373,38 @@ def _finish_report(
     )
 
 
-def _step_cells(
-    params: PolicyParams, old_params: PolicyParams, problem: OracleProblem
-) -> tuple[list[StateTables], np.ndarray]:
-    """Flatten (step, state) into weighted cells with prebuilt tables."""
+def _step_groups(
+    params: PolicyParams, behavior: PolicyParams, problem: OracleProblem, group_size: int,
+    n_samples: int, rng: np.random.Generator, offset: int,
+) -> tuple[list[StateTables], np.ndarray, np.ndarray]:
+    """Every (step, state) cell's tables, and one sampled step group per replicate.
+
+    Every replicate first draws its cell (a state weighted by sampler law
+    times state weight), then a group of actions inside that cell; cells
+    are processed in blocks but replicate draws stay i.i.d.  The groups
+    come back as (n_samples, Z) columns into the cells' gradient tables,
+    stacked in order after ``offset`` rows, and their coefficients.
+    """
     cells: list[StateTables] = []
     probs: list[float] = []
     for t in sorted(problem.step_states):
         weighted = problem.step_states[t]
-        omega = problem.step_weights[t]
         for state, w in zip(weighted.states, weighted.weights):
             cells.append(
-                build_state_tables(params, old_params, state, problem.reward, problem.surrogate)
+                build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
             )
-            probs.append(omega * w)
-    return cells, np.asarray(probs)
-
-
-def _scatter_cells(
-    cells: list[StateTables],
-    probs: np.ndarray,
-    group_size: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    out: np.ndarray,
-    scale: float,
-) -> None:
-    """Add ``scale`` times a sampled per-replicate group gradient into ``out``.
-
-    Every replicate first draws its cell (a state weighted by sampler law
-    times state weight), then a group of actions inside that cell; cells
-    are processed in blocks but replicate draws stay i.i.d.
-    """
-    cell_ids = rng.choice(len(cells), size=n_samples, p=probs)
+            probs.append(problem.step_weights[t] * w)
+    cell_ids = rng.choice(len(cells), size=n_samples, p=np.asarray(probs))
+    cols = np.empty((n_samples, group_size), dtype=np.intp)
+    coefs = np.empty((n_samples, group_size))
     for c, tables in enumerate(cells):
         members = np.flatnonzero(cell_ids == c)
-        if members.size == 0:
-            continue
-        idx = sample_group_indices(tables, group_size, members.size, rng)
-        out[members] += scale * group_gradient_rows(tables, idx)
+        if members.size:
+            idx = sample_group_indices(tables, group_size, members.size, rng)
+            cols[members] = offset + idx
+            coefs[members] = group_coefficients(tables, idx)
+        offset += tables.n_actions
+    return cells, cols, coefs
 
 
 def _identity_check(
@@ -430,34 +413,46 @@ def _identity_check(
     n_branches: int, n_completions: int, n_samples: int, z_threshold: float, rel_tol: float,
 ) -> GradientCheckReport:
     """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``."""
+    if n_samples < 2:
+        raise ContractViolation(f"identity checks need n_samples >= 2, got {n_samples}")
+    if min(alpha_step, alpha_term) < 0 or max(alpha_step, alpha_term) <= 0:
+        raise ContractViolation("loss weights must be >= 0 with at least one positive")
     behavior = params if old_params is None else old_params
-    per_sample = np.zeros((n_samples, params.dim))
+    tables: list[StateTables] = []
+    cols, coefs = [], []
     target = np.zeros(params.dim)
-    max_ratio = 1.0
 
     if alpha_term > 0:
         terminal = problem.terminal_state()
         seq_tables = build_state_tables(params, behavior, terminal, problem.reward, problem.surrogate)
         idx = sample_group_indices(seq_tables, n_completions, n_samples, rng)
-        per_sample += alpha_term * group_gradient_rows(seq_tables, idx)
+        tables.append(seq_tables)
+        cols.append(idx)
+        coefs.append(alpha_term * group_coefficients(seq_tables, idx))
         weighted = WeightedStates((terminal,), (1.0,))
         target += alpha_term * c_factor(n_completions) * exact_step_gradient(
             params, weighted, problem.reward, problem.surrogate
         )
-        max_ratio = max(max_ratio, float(seq_tables.ratios.max()))
 
     if alpha_step > 0:
-        cells, probs = _step_cells(params, behavior, problem)
-        _scatter_cells(cells, probs, n_branches, n_samples, rng, per_sample, alpha_step)
+        offset = sum(t.n_actions for t in tables)
+        cells, step_cols, step_coefs = _step_groups(
+            params, behavior, problem, n_branches, n_samples, rng, offset
+        )
+        tables += cells
+        cols.append(step_cols)
+        coefs.append(alpha_step * step_coefs)
         mix = sum(
             problem.step_weights[t]
             * exact_step_gradient(params, problem.step_states[t], problem.reward, problem.surrogate)
             for t in problem.step_states
         )
         target += alpha_step * c_factor(n_branches) * mix
-        max_ratio = max(max_ratio, max(float(t.ratios.max()) for t in cells))
 
-    return _finish_report(name, per_sample, target, max_ratio, z_threshold, rel_tol)
+    grads = np.vstack([t.grads for t in tables])
+    mean, var = gradient_moments(grads, np.hstack(cols), np.hstack(coefs))
+    max_ratio = max(1.0, *(float(t.ratios.max()) for t in tables))
+    return _finish_report(name, n_samples, mean, var, target, max_ratio, z_threshold, rel_tol)
 
 
 def theorem1_check(
@@ -561,6 +556,8 @@ def prop1_check(
     """
     if not 1 <= n_scored <= n_positions:
         raise ContractViolation("need 1 <= n_scored <= n_positions")
+    if n_samples < 2:
+        raise ContractViolation(f"variance ratios need n_samples >= 2, got {n_samples}")
     rng = stream(seed, "prop1")
     g = rng.normal(0.0, sigma, (n_samples, n_positions)) if sigma > 0 else np.zeros(
         (n_samples, n_positions)
@@ -639,6 +636,8 @@ def prop2_check(
     slope.  Group size 1 is admissible here precisely because the baseline
     does not depend on the sampled group.
     """
+    if n_samples < 2:
+        raise ContractViolation(f"trace covariances need n_samples >= 2, got {n_samples}")
     tables = build_state_tables(params, params, state, reward, surr_cfg)
     baseline = float(tables.probs_old @ tables.rewards)
     centered = tables.rewards - baseline
@@ -647,8 +646,8 @@ def prop2_check(
     for z in group_sizes:
         rng = stream(seed, "prop2", z)
         idx = sample_group_indices(tables, z, n_samples, rng)
-        ghat = _weighted_grad_rows(tables, idx, tables.ratios[idx] * centered[idx] / z)
-        trcovs.append(float(ghat.var(axis=0, ddof=1).sum()))
+        _, var = gradient_moments(tables.grads, idx, tables.ratios[idx] * centered[idx] / z)
+        trcovs.append(float(var.sum()))
     if all(v == 0.0 for v in trcovs):
         notes.append("degenerate: zero variance at every group size")
         slope = float("nan")

@@ -216,6 +216,26 @@ def test_verify_passes_below_the_default_sample_size(capsys):
     assert len(lines) == 9 and all(l.startswith("PASS") for l in lines)
 
 
+@pytest.mark.parametrize("count", ["1", "0", "-5"])
+def test_sample_and_trial_counts_below_two_exit_two_naming_the_flag(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    assert main(["verify", "--samples", count, "--out", str(out)]) == 2
+    assert f"--samples must be at least 2, got {count}" in capsys.readouterr().err
+    assert main(["varmeasure", "--trials", count, "--out", str(out)]) == 2
+    assert f"--trials must be at least 2, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_sudoku_run_trains_and_evaluates(tmp_path, capsys):
+    # the default puzzle size spreads over the default four denoising steps
+    run = tmp_path / "run"
+    assert main(["train", "--task", "sudoku", "--out", str(run)]) == 0
+    assert main(["eval", "--run", str(run)]) == 0
+    assert main(["eval", "--task", "sudoku"]) == 0
+    out = capsys.readouterr().out
+    assert "trained 50 updates on sudoku" in out and "first violation" in out
+
+
 def test_varmeasure_writes_a_variance_report(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

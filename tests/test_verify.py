@@ -12,12 +12,18 @@ from dispo.policy import LinearArch, init_params
 from dispo.rollout import UnmaskSchedule
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
 from dispo.streams import stream
-from dispo.surrogate import SurrogateConfig, completion_action, state_surrogate_logprob
+from dispo.surrogate import (
+    PromptMaskPattern,
+    SurrogateConfig,
+    completion_action,
+    state_surrogate_logprob,
+)
 from dispo.tasks import RewardFn, StringMatchInstance, make_task
 from dispo.verify import (
     N_SAMPLES,
     CandidateState,
     OracleProblem,
+    StateTables,
     VarianceCondition,
     WeightedStates,
     _finish_report,
@@ -27,7 +33,8 @@ from dispo.verify import (
     c_factor,
     collect_states,
     exact_step_gradient,
-    group_gradient_rows,
+    gradient_moments,
+    group_coefficients,
     perturb_params,
     prop1_check,
     prop2_check,
@@ -36,10 +43,61 @@ from dispo.verify import (
     theorem2_check,
     trcov_estimate,
     trcov_protocol,
-    zero_patterns,
 )
 
 OFF = SurrogateConfig(n_mc=1, ratio_law="zero")
+
+
+def zero_patterns(prompt_len: int, n_mc: int = 1) -> tuple[PromptMaskPattern, ...]:
+    """Identity corruption patterns (nothing masked), for deterministic runs."""
+    return (PromptMaskPattern((False,) * prompt_len, 0.0),) * n_mc
+
+
+def dense_rows(grads, cols, coefs):
+    """The materialized route: one (n, dim) matrix, row r = sum_j coefs[r, j] * grads[cols[r, j]]."""
+    n, width = cols.shape
+    scatter = np.zeros((n, grads.shape[0]))
+    rows = np.arange(n)
+    for j in range(width):
+        scatter[rows, cols[:, j]] += coefs[:, j]
+    return scatter @ grads
+
+
+def materialized_check_rows(params, problem, rng, old_params, a_step, a_term, n_branches, k, n):
+    """Per-replicate -grad L of an identity check, drawn in the production order."""
+    behavior = params if old_params is None else old_params
+    per_sample = np.zeros((n, params.dim))
+
+    def tables(state):
+        return build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
+
+    if a_term > 0:
+        seq = tables(problem.terminal_state())
+        idx = sample_group_indices(seq, k, n, rng)
+        per_sample += a_term * dense_rows(seq.grads, idx, group_coefficients(seq, idx))
+    if a_step > 0:
+        cells, probs = [], []
+        for t in sorted(problem.step_states):
+            weighted = problem.step_states[t]
+            for state, w in zip(weighted.states, weighted.weights):
+                cells.append(tables(state))
+                probs.append(problem.step_weights[t] * w)
+        cell_ids = rng.choice(len(cells), size=n, p=np.asarray(probs))
+        for c, cell in enumerate(cells):
+            members = np.flatnonzero(cell_ids == c)
+            if members.size:
+                idx = sample_group_indices(cell, n_branches, members.size, rng)
+                rows = dense_rows(cell.grads, idx, group_coefficients(cell, idx))
+                per_sample[members] += a_step * rows
+    return per_sample
+
+
+def assert_moments_match(mean, var, rows):
+    """The kernel's moments against the rows' own, with exactly the same zero-variance set."""
+    np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-12, atol=0)
+    ref_var = rows.var(axis=0, ddof=1)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-10, atol=0)
+    assert np.array_equal(var == 0, ref_var == 0)
 
 
 def test_c_factor():
@@ -126,7 +184,7 @@ def test_fast_path_matches_production_step_loss():
     tables = build_state_tables(params, old, state, problem.reward, problem.surrogate)
     rng = stream(2, "draw")
     idx = sample_group_indices(tables, 3, 40, rng)
-    fast = group_gradient_rows(tables, idx)
+    fast = (group_coefficients(tables, idx)[:, :, None] * tables.grads[idx]).sum(axis=1)
     cfg = LossConfig(clip_eps=None)
     for row in range(idx.shape[0]):
         members = [(tables.actions[j], float(tables.rewards[j])) for j in idx[row]]
@@ -140,7 +198,7 @@ def test_fast_path_matches_production_terminal_loss():
     state = problem.terminal_state()
     tables = build_state_tables(params, old, state, problem.reward, problem.surrogate)
     idx = sample_group_indices(tables, 2, 25, stream(3, "draw"))
-    fast = group_gradient_rows(tables, idx)
+    fast = (group_coefficients(tables, idx)[:, :, None] * tables.grads[idx]).sum(axis=1)
     cfg = LossConfig(clip_eps=None)
     for row in range(idx.shape[0]):
         completions = [
@@ -188,7 +246,8 @@ def test_group_factor_scales_the_target():
 
 def test_relative_bound_follows_the_monte_carlo_error(monkeypatch):
     for n, tol in ((N_SAMPLES, 0.03), (4 * N_SAMPLES, 0.015), (N_SAMPLES // 4, 0.06)):
-        report = _finish_report("flat", np.ones((n, 1)), np.ones(1), 1.0, 4.0, 0.03)
+        # the moments of a constant sample: mean 1, variance 0
+        report = _finish_report("flat", n, np.ones(1), np.zeros(1), np.ones(1), 1.0, 4.0, 0.03)
         assert report.rel_tol == tol
     problem, params = build_oracle_problem()
     # rel_l2 0.039 at max|z| 2.1: a fixed 0.03 bound fails this sound estimate
@@ -197,6 +256,76 @@ def test_relative_bound_follows_the_monte_carlo_error(monkeypatch):
     monkeypatch.setattr(verify, "exact_step_gradient", lambda *a, **k: 1.1 * exact(*a, **k))
     wrong = theorem1_check(params, problem, 2, 20_000, seed=103)
     assert not wrong.passed and wrong.rel_l2 > wrong.rel_tol
+
+
+def random_tables(rng, n_actions, dim, zero_cols, off_policy):
+    """Tables with coarse rewards (so groups tie), and gradient columns zero in every row."""
+    grads = rng.normal(size=(n_actions, dim))
+    grads[:, zero_cols] = 0.0
+    ratios = np.exp(rng.normal(0.0, 0.5, n_actions)) if off_policy else np.ones(n_actions)
+    return StateTables(
+        state=None,
+        actions=tuple(range(n_actions)),
+        probs_old=rng.dirichlet(np.ones(n_actions)),
+        ratios=ratios,
+        rewards=rng.integers(0, 3, n_actions) / 2.0,
+        grads=grads,
+    )
+
+
+@pytest.mark.parametrize("off_policy", [False, True], ids=["on-policy", "off-policy"])
+@pytest.mark.parametrize("group_size", [1, 2, 3, 4])
+def test_gradient_moments_match_the_materialized_rows(group_size, off_policy):
+    rng = stream(30, "moments", group_size, int(off_policy))
+    tables = random_tables(rng, 7, 10, [0, 4, 9], off_policy)
+    idx = sample_group_indices(tables, group_size, 3000, rng)
+    coefs = group_coefficients(tables, idx)
+    mean, var = gradient_moments(tables.grads, idx, coefs)
+    assert_moments_match(mean, var, dense_rows(tables.grads, idx, coefs))
+    assert np.all(var[[0, 4, 9]] == 0.0)
+    assert (group_size == 1) == np.all(var == 0.0)  # a group of one has no advantage
+
+
+@pytest.mark.parametrize(
+    "a_step, a_term, n_branches, off_policy",
+    [
+        (1.0, 0.0, 1, False),
+        (1.0, 0.0, 2, True),
+        (1.0, 0.0, 3, False),
+        (1.0, 0.0, 4, True),
+        (0.0, 1.0, 2, True),
+        (0.1, 1.0, 2, False),
+        (0.1, 1.0, 2, True),
+    ],
+)
+def test_identity_checks_match_the_materialized_reference(a_step, a_term, n_branches, off_policy):
+    problem, params = build_oracle_problem()
+    old = perturb_params(params, stream(32, "old"), scale=0.3) if off_policy else None
+    n = 3000
+    report = theorem2_check(
+        params, problem, alpha_step=a_step, alpha_term=a_term, n_branches=n_branches,
+        n_samples=n, seed=33, old_params=old,
+    )
+    rows = materialized_check_rows(
+        params, problem, stream(33, "theorem2", n_branches, 2), old, a_step, a_term,
+        n_branches, 2, n,
+    )
+    assert_moments_match(report.estimate, (report.std_err * math.sqrt(n)) ** 2, rows)
+    zeros = int(np.sum(report.std_err == 0.0))  # 18 columns are zero in every table
+    assert zeros == params.dim if (n_branches, a_term) == (1, 0.0) else 18 <= zeros < params.dim
+
+
+def test_checks_reject_fewer_than_two_samples():
+    problem, params = build_oracle_problem()
+    for n in (1, 0, -5):
+        with pytest.raises(ContractViolation, match="n_samples"):
+            theorem1_check(params, problem, 2, n)
+        with pytest.raises(ContractViolation, match="n_samples"):
+            theorem2_check(params, problem, n_samples=n)
+        with pytest.raises(ContractViolation, match="n_samples"):
+            prop1_check(16, 4, n_samples=n)
+    with pytest.raises(ContractViolation, match="loss weights"):
+        theorem2_check(params, problem, alpha_step=0.0, alpha_term=0.0, n_samples=10)
 
 
 def test_combined_identity_single_family_targets():
