@@ -13,17 +13,11 @@ shows what happens if the terminal factor is dropped from the target.
 """
 
 import argparse
+from itertools import islice
 
 import numpy as np
 
-from dispo.streams import stream
-from dispo.verify import (
-    build_oracle_problem,
-    c_factor,
-    perturb_params,
-    theorem1_check,
-    theorem2_check,
-)
+from dispo.verify import battery, c_factor
 
 
 def describe(report) -> str:
@@ -39,32 +33,20 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=100_000)
     args = parser.parse_args()
 
-    problem, params = build_oracle_problem()
-    old = perturb_params(params, stream(11, "demo-perturb"), scale=0.01)
+    # the first seven checks of `dispo verify`: the identities, not the propositions
+    reports = list(islice(battery(args.samples), 7))
 
     print("step-gradient identity, groups resampled from cached behavior logits:")
-    for z in (2, 4):
-        print(describe(theorem1_check(params, problem, z, args.samples, seed=101 + z)))
-        print(describe(theorem1_check(params, problem, z, args.samples, seed=201 + z, old_params=old)))
+    for report in reports[:4]:
+        print(describe(report))
 
     print("\ncombined-loss identity across weightings (alpha_step, alpha_term):")
-    for a_step, a_term in ((1.0, 0.0), (0.0, 1.0), (0.1, 1.0)):
-        report = theorem2_check(
-            problem=problem,
-            params=params,
-            alpha_step=a_step,
-            alpha_term=a_term,
-            n_samples=args.samples,
-            seed=307,
-        )
+    for report in reports[4:]:
         print(describe(report))
 
     # drop (K-1)/K from the terminal part of the target and the same samples
     # reject it by hundreds of standard errors
-    report = theorem2_check(
-        problem=problem, params=params, alpha_step=0.0, alpha_term=1.0,
-        n_samples=args.samples, seed=307,
-    )
+    (report,) = (r for r in reports if r.name.endswith("a_step=0.0 a_term=1.0"))
     factor_free = report.target / c_factor(2)
     ok = report.std_err > 0
     z_free = np.abs(report.estimate[ok] - factor_free[ok]) / report.std_err[ok]

@@ -19,7 +19,7 @@ from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig
 from dispo.tasks import make_task
 from dispo.verify import (
-    VarianceCondition,
+    VARIANCE_CONDITIONS,
     build_oracle_problem,
     collect_states,
     perturb_params,
@@ -59,13 +59,8 @@ def main() -> None:
     candidates = collect_states(
         collector, task, 16, UnmaskSchedule(2), (16,), seed=0, rollouts_per_instance=4
     )
-    conditions = (
-        VarianceCondition("action-z2", "action", 2),
-        VarianceCondition("all-z2", "all", 2),
-        VarianceCondition("action-z4", "action", 4),
-    )
     result = trcov_protocol(
-        theta, old, candidates, conditions, args.trials,
+        theta, old, candidates, VARIANCE_CONDITIONS, args.trials,
         SurrogateConfig(n_mc=1, ratio_law="zero"), seed=33,
     )
     print(f"   {result.n_candidates} candidate states, {result.n_retained} retained after filtering")

@@ -33,14 +33,12 @@ from .trainer import (
 )
 from .verify import (
     N_SAMPLES,
-    VarianceCondition,
-    build_oracle_problem,
+    VARIANCE_CONDITIONS,
+    Prop1Report,
+    Prop2Report,
+    battery,
     collect_states,
     perturb_params,
-    prop1_check,
-    prop2_check,
-    theorem1_check,
-    theorem2_check,
     trcov_protocol,
 )
 
@@ -55,15 +53,15 @@ def _read_config_dict(path: str | None) -> dict:
 
 
 def _apply_overrides(d: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         d["seed"] = args.seed
-    if getattr(args, "task", None) is not None:
+    if args.task is not None:
         d["task"] = args.task
-    if getattr(args, "alpha_step", None) is not None:
+    if args.alpha_step is not None:
         d["alpha_step"] = args.alpha_step
-    if getattr(args, "z", None) is not None:
+    if args.z is not None:
         d["n_branches"] = args.z
-    if getattr(args, "sampler", None) is not None:
+    if args.sampler is not None:
         d.setdefault("sampler", {})
         if not isinstance(d["sampler"], dict):
             raise ConfigurationError("config section 'sampler' must be an object")
@@ -95,6 +93,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.run:
+        for flag in ("--config", "--task", "--alpha-step", "--z", "--sampler"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigurationError(
+                    f"{flag} cannot be used with --run: the checkpoint holds the config"
+                )
         params, _, _, _, config, _ = load_checkpoint(args.run)
         if args.seed is not None:
             config = config_from_dict({**config_to_dict(config), "seed": args.seed})
@@ -116,6 +119,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _report_line(report) -> str:
     status = "PASS" if report.passed else "FAIL"
+    if isinstance(report, Prop1Report):
+        return (
+            f"{status} subset-variance ratio: "
+            f"{report.ratio:.4f} vs {report.expected} (tol {report.tol})"
+        )
+    if isinstance(report, Prop2Report):
+        low, high = report.slope_bounds
+        return f"{status} group-size variance decay: slope {report.slope:.3f} in [{low}, {high}]"
     return (
         f"{status} {report.name}: max|z|={report.max_abs_z:.3f} "
         f"rel_l2={report.rel_l2:.4f} (n={report.n_samples})"
@@ -130,50 +141,14 @@ def _at_least_two(flag: str, value: int) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = _at_least_two("--samples", args.samples)
-    problem, params = build_oracle_problem(seed=args.seed if args.seed is not None else 7)
-    old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
-    reports = []
-    for z in (2, 4):
-        reports.append(theorem1_check(params, problem, z, n, seed=101 + z))
-        reports.append(
-            theorem1_check(params, problem, z, n, seed=201 + z, old_params=old)
-        )
-    for a_step, a_term in ((1.0, 0.0), (0.0, 1.0), (0.1, 1.0)):
-        reports.append(
-            theorem2_check(
-                params,
-                problem,
-                alpha_step=a_step,
-                alpha_term=a_term,
-                n_samples=n,
-                seed=307,
-            )
-        )
-    lines = [_report_line(r) for r in reports]
-
-    p1 = prop1_check(16, 4, n_samples=n, seed=401)
-    lines.append(
-        f"{'PASS' if p1.passed else 'FAIL'} subset-variance ratio: "
-        f"{p1.ratio:.4f} vs {p1.expected} (tol {p1.tol})"
-    )
-    state = problem.step_states[1].states[0]
-    p2 = prop2_check(params, state, problem.reward, problem.surrogate, seed=402)
-    lines.append(
-        f"{'PASS' if p2.passed else 'FAIL'} group-size variance decay: "
-        f"slope {p2.slope:.3f} in [{p2.slope_bounds[0]}, {p2.slope_bounds[1]}]"
-    )
-
-    for line in lines:
-        print(line)
-    all_passed = all(r.passed for r in reports) and p1.passed and p2.passed
+    reports = list(battery(_at_least_two("--samples", args.samples), args.seed))
+    for report in reports:
+        print(_report_line(report))
+    all_passed = all(r.passed for r in reports)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "checks": [r.to_dict() for r in reports] + [p1.to_dict(), p2.to_dict()],
-            "passed": all_passed,
-        }
+        payload = {"checks": [r.to_dict() for r in reports], "passed": all_passed}
         (out / "verify.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report written to {out / 'verify.json'}")
     return 0 if all_passed else 1
@@ -198,16 +173,11 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
     candidates = collect_states(
         collector, task, config.n_denoising_steps, schedule, late, seed=config.seed
     )
-    conditions = [
-        VarianceCondition("action-z2", "action", 2),
-        VarianceCondition("all-z2", "all", 2),
-        VarianceCondition("action-z4", "action", 4),
-    ]
     report = trcov_protocol(
         params,
         old,
         candidates,
-        conditions,
+        VARIANCE_CONDITIONS,
         n_trials=n_trials,
         surr_cfg=config.surrogate,
         seed=config.seed,
@@ -274,43 +244,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (default $DISPO_OUT_ROOT or ./runs)")
         p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--task", help="task name override (sudoku, countdown, stringmatch)")
         p.add_argument("--alpha-step", type=float, dest="alpha_step", help="step-loss weight")
         p.add_argument("--z", type=int, help="branch group size override")
         p.add_argument("--sampler", help="timestep sampler law (uniform, poly_late, poly_early)")
 
+    def out_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="output directory (default $DISPO_OUT_ROOT or ./runs)")
+
     p_train = sub.add_parser("train", help="run a training loop")
-    common(p_train)
+    config_flags(p_train)
+    out_flag(p_train)
     p_train.add_argument("--resume", help="checkpoint directory to resume from")
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="greedy-decode a policy over its task pool")
-    common(p_eval)
-    p_eval.add_argument("--run", help="training output directory holding the checkpoint")
+    config_flags(p_eval)
+    p_eval.add_argument(
+        "--run", help="training output directory holding the checkpoint (and its config)"
+    )
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the gradient and variance oracles")
-    common(p_verify)
+    p_verify.add_argument("--out", help="directory for verify.json (default: no file)")
+    p_verify.add_argument("--seed", type=int, default=7, help="oracle-problem seed")
     p_verify.add_argument(
         "--samples", type=int, default=N_SAMPLES, help="Monte Carlo samples per check"
     )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_var = sub.add_parser("varmeasure", help="measure gradient variance across conditions")
-    common(p_var)
+    config_flags(p_var)
+    out_flag(p_var)
     p_var.add_argument("--trials", type=int, default=32, help="branch trials per state")
     p_var.set_defaults(func=_cmd_varmeasure)
 
     p_gen = sub.add_parser("gen-data", help="generate and save task instances")
-    common(p_gen)
+    config_flags(p_gen)
+    out_flag(p_gen)
     p_gen.set_defaults(func=_cmd_gen_data)
 
     p_ops = sub.add_parser("count-ops", help="predict operation counts for a config")
-    common(p_ops)
+    config_flags(p_ops)
     p_ops.set_defaults(func=_cmd_count_ops)
 
     return parser

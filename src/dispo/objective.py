@@ -345,7 +345,6 @@ def terminal_loss(
     surr_cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss over a prompt's rollout group.
@@ -373,7 +372,7 @@ def terminal_loss(
         loss_cfg,
         surr_cfg,
         rng,
-        patterns=patterns,
+        patterns=None,
         counters=counters,
         scope="action",
         kind="terminal",

@@ -16,10 +16,8 @@ incomplete block (semi-autoregressive order).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,25 +209,3 @@ def select_states(trajectories: list[Trajectory], timesteps: list[int]) -> list[
             if not 1 <= t <= traj.n_steps:
                 raise ContractViolation(f"timestep {t} outside 1..{traj.n_steps}")
     return [(k, t) for k in range(1, len(trajectories) + 1) for t in timesteps]
-
-
-def dump_trajectory(traj: Trajectory, dest: str | Path | IO[str]) -> None:
-    """Write a JSONL debug dump: one record per state, masks rendered as -1."""
-    records = []
-    for idx, state in enumerate(traj.states):
-        t = idx + 1
-        rec = {
-            "t": t,
-            "terminal": idx == len(traj.states) - 1,
-            "prompt": state.prompt.to_json_tokens(),
-            "completion": state.completion.to_json_tokens(),
-            "mask": list(state.completion.mask_positions()),
-        }
-        if t <= traj.n_steps:
-            rec["committed"] = [[p, tok] for p, tok in traj.events[idx]]
-        records.append(rec)
-    text = "".join(json.dumps(r) + "\n" for r in records)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)

@@ -4,7 +4,7 @@ Vocabularies, masked sequences, denoising states, joint fill actions, and
 the deterministic fill operation.  Token ids are dense non-negative
 integers; the mask uses the id one past the ordinary range by default.
 All types here are immutable value objects, safe to share and to use as
-dict keys; serialized form renders the mask as -1.
+dict keys.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ContractViolation
-
-MASK_JSON = -1
 
 
 @dataclass(frozen=True)
@@ -99,14 +97,6 @@ class MaskedSequence:
                 raise ContractViolation(f"position {pos} out of range for length {len(toks)}")
             toks[pos] = tok
         return MaskedSequence(tuple(toks), self.vocab)
-
-    def to_json_tokens(self) -> list[int]:
-        mid = self.vocab.mask_id
-        return [MASK_JSON if t == mid else t for t in self.tokens]
-
-    @classmethod
-    def from_json_tokens(cls, values: list[int], vocab: Vocab) -> "MaskedSequence":
-        return cls(tuple(vocab.mask_id if v == MASK_JSON else v for v in values), vocab)
 
 
 @dataclass(frozen=True)

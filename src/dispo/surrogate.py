@@ -96,14 +96,6 @@ def draw_patterns(
     return tuple(draw_pattern(prompt_len, rng, cfg.ratio_law) for _ in range(cfg.n_mc))
 
 
-def apply_pattern(prompt: MaskedSequence, pattern: PromptMaskPattern) -> MaskedSequence:
-    if len(pattern.mask) != prompt.length:
-        raise ContractViolation("pattern length must match the prompt")
-    mid = prompt.vocab.mask_id
-    toks = tuple(mid if m else t for t, m in zip(prompt.tokens, pattern.mask))
-    return MaskedSequence(toks, prompt.vocab)
-
-
 def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
     return DiffusionState(prompt, MaskedSequence.masked(completion_len, prompt.vocab))
 

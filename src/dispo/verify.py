@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +62,6 @@ from .surrogate import (
 )
 from .tasks import RewardFn, StringMatchInstance, Task
 
-ACTION_LIMIT = 100_000
 N_SAMPLES = 100_000  # default Monte Carlo samples per check; rel_tol holds at this count
 
 
@@ -161,71 +161,21 @@ def build_oracle_problem(seed: int = 7) -> tuple[OracleProblem, PolicyParams]:
     return problem, params
 
 
-def _enumerated_targets(
-    state: DiffusionState, action_limit: int
-) -> tuple[tuple[Action, ...], tuple[int, ...], np.ndarray]:
-    """Every joint action at ``state``, its mask set, and its tokens as an (actions, |mask|) array.
-
-    ``enumerate_actions`` yields assignments in mask-set order, so row i of
-    the array lines up with ``positions``.
-    """
-    actions = tuple(enumerate_actions(state, limit=action_limit))
-    positions = state.completion.mask_positions()
-    targets = np.array([[tok for _, tok in a.assignments] for a in actions], dtype=np.intp)
-    return actions, positions, targets.reshape(len(actions), len(positions))
-
-
-def exact_step_gradient(
-    params: PolicyParams,
-    weighted: WeightedStates,
-    reward: RewardFn,
-    surr_cfg: SurrogateConfig,
-    *,
-    action_limit: int = ACTION_LIMIT,
-) -> np.ndarray:
-    """grad J_t by full enumeration: sum_s w(s) sum_a p(a|s) R(s,a) grad log p(a|s).
-
-    Uses the production surrogate likelihood and its gradient, so this is
-    exact only when corruption is disabled (the surrogate is then a
-    normalized distribution over joint actions; the sum of enumerated
-    probabilities is checked against 1).  Each state's grid is computed
-    once and every enumerated action is scored against it.
-    """
-    if surr_cfg.corruption_enabled:
-        raise ContractViolation("exact enumeration requires corruption disabled")
-    grad = np.zeros(params.dim)
-    for state, weight in zip(weighted.states, weighted.weights):
-        actions, positions, targets = _enumerated_targets(state, action_limit)
-        grids = [rows_context(params, state, positions)] * surr_cfg.n_mc
-        logps = logprob_from_contexts(grids, positions, targets).mean(axis=1)
-        grads = grad_from_contexts(params, grids, positions, targets)
-        total_prob = 0.0
-        for action, lp, g in zip(actions, logps, grads):
-            p = math.exp(lp)
-            total_prob += p
-            r = reward(state.prompt, fill(state, action))
-            grad += weight * p * r * g
-        if abs(total_prob - 1.0) > 1e-8:
-            raise ContractViolation(
-                f"enumerated action probabilities sum to {total_prob!r}, expected 1"
-            )
-    return grad
-
-
 @dataclass
 class StateTables:
-    """Per-action tables at one state: everything the MC loop needs.
+    """Per-action tables at one state: everything the oracles need.
 
-    ``grads`` rows are gradients of the surrogate log-likelihood under the
-    current parameters; ``ratios`` are current/behavior likelihood ratios;
-    ``probs_old`` is the behavior sampling law.  Built once per state, so a
-    Monte Carlo replicate is only action indices and weights: its gradient
-    is a weighted sum of ``grads`` rows, and ``gradient_moments`` reduces
-    the replicates to a mean and a variance without building those sums.
+    ``probs`` is the current policy's law and ``probs_old`` the behavior
+    sampling law; ``grads`` rows are gradients of the surrogate
+    log-likelihood under the current parameters and ``ratios`` are
+    current/behavior likelihood ratios.  Built once per state, so a Monte
+    Carlo replicate is only action indices and weights: its gradient is a
+    weighted sum of ``grads`` rows, and ``gradient_moments`` reduces the
+    replicates to a mean and a variance without building those sums.
     """
 
-    state: DiffusionState
     actions: tuple[Action, ...]
+    probs: np.ndarray
     probs_old: np.ndarray
     ratios: np.ndarray
     rewards: np.ndarray
@@ -235,6 +185,10 @@ class StateTables:
     def n_actions(self) -> int:
         return len(self.actions)
 
+    def reward_gradient(self) -> np.ndarray:
+        """sum_a p(a) R(a) grad log p(a): the gradient of the state's expected reward."""
+        return (self.probs * self.rewards) @ self.grads
+
 
 def build_state_tables(
     params: PolicyParams,
@@ -242,29 +196,45 @@ def build_state_tables(
     state: DiffusionState,
     reward: RewardFn,
     surr_cfg: SurrogateConfig,
-    *,
-    action_limit: int = ACTION_LIMIT,
 ) -> StateTables:
+    """Enumerate every joint action at ``state`` and score it under both parameter sets.
+
+    Exact only when corruption is disabled: the surrogate is then a
+    normalized distribution over joint actions, and both laws are checked
+    to sum to 1.  Each parameter set's grid is computed once.
+    """
     if surr_cfg.corruption_enabled:
-        raise ContractViolation("state tables require corruption disabled")
-    actions, positions, targets = _enumerated_targets(state, action_limit)
+        raise ContractViolation("exact enumeration requires corruption disabled")
+    actions = tuple(enumerate_actions(state))
+    positions = state.completion.mask_positions()
+    # assignments come in mask-set order, so row i lines up with ``positions``
+    targets = np.array([[tok for _, tok in a.assignments] for a in actions], dtype=np.intp)
+    targets = targets.reshape(len(actions), len(positions))
     grids = [rows_context(params, state, positions)] * surr_cfg.n_mc  # corruption-free: one grid
     old_grids = [rows_context(old_params, state, positions)] * surr_cfg.n_mc
     logp_new = logprob_from_contexts(grids, positions, targets).mean(axis=1)
     logp_old = logprob_from_contexts(old_grids, positions, targets).mean(axis=1)
-    grads = grad_from_contexts(params, grids, positions, targets)
-    rewards = np.array([reward(state.prompt, fill(state, a)) for a in actions], dtype=np.float64)
-    probs_old = np.exp(logp_old)
-    if abs(float(probs_old.sum()) - 1.0) > 1e-8:
-        raise ContractViolation("behavior probabilities do not sum to 1")
-    probs_old = probs_old / probs_old.sum()  # remove float residue for rng.choice
+    probs, probs_old = np.exp(logp_new), np.exp(logp_old)
+    for law, p in (("current", probs), ("behavior", probs_old)):
+        if abs(float(p.sum()) - 1.0) > 1e-8:
+            raise ContractViolation(f"{law} probabilities sum to {float(p.sum())!r}, expected 1")
     return StateTables(
-        state=state,
         actions=actions,
-        probs_old=probs_old,
+        probs=probs,
+        probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
         ratios=np.exp(logp_new - logp_old),
-        rewards=rewards,
-        grads=grads,
+        rewards=np.array([reward(state.prompt, fill(state, a)) for a in actions], dtype=np.float64),
+        grads=grad_from_contexts(params, grids, positions, targets),
+    )
+
+
+def exact_step_gradient(
+    params: PolicyParams, weighted: WeightedStates, reward: RewardFn, surr_cfg: SurrogateConfig
+) -> np.ndarray:
+    """grad J_t by full enumeration: sum_s w(s) sum_a p(a|s) R(s,a) grad log p(a|s)."""
+    return sum(
+        w * build_state_tables(params, params, s, reward, surr_cfg).reward_gradient()
+        for s, w in zip(weighted.states, weighted.weights)
     )
 
 
@@ -376,25 +346,25 @@ def _finish_report(
 def _step_groups(
     params: PolicyParams, behavior: PolicyParams, problem: OracleProblem, group_size: int,
     n_samples: int, rng: np.random.Generator, offset: int,
-) -> tuple[list[StateTables], np.ndarray, np.ndarray]:
-    """Every (step, state) cell's tables, and one sampled step group per replicate.
+) -> tuple[list[StateTables], list[float], np.ndarray, np.ndarray]:
+    """Every (step, state) cell's tables and law, and one sampled step group per replicate.
 
-    Every replicate first draws its cell (a state weighted by sampler law
-    times state weight), then a group of actions inside that cell; cells
-    are processed in blocks but replicate draws stay i.i.d.  The groups
-    come back as (n_samples, Z) columns into the cells' gradient tables,
-    stacked in order after ``offset`` rows, and their coefficients.
+    Every replicate first draws its cell from the cells' law (sampler
+    weight times state weight), then a group of actions inside that cell;
+    cells are processed in blocks but replicate draws stay i.i.d.  The
+    groups come back as (n_samples, Z) columns into the cells' gradient
+    tables, stacked in order after ``offset`` rows, and their coefficients.
     """
     cells: list[StateTables] = []
-    probs: list[float] = []
+    laws: list[float] = []
     for t in sorted(problem.step_states):
         weighted = problem.step_states[t]
         for state, w in zip(weighted.states, weighted.weights):
             cells.append(
                 build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
             )
-            probs.append(problem.step_weights[t] * w)
-    cell_ids = rng.choice(len(cells), size=n_samples, p=np.asarray(probs))
+            laws.append(problem.step_weights[t] * w)
+    cell_ids = rng.choice(len(cells), size=n_samples, p=np.asarray(laws))
     cols = np.empty((n_samples, group_size), dtype=np.intp)
     coefs = np.empty((n_samples, group_size))
     for c, tables in enumerate(cells):
@@ -404,7 +374,7 @@ def _step_groups(
             cols[members] = offset + idx
             coefs[members] = group_coefficients(tables, idx)
         offset += tables.n_actions
-    return cells, cols, coefs
+    return cells, laws, cols, coefs
 
 
 def _identity_check(
@@ -412,7 +382,10 @@ def _identity_check(
     old_params: PolicyParams | None, *, alpha_step: float, alpha_term: float,
     n_branches: int, n_completions: int, n_samples: int, z_threshold: float, rel_tol: float,
 ) -> GradientCheckReport:
-    """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``."""
+    """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``.
+
+    The target comes from the sampled tables, under their current law.
+    """
     if n_samples < 2:
         raise ContractViolation(f"identity checks need n_samples >= 2, got {n_samples}")
     if min(alpha_step, alpha_term) < 0 or max(alpha_step, alpha_term) <= 0:
@@ -429,24 +402,17 @@ def _identity_check(
         tables.append(seq_tables)
         cols.append(idx)
         coefs.append(alpha_term * group_coefficients(seq_tables, idx))
-        weighted = WeightedStates((terminal,), (1.0,))
-        target += alpha_term * c_factor(n_completions) * exact_step_gradient(
-            params, weighted, problem.reward, problem.surrogate
-        )
+        target += alpha_term * c_factor(n_completions) * seq_tables.reward_gradient()
 
     if alpha_step > 0:
         offset = sum(t.n_actions for t in tables)
-        cells, step_cols, step_coefs = _step_groups(
+        cells, laws, step_cols, step_coefs = _step_groups(
             params, behavior, problem, n_branches, n_samples, rng, offset
         )
         tables += cells
         cols.append(step_cols)
         coefs.append(alpha_step * step_coefs)
-        mix = sum(
-            problem.step_weights[t]
-            * exact_step_gradient(params, problem.step_states[t], problem.reward, problem.surrogate)
-            for t in problem.step_states
-        )
+        mix = sum(w * cell.reward_gradient() for w, cell in zip(laws, cells))
         target += alpha_step * c_factor(n_branches) * mix
 
     grads = np.vstack([t.grads for t in tables])
@@ -669,6 +635,29 @@ def prop2_check(
     )
 
 
+def battery(
+    n_samples: int = N_SAMPLES, seed: int = 7
+) -> Iterator[GradientCheckReport | Prop1Report | Prop2Report]:
+    """The ``dispo verify`` checks, in its order, on the oracle problem of ``seed``.
+
+    Four step-gradient checks (Z = 2 and 4, on-policy and from behavior
+    parameters one 0.01-step away), the combined identity at three
+    weightings, then the subset-variance ratio and the group-size decay.
+    """
+    problem, params = build_oracle_problem(seed)
+    old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
+    for z in (2, 4):
+        yield theorem1_check(params, problem, z, n_samples, seed=101 + z)
+        yield theorem1_check(params, problem, z, n_samples, seed=201 + z, old_params=old)
+    for a_step, a_term in ((1.0, 0.0), (0.0, 1.0), (0.1, 1.0)):
+        yield theorem2_check(
+            params, problem, alpha_step=a_step, alpha_term=a_term, n_samples=n_samples, seed=307
+        )
+    yield prop1_check(16, 4, n_samples=n_samples, seed=401)
+    state = problem.step_states[1].states[0]
+    yield prop2_check(params, state, problem.reward, problem.surrogate, seed=402)
+
+
 def trcov_estimate(ghats: np.ndarray) -> float:
     """Unbiased trace-covariance estimate from repeated trials.
 
@@ -714,6 +703,15 @@ class VarianceCondition:
             raise ContractViolation(f"unknown scope {self.scope!r}")
         if self.n_branches < 2:
             raise ContractViolation("variance conditions need a group size of at least 2")
+
+
+# the three arms of the variance protocol: action-only against all-token
+# scoring at Z = 2, and Z = 4 against Z = 2 under action-only scoring
+VARIANCE_CONDITIONS = (
+    VarianceCondition("action-z2", "action", 2),
+    VarianceCondition("all-z2", "all", 2),
+    VarianceCondition("action-z4", "action", 4),
+)
 
 
 @dataclass(frozen=True)
@@ -792,7 +790,7 @@ def trcov_protocol(
     params: PolicyParams,
     old_params: PolicyParams,
     candidates: list[CandidateState],
-    conditions: list[VarianceCondition],
+    conditions: Sequence[VarianceCondition],
     n_trials: int,
     surr_cfg: SurrogateConfig,
     seed: int = 0,

@@ -45,39 +45,43 @@ from dispo.trainer import (
     train,
 )
 from dispo.verify import (
-    VarianceCondition,
+    VARIANCE_CONDITIONS,
+    battery,
     build_oracle_problem,
     c_factor,
     collect_states,
     perturb_params,
-    prop1_check,
-    prop2_check,
-    theorem1_check,
-    theorem2_check,
     trcov_protocol,
 )
 
 N_FULL = 100_000
 
 
+@pytest.fixture(scope="module")
+def oracle_battery():
+    """The ``dispo verify`` battery at full size, and its wall time: criteria 1-4 read it.
+
+    Its nine reports come in ``dispo verify``'s order: four step-gradient
+    checks, three combined-loss weightings, then the two propositions.
+    """
+    t0 = time.perf_counter()
+    reports = list(battery(N_FULL))
+    return reports, time.perf_counter() - t0
+
+
 # ---------------------------------------------------------------------------
 # 1. Step-gradient identity: E[-grad L_step] = ((Z-1)/Z) grad J_t
 
 
-def test_criterion_01_step_gradient_identity(acceptance_log):
-    problem, params = build_oracle_problem()
-    old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
-    t0 = time.perf_counter()
-    reports = []
-    for z in (2, 4):
-        reports.append(theorem1_check(params, problem, z, N_FULL, seed=101 + z))
-        reports.append(
-            theorem1_check(params, problem, z, N_FULL, seed=201 + z, old_params=old)
-        )
-    elapsed = time.perf_counter() - t0
+def test_criterion_01_step_gradient_identity(oracle_battery, acceptance_log):
+    battery_reports, elapsed = oracle_battery
+    reports = battery_reports[:4]
+    assert all(r.name.startswith("step-gradient-identity") for r in reports)
     worst_z = max(r.max_abs_z for r in reports)
     worst_rel = max(r.rel_l2 for r in reports)
-    acceptance_log(1, f"worst max|z|={worst_z:.2f}, worst relL2={worst_rel:.4f}, {elapsed:.1f}s")
+    acceptance_log(
+        1, f"worst max|z|={worst_z:.2f}, worst relL2={worst_rel:.4f}, battery {elapsed:.1f}s"
+    )
     for r in reports:
         assert r.passed, f"{r.name}: max|z|={r.max_abs_z:.3f} relL2={r.rel_l2:.4f}"
         assert r.max_abs_z <= 4.0
@@ -89,49 +93,39 @@ def test_criterion_01_step_gradient_identity(acceptance_log):
 # 2. Combined-loss identity, including the terminal group factor (K-1)/K
 
 
-def test_criterion_02_combined_gradient_identity(acceptance_log):
-    problem, params = build_oracle_problem()
-    t0 = time.perf_counter()
-    reports = {}
-    for a_step, a_term in ((1.0, 0.0), (0.0, 1.0), (0.1, 1.0)):
-        reports[(a_step, a_term)] = theorem2_check(
-            params,
-            problem,
-            alpha_step=a_step,
-            alpha_term=a_term,
-            n_samples=N_FULL,
-            seed=307,
-        )
-    elapsed = time.perf_counter() - t0
+def test_criterion_02_combined_gradient_identity(oracle_battery, acceptance_log):
+    battery_reports, elapsed = oracle_battery
+    reports = battery_reports[4:7]
+    assert all(r.name.startswith("combined-gradient-identity") for r in reports)
 
     # The terminal-only estimate also pins down the group factor: against a
     # target that omits (K-1)/K the same samples are off by hundreds of
     # standard errors, so the factor in the implemented identity is not
     # optional.
-    term_only = reports[(0.0, 1.0)]
+    (term_only,) = (r for r in reports if r.name.endswith("a_step=0.0 a_term=1.0"))
     factor_free_target = term_only.target / c_factor(2)
     se = term_only.std_err
     ok = se > 0
     z_free = np.abs(term_only.estimate[ok] - factor_free_target[ok]) / se[ok]
-    worst_z = max(r.max_abs_z for r in reports.values())
-    worst_rel = max(r.rel_l2 for r in reports.values())
+    worst_z = max(r.max_abs_z for r in reports)
+    worst_rel = max(r.rel_l2 for r in reports)
     acceptance_log(
         2,
         f"worst max|z|={worst_z:.2f}, worst relL2={worst_rel:.4f}, "
-        f"factor-free rejected at max|z|={z_free.max():.0f}, {elapsed:.1f}s",
+        f"factor-free rejected at max|z|={z_free.max():.0f}, battery {elapsed:.1f}s",
     )
-    for r in reports.values():
+    for r in reports:
         assert r.passed, f"{r.name}: max|z|={r.max_abs_z:.3f} relL2={r.rel_l2:.4f}"
     assert z_free.max() > 4.0
-    assert elapsed < 300.0
+    assert elapsed < 120.0
 
 
 # ---------------------------------------------------------------------------
 # 3. Scored-subset variance ratio m/L
 
 
-def test_criterion_03_subset_variance_ratio(acceptance_log):
-    report = prop1_check(16, 4, n_samples=N_FULL, seed=401)
+def test_criterion_03_subset_variance_ratio(oracle_battery, acceptance_log):
+    report = oracle_battery[0][7]
     acceptance_log(3, f"ratio={report.ratio:.4f}, expected {report.expected} +/- 0.02")
     assert abs(report.ratio - 0.25) <= 0.02
     assert report.passed
@@ -141,10 +135,8 @@ def test_criterion_03_subset_variance_ratio(acceptance_log):
 # 4. Group-size variance decay close to 1/Z
 
 
-def test_criterion_04_group_size_variance_decay(acceptance_log):
-    problem, params = build_oracle_problem()
-    state = problem.step_states[1].states[0]
-    report = prop2_check(params, state, problem.reward, problem.surrogate, seed=402)
+def test_criterion_04_group_size_variance_decay(oracle_battery, acceptance_log):
+    report = oracle_battery[0][8]
     acceptance_log(4, f"log-log slope={report.slope:.3f}, bounds [-1.2, -0.8]")
     assert -1.2 <= report.slope <= -0.8
     assert report.passed
@@ -166,16 +158,11 @@ def test_criterion_05_variance_protocol_direction(acceptance_log):
     candidates = collect_states(
         collector, task, 16, schedule, (16,), seed=0, rollouts_per_instance=4
     )
-    conditions = (
-        VarianceCondition("action-z2", "action", 2),
-        VarianceCondition("all-z2", "all", 2),
-        VarianceCondition("action-z4", "action", 4),
-    )
     report = trcov_protocol(
         params,
         old,
         candidates,
-        conditions,
+        VARIANCE_CONDITIONS,
         64,
         SurrogateConfig(n_mc=1, ratio_law="zero"),
         seed=33,

@@ -38,8 +38,8 @@ from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    apply_pattern,
     completion_action,
+    draw_pattern,
     draw_patterns,
     full_mask_state,
     logprob_from_contexts,
@@ -126,6 +126,15 @@ def reference_score_grad(params, ctx, positions, targets, coef):
         dlogits[r] -= coef * probs[r]
         dlogits[r, tok] += coef
     return reference_backprop(params, ctx, dlogits)
+
+
+def apply_pattern(prompt, pattern):
+    """The prompt with the pattern's positions masked, as a new sequence."""
+    assert len(pattern.mask) == prompt.length
+    mid = prompt.vocab.mask_id
+    return MaskedSequence(
+        tuple(mid if m else t for t, m in zip(prompt.tokens, pattern.mask)), prompt.vocab
+    )
 
 
 def reference_contexts(params, state, patterns, positions):
@@ -223,6 +232,18 @@ def random_action(rng, state):
 
 
 # -- tests -------------------------------------------------------------------------
+
+
+def test_apply_pattern_masks_chosen_positions():
+    vocab = Vocab(3)
+    prompt = MaskedSequence((0, 2, 1, 1), vocab)
+    pattern = draw_pattern(4, stream(3, "apply"), 0.5)
+    corrupted = apply_pattern(prompt, pattern)
+    for i, masked in enumerate(pattern.mask):
+        if masked:
+            assert corrupted.tokens[i] == vocab.mask_id
+        else:
+            assert corrupted.tokens[i] == prompt.tokens[i]
 
 
 def test_batched_features_equal_the_per_state_loop():

@@ -143,6 +143,49 @@ def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     assert main(["eval", "--run", str(tmp_path / "nowhere")]) == 1
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    run = str(root / "run")
+    assert main(["train", "--config", write_config(root, TINY_TRAIN), "--out", run]) == 0
+    return run
+
+
+# flags a command has no use for, each to be rejected by name; None marks
+# the one config flag that eval --run does use
+UNUSED_FLAGS = {
+    "verify-config": (["verify", "--config", "/nonexistent.json"], "--config"),
+    "verify-task": (["verify", "--task", "sudoku"], "--task"),
+    "verify-z": (["verify", "--z", "7"], "--z"),
+    "count-ops-out": (["count-ops", "--out", "OUT"], "--out"),
+    "eval-out": (["eval", "--run", "RUN", "--out", "OUT"], "--out"),
+    "eval-run-config": (["eval", "--run", "RUN", "--config", "/nonexistent.json"], "--config"),
+    "eval-run-task": (["eval", "--run", "RUN", "--task", "sudoku"], "--task"),
+    "eval-run-alpha-step": (["eval", "--run", "RUN", "--alpha-step", "0.5"], "--alpha-step"),
+    "eval-run-z": (["eval", "--run", "RUN", "--z", "4"], "--z"),
+    "eval-run-sampler": (["eval", "--run", "RUN", "--sampler", "uniform"], "--sampler"),
+    "eval-run-seed": (["eval", "--run", "RUN", "--seed", "3"], None),
+}
+
+
+@pytest.mark.parametrize("argv, flag", UNUSED_FLAGS.values(), ids=UNUSED_FLAGS.keys())
+def test_flags_a_command_does_not_use_exit_two_naming_the_flag(
+    trained_run, tmp_path, capsys, argv, flag
+):
+    out = tmp_path / "out"
+    argv = [{"RUN": trained_run, "OUT": str(out)}.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag the command does not define
+        code = exc.code
+    if flag is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_writes_a_loadable_pool(tmp_path, capsys):
     cfg = write_config(tmp_path, {"task": "sudoku", "n_instances": 2, "seed": 5})
     out = tmp_path / "data"

@@ -1,8 +1,8 @@
-"""The quick demos run end to end.
+"""Every demo runs end to end.
 
-Demos 01-03 call ``rollout``, the surrogate and the oracles directly, so
-they break when those signatures change.  Demos 04-05 train and measure
-for about ten seconds and stay out of the default suite.
+The demos call ``rollout``, the surrogate, the oracles and ``train``
+directly, so they break when those signatures change.  Demos 04-05 run at
+a fraction of their default size.
 """
 
 import os
@@ -13,19 +13,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = (
-    "01_rollout_and_branching.py",
-    "02_surrogate_likelihoods.py",
-    "03_gradient_identities.py",
-)
+DEMOS = {
+    "01_rollout_and_branching.py": [],
+    "02_surrogate_likelihoods.py": [],
+    "03_gradient_identities.py": [],
+    "04_variance_structure.py": ["--samples", "2000", "--trials", "4"],
+    "05_train_sudoku.py": ["--updates", "5"],
+}
 
 
-@pytest.mark.parametrize("demo", QUICK_DEMOS)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, str(ROOT / "demos" / demo), *DEMOS[demo]],
         capture_output=True,
         text=True,
         env=env,

@@ -70,9 +70,9 @@ def test_accepted_schedules_empty_the_mask_one_bounded_step_at_a_time(
 def test_fills_of_enumerated_actions_are_distinct_complete_and_keep_visible_tokens(
     vocab_size, tokens
 ):
-    # -1 is the mask in serialized form
+    # -1 stands for the mask
     vocab = Vocab(vocab_size)
-    completion = MaskedSequence.from_json_tokens(tokens, vocab)
+    completion = MaskedSequence(tuple(vocab.mask_id if t < 0 else t for t in tokens), vocab)
     state = DiffusionState(MaskedSequence((0,), vocab), completion)
     fills = [fill(state, action) for action in enumerate_actions(state)]
     assert len(fills) == vocab_size ** len(completion.mask_positions())

@@ -1,8 +1,6 @@
 """Denoising rollouts, unmasking schedules, cached-logit branching."""
 
 import importlib
-import io
-import json
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ rollout_mod = importlib.import_module("dispo.rollout")
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
 from dispo.policy import LinearArch, greedy_action, init_params, rows_context, softmax
-from dispo.rollout import UnmaskSchedule, branch, dump_trajectory, rollout, select_states
+from dispo.rollout import UnmaskSchedule, branch, rollout, select_states
 from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
 
@@ -186,21 +184,3 @@ def test_select_states_is_trajectory_major():
     assert select_states(trajs, [1, 2]) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
     with pytest.raises(ContractViolation):
         select_states(trajs, [3])
-
-
-def test_dump_trajectory_jsonl():
-    params = random_params(14)
-    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(14, "roll")])[0]
-    buf = io.StringIO()
-    dump_trajectory(traj, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 3
-    first = json.loads(lines[0])
-    assert first["t"] == 1
-    assert first["mask"] == [0, 1, 2, 3]
-    assert first["completion"] == [-1, -1, -1, -1]
-    assert not first["terminal"]
-    last = json.loads(lines[-1])
-    assert last["terminal"] and last["mask"] == []
-    assert "committed" not in last
-    assert all(v >= 0 for v in last["completion"])

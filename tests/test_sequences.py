@@ -1,13 +1,10 @@
 """Vocabulary, masked sequences, actions, and the fill operation."""
 
-import json
-
 import numpy as np
 import pytest
 
 from dispo.errors import ContractViolation
 from dispo.sequences import (
-    MASK_JSON,
     Action,
     DiffusionState,
     MaskedSequence,
@@ -53,15 +50,6 @@ def test_masked_sequence_rejects_foreign_tokens():
         MaskedSequence((0, 7), v)
     with pytest.raises(ContractViolation):
         MaskedSequence((-1, 0), v)
-
-
-def test_json_round_trip_uses_minus_one_for_masks():
-    v = Vocab(5)
-    s = MaskedSequence((1, v.mask_id, 4), v)
-    encoded = s.to_json_tokens()
-    assert encoded == [1, MASK_JSON, 4]
-    assert json.loads(json.dumps(encoded)) == encoded
-    assert MaskedSequence.from_json_tokens(encoded, v) == s
 
 
 def test_action_sorts_and_rejects_duplicates():

@@ -12,7 +12,6 @@ from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    apply_pattern,
     completion_action,
     draw_pattern,
     draw_patterns,
@@ -62,16 +61,6 @@ def test_fixed_ratio_extremes():
     rng = stream(2, "extremes")
     assert draw_pattern(5, rng, 1.0).mask == (True,) * 5
     assert draw_pattern(5, rng, 0.0).mask == (False,) * 5
-
-
-def test_apply_pattern_masks_chosen_positions():
-    pattern = draw_pattern(4, stream(3, "apply"), 0.5)
-    corrupted = apply_pattern(PROMPT, pattern)
-    for i, masked in enumerate(pattern.mask):
-        if masked:
-            assert corrupted.tokens[i] == VOCAB.mask_id
-        else:
-            assert corrupted.tokens[i] == PROMPT.tokens[i]
 
 
 def test_uniform_policy_sequence_value():

@@ -252,8 +252,8 @@ def test_relative_bound_follows_the_monte_carlo_error(monkeypatch):
     problem, params = build_oracle_problem()
     # rel_l2 0.039 at max|z| 2.1: a fixed 0.03 bound fails this sound estimate
     assert theorem1_check(params, problem, 2, 20_000, seed=103).passed
-    exact = verify.exact_step_gradient
-    monkeypatch.setattr(verify, "exact_step_gradient", lambda *a, **k: 1.1 * exact(*a, **k))
+    factor = verify.c_factor
+    monkeypatch.setattr(verify, "c_factor", lambda n: 1.1 * factor(n))  # a 10% too large target
     wrong = theorem1_check(params, problem, 2, 20_000, seed=103)
     assert not wrong.passed and wrong.rel_l2 > wrong.rel_tol
 
@@ -263,10 +263,11 @@ def random_tables(rng, n_actions, dim, zero_cols, off_policy):
     grads = rng.normal(size=(n_actions, dim))
     grads[:, zero_cols] = 0.0
     ratios = np.exp(rng.normal(0.0, 0.5, n_actions)) if off_policy else np.ones(n_actions)
+    probs_old = rng.dirichlet(np.ones(n_actions))
     return StateTables(
-        state=None,
         actions=tuple(range(n_actions)),
-        probs_old=rng.dirichlet(np.ones(n_actions)),
+        probs=probs_old * ratios,
+        probs_old=probs_old,
         ratios=ratios,
         rewards=rng.integers(0, 3, n_actions) / 2.0,
         grads=grads,
@@ -345,6 +346,19 @@ def test_combined_identity_single_family_targets():
         for t in problem.step_states
     )
     assert np.allclose(step_only.target, 0.5 * mix, atol=1e-12)
+    # off-policy, the target is still the current policy's: no weighting may
+    # take it from the behavior law
+    old = perturb_params(params, stream(9, "old"), scale=0.3)
+    for a_step, a_term in ((1.0, 0.0), (0.0, 1.0), (0.1, 1.0)):
+        on, off = (
+            theorem2_check(
+                params, problem, alpha_step=a_step, alpha_term=a_term, n_samples=10, seed=9,
+                old_params=behavior,
+            )
+            for behavior in (None, old)
+        )
+        assert off.max_ratio > 1.0
+        assert np.allclose(off.target, on.target, rtol=0, atol=1e-12)
 
 
 def test_prop1_edges():
