@@ -3,9 +3,11 @@
 A joint mask filling is scored by re-masking the scored positions and
 running a single forward pass.  With prompt corruption disabled that
 score IS the policy's factorized action log-probability.  With
-corruption on, the score averages over masked-prompt patterns; sharing
-the patterns between two parameter vectors keeps their importance ratio
-exactly one when the parameters coincide.
+corruption on, the score averages over masked-prompt patterns, drawn as
+an ``(n_mc, prompt_len)`` bool array.  Patterns are always shared: two
+parameter vectors scored on the same draws (here, generators rebuilt
+from one named stream) have an importance ratio of exactly one when the
+parameters coincide.
 """
 
 import argparse
@@ -48,12 +50,13 @@ def main() -> None:
 
     # corruption on: each pattern hides a random prompt subset before scoring
     cfg = SurrogateConfig(n_mc=4, ratio_law="uniform")
-    rng = stream(args.seed, "demo-patterns")
-    patterns = draw_patterns(prompt.length, cfg, rng)
-    surrogate_on = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
+    def pattern_rng():  # a fresh generator per call, so every call draws the same masks
+        return stream(args.seed, "demo-patterns")
+
+    surrogate_on = state_surrogate_logprob(params, state, action, cfg, pattern_rng())
     print("\ncorruption on (4 masked-prompt patterns):")
-    for i, pat in enumerate(patterns):
-        hidden = tuple(p for p, m in enumerate(pat.mask) if m)
+    for i, mask in enumerate(draw_patterns(prompt.length, cfg, pattern_rng())):
+        hidden = tuple(int(p) for p in np.flatnonzero(mask))
         print(f"  pattern {i}: hidden prompt positions {hidden}")
     print(f"  pattern-averaged surrogate {surrogate_on:+.12f}")
 
@@ -68,11 +71,11 @@ def main() -> None:
         print(f"  n_mc={n_mc:3d}: mean {np.mean(draws):+.6f}  sd {np.std(draws):.6f}")
 
     # shared patterns force the off-policy ratio to one at equal parameters
-    lp_new = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
-    lp_old = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
+    lp_new = state_surrogate_logprob(params, state, action, cfg, pattern_rng())
+    lp_old = state_surrogate_logprob(params, state, action, cfg, pattern_rng())
     print(f"\nimportance ratio at theta = theta_old, shared patterns: {math.exp(lp_new - lp_old)}")
     moved = perturb_params(params, stream(args.seed, "demo-perturb"), scale=0.1)
-    lp_moved = state_surrogate_logprob(moved, state, action, cfg, patterns=patterns)
+    lp_moved = state_surrogate_logprob(moved, state, action, cfg, pattern_rng())
     print(f"after a 0.1-norm parameter step the ratio moves: {math.exp(lp_moved - lp_old):.6f}")
 
 

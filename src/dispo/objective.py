@@ -17,10 +17,11 @@ gradient of the corresponding true objective by (n-1)/n for group size n;
 the verification module accounts for that factor explicitly, the trainer
 does not compensate.
 
-Within one loss evaluation the corruption patterns are drawn once and
-shared by every policy being compared (current, old, reference) and by
-every member of the group, so the ratio is exactly 1 at equal parameters
-and the per-pattern forward grids can be shared across group members.
+Within one loss evaluation ``group_features`` draws the corruption
+patterns once and featurizes their copies once; every policy being
+compared (current, old, reference) and every member of the group scores
+that block, so the ratio is exactly 1 at equal parameters and the
+per-pattern forward grids are shared across group members.
 
 Also here: exact categorical KL penalties against a frozen reference
 policy, the weighted combination of the loss families, and the timestep
@@ -36,15 +37,13 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import Arch, PolicyParams, backprop, score_dlogits
+from .policy import PolicyParams, backprop, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
-    PromptMaskPattern,
     SurrogateConfig,
     completion_action,
-    corrupted_features,
-    draw_patterns,
     full_mask_state,
+    group_features,
     logprob_from_contexts,
     pattern_contexts,
     scored_positions,
@@ -94,105 +93,27 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
     return min(unclipped, clipped), unclipped <= clipped
 
 
-def _group_patterns(
-    prompt_len: int,
-    n_sets: int,
-    surr_cfg: SurrogateConfig,
-    rng: np.random.Generator | None,
-    patterns: tuple[PromptMaskPattern, ...] | None,
-) -> tuple[tuple[PromptMaskPattern, ...], tuple[PromptMaskPattern, ...]]:
-    """A group's pattern sets for the current and the old policy, each flattened.
-
-    ``n_sets`` sets for the current policy are drawn first (or are all
-    ``patterns``), then, unless patterns are shared, as many for the old
-    policy.  Shared patterns return the same tuple twice.
-    """
-    new: tuple[PromptMaskPattern, ...] = ()
-    for _ in range(n_sets):
-        new += patterns if patterns is not None else draw_patterns(prompt_len, surr_cfg, rng)
-    if surr_cfg.share_patterns:
-        return new, new
-    old: tuple[PromptMaskPattern, ...] = ()
-    for _ in range(n_sets):
-        old += draw_patterns(prompt_len, surr_cfg, rng)
-    return new, old
-
-
-def _group_jobs(
-    state: DiffusionState,
-    positions: tuple[int, ...],
-    pats_new: tuple[PromptMaskPattern, ...],
-    pats_old: tuple[PromptMaskPattern, ...],
-) -> list[tuple[DiffusionState, tuple[PromptMaskPattern, ...], tuple[int, ...]]]:
-    """``corrupted_features`` jobs for a group: the current policy's copies, then the old one's."""
-    jobs = [(state, pats_new, positions)]
-    if pats_old is not pats_new:
-        jobs.append((state, pats_old, positions))
-    return jobs
-
-
-def step_group_features(
-    arch: Arch,
-    states: Sequence[DiffusionState],
-    surr_cfg: SurrogateConfig,
-    rngs: Sequence[np.random.Generator | None],
-    scopes: Sequence[str],
-) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-    """Draw each step group's patterns once and featurize all groups' copies together.
-
-    Group ``g`` at ``states[g]`` draws its pattern sets from ``rngs[g]`` in
-    the order ``step_loss`` would (one generator may serve several groups
-    in turn).  The corrupted copies of every group under every scope go
-    through one ``corrupted_features`` call.  Entry ``[scope][g]`` is the
-    (current, old) feature rows to pass as ``step_loss(..., feats=...)``;
-    with shared patterns both are the same array.
-    """
-    pats = [
-        _group_patterns(state.prompt.length, 1, surr_cfg, rng, None)
-        for state, rng in zip(states, rngs, strict=True)
-    ]
-    jobs = {
-        scope: [
-            _group_jobs(state, scored_positions(state, scope), *p)
-            for state, p in zip(states, pats)
-        ]
-        for scope in scopes
-    }
-    feats = iter(corrupted_features(arch, [j for s in scopes for group in jobs[s] for j in group]))
-    out = {}
-    for scope in scopes:
-        out[scope] = []
-        for group in jobs[scope]:
-            group_feats = [next(feats) for _ in group]
-            out[scope].append((group_feats[0], group_feats[-1]))
-    return out
-
-
 def _group_loss_and_grad(
     params: PolicyParams,
     old_params: PolicyParams,
     state: DiffusionState,
     members: list[tuple[Action, float]],
     loss_cfg: LossConfig,
-    surr_cfg: SurrogateConfig,
-    rng: np.random.Generator | None,
+    feats: np.ndarray,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None,
     counters: OpCounters | None,
     scope: str,
     kind: str,
-    per_member_patterns: bool = False,
-    feats: tuple[np.ndarray, np.ndarray] | None = None,
+    per_member_sets: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Shared machinery for the step and terminal losses.
 
-    With ``per_member_patterns`` each group member draws its own pattern
-    set (terminal convention: one set per rollout); otherwise one set
+    ``feats`` is the group's ``group_features`` block, scored by both
+    policies.  With ``per_member_sets`` it holds one pattern set per
+    member (terminal convention: one set per rollout); otherwise one set
     serves the whole group and the per-pattern grids are shared.  Every
     member is scored against every grid in one gather, and each grid
     backpropagates all of its members' logit gradients in one batch.
-    ``feats`` holds the (current, old) copies' feature rows when the
-    caller has drawn the patterns and batched the features already.
     """
     n = len(members)
     if n == 0:
@@ -200,20 +121,12 @@ def _group_loss_and_grad(
     outcome = group_advantages([r for _, r in members])
     positions = scored_positions(state, scope)
     targets = np.array([scoring_targets(state, a, scope)[1] for a, _ in members], dtype=np.intp)
-    n_sets = n if per_member_patterns else 1
-    if feats is None:
-        pats = _group_patterns(state.prompt.length, n_sets, surr_cfg, rng, patterns)
-        group_feats = corrupted_features(params.arch, _group_jobs(state, positions, *pats))
-        feats = (group_feats[0], group_feats[-1])
-    ctx_new = pattern_contexts(
-        params, state, None, positions, counters=counters, kind=kind, feats=feats[0]
-    )
-    ctx_old = pattern_contexts(
-        old_params, state, None, positions, counters=counters, kind=kind, feats=feats[1]
-    )
+    n_sets = n if per_member_sets else 1
+    ctx_new = pattern_contexts(params, feats, positions, counters=counters, kind=kind)
+    ctx_old = pattern_contexts(old_params, feats, positions, counters=counters, kind=kind)
     n_mc = len(ctx_new) // n_sets
     # each member's own pattern set: its own one, or the group's single set
-    own = (np.arange(n), np.arange(n) if per_member_patterns else np.zeros(n, dtype=np.intp))
+    own = (np.arange(n), np.arange(n) if per_member_sets else np.zeros(n, dtype=np.intp))
     lp = logprob_from_contexts(ctx_new + ctx_old, positions, targets)
     lp = lp.reshape(n, 2, n_sets, n_mc)[own[0], :, own[1]]
     lp_new, lp_old = lp.sum(axis=-1).T / n_mc  # pattern means
@@ -257,34 +170,31 @@ def step_loss(
     surr_cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
     scope: str = "action",
-    feats: tuple[np.ndarray, np.ndarray] | None = None,
+    feats: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss for a branch group at one intermediate state.
 
     ``branches`` pairs each sampled fill action with its terminal reward.
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
-    ``feats`` passes the (current, old) corrupted copies' feature rows
-    when the caller has drawn the patterns and batched the features with
-    ``step_group_features`` (``aggregate_step_loss`` does, for all of a
-    prompt's groups at once); no pattern is drawn then.
+    ``feats`` passes the group's ``group_features`` block when the caller
+    has drawn and featurized it already (``aggregate_step_loss`` does, for
+    all of a prompt's groups at once); no pattern is drawn then.
     """
+    if feats is None:
+        (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
     return _group_loss_and_grad(
         params,
         old_params,
         state,
         branches,
         loss_cfg,
-        surr_cfg,
-        rng,
-        patterns=patterns,
+        feats,
         counters=counters,
         scope=scope,
         kind="step",
-        feats=feats,
     )
 
 
@@ -313,7 +223,7 @@ def aggregate_step_loss(
     draw them; the corrupted copies of every group are featurized together,
     one pass per mask-set size.
     """
-    feats = step_group_features(
+    feats = group_features(
         params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups), (scope,)
     )[scope]
     loss = 0.0
@@ -364,19 +274,18 @@ def terminal_loss(
             raise ContractViolation("terminal completions must share a length")
     state = full_mask_state(prompt, length)
     members = [(completion_action(c), r) for c, r in completions]
+    (feats,) = group_features(params.arch, [state], surr_cfg, [rng], n_sets=len(members))["action"]
     return _group_loss_and_grad(
         params,
         old_params,
         state,
         members,
         loss_cfg,
-        surr_cfg,
-        rng,
-        patterns=None,
+        feats,
         counters=counters,
         scope="action",
         kind="terminal",
-        per_member_patterns=True,
+        per_member_sets=True,
     )
 
 
@@ -387,7 +296,6 @@ def kl_penalty(
     surr_cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
 ) -> tuple[float, np.ndarray]:
     """Exact categorical KL to the reference policy, with its gradient.
@@ -395,33 +303,24 @@ def kl_penalty(
     For every state: average over shared corruption patterns of the sum
     over the state's masked positions of KL(current row || reference
     row).  Value is 0 at identical parameters and non-negative in exact
-    arithmetic.  The states' corrupted copies are featurized together, one
-    pass per mask-set size, and each pass serves both policies.
+    arithmetic.  States without masked positions are skipped and draw
+    nothing; the others' corrupted copies are featurized together, and
+    each state's block serves both policies.
     """
-    jobs = []
-    for state in states:
-        positions = state.completion.mask_positions()
-        if positions:
-            if patterns is None:
-                pats = draw_patterns(state.prompt.length, surr_cfg, rng)
-            else:
-                pats = patterns
-            jobs.append((state, pats, positions))
+    states = [s for s in states if s.completion.mask_positions()]
     total = 0.0
     grad = np.zeros(params.dim)
-    for (state, pats, positions), feats in zip(jobs, corrupted_features(params.arch, jobs)):
-        ctx_cur = pattern_contexts(
-            params, state, pats, positions, counters=counters, kind="kl", feats=feats
-        )
-        ctx_ref = pattern_contexts(
-            ref_params, state, pats, positions, counters=counters, kind="kl", feats=feats
-        )
+    blocks = group_features(params.arch, states, surr_cfg, [rng] * len(states))["action"]
+    for state, feats in zip(states, blocks):
+        positions = state.completion.mask_positions()
+        ctx_cur = pattern_contexts(params, feats, positions, counters=counters, kind="kl")
+        ctx_ref = pattern_contexts(ref_params, feats, positions, counters=counters, kind="kl")
         for cur, ref in zip(ctx_cur, ctx_ref):
             diff = cur.logp - ref.logp
             p = np.exp(cur.logp)
             row_kl = (p * diff).sum(axis=-1)
-            total += float(row_kl.sum()) / len(pats)
-            dlogits = p * (diff - row_kl[:, None]) / len(pats)
+            total += float(row_kl.sum()) / len(feats)
+            dlogits = p * (diff - row_kl[:, None]) / len(feats)
             grad += backprop(params, cur, dlogits)
     return total, grad
 

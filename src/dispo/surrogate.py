@@ -16,12 +16,13 @@ masked state ``full_mask_state(prompt, L)``, scored with
 ``kind="terminal"``: the terminal ratios are this fixed-state score at
 the fully masked state.
 
-Ratio computations must evaluate the current and old policies on the
-*same* drawn patterns; callers draw patterns once (``draw_patterns``) and
-pass them to both evaluations, which makes the ratio exactly 1 when the
-parameters are identical.  Corruption masks prompt positions only; the
-pattern-draw law masks each token i.i.d. with a ratio drawn uniformly per
-pattern (or held fixed, or zero to disable corruption).
+Patterns are always shared: ``group_features`` draws a group's patterns
+and featurizes its corrupted copies once, and the current, old and
+reference policies all score that one feature block, so the ratio is
+exactly 1 when the parameters are identical.  A pattern set is an
+``(n_mc, prompt_len)`` bool array.  Corruption masks prompt positions
+only; the pattern-draw law masks each token i.i.d. with a ratio drawn
+uniformly per pattern (or held fixed, or zero to disable corruption).
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ RatioLaw = str | float
 
 @dataclass(frozen=True)
 class SurrogateConfig:
-    """Estimator settings: pattern count, corruption law, pattern sharing."""
+    """Estimator settings: pattern count and corruption law."""
 
     n_mc: int = 2
     ratio_law: RatioLaw = "uniform"
-    share_patterns: bool = True
 
     def __post_init__(self) -> None:
         if self.n_mc < 1:
@@ -72,28 +72,24 @@ class SurrogateConfig:
         return self.ratio_law != "zero" and self.ratio_law != 0.0
 
 
-@dataclass(frozen=True)
-class PromptMaskPattern:
-    """A boolean corruption pattern over prompt positions, plus its drawn ratio."""
-
-    mask: tuple[bool, ...]
-    ratio: float
-
-
-def draw_pattern(
-    prompt_len: int, rng: np.random.Generator, ratio_law: RatioLaw = "uniform"
-) -> PromptMaskPattern:
-    if ratio_law == "zero":
-        return PromptMaskPattern((False,) * prompt_len, 0.0)
-    ratio = float(rng.uniform()) if ratio_law == "uniform" else float(ratio_law)
-    mask = tuple((rng.random(prompt_len) < ratio).tolist())
-    return PromptMaskPattern(mask, ratio)
-
-
 def draw_patterns(
-    prompt_len: int, cfg: SurrogateConfig, rng: np.random.Generator
-) -> tuple[PromptMaskPattern, ...]:
-    return tuple(draw_pattern(prompt_len, rng, cfg.ratio_law) for _ in range(cfg.n_mc))
+    prompt_len: int, cfg: SurrogateConfig, rng: np.random.Generator | None
+) -> np.ndarray:
+    """``cfg.n_mc`` corruption patterns as an ``(n_mc, prompt_len)`` bool array.
+
+    Each pattern masks every prompt token i.i.d. with its ratio, drawn
+    uniformly per pattern or fixed by the law.  The zero law draws
+    nothing; with corruption off and no generator the masks are all false.
+    """
+    law = cfg.ratio_law
+    if law == "zero" or (rng is None and not cfg.corruption_enabled):
+        return np.zeros((cfg.n_mc, prompt_len), dtype=bool)
+    if rng is None:
+        raise ContractViolation("corruption patterns need a generator")
+    if law == "uniform":
+        u = rng.random((cfg.n_mc, prompt_len + 1))  # per pattern: its ratio, then its tokens
+        return u[:, 1:] < u[:, :1]
+    return rng.random((cfg.n_mc, prompt_len)) < float(law)
 
 
 def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
@@ -133,61 +129,65 @@ def scoring_targets(
     return positions, tuple(filled[p] for p in positions)
 
 
-def corrupted_features(
+def group_features(
     arch: Arch,
-    jobs: Sequence[tuple[DiffusionState, tuple[PromptMaskPattern, ...], tuple[int, ...]]],
-) -> list[np.ndarray]:
-    """Feature rows of corrupted state copies, one ``_features`` pass per positions count.
+    states: Sequence[DiffusionState],
+    cfg: SurrogateConfig,
+    rngs: Sequence[np.random.Generator | None],
+    scopes: Sequence[str] = ("action",),
+    n_sets: int = 1,
+) -> dict[str, list[np.ndarray]]:
+    """Draw each group's corruption patterns and featurize all its corrupted copies.
 
-    A job is ``(state, patterns, positions)``: one copy of ``state`` per
-    pattern, its prompt masked by the pattern, featurized at
-    ``positions``.  Its entry in the result is a
-    ``(len(patterns), len(positions), feature_dim)`` block, one row block
-    per copy, ready for ``pattern_contexts(..., feats=...)``.
+    Group ``g`` at ``states[g]`` draws ``n_sets`` pattern sets from
+    ``rngs[g]``, one after another (one generator may serve several groups
+    in turn).  Every copy is featurized at the positions each scope scores,
+    one ``_features`` pass per positions count over all groups and scopes.
+    Entry ``[scope][g]`` is an ``(n_sets * n_mc, len(positions),
+    feature_dim)`` block, one row block per copy; every policy a loss
+    compares scores that same block through ``pattern_contexts``.
     """
     mid = arch.vocab.mask_id
-    by_size: dict[int, list[int]] = {}
-    for j, (_, _, positions) in enumerate(jobs):
-        by_size.setdefault(len(positions), []).append(j)
-    out: list[np.ndarray] = [np.empty(0)] * len(jobs)
-    for size, members in by_size.items():
-        tokens, rows = [], []
-        for j in members:
-            state, patterns, positions = jobs[j]
-            masks = np.array([p.mask for p in patterns], dtype=bool)
-            if masks.shape != (len(patterns), state.prompt.length):
-                raise ContractViolation("pattern length must match the prompt")
-            copies = np.tile(state_tokens(arch, state), (len(patterns), 1))
-            copies[:, : arch.prompt_len][masks] = mid
-            tokens.append(copies)
-            rows.append(np.tile(np.array(positions, dtype=np.intp), (len(patterns), 1)))
-        feats = _features(arch, np.concatenate(tokens), np.concatenate(rows).reshape(-1, size))
+    copies = []
+    for state, rng in zip(states, rngs, strict=True):
+        masks = np.concatenate(
+            [draw_patterns(state.prompt.length, cfg, rng) for _ in range(n_sets)]
+        )
+        tokens = np.tile(state_tokens(arch, state), (len(masks), 1))
+        tokens[:, : arch.prompt_len][masks] = mid
+        copies.append(tokens)
+    by_size: dict[int, list[tuple[str, int, tuple[int, ...]]]] = {}
+    for scope in scopes:
+        for g, state in enumerate(states):
+            positions = scored_positions(state, scope)
+            by_size.setdefault(len(positions), []).append((scope, g, positions))
+    out: dict[str, list[np.ndarray]] = {scope: [np.empty(0)] * len(states) for scope in scopes}
+    for jobs in by_size.values():
+        rows = [np.tile(np.array(pos, dtype=np.intp), (len(copies[g]), 1)) for _, g, pos in jobs]
+        feats = _features(
+            arch, np.concatenate([copies[g] for _, g, _ in jobs]), np.concatenate(rows)
+        )
         start = 0
-        for j in members:
-            stop = start + len(jobs[j][1])
-            out[j] = feats[start:stop]
+        for scope, g, _ in jobs:
+            stop = start + len(copies[g])
+            out[scope][g] = feats[start:stop]
             start = stop
     return out
 
 
 def pattern_contexts(
     params: PolicyParams,
-    state: DiffusionState,
-    patterns: tuple[PromptMaskPattern, ...] | None,
+    feats: np.ndarray,
     positions: tuple[int, ...],
     *,
     counters: OpCounters | None = None,
     kind: str = "step",
-    feats: np.ndarray | None = None,
 ) -> list[RowsContext]:
-    """One forward pass per pattern, on the corrupted copies of ``state``.
+    """One forward pass per corrupted copy of a ``group_features`` block.
 
     Every context covers the same ``positions``, so any number of actions
     can be scored against one set of grids.  Each forward bumps the
     counter bucket named by ``kind`` ("step", "terminal", or "kl").
-    ``feats`` passes the copies' feature rows when the caller has batched
-    them with ``corrupted_features``; ``state`` and ``patterns`` are then
-    not read.  One feature pass serves every policy scored on the copies.
     """
     field = {
         "step": "surrogate_step_calls",
@@ -196,8 +196,6 @@ def pattern_contexts(
     }.get(kind)
     if field is None:
         raise ContractViolation(f"unknown surrogate call kind {kind!r}")
-    if feats is None:
-        (feats,) = corrupted_features(params.arch, [(state, patterns, positions)])
     out = []
     for rows in feats:
         ctx = rows_context(params, None, positions, feats=rows)
@@ -248,19 +246,20 @@ def grad_from_contexts(
     return grad / len(contexts)
 
 
-def _resolve_patterns(
+def _state_contexts(
+    params: PolicyParams,
     state: DiffusionState,
+    action: Action,
     cfg: SurrogateConfig,
     rng: np.random.Generator | None,
-    patterns: tuple[PromptMaskPattern, ...] | None,
-) -> tuple[PromptMaskPattern, ...]:
-    if patterns is not None:
-        return patterns
-    if rng is None:
-        if cfg.corruption_enabled:
-            raise ContractViolation("either patterns or an rng must be provided")
-        rng = np.random.default_rng(0)  # zero-corruption draws never consume it
-    return draw_patterns(state.prompt.length, cfg, rng)
+    counters: OpCounters | None,
+    scope: str,
+    kind: str,
+) -> tuple[list[RowsContext], tuple[int, ...], tuple[int, ...]]:
+    positions, targets = scoring_targets(state, action, scope)
+    (feats,) = group_features(params.arch, [state], cfg, [rng], (scope,))[scope]
+    ctxs = pattern_contexts(params, feats, positions, counters=counters, kind=kind)
+    return ctxs, positions, targets
 
 
 def state_surrogate_logprob(
@@ -270,15 +269,14 @@ def state_surrogate_logprob(
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
     scope: str = "action",
     kind: str = "step",
 ) -> float:
     """Surrogate log-likelihood of ``action`` at ``state`` (pattern average)."""
-    patterns = _resolve_patterns(state, cfg, rng, patterns)
-    positions, targets = scoring_targets(state, action, scope)
-    ctxs = pattern_contexts(params, state, patterns, positions, counters=counters, kind=kind)
+    ctxs, positions, targets = _state_contexts(
+        params, state, action, cfg, rng, counters, scope, kind
+    )
     return float(logprob_from_contexts(ctxs, positions, targets).mean())
 
 
@@ -289,13 +287,12 @@ def state_surrogate_grad(
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    patterns: tuple[PromptMaskPattern, ...] | None = None,
     counters: OpCounters | None = None,
     scope: str = "action",
     kind: str = "step",
 ) -> np.ndarray:
     """Gradient of ``state_surrogate_logprob`` w.r.t. the flat parameters."""
-    patterns = _resolve_patterns(state, cfg, rng, patterns)
-    positions, targets = scoring_targets(state, action, scope)
-    ctxs = pattern_contexts(params, state, patterns, positions, counters=counters, kind=kind)
+    ctxs, positions, targets = _state_contexts(
+        params, state, action, cfg, rng, counters, scope, kind
+    )
     return grad_from_contexts(params, ctxs, positions, targets)

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .objective import LossConfig, step_group_features, step_loss
+from .objective import LossConfig, step_loss
 from .policy import PolicyParams, rows_context, sample_action
 from .rollout import UnmaskSchedule, rollout
 from .sequences import (
@@ -58,6 +58,7 @@ from .surrogate import (
     SurrogateConfig,
     full_mask_state,
     grad_from_contexts,
+    group_features,
     logprob_from_contexts,
 )
 from .tasks import RewardFn, StringMatchInstance, Task
@@ -831,7 +832,7 @@ def trcov_protocol(
 
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
-        feats = step_group_features(
+        feats = group_features(
             params.arch,
             [cand.state] * n_trials,
             surr_cfg,

@@ -29,7 +29,6 @@ from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    draw_patterns,
     state_surrogate_grad,
     state_surrogate_logprob,
 )
@@ -233,11 +232,15 @@ def test_criterion_06_gradients_match_finite_differences(acceptance_log):
         worst = max(worst, _rel_err(fd, exact))
 
         cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-        patterns = draw_patterns(prompt_len, cfg, rng)
         scope = "action" if i % 2 == 0 else "all"
-        exact_s = state_surrogate_grad(params, state, action, cfg, patterns=patterns, scope=scope)
+        seed = 600 + i  # a fresh pattern stream per call draws the same masks
+        exact_s = state_surrogate_grad(
+            params, state, action, cfg, stream(seed, "fd-patterns"), scope=scope
+        )
         fd_s = _fd_gradient(
-            lambda p: state_surrogate_logprob(p, state, action, cfg, patterns=patterns, scope=scope),
+            lambda p: state_surrogate_logprob(
+                p, state, action, cfg, stream(seed, "fd-patterns"), scope=scope
+            ),
             params,
         )
         worst = max(worst, _rel_err(fd_s, exact_s))
@@ -413,10 +416,9 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     problem, params = build_oracle_problem()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     state = problem.step_states[2].states[1]
-    patterns = draw_patterns(state.prompt.length, cfg, rng)
     action = Action.from_dict({p: 0 for p in state.completion.mask_positions()})
-    lp_new = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
-    lp_old = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
+    lp_new = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
+    lp_old = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
     assert lp_new == lp_old
     assert math.exp(lp_new - lp_old) == 1.0
 
@@ -438,7 +440,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         state = DiffusionState(prompt, seq)
         act = Action.from_dict({p: int(rng.integers(3)) for p in seq.mask_positions()})
         filled = fill(state, act)
-        assert filled.fully_visible
+        assert filled.fully_visible()
         for pos in seq.visible_positions():
             assert filled.tokens[pos] == seq.tokens[pos]
         for pos in seq.mask_positions():
@@ -460,5 +462,5 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         branch_mask = traj.state_at(t).completion.mask_positions()
         for act, completed in branch(traj, t, 4, stream(1003, "invariant-branch", t)):
             assert act.positions() == branch_mask
-            assert completed.fully_visible
+            assert completed.fully_visible()
     acceptance_log(10, "advantages, ratio, KL, fill, and branch invariants all exact")

@@ -39,7 +39,6 @@ from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
     completion_action,
-    draw_pattern,
     draw_patterns,
     full_mask_state,
     logprob_from_contexts,
@@ -128,41 +127,48 @@ def reference_score_grad(params, ctx, positions, targets, coef):
     return reference_backprop(params, ctx, dlogits)
 
 
-def apply_pattern(prompt, pattern):
-    """The prompt with the pattern's positions masked, as a new sequence."""
-    assert len(pattern.mask) == prompt.length
+def apply_pattern(prompt, mask):
+    """The prompt with the mask's positions masked, as a new sequence."""
+    assert mask.shape == (prompt.length,)
     mid = prompt.vocab.mask_id
-    return MaskedSequence(
-        tuple(mid if m else t for t, m in zip(prompt.tokens, pattern.mask)), prompt.vocab
-    )
+    return MaskedSequence(tuple(mid if m else t for t, m in zip(prompt.tokens, mask)), prompt.vocab)
 
 
-def reference_contexts(params, state, patterns, positions):
-    copies = [DiffusionState(apply_pattern(state.prompt, p), state.completion) for p in patterns]
+def reference_patterns(prompt_len, cfg, rng):
+    """Pattern by pattern: its ratio (drawn, or the fixed one), then one draw per token."""
+    masks = []
+    for _ in range(cfg.n_mc):
+        ratio = rng.uniform() if cfg.ratio_law == "uniform" else float(cfg.ratio_law)
+        masks.append(rng.random(prompt_len) < ratio)
+    return np.array(masks, dtype=bool).reshape(cfg.n_mc, prompt_len)
+
+
+def reference_contexts(params, state, masks, positions):
+    copies = [DiffusionState(apply_pattern(state.prompt, m), state.completion) for m in masks]
     return [rows_context(params, copy, positions) for copy in copies]
 
 
 def reference_group_loss(
     params, old, state, members, loss_cfg, surr_cfg, rng, scope, per_member_patterns
 ):
-    """Member by member, one forward per pattern per policy; returns (loss, grad, n_clipped)."""
+    """Member by member, one forward per pattern per policy; returns (loss, grad, n_clipped).
+
+    Both policies are scored on the same pattern set.
+    """
     n = len(members)
     outcome = group_advantages([r for _, r in members])
     if per_member_patterns:
-        pattern_sets = [draw_patterns(state.prompt.length, surr_cfg, rng) for _ in range(n)]
+        pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng) for _ in range(n)]
     else:
-        pattern_sets = [draw_patterns(state.prompt.length, surr_cfg, rng)] * n
+        pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng)] * n
     loss, grad, clipped, shared = 0.0, np.zeros(params.dim), 0, None
     for z, (action, _) in enumerate(members):
         positions, targets = scoring_targets(state, action, scope)
         pats = pattern_sets[z]
         if per_member_patterns or shared is None:
-            old_pats = pats if surr_cfg.share_patterns else draw_patterns(
-                state.prompt.length, surr_cfg, rng
-            )
             shared = (
                 reference_contexts(params, state, pats, positions),
-                reference_contexts(old, state, old_pats, positions),
+                reference_contexts(old, state, pats, positions),
             )
         ctx_new, ctx_old = shared
         lp_new = float(np.array([reference_logprob(c, positions, targets) for c in ctx_new]).mean())
@@ -185,7 +191,7 @@ def reference_kl(params, ref, states, surr_cfg, rng):
         positions = state.completion.mask_positions()
         if not positions:
             continue
-        pats = draw_patterns(state.prompt.length, surr_cfg, rng)
+        pats = reference_patterns(state.prompt.length, surr_cfg, rng)
         for cur, base in zip(
             reference_contexts(params, state, pats, positions),
             reference_contexts(ref, state, pats, positions),
@@ -237,13 +243,26 @@ def random_action(rng, state):
 def test_apply_pattern_masks_chosen_positions():
     vocab = Vocab(3)
     prompt = MaskedSequence((0, 2, 1, 1), vocab)
-    pattern = draw_pattern(4, stream(3, "apply"), 0.5)
-    corrupted = apply_pattern(prompt, pattern)
-    for i, masked in enumerate(pattern.mask):
+    (mask,) = draw_patterns(4, SurrogateConfig(n_mc=1, ratio_law=0.5), stream(3, "apply"))
+    corrupted = apply_pattern(prompt, mask)
+    for i, masked in enumerate(mask):
         if masked:
             assert corrupted.tokens[i] == vocab.mask_id
         else:
             assert corrupted.tokens[i] == prompt.tokens[i]
+
+
+def test_pattern_draws_equal_the_per_pattern_loop_and_the_generator_state():
+    rng = stream(3, "diff-patterns")
+    for case in range(200):
+        law = ("uniform", float(rng.random()), 1.0)[case % 3]
+        cfg = SurrogateConfig(n_mc=int(rng.integers(1, 6)), ratio_law=law)
+        prompt_len = int(rng.integers(0, 12))
+        a, b = stream(4, "draw", case), stream(4, "draw", case)
+        masks = draw_patterns(prompt_len, cfg, a)
+        assert masks.dtype == bool
+        assert np.array_equal(masks, reference_patterns(prompt_len, cfg, b))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_batched_features_equal_the_per_state_loop():
@@ -301,22 +320,20 @@ def loss_problem(kind, seed):
     return rng, arch, params, old
 
 
-CASES = [
-    (kind, share, scope)
-    for kind in ("linear", "mlp")
-    for share in (True, False)
-    for scope in ("action", "all")
-]
+# The "True" in the ids marks patterns shared by both policies; it stays so that
+# the test names stay stable, though no unshared case remains to tell apart.
+CASES = [(kind, scope) for kind in ("linear", "mlp") for scope in ("action", "all")]
+CASE_IDS = [f"{kind}-True-{scope}" for kind, scope in CASES]
 
 
-@pytest.mark.parametrize("kind,share,scope", CASES)
-def test_step_losses_equal_the_per_member_reference(kind, share, scope):
+@pytest.mark.parametrize("kind,scope", CASES, ids=CASE_IDS)
+def test_step_losses_equal_the_per_member_reference(kind, scope):
     rng, arch, params, old = loss_problem(kind, 5)
     loss_cfg = LossConfig(clip_eps=0.05)
     clipped = 0
     groups = []
     for n_mc in (1, 3, 9):
-        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform", share_patterns=share)
+        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         for g in range(6):
             state = random_state(rng, arch)
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(4)]
@@ -333,7 +350,7 @@ def test_step_losses_equal_the_per_member_reference(kind, share, scope):
     assert clipped > 0
 
     # the whole prompt's groups at once: mixed mask-set sizes, one feature pass each
-    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform", share_patterns=share)
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     loss, grad = aggregate_step_loss(
         groups, params, old, loss_cfg, surr_cfg, stream(7, "agg"), scope=scope
     )
@@ -349,13 +366,13 @@ def test_step_losses_equal_the_per_member_reference(kind, share, scope):
     assert np.array_equal(grad, ref_grad)
 
 
-@pytest.mark.parametrize("kind,share", [(k, s) for k in ("linear", "mlp") for s in (True, False)])
-def test_terminal_and_kl_losses_equal_the_per_member_reference(kind, share):
+@pytest.mark.parametrize("kind", ["linear", "mlp"], ids=["linear-True", "mlp-True"])
+def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
     rng, arch, params, old = loss_problem(kind, 8)
     loss_cfg = LossConfig(clip_eps=0.05)
     clipped = 0
     for n_mc in (1, 2, 9):
-        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform", share_patterns=share)
+        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         prompt = random_state(rng, arch).prompt
         completions = [
             (MaskedSequence(tuple(rng.integers(0, 4, 5).tolist()), arch.vocab), float(rng.normal()))
@@ -476,10 +493,9 @@ def trcov_problem():
     return params, old, cands
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_trcov_protocol_equals_the_per_trial_loop(share):
+def test_trcov_protocol_equals_the_per_trial_loop():
     params, old, cands = trcov_problem()
-    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform", share_patterns=share)
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200)
     expected = reference_trcov_protocol(
         params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200

@@ -131,6 +131,36 @@ def test_ill_typed_config_values_exit_two_before_any_run_directory(tmp_path, cap
     assert not root.exists()
 
 
+def test_share_patterns_is_an_unknown_key_in_configs_and_checkpoints(tmp_path, capsys):
+    # corruption patterns are always shared, so the key no longer exists
+    message = "unknown key 'share_patterns' in config section 'surrogate'"
+    payload = dict(TINY_TRAIN, surrogate={"n_mc": 1, "share_patterns": True})
+    cfg = write_config(tmp_path, payload, "shared.json")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "fresh")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+    # a checkpoint whose train_state.json holds the key cannot be resumed
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, TINY_TRAIN), "--out", str(run)]) == 0
+    state_file = run / "train_state.json"
+    state = json.loads(state_file.read_text())
+    state["config"]["surrogate"]["share_patterns"] = True
+    state_file.write_text(json.dumps(state))
+    longer = write_config(tmp_path, dict(TINY_TRAIN, n_updates=4), "longer.json")
+    capsys.readouterr()
+    assert main(["train", "--config", longer, "--out", str(run), "--resume", str(run)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_training_exits_one_and_dumps_the_cause(tmp_path, capsys):
+    payload = dict(TINY_TRAIN, n_updates=5, optimizer={"lr": 1e308, "grad_clip": None})
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, payload), "--out", str(run)]) == 1
+    assert "non-finite loss or gradient at update 2, prompt slot 0" in capsys.readouterr().err
+    assert json.loads((run / "divergence.json").read_text())["update"] == 2
+
+
 def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_TRAIN)
     run = tmp_path / "run"

@@ -23,7 +23,6 @@ from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
     completion_action,
-    draw_patterns,
     full_mask_state,
     state_surrogate_grad,
 )
@@ -116,15 +115,14 @@ def test_step_loss_gradient_matches_finite_differences():
     state = mid_state()
     branches = [(Action(((1, 0), (2, 1))), 0.3), (Action(((1, 2), (2, 2))), -0.9)]
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(4, "pat"))
 
     def value(theta):
         l, _ = step_loss(
-            state, branches, params.replace_theta(theta), old, NOCLIP, cfg, patterns=patterns
+            state, branches, params.replace_theta(theta), old, NOCLIP, cfg, stream(4, "pat")
         )
         return l
 
-    _, grad = step_loss(state, branches, params, old, NOCLIP, cfg, patterns=patterns)
+    _, grad = step_loss(state, branches, params, old, NOCLIP, cfg, stream(4, "pat"))
     h = 1e-6
     fd = np.zeros_like(grad)
     for i in range(params.dim):
@@ -140,15 +138,14 @@ def test_kl_penalty_properties():
     ref = init_params(ARCH, rng, scale=0.6)
     state = mid_state()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(5, "pat"))
-    same, grad_same = kl_penalty(params, params, [state], cfg, patterns=patterns)
+    same, grad_same = kl_penalty(params, params, [state], cfg, stream(5, "pat"))
     assert same == 0.0
     assert np.allclose(grad_same, 0.0, atol=1e-12)
-    val, _ = kl_penalty(params, ref, [state], cfg, patterns=patterns)
+    val, _ = kl_penalty(params, ref, [state], cfg, stream(5, "pat"))
     assert val > 0.0
     # states with nothing masked contribute nothing
     done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
-    zero, gz = kl_penalty(params, ref, [done], cfg, patterns=patterns)
+    zero, gz = kl_penalty(params, ref, [done], cfg, stream(5, "pat"))
     assert zero == 0.0 and not gz.any()
 
 
@@ -157,16 +154,17 @@ def test_kl_penalty_gradient_matches_finite_differences():
     ref = init_params(ARCH, stream(6, "ref"), scale=0.5)
     state = mid_state()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(6, "pat"))
-    _, grad = kl_penalty(params, ref, [state], cfg, patterns=patterns)
+    _, grad = kl_penalty(params, ref, [state], cfg, stream(6, "pat"))
+
+    def value(theta):
+        return kl_penalty(params.replace_theta(theta), ref, [state], cfg, stream(6, "pat"))[0]
+
     h = 1e-6
     fd = np.zeros_like(grad)
     for i in range(params.dim):
         e = np.zeros(params.dim)
         e[i] = h
-        hi, _ = kl_penalty(params.replace_theta(params.theta + e), ref, [state], cfg, patterns=patterns)
-        lo, _ = kl_penalty(params.replace_theta(params.theta - e), ref, [state], cfg, patterns=patterns)
-        fd[i] = (hi - lo) / (2 * h)
+        fd[i] = (value(params.theta + e) - value(params.theta - e)) / (2 * h)
     assert np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12) < 1e-4
 
 
@@ -208,6 +206,29 @@ def test_zero_weight_families_consume_nothing():
             PROMPT, completions, groups, params, params, None,
             LossConfig(kl_beta=0.01), OFF, stream(8, "rng2"),
         )
+
+
+@pytest.mark.parametrize("law", ["uniform", 0.5])
+def test_corruption_without_a_generator_is_a_named_error(law):
+    params = init_params(ARCH, stream(10, "p"), scale=0.5)
+    state = mid_state()
+    branches = [(Action(((1, 0), (2, 1))), 1.0), (Action(((1, 2), (2, 0))), 0.0)]
+    completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
+    cfg = SurrogateConfig(n_mc=2, ratio_law=law)
+    calls = {
+        "step_loss": lambda: step_loss(state, branches, params, params, NOCLIP, cfg),
+        "terminal_loss": lambda: terminal_loss(PROMPT, completions, params, params, NOCLIP, cfg),
+        "kl_penalty": lambda: kl_penalty(params, params, [state], cfg),
+        "state_surrogate_grad": lambda: state_surrogate_grad(params, state, branches[0][0], cfg),
+    }
+    for call in calls.values():
+        with pytest.raises(ContractViolation, match="need a generator"):
+            call()
+    # corruption off needs no generator: the masks are all false
+    off = SurrogateConfig(n_mc=2, ratio_law=0.0)
+    loss, grad = step_loss(state, branches, params, params, NOCLIP, off)
+    drawn = step_loss(state, branches, params, params, NOCLIP, off, stream(10, "r"))
+    assert loss == drawn[0] and np.array_equal(grad, drawn[1])
 
 
 def test_poly_late_weights():

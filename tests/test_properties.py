@@ -13,12 +13,7 @@ from dispo.policy import LinearArch, MlpArch, action_logprob, grad_action_logpro
 from dispo.rollout import UnmaskSchedule
 from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
 from dispo.streams import stream
-from dispo.surrogate import (
-    SurrogateConfig,
-    draw_patterns,
-    state_surrogate_grad,
-    state_surrogate_logprob,
-)
+from dispo.surrogate import SurrogateConfig, state_surrogate_grad, state_surrogate_logprob
 
 SMALL = settings(max_examples=60, deadline=None, database=None)
 
@@ -107,12 +102,11 @@ def test_exact_gradients_match_central_differences_on_random_architectures(data)
     action = Action(tuple((p, draw(token)) for p in masked))
     scope = draw(st.sampled_from(["action", "all"]))
     cfg = SurrogateConfig(n_mc=draw(st.integers(1, 3)), ratio_law="uniform")
-    patterns = draw_patterns(prompt_len, cfg, stream(seed, "patterns"))
     subset = tuple(p for p in masked if draw(st.booleans()))
 
     def surrogate(theta):
         return state_surrogate_logprob(
-            params.replace_theta(theta), state, action, cfg, patterns=patterns, scope=scope
+            params.replace_theta(theta), state, action, cfg, stream(seed, "patterns"), scope=scope
         )
 
     def subset_logprob(theta):
@@ -122,7 +116,10 @@ def test_exact_gradients_match_central_differences_on_random_architectures(data)
     h = 1e-5
     steps = h * np.eye(params.dim)
     for grad, fn in (
-        (state_surrogate_grad(params, state, action, cfg, patterns=patterns, scope=scope), surrogate),
+        (
+            state_surrogate_grad(params, state, action, cfg, stream(seed, "patterns"), scope=scope),
+            surrogate,
+        ),
         (grad_action_logprob(params, state, action, subset), subset_logprob),
     ):
         fd = np.array([(fn(params.theta + e) - fn(params.theta - e)) / (2 * h) for e in steps])

@@ -13,9 +13,9 @@ from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
     completion_action,
-    draw_pattern,
     draw_patterns,
     full_mask_state,
+    group_features,
     logprob_from_contexts,
     pattern_contexts,
     scoring_targets,
@@ -51,16 +51,15 @@ def test_config_validation():
 def test_zero_law_draws_nothing_from_the_generator():
     rng = stream(1, "zero-law")
     before = rng.bit_generator.state
-    pattern = draw_pattern(4, rng, "zero")
-    assert pattern.mask == (False,) * 4
-    assert pattern.ratio == 0.0
+    masks = draw_patterns(4, SurrogateConfig(n_mc=3, ratio_law="zero"), rng)
+    assert masks.dtype == bool and masks.shape == (3, 4) and not masks.any()
     assert rng.bit_generator.state == before
 
 
 def test_fixed_ratio_extremes():
     rng = stream(2, "extremes")
-    assert draw_pattern(5, rng, 1.0).mask == (True,) * 5
-    assert draw_pattern(5, rng, 0.0).mask == (False,) * 5
+    assert draw_patterns(5, SurrogateConfig(n_mc=2, ratio_law=1.0), rng).all()
+    assert not draw_patterns(5, SurrogateConfig(n_mc=2, ratio_law=0.0), rng).any()
 
 
 def test_uniform_policy_sequence_value():
@@ -89,8 +88,7 @@ def test_gradient_matches_finite_differences(scope):
     state = mid_state()
     action = Action(((0, 1), (2, 2)))
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(7, "pat", scope))
-    grad = state_surrogate_grad(params, state, action, cfg, patterns=patterns, scope=scope)
+    grad = state_surrogate_grad(params, state, action, cfg, stream(7, "pat", scope), scope=scope)
     h = 1e-5
     fd = np.zeros_like(grad)
     for i in range(params.dim):
@@ -98,11 +96,11 @@ def test_gradient_matches_finite_differences(scope):
         e[i] = h
         hi = state_surrogate_logprob(
             params.replace_theta(params.theta + e), state, action, cfg,
-            patterns=patterns, scope=scope,
+            stream(7, "pat", scope), scope=scope,
         )
         lo = state_surrogate_logprob(
             params.replace_theta(params.theta - e), state, action, cfg,
-            patterns=patterns, scope=scope,
+            stream(7, "pat", scope), scope=scope,
         )
         fd[i] = (hi - lo) / (2 * h)
     assert np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12) < 1e-5
@@ -113,9 +111,8 @@ def test_shared_patterns_make_ratio_exactly_one():
     state = mid_state()
     action = Action(((0, 0), (2, 1)))
     cfg = SurrogateConfig(n_mc=3, ratio_law="uniform")
-    patterns = draw_patterns(PROMPT.length, cfg, stream(8, "pat"))
-    lp_new = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
-    lp_old = state_surrogate_logprob(params, state, action, cfg, patterns=patterns)
+    lp_new = state_surrogate_logprob(params, state, action, cfg, stream(8, "pat"))
+    lp_old = state_surrogate_logprob(params, state, action, cfg, stream(8, "pat"))
     assert lp_new == lp_old
     assert math.exp(lp_new - lp_old) == 1.0
 
@@ -129,7 +126,8 @@ def test_pattern_average_is_consistent():
     positions, targets = scoring_targets(state, completion_action(completion))
 
     def per_pattern(rng):
-        ctxs = pattern_contexts(params, state, draw_patterns(4, cfg, rng), positions)
+        (feats,) = group_features(ARCH, [state], cfg, [rng])["action"]
+        ctxs = pattern_contexts(params, feats, positions)
         return logprob_from_contexts(ctxs, positions, targets)
 
     a = per_pattern(stream(9, "a"))
@@ -153,11 +151,11 @@ def test_forward_counters_by_kind():
         counters=counters, kind="terminal",
     )
     assert counters.surrogate_terminal_calls == 5
-    pats = draw_patterns(4, cfg, stream(10, "c"))
-    pattern_contexts(params, state, pats, state.mask(), counters=counters, kind="kl")
+    (feats,) = group_features(ARCH, [state], cfg, [stream(10, "c")])["action"]
+    pattern_contexts(params, feats, state.mask(), counters=counters, kind="kl")
     assert counters.surrogate_kl_calls == 5
     with pytest.raises(ContractViolation):
-        pattern_contexts(params, state, pats, state.mask(), kind="misc")
+        pattern_contexts(params, feats, state.mask(), kind="misc")
 
 
 def test_scoring_targets_scopes():

@@ -1,5 +1,6 @@
 """Training loop, optimizer, budget predictions, checkpoints, evaluation."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -73,8 +74,8 @@ def test_config_values_are_type_checked_by_name():
             config_from_dict({key: value})
     with pytest.raises(ConfigurationError, match="'sampler.degree'"):
         config_from_dict({"sampler": {"degree": 4.0}})
-    with pytest.raises(ConfigurationError, match="'surrogate.share_patterns'"):
-        config_from_dict({"surrogate": {"share_patterns": 0}})
+    with pytest.raises(ConfigurationError, match="'kl_on_step'"):
+        config_from_dict({"kl_on_step": 0})
     # ints stand in for floats, and optional fields take None
     cfg = config_from_dict({"alpha_step": 1, "clip_eps": None, "surrogate": {"ratio_law": 0}})
     assert cfg.alpha_step == 1 and cfg.clip_eps is None
@@ -187,6 +188,17 @@ def test_update_rejects_bad_gradients():
         update(params, np.full(params.dim, np.nan), state, OptimizerConfig())
     with pytest.raises(ContractViolation):
         update(params, np.zeros(params.dim + 1), state, OptimizerConfig())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_writes_its_cause_to_the_run_directory(tmp_path):
+    config = RunConfig(n_updates=5, optimizer=OptimizerConfig(lr=1e308, grad_clip=None))
+    with pytest.raises(DivergenceError, match="at update 2, prompt slot 0"):
+        train(config, tmp_path)
+    dump = json.loads((tmp_path / "divergence.json").read_text())
+    assert dump["update"] == 2 and dump["prompt_slot"] == 0
+    assert dump["loss"] is None
+    assert dump["config"] == json.loads(json.dumps(config_to_dict(config)))
 
 
 def test_build_schedule_defaults_to_even_split():

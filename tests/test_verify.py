@@ -13,9 +13,9 @@ from dispo.rollout import UnmaskSchedule
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
 from dispo.streams import stream
 from dispo.surrogate import (
-    PromptMaskPattern,
     SurrogateConfig,
     completion_action,
+    draw_patterns,
     state_surrogate_logprob,
 )
 from dispo.tasks import RewardFn, StringMatchInstance, make_task
@@ -46,11 +46,6 @@ from dispo.verify import (
 )
 
 OFF = SurrogateConfig(n_mc=1, ratio_law="zero")
-
-
-def zero_patterns(prompt_len: int, n_mc: int = 1) -> tuple[PromptMaskPattern, ...]:
-    """Identity corruption patterns (nothing masked), for deterministic runs."""
-    return (PromptMaskPattern((False,) * prompt_len, 0.0),) * n_mc
 
 
 def dense_rows(grads, cols, coefs):
@@ -109,9 +104,9 @@ def test_c_factor():
 
 
 def test_zero_patterns_and_perturbation():
-    pats = zero_patterns(3, 2)
-    assert len(pats) == 2
-    assert all(p.mask == (False, False, False) for p in pats)
+    # corruption off needs no generator: nothing is masked
+    pats = draw_patterns(3, SurrogateConfig(n_mc=2, ratio_law="zero"), None)
+    assert pats.shape == (2, 3) and not pats.any()
     _, params = build_oracle_problem()
     moved = perturb_params(params, stream(1, "perturb"), scale=0.25)
     assert np.linalg.norm(moved.theta - params.theta) == pytest.approx(0.25, abs=1e-12)
@@ -160,9 +155,8 @@ def test_exact_gradient_matches_finite_differences():
         p = params.replace_theta(theta)
         total = 0.0
         for state, w in zip(weighted.states, weighted.weights):
-            pats = zero_patterns(state.prompt.length)
             for action in enumerate_actions(state):
-                lp = state_surrogate_logprob(p, state, action, problem.surrogate, patterns=pats)
+                lp = state_surrogate_logprob(p, state, action, problem.surrogate)
                 r = problem.reward(state.prompt, fill(state, action))
                 total += w * math.exp(lp) * r
         return total
