@@ -42,7 +42,7 @@ def main() -> None:
         committed = dict(traj.events[t - 1])
         print(f"step {t}: {show(traj.state_at(t).completion)} -> {show(traj.state_at(t + 1).completion)}   committed {committed}")
     final = traj.final_completion()
-    print(f"terminal   {show(final)}   reward {inst.reward(inst.prompt, final):.3f}")
+    print(f"terminal   {show(final)}   reward {inst.reward(final):.3f}")
     print(f"rollout forward passes: {counters.rollout_forward_passes} (= T)")
 
     # branch at the middle step: four alternative fillings of the remaining
@@ -50,9 +50,10 @@ def main() -> None:
     t_branch = 2
     state = traj.state_at(t_branch)
     print(f"\nbranching at step {t_branch}, state {show(state.completion)}:")
+    mask = state.completion.mask_positions()
     for action, completed in branch(traj, t_branch, 4, stream(args.seed, "demo-branch")):
-        reward = inst.reward(inst.prompt, completed)
-        print(f"  action {action.to_dict()} -> {show(completed)}   reward {reward:.3f}")
+        reward = inst.reward(completed)
+        print(f"  action {dict(zip(mask, action))} -> {show(completed)}   reward {reward:.3f}")
     print(f"rollout forward passes after branching: {counters.rollout_forward_passes} (unchanged)")
 
 

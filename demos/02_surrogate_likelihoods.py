@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from dispo.policy import LinearArch, action_logprob, init_params
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -38,7 +38,7 @@ def main() -> None:
     prompt = MaskedSequence((0, 2, 1), vocab)
     completion = MaskedSequence((1, vocab.mask_id, vocab.mask_id, 0), vocab)
     state = DiffusionState(prompt, completion)
-    action = Action.from_dict({1: 2, 2: 0})
+    action = (2, 0)  # one token per masked position: 1 -> 2, 2 -> 0
 
     exact, per_pos = action_logprob(params, state, action)
     off = SurrogateConfig(n_mc=1, ratio_law="zero")

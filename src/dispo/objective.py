@@ -41,7 +41,6 @@ from .policy import PolicyParams, backprop, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     SurrogateConfig,
-    completion_action,
     full_mask_state,
     group_features,
     logprob_from_contexts,
@@ -273,7 +272,7 @@ def terminal_loss(
         if c.length != length:
             raise ContractViolation("terminal completions must share a length")
     state = full_mask_state(prompt, length)
-    members = [(completion_action(c), r) for c, r in completions]
+    members = [(c.tokens, r) for c, r in completions]
     (feats,) = group_features(params.arch, [state], surr_cfg, [rng], n_sets=len(members))["action"]
     return _group_loss_and_grad(
         params,

@@ -336,8 +336,8 @@ def action_logprob(
     ctx = rows_context(params, state)
     per_pos: dict[int, float] = {}
     total = 0.0
-    for r, pos in enumerate(ctx.positions):
-        lp = float(ctx.logp[r, action[pos]])
+    for r, (pos, tok) in enumerate(zip(ctx.positions, action)):
+        lp = float(ctx.logp[r, tok])
         per_pos[pos] = lp
         total += lp
     return total, per_pos
@@ -362,8 +362,9 @@ def grad_action_logprob(
         positions = tuple(int(p) for p in positions)
         if not set(positions) <= set(masked):
             raise ContractViolation("positions must be a subset of the mask set")
+    token_at = dict(zip(masked, action))
     ctx = rows_context(params, state)
-    dlogits = score_dlogits(ctx, positions, tuple(action[p] for p in positions))
+    dlogits = score_dlogits(ctx, positions, tuple(token_at[p] for p in positions))
     return backprop(params, ctx, dlogits)
 
 
@@ -407,15 +408,12 @@ def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
     cdf = np.cumsum(np.exp(ctx.logp), axis=1)
     cdf /= cdf[:, -1:]
     tokens = (cdf <= rng.random(len(ctx.positions))[:, None]).sum(axis=1)
-    return Action(tuple(zip(ctx.positions, tokens.tolist())))
+    return tuple(tokens.tolist())
 
 
 def greedy_action(ctx: RowsContext) -> Action:
     """Argmax token per row; ties resolve to the lowest token id."""
-    pairs = []
-    for r, pos in enumerate(ctx.positions):
-        pairs.append((pos, int(np.argmax(ctx.rows[r]))))
-    return Action(tuple(pairs))
+    return tuple(np.argmax(ctx.rows, axis=1).tolist())
 
 
 def save_policy(params: PolicyParams, path: str | Path, extra: dict | None = None) -> None:

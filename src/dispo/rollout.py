@@ -164,7 +164,7 @@ def rollout(
             eligible = set(schedule.eligible(ctx.positions))
             scored = sorted(
                 (-probs[r, tok], pos, tok)
-                for r, (pos, tok) in enumerate(action.assignments)
+                for r, (pos, tok) in enumerate(zip(ctx.positions, action))
                 if pos in eligible
             )
             commit = scored[: min(schedule.tokens_per_step, len(scored))]
@@ -186,10 +186,10 @@ def branch(
 ) -> list[tuple[Action, MaskedSequence]]:
     """Draw ``n_branches`` joint actions at step ``t`` from the cached logits.
 
-    Each action covers the state's full mask set and is completed
-    deterministically, yielding alternative terminal sequences from the
-    same state.  No policy forward passes happen here: the behavior rows
-    were cached by the rollout.
+    Each action holds one token per position of the state's mask set and
+    is completed deterministically, yielding alternative terminal
+    sequences from the same state.  No policy forward passes happen here:
+    the behavior rows were cached by the rollout.
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")

@@ -1,10 +1,10 @@
 """Token-sequence domain types.
 
-Vocabularies, masked sequences, denoising states, joint fill actions, and
-the deterministic fill operation.  Token ids are dense non-negative
-integers; the mask uses the id one past the ordinary range by default.
-All types here are immutable value objects, safe to share and to use as
-dict keys.
+Vocabularies, masked sequences, denoising states, and the deterministic
+fill operation.  Token ids are dense non-negative integers; the mask uses
+the id one past the ordinary range by default.  A fill action is a plain
+tuple of tokens, one per masked position in position order.  All types
+here are immutable value objects, safe to share and to use as dict keys.
 """
 
 from __future__ import annotations
@@ -99,37 +99,10 @@ class MaskedSequence:
         return MaskedSequence(tuple(toks), self.vocab)
 
 
-@dataclass(frozen=True)
-class Action:
-    """A joint assignment of ordinary tokens to a set of positions."""
-
-    assignments: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(p), int(t)) for p, t in self.assignments))
-        positions = [p for p, _ in pairs]
-        if len(set(positions)) != len(positions):
-            raise ContractViolation("action assigns the same position twice")
-        object.__setattr__(self, "assignments", pairs)
-
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "Action":
-        return cls(tuple(d.items()))
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.assignments)
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.assignments)
-
-    def __getitem__(self, pos: int) -> int:
-        for p, t in self.assignments:
-            if p == pos:
-                return t
-        raise KeyError(pos)
-
-    def __len__(self) -> int:
-        return len(self.assignments)
+# A fill action at a state: one ordinary token per position of
+# ``state.completion.mask_positions()``, in that order.  The state knows the
+# positions, so the action carries only the tokens.
+Action = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,12 +125,14 @@ class DiffusionState:
 
 
 def check_action(state: DiffusionState, action: Action) -> None:
-    """Require ``action`` to cover exactly the completion's mask set with ordinary tokens."""
+    """Require ``action`` to hold one ordinary token per position of the mask set."""
     masked = state.completion.mask_positions()
-    if action.positions() != masked:
-        raise ContractViolation(f"action positions {action.positions()} != mask set {masked}")
+    if len(action) != len(masked):
+        raise ContractViolation(
+            f"action has {len(action)} tokens for a mask set of {len(masked)} positions"
+        )
     vocab = state.vocab
-    for _, tok in action.assignments:
+    for tok in action:
         if not vocab.is_ordinary(tok):
             raise ContractViolation(f"action token {tok} is not an ordinary token")
 
@@ -168,19 +143,18 @@ def fill(state: DiffusionState, action: Action) -> MaskedSequence:
     Visible positions are untouched.  Deterministic.
     """
     check_action(state, action)
-    return state.completion.with_tokens(action.to_dict())
+    return state.completion.with_tokens(dict(zip(state.completion.mask_positions(), action)))
 
 
 def enumerate_actions(state: DiffusionState, limit: int = 100_000) -> Iterator[Action]:
-    """Yield every joint action for ``state``'s mask set, lexicographically.
+    """Every joint action for ``state``'s mask set, lexicographically.
 
     Refuses action spaces larger than ``limit`` (meant for oracle-scale
     enumeration only).
     """
-    positions = state.completion.mask_positions()
+    n = len(state.completion.mask_positions())
     v = state.vocab.size
-    total = v ** len(positions)
+    total = v ** n
     if total > limit:
         raise ContractViolation(f"action space of size {total} exceeds enumeration limit {limit}")
-    for combo in itertools.product(range(v), repeat=len(positions)):
-        yield Action(tuple(zip(positions, combo)))
+    return itertools.product(range(v), repeat=n)

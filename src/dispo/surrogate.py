@@ -9,12 +9,12 @@ log-probabilities of the actual tokens.  Averaging over ``n_mc`` i.i.d.
 corruption patterns gives the estimator; with corruption disabled it is
 deterministic and equals the policy's factorized action log-probability.
 
-One API scores a fill action at a state, summing over the currently
-masked positions (``state_surrogate_logprob``/``state_surrogate_grad``).
-A full completion is the action ``completion_action(c)`` at the fully
-masked state ``full_mask_state(prompt, L)``, scored with
-``kind="terminal"``: the terminal ratios are this fixed-state score at
-the fully masked state.
+One API scores a fill action (one token per masked position, in order)
+at a state, summing over the currently masked positions
+(``state_surrogate_logprob``/``state_surrogate_grad``).  A full
+completion ``c`` is the action ``c.tokens`` at the fully masked state
+``full_mask_state(prompt, L)``, scored with ``kind="terminal"``: the
+terminal ratios are this fixed-state score at the fully masked state.
 
 Patterns are always shared: ``group_features`` draws a group's patterns
 and featurizes its corrupted copies once, and the current, old and
@@ -44,7 +44,7 @@ from .policy import (
     score_dlogits,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence, check_action
+from .sequences import Action, DiffusionState, MaskedSequence, check_action, fill
 
 RatioLaw = str | float
 
@@ -78,11 +78,12 @@ def draw_patterns(
     """``cfg.n_mc`` corruption patterns as an ``(n_mc, prompt_len)`` bool array.
 
     Each pattern masks every prompt token i.i.d. with its ratio, drawn
-    uniformly per pattern or fixed by the law.  The zero law draws
-    nothing; with corruption off and no generator the masks are all false.
+    uniformly per pattern or fixed by the law.  With corruption off (the
+    zero law, or a fixed ratio of 0) the masks are all false and nothing is
+    drawn.
     """
     law = cfg.ratio_law
-    if law == "zero" or (rng is None and not cfg.corruption_enabled):
+    if not cfg.corruption_enabled:
         return np.zeros((cfg.n_mc, prompt_len), dtype=bool)
     if rng is None:
         raise ContractViolation("corruption patterns need a generator")
@@ -94,13 +95,6 @@ def draw_patterns(
 
 def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
     return DiffusionState(prompt, MaskedSequence.masked(completion_len, prompt.vocab))
-
-
-def completion_action(completion: MaskedSequence) -> Action:
-    """The completion rendered as a joint action over all its positions."""
-    if not completion.fully_visible():
-        raise ContractViolation("completion must be fully visible")
-    return Action(tuple(enumerate(completion.tokens)))
 
 
 def scored_positions(state: DiffusionState, scope: str = "action") -> tuple[int, ...]:
@@ -118,15 +112,15 @@ def scoring_targets(
     """Positions to score and their target tokens.
 
     ``scope="action"`` scores the currently masked positions against the
-    action's tokens; ``scope="all"`` additionally scores every visible
-    completion position against its own token (the action never overlaps
-    visible positions, whose features exclude the position's own token).
+    action's tokens; ``scope="all"`` scores every completion position of
+    ``fill(state, action)`` (a visible position's features exclude its own
+    token, so it scores like a masked one).
     """
     positions = scored_positions(state, scope)
+    if scope == "all":
+        return positions, fill(state, action).tokens
     check_action(state, action)
-    filled = dict(enumerate(state.completion.tokens)) if scope == "all" else {}
-    filled.update(action.assignments)
-    return positions, tuple(filled[p] for p in positions)
+    return positions, tuple(action)
 
 
 def group_features(

@@ -1,11 +1,13 @@
 """Toy reward tasks: 4x4 Sudoku, Countdown arithmetic, and string match.
 
 Every instance class carries ``vocab``, ``completion_len``,
-``prompt_tokens()``, ``reward(completion)`` and ``to_json()``/``from_json(d)``
-(its instances-file entry).  Rewards are deterministic scores in [0, 1] of
-fully visible completions; they never raise on malformed completions, and
-undecodable output scores zero.  ``TASKS`` maps task names to instance
-classes; ``instance_pool`` builds a ``Task`` from instances of one shape.
+``prompt_tokens()``, ``reward(completion)``, ``to_json()``/``from_json(d)``
+(its instances-file entry) and ``generate(rng, **params)``, which draws a
+random instance from the task's own params.  Rewards are deterministic
+scores in [0, 1] of fully visible completions; they never raise on
+malformed completions, and undecodable output scores zero.  ``TASKS`` maps
+task names to instance classes; ``make_task`` generates a pool through it
+and ``instance_pool`` builds a ``Task`` from instances of one shape.
 
 Sudoku: one token per cell.  Vocab has 5 ordinary tokens (digit d is
 token d-1, blank marker 4), so prompts stay fully visible.  The
@@ -102,6 +104,28 @@ class SudokuInstance:
         )
         return correct / len(empty)
 
+    @classmethod
+    def generate(cls, rng: np.random.Generator, n_empty: int = 8) -> "SudokuInstance":
+        """A random puzzle with exactly ``n_empty`` empty cells and a unique solution."""
+        if not 1 <= n_empty <= 12:
+            raise ConfigurationError("n_empty must lie in 1..12 for unique 4x4 puzzles")
+        for _ in range(64):
+            solution = _random_solution(rng)
+            cells = list(solution)
+            removed = 0
+            for idx in rng.permutation(16):
+                if removed == n_empty:
+                    break
+                i = int(idx)
+                saved, cells[i] = cells[i], 0
+                if count_solutions(tuple(cells)) == 1:
+                    removed += 1
+                else:
+                    cells[i] = saved
+            if removed == n_empty:
+                return cls(tuple(cells), solution)
+        raise ConfigurationError(f"could not build a unique puzzle with {n_empty} empty cells")
+
     def to_json(self) -> dict:
         return {"grid": list(self.grid), "solution": list(self.solution)}
 
@@ -194,28 +218,6 @@ def count_solutions(grid: tuple[int, ...], cap: int = 2) -> int:
     return found
 
 
-def generate_sudoku(rng: np.random.Generator, n_empty: int = 8) -> SudokuInstance:
-    """A random puzzle with exactly ``n_empty`` empty cells and a unique solution."""
-    if not 1 <= n_empty <= 12:
-        raise ConfigurationError("n_empty must lie in 1..12 for unique 4x4 puzzles")
-    for _ in range(64):
-        solution = _random_solution(rng)
-        cells = list(solution)
-        removed = 0
-        for idx in rng.permutation(16):
-            if removed == n_empty:
-                break
-            i = int(idx)
-            saved, cells[i] = cells[i], 0
-            if count_solutions(tuple(cells)) == 1:
-                removed += 1
-            else:
-                cells[i] = saved
-        if removed == n_empty:
-            return SudokuInstance(tuple(cells), solution)
-    raise ConfigurationError(f"could not build a unique puzzle with {n_empty} empty cells")
-
-
 COUNTDOWN_VOCAB = Vocab(10)
 COUNTDOWN_PAD = 8
 COUNTDOWN_OPS = {4: operator.add, 5: operator.sub, 6: operator.mul, 7: operator.truediv}
@@ -256,6 +258,33 @@ class CountdownInstance:
             return 0.0
         return 1.0 if value == self.target else 0.1
 
+    @classmethod
+    def generate(cls, rng: np.random.Generator, n_numbers: int | None = 4) -> "CountdownInstance":
+        """An instance built from a random expression, so a solution exists.
+
+        ``n_numbers=None`` draws 3 or 4 numbers per attempt.
+        """
+        for _ in range(500):
+            k = int(rng.integers(3, 5)) if n_numbers is None else n_numbers
+            if not 3 <= k <= 4:
+                raise ConfigurationError("n_numbers must be 3 or 4")
+            numbers = tuple(int(rng.integers(1, 10)) for _ in range(k))
+
+            def build(slots: list[int]) -> Fraction:
+                if len(slots) == 1:
+                    return Fraction(numbers[slots[0]])
+                cut = int(rng.integers(1, len(slots)))
+                lv, rv = build(slots[:cut]), build(slots[cut:])
+                op = int(rng.choice([4, 5, 6, 7]))
+                if op == 7 and (rv == 0 or (lv / rv).denominator != 1):
+                    op = 6  # keep division exact; fall back to multiplication
+                return COUNTDOWN_OPS[op](lv, rv)
+
+            value = build([int(s) for s in rng.permutation(k)])
+            if value.denominator == 1 and 1 <= value <= 999:
+                return cls(numbers, int(value))
+        raise ConfigurationError("failed to build a solvable instance")
+
     def to_json(self) -> dict:
         return {"numbers": list(self.numbers), "target": self.target}
 
@@ -295,38 +324,6 @@ def parse_postfix(tokens: tuple[int, ...], numbers: tuple[int, ...]) -> Fraction
     return stack[0] if len(stack) == 1 else None
 
 
-def generate_countdown(rng: np.random.Generator, n_numbers: int | None = None) -> CountdownInstance:
-    """An instance built from a random expression, so a solution exists."""
-    for _ in range(500):
-        k = int(rng.integers(3, 5)) if n_numbers is None else n_numbers
-        if not 3 <= k <= 4:
-            raise ConfigurationError("n_numbers must be 3 or 4")
-        numbers = tuple(int(rng.integers(1, 10)) for _ in range(k))
-
-        def build(slots: list[int]) -> tuple[Fraction, list[int]] | None:
-            if len(slots) == 1:
-                return Fraction(numbers[slots[0]]), [slots[0]]
-            cut = int(rng.integers(1, len(slots)))
-            left = build(slots[:cut])
-            right = build(slots[cut:])
-            if left is None or right is None:
-                return None
-            (lv, lt), (rv, rt) = left, right
-            op = int(rng.choice([4, 5, 6, 7]))
-            if op == 7 and (rv == 0 or (lv / rv).denominator != 1):
-                op = 6  # keep division exact; fall back to multiplication
-            return COUNTDOWN_OPS[op](lv, rv), lt + rt + [op]
-
-        slots = [int(s) for s in rng.permutation(k)]
-        built = build(slots)
-        if built is None:
-            continue
-        value, _ = built
-        if value.denominator == 1 and 1 <= value <= 999:
-            return CountdownInstance(numbers, int(value))
-    raise ConfigurationError("failed to build a solvable instance")
-
-
 @dataclass(frozen=True)
 class StringMatchInstance:
     """Copy task: reproduce the target the prompt displays."""
@@ -358,6 +355,13 @@ class StringMatchInstance:
             return 0.0
         return sum(1 for a, b in zip(self.target, c) if a == b) / len(self.target)
 
+    @classmethod
+    def generate(
+        cls, rng: np.random.Generator, target_len: int = 8, vocab_size: int = 4
+    ) -> "StringMatchInstance":
+        """A uniformly random target of ``target_len`` ordinary tokens."""
+        return cls(tuple(int(t) for t in rng.integers(0, vocab_size, target_len)), vocab_size)
+
     def to_json(self) -> dict:
         return {"target": list(self.target), "vocab_size": self.vocab_size}
 
@@ -380,7 +384,7 @@ class RewardFn:
 
     instance: Instance
 
-    def __call__(self, prompt: MaskedSequence, completion) -> float:
+    def __call__(self, completion) -> float:
         return self.instance.reward(completion)
 
 
@@ -420,31 +424,19 @@ def instance_pool(name: str, instances: Sequence[Instance]) -> Task:
     return Task(name, vocab, plen, clen, pool)
 
 
-def make_task(
-    name: str,
-    rng: np.random.Generator,
-    n_instances: int = 8,
-    *,
-    n_empty: int = 8,
-    target_len: int = 8,
-    vocab_size: int = 4,
-    n_numbers: int | None = 4,
-) -> Task:
-    """Generate an instance pool with a fixed shape for one run."""
-    if name == "sudoku":
-        instances = [generate_sudoku(rng, n_empty) for _ in range(n_instances)]
-    elif name == "countdown":
-        instances = [generate_countdown(rng, n_numbers) for _ in range(n_instances)]
-    elif name == "stringmatch":
-        instances = [
-            StringMatchInstance(
-                tuple(int(t) for t in rng.integers(0, vocab_size, target_len)), vocab_size
-            )
-            for _ in range(n_instances)
-        ]
-    else:
+def make_task(name: str, rng: np.random.Generator, n_instances: int = 8, **params) -> Task:
+    """Generate a pool of ``n_instances`` instances of task ``name`` for one run.
+
+    ``params`` go to the instance class's ``generate``.  A param it does not
+    take, or a value it rejects, raises ``ConfigurationError`` naming the task.
+    """
+    cls = TASKS.get(name)
+    if cls is None:
         raise ConfigurationError(f"unknown task {name!r}")
-    return instance_pool(name, instances)
+    try:
+        return instance_pool(name, [cls.generate(rng, **params) for _ in range(n_instances)])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"task {name!r} with params {params}: {exc}") from exc
 
 
 def save_instances(path: str | Path, task: Task) -> None:

@@ -53,7 +53,7 @@ from .policy import (
 from .rollout import UnmaskSchedule, branch, rollout, select_states
 from .streams import stream
 from .surrogate import SurrogateConfig
-from .tasks import Task, first_violation_time, load_instances, make_task
+from .tasks import TASKS, Task, first_violation_time, load_instances, make_task
 
 METRIC_COLUMNS = [
     "update",
@@ -95,6 +95,9 @@ class SamplerConfig:
     law: str = "poly_late"
     degree: int = 4
 
+    def __post_init__(self) -> None:
+        TimestepSampler(self.law, 1, self.degree)
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -135,6 +138,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.task not in TASKS:
+            raise ConfigurationError(f"unknown task {self.task!r}")
         for name in ("n_instances", "n_rollouts", "n_denoising_steps", "batch_size", "n_updates"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
@@ -502,7 +507,7 @@ def train(
             completions = []
             for traj in trajs:
                 final = traj.final_completion()
-                r = inst.reward(inst.prompt, final)
+                r = inst.reward(final)
                 counters.reward_evals += 1
                 completions.append((final, r))
                 terminal_rewards.append(r)
@@ -517,7 +522,7 @@ def train(
                     )
                     scored = []
                     for action, completed in branches:
-                        r = inst.reward(inst.prompt, completed)
+                        r = inst.reward(completed)
                         counters.reward_evals += 1
                         scored.append((action, r))
                         step_rewards.append(r)
@@ -633,7 +638,7 @@ def evaluate(params: PolicyParams, task: Task, n_steps: int, schedule: UnmaskSch
     violations: list[float] = []
     for inst in task.instances:
         (traj,) = rollout(params, inst.prompt, n_steps, schedule, [rng], greedy=True)
-        rewards.append(float(inst.reward(inst.prompt, traj.final_completion())))
+        rewards.append(float(inst.reward(traj.final_completion())))
         if task.name == "sudoku":
             v = first_violation_time(inst.reward.instance, traj)
             violations.append(float(v) if v is not None else float(n_steps + 1))

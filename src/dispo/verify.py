@@ -208,9 +208,7 @@ def build_state_tables(
         raise ContractViolation("exact enumeration requires corruption disabled")
     actions = tuple(enumerate_actions(state))
     positions = state.completion.mask_positions()
-    # assignments come in mask-set order, so row i lines up with ``positions``
-    targets = np.array([[tok for _, tok in a.assignments] for a in actions], dtype=np.intp)
-    targets = targets.reshape(len(actions), len(positions))
+    targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(positions))
     grids = [rows_context(params, state, positions)] * surr_cfg.n_mc  # corruption-free: one grid
     old_grids = [rows_context(old_params, state, positions)] * surr_cfg.n_mc
     logp_new = logprob_from_contexts(grids, positions, targets).mean(axis=1)
@@ -224,7 +222,7 @@ def build_state_tables(
         probs=probs,
         probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
         ratios=np.exp(logp_new - logp_old),
-        rewards=np.array([reward(state.prompt, fill(state, a)) for a in actions], dtype=np.float64),
+        rewards=np.array([reward(fill(state, a)) for a in actions], dtype=np.float64),
         grads=grad_from_contexts(params, grids, positions, targets),
     )
 
@@ -850,7 +848,7 @@ def trcov_protocol(
                     for _ in range(z):
                         action = sample_action(behavior, rng)
                         completed = fill(cand.state, action)
-                        members.append((action, cand.reward(cand.state.prompt, completed)))
+                        members.append((action, cand.reward(completed)))
                     groups.append(members)
                 groups_by_size[z] = groups
             ghats = np.zeros((n_trials, params.dim))

@@ -25,7 +25,7 @@ from dispo.policy import (
     init_params,
 )
 from dispo.rollout import UnmaskSchedule, branch, rollout
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -223,9 +223,7 @@ def test_criterion_06_gradients_match_finite_differences(acceptance_log):
             for p in range(completion_len)
         )
         state = DiffusionState(prompt, MaskedSequence(tokens, vocab))
-        action = Action.from_dict(
-            {p: int(rng.integers(vocab.size)) for p in sorted(masked_pos)}
-        )
+        action = tuple(int(rng.integers(vocab.size)) for _ in masked_pos)
 
         exact = grad_action_logprob(params, state, action)
         fd = _fd_gradient(lambda p: action_logprob(p, state, action)[0], params)
@@ -416,7 +414,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     problem, params = build_oracle_problem()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     state = problem.step_states[2].states[1]
-    action = Action.from_dict({p: 0 for p in state.completion.mask_positions()})
+    action = (0,) * len(state.completion.mask_positions())
     lp_new = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
     lp_old = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
     assert lp_new == lp_old
@@ -438,13 +436,13 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
             tokens = (vocab.mask_id,) + tokens[1:]
         seq = MaskedSequence(tokens, vocab)
         state = DiffusionState(prompt, seq)
-        act = Action.from_dict({p: int(rng.integers(3)) for p in seq.mask_positions()})
+        act = tuple(int(rng.integers(3)) for _ in seq.mask_positions())
         filled = fill(state, act)
         assert filled.fully_visible()
         for pos in seq.visible_positions():
             assert filled.tokens[pos] == seq.tokens[pos]
-        for pos in seq.mask_positions():
-            assert filled.tokens[pos] == act[pos]
+        for pos, tok in zip(seq.mask_positions(), act):
+            assert filled.tokens[pos] == tok
 
     # branching covers the branch state's mask set without running the policy
     arch = LinearArch(vocab, prompt_len=2, completion_len=4, window=1)
@@ -461,6 +459,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     for t in (1, 2):
         branch_mask = traj.state_at(t).completion.mask_positions()
         for act, completed in branch(traj, t, 4, stream(1003, "invariant-branch", t)):
-            assert act.positions() == branch_mask
+            assert len(act) == len(branch_mask)
+            assert tuple(completed.tokens[p] for p in branch_mask) == act
             assert completed.fully_visible()
     acceptance_log(10, "advantages, ratio, KL, fill, and branch invariants all exact")

@@ -34,11 +34,10 @@ from dispo.policy import (
     sample_action,
 )
 from dispo.rollout import UnmaskSchedule
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, fill
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    completion_action,
     draw_patterns,
     full_mask_state,
     logprob_from_contexts,
@@ -234,7 +233,7 @@ def random_state(rng, arch, p_mask=0.5):
 
 
 def random_action(rng, state):
-    return Action(tuple((p, int(rng.integers(state.vocab.size))) for p in state.mask()))
+    return tuple(int(rng.integers(state.vocab.size)) for _ in state.mask())
 
 
 # -- tests -------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def test_inverse_cdf_sampling_matches_rng_choice_and_the_generator_state():
         rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (n, v))
         ctx = RowsContext(tuple(range(n)), rows, log_softmax(rows), np.zeros((n, 1)), None)
         a, b = stream(3, "draw", case), stream(3, "draw", case)
-        tokens = [tok for _, tok in sample_action(ctx, a).assignments]
+        tokens = list(sample_action(ctx, a))
         assert tokens == reference_sample(ctx, b)
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -382,7 +381,7 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
             prompt, completions, params, old, loss_cfg, surr_cfg, stream(9, n_mc)
         )
         state = full_mask_state(prompt, 5)
-        members = [(completion_action(c), r) for c, r in completions]
+        members = [(c.tokens, r) for c, r in completions]
         ref_loss, ref_grad, n_clipped = reference_group_loss(
             params, old, state, members, loss_cfg, surr_cfg, stream(9, n_mc), "action", True
         )
@@ -423,7 +422,7 @@ def reference_trcov_protocol(
                     for _ in range(z):
                         action = sample_action(behavior, rng)
                         completed = fill(cand.state, action)
-                        members.append((action, cand.reward(cand.state.prompt, completed)))
+                        members.append((action, cand.reward(completed)))
                     groups.append(members)
                 groups_by_size[z] = groups
             ghats = np.zeros((n_trials, params.dim))

@@ -216,6 +216,55 @@ def test_flags_a_command_does_not_use_exit_two_naming_the_flag(
     assert not out.exists()
 
 
+RUN_COMMANDS = ("train", "eval", "gen-data", "varmeasure", "count-ops")
+# case: (config keys over TINY_TRAIN, extra flags, cause in the message, commands reading it)
+BAD_SETTINGS = {
+    "unknown-task": ({}, ["--task", "nosuch"], "unknown task 'nosuch'", RUN_COMMANDS),
+    "unknown-sampler-law": ({}, ["--sampler", "bogus"], "timestep law 'bogus'", RUN_COMMANDS),
+    "negative-sampler-degree": (
+        {"sampler": {"degree": -3}}, [], "degree must be >= 0", RUN_COMMANDS
+    ),
+    "param-of-another-task": (
+        {"task": "sudoku", "task_params": {"target_len": 5}},
+        [],
+        "'target_len': 5",
+        RUN_COMMANDS[:4],
+    ),
+    "unknown-task-param": ({"task_params": {"bogus": 1}}, [], "'bogus': 1", RUN_COMMANDS[:4]),
+    "stringmatch-vocab-size-1": (
+        {"task_params": {"vocab_size": 1}}, [], "'vocab_size': 1", RUN_COMMANDS[:4]
+    ),
+    "stringmatch-target-len-0": (
+        {"task_params": {"target_len": 0}}, [], "'target_len': 0", RUN_COMMANDS[:4]
+    ),
+    "sudoku-n-empty-string": (
+        {"task": "sudoku", "task_params": {"n_empty": "x"}},
+        [],
+        "'n_empty': 'x'",
+        RUN_COMMANDS[:4],
+    ),
+}
+BAD_SETTING_RUNS = [
+    pytest.param(command, *case[:3], id=f"{name}-{command}")
+    for name, case in BAD_SETTINGS.items()
+    for command in case[3]
+]
+
+
+@pytest.mark.parametrize("command, keys, flags, cause", BAD_SETTING_RUNS)
+def test_bad_run_settings_exit_two_naming_the_cause_from_every_command(
+    tmp_path, capsys, command, keys, flags, cause
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, {**TINY_TRAIN, **keys}), *flags]
+    if command in ("train", "gen-data", "varmeasure"):
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and cause in err
+    assert not out.exists()
+
+
 def test_gen_data_writes_a_loadable_pool(tmp_path, capsys):
     cfg = write_config(tmp_path, {"task": "sudoku", "n_instances": 2, "seed": 5})
     out = tmp_path / "data"

@@ -18,11 +18,10 @@ from dispo.objective import (
     terminal_loss,
 )
 from dispo.policy import LinearArch, init_params
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    completion_action,
     full_mask_state,
     state_surrogate_grad,
 )
@@ -81,8 +80,8 @@ def test_step_loss_two_branch_example():
     # rewards [1, 0]: advantages (.5, -.5), on-policy loss 0, grad -(g1 - g2)/4
     params = init_params(ARCH, stream(2, "p"), scale=0.5)
     state = mid_state()
-    a1 = Action(((1, 0), (2, 2)))
-    a2 = Action(((1, 1), (2, 1)))
+    a1 = (0, 2)
+    a2 = (1, 1)
     loss, grad = step_loss(state, [(a1, 1.0), (a2, 0.0)], params, params, NOCLIP, OFF)
     assert abs(loss) < 1e-15
     g1 = state_surrogate_grad(params, state, a1, OFF)
@@ -100,8 +99,8 @@ def test_terminal_loss_two_rollout_example():
     loss, grad = terminal_loss(PROMPT, [(c1, 1.0), (c2, 0.0)], params, params, NOCLIP, OFF)
     assert abs(loss) < 1e-15
     full = full_mask_state(PROMPT, 3)
-    g1 = state_surrogate_grad(params, full, completion_action(c1), OFF, kind="terminal")
-    g2 = state_surrogate_grad(params, full, completion_action(c2), OFF, kind="terminal")
+    g1 = state_surrogate_grad(params, full, c1.tokens, OFF, kind="terminal")
+    g2 = state_surrogate_grad(params, full, c2.tokens, OFF, kind="terminal")
     assert np.allclose(grad, -0.25 * (g1 - g2), atol=1e-12)
     with pytest.raises(ContractViolation):
         terminal_loss(PROMPT, [], params, params, NOCLIP, OFF)
@@ -113,7 +112,7 @@ def test_step_loss_gradient_matches_finite_differences():
     params = init_params(ARCH, stream(4, "p"), scale=0.4)
     old = init_params(ARCH, stream(4, "old"), scale=0.4)
     state = mid_state()
-    branches = [(Action(((1, 0), (2, 1))), 0.3), (Action(((1, 2), (2, 2))), -0.9)]
+    branches = [((0, 1), 0.3), ((2, 2), -0.9)]
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
 
     def value(theta):
@@ -174,7 +173,7 @@ def test_combined_loss_is_linear_in_its_parts():
     ref = init_params(ARCH, stream(7, "ref"), scale=0.5)
     completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
     groups = [
-        StepGroup(mid_state(), ((Action(((1, 0), (2, 1))), 1.0), (Action(((1, 2), (2, 0))), 0.0)))
+        StepGroup(mid_state(), (((0, 1), 1.0), ((2, 0), 0.0)))
     ]
     cfg = LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05, clip_eps=None)
     loss, grad, parts = combined_loss(
@@ -190,7 +189,7 @@ def test_zero_weight_families_consume_nothing():
     params = init_params(ARCH, stream(8, "p"), scale=0.5)
     completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
     groups = [
-        StepGroup(mid_state(), ((Action(((1, 0), (2, 1))), 1.0), (Action(((1, 2), (2, 0))), 0.0)))
+        StepGroup(mid_state(), (((0, 1), 1.0), ((2, 0), 0.0)))
     ]
     counters = OpCounters()
     cfg = LossConfig(alpha_step=0.0, alpha_term=1.0, kl_beta=0.0)
@@ -212,7 +211,7 @@ def test_zero_weight_families_consume_nothing():
 def test_corruption_without_a_generator_is_a_named_error(law):
     params = init_params(ARCH, stream(10, "p"), scale=0.5)
     state = mid_state()
-    branches = [(Action(((1, 0), (2, 1))), 1.0), (Action(((1, 2), (2, 0))), 0.0)]
+    branches = [((0, 1), 1.0), ((2, 0), 0.0)]
     completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
     cfg = SurrogateConfig(n_mc=2, ratio_law=law)
     calls = {

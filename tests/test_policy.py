@@ -20,7 +20,7 @@ from dispo.policy import (
     save_policy,
     softmax,
 )
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, enumerate_actions
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions
 from dispo.streams import stream
 
 
@@ -38,7 +38,7 @@ def make_state(vocab, prompt_len, completion_len, rng, n_masked=None):
 
 def random_action(state, rng):
     v = state.vocab.size
-    return Action(tuple((p, int(rng.integers(0, v))) for p in state.mask()))
+    return tuple(int(rng.integers(0, v)) for _ in state.mask())
 
 
 def test_zero_params_are_uniform():
@@ -49,11 +49,24 @@ def test_zero_params_are_uniform():
         MaskedSequence((0, 1), vocab),
         MaskedSequence((2, vocab.mask_id, 0, vocab.mask_id), vocab),
     )
-    total, per_pos = action_logprob(params, state, Action(((1, 0), (3, 2))))
+    total, per_pos = action_logprob(params, state, (0, 2))
     assert total == pytest.approx(2 * math.log(1 / 3), abs=1e-12)
     assert set(per_pos) == {1, 3}
     for lp in per_pos.values():
         assert lp == pytest.approx(math.log(1 / 3), abs=1e-12)
+
+
+def test_action_logprob_rejects_malformed_actions():
+    vocab = Vocab(3)
+    params = init_params(LinearArch(vocab, prompt_len=2, completion_len=4))
+    state = DiffusionState(
+        MaskedSequence((0, 1), vocab),
+        MaskedSequence((2, vocab.mask_id, 0, vocab.mask_id), vocab),
+    )
+    with pytest.raises(ContractViolation, match="3 tokens for a mask set of 2"):
+        action_logprob(params, state, (0, 2, 1))
+    with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
+        action_logprob(params, state, (0, vocab.mask_id))
 
 
 def test_large_bias_saturates_one_token():
@@ -64,7 +77,7 @@ def test_large_bias_saturates_one_token():
     w[1, -1] = 1e3
     params = init_params(arch).replace_theta(w.ravel())
     state = DiffusionState(MaskedSequence((0, 0), vocab), MaskedSequence.masked(3, vocab))
-    total, _ = action_logprob(params, state, Action(((0, 1), (1, 1), (2, 1))))
+    total, _ = action_logprob(params, state, (1, 1, 1))
     assert abs(total) < 1e-9
     probs = softmax(rows_context(params, state).rows)
     assert np.all(probs[:, 1] > 1.0 - 1e-9)
@@ -149,13 +162,13 @@ def test_sampling_frequencies_match_probabilities():
     rng = stream(9, "freq")
     params = init_params(arch, rng, scale=0.8)
     state = make_state(vocab, 2, 2, rng, n_masked=1)
-    pos = state.mask()[0]
     ctx = rows_context(params, state)
     probs = softmax(ctx.rows)[0]
     n = 20_000
     counts = np.zeros(vocab.size)
     for _ in range(n):
-        counts[sample_action(ctx, rng)[pos]] += 1
+        (tok,) = sample_action(ctx, rng)  # one masked position
+        counts[tok] += 1
     freq = counts / n
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(freq - probs) <= 4 * sigma + 1e-9)
@@ -167,7 +180,7 @@ def test_greedy_breaks_ties_toward_low_token_ids():
     params = init_params(arch)
     state = DiffusionState(MaskedSequence((1, 2), vocab), MaskedSequence.masked(3, vocab))
     action = greedy_action(rows_context(params, state))
-    assert action.to_dict() == {0: 0, 1: 0, 2: 0}
+    assert action == (0, 0, 0)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -11,7 +11,7 @@ from dispo.errors import ConfigurationError
 from dispo.objective import group_advantages
 from dispo.policy import LinearArch, MlpArch, action_logprob, grad_action_logprob, init_params
 from dispo.rollout import UnmaskSchedule
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
 from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig, state_surrogate_grad, state_surrogate_logprob
 
@@ -99,7 +99,7 @@ def test_exact_gradients_match_central_differences_on_random_architectures(data)
     masked = sorted(order[: draw(st.integers(1, completion_len))])
     completion = tuple(vocab.mask_id if p in masked else draw(token) for p in range(completion_len))
     state = DiffusionState(prompt, MaskedSequence(completion, vocab))
-    action = Action(tuple((p, draw(token)) for p in masked))
+    action = tuple(draw(token) for _ in masked)
     scope = draw(st.sampled_from(["action", "all"]))
     cfg = SurrogateConfig(n_mc=draw(st.integers(1, 3)), ratio_law="uniform")
     subset = tuple(p for p in masked if draw(st.booleans()))

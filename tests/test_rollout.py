@@ -88,8 +88,8 @@ def test_greedy_commits_highest_confidence_eligible():
         probs = softmax(grid.rows)
         eligible = set(sched.eligible(grid.positions))
         scored = sorted(
-            (-probs[r, action[pos]], pos, action[pos])
-            for r, pos in enumerate(grid.positions)
+            (-probs[r, tok], pos, tok)
+            for r, (pos, tok) in enumerate(zip(grid.positions, action))
             if pos in eligible
         )
         expect = tuple(sorted((pos, tok) for _, pos, tok in scored[:2]))
@@ -139,7 +139,8 @@ def test_branch_runs_no_forward_passes(monkeypatch):
     assert len(pairs) == 5
     state = traj.state_at(1)
     for action, completion in pairs:
-        assert action.positions() == state.mask()
+        assert len(action) == len(state.mask())
+        assert tuple(completion.tokens[p] for p in state.mask()) == action
         assert completion.fully_visible()
         for p in state.completion.visible_positions():
             assert completion.tokens[p] == state.completion.tokens[p]

@@ -1,11 +1,10 @@
-"""Vocabulary, masked sequences, actions, and the fill operation."""
+"""Vocabulary, masked sequences, token-tuple actions, and the fill operation."""
 
 import numpy as np
 import pytest
 
 from dispo.errors import ContractViolation
 from dispo.sequences import (
-    Action,
     DiffusionState,
     MaskedSequence,
     Vocab,
@@ -52,20 +51,6 @@ def test_masked_sequence_rejects_foreign_tokens():
         MaskedSequence((-1, 0), v)
 
 
-def test_action_sorts_and_rejects_duplicates():
-    a = Action(((3, 1), (0, 2)))
-    assert a.positions() == (0, 3)
-    assert a[3] == 1 and a[0] == 2
-    assert len(a) == 2
-    with pytest.raises(ContractViolation):
-        Action(((1, 0), (1, 2)))
-
-
-def test_action_dict_round_trip():
-    a = Action.from_dict({2: 1, 0: 0})
-    assert a.to_dict() == {0: 0, 2: 1}
-
-
 def test_state_requires_matching_vocabs():
     prompt = MaskedSequence((0,), Vocab(3))
     completion = MaskedSequence.masked(2, Vocab(4))
@@ -76,16 +61,16 @@ def test_state_requires_matching_vocabs():
 def test_fill_covers_mask_set_exactly():
     v = Vocab(3)
     state = DiffusionState(MaskedSequence((1,), v), MaskedSequence((0, v.mask_id, v.mask_id), v))
-    done = fill(state, Action(((1, 2), (2, 0))))
+    done = fill(state, (2, 0))  # one token per masked position, in order
     assert done.tokens == (0, 2, 0)
     assert done.fully_visible()
-    # partial cover, wrong position, and mask-token payloads all refuse
-    with pytest.raises(ContractViolation):
-        fill(state, Action(((1, 2),)))
-    with pytest.raises(ContractViolation):
-        fill(state, Action(((0, 1), (2, 0))))
-    with pytest.raises(ContractViolation):
-        fill(state, Action(((1, v.mask_id), (2, 0))))
+    # too few or too many tokens, and mask-token payloads, all refuse
+    with pytest.raises(ContractViolation, match="1 tokens for a mask set of 2"):
+        fill(state, (2,))
+    with pytest.raises(ContractViolation, match="3 tokens for a mask set of 2"):
+        fill(state, (2, 0, 1))
+    with pytest.raises(ContractViolation, match=f"token {v.mask_id} is not an ordinary"):
+        fill(state, (v.mask_id, 0))
 
 
 def test_fill_leaves_visible_positions_untouched():
@@ -97,11 +82,12 @@ def test_fill_leaves_visible_positions_untouched():
         if all(t != v.mask_id for t in toks):
             toks[0] = v.mask_id
         state = DiffusionState(MaskedSequence((0,), v), MaskedSequence(tuple(toks), v))
-        action = Action(tuple((p, int(rng.integers(0, 4))) for p in state.completion.mask_positions()))
+        mask = state.completion.mask_positions()
+        action = tuple(int(t) for t in rng.integers(0, 4, len(mask)))
         done = fill(state, action)
         for p in state.completion.visible_positions():
             assert done.tokens[p] == state.completion.tokens[p]
-        for p, t in action.assignments:
+        for p, t in zip(mask, action):
             assert done.tokens[p] == t
 
 
@@ -110,12 +96,7 @@ def test_enumerate_actions_is_lexicographic_and_complete():
     state = DiffusionState(MaskedSequence((0,), v), MaskedSequence.masked(2, v))
     actions = list(enumerate_actions(state))
     assert len(actions) == 4
-    assert [a.to_dict() for a in actions] == [
-        {0: 0, 1: 0},
-        {0: 0, 1: 1},
-        {0: 1, 1: 0},
-        {0: 1, 1: 1},
-    ]
+    assert actions == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_actions_refuses_large_spaces():

@@ -8,11 +8,10 @@ import pytest
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
 from dispo.policy import LinearArch, MlpArch, action_logprob, init_params
-from dispo.sequences import Action, DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    completion_action,
     draw_patterns,
     full_mask_state,
     group_features,
@@ -51,9 +50,10 @@ def test_config_validation():
 def test_zero_law_draws_nothing_from_the_generator():
     rng = stream(1, "zero-law")
     before = rng.bit_generator.state
-    masks = draw_patterns(4, SurrogateConfig(n_mc=3, ratio_law="zero"), rng)
-    assert masks.dtype == bool and masks.shape == (3, 4) and not masks.any()
-    assert rng.bit_generator.state == before
+    for law in ("zero", 0.0, 0):  # a fixed ratio of 0 turns corruption off too
+        masks = draw_patterns(4, SurrogateConfig(n_mc=3, ratio_law=law), rng)
+        assert masks.dtype == bool and masks.shape == (3, 4) and not masks.any()
+        assert rng.bit_generator.state == before
 
 
 def test_fixed_ratio_extremes():
@@ -67,7 +67,7 @@ def test_uniform_policy_sequence_value():
     completion = MaskedSequence((0, 1, 2), VOCAB)
     cfg = SurrogateConfig(n_mc=3, ratio_law="uniform")
     lp = state_surrogate_logprob(
-        params, full_mask_state(PROMPT, 3), completion_action(completion), cfg, stream(4, "uni")
+        params, full_mask_state(PROMPT, 3), completion.tokens, cfg, stream(4, "uni")
     )
     assert lp == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
 
@@ -75,7 +75,7 @@ def test_uniform_policy_sequence_value():
 def test_corruption_off_equals_action_logprob():
     params = init_params(ARCH, stream(5, "p"), scale=0.6)
     state = mid_state()
-    action = Action(((0, 2), (2, 0)))
+    action = (2, 0)
     surr = state_surrogate_logprob(params, state, action, OFF, stream(5, "unused"))
     exact, _ = action_logprob(params, state, action)
     assert surr == exact
@@ -86,7 +86,7 @@ def test_gradient_matches_finite_differences(scope):
     arch = MlpArch(VOCAB, prompt_len=4, completion_len=3, window=1, hidden=5)
     params = init_params(arch, stream(7, "p", scope), scale=0.5)
     state = mid_state()
-    action = Action(((0, 1), (2, 2)))
+    action = (1, 2)
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     grad = state_surrogate_grad(params, state, action, cfg, stream(7, "pat", scope), scope=scope)
     h = 1e-5
@@ -109,7 +109,7 @@ def test_gradient_matches_finite_differences(scope):
 def test_shared_patterns_make_ratio_exactly_one():
     params = init_params(ARCH, stream(8, "p"), scale=0.7)
     state = mid_state()
-    action = Action(((0, 0), (2, 1)))
+    action = (0, 1)
     cfg = SurrogateConfig(n_mc=3, ratio_law="uniform")
     lp_new = state_surrogate_logprob(params, state, action, cfg, stream(8, "pat"))
     lp_old = state_surrogate_logprob(params, state, action, cfg, stream(8, "pat"))
@@ -123,7 +123,7 @@ def test_pattern_average_is_consistent():
     completion = MaskedSequence((1, 2, 0), VOCAB)
     cfg = SurrogateConfig(n_mc=256, ratio_law="uniform")
     state = full_mask_state(PROMPT, 3)
-    positions, targets = scoring_targets(state, completion_action(completion))
+    positions, targets = scoring_targets(state, completion.tokens)
 
     def per_pattern(rng):
         (feats,) = group_features(ARCH, [state], cfg, [rng])["action"]
@@ -139,7 +139,7 @@ def test_pattern_average_is_consistent():
 def test_forward_counters_by_kind():
     params = init_params(ARCH, stream(10, "p"), scale=0.3)
     state = mid_state()
-    action = Action(((0, 1), (2, 1)))
+    action = (1, 1)
     cfg = SurrogateConfig(n_mc=5, ratio_law="uniform")
     counters = OpCounters()
     state_surrogate_logprob(params, state, action, cfg, stream(10, "a"), counters=counters)
@@ -147,7 +147,7 @@ def test_forward_counters_by_kind():
     assert counters.surrogate_terminal_calls == 0
     completion = MaskedSequence((0, 0, 2), VOCAB)
     state_surrogate_grad(
-        params, full_mask_state(PROMPT, 3), completion_action(completion), cfg, stream(10, "b"),
+        params, full_mask_state(PROMPT, 3), completion.tokens, cfg, stream(10, "b"),
         counters=counters, kind="terminal",
     )
     assert counters.surrogate_terminal_calls == 5
@@ -160,22 +160,23 @@ def test_forward_counters_by_kind():
 
 def test_scoring_targets_scopes():
     state = mid_state()
-    action = Action(((0, 2), (2, 0)))
+    action = (2, 0)
     pos, targ = scoring_targets(state, action, "action")
     assert pos == (0, 2) and targ == (2, 0)
     pos, targ = scoring_targets(state, action, "all")
     assert pos == (0, 1, 2) and targ == (2, 1, 0)
     with pytest.raises(ContractViolation):
         scoring_targets(state, action, "some")
-    with pytest.raises(ContractViolation):
-        scoring_targets(state, Action(((0, 2),)), "action")
+    for scope in ("action", "all"):
+        with pytest.raises(ContractViolation, match="1 tokens for a mask set of 2"):
+            scoring_targets(state, (2,), scope)
+        with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
+            scoring_targets(state, (2, VOCAB.mask_id), scope)
 
 
 def test_needs_patterns_or_generator():
     params = init_params(ARCH)
     state = mid_state()
-    action = Action(((0, 0), (2, 0)))
+    action = (0, 0)
     with pytest.raises(ContractViolation):
         state_surrogate_logprob(params, state, action, SurrogateConfig())
-    with pytest.raises(ContractViolation):
-        completion_action(MaskedSequence((0, VOCAB.mask_id, 1), VOCAB))

@@ -18,8 +18,6 @@ from dispo.tasks import (
     SudokuInstance,
     count_solutions,
     first_violation_time,
-    generate_countdown,
-    generate_sudoku,
     load_instances,
     make_task,
     parse_postfix,
@@ -84,14 +82,14 @@ def test_first_violation_time_hand_trajectory():
 
 def test_generated_sudoku_is_unique_and_consistent():
     rng = stream(1, "sudoku")
-    inst = generate_sudoku(rng, n_empty=6)
+    inst = SudokuInstance.generate(rng, n_empty=6)
     assert len(inst.empty_cells()) == 6
     assert count_solutions(inst.grid) == 1
     assert sudoku_valid_solution(inst.solution)
-    again = generate_sudoku(stream(1, "sudoku"), n_empty=6)
+    again = SudokuInstance.generate(stream(1, "sudoku"), n_empty=6)
     assert again == inst
     with pytest.raises(ConfigurationError):
-        generate_sudoku(rng, n_empty=0)
+        SudokuInstance.generate(rng, n_empty=0)
 
 
 def test_countdown_rewards():
@@ -145,10 +143,10 @@ def all_full_postfix_values(numbers):
 
 def test_generated_countdown_is_solvable():
     for i in range(5):
-        inst = generate_countdown(stream(2, "countdown", i), n_numbers=3)
+        inst = CountdownInstance.generate(stream(2, "countdown", i), n_numbers=3)
         assert inst.target in all_full_postfix_values(inst.numbers)
-    a = generate_countdown(stream(3, "det"), n_numbers=4)
-    b = generate_countdown(stream(3, "det"), n_numbers=4)
+    a = CountdownInstance.generate(stream(3, "det"), n_numbers=4)
+    b = CountdownInstance.generate(stream(3, "det"), n_numbers=4)
     assert a == b
 
 
@@ -173,6 +171,8 @@ def test_make_task_shapes():
         make_task("chess", stream(4, "mk"))
     with pytest.raises(ConfigurationError):
         make_task("sudoku", stream(4, "mk"), 0)
+    with pytest.raises(ConfigurationError, match="task 'sudoku' with params .*target_len"):
+        make_task("sudoku", stream(4, "mk"), 2, target_len=5)
 
 
 def test_make_task_is_seed_deterministic():
@@ -198,4 +198,4 @@ def test_instances_round_trip_through_json(name, tmp_path):
 def test_reward_fn_dispatch():
     inst = StringMatchInstance((0, 1), vocab_size=4)
     fn = RewardFn(inst)
-    assert fn(None, (0, 1)) == 1.0
+    assert fn((0, 1)) == 1.0

@@ -14,7 +14,6 @@ from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_act
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
-    completion_action,
     draw_patterns,
     state_surrogate_logprob,
 )
@@ -133,7 +132,7 @@ def test_weighted_states_validation():
 def test_exact_gradient_vanishes_for_constant_reward():
     problem, params = build_oracle_problem()
     grad = exact_step_gradient(
-        params, problem.step_states[1], lambda p, c: 1.0, problem.surrogate
+        params, problem.step_states[1], lambda c: 1.0, problem.surrogate
     )
     assert np.max(np.abs(grad)) < 1e-10
 
@@ -142,7 +141,7 @@ def test_exact_gradient_is_shift_invariant():
     problem, params = build_oracle_problem()
     weighted = problem.step_states[2]
     base = exact_step_gradient(params, weighted, problem.reward, problem.surrogate)
-    shifted_fn = lambda p, c: problem.reward(p, c) + 3.7
+    shifted_fn = lambda c: problem.reward(c) + 3.7
     shifted = exact_step_gradient(params, weighted, shifted_fn, problem.surrogate)
     assert np.allclose(base, shifted, atol=1e-10)
 
@@ -157,7 +156,7 @@ def test_exact_gradient_matches_finite_differences():
         for state, w in zip(weighted.states, weighted.weights):
             for action in enumerate_actions(state):
                 lp = state_surrogate_logprob(p, state, action, problem.surrogate)
-                r = problem.reward(state.prompt, fill(state, action))
+                r = problem.reward(fill(state, action))
                 total += w * math.exp(lp) * r
         return total
 
@@ -371,7 +370,7 @@ def test_prop1_edges():
 def test_prop2_zero_advantage_is_degenerate():
     problem, params = build_oracle_problem()
     report = prop2_check(
-        params, problem.terminal_state(), lambda p, c: 0.5, problem.surrogate,
+        params, problem.terminal_state(), lambda c: 0.5, problem.surrogate,
         group_sizes=(1, 2), n_samples=200, seed=13,
     )
     assert report.passed
