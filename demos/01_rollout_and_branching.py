@@ -51,7 +51,8 @@ def main() -> None:
     state = traj.state_at(t_branch)
     print(f"\nbranching at step {t_branch}, state {show(state.completion)}:")
     mask = state.completion.mask_positions()
-    for action, completed in branch(traj, t_branch, 4, stream(args.seed, "demo-branch")):
+    ctx = traj.cache_at(t_branch)  # the rows the rollout computed at this state
+    for action, completed in branch(state, ctx, 4, stream(args.seed, "demo-branch")):
         reward = inst.reward(completed)
         print(f"  action {dict(zip(mask, action))} -> {show(completed)}   reward {reward:.3f}")
     print(f"rollout forward passes after branching: {counters.rollout_forward_passes} (unchanged)")

@@ -12,13 +12,12 @@ from .errors import ConfigurationError, ContractViolation, DivergenceError
 from .objective import (
     GroupOutcome,
     LossConfig,
+    SamplerConfig,
     StepGroup,
-    TimestepSampler,
     aggregate_step_loss,
     combined_loss,
     group_advantages,
     kl_penalty,
-    sample_timesteps,
     step_loss,
     terminal_loss,
 )
@@ -34,7 +33,7 @@ from .policy import (
     sample_action,
     save_policy,
 )
-from .rollout import Trajectory, UnmaskSchedule, branch, rollout, select_states
+from .rollout import Trajectory, UnmaskSchedule, branch, rollout
 from .sequences import (
     DiffusionState,
     MaskedSequence,
@@ -54,7 +53,6 @@ from .trainer import (
     OptimizerConfig,
     PolicyConfig,
     RunConfig,
-    SamplerConfig,
     TrainResult,
     config_from_dict,
     count_ops,
@@ -101,7 +99,6 @@ __all__ = [
     "StepGroup",
     "SurrogateConfig",
     "Task",
-    "TimestepSampler",
     "TrainResult",
     "Trajectory",
     "UnmaskSchedule",
@@ -135,9 +132,7 @@ __all__ = [
     "prop2_check",
     "rollout",
     "sample_action",
-    "sample_timesteps",
     "save_policy",
-    "select_states",
     "state_surrogate_grad",
     "state_surrogate_logprob",
     "step_loss",

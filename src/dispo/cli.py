@@ -141,6 +141,8 @@ def _at_least_two(flag: str, value: int) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     reports = list(battery(_at_least_two("--samples", args.samples), args.seed))
     for report in reports:
         print(_report_line(report))

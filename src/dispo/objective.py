@@ -24,8 +24,9 @@ that block, so the ratio is exactly 1 at equal parameters and the
 per-pattern forward grids are shared across group members.
 
 Also here: exact categorical KL penalties against a frozen reference
-policy, the weighted combination of the loss families, and the timestep
-sampling laws used to pick which intermediate states get step groups.
+policy, the weighted combination of the loss families, and
+``SamplerConfig``, the run config's timestep law, whose ``sample`` picks
+which intermediate states get step groups.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def combined_loss(
 
 
 @dataclass(frozen=True)
-class TimestepSampler:
+class SamplerConfig:
     """Distribution over step indices 1..n_steps used to select step states.
 
     Laws: "uniform"; "poly_late" with weight (t/T)^degree (mass near the
@@ -394,35 +395,30 @@ class TimestepSampler:
     ((T+1-t)/T)^degree (mass near the fully masked start).
     """
 
-    law: str
-    n_steps: int
+    law: str = "poly_late"
     degree: int = 4
 
     def __post_init__(self) -> None:
         if self.law not in ("uniform", "poly_late", "poly_early"):
             raise ConfigurationError(f"unknown timestep law {self.law!r}")
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
         if self.degree < 0:
             raise ConfigurationError("degree must be >= 0")
 
-    def weights(self) -> np.ndarray:
-        t = np.arange(1, self.n_steps + 1, dtype=np.float64)
+    def weights(self, n_steps: int) -> np.ndarray:
+        if n_steps < 1:
+            raise ConfigurationError("n_steps must be >= 1")
+        t = np.arange(1, n_steps + 1, dtype=np.float64)
         if self.law == "uniform":
             w = np.ones_like(t)
         elif self.law == "poly_late":
-            w = (t / self.n_steps) ** self.degree
+            w = (t / n_steps) ** self.degree
         else:
-            w = ((self.n_steps + 1 - t) / self.n_steps) ** self.degree
+            w = ((n_steps + 1 - t) / n_steps) ** self.degree
         return w / w.sum()
 
-
-def sample_timesteps(
-    sampler: TimestepSampler, n: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Draw ``n`` i.i.d. step indices in 1..n_steps from the sampler's law."""
-    if n < 0:
-        raise ContractViolation("n must be >= 0")
-    w = sampler.weights()
-    draws = rng.choice(sampler.n_steps, size=n, p=w)
-    return tuple(int(d) + 1 for d in draws)
+    def sample(self, n_steps: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
+        """Draw ``n`` i.i.d. step indices in 1..n_steps from the law."""
+        if n < 0:
+            raise ContractViolation("n must be >= 0")
+        draws = rng.choice(n_steps, size=n, p=self.weights(n_steps))
+        return tuple(int(d) + 1 for d in draws)

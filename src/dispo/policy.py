@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, read_json
 from .sequences import Action, DiffusionState, Vocab, check_action
 
 
@@ -432,11 +432,14 @@ def save_policy(params: PolicyParams, path: str | Path, extra: dict | None = Non
 
 def load_policy(path: str | Path) -> PolicyParams:
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
+    sidecar = read_json(path.with_suffix(".json"))
     if sidecar.get("format") != "policy-f64-v1":
         raise ConfigurationError(f"unrecognized checkpoint format in {path.with_suffix('.json')}")
     arch = arch_from_descriptor(sidecar["arch"])
-    theta = np.fromfile(path, dtype=np.float64)
+    try:
+        theta = np.fromfile(path, dtype=np.float64)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
     if theta.size != sidecar["dim"] or theta.size != arch.num_params:
         raise ConfigurationError(
             f"checkpoint vector of size {theta.size} does not match sidecar dim {sidecar['dim']}"

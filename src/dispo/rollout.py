@@ -6,8 +6,8 @@ scheduled number of highest-confidence sampled tokens (confidence = the
 sampled token's probability; ties break to the lowest position, then the
 lowest token id).  The full logits grid of every visited state is cached,
 so groups of alternative continuations can later be drawn from the same
-state without re-running the policy: that is what ``branch`` does, and it
-performs zero forward passes by construction.
+state without re-running the policy: that is what ``branch`` does, given a
+state and its behavior rows, and it performs zero forward passes.
 
 Schedules must empty the completion in exactly the configured number of
 steps; an optional block size restricts commits to the left-most
@@ -182,30 +182,22 @@ def rollout(
 
 
 def branch(
-    traj: Trajectory, t: int, n_branches: int, rng: np.random.Generator
+    state: DiffusionState, ctx: RowsContext, n_branches: int, rng: np.random.Generator
 ) -> list[tuple[Action, MaskedSequence]]:
-    """Draw ``n_branches`` joint actions at step ``t`` from the cached logits.
+    """Draw ``n_branches`` joint actions at ``state`` from its behavior rows ``ctx``.
 
     Each action holds one token per position of the state's mask set and
     is completed deterministically, yielding alternative terminal
     sequences from the same state.  No policy forward passes happen here:
-    the behavior rows were cached by the rollout.
+    the rows are computed once by the caller, such as a rollout's cache
+    (``traj.state_at(t), traj.cache_at(t)``).
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
-    ctx = traj.cache_at(t)
-    state = traj.state_at(t)
+    if ctx.positions != state.completion.mask_positions():
+        raise ContractViolation("behavior rows must cover exactly the state's masked positions")
     out = []
     for _ in range(n_branches):
         action = sample_action(ctx, rng)
         out.append((action, fill(state, action)))
     return out
-
-
-def select_states(trajectories: list[Trajectory], timesteps: list[int]) -> list[tuple[int, int]]:
-    """Cartesian product of trajectory indices (1-based) and timesteps."""
-    for t in timesteps:
-        for traj in trajectories:
-            if not 1 <= t <= traj.n_steps:
-                raise ContractViolation(f"timestep {t} outside 1..{traj.n_steps}")
-    return [(k, t) for k in range(1, len(trajectories) + 1) for t in timesteps]

@@ -26,6 +26,7 @@ import os
 import shutil
 import tempfile
 import typing
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,14 +34,8 @@ import numpy as np
 
 from . import __version__
 from .counters import OpCounters
-from .errors import ConfigurationError, ContractViolation, DivergenceError
-from .objective import (
-    LossConfig,
-    StepGroup,
-    TimestepSampler,
-    combined_loss,
-    sample_timesteps,
-)
+from .errors import ConfigurationError, ContractViolation, DivergenceError, read_json
+from .objective import LossConfig, SamplerConfig, StepGroup, combined_loss
 from .policy import (
     Arch,
     LinearArch,
@@ -50,7 +45,7 @@ from .policy import (
     load_policy,
     save_policy,
 )
-from .rollout import UnmaskSchedule, branch, rollout, select_states
+from .rollout import UnmaskSchedule, branch, rollout
 from .streams import stream
 from .surrogate import SurrogateConfig
 from .tasks import TASKS, Task, first_violation_time, load_instances, make_task
@@ -88,15 +83,6 @@ class OptimizerConfig:
             raise ConfigurationError("lr must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigurationError("grad_clip must be positive when given")
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    law: str = "poly_late"
-    degree: int = 4
-
-    def __post_init__(self) -> None:
-        TimestepSampler(self.law, 1, self.degree)
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,9 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.n_branches < 1:
             raise ConfigurationError("n_branches must be >= 1")
-        if self.n_timesteps < 0:
-            raise ConfigurationError("n_timesteps must be >= 0")
+        for name in ("n_timesteps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         LossConfig(self.alpha_step, self.alpha_term, self.clip_eps, self.kl_beta, self.kl_on_step)
 
     def loss_config(self) -> LossConfig:
@@ -217,9 +204,13 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def build_task(config: RunConfig) -> Task:
+    """The task pool, generated from the seed unless ``instances_file`` fixes it:
+    then no other ``task_params`` key may join the file, and ``n_instances`` is not read."""
     params = dict(config.task_params)
     instances_file = params.pop("instances_file", None)
     if instances_file:
+        if params:
+            raise ConfigurationError(f"task_params {params} cannot join instances_file")
         task = load_instances(instances_file)
         if task.name != config.task:
             raise ConfigurationError(
@@ -426,12 +417,16 @@ def load_checkpoint(out_dir: str | Path):
     out = Path(out_dir)
     params = load_policy(out / "policy.bin")
     ref_params = load_policy(out / "reference.bin")
-    opt = np.load(out / "optimizer.npz")
-    state = json.loads((out / "train_state.json").read_text())
+    try:
+        with np.load(out / "optimizer.npz") as opt:
+            opt_state = OptState(opt["m"].copy(), opt["v"].copy(), int(opt["step"]))
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{out / 'optimizer.npz'}: {exc}") from exc
+    state = read_json(out / "train_state.json")
     return (
         params,
         ref_params,
-        OptState(opt["m"].copy(), opt["v"].copy(), int(opt["step"])),
+        opt_state,
         OpCounters(**state["counters"]),
         config_from_dict(state["config"]),
         int(state["next_update"]),
@@ -479,7 +474,6 @@ def train(
 
     loss_cfg = config.loss_config()
     surr_cfg = config.surrogate
-    sampler = TimestepSampler(config.sampler.law, config.n_denoising_steps, config.sampler.degree)
     metrics: list[dict] = []
 
     for u in range(first_update, config.n_updates + 1):
@@ -513,20 +507,22 @@ def train(
                 terminal_rewards.append(r)
 
             step_groups: list[StepGroup] = []
-            if config.alpha_step > 0 and config.n_timesteps > 0:
-                tsub = sample_timesteps(sampler, config.n_timesteps, stream(root, "tsub", u, b))
-                for k, t in select_states(trajs, list(tsub)):
-                    traj = trajs[k - 1]
-                    branches = branch(
-                        traj, t, config.n_branches, stream(root, "branch", u, b, k, t)
-                    )
-                    scored = []
-                    for action, completed in branches:
-                        r = inst.reward(completed)
-                        counters.reward_evals += 1
-                        scored.append((action, r))
-                        step_rewards.append(r)
-                    step_groups.append(StepGroup(traj.state_at(t), tuple(scored)))
+            if config.alpha_step > 0:
+                tsub = config.sampler.sample(
+                    config.n_denoising_steps, config.n_timesteps, stream(root, "tsub", u, b)
+                )
+                z = config.n_branches
+                for k, traj in enumerate(trajs, start=1):
+                    for t in tsub:
+                        state = traj.state_at(t)
+                        rng = stream(root, "branch", u, b, k, t)
+                        scored = []
+                        for action, completed in branch(state, traj.cache_at(t), z, rng):
+                            r = inst.reward(completed)
+                            counters.reward_evals += 1
+                            scored.append((action, r))
+                            step_rewards.append(r)
+                        step_groups.append(StepGroup(state, tuple(scored)))
 
             loss, grad, parts = combined_loss(
                 inst.prompt,

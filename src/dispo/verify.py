@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .objective import LossConfig, step_loss
-from .policy import PolicyParams, rows_context, sample_action
-from .rollout import UnmaskSchedule, rollout
+from .policy import PolicyParams, rows_context
+from .rollout import UnmaskSchedule, branch, rollout
 from .sequences import (
     Action,
     DiffusionState,
@@ -841,16 +841,15 @@ def trcov_protocol(
         for cond in conditions:
             z = cond.n_branches
             if z not in groups_by_size:
-                groups = []
-                for r in range(n_trials):
-                    rng = stream(seed, "trcov-group", i, r, z)
-                    members = []
-                    for _ in range(z):
-                        action = sample_action(behavior, rng)
-                        completed = fill(cand.state, action)
-                        members.append((action, cand.reward(completed)))
-                    groups.append(members)
-                groups_by_size[z] = groups
+                groups_by_size[z] = [
+                    [
+                        (action, cand.reward(completed))
+                        for action, completed in branch(
+                            cand.state, behavior, z, stream(seed, "trcov-group", i, r, z)
+                        )
+                    ]
+                    for r in range(n_trials)
+                ]
             ghats = np.zeros((n_trials, params.dim))
             any_positive = False
             for r, members in enumerate(groups_by_size[z]):

@@ -457,8 +457,10 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", no_forward)
     for t in (1, 2):
-        branch_mask = traj.state_at(t).completion.mask_positions()
-        for act, completed in branch(traj, t, 4, stream(1003, "invariant-branch", t)):
+        branch_state = traj.state_at(t)
+        branch_mask = branch_state.completion.mask_positions()
+        branch_rng = stream(1003, "invariant-branch", t)
+        for act, completed in branch(branch_state, traj.cache_at(t), 4, branch_rng):
             assert len(act) == len(branch_mask)
             assert tuple(completed.tokens[p] for p in branch_mask) == act
             assert completed.fully_visible()

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, output shape."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -170,7 +171,7 @@ def test_eval_runs_on_a_checkpoint_and_fresh_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy" in out and "mean reward" in out
     assert main(["eval", "--config", cfg]) == 0
-    assert main(["eval", "--run", str(tmp_path / "nowhere")]) == 1
+    assert main(["eval", "--run", str(tmp_path / "nowhere")]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,7 @@ BAD_SETTINGS = {
         "'n_empty': 'x'",
         RUN_COMMANDS[:4],
     ),
+    "negative-seed": ({}, ["--seed", "-1"], "seed must be >= 0", RUN_COMMANDS),
 }
 BAD_SETTING_RUNS = [
     pytest.param(command, *case[:3], id=f"{name}-{command}")
@@ -263,6 +265,65 @@ def test_bad_run_settings_exit_two_naming_the_cause_from_every_command(
     err = capsys.readouterr().err
     assert err.startswith("config error:") and cause in err
     assert not out.exists()
+
+
+def test_verify_rejects_a_negative_seed_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_past_32_bits_stay_valid(tmp_path, capsys):
+    argv = ["--config", write_config(tmp_path, TINY_TRAIN), "--seed", str(2**32)]
+    assert main(["count-ops", *argv]) == 0
+    assert main(["gen-data", *argv, "--out", str(tmp_path / "data")]) == 0
+
+
+# case: (file to damage, its new bytes or None to delete it, text naming the cause)
+CHECKPOINT_FAULTS = {
+    "missing-run": (None, None, "No such file"),
+    "missing-policy-vector": ("policy.bin", None, "No such file"),
+    "malformed-reference-sidecar": ("reference.json", b"{", "reference.json:1:"),
+    "truncated-optimizer-state": ("optimizer.npz", b"PK\x03\x04", "optimizer.npz"),
+    "malformed-train-state": ("train_state.json", b'{"next_update": ', "train_state.json:1:"),
+}
+
+
+@pytest.mark.parametrize("name, content, cause", CHECKPOINT_FAULTS.values(), ids=CHECKPOINT_FAULTS)
+def test_checkpoint_faults_exit_two_naming_the_file(
+    trained_run, tmp_path, capsys, name, content, cause
+):
+    run = tmp_path / "run"
+    if name is None:
+        name = "policy.json"  # the first file a checkpoint load reads
+    else:
+        shutil.copytree(trained_run, run)
+        if content is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_bytes(content)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(TINY_TRAIN, n_updates=5))
+    for argv in (
+        ["train", "--config", cfg, "--out", str(out), "--resume", str(run)],
+        ["eval", "--run", str(run)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(run / name) in err and cause in err
+    assert not out.exists()
+
+
+def test_task_params_beside_an_instances_file_exit_two_naming_each_key(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", write_config(tmp_path, TINY_TRAIN), "--out", str(data)]) == 0
+    params = {"instances_file": str(data / "instances.json"), "bogus": 1, "target_len": 4}
+    cfg = write_config(tmp_path, {**TINY_TRAIN, "task_params": params}, "from-file.json")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus': 1" in err and "'target_len': 4" in err and "instances_file" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_gen_data_writes_a_loadable_pool(tmp_path, capsys):

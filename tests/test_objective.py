@@ -7,13 +7,12 @@ from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
 from dispo.objective import (
     LossConfig,
+    SamplerConfig,
     StepGroup,
-    TimestepSampler,
     clipped_objective,
     combined_loss,
     group_advantages,
     kl_penalty,
-    sample_timesteps,
     step_loss,
     terminal_loss,
 )
@@ -231,22 +230,26 @@ def test_corruption_without_a_generator_is_a_named_error(law):
 
 
 def test_poly_late_weights():
-    w = TimestepSampler("poly_late", 4, degree=4).weights()
+    w = SamplerConfig("poly_late", degree=4).weights(4)
     assert np.allclose(w, np.array([1.0, 16.0, 81.0, 256.0]) / 354.0, atol=1e-15)
-    w = TimestepSampler("poly_early", 4, degree=4).weights()
+    w = SamplerConfig("poly_early", degree=4).weights(4)
     assert np.allclose(w, np.array([256.0, 81.0, 16.0, 1.0]) / 354.0, atol=1e-15)
-    w = TimestepSampler("uniform", 4).weights()
+    w = SamplerConfig("uniform").weights(4)
     assert np.allclose(w, 0.25, atol=1e-15)
     with pytest.raises(ConfigurationError):
-        TimestepSampler("linear", 4)
+        SamplerConfig("linear")
+    with pytest.raises(ConfigurationError, match="n_steps must be >= 1"):
+        SamplerConfig().weights(0)
 
 
-def test_sample_timesteps_follows_the_law():
-    sampler = TimestepSampler("poly_late", 4, degree=4)
-    draws = sample_timesteps(sampler, 20_000, stream(9, "draws"))
+def test_sampler_draws_follow_the_law():
+    sampler = SamplerConfig("poly_late", degree=4)
+    draws = sampler.sample(4, 20_000, stream(9, "draws"))
     assert set(draws) <= {1, 2, 3, 4}
     freq = np.bincount(np.array(draws) - 1, minlength=4) / len(draws)
-    w = sampler.weights()
+    w = sampler.weights(4)
     sigma = np.sqrt(w * (1 - w) / len(draws))
     assert np.all(np.abs(freq - w) <= 4 * sigma + 1e-9)
-    assert sample_timesteps(sampler, 0, stream(9, "none")) == ()
+    assert sampler.sample(4, 0, stream(9, "none")) == ()
+    with pytest.raises(ContractViolation, match="n must be >= 0"):
+        sampler.sample(4, -1, stream(9, "none"))

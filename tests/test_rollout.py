@@ -9,7 +9,7 @@ rollout_mod = importlib.import_module("dispo.rollout")
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
 from dispo.policy import LinearArch, greedy_action, init_params, rows_context, softmax
-from dispo.rollout import UnmaskSchedule, branch, rollout, select_states
+from dispo.rollout import UnmaskSchedule, branch, rollout
 from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
 
@@ -135,9 +135,9 @@ def test_branch_runs_no_forward_passes(monkeypatch):
         raise AssertionError("branch must not run the policy")
 
     monkeypatch.setattr(rollout_mod, "rows_context", boom)
-    pairs = branch(traj, 1, 5, stream(7, "branch"))
-    assert len(pairs) == 5
     state = traj.state_at(1)
+    pairs = branch(state, traj.cache_at(1), 5, stream(7, "branch"))
+    assert len(pairs) == 5
     for action, completion in pairs:
         assert len(action) == len(state.mask())
         assert tuple(completion.tokens[p] for p in state.mask()) == action
@@ -149,13 +149,28 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 def test_branch_is_reproducible():
     params = random_params(8)
     traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(8, "roll")])[0]
-    a = branch(traj, 2, 3, stream(8, "branch"))
-    b = branch(traj, 2, 3, stream(8, "branch"))
+    a = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
+    b = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
     assert [x[0] for x in a] == [x[0] for x in b]
     with pytest.raises(ContractViolation):
-        branch(traj, 3, 2, stream(8, "x"))  # no cache at the terminal state
+        traj.cache_at(3)  # no cache at the terminal state
     with pytest.raises(ContractViolation):
-        branch(traj, 1, 0, stream(8, "x"))
+        branch(traj.state_at(1), traj.cache_at(1), 0, stream(8, "x"))
+
+
+def test_branch_rejects_rows_of_another_mask_set():
+    params = random_params(13)
+    traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(13, "roll")])[0]
+    # step 2's rows cover two positions, step 1's state masks all four
+    with pytest.raises(ContractViolation, match="masked positions"):
+        branch(traj.state_at(1), traj.cache_at(2), 2, stream(13, "x"))
+    with pytest.raises(ContractViolation, match="masked positions"):
+        branch(traj.state_at(2), traj.cache_at(1), 2, stream(13, "x"))
+    # rows of the right size, but for other positions or in another order
+    state = traj.state_at(2)
+    for positions in (state.completion.visible_positions(), state.mask()[::-1]):
+        with pytest.raises(ContractViolation, match="masked positions"):
+            branch(state, rows_context(params, state, positions), 2, stream(13, "x"))
 
 
 def test_state_index_bounds():
@@ -177,11 +192,3 @@ def test_rollout_is_seed_deterministic():
     g = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(11, "unused")], greedy=True)[0]
     h = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(12, "unused")], greedy=True)[0]
     assert g.events == h.events
-
-
-def test_select_states_is_trajectory_major():
-    params = random_params(13)
-    trajs = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(13, "roll", k) for k in range(3)])
-    assert select_states(trajs, [1, 2]) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
-    with pytest.raises(ContractViolation):
-        select_states(trajs, [3])

@@ -1,5 +1,7 @@
 """Training loop, optimizer, budget predictions, checkpoints, evaluation."""
 
+import importlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from dispo.trainer import (
     OptState,
     PolicyConfig,
     RunConfig,
+    SamplerConfig,
     build_schedule,
     build_task,
     clip_gradient,
@@ -251,6 +254,51 @@ def test_counters_match_predictions_exactly():
     assert off.counters.optimizer_steps == result.counters.optimizer_steps
     assert off.counters.surrogate_step_calls == 0
     assert off.counters.as_dict() == predict_run_totals(replace(cfg, alpha_step=0.0)).as_dict()
+
+
+def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
+    """Per prompt: trajectory k = 1..K in order, each at every sampled step t,
+    branching from ``traj.state_at(t), traj.cache_at(t)`` with the generator
+    ``stream(seed, "branch", u, b, k, t)``."""
+    trainer = importlib.import_module("dispo.trainer")
+    real_rollout, real_sample = trainer.rollout, SamplerConfig.sample
+    real_stream, real_branch = trainer.stream, trainer.branch
+    rollouts, samples, streams, calls = [], [], [], []
+
+    def spy_rollout(*args, **kwargs):
+        rollouts.append(real_rollout(*args, **kwargs))
+        return rollouts[-1]
+
+    def spy_sample(self, *args):
+        samples.append(real_sample(self, *args))
+        return samples[-1]
+
+    def spy_stream(root, label, *path):
+        rng = real_stream(root, label, *path)
+        if label == "branch":
+            streams.append(((root, *path), rng))
+        return rng
+
+    def spy_branch(state, ctx, n_branches, rng):
+        calls.append((state, ctx, n_branches, rng))
+        return real_branch(state, ctx, n_branches, rng)
+
+    monkeypatch.setattr(trainer, "rollout", spy_rollout)
+    monkeypatch.setattr(SamplerConfig, "sample", spy_sample)
+    monkeypatch.setattr(trainer, "stream", spy_stream)
+    monkeypatch.setattr(trainer, "branch", spy_branch)
+    cfg = tiny_config(n_updates=2, batch_size=2, n_rollouts=3, n_timesteps=2)
+    train(cfg)
+    expected = [
+        ((cfg.seed, u, b, k, t), trajs[k - 1], t)
+        for (u, b), trajs, tsub in zip(itertools.product((1, 2), (0, 1)), rollouts, samples)
+        for k in range(1, 4)
+        for t in tsub
+    ]
+    assert len(calls) == len(streams) == len(expected) == 2 * 2 * 3 * 2
+    for (state, ctx, n, rng), (path, made), (want, traj, t) in zip(calls, streams, expected):
+        assert path == want and rng is made and n == cfg.n_branches
+        assert state is traj.state_at(t) and ctx is traj.cache_at(t)
 
 
 def test_metrics_rows_have_the_declared_columns():
