@@ -219,8 +219,8 @@ def _cmd_count_ops(args: argparse.Namespace) -> int:
     totals = predict_run_totals(config)
     k = config.n_rollouts
     t = config.n_denoising_steps
-    s = k * config.n_timesteps if config.alpha_step > 0 else 0
     nm = config.surrogate.n_mc
+    s = per_prompt.surrogate_step_calls // (2 * nm)
     z = config.n_branches
     print(f"per prompt (K={k}, T={t}, |S|={s}, Z={z}, Nm={nm}):")
     print(f"  rollout_forward_passes   = K*T       = {k}*{t} = {per_prompt.rollout_forward_passes}")
@@ -232,7 +232,7 @@ def _cmd_count_ops(args: argparse.Namespace) -> int:
         f"  surrogate_step_calls     = 2*Nm*|S|  = 2*{nm}*{s} = {per_prompt.surrogate_step_calls}"
     )
     if per_prompt.surrogate_kl_calls:
-        print(f"  surrogate_kl_calls       = {per_prompt.surrogate_kl_calls}")
+        print(f"  surrogate_kl_calls       = 2*Nm      = 2*{nm} = {per_prompt.surrogate_kl_calls}")
     print(f"run totals ({config.n_updates} updates x {config.batch_size} prompts):")
     for name, value in totals.as_dict().items():
         print(f"  {name} = {value}")

@@ -69,11 +69,12 @@ def group_advantages(rewards: Sequence[float]) -> GroupOutcome:
 
 @dataclass(frozen=True)
 class LossConfig:
+    """Loss weights and clip width; the KL term is taken at the fully masked state only."""
+
     alpha_step: float = 0.1
     alpha_term: float = 1.0
     clip_eps: float | None = 0.2
     kl_beta: float = 0.0
-    kl_on_step: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha_step < 0 or self.alpha_term < 0:
@@ -127,7 +128,7 @@ def _group_loss_and_grad(
     n_mc = len(ctx_new) // n_sets
     # each member's own pattern set: its own one, or the group's single set
     own = (np.arange(n), np.arange(n) if per_member_sets else np.zeros(n, dtype=np.intp))
-    lp = logprob_from_contexts(ctx_new + ctx_old, positions, targets)
+    lp = logprob_from_contexts(ctx_new + ctx_old, targets)
     lp = lp.reshape(n, 2, n_sets, n_mc)[own[0], :, own[1]]
     lp_new, lp_old = lp.sum(axis=-1).T / n_mc  # pattern means
 
@@ -151,7 +152,7 @@ def _group_loss_and_grad(
             continue
         for m in range(n_mc):
             ctx = ctx_new[s * n_mc + m]
-            dlogits = score_dlogits(ctx, positions, targets[users], coefs[users])
+            dlogits = score_dlogits(ctx, targets[users], coefs[users])
             for z, g in zip(users, backprop(params, ctx, dlogits)):
                 member_grads[z, m] = g
     grad = np.zeros(params.dim)
@@ -215,17 +216,16 @@ def aggregate_step_loss(
     rng: np.random.Generator | None = None,
     *,
     counters: OpCounters | None = None,
-    scope: str = "action",
 ) -> tuple[float, np.ndarray]:
-    """Sum of step losses over the selected states (order-stable).
+    """Sum of step losses over the selected states (order-stable), each scoring its action.
 
     Patterns are drawn group by group, in the order ``step_loss`` would
     draw them; the corrupted copies of every group are featurized together,
     one pass per mask-set size.
     """
     feats = group_features(
-        params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups), (scope,)
-    )[scope]
+        params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups)
+    )["action"]
     loss = 0.0
     grad = np.zeros(params.dim)
     for group, group_feats in zip(groups, feats):
@@ -238,7 +238,6 @@ def aggregate_step_loss(
             surr_cfg,
             rng,
             counters=counters,
-            scope=scope,
             feats=group_feats,
         )
         loss += l
@@ -340,8 +339,9 @@ def combined_loss(
 ) -> tuple[float, np.ndarray, dict]:
     """Weighted combination for one prompt: terminal + step + KL.
 
-    Skips any family whose weight is zero without consuming its forward
-    passes or random draws, so budget accounting holds exactly.  Returns
+    The KL term is taken at the prompt's fully masked state only.  Skips
+    any family whose weight is zero without consuming its forward passes
+    or random draws, so budget accounting holds exactly.  Returns
     the total, its gradient, and a parts dict (values and per-family
     gradients) for logging and linearity checks.
     """
@@ -361,11 +361,7 @@ def combined_loss(
     if loss_cfg.kl_beta > 0:
         if ref_params is None:
             raise ContractViolation("kl_beta > 0 requires reference parameters")
-        kl_states: list[DiffusionState] = []
-        if completions:
-            kl_states.append(full_mask_state(prompt, completions[0][0].length))
-        if loss_cfg.kl_on_step:
-            kl_states.extend(g.state for g in step_groups)
+        kl_states = [full_mask_state(prompt, completions[0][0].length)] if completions else []
         parts["kl"], grad_kl = kl_penalty(
             params, ref_params, kl_states, surr_cfg, rng, counters=counters
         )

@@ -62,7 +62,6 @@ class Arch:
         return {
             "kind": self.kind,
             "vocab_size": self.vocab.size,
-            "mask_id": self.vocab.mask_id,
             "prompt_len": self.prompt_len,
             "completion_len": self.completion_len,
             "window": self.window,
@@ -103,9 +102,8 @@ class MlpArch(Arch):
 
 
 def arch_from_descriptor(d: dict) -> Arch:
-    vocab = Vocab(int(d["vocab_size"]), int(d["mask_id"]))
     common = dict(
-        vocab=vocab,
+        vocab=Vocab(int(d["vocab_size"])),
         prompt_len=int(d["prompt_len"]),
         completion_len=int(d["completion_len"]),
         window=int(d["window"]),
@@ -187,9 +185,6 @@ class RowsContext:
         if self.rows.shape[0] != len(self.positions):
             raise ContractViolation("one row per position required")
 
-    def row_index(self, pos: int) -> int:
-        return self.positions.index(pos)
-
 
 def _check_state(arch: Arch, state: DiffusionState) -> None:
     if state.prompt.length != arch.prompt_len:
@@ -218,7 +213,7 @@ def _features(arch: Arch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarr
     state; ``positions`` is ``(N, P)``, the completion positions to
     featurize in each state.  Returns ``(N, P, feature_dim)``.
     """
-    v, mask_id = arch.vocab.size, arch.vocab.mask_id
+    v = arch.vocab.size
     lp, lc, w = arch.prompt_len, arch.completion_len, arch.window
     tokens = np.asarray(tokens)
     positions = np.asarray(positions, dtype=np.intp)
@@ -229,10 +224,10 @@ def _features(arch: Arch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarr
     if bad.size:
         raise ContractViolation(f"position {bad[0]} outside completion of length {lc}")
 
-    # token slots: ordinary tokens keep their id, the mask takes slot v,
-    # and window reads past either end land on the padding slot v + 1
+    # token slots: each token's id is its slot (the mask id is v), and
+    # window reads past either end land on the padding slot v + 1
     padded = np.full((n, lp + lc + 2 * w), v + 1, dtype=np.intp)
-    padded[:, w : w + lp + lc] = tokens if mask_id == v else np.where(tokens == mask_id, v, tokens)
+    padded[:, w : w + lp + lc] = tokens
     hist = np.bincount(
         (padded[:, w : w + lp] + (v + 1) * np.arange(n)[:, None]).ravel(), minlength=n * (v + 1)
     )
@@ -343,58 +338,36 @@ def action_logprob(
     return total, per_pos
 
 
-def grad_action_logprob(
-    params: PolicyParams,
-    state: DiffusionState,
-    action: Action,
-    positions: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Exact gradient of the action log-probability w.r.t. the flat params.
-
-    ``positions`` restricts the sum to a subset of the mask set (used for
-    masked-subset estimators); defaults to the full mask set.
-    """
+def grad_action_logprob(params: PolicyParams, state: DiffusionState, action: Action) -> np.ndarray:
+    """Exact gradient of the action log-probability w.r.t. the flat params."""
     check_action(state, action)
-    masked = state.completion.mask_positions()
-    if positions is None:
-        positions = masked
-    else:
-        positions = tuple(int(p) for p in positions)
-        if not set(positions) <= set(masked):
-            raise ContractViolation("positions must be a subset of the mask set")
-    token_at = dict(zip(masked, action))
     ctx = rows_context(params, state)
-    dlogits = score_dlogits(ctx, positions, tuple(token_at[p] for p in positions))
-    return backprop(params, ctx, dlogits)
+    return backprop(params, ctx, score_dlogits(ctx, action))
 
 
 def score_dlogits(
     ctx: RowsContext,
-    positions: tuple[int, ...],
     targets: np.ndarray | tuple[int, ...],
     coef: float | np.ndarray = 1.0,
 ) -> np.ndarray:
     """Logit gradient of ``coef`` times the summed log-probability of ``targets``.
 
-    Each scored row gets ``coef * (onehot(target) - probs)``; unscored
-    rows stay zero.  ``targets`` is one token per position, or a batch
-    ``(B, len(positions))`` with one ``coef`` per member, giving
-    ``(B, n, V)``.  Feed the result to ``backprop``.
+    ``targets`` holds one token per row of ``ctx``, in row order, and
+    every row gets ``coef * (onehot(target) - probs)``.  A batch
+    ``(B, n)`` of targets with one ``coef`` per member gives ``(B, n, V)``.
+    Feed the result to ``backprop``.
     """
     targets = np.asarray(targets, dtype=np.intp)
+    n = len(ctx.positions)
     probs = np.exp(ctx.logp)
-    if positions == ctx.positions:  # every row scored, in order
-        rows, scored = np.arange(len(positions)), slice(None)
-    else:
-        rows = scored = np.array([ctx.row_index(pos) for pos in positions], dtype=np.intp)
     dlogits = np.zeros(targets.shape[:-1] + ctx.rows.shape)
     if targets.ndim == 1:
-        dlogits[scored] -= coef * probs[scored]
-        dlogits[rows, targets] += coef
+        dlogits -= coef * probs
+        dlogits[np.arange(n), targets] += coef
     else:
         coef = np.asarray(coef, dtype=np.float64).reshape(-1, 1, 1)
-        dlogits[:, scored] -= coef * probs[scored]
-        dlogits[np.arange(len(targets))[:, None], rows, targets] += coef[:, :, 0]
+        dlogits -= coef * probs
+        dlogits[np.arange(len(targets))[:, None], np.arange(n), targets] += coef[:, :, 0]
     return dlogits
 
 
@@ -416,7 +389,7 @@ def greedy_action(ctx: RowsContext) -> Action:
     return tuple(np.argmax(ctx.rows, axis=1).tolist())
 
 
-def save_policy(params: PolicyParams, path: str | Path, extra: dict | None = None) -> None:
+def save_policy(params: PolicyParams, path: str | Path) -> None:
     """Write ``<path>`` (raw float64 vector) and ``<path stem>.json`` sidecar."""
     path = Path(path)
     params.theta.tofile(path)
@@ -425,23 +398,27 @@ def save_policy(params: PolicyParams, path: str | Path, extra: dict | None = Non
         "dim": params.dim,
         "arch": params.arch.descriptor(),
     }
-    if extra:
-        sidecar.update(extra)
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_policy(path: str | Path) -> PolicyParams:
     path = Path(path)
-    sidecar = read_json(path.with_suffix(".json"))
+    sidecar_path = path.with_suffix(".json")
+    sidecar = read_json(sidecar_path)
+    if not isinstance(sidecar, dict) or not isinstance(sidecar.get("arch"), dict):
+        raise ConfigurationError(f"{sidecar_path}: expected an object with an 'arch' object")
     if sidecar.get("format") != "policy-f64-v1":
-        raise ConfigurationError(f"unrecognized checkpoint format in {path.with_suffix('.json')}")
-    arch = arch_from_descriptor(sidecar["arch"])
+        raise ConfigurationError(f"unrecognized checkpoint format in {sidecar_path}")
+    try:
+        arch = arch_from_descriptor(sidecar["arch"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{sidecar_path}: bad 'arch' descriptor: {exc}") from exc
     try:
         theta = np.fromfile(path, dtype=np.float64)
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
-    if theta.size != sidecar["dim"] or theta.size != arch.num_params:
+    if theta.size != sidecar.get("dim") or theta.size != arch.num_params:
         raise ConfigurationError(
-            f"checkpoint vector of size {theta.size} does not match sidecar dim {sidecar['dim']}"
+            f"{path}: vector of size {theta.size} does not match sidecar dim {sidecar.get('dim')}"
         )
     return PolicyParams(theta, arch)

@@ -1,8 +1,8 @@
 """Token-sequence domain types.
 
 Vocabularies, masked sequences, denoising states, and the deterministic
-fill operation.  Token ids are dense non-negative integers; the mask uses
-the id one past the ordinary range by default.  A fill action is a plain
+fill operation.  Token ids are dense non-negative integers; the mask is
+the id one past the ordinary range.  A fill action is a plain
 tuple of tokens, one per masked position in position order.  All types
 here are immutable value objects, safe to share and to use as dict keys.
 """
@@ -18,22 +18,19 @@ from .errors import ContractViolation
 
 @dataclass(frozen=True)
 class Vocab:
-    """An ordinary-token range [0, size) plus a distinguished mask id."""
+    """An ordinary-token range [0, size); the mask id is ``size``, one past it."""
 
     size: int
-    mask_id: int = -1
     allowed: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 2:
             raise ContractViolation(f"vocab size must be >= 2, got {self.size}")
-        if self.mask_id == -1:
-            object.__setattr__(self, "mask_id", self.size)
-        if 0 <= self.mask_id < self.size:
-            raise ContractViolation(
-                f"mask id {self.mask_id} collides with the ordinary range [0, {self.size})"
-            )
-        object.__setattr__(self, "allowed", frozenset(range(self.size)) | {self.mask_id})
+        object.__setattr__(self, "allowed", frozenset(range(self.size + 1)))
+
+    @property
+    def mask_id(self) -> int:
+        return self.size
 
     def is_ordinary(self, token: int) -> bool:
         return 0 <= token < self.size

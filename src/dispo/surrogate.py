@@ -200,43 +200,32 @@ def pattern_contexts(
 
 
 def logprob_from_contexts(
-    contexts: list[RowsContext],
-    positions: tuple[int, ...],
-    targets: np.ndarray | tuple[int, ...],
+    contexts: list[RowsContext], targets: np.ndarray | tuple[int, ...]
 ) -> np.ndarray:
-    """Summed log-probabilities of ``targets`` at ``positions``, per context.
+    """Summed log-probabilities of ``targets``, one token per row, per context.
 
-    ``targets`` is ``(..., len(positions))``: one token tuple per member.
-    The result is ``(..., len(contexts))``; entry ``[z, m]`` scores member
-    ``z`` against context ``m``.  Positions add up in order, as a running
-    sum from zero.
+    The contexts share their positions.  ``targets`` is ``(..., n_rows)``:
+    one token tuple per member.  The result is ``(..., len(contexts))``;
+    entry ``[z, m]`` scores member ``z`` against context ``m``.  Rows add
+    up in order, as a running sum from zero.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    logp = np.stack(
-        [
-            ctx.logp
-            if ctx.positions == positions
-            else ctx.logp[[ctx.row_index(p) for p in positions]]
-            for ctx in contexts
-        ]
-    )
+    logp = np.stack([ctx.logp for ctx in contexts])
+    n = logp.shape[1]
     m = np.arange(len(contexts))[:, None]
-    picked = logp[m, np.arange(len(positions)), targets[..., None, :]]  # (..., contexts, positions)
-    if not positions:
+    picked = logp[m, np.arange(n), targets[..., None, :]]  # (..., contexts, rows)
+    if not n:
         return np.zeros(picked.shape[:-1])
     return np.cumsum(picked, axis=-1)[..., -1]
 
 
 def grad_from_contexts(
-    params: PolicyParams,
-    contexts: list[RowsContext],
-    positions: tuple[int, ...],
-    targets: np.ndarray | tuple[int, ...],
+    params: PolicyParams, contexts: list[RowsContext], targets: np.ndarray | tuple[int, ...]
 ) -> np.ndarray:
     """Gradient of the pattern-averaged log-probability, one per leading index of ``targets``."""
     grad = np.zeros(np.shape(targets)[:-1] + (params.dim,))
     for ctx in contexts:
-        grad += backprop(params, ctx, score_dlogits(ctx, positions, targets))
+        grad += backprop(params, ctx, score_dlogits(ctx, targets))
     return grad / len(contexts)
 
 
@@ -249,11 +238,10 @@ def _state_contexts(
     counters: OpCounters | None,
     scope: str,
     kind: str,
-) -> tuple[list[RowsContext], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[list[RowsContext], tuple[int, ...]]:
     positions, targets = scoring_targets(state, action, scope)
     (feats,) = group_features(params.arch, [state], cfg, [rng], (scope,))[scope]
-    ctxs = pattern_contexts(params, feats, positions, counters=counters, kind=kind)
-    return ctxs, positions, targets
+    return pattern_contexts(params, feats, positions, counters=counters, kind=kind), targets
 
 
 def state_surrogate_logprob(
@@ -268,10 +256,8 @@ def state_surrogate_logprob(
     kind: str = "step",
 ) -> float:
     """Surrogate log-likelihood of ``action`` at ``state`` (pattern average)."""
-    ctxs, positions, targets = _state_contexts(
-        params, state, action, cfg, rng, counters, scope, kind
-    )
-    return float(logprob_from_contexts(ctxs, positions, targets).mean())
+    ctxs, targets = _state_contexts(params, state, action, cfg, rng, counters, scope, kind)
+    return float(logprob_from_contexts(ctxs, targets).mean())
 
 
 def state_surrogate_grad(
@@ -286,7 +272,5 @@ def state_surrogate_grad(
     kind: str = "step",
 ) -> np.ndarray:
     """Gradient of ``state_surrogate_logprob`` w.r.t. the flat parameters."""
-    ctxs, positions, targets = _state_contexts(
-        params, state, action, cfg, rng, counters, scope, kind
-    )
-    return grad_from_contexts(params, ctxs, positions, targets)
+    ctxs, targets = _state_contexts(params, state, action, cfg, rng, counters, scope, kind)
+    return grad_from_contexts(params, ctxs, targets)

@@ -68,7 +68,6 @@ METRIC_COLUMNS = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    name: str = "adam"
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.99
@@ -77,8 +76,6 @@ class OptimizerConfig:
     grad_clip: float | None = 0.2
 
     def __post_init__(self) -> None:
-        if self.name not in ("adam", "sgd"):
-            raise ConfigurationError(f"unknown optimizer {self.name!r}")
         if self.lr <= 0:
             raise ConfigurationError("lr must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -116,7 +113,6 @@ class RunConfig:
     alpha_term: float = 1.0
     clip_eps: float | None = 0.2
     kl_beta: float = 0.01
-    kl_on_step: bool = False
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -134,12 +130,10 @@ class RunConfig:
         for name in ("n_timesteps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        LossConfig(self.alpha_step, self.alpha_term, self.clip_eps, self.kl_beta, self.kl_on_step)
+        self.loss_config()
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            self.alpha_step, self.alpha_term, self.clip_eps, self.kl_beta, self.kl_on_step
-        )
+        return LossConfig(self.alpha_step, self.alpha_term, self.clip_eps, self.kl_beta)
 
 
 _SECTION_TYPES = {
@@ -273,29 +267,24 @@ def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
 def update(
     params: PolicyParams, grad: np.ndarray, opt_state: OptState, cfg: OptimizerConfig
 ) -> tuple[PolicyParams, OptState]:
-    """One optimizer step (gradient clipping happens before the moments)."""
+    """One AdamW step (gradient clipping happens before the moments)."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.theta.shape:
         raise ContractViolation("gradient shape must match the parameter vector")
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
     g = clip_gradient(grad, cfg.grad_clip)
-    if cfg.name == "sgd":
-        theta = params.theta - cfg.lr * g
-        new_state = OptState(opt_state.m, opt_state.v, opt_state.step + 1)
-    else:
-        t = opt_state.step + 1
-        m = cfg.beta1 * opt_state.m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * opt_state.v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        theta = params.theta - cfg.lr * (
-            m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params.theta
-        )
-        new_state = OptState(m, v, t)
+    t = opt_state.step + 1
+    m = cfg.beta1 * opt_state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * opt_state.v + (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    theta = params.theta - cfg.lr * (
+        m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params.theta
+    )
     if not np.all(np.isfinite(theta)):
         raise DivergenceError("non-finite parameters after the update")
-    return params.replace_theta(theta), new_state
+    return params.replace_theta(theta), OptState(m, v, t)
 
 
 def count_ops(config: RunConfig) -> OpCounters:
@@ -303,16 +292,13 @@ def count_ops(config: RunConfig) -> OpCounters:
 
     Selected states per prompt: |S| = n_rollouts * n_timesteps when the
     step family is active, else 0.  Ratio evaluations count the current
-    and old policies; KL-reference passes (2 per pattern set: current and
-    reference) land in their own bucket.
+    and old policies; with ``kl_beta > 0`` the KL term's 2 * n_mc passes
+    (current and reference, at the fully masked state) get their own bucket.
     """
     k, t = config.n_rollouts, config.n_denoising_steps
     n_mc = config.surrogate.n_mc
     s = k * config.n_timesteps if config.alpha_step > 0 else 0
-    kl_calls = 0
-    if config.kl_beta > 0:
-        kl_states = 1 + (s if config.kl_on_step else 0)
-        kl_calls = 2 * n_mc * kl_states
+    kl_calls = 2 * n_mc if config.kl_beta > 0 else 0
     return OpCounters(
         rollout_forward_passes=k * t,
         optimizer_steps=config.n_updates,
@@ -356,6 +342,26 @@ def _write_metrics(path: Path, rows: list[dict]) -> None:
             writer.writerow([_format_metric(row[c]) for c in METRIC_COLUMNS])
 
 
+def _read_metrics(path: Path, n_updates: int) -> list[dict]:
+    """The rows ``_write_metrics`` wrote for updates 1..n_updates, checked to be exactly those."""
+    ints = {"update", *OpCounters().as_dict()}
+    try:
+        with path.open(newline="") as fh:
+            rows = [
+                {c: int(row[c]) if c in ints else float(row[c]) for c in METRIC_COLUMNS}
+                for row in csv.DictReader(fh)
+            ]
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ConfigurationError(f"{path}: unparsable metrics row: {exc}") from exc
+    if [row["update"] for row in rows] != list(range(1, n_updates + 1)):
+        raise ConfigurationError(
+            f"{path} holds {len(rows)} rows, not the rows of updates 1..{n_updates} in order"
+        )
+    return rows
+
+
 def content_hash(config: RunConfig) -> str:
     canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256((canonical + "|" + __version__).encode()).hexdigest()
@@ -383,8 +389,8 @@ def save_checkpoint(
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_policy(params, out / "policy.bin", extra={"seed": config.seed})
-    save_policy(ref_params, out / "reference.bin", extra={"seed": config.seed})
+    save_policy(params, out / "policy.bin")
+    save_policy(ref_params, out / "reference.bin")
     np.savez(out / "optimizer.npz", m=opt_state.m, v=opt_state.v, step=opt_state.step)
     state = {
         "next_update": next_update,
@@ -417,20 +423,34 @@ def load_checkpoint(out_dir: str | Path):
     out = Path(out_dir)
     params = load_policy(out / "policy.bin")
     ref_params = load_policy(out / "reference.bin")
+    opt_path = out / "optimizer.npz"
     try:
-        with np.load(out / "optimizer.npz") as opt:
+        with np.load(opt_path) as opt:
             opt_state = OptState(opt["m"].copy(), opt["v"].copy(), int(opt["step"]))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise ConfigurationError(f"{out / 'optimizer.npz'}: {exc}") from exc
-    state = read_json(out / "train_state.json")
-    return (
-        params,
-        ref_params,
-        opt_state,
-        OpCounters(**state["counters"]),
-        config_from_dict(state["config"]),
-        int(state["next_update"]),
-    )
+        raise ConfigurationError(f"{opt_path}: {exc}") from exc
+    if opt_state.m.shape != (params.dim,) or opt_state.v.shape != (params.dim,):
+        raise ConfigurationError(f"{opt_path}: m and v must hold the policy's {params.dim} values")
+    state_path = out / "train_state.json"
+    state = read_json(state_path)
+    names = set(OpCounters().as_dict())
+    counters = state.get("counters") if isinstance(state, dict) else None
+    if not (
+        isinstance(counters, dict)
+        and set(counters) == names
+        # JSON true and false parse as bools, which are not counts
+        and all(type(x) is int for x in [state.get("next_update"), *counters.values()])
+        and state["next_update"] >= 1
+    ):
+        raise ConfigurationError(
+            f"{state_path}: expected an int next_update >= 1 and counters "
+            f"holding exactly the ints {sorted(names)}"
+        )
+    try:
+        config = config_from_dict(state.get("config"))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{state_path}: {exc}") from exc
+    return params, ref_params, opt_state, OpCounters(**counters), config, state["next_update"]
 
 
 def train(
@@ -465,12 +485,14 @@ def train(
                 f"checkpoint already holds {first_update - 1} updates; "
                 f"n_updates={config.n_updates} must exceed that to resume"
             )
+        prior_rows = _read_metrics(Path(resume_from) / "metrics.csv", first_update - 1)
     else:
         params = init_policy(config, task)
         ref_params = params
         opt_state = OptState.fresh(params.dim)
         counters = OpCounters()
         first_update = 1
+        prior_rows = []
 
     loss_cfg = config.loss_config()
     surr_cfg = config.surrogate
@@ -564,20 +586,6 @@ def train(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        prior_rows: list[dict] = []
-        if resume_from is not None:
-            prior = Path(resume_from) / "metrics.csv"
-            if prior.exists():
-                with prior.open() as fh:
-                    reader = csv.DictReader(fh)
-                    for row in reader:
-                        if int(row["update"]) < first_update:
-                            prior_rows.append(
-                                {
-                                    c: (int(row[c]) if c == "update" or c in OpCounters().as_dict() else float(row[c]))
-                                    for c in METRIC_COLUMNS
-                                }
-                            )
         with _staged(out) as staging:
             _write_metrics(staging / "metrics.csv", prior_rows + metrics)
             save_checkpoint(

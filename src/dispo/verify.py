@@ -211,8 +211,8 @@ def build_state_tables(
     targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(positions))
     grids = [rows_context(params, state, positions)] * surr_cfg.n_mc  # corruption-free: one grid
     old_grids = [rows_context(old_params, state, positions)] * surr_cfg.n_mc
-    logp_new = logprob_from_contexts(grids, positions, targets).mean(axis=1)
-    logp_old = logprob_from_contexts(old_grids, positions, targets).mean(axis=1)
+    logp_new = logprob_from_contexts(grids, targets).mean(axis=1)
+    logp_old = logprob_from_contexts(old_grids, targets).mean(axis=1)
     probs, probs_old = np.exp(logp_new), np.exp(logp_old)
     for law, p in (("current", probs), ("behavior", probs_old)):
         if abs(float(p.sum()) - 1.0) > 1e-8:
@@ -223,7 +223,7 @@ def build_state_tables(
         probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
         ratios=np.exp(logp_new - logp_old),
         rewards=np.array([reward(fill(state, a)) for a in actions], dtype=np.float64),
-        grads=grad_from_contexts(params, grids, positions, targets),
+        grads=grad_from_contexts(params, grids, targets),
     )
 
 
@@ -430,7 +430,6 @@ def theorem1_check(
     old_params: PolicyParams | None = None,
     z_threshold: float = 4.0,
     rel_tol: float = 0.03,
-    name: str | None = None,
 ) -> GradientCheckReport:
     """Check E[-grad L_step] against ((Z-1)/Z) grad J_t on the oracle problem.
 
@@ -441,9 +440,8 @@ def theorem1_check(
     variance must match the target exactly.  It is the combined check at
     alpha_step=1, alpha_term=0, on its own stream.
     """
-    if name is None:
-        mode = "on-policy" if old_params is None else "off-policy"
-        name = f"step-gradient-identity Z={n_branches} {mode}"
+    mode = "on-policy" if old_params is None else "off-policy"
+    name = f"step-gradient-identity Z={n_branches} {mode}"
     return _identity_check(
         params, problem, stream(seed, "theorem1", n_branches), name, old_params,
         alpha_step=1.0, alpha_term=0.0, n_branches=n_branches, n_completions=1,

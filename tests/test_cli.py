@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, artifacts, output shape."""
 
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dispo.cli import main
 from dispo.tasks import load_instances
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 TINY_TRAIN = {
     "task": "stringmatch",
     "task_params": {"target_len": 4, "vocab_size": 3},
@@ -47,6 +52,12 @@ def test_count_ops_prints_the_formulas(tmp_path, capsys):
     assert "surrogate_terminal_calls = 2*Nm*K    = 2*2*6 = 24" in out
     assert "surrogate_step_calls     = 2*Nm*|S|  = 2*2*6 = 24" in out
     assert "run totals" in out
+    kl_payload = {"n_timesteps": 3, "surrogate": {"n_mc": 5}, "kl_beta": 0.01}
+    kl = write_config(tmp_path, kl_payload, "kl.json")
+    assert main(["count-ops", "--config", kl]) == 0
+    out = capsys.readouterr().out
+    assert "(K=4, T=4, |S|=12, Z=2, Nm=5)" in out
+    assert "surrogate_kl_calls       = 2*Nm      = 2*5 = 10" in out
 
 
 def test_bad_configs_exit_with_code_two(tmp_path, capsys):
@@ -118,7 +129,7 @@ def test_ill_typed_config_values_exit_two_before_any_run_directory(tmp_path, cap
     bad_values = (
         ("n_rollouts", 2.5),
         ("n_updates", True),
-        ("kl_on_step", 1),
+        ("sampler", {"degree": True}),
         ("surrogate", {"n_mc": 2.0}),
         ("optimizer", {"lr": "fast"}),
     )
@@ -132,25 +143,50 @@ def test_ill_typed_config_values_exit_two_before_any_run_directory(tmp_path, cap
     assert not root.exists()
 
 
-def test_share_patterns_is_an_unknown_key_in_configs_and_checkpoints(tmp_path, capsys):
-    # corruption patterns are always shared, so the key no longer exists
-    message = "unknown key 'share_patterns' in config section 'surrogate'"
-    payload = dict(TINY_TRAIN, surrogate={"n_mc": 1, "share_patterns": True})
-    cfg = write_config(tmp_path, payload, "shared.json")
+# case: (config section or None for the root, key, value, message): settings
+# that no longer exist, since patterns are always shared, the KL term sits at
+# the fully masked state only, and AdamW is the only optimizer
+DELETED_SETTINGS = {
+    "share-patterns": (
+        "surrogate", "share_patterns", True,
+        "unknown key 'share_patterns' in config section 'surrogate'",
+    ),
+    "kl-on-step": (None, "kl_on_step", True, "unknown config key 'kl_on_step'"),
+    "optimizer-name": (
+        "optimizer", "name", "adam", "unknown key 'name' in config section 'optimizer'"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message", DELETED_SETTINGS.values(), ids=DELETED_SETTINGS
+)
+def test_deleted_settings_are_unknown_keys_in_configs_and_checkpoints(
+    trained_run, tmp_path, capsys, section, key, value, message
+):
+    def with_key(config):
+        config = json.loads(json.dumps(config))
+        (config if section is None else config.setdefault(section, {}))[key] = value
+        return config
+
+    cfg = write_config(tmp_path, with_key(TINY_TRAIN), "deleted.json")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "fresh")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "fresh").exists()
     # a checkpoint whose train_state.json holds the key cannot be resumed
     run = tmp_path / "run"
-    assert main(["train", "--config", write_config(tmp_path, TINY_TRAIN), "--out", str(run)]) == 0
+    shutil.copytree(trained_run, run)
     state_file = run / "train_state.json"
     state = json.loads(state_file.read_text())
-    state["config"]["surrogate"]["share_patterns"] = True
-    state_file.write_text(json.dumps(state))
+    state_file.write_text(json.dumps(dict(state, config=with_key(state["config"]))))
     longer = write_config(tmp_path, dict(TINY_TRAIN, n_updates=4), "longer.json")
-    capsys.readouterr()
-    assert main(["train", "--config", longer, "--out", str(run), "--resume", str(run)]) == 2
-    assert message in capsys.readouterr().err
+    for argv in (
+        ["train", "--config", longer, "--out", str(run), "--resume", str(run)],
+        ["eval", "--run", str(run)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(state_file) in err and message in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -280,6 +316,12 @@ def test_seeds_past_32_bits_stay_valid(tmp_path, capsys):
     assert main(["gen-data", *argv, "--out", str(tmp_path / "data")]) == 0
 
 
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
 # case: (file to damage, its new bytes or None to delete it, text naming the cause)
 CHECKPOINT_FAULTS = {
     "missing-run": (None, None, "No such file"),
@@ -287,6 +329,14 @@ CHECKPOINT_FAULTS = {
     "malformed-reference-sidecar": ("reference.json", b"{", "reference.json:1:"),
     "truncated-optimizer-state": ("optimizer.npz", b"PK\x03\x04", "optimizer.npz"),
     "malformed-train-state": ("train_state.json", b'{"next_update": ', "train_state.json:1:"),
+    "train-state-without-counters": ("train_state.json", b'{"next_update": 3}', "counters"),
+    "train-state-unknown-counter": (
+        "train_state.json", b'{"next_update": 3, "counters": {"bogus": 1}}', "counters"
+    ),
+    "policy-sidecar-not-an-object": ("policy.json", b"[]", "'arch' object"),
+    "optimizer-moments-of-another-length": (
+        "optimizer.npz", _npz(m=np.zeros(2), v=np.zeros(2), step=3), "m and v"
+    ),
 }
 
 
@@ -313,6 +363,38 @@ def test_checkpoint_faults_exit_two_naming_the_file(
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(run / name) in err and cause in err
     assert not out.exists()
+
+
+# case: how the metrics.csv of a 3-update run is damaged, or None to delete it
+PRIOR_METRICS = {
+    "missing": None,
+    "unparsable": lambda text: "update,loss_term\n1,x\n",
+    "short": lambda text: "".join(text.splitlines(keepends=True)[:2]),  # header, update 1
+}
+
+
+@pytest.mark.parametrize("damage", PRIOR_METRICS.values(), ids=PRIOR_METRICS)
+def test_resume_without_the_prior_metrics_exits_two_before_any_update(
+    trained_run, tmp_path, capsys, monkeypatch, damage
+):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    metrics = run / "metrics.csv"
+    if damage is None:
+        metrics.unlink()
+    else:
+        metrics.write_text(damage(metrics.read_text()))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("a rollout ran")
+
+    monkeypatch.setattr("dispo.trainer.rollout", no_rollouts)
+    cfg = write_config(tmp_path, dict(TINY_TRAIN, n_updates=5))
+    assert main(["train", "--config", cfg, "--out", str(run), "--resume", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(metrics) in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_task_params_beside_an_instances_file_exit_two_naming_each_key(tmp_path, capsys):
@@ -441,10 +523,13 @@ def test_varmeasure_writes_a_variance_report(tmp_path, capsys):
 
 
 def test_module_entry_point_matches_the_console_script():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dispo.cli", "count-ops"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "per prompt" in proc.stdout

@@ -142,20 +142,6 @@ def test_gradient_matches_finite_differences(kind):
         assert np.linalg.norm(fd - grad) / denom < 1e-5
 
 
-def test_position_subset_gradients_add_up():
-    vocab = Vocab(3)
-    arch = MlpArch(vocab, prompt_len=2, completion_len=4, hidden=6)
-    rng = stream(8, "subset")
-    params = init_params(arch, rng, scale=0.4)
-    state = make_state(vocab, 2, 4, rng, n_masked=3)
-    action = random_action(state, rng)
-    full = grad_action_logprob(params, state, action)
-    parts = sum(grad_action_logprob(params, state, action, positions=(p,)) for p in state.mask())
-    assert np.allclose(parts, full, atol=1e-12)
-    with pytest.raises(ContractViolation):
-        grad_action_logprob(params, state, action, positions=(0, 1, 2, 3))
-
-
 def test_sampling_frequencies_match_probabilities():
     vocab = Vocab(3)
     arch = LinearArch(vocab, prompt_len=2, completion_len=2)
@@ -189,7 +175,7 @@ def test_save_load_round_trip(tmp_path):
     rng = stream(10, "io")
     params = init_params(arch, rng, scale=0.3)
     path = tmp_path / "policy.bin"
-    save_policy(params, path, extra={"note": "fixture"})
+    save_policy(params, path)
     loaded = load_policy(path)
     assert np.array_equal(loaded.theta, params.theta)
     assert loaded.arch == params.arch
@@ -197,7 +183,7 @@ def test_save_load_round_trip(tmp_path):
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_descriptor_round_trip(kind):
-    vocab = Vocab(3, mask_id=3)
+    vocab = Vocab(3)
     if kind == "linear":
         arch = LinearArch(vocab, prompt_len=2, completion_len=6, window=1)
     else:

@@ -14,18 +14,13 @@ from dispo.sequences import (
 from dispo.streams import stream
 
 
-def test_vocab_mask_id_defaults_to_size():
+def test_vocab_mask_id_is_size():
     v = Vocab(4)
     assert v.mask_id == 4
     assert v.is_ordinary(0) and v.is_ordinary(3)
     assert not v.is_ordinary(4)
-
-
-def test_vocab_rejects_tiny_or_overlapping_mask():
     with pytest.raises(ContractViolation):
         Vocab(1)
-    with pytest.raises(ContractViolation):
-        Vocab(4, mask_id=2)
 
 
 def test_masked_sequence_positions():

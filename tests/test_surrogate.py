@@ -128,7 +128,7 @@ def test_pattern_average_is_consistent():
     def per_pattern(rng):
         (feats,) = group_features(ARCH, [state], cfg, [rng])["action"]
         ctxs = pattern_contexts(params, feats, positions)
-        return logprob_from_contexts(ctxs, positions, targets)
+        return logprob_from_contexts(ctxs, targets)
 
     a = per_pattern(stream(9, "a"))
     b = per_pattern(stream(9, "b"))
