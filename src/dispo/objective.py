@@ -23,6 +23,12 @@ compared (current, old, reference) and every member of the group scores
 that block, so the ratio is exactly 1 at equal parameters and the
 per-pattern forward grids are shared across group members.
 
+One kernel, ``_group_loss_and_grad``, scores a list of groups: it stacks
+the groups of equal mask-set size and group size, so a prompt's step
+groups cost one gather, one ratio pass and one batch-axis backprop per
+stack.  ``aggregate_step_loss`` calls it once per prompt, and
+``step_loss`` and ``terminal_loss`` are its one-group calls.
+
 Also here: exact categorical KL penalties against a frozen reference
 policy, the weighted combination of the loss families, and
 ``SamplerConfig``, the run config's timestep law, whose ``sample`` picks
@@ -44,7 +50,6 @@ from .surrogate import (
     SurrogateConfig,
     full_mask_state,
     group_features,
-    logprob_from_contexts,
     pattern_contexts,
     scored_positions,
     scoring_targets,
@@ -97,69 +102,86 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
 def _group_loss_and_grad(
     params: PolicyParams,
     old_params: PolicyParams,
-    state: DiffusionState,
-    members: list[tuple[Action, float]],
+    groups: Sequence[tuple[DiffusionState, Sequence[tuple[Action, float]]]],
+    feats: Sequence[np.ndarray],
     loss_cfg: LossConfig,
-    feats: np.ndarray,
     *,
     counters: OpCounters | None,
     scope: str,
     kind: str,
     per_member_sets: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Shared machinery for the step and terminal losses.
+    """Summed clipped loss and gradient of ``groups``, the one kernel of both families.
 
-    ``feats`` is the group's ``group_features`` block, scored by both
-    policies.  With ``per_member_sets`` it holds one pattern set per
-    member (terminal convention: one set per rollout); otherwise one set
-    serves the whole group and the per-pattern grids are shared.  Every
-    member is scored against every grid in one gather, and each grid
-    backpropagates all of its members' logit gradients in one batch.
+    ``feats[g]`` is group ``g``'s ``group_features`` block; both policies
+    score it, one forward per corrupted copy.  With ``per_member_sets`` it
+    holds one pattern set per member (terminal convention: one set per
+    rollout); otherwise one set serves the whole group.  Groups of equal
+    mask-set size and group size are stacked: a stack makes one target
+    gather with running position sums, one ratio and advantage pass, one
+    ``score_dlogits`` and one batch-axis ``backprop`` over its active
+    members, and calls ``clipped_objective`` once per member.  A group's
+    loss adds up in member order and its gradient in member-then-pattern
+    order; the groups then add up in list order.
     """
-    n = len(members)
-    if n == 0:
-        raise ContractViolation("loss group must be non-empty")
-    outcome = group_advantages([r for _, r in members])
-    positions = scored_positions(state, scope)
-    targets = np.array([scoring_targets(state, a, scope)[1] for a, _ in members], dtype=np.intp)
-    n_sets = n if per_member_sets else 1
-    ctx_new = pattern_contexts(params, feats, positions, counters=counters, kind=kind)
-    ctx_old = pattern_contexts(old_params, feats, positions, counters=counters, kind=kind)
-    n_mc = len(ctx_new) // n_sets
-    # each member's own pattern set: its own one, or the group's single set
-    own = (np.arange(n), np.arange(n) if per_member_sets else np.zeros(n, dtype=np.intp))
-    lp = logprob_from_contexts(ctx_new + ctx_old, targets)
-    lp = lp.reshape(n, 2, n_sets, n_mc)[own[0], :, own[1]]
-    lp_new, lp_old = lp.sum(axis=-1).T / n_mc  # pattern means
+    targets, stacks = [], {}
+    for g, (state, members) in enumerate(groups):
+        if not members:
+            raise ContractViolation("loss group must be non-empty")
+        targets.append([scoring_targets(state, a, scope)[1] for a, _ in members])
+        stacks.setdefault((len(targets[g][0]), len(members)), []).append(g)
+    losses = [0.0] * len(groups)
+    grads = np.zeros((len(groups), params.dim))
+    for (n, z), idx in stacks.items():
+        n_groups, n_copies = len(idx), len(feats[idx[0]])
+        n_mc = n_copies // z if per_member_sets else n_copies
+        positions = [scored_positions(groups[g][0], scope) for g in idx]
+        ctxs = [  # every group's copies under the current policy, then under the old one
+            ctx
+            for policy in (params, old_params)
+            for g, pos in zip(idx, positions)
+            for ctx in pattern_contexts(policy, feats[g], pos, counters=counters, kind=kind)
+        ]
+        logp = np.array([c.logp for c in ctxs])
+        tgt = np.array([targets[g] for g in idx], dtype=np.intp)
+        picked = logp[
+            np.arange(len(ctxs)).reshape(2, n_groups, n_copies).swapaxes(0, 1)[:, None, ..., None],
+            np.arange(n),
+            tgt[:, :, None, None, :],
+        ]  # [group, member, policy, copy, row]: every member against every copy
+        lp = picked.cumsum(axis=-1)[..., -1] if n else np.zeros(picked.shape[:-1])
+        if per_member_sets:  # each member's own pattern set, not the others'
+            lp = lp.reshape(n_groups, z, 2, z, n_mc)[:, np.arange(z), :, np.arange(z)]
+            lp = lp.swapaxes(0, 1)
+        lp = lp.reshape(n_groups, z, 2, n_mc).sum(axis=-1) / n_mc  # pattern means
+        rhos = np.exp(lp[..., 0] - lp[..., 1]).tolist()
+        rewards = np.array([[r for _, r in groups[g][1]] for g in idx])
+        advs = (rewards - rewards.sum(axis=-1, keepdims=True) / z).tolist()
+        coefs = np.zeros((n_groups, z, n_mc))
+        for s, g in enumerate(idx):
+            loss = 0.0
+            for k, (rho, adv) in enumerate(zip(rhos[s], advs[s])):
+                value, unclipped_active = clipped_objective(rho, adv, loss_cfg.clip_eps)
+                loss -= value / z
+                if unclipped_active and adv != 0.0:
+                    coefs[s, k] = -(adv * rho) / (z * n_mc)
+            losses[g] = loss
 
-    loss = 0.0
-    coefs = np.zeros(n)
-    active = []
-    for z in range(n):
-        rho = float(np.exp(lp_new[z] - lp_old[z]))
-        adv = outcome.advantages[z]
-        value, unclipped_active = clipped_objective(rho, adv, loss_cfg.clip_eps)
-        loss -= value / n
-        if unclipped_active and adv != 0.0:
-            coefs[z] = -(adv * rho) / (n * n_mc)
-            active.append(z)
-    active = np.array(active, dtype=np.intp)
-
-    member_grads: dict[tuple[int, int], np.ndarray] = {}
-    for s in range(n_sets):
-        users = active[own[1][active] == s]
-        if users.size == 0:
+        active = coefs.nonzero()  # (group, member, pattern) in member-then-pattern order
+        if not active[0].size:
             continue
-        for m in range(n_mc):
-            ctx = ctx_new[s * n_mc + m]
-            dlogits = score_dlogits(ctx, targets[users], coefs[users])
-            for z, g in zip(users, backprop(params, ctx, dlogits)):
-                member_grads[z, m] = g
-    grad = np.zeros(params.dim)
-    for z in active:
-        for m in range(n_mc):
-            grad += member_grads[z, m]
-    return loss, grad
+        sa, za, ma = active
+        # each active row's current-policy context, in ctxs and in the stacked feats
+        rows = sa * n_copies + (ma + za * n_mc if per_member_sets else ma)
+        dlogits = score_dlogits(np.exp(logp[rows]), tgt[sa, za], coefs[active])
+        hidden = None if ctxs[0].hidden is None else np.array([c.hidden for c in ctxs])[rows]
+        block = np.concatenate([feats[g] for g in idx])[rows]
+        # each group's rows add up in order, from zero
+        np.add.at(grads, np.array(idx)[sa], backprop(params, block, hidden, dlogits))
+    loss = 0.0
+    for value in losses:
+        loss += value
+    return loss, grads.sum(axis=0)
 
 
 def step_loss(
@@ -181,18 +203,16 @@ def step_loss(
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
     ``feats`` passes the group's ``group_features`` block when the caller
-    has drawn and featurized it already (``aggregate_step_loss`` does, for
-    all of a prompt's groups at once); no pattern is drawn then.
+    has drawn and featurized it already; no pattern is drawn then.
     """
     if feats is None:
         (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
     return _group_loss_and_grad(
         params,
         old_params,
-        state,
-        branches,
+        [(state, branches)],
+        [feats],
         loss_cfg,
-        feats,
         counters=counters,
         scope=scope,
         kind="step",
@@ -221,28 +241,21 @@ def aggregate_step_loss(
 
     Patterns are drawn group by group, in the order ``step_loss`` would
     draw them; the corrupted copies of every group are featurized together,
-    one pass per mask-set size.
+    one pass per mask-set size, and one kernel call scores every group.
     """
     feats = group_features(
         params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups)
     )["action"]
-    loss = 0.0
-    grad = np.zeros(params.dim)
-    for group, group_feats in zip(groups, feats):
-        l, g = step_loss(
-            group.state,
-            list(group.branches),
-            params,
-            old_params,
-            loss_cfg,
-            surr_cfg,
-            rng,
-            counters=counters,
-            feats=group_feats,
-        )
-        loss += l
-        grad += g
-    return loss, grad
+    return _group_loss_and_grad(
+        params,
+        old_params,
+        [(g.state, g.branches) for g in groups],
+        feats,
+        loss_cfg,
+        counters=counters,
+        scope="action",
+        kind="step",
+    )
 
 
 def terminal_loss(
@@ -277,10 +290,9 @@ def terminal_loss(
     return _group_loss_and_grad(
         params,
         old_params,
-        state,
-        members,
+        [(state, members)],
+        [feats],
         loss_cfg,
-        feats,
         counters=counters,
         scope="action",
         kind="terminal",
@@ -291,36 +303,32 @@ def terminal_loss(
 def kl_penalty(
     params: PolicyParams,
     ref_params: PolicyParams,
-    states: Sequence[DiffusionState],
+    state: DiffusionState,
     surr_cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
     counters: OpCounters | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Exact categorical KL to the reference policy, with its gradient.
+    """Exact categorical KL to the reference policy at ``state``, with its gradient.
 
-    For every state: average over shared corruption patterns of the sum
-    over the state's masked positions of KL(current row || reference
-    row).  Value is 0 at identical parameters and non-negative in exact
-    arithmetic.  States without masked positions are skipped and draw
-    nothing; the others' corrupted copies are featurized together, and
-    each state's block serves both policies.
+    Average over shared corruption patterns of the sum over the state's
+    masked positions of KL(current row || reference row).  Value is 0 at
+    identical parameters and non-negative in exact arithmetic.  One
+    feature block serves both policies.
     """
-    states = [s for s in states if s.completion.mask_positions()]
+    (feats,) = group_features(params.arch, [state], surr_cfg, [rng])["action"]
+    positions = state.completion.mask_positions()
+    ctx_cur = pattern_contexts(params, feats, positions, counters=counters, kind="kl")
+    ctx_ref = pattern_contexts(ref_params, feats, positions, counters=counters, kind="kl")
     total = 0.0
     grad = np.zeros(params.dim)
-    blocks = group_features(params.arch, states, surr_cfg, [rng] * len(states))["action"]
-    for state, feats in zip(states, blocks):
-        positions = state.completion.mask_positions()
-        ctx_cur = pattern_contexts(params, feats, positions, counters=counters, kind="kl")
-        ctx_ref = pattern_contexts(ref_params, feats, positions, counters=counters, kind="kl")
-        for cur, ref in zip(ctx_cur, ctx_ref):
-            diff = cur.logp - ref.logp
-            p = np.exp(cur.logp)
-            row_kl = (p * diff).sum(axis=-1)
-            total += float(row_kl.sum()) / len(feats)
-            dlogits = p * (diff - row_kl[:, None]) / len(feats)
-            grad += backprop(params, cur, dlogits)
+    for cur, ref in zip(ctx_cur, ctx_ref):
+        diff = cur.logp - ref.logp
+        p = np.exp(cur.logp)
+        row_kl = (p * diff).sum(axis=-1)
+        total += float(row_kl.sum()) / len(feats)
+        dlogits = p * (diff - row_kl[:, None]) / len(feats)
+        grad += backprop(params, cur.feats, cur.hidden, dlogits)
     return total, grad
 
 
@@ -361,10 +369,11 @@ def combined_loss(
     if loss_cfg.kl_beta > 0:
         if ref_params is None:
             raise ContractViolation("kl_beta > 0 requires reference parameters")
-        kl_states = [full_mask_state(prompt, completions[0][0].length)] if completions else []
-        parts["kl"], grad_kl = kl_penalty(
-            params, ref_params, kl_states, surr_cfg, rng, counters=counters
-        )
+        if completions:
+            kl_state = full_mask_state(prompt, completions[0][0].length)
+            parts["kl"], grad_kl = kl_penalty(
+                params, ref_params, kl_state, surr_cfg, rng, counters=counters
+            )
 
     loss = (
         loss_cfg.alpha_term * parts["loss_term"]

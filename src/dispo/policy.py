@@ -293,27 +293,30 @@ def rows_context(
     return RowsContext(positions, rows, log_softmax(rows), feats, hidden)
 
 
-def backprop(params: PolicyParams, ctx: RowsContext, dlogits: np.ndarray) -> np.ndarray:
+def backprop(
+    params: PolicyParams, feats: np.ndarray, hidden: np.ndarray | None, dlogits: np.ndarray
+) -> np.ndarray:
     """Chain per-row logit gradients back to a flat parameter gradient.
 
-    ``dlogits`` is ``(..., n, V)``: any leading batch axes give one
-    gradient each, computed exactly as for a single ``(n, V)`` block.
+    ``feats`` and ``hidden`` are a forward's activations (``ctx.feats``,
+    ``ctx.hidden``), ``(..., n, F)`` and ``(..., n, H)``; ``dlogits`` is
+    ``(..., n, V)``.  Leading batch axes give one gradient each, by
+    batch-axis matmuls, computed exactly as for a single ``(n, V)`` block.
     """
     arch = params.arch
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape[-2:] != ctx.rows.shape:
+    if dlogits.shape[-2] != feats.shape[-2] or dlogits.shape[-1] != arch.vocab.size:
         raise ContractViolation("dlogits shape must match the context's rows")
     lead = dlogits.shape[:-2]
     dlogits_t = np.swapaxes(dlogits, -1, -2)
     if isinstance(arch, LinearArch):
-        return (dlogits_t @ ctx.feats).reshape(lead + (-1,))
+        return (dlogits_t @ feats).reshape(lead + (-1,))
     w1, b1, w2, b2 = _unpack_mlp(arch, params.theta)
-    h = ctx.hidden
-    dw2 = dlogits_t @ h
+    dw2 = dlogits_t @ hidden
     db2 = dlogits.sum(axis=-2)
     dh = dlogits @ w2
-    dz = dh * (1.0 - h * h)
-    dw1 = np.swapaxes(dz, -1, -2) @ ctx.feats
+    dz = dh * (1.0 - hidden * hidden)
+    dw1 = np.swapaxes(dz, -1, -2) @ feats
     db1 = dz.sum(axis=-2)
     return np.concatenate(
         [dw1.reshape(lead + (-1,)), db1, dw2.reshape(lead + (-1,)), db2], axis=-1
@@ -342,25 +345,24 @@ def grad_action_logprob(params: PolicyParams, state: DiffusionState, action: Act
     """Exact gradient of the action log-probability w.r.t. the flat params."""
     check_action(state, action)
     ctx = rows_context(params, state)
-    return backprop(params, ctx, score_dlogits(ctx, action))
+    return backprop(params, ctx.feats, ctx.hidden, score_dlogits(np.exp(ctx.logp), action))
 
 
 def score_dlogits(
-    ctx: RowsContext,
-    targets: np.ndarray | tuple[int, ...],
-    coef: float | np.ndarray = 1.0,
+    probs: np.ndarray, targets: np.ndarray | tuple[int, ...], coef: float | np.ndarray = 1.0
 ) -> np.ndarray:
     """Logit gradient of ``coef`` times the summed log-probability of ``targets``.
 
-    ``targets`` holds one token per row of ``ctx``, in row order, and
-    every row gets ``coef * (onehot(target) - probs)``.  A batch
-    ``(B, n)`` of targets with one ``coef`` per member gives ``(B, n, V)``.
-    Feed the result to ``backprop``.
+    ``probs`` are a forward's row probabilities, ``(n, V)``, and
+    ``targets`` holds one token per row, in row order; every row gets
+    ``coef * (onehot(target) - probs)``.  A batch ``(B, n)`` of targets
+    with one ``coef`` per member gives ``(B, n, V)``, against one
+    ``(n, V)`` block or one block per member, ``(B, n, V)``.  Feed the
+    result to ``backprop``.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    n = len(ctx.positions)
-    probs = np.exp(ctx.logp)
-    dlogits = np.zeros(targets.shape[:-1] + ctx.rows.shape)
+    n = targets.shape[-1]
+    dlogits = np.zeros(targets.shape + probs.shape[-1:])
     if targets.ndim == 1:
         dlogits -= coef * probs
         dlogits[np.arange(n), targets] += coef
@@ -371,17 +373,26 @@ def score_dlogits(
     return dlogits
 
 
-def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
-    """Draw one token per row, independently, in position order.
+def inverse_cdf(ctx: RowsContext, uniforms: np.ndarray) -> np.ndarray:
+    """One token per row of ``ctx`` for each row of ``uniforms``, ``(..., n)``.
 
-    Inverse CDF on one uniform per row, which gives the same tokens and
-    leaves the generator in the same state as ``rng.choice(V, p=row)``
-    called row by row.
+    The token at uniform u is the number of cumulative probabilities of
+    its row at or below u, which gives the same token as
+    ``rng.choice(V, p=row)`` given the same draw.
     """
     cdf = np.cumsum(np.exp(ctx.logp), axis=1)
     cdf /= cdf[:, -1:]
-    tokens = (cdf <= rng.random(len(ctx.positions))[:, None]).sum(axis=1)
-    return tuple(tokens.tolist())
+    return (cdf <= uniforms[..., None]).sum(axis=-1)
+
+
+def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
+    """Draw one token per row, independently, in position order.
+
+    ``inverse_cdf`` on one uniform per row, which gives the same tokens and
+    leaves the generator in the same state as ``rng.choice(V, p=row)``
+    called row by row.
+    """
+    return tuple(inverse_cdf(ctx, rng.random(len(ctx.positions))).tolist())
 
 
 def greedy_action(ctx: RowsContext) -> Action:

@@ -28,6 +28,7 @@ from .policy import (
     RowsContext,
     _features,
     greedy_action,
+    inverse_cdf,
     rows_context,
     sample_action,
     state_tokens,
@@ -188,16 +189,16 @@ def branch(
 
     Each action holds one token per position of the state's mask set and
     is completed deterministically, yielding alternative terminal
-    sequences from the same state.  No policy forward passes happen here:
-    the rows are computed once by the caller, such as a rollout's cache
+    sequences from the same state.  All members come from one
+    ``rng.random((n_branches, n))`` through ``inverse_cdf``: the same
+    actions, and the same generator state, as ``n_branches`` successive
+    ``sample_action`` calls.  No policy forward passes happen here: the
+    rows are computed once by the caller, such as a rollout's cache
     (``traj.state_at(t), traj.cache_at(t)``).
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
     if ctx.positions != state.completion.mask_positions():
         raise ContractViolation("behavior rows must cover exactly the state's masked positions")
-    out = []
-    for _ in range(n_branches):
-        action = sample_action(ctx, rng)
-        out.append((action, fill(state, action)))
-    return out
+    draws = inverse_cdf(ctx, rng.random((n_branches, len(ctx.positions))))
+    return [(action, fill(state, action)) for action in map(tuple, draws.tolist())]

@@ -13,8 +13,8 @@ One API scores a fill action (one token per masked position, in order)
 at a state, summing over the currently masked positions
 (``state_surrogate_logprob``/``state_surrogate_grad``).  A full
 completion ``c`` is the action ``c.tokens`` at the fully masked state
-``full_mask_state(prompt, L)``, scored with ``kind="terminal"``: the
-terminal ratios are this fixed-state score at the fully masked state.
+``full_mask_state(prompt, L)``: the terminal ratios are this fixed-state
+score at the fully masked state.
 
 Patterns are always shared: ``group_features`` draws a group's patterns
 and featurizes its corrupted copies once, and the current, old and
@@ -225,7 +225,8 @@ def grad_from_contexts(
     """Gradient of the pattern-averaged log-probability, one per leading index of ``targets``."""
     grad = np.zeros(np.shape(targets)[:-1] + (params.dim,))
     for ctx in contexts:
-        grad += backprop(params, ctx, score_dlogits(ctx, targets))
+        dlogits = score_dlogits(np.exp(ctx.logp), targets)
+        grad += backprop(params, ctx.feats, ctx.hidden, dlogits)
     return grad / len(contexts)
 
 
@@ -235,13 +236,11 @@ def _state_contexts(
     action: Action,
     cfg: SurrogateConfig,
     rng: np.random.Generator | None,
-    counters: OpCounters | None,
     scope: str,
-    kind: str,
 ) -> tuple[list[RowsContext], tuple[int, ...]]:
     positions, targets = scoring_targets(state, action, scope)
     (feats,) = group_features(params.arch, [state], cfg, [rng], (scope,))[scope]
-    return pattern_contexts(params, feats, positions, counters=counters, kind=kind), targets
+    return pattern_contexts(params, feats, positions), targets
 
 
 def state_surrogate_logprob(
@@ -251,12 +250,10 @@ def state_surrogate_logprob(
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    counters: OpCounters | None = None,
     scope: str = "action",
-    kind: str = "step",
 ) -> float:
     """Surrogate log-likelihood of ``action`` at ``state`` (pattern average)."""
-    ctxs, targets = _state_contexts(params, state, action, cfg, rng, counters, scope, kind)
+    ctxs, targets = _state_contexts(params, state, action, cfg, rng, scope)
     return float(logprob_from_contexts(ctxs, targets).mean())
 
 
@@ -267,10 +264,8 @@ def state_surrogate_grad(
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
-    counters: OpCounters | None = None,
     scope: str = "action",
-    kind: str = "step",
 ) -> np.ndarray:
     """Gradient of ``state_surrogate_logprob`` w.r.t. the flat parameters."""
-    ctxs, targets = _state_contexts(params, state, action, cfg, rng, counters, scope, kind)
+    ctxs, targets = _state_contexts(params, state, action, cfg, rng, scope)
     return grad_from_contexts(params, ctxs, targets)

@@ -11,6 +11,7 @@ replaces.
 import numpy as np
 import pytest
 
+import dispo.objective as objective_module
 import dispo.verify as verify_module
 from dispo.objective import (
     LossConfig,
@@ -33,7 +34,7 @@ from dispo.policy import (
     rows_context,
     sample_action,
 )
-from dispo.rollout import UnmaskSchedule
+from dispo.rollout import UnmaskSchedule, branch
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
@@ -44,6 +45,7 @@ from dispo.surrogate import (
     scoring_targets,
 )
 from dispo.tasks import make_task
+from dispo.trainer import RunConfig, train
 from dispo.verify import (
     CandidateState,
     VarianceCondition,
@@ -184,22 +186,19 @@ def reference_group_loss(
     return loss, grad, clipped
 
 
-def reference_kl(params, ref, states, surr_cfg, rng):
+def reference_kl(params, ref, state, surr_cfg, rng):
     total, grad = 0.0, np.zeros(params.dim)
-    for state in states:
-        positions = state.completion.mask_positions()
-        if not positions:
-            continue
-        pats = reference_patterns(state.prompt.length, surr_cfg, rng)
-        for cur, base in zip(
-            reference_contexts(params, state, pats, positions),
-            reference_contexts(ref, state, pats, positions),
-        ):
-            diff = cur.logp - base.logp
-            p = np.exp(cur.logp)
-            row_kl = (p * diff).sum(axis=-1)
-            total += float(row_kl.sum()) / len(pats)
-            grad += reference_backprop(params, cur, p * (diff - row_kl[:, None]) / len(pats))
+    positions = state.completion.mask_positions()
+    pats = reference_patterns(state.prompt.length, surr_cfg, rng)
+    for cur, base in zip(
+        reference_contexts(params, state, pats, positions),
+        reference_contexts(ref, state, pats, positions),
+    ):
+        diff = cur.logp - base.logp
+        p = np.exp(cur.logp)
+        row_kl = (p * diff).sum(axis=-1)
+        total += float(row_kl.sum()) / len(pats)
+        grad += reference_backprop(params, cur, p * (diff - row_kl[:, None]) / len(pats))
     return total, grad
 
 
@@ -291,6 +290,30 @@ def test_inverse_cdf_sampling_matches_rng_choice_and_the_generator_state():
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def test_branch_equals_successive_sample_action_calls():
+    """One uniform draw for all members gives the members one by one would."""
+    rng = stream(2, "diff-branch")
+    for case in range(33 * 8 * 2):
+        k, v, z = case % 33, 2 + (case // 33) % 8, 1 + case % 6
+        vocab = Vocab(v)
+        length = k + int(rng.integers(1, 4))
+        masked = set(rng.permutation(length)[:k].tolist())
+        completion = MaskedSequence(
+            tuple(vocab.mask_id if i in masked else int(rng.integers(v)) for i in range(length)),
+            vocab,
+        )
+        state = DiffusionState(MaskedSequence((0,), vocab), completion)
+        rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (k, v))
+        positions = completion.mask_positions()
+        ctx = RowsContext(positions, rows, log_softmax(rows), np.zeros((k, 1)), None)
+        a, b = stream(3, "branch", case), stream(3, "branch", case)
+        branched = branch(state, ctx, z, a)
+        actions = [sample_action(ctx, b) for _ in range(z)]
+        assert [action for action, _ in branched] == actions
+        assert [completed for _, completed in branched] == [fill(state, x) for x in actions]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_batched_logprobs_equal_the_running_sums():
     rng = stream(4, "diff-logprob")
     arch = random_arch(rng)
@@ -328,13 +351,11 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
     rng, arch, params, old = loss_problem(kind, 5)
     loss_cfg = LossConfig(clip_eps=0.05)
     clipped = 0
-    groups = []
     for n_mc in (1, 3, 9):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         for g in range(6):
             state = random_state(rng, arch)
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(4)]
-            groups.append(StepGroup(state, tuple(members)))
             loss, grad = step_loss(
                 state, members, params, old, loss_cfg, surr_cfg, stream(6, n_mc, g), scope=scope
             )
@@ -346,21 +367,76 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
             clipped += n_clipped
     assert clipped > 0
 
-    # the whole prompt's groups at once: mixed mask-set sizes, one feature pass each
-    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    # a whole prompt's groups in one kernel call: mixed mask-set sizes and group sizes,
+    # stacks of several groups, and clipping that fires
     if scope != "action":
         return  # training's step family scores the action only
-    loss, grad = aggregate_step_loss(groups, params, old, loss_cfg, surr_cfg, stream(7, "agg"))
-    ref_rng, ref_loss, ref_grad = stream(7, "agg"), 0.0, np.zeros(params.dim)
-    for group in groups:
-        l, g, _ = reference_group_loss(
-            params, old, group.state, list(group.branches), loss_cfg, surr_cfg, ref_rng, scope,
-            False,
+    states, groups = [random_state(rng, arch) for _ in range(4)], []
+    for z in (2, 3, 1, 9, 2, 3, 4, 9, 2, 5):
+        for state in states[: 1 + z % 4]:
+            members = [(random_action(rng, state), float(rng.normal())) for _ in range(z)]
+            groups.append(StepGroup(state, tuple(members)))
+    assert len({(len(g.state.mask()), len(g.branches)) for g in groups}) < len(groups)
+    for n_mc in (2, 9):
+        surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
+        loss, grad = aggregate_step_loss(
+            groups, params, old, loss_cfg, surr_cfg, stream(7, "agg", n_mc)
         )
-        ref_loss += l
-        ref_grad += g
-    assert loss == ref_loss
-    assert np.array_equal(grad, ref_grad)
+        ref_rng, ref_loss, ref_grad = stream(7, "agg", n_mc), 0.0, np.zeros(params.dim)
+        clipped = 0
+        for group in groups:
+            l, g, n_clipped = reference_group_loss(
+                params, old, group.state, list(group.branches), loss_cfg, surr_cfg, ref_rng,
+                scope, False,
+            )
+            ref_loss += l
+            ref_grad += g
+            clipped += n_clipped
+        assert clipped > 0
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
+    """``train`` never calls ``step_loss``: one kernel call per family and prompt.
+
+    The variance protocol still calls ``step_loss`` once per trial.
+    """
+    kernel_calls, step_calls = [], []
+    real_kernel = objective_module._group_loss_and_grad
+
+    def counted_kernel(params, old_params, groups, *args, **kwargs):
+        kernel_calls.append((kwargs["kind"], len(groups)))
+        return real_kernel(params, old_params, groups, *args, **kwargs)
+
+    def counted_step_loss(*args, **kwargs):
+        step_calls.append(kwargs.get("scope"))
+        return step_loss(*args, **kwargs)
+
+    monkeypatch.setattr(objective_module, "_group_loss_and_grad", counted_kernel)
+    monkeypatch.setattr(objective_module, "step_loss", counted_step_loss)
+    monkeypatch.setattr(verify_module, "step_loss", counted_step_loss)
+    cfg = RunConfig(
+        task="stringmatch",
+        task_params={"target_len": 4, "vocab_size": 3},
+        n_instances=2,
+        n_rollouts=3,
+        n_denoising_steps=2,
+        n_branches=2,
+        batch_size=2,
+        n_updates=2,
+        n_timesteps=2,
+    )
+    train(cfg)
+    assert step_calls == []
+    n_prompts = cfg.n_updates * cfg.batch_size
+    assert kernel_calls == [("terminal", 1), ("step", cfg.n_rollouts * cfg.n_timesteps)] * n_prompts
+
+    params, old, cands = trcov_problem()
+    surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
+    report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
+    assert len(step_calls) == report.n_maskable * len(TRCOV_CONDITIONS) * 2
+    assert kernel_calls[2 * n_prompts :] == [("step", 1)] * len(step_calls)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"], ids=["linear-True", "mlp-True"])
@@ -387,12 +463,13 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
         assert np.array_equal(grad, ref_grad)
         clipped += n_clipped
 
-        states = [random_state(rng, arch) for _ in range(3)] + [state]
-        states.append(DiffusionState(prompt, completions[0][0]))  # no masks: skipped
-        kl, kl_grad = kl_penalty(params, old, states, surr_cfg, stream(10, n_mc))
-        ref_kl, ref_kl_grad = reference_kl(params, old, states, surr_cfg, stream(10, n_mc))
-        assert kl == ref_kl
-        assert np.array_equal(kl_grad, ref_kl_grad)
+        # one state per call; the calls share one generator, as the reference does
+        kl_rng, ref_rng = stream(10, n_mc), stream(10, n_mc)
+        for kl_state in [random_state(rng, arch) for _ in range(3)] + [state]:
+            kl, kl_grad = kl_penalty(params, old, kl_state, surr_cfg, kl_rng)
+            ref_kl, ref_kl_grad = reference_kl(params, old, kl_state, surr_cfg, ref_rng)
+            assert kl == ref_kl
+            assert np.array_equal(kl_grad, ref_kl_grad)
     assert clipped > 0
 
 

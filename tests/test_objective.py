@@ -98,8 +98,8 @@ def test_terminal_loss_two_rollout_example():
     loss, grad = terminal_loss(PROMPT, [(c1, 1.0), (c2, 0.0)], params, params, NOCLIP, OFF)
     assert abs(loss) < 1e-15
     full = full_mask_state(PROMPT, 3)
-    g1 = state_surrogate_grad(params, full, c1.tokens, OFF, kind="terminal")
-    g2 = state_surrogate_grad(params, full, c2.tokens, OFF, kind="terminal")
+    g1 = state_surrogate_grad(params, full, c1.tokens, OFF)
+    g2 = state_surrogate_grad(params, full, c2.tokens, OFF)
     assert np.allclose(grad, -0.25 * (g1 - g2), atol=1e-12)
     with pytest.raises(ContractViolation):
         terminal_loss(PROMPT, [], params, params, NOCLIP, OFF)
@@ -136,14 +136,14 @@ def test_kl_penalty_properties():
     ref = init_params(ARCH, rng, scale=0.6)
     state = mid_state()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    same, grad_same = kl_penalty(params, params, [state], cfg, stream(5, "pat"))
+    same, grad_same = kl_penalty(params, params, state, cfg, stream(5, "pat"))
     assert same == 0.0
     assert np.allclose(grad_same, 0.0, atol=1e-12)
-    val, _ = kl_penalty(params, ref, [state], cfg, stream(5, "pat"))
+    val, _ = kl_penalty(params, ref, state, cfg, stream(5, "pat"))
     assert val > 0.0
-    # states with nothing masked contribute nothing
+    # a state with nothing masked has no rows to compare
     done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
-    zero, gz = kl_penalty(params, ref, [done], cfg, stream(5, "pat"))
+    zero, gz = kl_penalty(params, ref, done, cfg, stream(5, "pat"))
     assert zero == 0.0 and not gz.any()
 
 
@@ -152,10 +152,10 @@ def test_kl_penalty_gradient_matches_finite_differences():
     ref = init_params(ARCH, stream(6, "ref"), scale=0.5)
     state = mid_state()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
-    _, grad = kl_penalty(params, ref, [state], cfg, stream(6, "pat"))
+    _, grad = kl_penalty(params, ref, state, cfg, stream(6, "pat"))
 
     def value(theta):
-        return kl_penalty(params.replace_theta(theta), ref, [state], cfg, stream(6, "pat"))[0]
+        return kl_penalty(params.replace_theta(theta), ref, state, cfg, stream(6, "pat"))[0]
 
     h = 1e-6
     fd = np.zeros_like(grad)
@@ -216,7 +216,7 @@ def test_corruption_without_a_generator_is_a_named_error(law):
     calls = {
         "step_loss": lambda: step_loss(state, branches, params, params, NOCLIP, cfg),
         "terminal_loss": lambda: terminal_loss(PROMPT, completions, params, params, NOCLIP, cfg),
-        "kl_penalty": lambda: kl_penalty(params, params, [state], cfg),
+        "kl_penalty": lambda: kl_penalty(params, params, state, cfg),
         "state_surrogate_grad": lambda: state_surrogate_grad(params, state, branches[0][0], cfg),
     }
     for call in calls.values():

@@ -139,21 +139,19 @@ def test_pattern_average_is_consistent():
 def test_forward_counters_by_kind():
     params = init_params(ARCH, stream(10, "p"), scale=0.3)
     state = mid_state()
-    action = (1, 1)
+    full = full_mask_state(PROMPT, 3)
     cfg = SurrogateConfig(n_mc=5, ratio_law="uniform")
     counters = OpCounters()
-    state_surrogate_logprob(params, state, action, cfg, stream(10, "a"), counters=counters)
+    (feats,) = group_features(ARCH, [state], cfg, [stream(10, "a")])["action"]
+    pattern_contexts(params, feats, state.mask(), counters=counters)
     assert counters.surrogate_step_calls == 5
     assert counters.surrogate_terminal_calls == 0
-    completion = MaskedSequence((0, 0, 2), VOCAB)
-    state_surrogate_grad(
-        params, full_mask_state(PROMPT, 3), completion.tokens, cfg, stream(10, "b"),
-        counters=counters, kind="terminal",
-    )
+    (full_feats,) = group_features(ARCH, [full], cfg, [stream(10, "b")])["action"]
+    pattern_contexts(params, full_feats, full.mask(), counters=counters, kind="terminal")
     assert counters.surrogate_terminal_calls == 5
-    (feats,) = group_features(ARCH, [state], cfg, [stream(10, "c")])["action"]
     pattern_contexts(params, feats, state.mask(), counters=counters, kind="kl")
     assert counters.surrogate_kl_calls == 5
+    assert counters.surrogate_step_calls == 5
     with pytest.raises(ContractViolation):
         pattern_contexts(params, feats, state.mask(), kind="misc")
 
