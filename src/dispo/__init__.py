@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation, DivergenceError
 from .objective import (
-    GroupOutcome,
     LossConfig,
     SamplerConfig,
-    StepGroup,
     aggregate_step_loss,
     combined_loss,
-    group_advantages,
     kl_penalty,
     step_loss,
     terminal_loss,
@@ -84,7 +81,6 @@ __all__ = [
     "DiffusionState",
     "DivergenceError",
     "EvalResult",
-    "GroupOutcome",
     "LinearArch",
     "LossConfig",
     "MaskedSequence",
@@ -96,7 +92,6 @@ __all__ = [
     "PolicyParams",
     "RunConfig",
     "SamplerConfig",
-    "StepGroup",
     "SurrogateConfig",
     "Task",
     "TrainResult",
@@ -121,7 +116,6 @@ __all__ = [
     "first_violation_time",
     "grad_action_logprob",
     "greedy_action",
-    "group_advantages",
     "init_params",
     "kl_penalty",
     "load_policy",

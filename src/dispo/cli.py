@@ -205,6 +205,7 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     task = build_task(config)
+    build_schedule(config, task)  # a pool no run could use is not written
     out = _out_dir(args, f"data-{config.task}-seed{config.seed}")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instances.json"
@@ -215,6 +216,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_count_ops(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
+    build_schedule(config, build_task(config))  # no budget for a run that cannot exist
     per_prompt = count_ops(config)
     totals = predict_run_totals(config)
     k = config.n_rollouts

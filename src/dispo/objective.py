@@ -1,8 +1,11 @@
 """Policy-gradient objectives over branch groups and rollout groups.
 
-Credit assignment works on groups: a group of sibling samples shares a
+Credit assignment works on groups.  A loss group is ``(state, members)``:
+one state and its members' ``(action, reward)`` pairs, the one form a
+group takes from ``train`` to the loss kernel.  The members share a
 mean-reward baseline, so each member's advantage is its reward minus the
-group mean (advantages sum to zero).  Two loss granularities exist:
+group mean (advantages sum to zero); the kernel is the one place that
+computes it.  Two loss granularities exist:
 
   * step loss: a group of alternative fill actions branched from one
     intermediate state, with importance ratios from the state-level
@@ -50,26 +53,12 @@ from .surrogate import (
     SurrogateConfig,
     full_mask_state,
     group_features,
+    group_targets,
     pattern_contexts,
-    scored_positions,
-    scoring_targets,
 )
 
-
-@dataclass(frozen=True)
-class GroupOutcome:
-    rewards: tuple[float, ...]
-    baseline: float
-    advantages: tuple[float, ...]
-
-
-def group_advantages(rewards: Sequence[float]) -> GroupOutcome:
-    """Mean-baseline advantages; they sum to zero by construction."""
-    if len(rewards) == 0:
-        raise ContractViolation("advantage group must be non-empty")
-    r = tuple(float(x) for x in rewards)
-    baseline = float(np.mean(r))
-    return GroupOutcome(r, baseline, tuple(x - baseline for x in r))
+# A loss group: one state and its members' (fill action, reward) pairs.
+LossGroup = tuple[DiffusionState, Sequence[tuple[Action, float]]]
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,7 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
 def _group_loss_and_grad(
     params: PolicyParams,
     old_params: PolicyParams,
-    groups: Sequence[tuple[DiffusionState, Sequence[tuple[Action, float]]]],
+    groups: Sequence[LossGroup],
     feats: Sequence[np.ndarray],
     loss_cfg: LossConfig,
     *,
@@ -116,34 +105,37 @@ def _group_loss_and_grad(
     ``feats[g]`` is group ``g``'s ``group_features`` block; both policies
     score it, one forward per corrupted copy.  With ``per_member_sets`` it
     holds one pattern set per member (terminal convention: one set per
-    rollout); otherwise one set serves the whole group.  Groups of equal
-    mask-set size and group size are stacked: a stack makes one target
-    gather with running position sums, one ratio and advantage pass, one
+    rollout); otherwise one set serves the whole group.  One
+    ``group_targets`` call per group checks its actions and gives its
+    scored positions and ``(Z, n)`` targets.  Groups of equal mask-set size
+    and group size are stacked: a stack makes one target gather with
+    running position sums, one ratio and advantage pass, one
     ``score_dlogits`` and one batch-axis ``backprop`` over its active
     members, and calls ``clipped_objective`` once per member.  A group's
     loss adds up in member order and its gradient in member-then-pattern
     order; the groups then add up in list order.
     """
-    targets, stacks = [], {}
+    scored, stacks = [], {}
     for g, (state, members) in enumerate(groups):
         if not members:
             raise ContractViolation("loss group must be non-empty")
-        targets.append([scoring_targets(state, a, scope)[1] for a, _ in members])
-        stacks.setdefault((len(targets[g][0]), len(members)), []).append(g)
+        scored.append(group_targets(state, [a for a, _ in members], scope))
+        stacks.setdefault(scored[g][1].shape, []).append(g)
     losses = [0.0] * len(groups)
     grads = np.zeros((len(groups), params.dim))
-    for (n, z), idx in stacks.items():
+    for (z, n), idx in stacks.items():
         n_groups, n_copies = len(idx), len(feats[idx[0]])
         n_mc = n_copies // z if per_member_sets else n_copies
-        positions = [scored_positions(groups[g][0], scope) for g in idx]
         ctxs = [  # every group's copies under the current policy, then under the old one
             ctx
             for policy in (params, old_params)
-            for g, pos in zip(idx, positions)
-            for ctx in pattern_contexts(policy, feats[g], pos, counters=counters, kind=kind)
+            for g in idx
+            for ctx in pattern_contexts(
+                policy, feats[g], scored[g][0], counters=counters, kind=kind
+            )
         ]
         logp = np.array([c.logp for c in ctxs])
-        tgt = np.array([targets[g] for g in idx], dtype=np.intp)
+        tgt = np.array([scored[g][1] for g in idx])
         picked = logp[
             np.arange(len(ctxs)).reshape(2, n_groups, n_copies).swapaxes(0, 1)[:, None, ..., None],
             np.arange(n),
@@ -219,16 +211,8 @@ def step_loss(
     )
 
 
-@dataclass(frozen=True)
-class StepGroup:
-    """One selected state together with its branch outcomes."""
-
-    state: DiffusionState
-    branches: tuple[tuple[Action, float], ...]
-
-
 def aggregate_step_loss(
-    groups: Sequence[StepGroup],
+    groups: Sequence[LossGroup],
     params: PolicyParams,
     old_params: PolicyParams,
     loss_cfg: LossConfig,
@@ -244,12 +228,12 @@ def aggregate_step_loss(
     one pass per mask-set size, and one kernel call scores every group.
     """
     feats = group_features(
-        params.arch, [g.state for g in groups], surr_cfg, [rng] * len(groups)
+        params.arch, [state for state, _ in groups], surr_cfg, [rng] * len(groups)
     )["action"]
     return _group_loss_and_grad(
         params,
         old_params,
-        [(g.state, g.branches) for g in groups],
+        groups,
         feats,
         loss_cfg,
         counters=counters,
@@ -335,7 +319,7 @@ def kl_penalty(
 def combined_loss(
     prompt: MaskedSequence,
     completions: list[tuple[MaskedSequence, float]],
-    step_groups: Sequence[StepGroup],
+    step_groups: Sequence[LossGroup],
     params: PolicyParams,
     old_params: PolicyParams,
     ref_params: PolicyParams | None,

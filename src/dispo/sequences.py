@@ -121,17 +121,18 @@ class DiffusionState:
         return self.completion.mask_positions()
 
 
-def check_action(state: DiffusionState, action: Action) -> None:
-    """Require ``action`` to hold one ordinary token per position of the mask set."""
-    masked = state.completion.mask_positions()
-    if len(action) != len(masked):
-        raise ContractViolation(
-            f"action has {len(action)} tokens for a mask set of {len(masked)} positions"
-        )
+def check_action(state: DiffusionState, *actions: Action) -> None:
+    """Require each action to hold one ordinary token per position of the mask set."""
+    n = len(state.completion.mask_positions())
     vocab = state.vocab
-    for tok in action:
-        if not vocab.is_ordinary(tok):
-            raise ContractViolation(f"action token {tok} is not an ordinary token")
+    for action in actions:
+        if len(action) != n:
+            raise ContractViolation(
+                f"action has {len(action)} tokens for a mask set of {n} positions"
+            )
+        for tok in action:
+            if not vocab.is_ordinary(tok):
+                raise ContractViolation(f"action token {tok} is not an ordinary token")
 
 
 def fill(state: DiffusionState, action: Action) -> MaskedSequence:

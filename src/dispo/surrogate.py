@@ -14,7 +14,8 @@ at a state, summing over the currently masked positions
 (``state_surrogate_logprob``/``state_surrogate_grad``).  A full
 completion ``c`` is the action ``c.tokens`` at the fully masked state
 ``full_mask_state(prompt, L)``: the terminal ratios are this fixed-state
-score at the fully masked state.
+score at the fully masked state.  ``group_targets`` checks a loss group's
+actions in one ``check_action`` call and gives its ``(Z, n)`` target tokens.
 
 Patterns are always shared: ``group_features`` draws a group's patterns
 and featurizes its corrupted copies once, and the current, old and
@@ -44,7 +45,7 @@ from .policy import (
     score_dlogits,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence, check_action, fill
+from .sequences import Action, DiffusionState, MaskedSequence, check_action
 
 RatioLaw = str | float
 
@@ -106,21 +107,25 @@ def scored_positions(state: DiffusionState, scope: str = "action") -> tuple[int,
     raise ContractViolation(f"unknown scope {scope!r}")
 
 
-def scoring_targets(
-    state: DiffusionState, action: Action, scope: str = "action"
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Positions to score and their target tokens.
+def group_targets(
+    state: DiffusionState, actions: Sequence[Action], scope: str = "action"
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Positions to score at ``state`` and a group's ``(Z, n)`` target tokens.
 
-    ``scope="action"`` scores the currently masked positions against the
-    action's tokens; ``scope="all"`` scores every completion position of
-    ``fill(state, action)`` (a visible position's features exclude its own
-    token, so it scores like a masked one).
+    ``scope="action"`` scores the masked positions against the actions;
+    ``scope="all"`` scores every position of each filled completion (a
+    visible position's features exclude its own token, so it scores like
+    a masked one), written as one array assignment per group.
     """
     positions = scored_positions(state, scope)
-    if scope == "all":
-        return positions, fill(state, action).tokens
-    check_action(state, action)
-    return positions, tuple(action)
+    check_action(state, *actions)
+    masked = state.completion.mask_positions()
+    targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(masked))
+    if scope == "action":
+        return positions, targets
+    rows = np.tile(np.array(state.completion.tokens, dtype=np.intp), (len(actions), 1))
+    rows[:, list(masked)] = targets
+    return positions, rows
 
 
 def group_features(
@@ -237,8 +242,8 @@ def _state_contexts(
     cfg: SurrogateConfig,
     rng: np.random.Generator | None,
     scope: str,
-) -> tuple[list[RowsContext], tuple[int, ...]]:
-    positions, targets = scoring_targets(state, action, scope)
+) -> tuple[list[RowsContext], np.ndarray]:
+    positions, (targets,) = group_targets(state, [action], scope)
     (feats,) = group_features(params.arch, [state], cfg, [rng], (scope,))[scope]
     return pattern_contexts(params, feats, positions), targets
 

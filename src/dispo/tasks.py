@@ -57,6 +57,14 @@ def _tokens_of(completion) -> tuple[int, ...]:
     return tuple(int(t) for t in completion)
 
 
+def _json_ints(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of JSON integers: a float, string or bool raises, naming ``name``."""
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ContractViolation(f"{name}: {bad[0]!r} is not an integer")
+    return tuple(values)
+
+
 def sudoku_valid_solution(cells: tuple[int, ...]) -> bool:
     if len(cells) != 16:
         return False
@@ -131,7 +139,7 @@ class SudokuInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "SudokuInstance":
-        return cls(tuple(d["grid"]), tuple(d["solution"]))
+        return cls(_json_ints("grid", d["grid"]), _json_ints("solution", d["solution"]))
 
 
 def _board_violates(cells: list[int]) -> bool:
@@ -290,7 +298,8 @@ class CountdownInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "CountdownInstance":
-        return cls(tuple(d["numbers"]), d["target"])
+        (target,) = _json_ints("target", [d["target"]])
+        return cls(_json_ints("numbers", d["numbers"]), target)
 
 
 def parse_postfix(tokens: tuple[int, ...], numbers: tuple[int, ...]) -> Fraction | None:
@@ -334,7 +343,7 @@ class StringMatchInstance:
     def __post_init__(self) -> None:
         if not self.target:
             raise ContractViolation("target must be non-empty")
-        if any(not isinstance(t, int) or not 0 <= t < self.vocab_size for t in self.target):
+        if any(type(t) is not int or not 0 <= t < self.vocab_size for t in self.target):
             raise ContractViolation("target tokens must be ordinary tokens (integers)")
 
     @property
@@ -367,7 +376,8 @@ class StringMatchInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "StringMatchInstance":
-        return cls(tuple(d["target"]), int(d.get("vocab_size", 4)))
+        (vocab_size,) = _json_ints("vocab_size", [d.get("vocab_size", 4)])
+        return cls(tuple(d["target"]), vocab_size)
 
 
 Instance = SudokuInstance | CountdownInstance | StringMatchInstance

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation, DivergenceError, read_json
-from .objective import LossConfig, SamplerConfig, StepGroup, combined_loss
+from .objective import LossConfig, LossGroup, SamplerConfig, combined_loss
 from .policy import (
     Arch,
     LinearArch,
@@ -92,6 +92,10 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.arch not in ("linear", "mlp"):
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
+        if self.window < 0:
+            raise ConfigurationError("window radius must be >= 0")
+        if self.arch == "mlp" and self.hidden < 1:
+            raise ConfigurationError("hidden width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -528,7 +532,7 @@ def train(
                 completions.append((final, r))
                 terminal_rewards.append(r)
 
-            step_groups: list[StepGroup] = []
+            step_groups: list[LossGroup] = []
             if config.alpha_step > 0:
                 tsub = config.sampler.sample(
                     config.n_denoising_steps, config.n_timesteps, stream(root, "tsub", u, b)
@@ -538,13 +542,11 @@ def train(
                     for t in tsub:
                         state = traj.state_at(t)
                         rng = stream(root, "branch", u, b, k, t)
-                        scored = []
-                        for action, completed in branch(state, traj.cache_at(t), z, rng):
-                            r = inst.reward(completed)
-                            counters.reward_evals += 1
-                            scored.append((action, r))
-                            step_rewards.append(r)
-                        step_groups.append(StepGroup(state, tuple(scored)))
+                        drawn = branch(state, traj.cache_at(t), z, rng)
+                        members = [(action, inst.reward(completed)) for action, completed in drawn]
+                        counters.reward_evals += len(members)
+                        step_rewards.extend(r for _, r in members)
+                        step_groups.append((state, members))
 
             loss, grad, parts = combined_loss(
                 inst.prompt,

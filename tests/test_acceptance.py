@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dispo.objective import group_advantages, kl_penalty
+from dispo.objective import LossConfig, kl_penalty, step_loss
 from dispo.policy import (
     LinearArch,
     MlpArch,
@@ -403,16 +403,27 @@ def test_criterion_09_first_violation_direction(directional_runs, acceptance_log
 
 def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     rng = stream(1000, "invariants")
-
-    # group advantages sum to zero for any group
-    for _ in range(50):
-        rewards = rng.normal(size=rng.integers(2, 9))
-        outcome = group_advantages(tuple(float(r) for r in rewards))
-        assert abs(sum(outcome.advantages)) < 1e-12
-
-    # importance ratio is exactly one at identical parameters with shared patterns
     problem, params = build_oracle_problem()
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
+
+    # group advantages sum to zero for any group: at rho = 1, with clipping
+    # off, the step loss is minus the mean advantage
+    state = problem.step_states[1].states[0]
+    n_masked = len(state.completion.mask_positions())
+    draws = stream(1000, "invariant-groups")
+    for g in range(50):
+        rewards = rng.normal(size=rng.integers(2, 9)).tolist()
+        branches = [
+            (tuple(int(t) for t in draws.integers(0, state.vocab.size, n_masked)), r)
+            for r in rewards
+        ]
+        loss, _ = step_loss(
+            state, branches, params, params, LossConfig(clip_eps=None), cfg,
+            stream(1000, "invariant-patterns", g),
+        )
+        assert abs(loss) <= 1e-12 * len(rewards) * max(abs(r) for r in rewards)
+
+    # importance ratio is exactly one at identical parameters with shared patterns
     state = problem.step_states[2].states[1]
     action = (0,) * len(state.completion.mask_positions())
     lp_new = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))

@@ -8,17 +8,20 @@ firing.  The references are the straightforward loops the batched code
 replaces.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 import dispo.objective as objective_module
+import dispo.policy as policy_module
+import dispo.sequences as sequences_module
+import dispo.surrogate as surrogate_module
 import dispo.verify as verify_module
 from dispo.objective import (
     LossConfig,
-    StepGroup,
     aggregate_step_loss,
     clipped_objective,
-    group_advantages,
     kl_penalty,
     step_loss,
     terminal_loss,
@@ -42,7 +45,6 @@ from dispo.surrogate import (
     draw_patterns,
     full_mask_state,
     logprob_from_contexts,
-    scoring_targets,
 )
 from dispo.tasks import make_task
 from dispo.trainer import RunConfig, train
@@ -56,6 +58,8 @@ from dispo.verify import (
     trcov_estimate,
     trcov_protocol,
 )
+
+rollout_module = importlib.import_module("dispo.rollout")  # ``dispo.rollout`` is the function
 
 # -- per-item references -------------------------------------------------------
 
@@ -154,17 +158,22 @@ def reference_group_loss(
 ):
     """Member by member, one forward per pattern per policy; returns (loss, grad, n_clipped).
 
-    Both policies are scored on the same pattern set.
+    Both policies are scored on the same pattern set.  Advantages subtract
+    the group's mean reward; ``scope="all"`` scores every position of the
+    filled completion.
     """
     n = len(members)
-    outcome = group_advantages([r for _, r in members])
+    mean_reward = np.mean([r for _, r in members])
     if per_member_patterns:
         pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng) for _ in range(n)]
     else:
         pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng)] * n
     loss, grad, clipped, shared = 0.0, np.zeros(params.dim), 0, None
     for z, (action, _) in enumerate(members):
-        positions, targets = scoring_targets(state, action, scope)
+        positions, targets = state.completion.mask_positions(), action
+        if scope == "all":
+            targets = fill(state, action).tokens
+            positions = tuple(range(len(targets)))
         pats = pattern_sets[z]
         if per_member_patterns or shared is None:
             shared = (
@@ -175,7 +184,7 @@ def reference_group_loss(
         lp_new = float(np.array([reference_logprob(c, positions, targets) for c in ctx_new]).mean())
         lp_old = float(np.array([reference_logprob(c, positions, targets) for c in ctx_old]).mean())
         rho = float(np.exp(lp_new - lp_old))
-        adv = outcome.advantages[z]
+        adv = members[z][1] - mean_reward
         value, unclipped_active = clipped_objective(rho, adv, loss_cfg.clip_eps)
         clipped += not unclipped_active
         loss -= value / n
@@ -375,8 +384,8 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
     for z in (2, 3, 1, 9, 2, 3, 4, 9, 2, 5):
         for state in states[: 1 + z % 4]:
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(z)]
-            groups.append(StepGroup(state, tuple(members)))
-    assert len({(len(g.state.mask()), len(g.branches)) for g in groups}) < len(groups)
+            groups.append((state, members))
+    assert len({(len(state.mask()), len(members)) for state, members in groups}) < len(groups)
     for n_mc in (2, 9):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         loss, grad = aggregate_step_loss(
@@ -384,10 +393,9 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
         )
         ref_rng, ref_loss, ref_grad = stream(7, "agg", n_mc), 0.0, np.zeros(params.dim)
         clipped = 0
-        for group in groups:
+        for state, members in groups:
             l, g, n_clipped = reference_group_loss(
-                params, old, group.state, list(group.branches), loss_cfg, surr_cfg, ref_rng,
-                scope, False,
+                params, old, state, members, loss_cfg, surr_cfg, ref_rng, scope, False
             )
             ref_loss += l
             ref_grad += g
@@ -437,6 +445,57 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
     assert len(step_calls) == report.n_maskable * len(TRCOV_CONDITIONS) * 2
     assert kernel_calls[2 * n_prompts :] == [("step", 1)] * len(step_calls)
+
+
+def test_branch_members_are_filled_and_checked_once_and_each_loss_group_checked_once(
+    monkeypatch,
+):
+    """A member's action is checked by the one ``fill`` that ``branch`` makes, and the
+    kernel checks each loss group in one ``check_action`` call, not member by member."""
+    checked, fills = [], []
+    real_check, real_fill = sequences_module.check_action, sequences_module.fill
+
+    def counted_check(state, *actions):
+        checked.append(len(actions))
+        return real_check(state, *actions)
+
+    def counted_fill(state, action):
+        fills.append(action)
+        return real_fill(state, action)
+
+    for module in (sequences_module, surrogate_module, policy_module):
+        monkeypatch.setattr(module, "check_action", counted_check)
+    for module in (sequences_module, rollout_module, verify_module):
+        monkeypatch.setattr(module, "fill", counted_fill)
+    cfg = RunConfig(
+        task="stringmatch",
+        task_params={"target_len": 4, "vocab_size": 3},
+        n_instances=2,
+        n_rollouts=3,
+        n_denoising_steps=2,
+        n_branches=2,
+        batch_size=2,
+        n_updates=1,
+        n_timesteps=2,
+    )
+    train(cfg)
+    n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
+    n_members = n_groups * cfg.n_branches
+    assert len(fills) == n_members
+    # one call per fill, one per step group (Z actions) and one per terminal group (K)
+    assert sorted(checked) == sorted(
+        [1] * n_members + [cfg.n_branches] * n_groups + [cfg.n_rollouts] * cfg.batch_size
+    )
+
+    checked.clear()
+    fills.clear()
+    params, old, cands = trcov_problem()
+    surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
+    report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
+    # per state and trial: one Z=2 and one Z=4 branch draw, shared by both scopes
+    per_trial = [1] * (2 + 4) + [2, 2, 4, 4]
+    assert len(fills) == report.n_maskable * 2 * (2 + 4)
+    assert sorted(checked) == sorted(per_trial * report.n_maskable * 2)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"], ids=["linear-True", "mlp-True"])

@@ -38,6 +38,7 @@ def test_count_ops_prints_the_formulas(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {
+            "task_params": {"target_len": 16},  # a 16-step run needs 16 tokens to commit
             "n_rollouts": 6,
             "n_denoising_steps": 16,
             "n_timesteps": 1,
@@ -265,22 +266,30 @@ BAD_SETTINGS = {
         {"task": "sudoku", "task_params": {"target_len": 5}},
         [],
         "'target_len': 5",
-        RUN_COMMANDS[:4],
+        RUN_COMMANDS,
     ),
-    "unknown-task-param": ({"task_params": {"bogus": 1}}, [], "'bogus': 1", RUN_COMMANDS[:4]),
+    "unknown-task-param": ({"task_params": {"bogus": 1}}, [], "'bogus': 1", RUN_COMMANDS),
     "stringmatch-vocab-size-1": (
-        {"task_params": {"vocab_size": 1}}, [], "'vocab_size': 1", RUN_COMMANDS[:4]
+        {"task_params": {"vocab_size": 1}}, [], "'vocab_size': 1", RUN_COMMANDS
     ),
     "stringmatch-target-len-0": (
-        {"task_params": {"target_len": 0}}, [], "'target_len': 0", RUN_COMMANDS[:4]
+        {"task_params": {"target_len": 0}}, [], "'target_len': 0", RUN_COMMANDS
     ),
     "sudoku-n-empty-string": (
         {"task": "sudoku", "task_params": {"n_empty": "x"}},
         [],
         "'n_empty': 'x'",
-        RUN_COMMANDS[:4],
+        RUN_COMMANDS,
     ),
     "negative-seed": ({}, ["--seed", "-1"], "seed must be >= 0", RUN_COMMANDS),
+    "mlp-hidden-0": (
+        {"policy": {"arch": "mlp", "hidden": 0}}, [], "hidden width must be >= 1", RUN_COMMANDS
+    ),
+    "negative-window": ({"policy": {"window": -1}}, [], "window radius must be >= 0", RUN_COMMANDS),
+    "schedule-leaves-tokens-masked": (
+        {"tokens_per_step": 1}, [], "schedule leaves 2 of 4 tokens masked", RUN_COMMANDS
+    ),
+    "block-size-0": ({"block_size": 0}, [], "block_size must be >= 1", RUN_COMMANDS),
 }
 BAD_SETTING_RUNS = [
     pytest.param(command, *case[:3], id=f"{name}-{command}")
@@ -418,6 +427,13 @@ def test_gen_data_writes_a_loadable_pool(tmp_path, capsys):
     assert "instances written" in capsys.readouterr().out
 
 
+SUDOKU_JSON = {
+    "grid": [0, 2, 4, 3, 0, 4, 1, 0, 2, 0, 0, 4, 0, 0, 2, 0],
+    "solution": [1, 2, 4, 3, 3, 4, 1, 2, 2, 1, 3, 4, 4, 3, 2, 1],
+}
+FLOAT_GRID = [float(v) if v == 2 else v for v in SUDOKU_JSON["grid"]]
+# 1 is True to Python, so a bool solution passes every check but the type check
+BOOL_SOLUTION = [True if v == 1 else v for v in SUDOKU_JSON["solution"]]
 BAD_INSTANCES = {
     "mixed-vocab": (
         {"task": "stringmatch", "instances": [
@@ -440,6 +456,30 @@ BAD_INSTANCES = {
     "fractional-token": (
         {"task": "stringmatch", "instances": [{"target": [1.5, 0, 2, 3]}]},
         "instance 0: target tokens must be ordinary tokens",
+    ),
+    "fractional-vocab-size": (
+        {"task": "stringmatch", "instances": [{"target": [0, 1, 2, 0], "vocab_size": 3.7}]},
+        "instance 0: vocab_size: 3.7 is not an integer",
+    ),
+    "string-vocab-size": (
+        {"task": "stringmatch", "instances": [{"target": [0, 1, 2, 0], "vocab_size": "4"}]},
+        "instance 0: vocab_size: '4' is not an integer",
+    ),
+    "float-sudoku-cell": (
+        {"task": "sudoku", "instances": [SUDOKU_JSON, {**SUDOKU_JSON, "grid": FLOAT_GRID}]},
+        "instance 1: grid: 2.0 is not an integer",
+    ),
+    "bool-sudoku-cell": (
+        {"task": "sudoku", "instances": [{**SUDOKU_JSON, "solution": BOOL_SOLUTION}]},
+        "instance 0: solution: True is not an integer",
+    ),
+    "bool-target-token": (
+        {"task": "stringmatch", "instances": [{"target": [True, 0, 2, 1]}]},
+        "instance 0: target tokens must be ordinary tokens",
+    ),
+    "bool-countdown-number": (
+        {"task": "countdown", "instances": [{"numbers": [True, 2, 3], "target": 5}]},
+        "instance 0: numbers: True is not an integer",
     ),
 }
 

@@ -8,10 +8,9 @@ from dispo.errors import ConfigurationError, ContractViolation
 from dispo.objective import (
     LossConfig,
     SamplerConfig,
-    StepGroup,
+    aggregate_step_loss,
     clipped_objective,
     combined_loss,
-    group_advantages,
     kl_penalty,
     step_loss,
     terminal_loss,
@@ -36,17 +35,55 @@ def mid_state():
     return DiffusionState(PROMPT, MaskedSequence((1, VOCAB.mask_id, VOCAB.mask_id), VOCAB))
 
 
-def test_advantages_subtract_the_group_mean():
-    out = group_advantages([1.0, 0.0])
-    assert out.baseline == 0.5
-    assert out.advantages == (0.5, -0.5)
+def test_advantages_sum_to_zero_in_the_step_loss():
+    # at rho = 1 with clipping off the loss is minus the mean advantage
+    params = init_params(ARCH, stream(1, "p"), scale=0.5)
+    state = mid_state()
+    cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     rng = stream(1, "adv")
-    for _ in range(50):
-        rewards = rng.normal(size=int(rng.integers(1, 9)))
-        out = group_advantages(rewards)
-        assert abs(sum(out.advantages)) < 1e-12
-    with pytest.raises(ContractViolation):
-        group_advantages([])
+    for g in range(50):
+        rewards = rng.normal(size=int(rng.integers(1, 9))).tolist()
+        branches = [((int(rng.integers(3)), int(rng.integers(3))), r) for r in rewards]
+        loss, _ = step_loss(state, branches, params, params, NOCLIP, cfg, stream(1, "pat", g))
+        assert abs(loss) <= 1e-12 * len(rewards) * max(abs(r) for r in rewards)
+    with pytest.raises(ContractViolation, match="loss group must be non-empty"):
+        step_loss(state, [], params, params, NOCLIP, cfg, stream(1, "pat"))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0,), "action has 1 tokens for a mask set of 2 positions"),
+        ((0, 1, 2), "action has 3 tokens for a mask set of 2 positions"),
+        ((0, VOCAB.mask_id), "action token 3 is not an ordinary token"),
+        ((-1, 0), "action token -1 is not an ordinary token"),
+    ],
+)
+def test_step_losses_reject_a_malformed_action_by_name(bad, message):
+    params = init_params(ARCH, stream(11, "p"), scale=0.5)
+    state = mid_state()
+    branches = [((0, 1), 1.0), (bad, 0.0)]
+    for scope in ("action", "all"):
+        with pytest.raises(ContractViolation, match=message):
+            step_loss(state, branches, params, params, NOCLIP, OFF, scope=scope)
+    groups = [(state, [((2, 2), 0.5), ((1, 0), 0.0)]), (state, branches)]
+    with pytest.raises(ContractViolation, match=message):
+        aggregate_step_loss(groups, params, params, NOCLIP, OFF)
+
+
+def test_terminal_loss_rejects_a_malformed_completion_by_name():
+    params = init_params(ARCH, stream(12, "p"), scale=0.5)
+    good = (MaskedSequence((0, 1, 2), VOCAB), 1.0)
+    cases = {
+        "terminal completions must share a length": MaskedSequence((0, 1), VOCAB),
+        "terminal completions must be fully visible": mid_state().completion,
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ContractViolation, match=message):
+            terminal_loss(PROMPT, [good, (bad, 0.0)], params, params, NOCLIP, OFF)
+    with pytest.raises(ConfigurationError, match="completion length 2 != architecture"):
+        short = MaskedSequence((0, 1), VOCAB)
+        terminal_loss(PROMPT, [(short, 1.0), (short, 0.0)], params, params, NOCLIP, OFF)
 
 
 def test_loss_config_validation():
@@ -171,9 +208,7 @@ def test_combined_loss_is_linear_in_its_parts():
     old = init_params(ARCH, stream(7, "old"), scale=0.5)
     ref = init_params(ARCH, stream(7, "ref"), scale=0.5)
     completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
-    groups = [
-        StepGroup(mid_state(), (((0, 1), 1.0), ((2, 0), 0.0)))
-    ]
+    groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     cfg = LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05, clip_eps=None)
     loss, grad, parts = combined_loss(
         PROMPT, completions, groups, params, old, ref, cfg, OFF, stream(7, "rng")
@@ -187,9 +222,7 @@ def test_combined_loss_is_linear_in_its_parts():
 def test_zero_weight_families_consume_nothing():
     params = init_params(ARCH, stream(8, "p"), scale=0.5)
     completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
-    groups = [
-        StepGroup(mid_state(), (((0, 1), 1.0), ((2, 0), 0.0)))
-    ]
+    groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     counters = OpCounters()
     cfg = LossConfig(alpha_step=0.0, alpha_term=1.0, kl_beta=0.0)
     combined_loss(

@@ -1,14 +1,12 @@
 """Property tests: advantages, schedule mask counts, fills over enumerated actions, and
 exact gradients against central differences."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispo.errors import ConfigurationError
-from dispo.objective import group_advantages
+from dispo.objective import LossConfig, step_loss
 from dispo.policy import LinearArch, MlpArch, action_logprob, grad_action_logprob, init_params
 from dispo.rollout import UnmaskSchedule
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
@@ -27,10 +25,19 @@ SMALL = settings(max_examples=60, deadline=None, database=None)
     )
 )
 def test_advantages_sum_to_zero(rewards):
-    outcome = group_advantages(rewards)
-    n = len(rewards)
-    bound = 1e-12 * n * max(abs(r) for r in rewards)
-    assert abs(math.fsum(outcome.advantages)) <= bound
+    # the step loss at rho = 1, with clipping off, is minus the mean advantage
+    vocab = Vocab(3)
+    arch = LinearArch(vocab, prompt_len=2, completion_len=3, window=1)
+    params = init_params(arch, stream(40, "p"), scale=0.5)
+    state = DiffusionState(
+        MaskedSequence((0, 2), vocab), MaskedSequence((1, vocab.mask_id, vocab.mask_id), vocab)
+    )
+    branches = [((z % 3, z // 3 % 3), r) for z, r in enumerate(rewards)]
+    cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    loss, _ = step_loss(
+        state, branches, params, params, LossConfig(clip_eps=None), cfg, stream(40, "pat")
+    )
+    assert abs(loss) <= 1e-12 * len(rewards) * max(abs(r) for r in rewards)
 
 
 @SMALL

@@ -15,9 +15,9 @@ from dispo.surrogate import (
     draw_patterns,
     full_mask_state,
     group_features,
+    group_targets,
     logprob_from_contexts,
     pattern_contexts,
-    scoring_targets,
     state_surrogate_grad,
     state_surrogate_logprob,
 )
@@ -123,7 +123,7 @@ def test_pattern_average_is_consistent():
     completion = MaskedSequence((1, 2, 0), VOCAB)
     cfg = SurrogateConfig(n_mc=256, ratio_law="uniform")
     state = full_mask_state(PROMPT, 3)
-    positions, targets = scoring_targets(state, completion.tokens)
+    positions, targets = state.mask(), completion.tokens
 
     def per_pattern(rng):
         (feats,) = group_features(ARCH, [state], cfg, [rng])["action"]
@@ -156,20 +156,24 @@ def test_forward_counters_by_kind():
         pattern_contexts(params, feats, state.mask(), kind="misc")
 
 
-def test_scoring_targets_scopes():
+def test_group_targets_scopes():
     state = mid_state()
-    action = (2, 0)
-    pos, targ = scoring_targets(state, action, "action")
-    assert pos == (0, 2) and targ == (2, 0)
-    pos, targ = scoring_targets(state, action, "all")
-    assert pos == (0, 1, 2) and targ == (2, 1, 0)
+    actions = [(2, 0), (1, 1), (0, 2)]
+    pos, targ = group_targets(state, actions, "action")
+    assert pos == (0, 2) and targ.tolist() == [[2, 0], [1, 1], [0, 2]]
+    # every position of each filled completion: the visible token at 1 stays
+    pos, targ = group_targets(state, actions, "all")
+    assert pos == (0, 1, 2) and targ.tolist() == [[2, 1, 0], [1, 1, 1], [0, 1, 2]]
     with pytest.raises(ContractViolation):
-        scoring_targets(state, action, "some")
+        group_targets(state, actions, "some")
     for scope in ("action", "all"):
         with pytest.raises(ContractViolation, match="1 tokens for a mask set of 2"):
-            scoring_targets(state, (2,), scope)
+            group_targets(state, [(2, 0), (2,)], scope)
         with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
-            scoring_targets(state, (2, VOCAB.mask_id), scope)
+            group_targets(state, [(2, 0), (2, VOCAB.mask_id)], scope)
+    done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
+    pos, targ = group_targets(done, [(), ()], "action")
+    assert pos == () and targ.shape == (2, 0)
 
 
 def test_needs_patterns_or_generator():
