@@ -19,6 +19,7 @@ from .streams import stream
 from .tasks import save_instances
 from .trainer import (
     RunConfig,
+    build_arch,
     build_schedule,
     build_task,
     config_from_dict,
@@ -205,7 +206,8 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     task = build_task(config)
-    build_schedule(config, task)  # a pool no run could use is not written
+    build_arch(config, task)  # a pool no run could use is not written
+    build_schedule(config, task)
     out = _out_dir(args, f"data-{config.task}-seed{config.seed}")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instances.json"
@@ -216,7 +218,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_count_ops(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    build_schedule(config, build_task(config))  # no budget for a run that cannot exist
+    task = build_task(config)
+    build_arch(config, task)  # no budget for a run that cannot exist
+    build_schedule(config, task)
     per_prompt = count_ops(config)
     totals = predict_run_totals(config)
     k = config.n_rollouts

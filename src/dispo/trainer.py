@@ -92,10 +92,6 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.arch not in ("linear", "mlp"):
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
-        if self.window < 0:
-            raise ConfigurationError("window radius must be >= 0")
-        if self.arch == "mlp" and self.hidden < 1:
-            raise ConfigurationError("hidden width must be >= 1")
 
 
 @dataclass(frozen=True)

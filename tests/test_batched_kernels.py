@@ -447,11 +447,13 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     assert kernel_calls[2 * n_prompts :] == [("step", 1)] * len(step_calls)
 
 
-def test_branch_members_are_filled_and_checked_once_and_each_loss_group_checked_once(
+def test_branch_fills_each_member_once_and_the_kernel_checks_a_group_in_one_call(
     monkeypatch,
 ):
-    """A member's action is checked by the one ``fill`` that ``branch`` makes, and the
-    kernel checks each loss group in one ``check_action`` call, not member by member."""
+    """``branch`` makes one ``fill`` per member, which checks its action, and the kernel
+    checks each loss group in one ``check_action`` call, not one call per member.
+
+    A member's tokens are validated twice: in its ``fill`` and again in its group's call."""
     checked, fills = [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
 
