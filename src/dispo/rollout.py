@@ -33,7 +33,7 @@ from .policy import (
     sample_action,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence, fill
+from .sequences import Action, DiffusionState, MaskedSequence
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,19 @@ def branch(
     sequences from the same state.  All members come from one
     ``rng.random((n_branches, n))`` through ``inverse_cdf``: the same
     actions, and the same generator state, as ``n_branches`` successive
-    ``sample_action`` calls.  No policy forward passes happen here: the
-    rows are computed once by the caller, such as a rollout's cache
-    (``traj.state_at(t), traj.cache_at(t)``).
+    ``sample_action`` calls.  Those tokens are ordinary and one per masked
+    position by construction, so members are completed without ``fill``'s
+    check; the loss that scores them checks each group once.  No policy
+    forward passes happen here: the rows are computed once by the caller,
+    such as a rollout's cache (``traj.state_at(t), traj.cache_at(t)``).
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
     if ctx.positions != state.completion.mask_positions():
         raise ContractViolation("behavior rows must cover exactly the state's masked positions")
     draws = inverse_cdf(ctx, rng.random((n_branches, len(ctx.positions))))
-    return [(action, fill(state, action)) for action in map(tuple, draws.tolist())]
+    completion = state.completion
+    return [
+        (action, completion.with_tokens(dict(zip(ctx.positions, action))))
+        for action in map(tuple, draws.tolist())
+    ]

@@ -21,19 +21,21 @@ class Vocab:
     """An ordinary-token range [0, size); the mask id is ``size``, one past it."""
 
     size: int
+    ordinary: frozenset[int] = field(init=False, repr=False, compare=False)
     allowed: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 2:
             raise ContractViolation(f"vocab size must be >= 2, got {self.size}")
-        object.__setattr__(self, "allowed", frozenset(range(self.size + 1)))
+        object.__setattr__(self, "ordinary", frozenset(range(self.size)))
+        object.__setattr__(self, "allowed", self.ordinary | {self.size})
 
     @property
     def mask_id(self) -> int:
         return self.size
 
     def is_ordinary(self, token: int) -> bool:
-        return 0 <= token < self.size
+        return token in self.ordinary
 
     def check_token(self, token: int) -> None:
         if token not in self.allowed:
@@ -124,15 +126,15 @@ class DiffusionState:
 def check_action(state: DiffusionState, *actions: Action) -> None:
     """Require each action to hold one ordinary token per position of the mask set."""
     n = len(state.completion.mask_positions())
-    vocab = state.vocab
+    ordinary = state.vocab.ordinary
     for action in actions:
         if len(action) != n:
             raise ContractViolation(
                 f"action has {len(action)} tokens for a mask set of {n} positions"
             )
-        for tok in action:
-            if not vocab.is_ordinary(tok):
-                raise ContractViolation(f"action token {tok} is not an ordinary token")
+        if not ordinary.issuperset(action):
+            tok = next(t for t in action if t not in ordinary)
+            raise ContractViolation(f"action token {tok} is not an ordinary token")
 
 
 def fill(state: DiffusionState, action: Action) -> MaskedSequence:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -77,6 +77,7 @@ class SudokuInstance:
 
     grid: tuple[int, ...]
     solution: tuple[int, ...]
+    _empty: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     vocab = SUDOKU_VOCAB
 
@@ -88,9 +89,10 @@ class SudokuInstance:
         for g, s in zip(self.grid, self.solution):
             if g != 0 and g != s:
                 raise ContractViolation("givens must agree with the solution")
+        object.__setattr__(self, "_empty", tuple(i for i, v in enumerate(self.grid) if v == 0))
 
     def empty_cells(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.grid) if v == 0)
+        return self._empty
 
     @property
     def completion_len(self) -> int:

@@ -806,9 +806,14 @@ def trcov_protocol(
     intersected).  Differences against the first condition are paired by
     state; intervals are percentile bootstrap.
 
-    Conditions sharing a group size also share their branch draws, so a
-    scope comparison sees identical actions and rewards in both arms.
-    Each trial's corruption patterns are drawn once and shared by every
+    A state draws all its trials' members of group size Z in one
+    ``branch`` call from one generator, ``stream(seed, "trcov-group", i,
+    Z)``, split in order into ``n_trials`` groups of Z.  Conditions
+    sharing a group size also share those draws, so a scope comparison
+    sees identical actions and rewards in both arms, and the advantage
+    filter reads that size's ``(n_trials, Z)`` reward array once.  The
+    trials' corruption patterns are drawn in turn from one generator per
+    state, ``stream(seed, "trcov-patterns", i)``, and shared by every
     condition; a state's trials are featurized together, for every scope
     at once, and each condition's ``step_loss`` reuses those rows.
     """
@@ -828,35 +833,30 @@ def trcov_protocol(
 
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
+        patterns = stream(seed, "trcov-patterns", i)
         feats = group_features(
-            params.arch,
-            [cand.state] * n_trials,
-            surr_cfg,
-            [stream(seed, "trcov-patterns", i, r) for r in range(n_trials)],
-            scopes,
+            params.arch, [cand.state] * n_trials, surr_cfg, [patterns] * n_trials, scopes
         )
-        groups_by_size: dict[int, list[list[tuple[Action, float]]]] = {}
+        # per group size: each trial's members, and whether any trial has a positive advantage
+        by_size: dict[int, tuple[list[list[tuple[Action, float]]], bool]] = {}
         for cond in conditions:
             z = cond.n_branches
-            if z not in groups_by_size:
-                groups_by_size[z] = [
-                    [
-                        (action, cand.reward(completed))
-                        for action, completed in branch(
-                            cand.state, behavior, z, stream(seed, "trcov-group", i, r, z)
-                        )
-                    ]
-                    for r in range(n_trials)
-                ]
+            if z not in by_size:
+                drawn = branch(
+                    cand.state, behavior, n_trials * z, stream(seed, "trcov-group", i, z)
+                )
+                members = [(action, cand.reward(completed)) for action, completed in drawn]
+                rewards = np.array([rw for _, rw in members]).reshape(n_trials, z)
+                by_size[z] = (
+                    [members[r * z : (r + 1) * z] for r in range(n_trials)],
+                    bool((rewards.max(axis=1) > rewards.mean(axis=1)).any()),
+                )
+            groups, any_positive = by_size[z]
             ghats = np.zeros((n_trials, params.dim))
-            any_positive = False
-            for r, members in enumerate(groups_by_size[z]):
-                rewards = [rw for _, rw in members]
-                if max(rewards) > float(np.mean(rewards)):
-                    any_positive = True
+            for r, group in enumerate(groups):
                 _, grad = step_loss(
                     cand.state,
-                    members,
+                    group,
                     params,
                     old_params,
                     loss_cfg,

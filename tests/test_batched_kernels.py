@@ -8,6 +8,7 @@ firing.  The references are the straightforward loops the batched code
 replaces.
 """
 
+import collections
 import importlib
 
 import numpy as np
@@ -60,6 +61,7 @@ from dispo.verify import (
 )
 
 rollout_module = importlib.import_module("dispo.rollout")  # ``dispo.rollout`` is the function
+trainer_module = importlib.import_module("dispo.trainer")
 
 # -- per-item references -------------------------------------------------------
 
@@ -450,25 +452,38 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
 def test_branch_fills_each_member_once_and_the_kernel_checks_a_group_in_one_call(
     monkeypatch,
 ):
-    """``branch`` makes one ``fill`` per member, which checks its action, and the kernel
-    checks each loss group in one ``check_action`` call, not one call per member.
+    """``branch`` completes each member once, without ``fill``, and the kernel checks
+    each loss group in one ``check_action`` call, not one call per member.
 
-    A member's tokens are validated twice: in its ``fill`` and again in its group's call."""
-    checked, fills = [], []
+    So each member's tokens are validated exactly once: in its group's call."""
+    checked, checked_actions, fills, branched = [], [], [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
+    real_branch = rollout_module.branch
 
     def counted_check(state, *actions):
         checked.append(len(actions))
+        checked_actions.extend(actions)  # kept alive, so ids stay unique below
         return real_check(state, *actions)
 
     def counted_fill(state, action):
         fills.append(action)
         return real_fill(state, action)
 
+    def counted_branch(*args):
+        drawn = real_branch(*args)
+        branched.extend(action for action, _ in drawn)
+        return drawn
+
+    def validations_per_member():
+        counts = collections.Counter(map(id, checked_actions))
+        return [counts[id(action)] for action in branched]
+
     for module in (sequences_module, surrogate_module, policy_module):
         monkeypatch.setattr(module, "check_action", counted_check)
-    for module in (sequences_module, rollout_module, verify_module):
+    for module in (sequences_module, verify_module):
         monkeypatch.setattr(module, "fill", counted_fill)
+    for module in (trainer_module, verify_module):
+        monkeypatch.setattr(module, "branch", counted_branch)
     cfg = RunConfig(
         task="stringmatch",
         task_params={"target_len": 4, "vocab_size": 3},
@@ -482,22 +497,25 @@ def test_branch_fills_each_member_once_and_the_kernel_checks_a_group_in_one_call
     )
     train(cfg)
     n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
-    n_members = n_groups * cfg.n_branches
-    assert len(fills) == n_members
-    # one call per fill, one per step group (Z actions) and one per terminal group (K)
+    assert len(branched) == n_groups * cfg.n_branches
+    assert validations_per_member() == [1] * len(branched)
+    assert fills == []
+    # one call per step group (Z actions) and one per terminal group (K)
     assert sorted(checked) == sorted(
-        [1] * n_members + [cfg.n_branches] * n_groups + [cfg.n_rollouts] * cfg.batch_size
+        [cfg.n_branches] * n_groups + [cfg.n_rollouts] * cfg.batch_size
     )
 
     checked.clear()
-    fills.clear()
+    checked_actions.clear()
+    branched.clear()
     params, old, cands = trcov_problem()
     surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
-    # per state and trial: one Z=2 and one Z=4 branch draw, shared by both scopes
-    per_trial = [1] * (2 + 4) + [2, 2, 4, 4]
-    assert len(fills) == report.n_maskable * 2 * (2 + 4)
-    assert sorted(checked) == sorted(per_trial * report.n_maskable * 2)
+    # per state and trial: one Z=2 and one Z=4 group, each scored in both scopes
+    assert len(branched) == report.n_maskable * 2 * (2 + 4)
+    assert validations_per_member() == [2] * len(branched)  # once per scope sharing the draw
+    assert fills == []
+    assert sorted(checked) == sorted([2, 2, 4, 4] * report.n_maskable * 2)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"], ids=["linear-True", "mlp-True"])
@@ -534,42 +552,41 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
     assert clipped > 0
 
 
-# -- the variance protocol: one pattern draw and one feature pass per state ---
+# -- the variance protocol: one draw per group size and one pattern stream per state ---
 
 
 def reference_trcov_protocol(
     params, old_params, candidates, conditions, n_trials, surr_cfg, seed, n_boot
 ):
-    """The per-trial loop: every condition rebuilds each trial's pattern stream."""
+    """The per-trial loop: trial ``r`` of state ``i`` takes members ``r*Z .. r*Z+Z-1``
+    of the state's one Z-sized draw, sampled one by one, and the ``r``-th pattern set
+    of the state's pattern stream, rebuilt by every condition."""
     maskable = [c for c in candidates if c.state.completion.mask_positions()]
     loss_cfg = LossConfig(clip_eps=None)
     per_state_all = {c.name: [] for c in conditions}
     survived = {c.name: [] for c in conditions}
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
-        groups_by_size = {}
         for cond in conditions:
             z = cond.n_branches
-            if z not in groups_by_size:
-                groups = []
-                for r in range(n_trials):
-                    rng = stream(seed, "trcov-group", i, r, z)
-                    members = []
-                    for _ in range(z):
-                        action = sample_action(behavior, rng)
-                        completed = fill(cand.state, action)
-                        members.append((action, cand.reward(completed)))
-                    groups.append(members)
-                groups_by_size[z] = groups
+            rng = stream(seed, "trcov-group", i, z)
+            draws = [sample_action(behavior, rng) for _ in range(n_trials * z)]
             ghats = np.zeros((n_trials, params.dim))
             any_positive = False
-            for r, members in enumerate(groups_by_size[z]):
+            for r in range(n_trials):
+                members = [
+                    (action, cand.reward(fill(cand.state, action)))
+                    for action in draws[r * z : (r + 1) * z]
+                ]
                 rewards = [rw for _, rw in members]
                 if max(rewards) > float(np.mean(rewards)):
                     any_positive = True
+                patterns = stream(seed, "trcov-patterns", i)
+                for _ in range(r):  # the earlier trials' pattern sets
+                    draw_patterns(cand.state.prompt.length, surr_cfg, patterns)
                 _, grad = step_loss(
                     cand.state, members, params, old_params, loss_cfg, surr_cfg,
-                    stream(seed, "trcov-patterns", i, r), scope=cond.scope,
+                    patterns, scope=cond.scope,
                 )
                 ghats[r] = -grad
             per_state_all[cond.name].append(trcov_estimate(ghats))
@@ -653,3 +670,52 @@ def test_trcov_protocol_calls_step_loss_once_per_state_condition_and_trial(monke
     assert 0 < report.n_maskable < report.n_candidates
     assert len(calls) == report.n_maskable * len(TRCOV_CONDITIONS) * 3
     assert calls.count("all") == report.n_maskable * 2 * 3
+
+
+def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(monkeypatch):
+    """One ``branch`` call per (maskable state, distinct Z), one pattern stream per
+    maskable state, and the same members for conditions that share Z."""
+    params, old, cands = trcov_problem()
+    branch_calls, paths, scored = [], [], []
+
+    def counted_branch(state, ctx, n_branches, rng):
+        branch_calls.append((state, n_branches))
+        return branch(state, ctx, n_branches, rng)
+
+    def counted_stream(*path):
+        paths.append(path)
+        return stream(*path)
+
+    def counted_step_loss(state, members, *args, **kwargs):
+        scored.append((state, len(members), kwargs["scope"], members))
+        return step_loss(state, members, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "branch", counted_branch)
+    monkeypatch.setattr(verify_module, "stream", counted_stream)
+    monkeypatch.setattr(verify_module, "step_loss", counted_step_loss)
+    n_trials = 3
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    report = trcov_protocol(
+        params, old, cands, TRCOV_CONDITIONS, n_trials, surr_cfg, seed=36, n_boot=50
+    )
+    maskable = [c.state for c in cands if c.state.completion.mask_positions()]
+    assert 0 < report.n_maskable == len(maskable) < report.n_candidates
+    assert branch_calls == [(state, n_trials * z) for state in maskable for z in (2, 4)]
+    assert [p for p in paths if p[1] == "trcov-patterns"] == [
+        (36, "trcov-patterns", i) for i in range(len(maskable))
+    ]
+    assert [p for p in paths if p[1] == "trcov-group"] == [
+        (36, "trcov-group", i, z) for i in range(len(maskable)) for z in (2, 4)
+    ]
+    # per state, condition and trial in order; both scopes of a size see one member list
+    assert len(scored) == len(maskable) * len(TRCOV_CONDITIONS) * n_trials
+    for i, state in enumerate(maskable):
+        by_key = {}
+        for j, cond in enumerate(TRCOV_CONDITIONS):
+            for r in range(n_trials):
+                at, z, scope, members = scored[(i * len(TRCOV_CONDITIONS) + j) * n_trials + r]
+                assert (at, z, scope) == (state, cond.n_branches, cond.scope)
+                by_key.setdefault((z, r), []).append(members)
+        assert sorted(by_key) == [(z, r) for z in (2, 4) for r in range(n_trials)]
+        for lists in by_key.values():
+            assert len(lists) == 2 and lists[0] == lists[1]
