@@ -1,9 +1,10 @@
 """Walk through one denoising rollout and branch it from cached logits.
 
 The policy fills a fully masked completion over T steps, committing the
-highest-confidence tokens at each step.  Every intermediate state keeps
-the logits rows computed during the rollout, so resampling alternative
-actions at a past step costs zero extra forward passes.
+highest-confidence tokens at each step.  The trajectory holds every
+visited completion as one row of a token array, and every intermediate
+state keeps the logits rows computed during the rollout, so resampling
+alternative actions at a past step costs zero extra forward passes.
 """
 
 import argparse
@@ -11,13 +12,12 @@ import argparse
 from dispo.counters import OpCounters
 from dispo.policy import LinearArch, init_params
 from dispo.rollout import UnmaskSchedule, branch, rollout
-from dispo.sequences import MaskedSequence
 from dispo.streams import stream
 from dispo.tasks import make_task
 
 
-def show(seq: MaskedSequence) -> str:
-    return "".join("_" if t == seq.vocab.mask_id else str(t) for t in seq.tokens)
+def show(tokens, mask_id: int) -> str:
+    return "".join("_" if t == mask_id else str(t) for t in tokens)
 
 
 def main() -> None:
@@ -37,24 +37,27 @@ def main() -> None:
         params, inst.prompt, n_steps, schedule, [stream(args.seed, "demo-roll")], counters=counters
     )
 
-    print(f"prompt     {show(inst.prompt)}   (the target to reproduce)")
+    mid = task.vocab.mask_id
+    print(f"prompt     {show(inst.prompt.tokens, mid)}   (the target to reproduce)")
     for t in range(1, n_steps + 1):
         committed = dict(traj.events[t - 1])
-        print(f"step {t}: {show(traj.state_at(t).completion)} -> {show(traj.state_at(t + 1).completion)}   committed {committed}")
+        before, after = show(traj.states[t - 1], mid), show(traj.states[t], mid)
+        print(f"step {t}: {before} -> {after}   committed {committed}")
     final = traj.final_completion()
-    print(f"terminal   {show(final)}   reward {inst.reward(final):.3f}")
+    print(f"terminal   {show(final, mid)}   reward {inst.reward(final):.3f}")
     print(f"rollout forward passes: {counters.rollout_forward_passes} (= T)")
 
     # branch at the middle step: four alternative fillings of the remaining
     # masks, all drawn from the logits the rollout already computed
     t_branch = 2
     state = traj.state_at(t_branch)
-    print(f"\nbranching at step {t_branch}, state {show(state.completion)}:")
-    mask = state.completion.mask_positions()
+    print(f"\nbranching at step {t_branch}, state {show(state.completion.tokens, mid)}:")
+    mask = state.mask()
     ctx = traj.cache_at(t_branch)  # the rows the rollout computed at this state
-    for action, completed in branch(state, ctx, 4, stream(args.seed, "demo-branch")):
-        reward = inst.reward(completed)
-        print(f"  action {dict(zip(mask, action))} -> {show(completed)}   reward {reward:.3f}")
+    actions, completed = branch(state, ctx, 4, stream(args.seed, "demo-branch"))
+    rewards = inst.reward(completed)  # one call scores the whole (4, L) batch
+    for action, tokens, reward in zip(actions.tolist(), completed, rewards):
+        print(f"  action {dict(zip(mask, action))} -> {show(tokens, mid)}   reward {reward:.3f}")
     print(f"rollout forward passes after branching: {counters.rollout_forward_passes} (unchanged)")
 
 

@@ -231,9 +231,8 @@ def _cmd_count_ops(args: argparse.Namespace) -> int:
     print(f"per prompt (K={k}, T={t}, |S|={s}, Z={z}, Nm={nm}):")
     print(f"  rollout_forward_passes   = K*T       = {k}*{t} = {per_prompt.rollout_forward_passes}")
     print(f"  reward_evals             = K + |S|*Z = {k} + {s}*{z} = {per_prompt.reward_evals}")
-    print(
-        f"  surrogate_terminal_calls = 2*Nm*K    = 2*{nm}*{k} = {per_prompt.surrogate_terminal_calls}"
-    )
+    term = f"2*Nm*K    = 2*{nm}*{k}" if config.alpha_term > 0 else "off (alpha_term = 0)"
+    print(f"  surrogate_terminal_calls = {term} = {per_prompt.surrogate_terminal_calls}")
     print(
         f"  surrogate_step_calls     = 2*Nm*|S|  = 2*{nm}*{s} = {per_prompt.surrogate_step_calls}"
     )

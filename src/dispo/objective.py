@@ -244,7 +244,7 @@ def aggregate_step_loss(
 
 def terminal_loss(
     prompt: MaskedSequence,
-    completions: list[tuple[MaskedSequence, float]],
+    completions: Sequence[tuple[Action, float]],
     params: PolicyParams,
     old_params: PolicyParams,
     loss_cfg: LossConfig,
@@ -255,26 +255,23 @@ def terminal_loss(
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss over a prompt's rollout group.
 
-    Ratios come from the state-level surrogate at the fully masked state;
+    ``completions`` pairs each rollout's completion tokens with its reward:
+    the members of the group at the fully masked state, whose actions are
+    whole completions.  Ratios come from the state-level surrogate there;
     each completion draws its own pattern set (shared between the current
-    and old policies).
-    All members' corrupted copies are featurized in one pass.
+    and old policies).  All members' corrupted copies are featurized in
+    one pass.
     """
     if not completions:
         raise ContractViolation("terminal loss needs at least one completion")
-    length = completions[0][0].length
-    for c, _ in completions:
-        if not c.fully_visible():
-            raise ContractViolation("terminal completions must be fully visible")
-        if c.length != length:
-            raise ContractViolation("terminal completions must share a length")
-    state = full_mask_state(prompt, length)
-    members = [(c.tokens, r) for c, r in completions]
-    (feats,) = group_features(params.arch, [state], surr_cfg, [rng], n_sets=len(members))["action"]
+    state = full_mask_state(prompt, params.arch.completion_len)
+    (feats,) = group_features(
+        params.arch, [state], surr_cfg, [rng], n_sets=len(completions)
+    )["action"]
     return _group_loss_and_grad(
         params,
         old_params,
-        [(state, members)],
+        [(state, completions)],
         [feats],
         loss_cfg,
         counters=counters,
@@ -318,7 +315,7 @@ def kl_penalty(
 
 def combined_loss(
     prompt: MaskedSequence,
-    completions: list[tuple[MaskedSequence, float]],
+    completions: Sequence[tuple[Action, float]],
     step_groups: Sequence[LossGroup],
     params: PolicyParams,
     old_params: PolicyParams,
@@ -331,9 +328,10 @@ def combined_loss(
 ) -> tuple[float, np.ndarray, dict]:
     """Weighted combination for one prompt: terminal + step + KL.
 
-    The KL term is taken at the prompt's fully masked state only.  Skips
-    any family whose weight is zero without consuming its forward passes
-    or random draws, so budget accounting holds exactly.  Returns
+    ``completions`` is the terminal group's members, as ``terminal_loss``
+    takes them.  The KL term is taken at the prompt's fully masked state
+    only.  Skips any family whose weight is zero without consuming its
+    forward passes or random draws, so budget accounting holds exactly.  Returns
     the total, its gradient, and a parts dict (values and per-family
     gradients) for logging and linearity checks.
     """
@@ -353,11 +351,10 @@ def combined_loss(
     if loss_cfg.kl_beta > 0:
         if ref_params is None:
             raise ContractViolation("kl_beta > 0 requires reference parameters")
-        if completions:
-            kl_state = full_mask_state(prompt, completions[0][0].length)
-            parts["kl"], grad_kl = kl_penalty(
-                params, ref_params, kl_state, surr_cfg, rng, counters=counters
-            )
+        kl_state = full_mask_state(prompt, params.arch.completion_len)
+        parts["kl"], grad_kl = kl_penalty(
+            params, ref_params, kl_state, surr_cfg, rng, counters=counters
+        )
 
     loss = (
         loss_cfg.alpha_term * parts["loss_term"]

@@ -160,10 +160,6 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(rows: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(rows))
-
-
 @dataclass(frozen=True)
 class RowsContext:
     """One forward pass: logits rows for a set of completion positions.

@@ -4,10 +4,11 @@ A rollout starts from a fully masked completion and, over a fixed number
 of steps, samples a token for every masked position, then commits the
 scheduled number of highest-confidence sampled tokens (confidence = the
 sampled token's probability; ties break to the lowest position, then the
-lowest token id).  The full logits grid of every visited state is cached,
-so groups of alternative continuations can later be drawn from the same
-state without re-running the policy: that is what ``branch`` does, given a
-state and its behavior rows, and it performs zero forward passes.
+lowest token id).  A trajectory keeps its visited completions as one
+``(T+1, L)`` token array.  The full logits grid of every visited state is
+cached, so groups of alternative continuations can later be drawn from the
+same state without re-running the policy: that is what ``branch`` does,
+given a state and its behavior rows, and it performs zero forward passes.
 
 Schedules must empty the completion in exactly the configured number of
 steps; an optional block size restricts commits to the left-most
@@ -33,7 +34,7 @@ from .policy import (
     sample_action,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence
+from .sequences import DiffusionState, MaskedSequence, fill
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ class UnmaskSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x_1..x_T, the terminal filled sequence, commits, and cached logits."""
+    """Visited completions x_1..x_T and the terminal one, commits, and cached logits."""
 
     prompt: MaskedSequence
-    states: tuple[DiffusionState, ...]  # length T+1; last one is terminal (no masks)
+    states: np.ndarray  # (T+1, L) completion tokens, read-only; the last row is terminal
     events: tuple[tuple[tuple[int, int], ...], ...]  # per step: ((pos, token), ...)
     cache: tuple[RowsContext, ...]  # length T, behavior logits at each state
 
@@ -103,18 +104,18 @@ class Trajectory:
         return len(self.events)
 
     def state_at(self, t: int) -> DiffusionState:
-        """State x_t for t in 1..T, or the terminal state at t = T+1."""
+        """State x_t for t in 1..T, or the terminal state at t = T+1, built on demand."""
         if not 1 <= t <= self.n_steps + 1:
             raise ContractViolation(f"step index {t} outside 1..{self.n_steps + 1}")
-        return self.states[t - 1]
+        return DiffusionState(self.prompt, MaskedSequence(self.states[t - 1], self.prompt.vocab))
 
     def cache_at(self, t: int) -> RowsContext:
         if not 1 <= t <= self.n_steps:
             raise ContractViolation(f"no cached logits for step {t}; valid range 1..{self.n_steps}")
         return self.cache[t - 1]
 
-    def final_completion(self) -> MaskedSequence:
-        return self.states[-1].completion
+    def final_completion(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def rollout(
@@ -129,34 +130,32 @@ def rollout(
 ) -> list[Trajectory]:
     """Run one denoising trajectory per generator under the behavior policy ``params``.
 
-    The trajectories advance in lockstep: every step computes the features
-    of all their states in one pass, then runs one forward per state.  Each
-    samples a token for every masked position from its own generator (all
-    sampled tokens inform confidence; only the committed subset persists),
-    caches every logits grid, and comes back whole, so the draws match
-    separate rollouts with the same generators.  ``greedy=True`` takes the
-    argmax token per position instead of sampling, which makes the rollout
-    deterministic.
+    The trajectories advance in lockstep on one ``(K, prompt_len +
+    completion_len)`` token array: every step reads the mask positions off
+    it, computes the features of all their states in one pass, then runs
+    one forward per state.  Each samples a token for every masked position
+    from its own generator (all sampled tokens inform confidence; only the
+    committed subset persists), caches every logits grid, and comes back
+    whole, so the draws match separate rollouts with the same generators.
+    ``greedy=True`` takes the argmax token per position instead of
+    sampling, which makes the rollout deterministic.
     """
     if not rngs:
         raise ContractViolation("rollout needs one generator per trajectory")
     arch = params.arch
     schedule.validate(arch.completion_len, n_steps)
-    if prompt.length != arch.prompt_len:
-        raise ConfigurationError(
-            f"prompt length {prompt.length} != architecture prompt_len {arch.prompt_len}"
-        )
     start = DiffusionState(prompt, MaskedSequence.masked(arch.completion_len, prompt.vocab))
     tokens = np.tile(state_tokens(arch, start), (len(rngs), 1))
-    states = [[start] for _ in rngs]
+    completions = tokens[:, arch.prompt_len :]  # a view: commits land in ``tokens``
+    history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (K, T+1, L)
     events: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in rngs]
     cache: list[list[RowsContext]] = [[] for _ in rngs]
-    for _ in range(n_steps):
-        masked = [path[-1].completion.mask_positions() for path in states]
-        feats = _features(arch, tokens, np.array(masked, dtype=np.intp))
+    for step in range(1, n_steps + 1):
+        # the schedule commits the same count in every trajectory, so rows align
+        masked = np.nonzero(completions == prompt.vocab.mask_id)[1].reshape(len(rngs), -1)
+        feats = _features(arch, tokens, masked)
         for k, rng in enumerate(rngs):
-            state = states[k][-1]
-            ctx = rows_context(params, state, masked[k], feats=feats[k])
+            ctx = rows_context(params, None, tuple(masked[k].tolist()), feats=feats[k])
             if counters is not None:
                 counters.rollout_forward_passes += 1
             cache[k].append(ctx)
@@ -172,39 +171,30 @@ def rollout(
             step_events = tuple(sorted((pos, tok) for _, pos, tok in commit))
             events[k].append(step_events)
             for pos, tok in step_events:
-                tokens[k, arch.prompt_len + pos] = tok
-            completion = state.completion.with_tokens(dict(step_events))
-            states[k].append(DiffusionState(prompt, completion))
-    trajectories = []
-    for path, steps, grids in zip(states, events, cache):
-        assert path[-1].completion.fully_visible(), "schedule validation guarantees an empty mask"
-        trajectories.append(Trajectory(prompt, tuple(path), tuple(steps), tuple(grids)))
-    return trajectories
+                completions[k, pos] = tok
+        history[:, step] = completions
+    assert not (completions == prompt.vocab.mask_id).any(), "schedule validation empties the mask"
+    history.setflags(write=False)
+    return [Trajectory(prompt, h, tuple(e), tuple(c)) for h, e, c in zip(history, events, cache)]
 
 
 def branch(
     state: DiffusionState, ctx: RowsContext, n_branches: int, rng: np.random.Generator
-) -> list[tuple[Action, MaskedSequence]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n_branches`` joint actions at ``state`` from its behavior rows ``ctx``.
 
-    Each action holds one token per position of the state's mask set and
-    is completed deterministically, yielding alternative terminal
-    sequences from the same state.  All members come from one
-    ``rng.random((n_branches, n))`` through ``inverse_cdf``: the same
-    actions, and the same generator state, as ``n_branches`` successive
-    ``sample_action`` calls.  Those tokens are ordinary and one per masked
-    position by construction, so members are completed without ``fill``'s
-    check; the loss that scores them checks each group once.  No policy
-    forward passes happen here: the rows are computed once by the caller,
-    such as a rollout's cache (``traj.state_at(t), traj.cache_at(t)``).
+    Returns the ``(n_branches, m)`` actions, one token per position of the
+    state's mask set, and their ``(n_branches, L)`` completions from
+    ``fill``: alternative terminal sequences from the same state.  All
+    members come from one ``rng.random((n_branches, m))`` through
+    ``inverse_cdf``: the same actions, and the same generator state, as
+    ``n_branches`` successive ``sample_action`` calls.  No policy forward
+    passes happen here: the rows are computed once by the caller, such as
+    a rollout's cache (``traj.state_at(t), traj.cache_at(t)``).
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
     if ctx.positions != state.completion.mask_positions():
         raise ContractViolation("behavior rows must cover exactly the state's masked positions")
-    draws = inverse_cdf(ctx, rng.random((n_branches, len(ctx.positions))))
-    completion = state.completion
-    return [
-        (action, completion.with_tokens(dict(zip(ctx.positions, action))))
-        for action in map(tuple, draws.tolist())
-    ]
+    actions = inverse_cdf(ctx, rng.random((n_branches, len(ctx.positions))))
+    return actions, fill(state, actions)

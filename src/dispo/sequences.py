@@ -2,9 +2,12 @@
 
 Vocabularies, masked sequences, denoising states, and the deterministic
 fill operation.  Token ids are dense non-negative integers; the mask is
-the id one past the ordinary range.  A fill action is a plain
-tuple of tokens, one per masked position in position order.  All types
-here are immutable value objects, safe to share and to use as dict keys.
+the id one past the ordinary range.  A fill action is a plain tuple of
+tokens, one per masked position in position order.  ``fill`` writes a
+batch of actions into a state's masked positions and returns their
+``(N, L)`` completion-token array, the one completion form from rollout
+to reward; the sequence and state types serve the API edge.  Those types
+are immutable value objects, safe to share and to use as dict keys.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
+
+import numpy as np
 
 from .errors import ContractViolation
 
@@ -34,13 +39,6 @@ class Vocab:
     def mask_id(self) -> int:
         return self.size
 
-    def is_ordinary(self, token: int) -> bool:
-        return token in self.ordinary
-
-    def check_token(self, token: int) -> None:
-        if token not in self.allowed:
-            raise ContractViolation(f"token {token} outside vocab (size {self.size}, mask {self.mask_id})")
-
 
 @dataclass(frozen=True)
 class MaskedSequence:
@@ -55,7 +53,9 @@ class MaskedSequence:
         if not toks:
             raise ContractViolation("sequences must be non-empty")
         if not self.vocab.allowed.issuperset(toks):
-            self.vocab.check_token(next(t for t in toks if t not in self.vocab.allowed))
+            tok = next(t for t in toks if t not in self.vocab.allowed)
+            v = self.vocab
+            raise ContractViolation(f"token {tok} outside vocab (size {v.size}, mask {v.mask_id})")
 
     @classmethod
     def masked(cls, length: int, vocab: Vocab) -> "MaskedSequence":
@@ -77,25 +77,6 @@ class MaskedSequence:
             cached = tuple(i for i, t in enumerate(self.tokens) if t == mid)
             object.__setattr__(self, "_mask_positions", cached)
         return cached
-
-    def visible_positions(self) -> tuple[int, ...]:
-        mid = self.vocab.mask_id
-        return tuple(i for i, t in enumerate(self.tokens) if t != mid)
-
-    def fully_visible(self) -> bool:
-        return self.vocab.mask_id not in self.tokens
-
-    def fully_masked(self) -> bool:
-        mid = self.vocab.mask_id
-        return all(t == mid for t in self.tokens)
-
-    def with_tokens(self, replacements: dict[int, int]) -> "MaskedSequence":
-        toks = list(self.tokens)
-        for pos, tok in replacements.items():
-            if not 0 <= pos < len(toks):
-                raise ContractViolation(f"position {pos} out of range for length {len(toks)}")
-            toks[pos] = tok
-        return MaskedSequence(tuple(toks), self.vocab)
 
 
 # A fill action at a state: one ordinary token per position of
@@ -137,13 +118,25 @@ def check_action(state: DiffusionState, *actions: Action) -> None:
             raise ContractViolation(f"action token {tok} is not an ordinary token")
 
 
-def fill(state: DiffusionState, action: Action) -> MaskedSequence:
-    """Complete ``state`` by writing ``action`` into the masked positions.
+def fill(state: DiffusionState, actions) -> np.ndarray:
+    """The ``(N, L)`` completions of ``state`` by the ``(N, m)`` ``actions``, in one array pass.
 
-    Visible positions are untouched.  Deterministic.
+    Row i writes ``actions[i]`` into the masked positions, in order, and
+    leaves the visible ones; a faulty action raises ``check_action``'s message.
     """
-    check_action(state, action)
-    return state.completion.with_tokens(dict(zip(state.completion.mask_positions(), action)))
+    acts = np.asarray(actions)
+    masked = state.completion.mask_positions()
+    if acts.ndim != 2:
+        raise ContractViolation(f"actions must be an (N, m) array, got shape {acts.shape}")
+    if acts.shape[1] != len(masked) or acts.size and not (
+        acts.dtype.kind in "iu" and acts.min() >= 0 and acts.max() < state.vocab.size
+    ):
+        # the first faulty row names the fault; an empty batch, by a row of its width
+        check_action(state, *(acts.tolist() or [[0] * acts.shape[1]]))
+    out = np.empty((len(acts), state.completion.length), dtype=np.intp)
+    out[:] = state.completion.tokens
+    out[:, list(masked)] = acts
+    return out
 
 
 def enumerate_actions(state: DiffusionState, limit: int = 100_000) -> Iterator[Action]:

@@ -12,7 +12,7 @@ deterministic and equals the policy's factorized action log-probability.
 One API scores a fill action (one token per masked position, in order)
 at a state, summing over the currently masked positions
 (``state_surrogate_logprob``/``state_surrogate_grad``).  A full
-completion ``c`` is the action ``c.tokens`` at the fully masked state
+completion's tokens are the action at the fully masked state
 ``full_mask_state(prompt, L)``: the terminal ratios are this fixed-state
 score at the fully masked state.  ``group_targets`` checks a loss group's
 actions in one ``check_action`` call and gives its ``(Z, n)`` target tokens.
@@ -45,7 +45,7 @@ from .policy import (
     score_dlogits,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence, check_action
+from .sequences import Action, DiffusionState, MaskedSequence, check_action, fill
 
 RatioLaw = str | float
 
@@ -115,17 +115,13 @@ def group_targets(
     ``scope="action"`` scores the masked positions against the actions;
     ``scope="all"`` scores every position of each filled completion (a
     visible position's features exclude its own token, so it scores like
-    a masked one), written as one array assignment per group.
+    a masked one), the group's ``fill``.
     """
     positions = scored_positions(state, scope)
     check_action(state, *actions)
     masked = state.completion.mask_positions()
     targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(masked))
-    if scope == "action":
-        return positions, targets
-    rows = np.tile(np.array(state.completion.tokens, dtype=np.intp), (len(actions), 1))
-    rows[:, list(masked)] = targets
-    return positions, rows
+    return positions, targets if scope == "action" else fill(state, targets)
 
 
 def group_features(

@@ -1,11 +1,13 @@
 """Toy reward tasks: 4x4 Sudoku, Countdown arithmetic, and string match.
 
 Every instance class carries ``vocab``, ``completion_len``,
-``prompt_tokens()``, ``reward(completion)``, ``to_json()``/``from_json(d)``
+``prompt_tokens()``, ``reward(tokens)``, ``to_json()``/``from_json(d)``
 (its instances-file entry) and ``generate(rng, **params)``, which draws a
-random instance from the task's own params.  Rewards are deterministic
-scores in [0, 1] of fully visible completions; they never raise on
-malformed completions, and undecodable output scores zero.  ``TASKS`` maps
+random instance from the task's own params.  A reward maps a ``(..., L)``
+array of completion tokens to a ``(...)`` float array, one deterministic
+score in [0, 1] per row (a NumPy float for one row).  Rewards never raise
+on malformed completions: a row of the wrong length, or output that does
+not decode, scores zero.  ``TASKS`` maps
 task names to instance classes; ``make_task`` generates a pool through it
 and ``instance_pool`` builds a ``Task`` from instances of one shape.
 
@@ -51,18 +53,22 @@ _BOXES = [
 SUDOKU_UNITS = _ROWS + _COLS + _BOXES
 
 
-def _tokens_of(completion) -> tuple[int, ...]:
-    if isinstance(completion, MaskedSequence):
-        return completion.tokens
-    return tuple(int(t) for t in completion)
-
-
 def _json_ints(name: str, values) -> tuple[int, ...]:
     """``values`` as a tuple of JSON integers: a float, string or bool raises, naming ``name``."""
     bad = [v for v in values if type(v) is not int]
     if bad:
         raise ContractViolation(f"{name}: {bad[0]!r} is not an integer")
     return tuple(values)
+
+
+def _match_fraction(completion, target: np.ndarray) -> np.ndarray:
+    """Per row of a ``(..., L)`` token array, the fraction of positions equal to ``target``."""
+    tokens = np.asarray(completion)
+    if tokens.shape[-1] != len(target):
+        return np.zeros(tokens.shape[:-1])[()]
+    if not len(target):
+        return np.ones(tokens.shape[:-1])[()]
+    return (tokens == target).sum(axis=-1) / len(target)
 
 
 def sudoku_valid_solution(cells: tuple[int, ...]) -> bool:
@@ -78,6 +84,7 @@ class SudokuInstance:
     grid: tuple[int, ...]
     solution: tuple[int, ...]
     _empty: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _target: np.ndarray = field(init=False, repr=False, compare=False)
 
     vocab = SUDOKU_VOCAB
 
@@ -90,6 +97,8 @@ class SudokuInstance:
             if g != 0 and g != s:
                 raise ContractViolation("givens must agree with the solution")
         object.__setattr__(self, "_empty", tuple(i for i, v in enumerate(self.grid) if v == 0))
+        # the solution's token at each empty cell, which a completion must match
+        object.__setattr__(self, "_target", np.array([self.solution[c] - 1 for c in self._empty]))
 
     def empty_cells(self) -> tuple[int, ...]:
         return self._empty
@@ -101,18 +110,9 @@ class SudokuInstance:
     def prompt_tokens(self) -> tuple[int, ...]:
         return tuple(v - 1 if v != 0 else SUDOKU_BLANK for v in self.grid)
 
-    def reward(self, completion) -> float:
-        """Fraction of the originally empty cells filled with the solution digit."""
-        tokens = _tokens_of(completion)
-        empty = self.empty_cells()
-        if len(tokens) != len(empty):
-            return 0.0
-        if not empty:
-            return 1.0
-        correct = sum(
-            1 for tok, cell in zip(tokens, empty) if 0 <= tok <= 3 and tok + 1 == self.solution[cell]
-        )
-        return correct / len(empty)
+    def reward(self, completion) -> np.ndarray:
+        """Fraction of the originally empty cells filled with the solution digit, per row."""
+        return _match_fraction(completion, self._target)
 
     @classmethod
     def generate(cls, rng: np.random.Generator, n_empty: int = 8) -> "SudokuInstance":
@@ -261,12 +261,15 @@ class CountdownInstance:
         toks.extend((self.target // 100, (self.target // 10) % 10, self.target % 10))
         return tuple(toks)
 
-    def reward(self, completion) -> float:
-        """1.0 for hitting the target exactly, 0.1 for any other well-formed expression."""
-        value = parse_postfix(_tokens_of(completion), self.numbers)
-        if value is None:
-            return 0.0
-        return 1.0 if value == self.target else 0.1
+    def reward(self, completion) -> np.ndarray:
+        """Per row: 1.0 for hitting the target exactly, 0.1 for any other well-formed expression."""
+        tokens = np.asarray(completion)
+        if tokens.shape[-1] != self.completion_len:
+            return np.zeros(tokens.shape[:-1])[()]
+        rows = tokens.reshape(-1, self.completion_len).tolist()
+        values = [parse_postfix(row, self.numbers) for row in rows]
+        scores = [0.0 if v is None else 1.0 if v == self.target else 0.1 for v in values]
+        return np.array(scores).reshape(tokens.shape[:-1])[()]
 
     @classmethod
     def generate(cls, rng: np.random.Generator, n_numbers: int | None = 4) -> "CountdownInstance":
@@ -341,12 +344,14 @@ class StringMatchInstance:
 
     target: tuple[int, ...]
     vocab_size: int = 4
+    _target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.target:
             raise ContractViolation("target must be non-empty")
         if any(type(t) is not int or not 0 <= t < self.vocab_size for t in self.target):
             raise ContractViolation("target tokens must be ordinary tokens (integers)")
+        object.__setattr__(self, "_target", np.array(self.target))
 
     @property
     def vocab(self) -> Vocab:
@@ -359,12 +364,9 @@ class StringMatchInstance:
     def prompt_tokens(self) -> tuple[int, ...]:
         return self.target
 
-    def reward(self, completion) -> float:
-        """Fraction of positions matching the target; 0 on a length mismatch."""
-        c = _tokens_of(completion)
-        if len(self.target) != len(c):
-            return 0.0
-        return sum(1 for a, b in zip(self.target, c) if a == b) / len(self.target)
+    def reward(self, completion) -> np.ndarray:
+        """Fraction of positions matching the target per row; 0 on a length mismatch."""
+        return _match_fraction(completion, self._target)
 
     @classmethod
     def generate(
@@ -396,7 +398,7 @@ class RewardFn:
 
     instance: Instance
 
-    def __call__(self, completion) -> float:
+    def __call__(self, completion) -> np.ndarray:
         return self.instance.reward(completion)
 
 

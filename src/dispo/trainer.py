@@ -291,19 +291,22 @@ def count_ops(config: RunConfig) -> OpCounters:
     """Predicted counters for one prompt (optimizer steps are per run).
 
     Selected states per prompt: |S| = n_rollouts * n_timesteps when the
-    step family is active, else 0.  Ratio evaluations count the current
-    and old policies; with ``kl_beta > 0`` the KL term's 2 * n_mc passes
-    (current and reference, at the fully masked state) get their own bucket.
+    step family is active, else 0; the terminal family scores the
+    n_rollouts completions when ``alpha_term > 0``, else none.  Ratio
+    evaluations count the current and old policies; with ``kl_beta > 0``
+    the KL term's 2 * n_mc passes (current and reference, at the fully
+    masked state) get their own bucket.
     """
     k, t = config.n_rollouts, config.n_denoising_steps
     n_mc = config.surrogate.n_mc
     s = k * config.n_timesteps if config.alpha_step > 0 else 0
+    terminal_calls = 2 * n_mc * k if config.alpha_term > 0 else 0
     kl_calls = 2 * n_mc if config.kl_beta > 0 else 0
     return OpCounters(
         rollout_forward_passes=k * t,
         optimizer_steps=config.n_updates,
         reward_evals=k + s * config.n_branches,
-        surrogate_terminal_calls=2 * n_mc * k,
+        surrogate_terminal_calls=terminal_calls,
         surrogate_step_calls=2 * n_mc * s,
         surrogate_kl_calls=kl_calls,
     )
@@ -520,13 +523,11 @@ def train(
                 [stream(root, "rollout", u, b, k) for k in range(config.n_rollouts)],
                 counters=counters,
             )
-            completions = []
-            for traj in trajs:
-                final = traj.final_completion()
-                r = inst.reward(final)
-                counters.reward_evals += 1
-                completions.append((final, r))
-                terminal_rewards.append(r)
+            finals = np.array([traj.final_completion() for traj in trajs])
+            rewards = inst.reward(finals).tolist()
+            counters.reward_evals += len(finals)
+            completions = list(zip(map(tuple, finals.tolist()), rewards))
+            terminal_rewards.extend(rewards)
 
             step_groups: list[LossGroup] = []
             if config.alpha_step > 0:
@@ -538,10 +539,11 @@ def train(
                     for t in tsub:
                         state = traj.state_at(t)
                         rng = stream(root, "branch", u, b, k, t)
-                        drawn = branch(state, traj.cache_at(t), z, rng)
-                        members = [(action, inst.reward(completed)) for action, completed in drawn]
-                        counters.reward_evals += len(members)
-                        step_rewards.extend(r for _, r in members)
+                        actions, completed = branch(state, traj.cache_at(t), z, rng)
+                        rewards = inst.reward(completed).tolist()
+                        counters.reward_evals += len(rewards)
+                        step_rewards.extend(rewards)
+                        members = list(zip(map(tuple, actions.tolist()), rewards))
                         step_groups.append((state, members))
 
             loss, grad, parts = combined_loss(

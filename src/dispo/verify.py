@@ -222,7 +222,7 @@ def build_state_tables(
         probs=probs,
         probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
         ratios=np.exp(logp_new - logp_old),
-        rewards=np.array([reward(fill(state, a)) for a in actions], dtype=np.float64),
+        rewards=reward(fill(state, targets)),
         grads=grad_from_contexts(params, grids, targets),
     )
 
@@ -842,11 +842,11 @@ def trcov_protocol(
         for cond in conditions:
             z = cond.n_branches
             if z not in by_size:
-                drawn = branch(
+                actions, completed = branch(
                     cand.state, behavior, n_trials * z, stream(seed, "trcov-group", i, z)
                 )
-                members = [(action, cand.reward(completed)) for action, completed in drawn]
-                rewards = np.array([rw for _, rw in members]).reshape(n_trials, z)
+                rewards = cand.reward(completed).reshape(n_trials, z)
+                members = list(zip(map(tuple, actions.tolist()), rewards.ravel().tolist()))
                 by_size[z] = (
                     [members[r * z : (r + 1) * z] for r in range(n_trials)],
                     bool((rewards.max(axis=1) > rewards.mean(axis=1)).any()),

@@ -449,12 +449,13 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         seq = MaskedSequence(tokens, vocab)
         state = DiffusionState(prompt, seq)
         act = tuple(int(rng.integers(3)) for _ in seq.mask_positions())
-        filled = fill(state, act)
-        assert filled.fully_visible()
-        for pos in seq.visible_positions():
-            assert filled.tokens[pos] == seq.tokens[pos]
+        (filled,) = fill(state, [act]).tolist()
+        assert vocab.mask_id not in filled
+        for pos, tok in enumerate(seq.tokens):
+            if tok != vocab.mask_id:
+                assert filled[pos] == tok
         for pos, tok in zip(seq.mask_positions(), act):
-            assert filled.tokens[pos] == tok
+            assert filled[pos] == tok
 
     # branching covers the branch state's mask set without running the policy
     arch = LinearArch(vocab, prompt_len=2, completion_len=4, window=1)
@@ -472,8 +473,8 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         branch_state = traj.state_at(t)
         branch_mask = branch_state.completion.mask_positions()
         branch_rng = stream(1003, "invariant-branch", t)
-        for act, completed in branch(branch_state, traj.cache_at(t), 4, branch_rng):
-            assert len(act) == len(branch_mask)
-            assert tuple(completed.tokens[p] for p in branch_mask) == act
-            assert completed.fully_visible()
+        acts, completed = branch(branch_state, traj.cache_at(t), 4, branch_rng)
+        assert acts.shape == (4, len(branch_mask))
+        assert (completed[:, list(branch_mask)] == acts).all()
+        assert vocab.mask_id not in completed
     acceptance_log(10, "advantages, ratio, KL, fill, and branch invariants all exact")

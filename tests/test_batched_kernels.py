@@ -8,7 +8,6 @@ firing.  The references are the straightforward loops the batched code
 replaces.
 """
 
-import collections
 import importlib
 
 import numpy as np
@@ -39,7 +38,7 @@ from dispo.policy import (
     sample_action,
 )
 from dispo.rollout import UnmaskSchedule, branch
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, fill
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -64,6 +63,13 @@ rollout_module = importlib.import_module("dispo.rollout")  # ``dispo.rollout`` i
 trainer_module = importlib.import_module("dispo.trainer")
 
 # -- per-item references -------------------------------------------------------
+
+
+def written(state, action):
+    """``state``'s completion tokens with ``action`` written into its masked positions."""
+    tokens = iter(action)
+    mid = state.vocab.mask_id
+    return tuple(next(tokens) if t == mid else t for t in state.completion.tokens)
 
 
 def reference_features(arch, tokens, positions):
@@ -174,7 +180,7 @@ def reference_group_loss(
     for z, (action, _) in enumerate(members):
         positions, targets = state.completion.mask_positions(), action
         if scope == "all":
-            targets = fill(state, action).tokens
+            targets = written(state, action)
             positions = tuple(range(len(targets)))
         pats = pattern_sets[z]
         if per_member_patterns or shared is None:
@@ -318,10 +324,10 @@ def test_branch_equals_successive_sample_action_calls():
         positions = completion.mask_positions()
         ctx = RowsContext(positions, rows, log_softmax(rows), np.zeros((k, 1)), None)
         a, b = stream(3, "branch", case), stream(3, "branch", case)
-        branched = branch(state, ctx, z, a)
-        actions = [sample_action(ctx, b) for _ in range(z)]
-        assert [action for action, _ in branched] == actions
-        assert [completed for _, completed in branched] == [fill(state, x) for x in actions]
+        actions, completed = branch(state, ctx, z, a)
+        expected = [sample_action(ctx, b) for _ in range(z)]
+        assert [tuple(x) for x in actions.tolist()] == expected
+        assert [tuple(c) for c in completed.tolist()] == [written(state, x) for x in expected]
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -449,38 +455,33 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     assert kernel_calls[2 * n_prompts :] == [("step", 1)] * len(step_calls)
 
 
-def test_branch_fills_each_member_once_and_the_kernel_checks_a_group_in_one_call(
+def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_one_call(
     monkeypatch,
 ):
-    """``branch`` completes each member once, without ``fill``, and the kernel checks
+    """``branch`` completes all its members in one ``fill`` call, and the kernel checks
     each loss group in one ``check_action`` call, not one call per member.
 
-    So each member's tokens are validated exactly once: in its group's call."""
-    checked, checked_actions, fills, branched = [], [], [], []
+    So in training each member's tokens are validated once: in its group's call."""
+    checked, fills, branched = [], [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
     real_branch = rollout_module.branch
 
     def counted_check(state, *actions):
         checked.append(len(actions))
-        checked_actions.extend(actions)  # kept alive, so ids stay unique below
         return real_check(state, *actions)
 
-    def counted_fill(state, action):
-        fills.append(action)
-        return real_fill(state, action)
+    def counted_fill(state, actions):
+        fills.append(np.shape(actions))
+        return real_fill(state, actions)
 
     def counted_branch(*args):
-        drawn = real_branch(*args)
-        branched.extend(action for action, _ in drawn)
-        return drawn
-
-    def validations_per_member():
-        counts = collections.Counter(map(id, checked_actions))
-        return [counts[id(action)] for action in branched]
+        actions, completed = real_branch(*args)
+        branched.append(actions.shape)
+        return actions, completed
 
     for module in (sequences_module, surrogate_module, policy_module):
         monkeypatch.setattr(module, "check_action", counted_check)
-    for module in (sequences_module, verify_module):
+    for module in (rollout_module, surrogate_module, verify_module):
         monkeypatch.setattr(module, "fill", counted_fill)
     for module in (trainer_module, verify_module):
         monkeypatch.setattr(module, "branch", counted_branch)
@@ -497,24 +498,24 @@ def test_branch_fills_each_member_once_and_the_kernel_checks_a_group_in_one_call
     )
     train(cfg)
     n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
-    assert len(branched) == n_groups * cfg.n_branches
-    assert validations_per_member() == [1] * len(branched)
-    assert fills == []
+    assert [z for z, _ in branched] == [cfg.n_branches] * n_groups
+    assert fills == branched  # one array pass per draw, over all its members
     # one call per step group (Z actions) and one per terminal group (K)
     assert sorted(checked) == sorted(
         [cfg.n_branches] * n_groups + [cfg.n_rollouts] * cfg.batch_size
     )
 
     checked.clear()
-    checked_actions.clear()
+    fills.clear()
     branched.clear()
     params, old, cands = trcov_problem()
     surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
-    # per state and trial: one Z=2 and one Z=4 group, each scored in both scopes
-    assert len(branched) == report.n_maskable * 2 * (2 + 4)
-    assert validations_per_member() == [2] * len(branched)  # once per scope sharing the draw
-    assert fills == []
+    # per state: one draw of n_trials * Z members per group size
+    assert [n for n, _ in branched] == [2 * 2, 2 * 4] * report.n_maskable
+    # per state and trial: one Z=2 and one Z=4 group, each scored in both scopes;
+    # an all-token group's targets are its members' fills, in one call
+    assert sorted(n for n, _ in fills) == sorted([4, 8, 2, 2, 4, 4] * report.n_maskable)
     assert sorted(checked) == sorted([2, 2, 4, 4] * report.n_maskable * 2)
 
 
@@ -527,16 +528,14 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         prompt = random_state(rng, arch).prompt
         completions = [
-            (MaskedSequence(tuple(rng.integers(0, 4, 5).tolist()), arch.vocab), float(rng.normal()))
-            for _ in range(4)
+            (tuple(rng.integers(0, 4, 5).tolist()), float(rng.normal())) for _ in range(4)
         ]
         loss, grad = terminal_loss(
             prompt, completions, params, old, loss_cfg, surr_cfg, stream(9, n_mc)
         )
         state = full_mask_state(prompt, 5)
-        members = [(c.tokens, r) for c, r in completions]
         ref_loss, ref_grad, n_clipped = reference_group_loss(
-            params, old, state, members, loss_cfg, surr_cfg, stream(9, n_mc), "action", True
+            params, old, state, completions, loss_cfg, surr_cfg, stream(9, n_mc), "action", True
         )
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
@@ -575,7 +574,7 @@ def reference_trcov_protocol(
             any_positive = False
             for r in range(n_trials):
                 members = [
-                    (action, cand.reward(fill(cand.state, action)))
+                    (action, cand.reward(written(cand.state, action)))
                     for action in draws[r * z : (r + 1) * z]
                 ]
                 rewards = [rw for _, rw in members]
@@ -640,7 +639,7 @@ def trcov_problem():
     cands = collect_states(
         collector, task, 3, UnmaskSchedule(2), (1, 2, 3), seed=32, rollouts_per_instance=2
     )
-    done = cands[-1].state.completion.with_tokens(dict.fromkeys(range(6), 0))
+    done = MaskedSequence((0,) * 6, task.vocab)
     cands.insert(2, CandidateState(DiffusionState(cands[-1].state.prompt, done), cands[-1].reward))
     return params, old, cands
 

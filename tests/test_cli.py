@@ -59,6 +59,11 @@ def test_count_ops_prints_the_formulas(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(K=4, T=4, |S|=12, Z=2, Nm=5)" in out
     assert "surrogate_kl_calls       = 2*Nm      = 2*5 = 10" in out
+    no_term = write_config(tmp_path, {"alpha_term": 0.0}, "no_term.json")
+    assert main(["count-ops", "--config", no_term]) == 0
+    out = capsys.readouterr().out
+    assert "surrogate_terminal_calls = off (alpha_term = 0) = 0" in out
+    assert "  surrogate_terminal_calls = 0\n" in out  # the run totals agree
 
 
 def test_bad_configs_exit_with_code_two(tmp_path, capsys):

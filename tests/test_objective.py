@@ -71,19 +71,20 @@ def test_step_losses_reject_a_malformed_action_by_name(bad, message):
         aggregate_step_loss(groups, params, params, NOCLIP, OFF)
 
 
-def test_terminal_loss_rejects_a_malformed_completion_by_name():
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 1), "action has 2 tokens for a mask set of 3 positions"),
+        ((0, 1, 2, 0), "action has 4 tokens for a mask set of 3 positions"),
+        (mid_state().completion.tokens, "action token 3 is not an ordinary token"),
+    ],
+)
+def test_terminal_loss_rejects_a_malformed_completion_by_name(bad, message):
+    # the terminal group's members are actions at the fully masked state
     params = init_params(ARCH, stream(12, "p"), scale=0.5)
-    good = (MaskedSequence((0, 1, 2), VOCAB), 1.0)
-    cases = {
-        "terminal completions must share a length": MaskedSequence((0, 1), VOCAB),
-        "terminal completions must be fully visible": mid_state().completion,
-    }
-    for message, bad in cases.items():
+    for completions in ([((0, 1, 2), 1.0), (bad, 0.0)], [(bad, 1.0), (bad, 0.0)]):
         with pytest.raises(ContractViolation, match=message):
-            terminal_loss(PROMPT, [good, (bad, 0.0)], params, params, NOCLIP, OFF)
-    with pytest.raises(ConfigurationError, match="completion length 2 != architecture"):
-        short = MaskedSequence((0, 1), VOCAB)
-        terminal_loss(PROMPT, [(short, 1.0), (short, 0.0)], params, params, NOCLIP, OFF)
+            terminal_loss(PROMPT, completions, params, params, NOCLIP, OFF)
 
 
 def test_loss_config_validation():
@@ -130,18 +131,18 @@ def test_step_loss_two_branch_example():
 
 def test_terminal_loss_two_rollout_example():
     params = init_params(ARCH, stream(3, "p"), scale=0.5)
-    c1 = MaskedSequence((0, 1, 2), VOCAB)
-    c2 = MaskedSequence((2, 2, 0), VOCAB)
+    c1 = (0, 1, 2)
+    c2 = (2, 2, 0)
     loss, grad = terminal_loss(PROMPT, [(c1, 1.0), (c2, 0.0)], params, params, NOCLIP, OFF)
     assert abs(loss) < 1e-15
     full = full_mask_state(PROMPT, 3)
-    g1 = state_surrogate_grad(params, full, c1.tokens, OFF)
-    g2 = state_surrogate_grad(params, full, c2.tokens, OFF)
+    g1 = state_surrogate_grad(params, full, c1, OFF)
+    g2 = state_surrogate_grad(params, full, c2, OFF)
     assert np.allclose(grad, -0.25 * (g1 - g2), atol=1e-12)
     with pytest.raises(ContractViolation):
         terminal_loss(PROMPT, [], params, params, NOCLIP, OFF)
     with pytest.raises(ContractViolation):
-        terminal_loss(PROMPT, [(mid_state().completion, 1.0)], params, params, NOCLIP, OFF)
+        terminal_loss(PROMPT, [(mid_state().completion.tokens, 1.0)], params, params, NOCLIP, OFF)
 
 
 def test_step_loss_gradient_matches_finite_differences():
@@ -207,7 +208,7 @@ def test_combined_loss_is_linear_in_its_parts():
     params = init_params(ARCH, stream(7, "p"), scale=0.5)
     old = init_params(ARCH, stream(7, "old"), scale=0.5)
     ref = init_params(ARCH, stream(7, "ref"), scale=0.5)
-    completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
+    completions = [((0, 1, 2), 1.0), ((2, 0, 1), 0.0)]
     groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     cfg = LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05, clip_eps=None)
     loss, grad, parts = combined_loss(
@@ -221,7 +222,7 @@ def test_combined_loss_is_linear_in_its_parts():
 
 def test_zero_weight_families_consume_nothing():
     params = init_params(ARCH, stream(8, "p"), scale=0.5)
-    completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
+    completions = [((0, 1, 2), 1.0), ((2, 0, 1), 0.0)]
     groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     counters = OpCounters()
     cfg = LossConfig(alpha_step=0.0, alpha_term=1.0, kl_beta=0.0)
@@ -244,7 +245,7 @@ def test_corruption_without_a_generator_is_a_named_error(law):
     params = init_params(ARCH, stream(10, "p"), scale=0.5)
     state = mid_state()
     branches = [((0, 1), 1.0), ((2, 0), 0.0)]
-    completions = [(MaskedSequence((0, 1, 2), VOCAB), 1.0), (MaskedSequence((2, 0, 1), VOCAB), 0.0)]
+    completions = [((0, 1, 2), 1.0), ((2, 0, 1), 0.0)]
     cfg = SurrogateConfig(n_mc=2, ratio_law=law)
     calls = {
         "step_loss": lambda: step_loss(state, branches, params, params, NOCLIP, cfg),

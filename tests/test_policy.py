@@ -18,7 +18,6 @@ from dispo.policy import (
     rows_context,
     sample_action,
     save_policy,
-    softmax,
 )
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions
 from dispo.streams import stream
@@ -79,7 +78,7 @@ def test_large_bias_saturates_one_token():
     state = DiffusionState(MaskedSequence((0, 0), vocab), MaskedSequence.masked(3, vocab))
     total, _ = action_logprob(params, state, (1, 1, 1))
     assert abs(total) < 1e-9
-    probs = softmax(rows_context(params, state).rows)
+    probs = np.exp(rows_context(params, state).logp)
     assert np.all(probs[:, 1] > 1.0 - 1e-9)
 
 
@@ -149,7 +148,7 @@ def test_sampling_frequencies_match_probabilities():
     params = init_params(arch, rng, scale=0.8)
     state = make_state(vocab, 2, 2, rng, n_masked=1)
     ctx = rows_context(params, state)
-    probs = softmax(ctx.rows)[0]
+    probs = np.exp(ctx.logp)[0]
     n = 20_000
     counts = np.zeros(vocab.size)
     for _ in range(n):

@@ -76,13 +76,15 @@ def test_fills_of_enumerated_actions_are_distinct_complete_and_keep_visible_toke
     vocab = Vocab(vocab_size)
     completion = MaskedSequence(tuple(vocab.mask_id if t < 0 else t for t in tokens), vocab)
     state = DiffusionState(MaskedSequence((0,), vocab), completion)
-    fills = [fill(state, action) for action in enumerate_actions(state)]
-    assert len(fills) == vocab_size ** len(completion.mask_positions())
-    assert len(set(fills)) == len(fills)
-    for filled in fills:
-        assert filled.fully_visible()
-        for p in completion.visible_positions():
-            assert filled.tokens[p] == completion.tokens[p]
+    mask = completion.mask_positions()
+    actions = np.array(list(enumerate_actions(state)), dtype=np.intp)
+    fills = fill(state, actions)
+    assert fills.shape == (vocab_size ** len(mask), len(tokens))
+    assert len({tuple(row) for row in fills.tolist()}) == len(fills)
+    assert vocab.mask_id not in fills
+    for p in range(len(tokens)):
+        if p not in mask:
+            assert (fills[:, p] == completion.tokens[p]).all()
 
 
 

@@ -8,7 +8,7 @@ import pytest
 rollout_mod = importlib.import_module("dispo.rollout")
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
-from dispo.policy import LinearArch, greedy_action, init_params, rows_context, softmax
+from dispo.policy import LinearArch, greedy_action, init_params, rows_context
 from dispo.rollout import UnmaskSchedule, branch, rollout
 from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
@@ -53,7 +53,9 @@ def test_mask_sets_shrink_on_schedule():
     counts = sched.mask_counts(4, 2)
     for t in range(1, traj.n_steps + 2):
         assert len(traj.state_at(t).mask()) == counts[t - 1]
-    assert traj.final_completion().fully_visible()
+    assert traj.states.shape == (traj.n_steps + 1, 4) and not traj.states.flags.writeable
+    assert (traj.final_completion() == traj.states[-1]).all()
+    assert PROMPT.vocab.mask_id not in traj.final_completion()
 
 
 def test_committed_tokens_persist():
@@ -85,7 +87,7 @@ def test_greedy_commits_highest_confidence_eligible():
     for t in range(1, traj.n_steps + 1):
         grid = traj.cache_at(t)
         action = greedy_action(grid)
-        probs = softmax(grid.rows)
+        probs = np.exp(grid.logp)
         eligible = set(sched.eligible(grid.positions))
         scored = sorted(
             (-probs[r, tok], pos, tok)
@@ -119,12 +121,14 @@ def test_lockstep_trajectories_equal_solo_rollouts():
     for k, traj in enumerate(together):
         (solo,) = rollout(params, PROMPT, 4, sched, [stream(15, "roll", k)])
         assert traj.events == solo.events
-        assert traj.states == solo.states
+        assert np.array_equal(traj.states, solo.states)
         for shared, alone in zip(traj.cache, solo.cache):
             assert shared.positions == alone.positions
             assert np.array_equal(shared.rows, alone.rows)
     with pytest.raises(ContractViolation):
         rollout(params, PROMPT, 4, sched, [])
+    with pytest.raises(ConfigurationError, match="prompt length 3 != architecture prompt_len 2"):
+        rollout(params, MaskedSequence((0, 2, 1), VOCAB), 4, sched, rngs)
 
 
 def test_branch_runs_no_forward_passes(monkeypatch):
@@ -136,14 +140,12 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", boom)
     state = traj.state_at(1)
-    pairs = branch(state, traj.cache_at(1), 5, stream(7, "branch"))
-    assert len(pairs) == 5
-    for action, completion in pairs:
-        assert len(action) == len(state.mask())
-        assert tuple(completion.tokens[p] for p in state.mask()) == action
-        assert completion.fully_visible()
-        for p in state.completion.visible_positions():
-            assert completion.tokens[p] == state.completion.tokens[p]
+    actions, completions = branch(state, traj.cache_at(1), 5, stream(7, "branch"))
+    assert actions.shape == (5, len(state.mask())) and completions.shape == (5, 4)
+    assert (completions[:, list(state.mask())] == actions).all()
+    assert PROMPT.vocab.mask_id not in completions
+    visible = [p for p in range(4) if p not in state.mask()]
+    assert (completions[:, visible] == np.array(state.completion.tokens)[visible]).all()
 
 
 def test_branch_is_reproducible():
@@ -151,7 +153,7 @@ def test_branch_is_reproducible():
     traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(8, "roll")])[0]
     a = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
     b = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
-    assert [x[0] for x in a] == [x[0] for x in b]
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ContractViolation):
         traj.cache_at(3)  # no cache at the terminal state
     with pytest.raises(ContractViolation):
@@ -168,7 +170,8 @@ def test_branch_rejects_rows_of_another_mask_set():
         branch(traj.state_at(2), traj.cache_at(1), 2, stream(13, "x"))
     # rows of the right size, but for other positions or in another order
     state = traj.state_at(2)
-    for positions in (state.completion.visible_positions(), state.mask()[::-1]):
+    visible = tuple(p for p in range(4) if p not in state.mask())
+    for positions in (visible, state.mask()[::-1]):
         with pytest.raises(ContractViolation, match="masked positions"):
             branch(state, rows_context(params, state, positions), 2, stream(13, "x"))
 
@@ -176,7 +179,8 @@ def test_branch_rejects_rows_of_another_mask_set():
 def test_state_index_bounds():
     params = random_params(9)
     traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(9, "roll")])[0]
-    assert traj.state_at(3).completion.fully_visible()
+    assert traj.state_at(3).mask() == ()
+    assert traj.state_at(3).completion.tokens == tuple(traj.final_completion().tolist())
     with pytest.raises(ContractViolation):
         traj.state_at(0)
     with pytest.raises(ContractViolation):
@@ -188,7 +192,7 @@ def test_rollout_is_seed_deterministic():
     a = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
     b = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
     assert a.events == b.events
-    assert [s.completion.tokens for s in a.states] == [s.completion.tokens for s in b.states]
+    assert np.array_equal(a.states, b.states)
     g = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(11, "unused")], greedy=True)[0]
     h = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(12, "unused")], greedy=True)[0]
     assert g.events == h.events

@@ -1,5 +1,7 @@
 """Vocabulary, masked sequences, token-tuple actions, and the fill operation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dispo.sequences import (
     DiffusionState,
     MaskedSequence,
     Vocab,
+    check_action,
     enumerate_actions,
     fill,
 )
@@ -17,8 +20,8 @@ from dispo.streams import stream
 def test_vocab_mask_id_is_size():
     v = Vocab(4)
     assert v.mask_id == 4
-    assert v.is_ordinary(0) and v.is_ordinary(3)
-    assert not v.is_ordinary(4)
+    assert 0 in v.ordinary and 3 in v.ordinary
+    assert 4 not in v.ordinary
     with pytest.raises(ContractViolation):
         Vocab(1)
 
@@ -31,11 +34,8 @@ def test_masked_sequence_positions():
     fresh = MaskedSequence((0, v.mask_id, 2, v.mask_id), v)
     assert s.mask_positions() is s.mask_positions()
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
-    assert s.with_tokens({1: 0}).mask_positions() == (3,)
-    assert s.visible_positions() == (0, 2)
-    assert not s.fully_visible()
-    assert not s.fully_masked()
-    assert MaskedSequence.masked(3, v).fully_masked()
+    assert MaskedSequence((0, 0, 2, v.mask_id), v).mask_positions() == (3,)
+    assert MaskedSequence.masked(3, v).mask_positions() == (0, 1, 2)
 
 
 def test_masked_sequence_rejects_foreign_tokens():
@@ -56,16 +56,20 @@ def test_state_requires_matching_vocabs():
 def test_fill_covers_mask_set_exactly():
     v = Vocab(3)
     state = DiffusionState(MaskedSequence((1,), v), MaskedSequence((0, v.mask_id, v.mask_id), v))
-    done = fill(state, (2, 0))  # one token per masked position, in order
-    assert done.tokens == (0, 2, 0)
-    assert done.fully_visible()
-    # too few or too many tokens, and mask-token payloads, all refuse
-    with pytest.raises(ContractViolation, match="1 tokens for a mask set of 2"):
-        fill(state, (2,))
+    done = fill(state, [(2, 0), (1, 1)])  # one row per action, one token per masked position
+    assert done.tolist() == [[0, 2, 0], [0, 1, 1]]
+    assert fill(state, np.empty((0, 2), dtype=np.intp)).shape == (0, 3)
+    # too few or too many tokens, non-ordinary payloads, and a bare action all refuse,
+    # with the messages check_action gives the same actions
+    for bad in ([(2,)], [(2, 0, 1)], [(2, 0), (v.mask_id, 0)], [(0, -1)], [(0, 1.5)]):
+        with pytest.raises(ContractViolation) as want:
+            check_action(state, *bad)
+        with pytest.raises(ContractViolation, match=re.escape(str(want.value))):
+            fill(state, bad)
     with pytest.raises(ContractViolation, match="3 tokens for a mask set of 2"):
-        fill(state, (2, 0, 1))
-    with pytest.raises(ContractViolation, match=f"token {v.mask_id} is not an ordinary"):
-        fill(state, (v.mask_id, 0))
+        fill(state, np.empty((0, 3), dtype=np.intp))
+    with pytest.raises(ContractViolation, match=r"\(N, m\) array, got shape \(2,\)"):
+        fill(state, (2, 0))
 
 
 def test_fill_leaves_visible_positions_untouched():
@@ -78,12 +82,13 @@ def test_fill_leaves_visible_positions_untouched():
             toks[0] = v.mask_id
         state = DiffusionState(MaskedSequence((0,), v), MaskedSequence(tuple(toks), v))
         mask = state.completion.mask_positions()
-        action = tuple(int(t) for t in rng.integers(0, 4, len(mask)))
-        done = fill(state, action)
-        for p in state.completion.visible_positions():
-            assert done.tokens[p] == state.completion.tokens[p]
-        for p, t in zip(mask, action):
-            assert done.tokens[p] == t
+        actions = rng.integers(0, 4, (3, len(mask)))
+        done = fill(state, actions)
+        assert done.shape == (3, length)
+        for p in range(length):
+            if p not in mask:
+                assert (done[:, p] == state.completion.tokens[p]).all()
+        assert (done[:, list(mask)] == actions).all()
 
 
 def test_enumerate_actions_is_lexicographic_and_complete():
@@ -99,11 +104,3 @@ def test_enumerate_actions_refuses_large_spaces():
     state = DiffusionState(MaskedSequence((0,), v), MaskedSequence.masked(10, v))
     with pytest.raises(ContractViolation):
         list(enumerate_actions(state, limit=1000))
-
-
-def test_with_tokens_replaces_positions():
-    v = Vocab(3)
-    s = MaskedSequence.masked(3, v)
-    out = s.with_tokens({0: 2, 2: 1})
-    assert out.tokens == (2, v.mask_id, 1)
-    assert s.tokens == (v.mask_id,) * 3  # original untouched

@@ -3,15 +3,14 @@
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from dispo.errors import ConfigurationError, ContractViolation
 from dispo.rollout import Trajectory
-from dispo.sequences import MaskedSequence
 from dispo.streams import stream
 from dispo.tasks import (
     COUNTDOWN_PAD,
-    SUDOKU_VOCAB,
     CountdownInstance,
     RewardFn,
     StringMatchInstance,
@@ -65,8 +64,8 @@ def test_sudoku_reward_counts_correct_cells():
     assert INSTANCE.reward(perfect[:7]) == 0.0  # wrong length
     blanks = (4,) * 8
     assert INSTANCE.reward(blanks) == 0.0
-    seq = MaskedSequence(perfect, SUDOKU_VOCAB)
-    assert INSTANCE.reward(seq) == 1.0
+    batch = INSTANCE.reward(np.array([perfect, six_of_eight, blanks]))
+    assert batch.tolist() == [1.0, 0.75, 0.0]
 
 
 def test_first_violation_time_hand_trajectory():
@@ -104,6 +103,9 @@ def test_countdown_rewards():
     assert inst.reward(inner_pad) == 0.0
     ops_first = (4, 0, 1, COUNTDOWN_PAD, COUNTDOWN_PAD, COUNTDOWN_PAD, COUNTDOWN_PAD)
     assert inst.reward(ops_first) == 0.0
+    batch = inst.reward(np.array([hit, near, reuse, inner_pad, ops_first]))
+    assert batch.tolist() == [1.0, 0.1, 0.0, 0.0, 0.0]
+    assert inst.reward(hit[:-1]) == 0.0  # a well-formed expression of the wrong length
 
 
 def test_parse_postfix_values():
@@ -199,3 +201,51 @@ def test_reward_fn_dispatch():
     inst = StringMatchInstance((0, 1), vocab_size=4)
     fn = RewardFn(inst)
     assert fn((0, 1)) == 1.0
+
+
+def _reference_reward(inst, row) -> float:
+    """One row's reward, restated as a scalar formula apart from the batch code."""
+    row = tuple(int(t) for t in row)
+    if isinstance(inst, SudokuInstance):
+        empty = inst.empty_cells()
+        if len(row) != len(empty):
+            return 0.0
+        hits = sum(1 for t, c in zip(row, empty) if 0 <= t <= 3 and t + 1 == inst.solution[c])
+        return hits / len(empty)
+    if isinstance(inst, CountdownInstance):
+        if len(row) != inst.completion_len:
+            return 0.0
+        value = parse_postfix(row, inst.numbers)
+        return 0.0 if value is None else 1.0 if value == inst.target else 0.1
+    if len(row) != len(inst.target):
+        return 0.0
+    return sum(1 for a, b in zip(inst.target, row) if a == b) / len(inst.target)
+
+
+@pytest.mark.parametrize("name", ["sudoku", "countdown", "stringmatch"])
+def test_batch_rewards_equal_the_per_row_values(name):
+    task = make_task(name, stream(4, "batch-reward", name), n_instances=3)
+    rng = stream(5, "batch-reward-rows", name)
+    mid, length = task.vocab.mask_id, task.completion_len
+    for ti in task.instances:
+        inst = ti.reward.instance
+        rows = rng.integers(0, mid + 1, (64, length))  # mask ids included
+        rows[:8, rng.integers(0, length)] = mid
+        if name == "sudoku":
+            rows[8:16] = [inst.solution[c] - 1 for c in inst.empty_cells()]
+        elif name == "stringmatch":
+            rows[8:16] = inst.target
+        rows[np.arange(9, 16), np.arange(9, 16) % length] = mid  # near misses
+        batch = ti.reward(rows)
+        assert batch.shape == (64,) and batch.dtype == np.float64
+        singles = [ti.reward(row) for row in rows]  # a 1-D row scores as a scalar
+        assert all(np.shape(s) == () for s in singles)
+        reference = [_reference_reward(inst, row) for row in rows]
+        assert batch.tolist() == [float(s) for s in singles] == reference
+        assert (1.0 in reference) == (name != "countdown")
+        assert ti.reward(rows.reshape(2, 32, length)).tolist() == batch.reshape(2, 32).tolist()
+        for wrong in (length - 1, length + 1):  # a wrong length scores 0 and never raises
+            short = rng.integers(0, mid, (5, wrong))
+            assert ti.reward(short).tolist() == [0.0] * 5
+            assert ti.reward(short[0]) == 0.0
+        assert ti.reward(np.full((2, length), mid)).tolist() == [0.0, 0.0]

@@ -123,6 +123,11 @@ def test_count_ops_formulas():
     kl = count_ops(replace(cfg, kl_beta=0.01))
     assert kl.surrogate_kl_calls == 2 * 2
 
+    step_only = count_ops(replace(cfg, alpha_term=0.0))
+    assert step_only.reward_evals == 6 + 6 * 2  # the rollouts are still scored
+    assert step_only.surrogate_terminal_calls == 0
+    assert step_only.surrogate_step_calls == 2 * 2 * 6
+
 
 def test_predict_run_totals_scaling():
     cfg = tiny_config(n_updates=5, batch_size=3)
@@ -240,6 +245,33 @@ def test_counters_match_predictions_exactly():
     assert off.counters.optimizer_steps == result.counters.optimizer_steps
     assert off.counters.surrogate_step_calls == 0
     assert off.counters.as_dict() == predict_run_totals(replace(cfg, alpha_step=0.0)).as_dict()
+    # step-only arm: the rollouts are still scored, but no terminal loss runs
+    step_only = replace(cfg, alpha_term=0.0)
+    no_term = train(step_only)
+    assert no_term.counters.surrogate_terminal_calls == 0
+    assert no_term.counters.as_dict() == predict_run_totals(step_only).as_dict()
+
+
+def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
+    """Completions travel as token arrays from rollout to reward and loss.
+
+    A run builds one ``MaskedSequence`` per instance prompt and, per prompt,
+    one for the rollouts' start state, one each for the terminal and KL
+    fully masked states, and one per branched state: none per rollout step
+    or per branch member.
+    """
+    built = []
+    real = MaskedSequence.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(MaskedSequence, "__post_init__", counted)
+    cfg = tiny_config(kl_beta=0.01, n_updates=3, batch_size=2, n_rollouts=3, n_timesteps=2)
+    train(cfg)
+    n_prompts = cfg.n_updates * cfg.batch_size
+    assert 0 < len(built) <= cfg.n_instances + n_prompts * (3 + cfg.n_rollouts * cfg.n_timesteps)
 
 
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
@@ -284,7 +316,7 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     assert len(calls) == len(streams) == len(expected) == 2 * 2 * 3 * 2
     for (state, ctx, n, rng), (path, made), (want, traj, t) in zip(calls, streams, expected):
         assert path == want and rng is made and n == cfg.n_branches
-        assert state is traj.state_at(t) and ctx is traj.cache_at(t)
+        assert state == traj.state_at(t) and ctx is traj.cache_at(t)
 
 
 def test_metrics_rows_have_the_declared_columns():

@@ -132,7 +132,7 @@ def test_weighted_states_validation():
 def test_exact_gradient_vanishes_for_constant_reward():
     problem, params = build_oracle_problem()
     grad = exact_step_gradient(
-        params, problem.step_states[1], lambda c: 1.0, problem.surrogate
+        params, problem.step_states[1], lambda c: np.ones(len(c)), problem.surrogate
     )
     assert np.max(np.abs(grad)) < 1e-10
 
@@ -156,7 +156,7 @@ def test_exact_gradient_matches_finite_differences():
         for state, w in zip(weighted.states, weighted.weights):
             for action in enumerate_actions(state):
                 lp = state_surrogate_logprob(p, state, action, problem.surrogate)
-                r = problem.reward(fill(state, action))
+                r = problem.reward(fill(state, [action])[0])
                 total += w * math.exp(lp) * r
         return total
 
@@ -194,9 +194,8 @@ def test_fast_path_matches_production_terminal_loss():
     fast = (group_coefficients(tables, idx)[:, :, None] * tables.grads[idx]).sum(axis=1)
     cfg = LossConfig(clip_eps=None)
     for row in range(idx.shape[0]):
-        completions = [
-            (fill(state, tables.actions[j]), float(tables.rewards[j])) for j in idx[row]
-        ]
+        # at the fully masked state an action is the whole completion
+        completions = [(tables.actions[j], float(tables.rewards[j])) for j in idx[row]]
         _, grad = terminal_loss(
             problem.prompt, completions, params, old, cfg, problem.surrogate
         )
@@ -370,7 +369,7 @@ def test_prop1_edges():
 def test_prop2_zero_advantage_is_degenerate():
     problem, params = build_oracle_problem()
     report = prop2_check(
-        params, problem.terminal_state(), lambda c: 0.5, problem.surrogate,
+        params, problem.terminal_state(), lambda c: np.full(len(c), 0.5), problem.surrogate,
         group_sizes=(1, 2), n_samples=200, seed=13,
     )
     assert report.passed
