@@ -9,6 +9,8 @@ alternative actions at a past step costs zero extra forward passes.
 
 import argparse
 
+import numpy as np
+
 from dispo.counters import OpCounters
 from dispo.policy import LinearArch, init_params
 from dispo.rollout import UnmaskSchedule, branch, rollout
@@ -40,9 +42,10 @@ def main() -> None:
     mid = task.vocab.mask_id
     print(f"prompt     {show(inst.prompt.tokens, mid)}   (the target to reproduce)")
     for t in range(1, n_steps + 1):
-        committed = dict(traj.events[t - 1])
-        before, after = show(traj.states[t - 1], mid), show(traj.states[t], mid)
-        print(f"step {t}: {before} -> {after}   committed {committed}")
+        before, after = traj.states[t - 1], traj.states[t]
+        changed = np.flatnonzero(before != after).tolist()  # the positions step t committed
+        committed = dict(zip(changed, after[changed].tolist()))
+        print(f"step {t}: {show(before, mid)} -> {show(after, mid)}   committed {committed}")
     final = traj.final_completion()
     print(f"terminal   {show(final, mid)}   reward {inst.reward(final):.3f}")
     print(f"rollout forward passes: {counters.rollout_forward_passes} (= T)")

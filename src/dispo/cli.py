@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     def config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="root seed override")
-        p.add_argument("--task", help="task name override (sudoku, countdown, stringmatch)")
+        p.add_argument("--task", help="task name override (sudoku, stringmatch)")
         p.add_argument("--alpha-step", type=float, dest="alpha_step", help="step-loss weight")
         p.add_argument("--z", type=int, help="branch group size override")
         p.add_argument("--sampler", help="timestep sampler law (uniform, poly_late, poly_early)")

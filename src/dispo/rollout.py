@@ -92,16 +92,19 @@ class UnmaskSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Visited completions x_1..x_T and the terminal one, commits, and cached logits."""
+    """Visited completions x_1..x_T and the terminal one, and cached logits.
+
+    Step t commits exactly the positions where row t of ``states`` differs
+    from row t-1.
+    """
 
     prompt: MaskedSequence
     states: np.ndarray  # (T+1, L) completion tokens, read-only; the last row is terminal
-    events: tuple[tuple[tuple[int, int], ...], ...]  # per step: ((pos, token), ...)
     cache: tuple[RowsContext, ...]  # length T, behavior logits at each state
 
     @property
     def n_steps(self) -> int:
-        return len(self.events)
+        return len(self.cache)
 
     def state_at(self, t: int) -> DiffusionState:
         """State x_t for t in 1..T, or the terminal state at t = T+1, built on demand."""
@@ -148,7 +151,6 @@ def rollout(
     tokens = np.tile(state_tokens(arch, start), (len(rngs), 1))
     completions = tokens[:, arch.prompt_len :]  # a view: commits land in ``tokens``
     history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (K, T+1, L)
-    events: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in rngs]
     cache: list[list[RowsContext]] = [[] for _ in rngs]
     for step in range(1, n_steps + 1):
         # the schedule commits the same count in every trajectory, so rows align
@@ -167,15 +169,12 @@ def rollout(
                 for r, (pos, tok) in enumerate(zip(ctx.positions, action))
                 if pos in eligible
             )
-            commit = scored[: min(schedule.tokens_per_step, len(scored))]
-            step_events = tuple(sorted((pos, tok) for _, pos, tok in commit))
-            events[k].append(step_events)
-            for pos, tok in step_events:
+            for _, pos, tok in scored[: schedule.tokens_per_step]:
                 completions[k, pos] = tok
         history[:, step] = completions
     assert not (completions == prompt.vocab.mask_id).any(), "schedule validation empties the mask"
     history.setflags(write=False)
-    return [Trajectory(prompt, h, tuple(e), tuple(c)) for h, e, c in zip(history, events, cache)]
+    return [Trajectory(prompt, h, tuple(c)) for h, c in zip(history, cache)]
 
 
 def branch(

@@ -1,26 +1,21 @@
-"""Toy reward tasks: 4x4 Sudoku, Countdown arithmetic, and string match.
+"""Toy reward tasks: 4x4 Sudoku and string match.
 
 Every instance class carries ``vocab``, ``completion_len``,
 ``prompt_tokens()``, ``reward(tokens)``, ``to_json()``/``from_json(d)``
 (its instances-file entry) and ``generate(rng, **params)``, which draws a
 random instance from the task's own params.  A reward maps a ``(..., L)``
-array of completion tokens to a ``(...)`` float array, one deterministic
-score in [0, 1] per row (a NumPy float for one row).  Rewards never raise
-on malformed completions: a row of the wrong length, or output that does
-not decode, scores zero.  ``TASKS`` maps
-task names to instance classes; ``make_task`` generates a pool through it
-and ``instance_pool`` builds a ``Task`` from instances of one shape.
+array of completion tokens to a ``(...)`` float array: per row, the
+fraction of positions that match the target tokens the instance stores
+once, a deterministic score in [0, 1] (a NumPy float for one row).
+Rewards never raise on malformed completions: a row of the wrong length
+scores zero.  ``TASKS`` maps task names to instance classes;
+``make_task`` generates a pool through it and ``instance_pool`` builds a
+``Task`` from instances of one shape.
 
 Sudoku: one token per cell.  Vocab has 5 ordinary tokens (digit d is
 token d-1, blank marker 4), so prompts stay fully visible.  The
 completion has one token per originally empty cell, row-major; reward is
 the fraction of those cells filled with the solution digit.
-
-Countdown: the prompt spells the operand numbers and target in decimal
-digit tokens; the completion is a fixed-length postfix expression over
-operand-slot tokens 0..3, operator tokens 4..7 (+ - * /), and a trailing
-pad token 8.  Values are exact rationals.  Reward 1.0 for hitting the
-target, 0.1 for any well-formed expression over distinct slots, else 0.
 
 String match: the prompt is the target itself; reward is the fraction of
 completion positions matching it (a copy task, useful as the simplest
@@ -30,9 +25,7 @@ optimization target).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -158,20 +151,22 @@ def _board_violates(cells: list[int]) -> bool:
 
 
 def first_violation_time(instance: SudokuInstance, traj: Trajectory) -> int | None:
-    """Smallest step whose cumulative commits break a Sudoku constraint.
+    """Smallest step whose committed tokens break a Sudoku constraint.
 
-    Commits from steps 1..t are merged with the givens; a duplicate digit in
-    any row/column/box, or a committed token that does not decode to a
-    digit, is a violation.  Returns None if the whole trajectory stays
-    consistent.
+    The unmasked tokens of the state after step t are merged with the
+    givens; a duplicate digit in any row/column/box, or a committed token
+    that does not decode to a digit, is a violation.  Returns None if the
+    whole trajectory stays consistent.
     """
-    cells = list(instance.grid)
     empty = instance.empty_cells()
-    for t, events in enumerate(traj.events, start=1):
-        for pos, tok in events:
-            if not 0 <= pos < len(empty):
-                raise ContractViolation(f"commit position {pos} outside the instance's empty cells")
-            cells[empty[pos]] = tok + 1 if 0 <= tok <= 3 else -1
+    if traj.states.shape[-1] != len(empty):
+        raise ContractViolation(f"state width {traj.states.shape[-1]} != {len(empty)} empty cells")
+    mask_id = instance.vocab.mask_id
+    for t, row in enumerate(traj.states[1:].tolist(), start=1):
+        cells = list(instance.grid)
+        for cell, tok in zip(empty, row):
+            if tok != mask_id:
+                cells[cell] = tok + 1 if 0 <= tok <= 3 else -1
         if _board_violates(cells):
             return t
     return None
@@ -228,116 +223,6 @@ def count_solutions(grid: tuple[int, ...], cap: int = 2) -> int:
     return found
 
 
-COUNTDOWN_VOCAB = Vocab(10)
-COUNTDOWN_PAD = 8
-COUNTDOWN_OPS = {4: operator.add, 5: operator.sub, 6: operator.mul, 7: operator.truediv}
-COUNTDOWN_COMPLETION_LEN = 7  # postfix over at most 4 operands
-
-
-@dataclass(frozen=True)
-class CountdownInstance:
-    """Reach ``target`` from ``numbers`` with + - * / and distinct operands."""
-
-    numbers: tuple[int, ...]
-    target: int
-
-    vocab = COUNTDOWN_VOCAB
-    completion_len = COUNTDOWN_COMPLETION_LEN
-
-    def __post_init__(self) -> None:
-        if not 3 <= len(self.numbers) <= 4:
-            raise ContractViolation("instances carry 3 or 4 numbers")
-        if any(not isinstance(n, int) or not 1 <= n <= 99 for n in self.numbers):
-            raise ContractViolation("numbers must be integers in 1..99")
-        if not isinstance(self.target, int) or not 1 <= self.target <= 999:
-            raise ContractViolation("target must be an integer in 1..999")
-
-    def prompt_tokens(self) -> tuple[int, ...]:
-        """Four 2-digit operand slots (0 pads a missing fourth), then the 3-digit target."""
-        toks: list[int] = []
-        for slot in range(4):
-            n = self.numbers[slot] if slot < len(self.numbers) else 0
-            toks.extend((n // 10, n % 10))
-        toks.extend((self.target // 100, (self.target // 10) % 10, self.target % 10))
-        return tuple(toks)
-
-    def reward(self, completion) -> np.ndarray:
-        """Per row: 1.0 for hitting the target exactly, 0.1 for any other well-formed expression."""
-        tokens = np.asarray(completion)
-        if tokens.shape[-1] != self.completion_len:
-            return np.zeros(tokens.shape[:-1])[()]
-        rows = tokens.reshape(-1, self.completion_len).tolist()
-        values = [parse_postfix(row, self.numbers) for row in rows]
-        scores = [0.0 if v is None else 1.0 if v == self.target else 0.1 for v in values]
-        return np.array(scores).reshape(tokens.shape[:-1])[()]
-
-    @classmethod
-    def generate(cls, rng: np.random.Generator, n_numbers: int | None = 4) -> "CountdownInstance":
-        """An instance built from a random expression, so a solution exists.
-
-        ``n_numbers=None`` draws 3 or 4 numbers per attempt.
-        """
-        for _ in range(500):
-            k = int(rng.integers(3, 5)) if n_numbers is None else n_numbers
-            if not 3 <= k <= 4:
-                raise ConfigurationError("n_numbers must be 3 or 4")
-            numbers = tuple(int(rng.integers(1, 10)) for _ in range(k))
-
-            def build(slots: list[int]) -> Fraction:
-                if len(slots) == 1:
-                    return Fraction(numbers[slots[0]])
-                cut = int(rng.integers(1, len(slots)))
-                lv, rv = build(slots[:cut]), build(slots[cut:])
-                op = int(rng.choice([4, 5, 6, 7]))
-                if op == 7 and (rv == 0 or (lv / rv).denominator != 1):
-                    op = 6  # keep division exact; fall back to multiplication
-                return COUNTDOWN_OPS[op](lv, rv)
-
-            value = build([int(s) for s in rng.permutation(k)])
-            if value.denominator == 1 and 1 <= value <= 999:
-                return cls(numbers, int(value))
-        raise ConfigurationError("failed to build a solvable instance")
-
-    def to_json(self) -> dict:
-        return {"numbers": list(self.numbers), "target": self.target}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CountdownInstance":
-        (target,) = _json_ints("target", [d["target"]])
-        return cls(_json_ints("numbers", d["numbers"]), target)
-
-
-def parse_postfix(tokens: tuple[int, ...], numbers: tuple[int, ...]) -> Fraction | None:
-    """Evaluate a padded postfix completion; None if malformed.
-
-    Slots must be distinct and in range; padding only at the tail; a
-    well-formed expression leaves exactly one value on the stack.
-    """
-    toks = list(tokens)
-    while toks and toks[-1] == COUNTDOWN_PAD:
-        toks.pop()
-    if not toks or any(t == COUNTDOWN_PAD for t in toks):
-        return None
-    stack: list[Fraction] = []
-    used: set[int] = set()
-    for tok in toks:
-        if 0 <= tok <= 3:
-            if tok >= len(numbers) or tok in used:
-                return None
-            used.add(tok)
-            stack.append(Fraction(numbers[tok]))
-        elif tok in COUNTDOWN_OPS:
-            if len(stack) < 2:
-                return None
-            b, a = stack.pop(), stack.pop()
-            if tok == 7 and b == 0:
-                return None
-            stack.append(COUNTDOWN_OPS[tok](a, b))
-        else:
-            return None
-    return stack[0] if len(stack) == 1 else None
-
-
 @dataclass(frozen=True)
 class StringMatchInstance:
     """Copy task: reproduce the target the prompt displays."""
@@ -384,10 +269,9 @@ class StringMatchInstance:
         return cls(tuple(d["target"]), vocab_size)
 
 
-Instance = SudokuInstance | CountdownInstance | StringMatchInstance
+Instance = SudokuInstance | StringMatchInstance
 TASKS: dict[str, type] = {
     "sudoku": SudokuInstance,
-    "countdown": CountdownInstance,
     "stringmatch": StringMatchInstance,
 }
 

@@ -199,10 +199,16 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def build_task(config: RunConfig) -> Task:
     """The task pool, generated from the seed unless ``instances_file`` fixes it:
-    then no other ``task_params`` key may join the file, and ``n_instances`` is not read."""
+    then no other ``task_params`` key may join the file, and ``n_instances`` is not read.
+    Generator params obey the config type rules of the ``generate`` parameter they set."""
     params = dict(config.task_params)
-    instances_file = params.pop("instances_file", None)
-    if instances_file:
+    if "instances_file" in params:
+        instances_file = params.pop("instances_file")
+        if not isinstance(instances_file, str) or not instances_file:
+            raise ConfigurationError(
+                "config key 'task_params.instances_file' must be a non-empty string, "
+                f"got {instances_file!r}"
+            )
         if params:
             raise ConfigurationError(f"task_params {params} cannot join instances_file")
         task = load_instances(instances_file)
@@ -211,6 +217,10 @@ def build_task(config: RunConfig) -> Task:
                 f"instances file holds task {task.name!r}, config says {config.task!r}"
             )
         return task
+    hints = typing.get_type_hints(TASKS[config.task].generate)
+    for key, value in params.items():
+        if key in hints and key != "return":  # other keys get generate's own TypeError
+            _check_type(f"task_params.{key}", hints[key], value)
     return make_task(config.task, stream(config.seed, "task"), config.n_instances, **params)
 
 

@@ -263,6 +263,9 @@ RUN_COMMANDS = ("train", "eval", "gen-data", "varmeasure", "count-ops")
 # case: (config keys over TINY_TRAIN, extra flags, cause in the message, commands reading it)
 BAD_SETTINGS = {
     "unknown-task": ({}, ["--task", "nosuch"], "unknown task 'nosuch'", RUN_COMMANDS),
+    "deleted-task-countdown": (
+        {}, ["--task", "countdown"], "unknown task 'countdown'", RUN_COMMANDS
+    ),
     "unknown-sampler-law": ({}, ["--sampler", "bogus"], "timestep law 'bogus'", RUN_COMMANDS),
     "negative-sampler-degree": (
         {"sampler": {"degree": -3}}, [], "degree must be >= 0", RUN_COMMANDS
@@ -283,9 +286,40 @@ BAD_SETTINGS = {
     "sudoku-n-empty-string": (
         {"task": "sudoku", "task_params": {"n_empty": "x"}},
         [],
-        "'n_empty': 'x'",
+        "'task_params.n_empty' must be int, got 'x'",
         RUN_COMMANDS,
     ),
+    "sudoku-n-empty-bool": (
+        {"task": "sudoku", "task_params": {"n_empty": True}},
+        [],
+        "'task_params.n_empty' must be int, got True",
+        RUN_COMMANDS,
+    ),
+    "sudoku-n-empty-float": (
+        {"task": "sudoku", "task_params": {"n_empty": 4.0}},
+        [],
+        "'task_params.n_empty' must be int, got 4.0",
+        RUN_COMMANDS,
+    ),
+    "stringmatch-target-len-bool": (
+        {"task_params": {"target_len": True}},
+        [],
+        "'task_params.target_len' must be int, got True",
+        RUN_COMMANDS,
+    ),
+    **{
+        f"instances-file-{name}": (
+            {"task_params": {"instances_file": value}},
+            [],
+            f"'task_params.instances_file' must be a non-empty string, got {value!r}",
+            RUN_COMMANDS,
+        )
+        # open() takes an int as a file descriptor (2 is stderr); a falsy value looks like no file
+        for name, value in [
+            ("fd-2", 2), ("fd-1", 1), ("zero", 0), ("empty", ""), ("list", ["a"]),
+            ("object", {"x": 1}),
+        ]
+    },
     "negative-seed": ({}, ["--seed", "-1"], "seed must be >= 0", RUN_COMMANDS),
     "mlp-hidden-0": (
         {"policy": {"arch": "mlp", "hidden": 0}}, [], "hidden width must be >= 1", RUN_COMMANDS
@@ -454,10 +488,6 @@ BAD_INSTANCES = {
     ),
     "malformed-json": ('{"task": "stringmatch",\n}', "instances.json:2:"),
     "missing-file": (None, "No such file"),
-    "countdown-target-out-of-range": (
-        {"task": "countdown", "instances": [{"numbers": [1, 2, 3], "target": 1000}]},
-        "instance 0: target must be an integer in 1..999",
-    ),
     "fractional-token": (
         {"task": "stringmatch", "instances": [{"target": [1.5, 0, 2, 3]}]},
         "instance 0: target tokens must be ordinary tokens",
@@ -481,10 +511,6 @@ BAD_INSTANCES = {
     "bool-target-token": (
         {"task": "stringmatch", "instances": [{"target": [True, 0, 2, 1]}]},
         "instance 0: target tokens must be ordinary tokens",
-    ),
-    "bool-countdown-number": (
-        {"task": "countdown", "instances": [{"numbers": [True, 2, 3], "target": 5}]},
-        "instance 0: numbers: True is not an integer",
     ),
 }
 

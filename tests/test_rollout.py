@@ -22,6 +22,12 @@ def random_params(seed, scale=0.5):
     return init_params(ARCH, stream(seed, "rollout-params"), scale=scale)
 
 
+def commits(traj, t):
+    """Step t's commits as ((pos, token), ...) by position: where row t differs from row t-1."""
+    before, after = traj.states[t - 1], traj.states[t]
+    return tuple((pos, int(after[pos])) for pos in np.flatnonzero(before != after).tolist())
+
+
 def test_schedule_mask_counts():
     assert UnmaskSchedule(4).mask_counts(4, 1) == [4, 0]
     assert UnmaskSchedule(2).mask_counts(4, 2) == [4, 2, 0]
@@ -62,7 +68,7 @@ def test_committed_tokens_persist():
     params = random_params(2)
     traj = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(2, "roll")])[0]
     for t in range(1, traj.n_steps + 1):
-        for pos, tok in traj.events[t - 1]:
+        for pos, tok in commits(traj, t):
             for later in range(t + 1, traj.n_steps + 2):
                 assert traj.state_at(later).completion.tokens[pos] == tok
 
@@ -95,13 +101,13 @@ def test_greedy_commits_highest_confidence_eligible():
             if pos in eligible
         )
         expect = tuple(sorted((pos, tok) for _, pos, tok in scored[:2]))
-        assert traj.events[t - 1] == expect
+        assert commits(traj, t) == expect
 
 
 def test_ties_break_to_lowest_position_then_token():
     params = init_params(ARCH)  # uniform rows everywhere
     traj = rollout(params, PROMPT, 2, UnmaskSchedule(2), [stream(5, "roll")], greedy=True)[0]
-    assert traj.events == (((0, 0), (1, 0)), ((2, 0), (3, 0)))
+    assert (commits(traj, 1), commits(traj, 2)) == (((0, 0), (1, 0)), ((2, 0), (3, 0)))
 
 
 def test_rollout_counts_one_forward_per_step():
@@ -120,7 +126,6 @@ def test_lockstep_trajectories_equal_solo_rollouts():
     assert counters.rollout_forward_passes == 3 * 4
     for k, traj in enumerate(together):
         (solo,) = rollout(params, PROMPT, 4, sched, [stream(15, "roll", k)])
-        assert traj.events == solo.events
         assert np.array_equal(traj.states, solo.states)
         for shared, alone in zip(traj.cache, solo.cache):
             assert shared.positions == alone.positions
@@ -191,8 +196,7 @@ def test_rollout_is_seed_deterministic():
     params = random_params(10)
     a = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
     b = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(10, "roll")])[0]
-    assert a.events == b.events
     assert np.array_equal(a.states, b.states)
     g = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(11, "unused")], greedy=True)[0]
     h = rollout(params, PROMPT, 4, UnmaskSchedule(1), [stream(12, "unused")], greedy=True)[0]
-    assert g.events == h.events
+    assert np.array_equal(g.states, h.states)
