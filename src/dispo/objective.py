@@ -22,15 +22,16 @@ does not compensate.
 
 Within one loss evaluation ``group_features`` draws the corruption
 patterns once and featurizes their copies once; every policy being
-compared (current, old, reference) and every member of the group scores
-that block, so the ratio is exactly 1 at equal parameters and the
-per-pattern forward grids are shared across group members.
+compared (current, old, reference) scores that block, one forward per
+copy, so the ratio is exactly 1 at equal parameters.  A group's
+``(current, old)`` forward grids are shared by all its members.
 
-One kernel, ``_group_loss_and_grad``, scores a list of groups: it stacks
-the groups of equal mask-set size and group size, so a prompt's step
-groups cost one gather, one ratio pass and one batch-axis backprop per
-stack.  ``aggregate_step_loss`` calls it once per prompt, and
-``step_loss`` and ``terminal_loss`` are its one-group calls.
+One kernel, ``_group_loss_and_grad``, scores a list of groups against
+their grids, which its callers compute: it stacks the groups of equal
+mask-set size and group size, so a prompt's step groups cost one gather,
+one ratio pass and one batch-axis backprop per stack.
+``aggregate_step_loss`` calls it once per prompt, and ``step_loss`` and
+``terminal_loss`` are its one-group calls.
 
 Also here: exact categorical KL penalties against a frozen reference
 policy, the weighted combination of the loss families, and
@@ -47,7 +48,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, backprop, score_dlogits
+from .policy import PolicyParams, RowsContext, backprop, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     SurrogateConfig,
@@ -55,10 +56,12 @@ from .surrogate import (
     group_features,
     group_targets,
     pattern_contexts,
+    scored_positions,
 )
 
 # A loss group: one state and its members' (fill action, reward) pairs.
 LossGroup = tuple[DiffusionState, Sequence[tuple[Action, float]]]
+Grids = tuple[Sequence[RowsContext], Sequence[RowsContext]]  # a group's (current, old) contexts
 
 
 @dataclass(frozen=True)
@@ -88,52 +91,56 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
     return min(unclipped, clipped), unclipped <= clipped
 
 
+def _group_grids(
+    params: PolicyParams, old_params: PolicyParams, states: Sequence[DiffusionState],
+    feats: Sequence[np.ndarray], scope: str, *, counters: OpCounters | None = None,
+    kind: str = "step",
+) -> list[Grids]:
+    """Each group's grids: both policies score its ``group_features`` block
+    ``feats[g]`` at the positions ``scope`` scores, one forward per copy."""
+    return [
+        tuple(
+            pattern_contexts(p, f, scored_positions(s, scope), counters=counters, kind=kind)
+            for p in (params, old_params)
+        )
+        for s, f in zip(states, feats, strict=True)
+    ]
+
+
 def _group_loss_and_grad(
-    params: PolicyParams,
-    old_params: PolicyParams,
-    groups: Sequence[LossGroup],
-    feats: Sequence[np.ndarray],
-    loss_cfg: LossConfig,
-    *,
-    counters: OpCounters | None,
-    scope: str,
-    kind: str,
-    per_member_sets: bool = False,
+    params: PolicyParams, groups: Sequence[LossGroup], grids: Sequence[Grids],
+    loss_cfg: LossConfig, *, scope: str, per_member_sets: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Summed clipped loss and gradient of ``groups``, the one kernel of both families.
 
-    ``feats[g]`` is group ``g``'s ``group_features`` block; both policies
-    score it, one forward per corrupted copy.  With ``per_member_sets`` it
-    holds one pattern set per member (terminal convention: one set per
-    rollout); otherwise one set serves the whole group.  One
-    ``group_targets`` call per group checks its actions and gives its
-    scored positions and ``(Z, n)`` targets.  Groups of equal mask-set size
-    and group size are stacked: a stack makes one target gather with
-    running position sums, one ratio and advantage pass, one
-    ``score_dlogits`` and one batch-axis ``backprop`` over its active
-    members, and calls ``clipped_objective`` once per member.  A group's
-    loss adds up in member order and its gradient in member-then-pattern
-    order; the groups then add up in list order.
+    ``grids[g]`` is group ``g``'s ``(current, old)`` pair of ``pattern_contexts``
+    lists; the kernel runs no forward, and backprops through their ``feats``.
+    With ``per_member_sets`` a list holds one pattern set per member
+    (terminal convention: one set per rollout); otherwise one set serves
+    the whole group.  One ``group_targets`` call per group checks its
+    actions and gives its scored positions and ``(Z, n)`` targets.  Groups
+    of equal mask-set size and group size are stacked: a stack makes one
+    target gather with running position sums, one ratio and advantage
+    pass, one ``score_dlogits`` and one batch-axis ``backprop`` over its
+    active members, and calls ``clipped_objective`` once per member.  A
+    group's loss adds up in member order and its gradient in
+    member-then-pattern order; the groups then add up in list order.
     """
     scored, stacks = [], {}
     for g, (state, members) in enumerate(groups):
         if not members:
             raise ContractViolation("loss group must be non-empty")
         scored.append(group_targets(state, [a for a, _ in members], scope))
+        if grids[g][0][0].positions != scored[g][0] or grids[g][1][0].positions != scored[g][0]:
+            raise ContractViolation("a group's grids must cover the positions it scores")
         stacks.setdefault(scored[g][1].shape, []).append(g)
     losses = [0.0] * len(groups)
     grads = np.zeros((len(groups), params.dim))
     for (z, n), idx in stacks.items():
-        n_groups, n_copies = len(idx), len(feats[idx[0]])
+        n_groups, n_copies = len(idx), len(grids[idx[0]][0])
         n_mc = n_copies // z if per_member_sets else n_copies
-        ctxs = [  # every group's copies under the current policy, then under the old one
-            ctx
-            for policy in (params, old_params)
-            for g in idx
-            for ctx in pattern_contexts(
-                policy, feats[g], scored[g][0], counters=counters, kind=kind
-            )
-        ]
+        # every group's copies under the current policy, then under the old one
+        ctxs = [ctx for policy in (0, 1) for g in idx for ctx in grids[g][policy]]
         logp = np.array([c.logp for c in ctxs])
         tgt = np.array([scored[g][1] for g in idx])
         picked = logp[
@@ -163,11 +170,12 @@ def _group_loss_and_grad(
         if not active[0].size:
             continue
         sa, za, ma = active
-        # each active row's current-policy context, in ctxs and in the stacked feats
+        # each active row's current-policy context
         rows = sa * n_copies + (ma + za * n_mc if per_member_sets else ma)
         dlogits = score_dlogits(np.exp(logp[rows]), tgt[sa, za], coefs[active])
-        hidden = None if ctxs[0].hidden is None else np.array([c.hidden for c in ctxs])[rows]
-        block = np.concatenate([feats[g] for g in idx])[rows]
+        active_ctxs = [ctxs[r] for r in rows.tolist()]
+        block = np.array([c.feats for c in active_ctxs])
+        hidden = None if ctxs[0].hidden is None else np.array([c.hidden for c in active_ctxs])
         # each group's rows add up in order, from zero
         np.add.at(grads, np.array(idx)[sa], backprop(params, block, hidden, dlogits))
     loss = 0.0
@@ -187,28 +195,22 @@ def step_loss(
     *,
     counters: OpCounters | None = None,
     scope: str = "action",
-    feats: np.ndarray | None = None,
+    grids: Grids | None = None,
 ) -> tuple[float, np.ndarray]:
     """Clipped group loss for a branch group at one intermediate state.
 
     ``branches`` pairs each sampled fill action with its terminal reward.
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
-    ``feats`` passes the group's ``group_features`` block when the caller
-    has drawn and featurized it already; no pattern is drawn then.
+    ``grids`` passes the group's ``(current, old)`` ``pattern_contexts``
+    lists, at the positions ``scope`` scores, when the caller has run them
+    already (several groups may share them); no pattern is drawn and no
+    forward is run then.
     """
-    if feats is None:
+    if grids is None:
         (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
-    return _group_loss_and_grad(
-        params,
-        old_params,
-        [(state, branches)],
-        [feats],
-        loss_cfg,
-        counters=counters,
-        scope=scope,
-        kind="step",
-    )
+        (grids,) = _group_grids(params, old_params, [state], [feats], scope, counters=counters)
+    return _group_loss_and_grad(params, [(state, branches)], [grids], loss_cfg, scope=scope)
 
 
 def aggregate_step_loss(
@@ -227,19 +229,10 @@ def aggregate_step_loss(
     draw them; the corrupted copies of every group are featurized together,
     one pass per mask-set size, and one kernel call scores every group.
     """
-    feats = group_features(
-        params.arch, [state for state, _ in groups], surr_cfg, [rng] * len(groups)
-    )["action"]
-    return _group_loss_and_grad(
-        params,
-        old_params,
-        groups,
-        feats,
-        loss_cfg,
-        counters=counters,
-        scope="action",
-        kind="step",
-    )
+    states = [state for state, _ in groups]
+    feats = group_features(params.arch, states, surr_cfg, [rng] * len(groups))["action"]
+    grids = _group_grids(params, old_params, states, feats, "action", counters=counters)
+    return _group_loss_and_grad(params, groups, grids, loss_cfg, scope="action")
 
 
 def terminal_loss(
@@ -268,16 +261,11 @@ def terminal_loss(
     (feats,) = group_features(
         params.arch, [state], surr_cfg, [rng], n_sets=len(completions)
     )["action"]
+    grids = _group_grids(
+        params, old_params, [state], [feats], "action", counters=counters, kind="terminal"
+    )
     return _group_loss_and_grad(
-        params,
-        old_params,
-        [(state, completions)],
-        [feats],
-        loss_cfg,
-        counters=counters,
-        scope="action",
-        kind="terminal",
-        per_member_sets=True,
+        params, [(state, completions)], grids, loss_cfg, scope="action", per_member_sets=True
     )
 
 

@@ -420,7 +420,9 @@ def _staged(out: Path) -> typing.Iterator[Path]:
     The files move in by ``os.replace``, ``train_state.json`` last: it
     records how many updates the other files hold, and resuming trusts it.
     If the body raises, the staging directory is removed and ``out`` keeps
-    its old files byte for byte.
+    its old files byte for byte.  The moves are not one atomic swap: a crash
+    between two of them leaves a mix of new and old files under the old
+    ``train_state.json``, which resuming refuses once ``metrics.csv`` moved.
     """
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .objective import LossConfig, step_loss
+from .objective import LossConfig, _group_grids, step_loss
 from .policy import PolicyParams, rows_context
 from .rollout import UnmaskSchedule, branch, rollout
 from .sequences import (
@@ -668,20 +668,29 @@ def trcov_estimate(ghats: np.ndarray) -> float:
     return float((centered**2).sum() / (ghats.shape[0] - 1))
 
 
+_BOOT_BLOCK = 1024  # bootstrap resamples drawn and reduced at a time
+
+
 def bootstrap_ci(
     diffs: np.ndarray,
     n_boot: int = 10_000,
     level: float = 0.95,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of paired differences."""
+    """Percentile bootstrap interval for the mean of paired differences.
+
+    Resamples are drawn and reduced ``_BOOT_BLOCK`` rows at a time: the same
+    draws, and the same final ``rng`` state, as one ``(n_boot, n)`` draw."""
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.size < 2:
         raise ContractViolation("bootstrap needs at least 2 paired samples")
     if rng is None:
         rng = stream(0, "bootstrap")
-    idx = rng.integers(0, diffs.size, size=(n_boot, diffs.size))
-    means = diffs[idx].mean(axis=1)
+    means = np.empty(n_boot)
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        rows = min(_BOOT_BLOCK, n_boot - start)
+        idx = rng.integers(0, diffs.size, size=(rows, diffs.size))
+        means[start : start + rows] = diffs[idx].mean(axis=1)
     lo = float(np.quantile(means, (1.0 - level) / 2.0))
     hi = float(np.quantile(means, 1.0 - (1.0 - level) / 2.0))
     return lo, hi
@@ -815,7 +824,9 @@ def trcov_protocol(
     trials' corruption patterns are drawn in turn from one generator per
     state, ``stream(seed, "trcov-patterns", i)``, and shared by every
     condition; a state's trials are featurized together, for every scope
-    at once, and each condition's ``step_loss`` reuses those rows.
+    at once, and each ``(scope, trial)`` grid pair is computed once for
+    every condition of that scope.  With corruption off all copies are the
+    state itself, so one block and one grid pair per scope serve all trials.
     """
     if n_trials < 2:
         raise ContractViolation("the trial estimator needs n_trials >= 2")
@@ -834,9 +845,13 @@ def trcov_protocol(
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
         patterns = stream(seed, "trcov-patterns", i)
-        feats = group_features(
-            params.arch, [cand.state] * n_trials, surr_cfg, [patterns] * n_trials, scopes
-        )
+        n_blocks = n_trials if surr_cfg.corruption_enabled else 1
+        states = [cand.state] * n_blocks
+        feats = group_features(params.arch, states, surr_cfg, [patterns] * n_blocks, scopes)
+        grids = {  # per scope, each trial's (current, old) grids, shared by its conditions
+            s: _group_grids(params, old_params, states, feats[s], s) * (n_trials // n_blocks)
+            for s in scopes
+        }
         # per group size: each trial's members, and whether any trial has a positive advantage
         by_size: dict[int, tuple[list[list[tuple[Action, float]]], bool]] = {}
         for cond in conditions:
@@ -855,19 +870,13 @@ def trcov_protocol(
             ghats = np.zeros((n_trials, params.dim))
             for r, group in enumerate(groups):
                 _, grad = step_loss(
-                    cand.state,
-                    group,
-                    params,
-                    old_params,
-                    loss_cfg,
-                    surr_cfg,
-                    scope=cond.scope,
-                    feats=feats[cond.scope][r],
+                    cand.state, group, params, old_params, loss_cfg, surr_cfg,
+                    scope=cond.scope, grids=grids[cond.scope][r],
                 )
                 ghats[r] = -grad
             per_state_all[cond.name].append(trcov_estimate(ghats))
             survived[cond.name].append(any_positive)
-        del feats  # freed before the next state's rows are built, to keep the peak low
+        del feats, grids  # freed before the next state's grids are built, to keep the peak low
 
     keep = [
         j

@@ -9,6 +9,7 @@ replaces.
 """
 
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import dispo.policy as policy_module
 import dispo.sequences as sequences_module
 import dispo.surrogate as surrogate_module
 import dispo.verify as verify_module
+from dispo.counters import OpCounters
 from dispo.objective import (
     LossConfig,
     aggregate_step_loss,
@@ -44,7 +46,10 @@ from dispo.surrogate import (
     SurrogateConfig,
     draw_patterns,
     full_mask_state,
+    group_features,
     logprob_from_contexts,
+    pattern_contexts,
+    scored_positions,
 )
 from dispo.tasks import make_task
 from dispo.trainer import RunConfig, train
@@ -413,6 +418,33 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
         assert np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.parametrize("kind,scope", CASES, ids=[f"{k}-{s}" for k, s in CASES])
+def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope):
+    """``step_loss(..., grids=...)`` on the grids of the patterns the self-drawing call
+    draws gives that call's loss and gradient bit for bit, and runs no forward."""
+    rng, arch, params, old = loss_problem(kind, 11)
+    loss_cfg = LossConfig(clip_eps=0.05)
+    for ratio_law in ("uniform", "zero"):
+        surr_cfg = SurrogateConfig(n_mc=3, ratio_law=ratio_law)
+        for g in range(4):
+            state = random_state(rng, arch)
+            members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
+            (feats,) = group_features(arch, [state], surr_cfg, [stream(11, g)], (scope,))[scope]
+            positions = scored_positions(state, scope)
+            grids = tuple(pattern_contexts(policy, feats, positions) for policy in (params, old))
+            counters = OpCounters()
+            loss, grad = step_loss(
+                state, members, params, old, loss_cfg, surr_cfg,
+                counters=counters, scope=scope, grids=grids,
+            )
+            ref_loss, ref_grad = step_loss(
+                state, members, params, old, loss_cfg, surr_cfg, stream(11, g), scope=scope
+            )
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            assert counters == OpCounters()
+
+
 def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     """``train`` never calls ``step_loss``: one kernel call per family and prompt.
 
@@ -421,9 +453,10 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     kernel_calls, step_calls = [], []
     real_kernel = objective_module._group_loss_and_grad
 
-    def counted_kernel(params, old_params, groups, *args, **kwargs):
-        kernel_calls.append((kwargs["kind"], len(groups)))
-        return real_kernel(params, old_params, groups, *args, **kwargs)
+    def counted_kernel(params, groups, *args, **kwargs):
+        family = "terminal" if kwargs.get("per_member_sets") else "step"
+        kernel_calls.append((family, len(groups)))
+        return real_kernel(params, groups, *args, **kwargs)
 
     def counted_step_loss(*args, **kwargs):
         step_calls.append(kwargs.get("scope"))
@@ -653,6 +686,59 @@ def test_trcov_protocol_equals_the_per_trial_loop():
     )
     assert report.n_retained >= 2
     assert report.to_dict() == expected.to_dict()
+
+
+def test_trcov_protocol_under_the_zero_law_equals_the_per_trial_loop():
+    """With corruption off one block and one grid pair per scope serve every trial."""
+    params, old, cands = trcov_problem()
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law="zero")
+    report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200)
+    expected = reference_trcov_protocol(
+        params, old, cands, TRCOV_CONDITIONS, 5, surr_cfg, seed=33, n_boot=200
+    )
+    assert report.n_retained >= 2
+    assert report.to_dict() == expected.to_dict()
+
+
+def count_forwards(monkeypatch):
+    """Count ``rows_context`` calls in every dispo namespace that holds it."""
+    calls = []
+    real = policy_module.rows_context
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dispo" and getattr(module, "rows_context", None) is real:
+            monkeypatch.setattr(module, "rows_context", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ratio_law", ["zero", "uniform"])
+def test_trcov_protocol_computes_each_distinct_grid_once(monkeypatch, ratio_law):
+    """Per maskable state: the behavior grid, then one forward per copy and policy of
+    each distinct (scope, block) grid, and none inside the loss kernel."""
+    params, old, cands = trcov_problem()
+    forwards, in_kernel = count_forwards(monkeypatch), []
+    real_kernel = objective_module._group_loss_and_grad
+
+    def counted_kernel(*args, **kwargs):
+        before = len(forwards)
+        result = real_kernel(*args, **kwargs)
+        in_kernel.append(len(forwards) - before)
+        return result
+
+    monkeypatch.setattr(objective_module, "_group_loss_and_grad", counted_kernel)
+    n_trials, n_mc, n_scopes = 3, 2, len({c.scope for c in TRCOV_CONDITIONS})
+    surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law=ratio_law)
+    report = trcov_protocol(
+        params, old, cands, TRCOV_CONDITIONS, n_trials, surr_cfg, seed=37, n_boot=50
+    )
+    n_blocks = n_trials if surr_cfg.corruption_enabled else 1
+    assert report.n_maskable > 0
+    assert len(forwards) == report.n_maskable * (1 + 2 * n_scopes * n_blocks * n_mc)
+    assert in_kernel == [0] * (report.n_maskable * len(TRCOV_CONDITIONS) * n_trials)
 
 
 def test_trcov_protocol_calls_step_loss_once_per_state_condition_and_trial(monkeypatch):

@@ -25,6 +25,7 @@ from dispo.verify import (
     StateTables,
     VarianceCondition,
     WeightedStates,
+    _BOOT_BLOCK,
     _finish_report,
     bootstrap_ci,
     build_oracle_problem,
@@ -414,6 +415,20 @@ def test_bootstrap_ci_behaviour():
     assert lo < 0.0 < hi  # zero-mean noise at n=400: the interval spans zero
     with pytest.raises(ContractViolation):
         bootstrap_ci(np.array([1.0]))
+
+
+@pytest.mark.parametrize("n", [7, 63])
+def test_bootstrap_ci_row_blocks_equal_the_one_shot_draw(n):
+    """Drawing the resamples in row blocks gives the interval of one ``(n_boot, n)``
+    draw bit for bit, and leaves the generator in the same state."""
+    diffs = stream(17, "boot-diffs", n).normal(size=n)
+    n_boot = 2 * _BOOT_BLOCK + 333  # a last block shorter than the others
+    rng, ref_rng = stream(17, "boot", n), stream(17, "boot", n)
+    interval = bootstrap_ci(diffs, n_boot, 0.9, rng)
+    means = diffs[ref_rng.integers(0, n, size=(n_boot, n))].mean(axis=1)
+    assert interval == (float(np.quantile(means, 0.05)), float(np.quantile(means, 0.95)))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.random() == ref_rng.random()
 
 
 def test_variance_condition_validation():
