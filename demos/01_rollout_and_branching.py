@@ -35,9 +35,8 @@ def main() -> None:
     n_steps = 4
     schedule = UnmaskSchedule(2)  # commit two tokens per step
     counters = OpCounters()
-    (traj,) = rollout(
-        params, inst.prompt, n_steps, schedule, [stream(args.seed, "demo-roll")], counters=counters
-    )
+    rngs = [stream(args.seed, "demo-roll")]
+    (traj,) = rollout(params, [inst.prompt], n_steps, schedule, rngs, counters=counters)
 
     mid = task.vocab.mask_id
     print(f"prompt     {show(inst.prompt.tokens, mid)}   (the target to reproduce)")

@@ -23,8 +23,10 @@ does not compensate.
 Within one loss evaluation ``group_features`` draws the corruption
 patterns once and featurizes their copies once; every policy being
 compared (current, old, reference) scores that block, one forward per
-copy, so the ratio is exactly 1 at equal parameters.  A group's
-``(current, old)`` forward grids are shared by all its members.
+copy, so the ratio is exactly 1 at equal parameters.  A group's forward
+grids, its ``Grids``, hold both policies' log-probabilities as one
+``(2, C, n, V)`` block, normalized by one ``log_softmax`` call, next to
+the ``(C, n, F)`` feature block; all its members are scored against them.
 
 One kernel, ``_group_loss_and_grad``, scores a list of groups against
 their grids, which its callers compute: it stacks the groups of equal
@@ -42,13 +44,13 @@ which intermediate states get step groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import PolicyParams, RowsContext, backprop, score_dlogits
+from .policy import PolicyParams, backprop, log_softmax, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
     SurrogateConfig,
@@ -61,7 +63,15 @@ from .surrogate import (
 
 # A loss group: one state and its members' (fill action, reward) pairs.
 LossGroup = tuple[DiffusionState, Sequence[tuple[Action, float]]]
-Grids = tuple[Sequence[RowsContext], Sequence[RowsContext]]  # a group's (current, old) contexts
+
+
+class Grids(NamedTuple):
+    """A group's forward grids: two policies scoring its ``group_features`` block."""
+
+    positions: tuple[int, ...]  # the scored positions, one row each
+    logp: np.ndarray  # (2, C, n, V) log-probabilities: current policy, then old (or reference)
+    feats: np.ndarray  # (C, n, F), the block both policies score, one row block per copy
+    hidden: np.ndarray | None  # (C, n, H), the current policy's activations, mlp only
 
 
 @dataclass(frozen=True)
@@ -97,14 +107,19 @@ def _group_grids(
     kind: str = "step",
 ) -> list[Grids]:
     """Each group's grids: both policies score its ``group_features`` block
-    ``feats[g]`` at the positions ``scope`` scores, one forward per copy."""
-    return [
-        tuple(
-            pattern_contexts(p, f, scored_positions(s, scope), counters=counters, kind=kind)
+    ``feats[g]`` at the positions ``scope`` scores, one forward per copy,
+    and one ``log_softmax`` normalizes the group's stacked rows."""
+    out = []
+    for state, block in zip(states, feats, strict=True):
+        positions = scored_positions(state, scope)
+        cur, old = (
+            pattern_contexts(p, block, positions, counters=counters, kind=kind)
             for p in (params, old_params)
         )
-        for s, f in zip(states, feats, strict=True)
-    ]
+        logp = log_softmax(np.array([[c.rows for c in cur], [c.rows for c in old]]))
+        hidden = None if cur[0].hidden is None else np.array([c.hidden for c in cur])
+        out.append(Grids(positions, logp, block, hidden))
+    return out
 
 
 def _group_loss_and_grad(
@@ -113,8 +128,8 @@ def _group_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Summed clipped loss and gradient of ``groups``, the one kernel of both families.
 
-    ``grids[g]`` is group ``g``'s ``(current, old)`` pair of ``pattern_contexts``
-    lists; the kernel runs no forward, and backprops through their ``feats``.
+    ``grids[g]`` is group ``g``'s ``Grids`` from ``_group_grids``; the kernel
+    runs no forward, and backprops through their ``feats`` and ``hidden``.
     With ``per_member_sets`` a list holds one pattern set per member
     (terminal convention: one set per rollout); otherwise one set serves
     the whole group.  One ``group_targets`` call per group checks its
@@ -131,20 +146,20 @@ def _group_loss_and_grad(
         if not members:
             raise ContractViolation("loss group must be non-empty")
         scored.append(group_targets(state, [a for a, _ in members], scope))
-        if grids[g][0][0].positions != scored[g][0] or grids[g][1][0].positions != scored[g][0]:
+        if grids[g].positions != scored[g][0]:
             raise ContractViolation("a group's grids must cover the positions it scores")
         stacks.setdefault(scored[g][1].shape, []).append(g)
     losses = [0.0] * len(groups)
     grads = np.zeros((len(groups), params.dim))
     for (z, n), idx in stacks.items():
-        n_groups, n_copies = len(idx), len(grids[idx[0]][0])
+        n_groups, n_copies = len(idx), grids[idx[0]].logp.shape[1]
         n_mc = n_copies // z if per_member_sets else n_copies
-        # every group's copies under the current policy, then under the old one
-        ctxs = [ctx for policy in (0, 1) for g in idx for ctx in grids[g][policy]]
-        logp = np.array([c.logp for c in ctxs])
+        logp = np.array([grids[g].logp for g in idx])  # [group, policy, copy, row, token]
         tgt = np.array([scored[g][1] for g in idx])
         picked = logp[
-            np.arange(len(ctxs)).reshape(2, n_groups, n_copies).swapaxes(0, 1)[:, None, ..., None],
+            np.arange(n_groups)[:, None, None, None, None],
+            np.arange(2)[:, None, None],
+            np.arange(n_copies)[:, None],
             np.arange(n),
             tgt[:, :, None, None, :],
         ]  # [group, member, policy, copy, row]: every member against every copy
@@ -170,12 +185,12 @@ def _group_loss_and_grad(
         if not active[0].size:
             continue
         sa, za, ma = active
-        # each active row's current-policy context
-        rows = sa * n_copies + (ma + za * n_mc if per_member_sets else ma)
-        dlogits = score_dlogits(np.exp(logp[rows]), tgt[sa, za], coefs[active])
-        active_ctxs = [ctxs[r] for r in rows.tolist()]
-        block = np.array([c.feats for c in active_ctxs])
-        hidden = None if ctxs[0].hidden is None else np.array([c.hidden for c in active_ctxs])
+        copy = ma + za * n_mc if per_member_sets else ma  # each active row's copy
+        dlogits = score_dlogits(np.exp(logp[sa, 0, copy]), tgt[sa, za], coefs[active])
+        block = np.array([grids[g].feats for g in idx])[sa, copy]
+        hidden = grids[idx[0]].hidden
+        if hidden is not None:
+            hidden = np.array([grids[g].hidden for g in idx])[sa, copy]
         # each group's rows add up in order, from zero
         np.add.at(grads, np.array(idx)[sa], backprop(params, block, hidden, dlogits))
     loss = 0.0
@@ -202,10 +217,10 @@ def step_loss(
     ``branches`` pairs each sampled fill action with its terminal reward.
     One pattern set serves the whole group, so the surrogate cost is one
     forward per pattern per policy regardless of the group size.
-    ``grids`` passes the group's ``(current, old)`` ``pattern_contexts``
-    lists, at the positions ``scope`` scores, when the caller has run them
-    already (several groups may share them); no pattern is drawn and no
-    forward is run then.
+    ``grids`` passes the group's ``Grids`` from ``_group_grids``, at the
+    positions ``scope`` scores, when the caller has run them already
+    (several groups may share them); no pattern is drawn and no forward is
+    run then.
     """
     if grids is None:
         (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
@@ -283,21 +298,22 @@ def kl_penalty(
     Average over shared corruption patterns of the sum over the state's
     masked positions of KL(current row || reference row).  Value is 0 at
     identical parameters and non-negative in exact arithmetic.  One
-    feature block serves both policies.
+    feature block serves both policies, and one grid holds both.
     """
     (feats,) = group_features(params.arch, [state], surr_cfg, [rng])["action"]
-    positions = state.completion.mask_positions()
-    ctx_cur = pattern_contexts(params, feats, positions, counters=counters, kind="kl")
-    ctx_ref = pattern_contexts(ref_params, feats, positions, counters=counters, kind="kl")
+    (grid,) = _group_grids(
+        params, ref_params, [state], [feats], "action", counters=counters, kind="kl"
+    )
     total = 0.0
     grad = np.zeros(params.dim)
-    for cur, ref in zip(ctx_cur, ctx_ref):
-        diff = cur.logp - ref.logp
-        p = np.exp(cur.logp)
+    for c, (cur, ref) in enumerate(zip(*grid.logp)):
+        diff = cur - ref
+        p = np.exp(cur)
         row_kl = (p * diff).sum(axis=-1)
         total += float(row_kl.sum()) / len(feats)
         dlogits = p * (diff - row_kl[:, None]) / len(feats)
-        grad += backprop(params, cur.feats, cur.hidden, dlogits)
+        hidden = None if grid.hidden is None else grid.hidden[c]
+        grad += backprop(params, feats[c], hidden, dlogits)
     return total, grad
 
 

@@ -22,6 +22,11 @@ A position's own token never enters its features, so the row at i is a
 valid predictive distribution whether i is masked or visible; corrupted
 prompts flow through the window and histogram slots unchanged.
 
+A forward (``rows_context``) returns logits rows and activations only.
+Callers that hold a block of forwards normalize it with one
+``log_softmax`` call; a single context derives its own ``logp`` on
+first use.
+
 Parameters are a flat float64 vector; checkpoints are the raw vector plus
 a JSON sidecar describing the architecture.
 """
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, read_json
-from .sequences import Action, DiffusionState, Vocab, check_action
+from .sequences import Action, DiffusionState, MaskedSequence, Vocab, check_action
 
 
 @dataclass(frozen=True)
@@ -164,36 +169,55 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
 class RowsContext:
     """One forward pass: logits rows for a set of completion positions.
 
-    Keeps the activations backprop needs.  Immutable with read-only
-    arrays, so a rollout can cache it and branch from it later.
+    Keeps the activations backprop needs; a rollout caches the behavior
+    rows of its states without them (``feats`` None), since branching reads
+    only the rows.  Immutable with read-only arrays, so a cached context can
+    be branched from later.  A caller that normalizes a block of forwards
+    stacks their ``rows`` and makes one ``log_softmax`` call; ``logp``
+    serves a caller of one forward.
     """
 
     positions: tuple[int, ...]
     rows: np.ndarray  # logits, (n, V)
-    logp: np.ndarray  # log-softmax rows, (n, V)
-    feats: np.ndarray  # (n, F)
+    feats: np.ndarray | None  # (n, F); None in a rollout's cache
     hidden: np.ndarray | None  # (n, H) tanh activations, mlp only
 
     def __post_init__(self) -> None:
-        for arr in (self.rows, self.logp, self.feats, self.hidden):
+        for arr in (self.rows, self.feats, self.hidden):
             if arr is not None:
                 arr.setflags(write=False)
         if self.rows.shape[0] != len(self.positions):
             raise ContractViolation("one row per position required")
 
+    @property
+    def logp(self) -> np.ndarray:
+        """Log-softmax rows, (n, V), read-only: derived on first use, then kept."""
+        # an instance attribute, not a field, so it stays out of ==, hash and repr
+        cached = self.__dict__.get("_logp")
+        if cached is None:
+            cached = log_softmax(self.rows)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_logp", cached)
+        return cached
+
+
+def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
+    """Require ``prompt`` to fit ``arch``: its length and its vocab."""
+    if prompt.length != arch.prompt_len:
+        raise ConfigurationError(
+            f"prompt length {prompt.length} != architecture prompt_len {arch.prompt_len}"
+        )
+    if prompt.vocab != arch.vocab:
+        raise ConfigurationError("state vocab differs from architecture vocab")
+
 
 def _check_state(arch: Arch, state: DiffusionState) -> None:
-    if state.prompt.length != arch.prompt_len:
-        raise ConfigurationError(
-            f"prompt length {state.prompt.length} != architecture prompt_len {arch.prompt_len}"
-        )
+    _check_prompt(arch, state.prompt)
     if state.completion.length != arch.completion_len:
         raise ConfigurationError(
             f"completion length {state.completion.length} != architecture completion_len "
             f"{arch.completion_len}"
         )
-    if state.vocab != arch.vocab:
-        raise ConfigurationError("state vocab differs from architecture vocab")
 
 
 def state_tokens(arch: Arch, state: DiffusionState) -> np.ndarray:
@@ -266,7 +290,7 @@ def rows_context(
     features when a caller has computed them for a batch of states in one
     ``_features`` pass; ``positions`` must then be given, and ``state`` is
     not read.  One call here is one policy forward pass for accounting
-    purposes.
+    purposes; the rows are left unnormalized (see ``RowsContext.logp``).
     """
     arch = params.arch
     if feats is None:
@@ -286,7 +310,7 @@ def rows_context(
         w1, b1, w2, b2 = _unpack_mlp(arch, params.theta)
         hidden = np.tanh(feats @ w1.T + b1)
         rows = hidden @ w2.T + b2
-    return RowsContext(positions, rows, log_softmax(rows), feats, hidden)
+    return RowsContext(positions, rows, feats, hidden)
 
 
 def backprop(
@@ -369,15 +393,16 @@ def score_dlogits(
     return dlogits
 
 
-def inverse_cdf(ctx: RowsContext, uniforms: np.ndarray) -> np.ndarray:
-    """One token per row of ``ctx`` for each row of ``uniforms``, ``(..., n)``.
+def inverse_cdf(logp: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One token per row of the log-probability rows ``logp`` for each uniform.
 
-    The token at uniform u is the number of cumulative probabilities of
-    its row at or below u, which gives the same token as
-    ``rng.choice(V, p=row)`` given the same draw.
+    ``logp`` is ``(..., n, V)`` and ``uniforms`` broadcasts against its
+    leading shape, ``(..., n)``.  The token at uniform u is the number of
+    cumulative probabilities of its row at or below u, which gives the
+    same token as ``rng.choice(V, p=row)`` given the same draw.
     """
-    cdf = np.cumsum(np.exp(ctx.logp), axis=1)
-    cdf /= cdf[:, -1:]
+    cdf = np.cumsum(np.exp(logp), axis=-1)
+    cdf /= cdf[..., -1:]
     return (cdf <= uniforms[..., None]).sum(axis=-1)
 
 
@@ -388,7 +413,7 @@ def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
     leaves the generator in the same state as ``rng.choice(V, p=row)``
     called row by row.
     """
-    return tuple(inverse_cdf(ctx, rng.random(len(ctx.positions))).tolist())
+    return tuple(inverse_cdf(ctx.logp, rng.random(len(ctx.positions))).tolist())
 
 
 def greedy_action(ctx: RowsContext) -> Action:

@@ -3,12 +3,15 @@
 A rollout starts from a fully masked completion and, over a fixed number
 of steps, samples a token for every masked position, then commits the
 scheduled number of highest-confidence sampled tokens (confidence = the
-sampled token's probability; ties break to the lowest position, then the
-lowest token id).  A trajectory keeps its visited completions as one
-``(T+1, L)`` token array.  The full logits grid of every visited state is
-cached, so groups of alternative continuations can later be drawn from the
-same state without re-running the policy: that is what ``branch`` does,
-given a state and its behavior rows, and it performs zero forward passes.
+sampled token's probability; ties break to the lowest position).  One
+``rollout`` call advances any number of trajectories, each from its own
+prompt with its own generator, in lockstep on one token array; each comes
+out as the rollout of its prompt and generator alone would give it.  A
+trajectory keeps its visited completions as one ``(T+1, L)`` token array.
+The full logits grid of every visited state is cached, so groups of
+alternative continuations can later be drawn from the same state without
+re-running the policy: that is what ``branch`` does, given a state and its
+behavior rows, and it performs zero forward passes.
 
 Schedules must empty the completion in exactly the configured number of
 steps; an optional block size restricts commits to the left-most
@@ -27,12 +30,11 @@ from .errors import ConfigurationError, ContractViolation
 from .policy import (
     PolicyParams,
     RowsContext,
+    _check_prompt,
     _features,
-    greedy_action,
     inverse_cdf,
+    log_softmax,
     rows_context,
-    sample_action,
-    state_tokens,
 )
 from .sequences import DiffusionState, MaskedSequence, fill
 
@@ -50,13 +52,18 @@ class UnmaskSchedule:
         if self.block_size is not None and self.block_size < 1:
             raise ConfigurationError("block_size must be >= 1 when given")
 
+    def eligible_mask(self, masked: np.ndarray) -> np.ndarray:
+        """Which masked positions may commit, per row of ``masked``, ``(..., m)``:
+        all, or those in the row's left-most incomplete block."""
+        masked = np.asarray(masked, dtype=np.intp)
+        if self.block_size is None or not masked.size:
+            return np.ones(masked.shape, dtype=bool)
+        blocks = masked // self.block_size
+        return blocks == blocks.min(axis=-1, keepdims=True)
+
     def eligible(self, masked: tuple[int, ...]) -> tuple[int, ...]:
         """Masked positions eligible for commit: all, or the left-most incomplete block."""
-        if self.block_size is None or not masked:
-            return masked
-        first_block = min(masked) // self.block_size
-        lo, hi = first_block * self.block_size, (first_block + 1) * self.block_size
-        return tuple(p for p in masked if lo <= p < hi)
+        return tuple(p for p, ok in zip(masked, self.eligible_mask(masked).tolist()) if ok)
 
     def mask_counts(self, length: int, n_steps: int) -> list[int]:
         """Simulated |mask| per state x_1..x_{n_steps} plus the terminal 0.
@@ -100,7 +107,7 @@ class Trajectory:
 
     prompt: MaskedSequence
     states: np.ndarray  # (T+1, L) completion tokens, read-only; the last row is terminal
-    cache: tuple[RowsContext, ...]  # length T, behavior logits at each state
+    cache: tuple[RowsContext, ...]  # length T, behavior logits at each state, no activations
 
     @property
     def n_steps(self) -> int:
@@ -123,7 +130,7 @@ class Trajectory:
 
 def rollout(
     params: PolicyParams,
-    prompt: MaskedSequence,
+    prompts: Sequence[MaskedSequence],
     n_steps: int,
     schedule: UnmaskSchedule,
     rngs: Sequence[np.random.Generator],
@@ -133,48 +140,65 @@ def rollout(
 ) -> list[Trajectory]:
     """Run one denoising trajectory per generator under the behavior policy ``params``.
 
-    The trajectories advance in lockstep on one ``(K, prompt_len +
-    completion_len)`` token array: every step reads the mask positions off
-    it, computes the features of all their states in one pass, then runs
-    one forward per state.  Each samples a token for every masked position
-    from its own generator (all sampled tokens inform confidence; only the
-    committed subset persists), caches every logits grid, and comes back
-    whole, so the draws match separate rollouts with the same generators.
-    ``greedy=True`` takes the argmax token per position instead of
-    sampling, which makes the rollout deterministic.
+    Trajectory k starts from ``prompts[k]`` with a fully masked
+    completion.  The trajectories advance in lockstep on one ``(N,
+    prompt_len + completion_len)`` token array: every step reads the mask
+    positions off it, computes the features of all their states in one
+    pass, runs one forward per state and normalizes the stacked rows with
+    one ``log_softmax``.  Each trajectory samples a token for every masked
+    position from its own generator (all sampled tokens inform
+    confidence; only the committed subset persists), in one stacked
+    ``inverse_cdf`` draw, and one stable argsort per step ranks every
+    trajectory's eligible positions by confidence.  Every logits grid is
+    cached, so the draws and commits match separate rollouts with the same
+    generators.  ``greedy=True`` takes the argmax token per position
+    instead of sampling, which makes the rollout deterministic.
     """
     if not rngs:
         raise ContractViolation("rollout needs one generator per trajectory")
+    if len(prompts) != len(rngs):
+        raise ContractViolation(f"{len(prompts)} prompts for {len(rngs)} generators")
     arch = params.arch
+    for prompt in prompts:
+        _check_prompt(arch, prompt)
     schedule.validate(arch.completion_len, n_steps)
-    start = DiffusionState(prompt, MaskedSequence.masked(arch.completion_len, prompt.vocab))
-    tokens = np.tile(state_tokens(arch, start), (len(rngs), 1))
+    mid = arch.vocab.mask_id
+    tokens = np.array([p.tokens + (mid,) * arch.completion_len for p in prompts], dtype=np.intp)
     completions = tokens[:, arch.prompt_len :]  # a view: commits land in ``tokens``
-    history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (K, T+1, L)
+    history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (N, T+1, L)
     cache: list[list[RowsContext]] = [[] for _ in rngs]
+    traj = np.arange(len(rngs))[:, None]
     for step in range(1, n_steps + 1):
         # the schedule commits the same count in every trajectory, so rows align
-        masked = np.nonzero(completions == prompt.vocab.mask_id)[1].reshape(len(rngs), -1)
+        masked = np.nonzero(completions == mid)[1].reshape(len(rngs), -1)
+        row = np.arange(masked.shape[1])
         feats = _features(arch, tokens, masked)
-        for k, rng in enumerate(rngs):
+        for k, ctxs in enumerate(cache):
             ctx = rows_context(params, None, tuple(masked[k].tolist()), feats=feats[k])
-            if counters is not None:
-                counters.rollout_forward_passes += 1
-            cache[k].append(ctx)
-            action = greedy_action(ctx) if greedy else sample_action(ctx, rng)
-            probs = np.exp(ctx.logp)
-            eligible = set(schedule.eligible(ctx.positions))
-            scored = sorted(
-                (-probs[r, tok], pos, tok)
-                for r, (pos, tok) in enumerate(zip(ctx.positions, action))
-                if pos in eligible
-            )
-            for _, pos, tok in scored[: schedule.tokens_per_step]:
-                completions[k, pos] = tok
+            # the cache keeps the rows only: with every trajectory's features
+            # held to the end, a many-prompt call would hold them all at once
+            ctxs.append(RowsContext(ctx.positions, ctx.rows, None, None))
+        if counters is not None:
+            counters.rollout_forward_passes += len(rngs)
+        rows = np.array([ctxs[-1].rows for ctxs in cache])
+        logp = log_softmax(rows)
+        if greedy:
+            actions = np.argmax(rows, axis=-1)
+        else:
+            actions = inverse_cdf(logp, np.array([rng.random(len(row)) for rng in rngs]))
+        confidence = np.exp(logp[traj, row, actions])
+        eligible = schedule.eligible_mask(masked)
+        # eligible first, then by falling confidence (a NaN after every number),
+        # then by position: each trajectory commits its first ``commit`` ranks
+        order = np.lexsort((-confidence, ~eligible))
+        commit = np.minimum(schedule.tokens_per_step, eligible.sum(axis=1))
+        chosen = np.zeros_like(eligible)
+        chosen[traj, order] = row < commit[:, None]
+        completions[traj, masked] = np.where(chosen, actions, mid)
         history[:, step] = completions
-    assert not (completions == prompt.vocab.mask_id).any(), "schedule validation empties the mask"
+    assert not (completions == mid).any(), "schedule validation empties the mask"
     history.setflags(write=False)
-    return [Trajectory(prompt, h, tuple(c)) for h, c in zip(history, cache)]
+    return [Trajectory(p, h, tuple(c)) for p, h, c in zip(prompts, history, cache)]
 
 
 def branch(
@@ -195,5 +219,5 @@ def branch(
         raise ContractViolation("n_branches must be >= 1")
     if ctx.positions != state.completion.mask_positions():
         raise ContractViolation("behavior rows must cover exactly the state's masked positions")
-    actions = inverse_cdf(ctx, rng.random((n_branches, len(ctx.positions))))
+    actions = inverse_cdf(ctx.logp, rng.random((n_branches, len(ctx.positions))))
     return actions, fill(state, actions)

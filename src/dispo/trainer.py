@@ -1,7 +1,8 @@
 """Training loop, optimizer, budget accounting, and evaluation.
 
 One update: freeze the behavior snapshot, roll out a group of trajectories
-per prompt in the batch, score terminal rewards, optionally branch at
+per prompt in the batch (every prompt's group in one lockstep ``rollout``
+call), score terminal rewards, optionally branch at
 sampled intermediate states for step groups, assemble the combined loss
 summed over the batch, and take one optimizer step.  Every random draw
 comes from a named stream keyed by (update, prompt slot, purpose), so runs
@@ -525,16 +526,18 @@ def train(
         terminal_rewards: list[float] = []
         step_rewards: list[float] = []
 
-        for b, slot in enumerate(slots):
-            inst = task.instances[slot]
-            trajs = rollout(
-                old_params,
-                inst.prompt,
-                config.n_denoising_steps,
-                schedule,
-                [stream(root, "rollout", u, b, k) for k in range(config.n_rollouts)],
-                counters=counters,
-            )
+        insts = [task.instances[slot] for slot in slots]
+        n_k = config.n_rollouts
+        every_traj = rollout(
+            old_params,
+            [inst.prompt for inst in insts for _ in range(n_k)],
+            config.n_denoising_steps,
+            schedule,
+            [stream(root, "rollout", u, b, k) for b in range(len(insts)) for k in range(n_k)],
+            counters=counters,
+        )
+        for b, inst in enumerate(insts):
+            trajs = every_traj[b * n_k : (b + 1) * n_k]
             finals = np.array([traj.final_completion() for traj in trajs])
             rewards = inst.reward(finals).tolist()
             counters.reward_evals += len(finals)
@@ -645,15 +648,18 @@ def evaluate(params: PolicyParams, task: Task, n_steps: int, schedule: UnmaskSch
     """Greedy-decode every instance once and score it.
 
     Greedy decoding is the rollout with argmax tokens and confidence
-    commits, so it is deterministic.  For Sudoku the mean first-violation
+    commits, so it is deterministic; every instance decodes in one
+    lockstep ``rollout`` call.  For Sudoku the mean first-violation
     step is reported too, with violation-free decodes counted as
     n_steps + 1.
     """
     rng = stream(0, "eval-greedy")  # unused by greedy rollouts
+    insts = task.instances
+    prompts = [inst.prompt for inst in insts]
+    trajs = rollout(params, prompts, n_steps, schedule, [rng] * len(insts), greedy=True)
     rewards: list[float] = []
     violations: list[float] = []
-    for inst in task.instances:
-        (traj,) = rollout(params, inst.prompt, n_steps, schedule, [rng], greedy=True)
+    for inst, traj in zip(insts, trajs):
         rewards.append(float(inst.reward(traj.final_completion())))
         if task.name == "sudoku":
             v = first_violation_time(inst.reward.instance, traj)

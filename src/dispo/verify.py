@@ -737,14 +737,20 @@ def collect_states(
     seed: int = 0,
     rollouts_per_instance: int = 1,
 ) -> list[CandidateState]:
-    """Harvest intermediate states by rolling the policy over the task pool."""
-    out = []
-    for i, inst in enumerate(task.instances):
-        rngs = [stream(seed, "collect", i, k) for k in range(rollouts_per_instance)]
-        for traj in rollout(params, inst.prompt, n_steps, schedule, rngs):
-            for t in timesteps:
-                out.append(CandidateState(traj.state_at(t), inst.reward))
-    return out
+    """Harvest intermediate states by rolling the policy over the task pool,
+    every instance's rollouts in one lockstep ``rollout`` call."""
+    insts = [inst for inst in task.instances for _ in range(rollouts_per_instance)]
+    rngs = [
+        stream(seed, "collect", i, k)
+        for i in range(len(task.instances))
+        for k in range(rollouts_per_instance)
+    ]
+    trajs = rollout(params, [inst.prompt for inst in insts], n_steps, schedule, rngs)
+    return [
+        CandidateState(traj.state_at(t), inst.reward)
+        for inst, traj in zip(insts, trajs)
+        for t in timesteps
+    ]
 
 
 @dataclass

@@ -460,7 +460,8 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     # branching covers the branch state's mask set without running the policy
     arch = LinearArch(vocab, prompt_len=2, completion_len=4, window=1)
     roll_params = init_params(arch, stream(1001, "invariant-roll"), scale=0.5)
-    traj = rollout(roll_params, prompt, 2, UnmaskSchedule(2), [stream(1002, "invariant-traj")])[0]
+    rngs = [stream(1002, "invariant-traj")]
+    traj = rollout(roll_params, [prompt], 2, UnmaskSchedule(2), rngs)[0]
     import importlib
 
     rollout_mod = importlib.import_module("dispo.rollout")

@@ -48,8 +48,6 @@ from dispo.surrogate import (
     full_mask_state,
     group_features,
     logprob_from_contexts,
-    pattern_contexts,
-    scored_positions,
 )
 from dispo.tasks import make_task
 from dispo.trainer import RunConfig, train
@@ -111,6 +109,32 @@ def reference_features(arch, tokens, positions):
 def reference_sample(ctx, rng):
     probs = np.exp(ctx.logp)
     return [int(rng.choice(probs.shape[1], p=probs[r])) for r in range(len(ctx.positions))]
+
+
+def reference_rollout(params, prompt, n_steps, schedule, rng, greedy):
+    """One trajectory, step by step: a forward at the state, row-by-row draws and a
+    sorted commit of the most confident eligible tokens (ties: lowest position)."""
+    vocab = params.arch.vocab
+    completion = [vocab.mask_id] * params.arch.completion_len
+    states, rows = [tuple(completion)], []
+    for _ in range(n_steps):
+        ctx = rows_context(params, DiffusionState(prompt, MaskedSequence(completion, vocab)))
+        rows.append(ctx.rows)
+        action = np.argmax(ctx.rows, axis=1).tolist() if greedy else reference_sample(ctx, rng)
+        eligible = ctx.positions
+        if schedule.block_size is not None:
+            first = min(eligible) // schedule.block_size
+            eligible = [p for p in eligible if p // schedule.block_size == first]
+        probs = np.exp(ctx.logp)
+        scored = sorted(
+            (-probs[r, tok], pos, tok)
+            for r, (pos, tok) in enumerate(zip(ctx.positions, action))
+            if pos in eligible
+        )
+        for _, pos, tok in scored[: schedule.tokens_per_step]:
+            completion[pos] = tok
+        states.append(tuple(completion))
+    return states, rows
 
 
 def reference_logprob(ctx, positions, targets):
@@ -300,12 +324,68 @@ def test_batched_features_equal_the_per_state_loop():
             assert np.array_equal(batched[k], reference_features(arch, tokens[k], positions[k]))
 
 
+def test_stacked_log_softmax_equals_the_per_slice_log_softmax():
+    """One call on a (B, n, V) block gives each (n, V) slice's own result, bit for bit."""
+    rng = stream(2, "diff-log-softmax")
+    for v in range(2, 10):
+        for n in range(10):
+            for scale in (0.1, 1.0, 5.0, 40.0):
+                block = rng.normal(0.0, scale, (int(rng.integers(1, 6)), n, v))
+                stacked = log_softmax(block)
+                assert stacked.shape == block.shape
+                for b in range(len(block)):
+                    assert stacked[b].tobytes() == log_softmax(block[b]).tobytes()
+
+
+def test_rows_context_derives_read_only_logp_once():
+    rng = stream(2, "diff-ctx-logp")
+    arch = random_arch(rng)
+    params = init_params(arch, rng, scale=1.0)
+    state = random_state(rng, arch, p_mask=0.7)
+    ctx = rows_context(params, state)
+    assert ctx.logp.tobytes() == log_softmax(ctx.rows).tobytes()
+    assert not ctx.logp.flags.writeable
+    assert ctx.logp is ctx.logp  # kept after the first use
+
+
+def test_lockstep_rollout_equals_the_per_trajectory_loop():
+    """Every trajectory of a many-prompt lockstep rollout, sampled or greedy, equals
+    the step-by-step reference: its states, its cached rows and its generator."""
+    rng = stream(2, "diff-rollout")
+    for case in range(120):
+        vocab = Vocab(int(rng.integers(2, 6)))
+        length = int(rng.integers(1, 9))
+        arch = LinearArch(vocab, int(rng.integers(1, 5)), length, int(rng.integers(0, 3)))
+        scale = float(rng.choice([0.0, 0.5, 3.0]))  # zero: uniform rows, every confidence ties
+        params = init_params(arch, rng, scale=scale)
+        block = int(rng.integers(1, length + 1)) if case % 3 else None
+        sched = UnmaskSchedule(int(rng.integers(1, length + 1)), block)
+        n_steps, left = 0, tuple(range(length))  # the steps this schedule needs
+        while left:
+            done = sched.eligible(left)[: sched.tokens_per_step]
+            n_steps, left = n_steps + 1, tuple(p for p in left if p not in done)
+        prompts = [
+            MaskedSequence(tuple(rng.integers(0, vocab.size, arch.prompt_len).tolist()), vocab)
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        greedy = bool(case % 2)
+        rngs = [stream(3, "roll", case, k) for k in range(len(prompts))]
+        trajs = rollout_module.rollout(params, prompts, n_steps, sched, rngs, greedy=greedy)
+        for k, (prompt, traj) in enumerate(zip(prompts, trajs, strict=True)):
+            ref_rng = stream(3, "roll", case, k)
+            states, rows = reference_rollout(params, prompt, n_steps, sched, ref_rng, greedy)
+            assert [tuple(s) for s in traj.states.tolist()] == states
+            for ctx, ref_rows in zip(traj.cache, rows, strict=True):
+                assert ctx.rows.tobytes() == ref_rows.tobytes()
+            assert rngs[k].bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_inverse_cdf_sampling_matches_rng_choice_and_the_generator_state():
     rng = stream(2, "diff-sampling")
     for case in range(3000):
         v, n = int(rng.integers(2, 10)), int(rng.integers(1, 9))
         rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (n, v))
-        ctx = RowsContext(tuple(range(n)), rows, log_softmax(rows), np.zeros((n, 1)), None)
+        ctx = RowsContext(tuple(range(n)), rows, np.zeros((n, 1)), None)
         a, b = stream(3, "draw", case), stream(3, "draw", case)
         tokens = list(sample_action(ctx, a))
         assert tokens == reference_sample(ctx, b)
@@ -327,7 +407,7 @@ def test_branch_equals_successive_sample_action_calls():
         state = DiffusionState(MaskedSequence((0,), vocab), completion)
         rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (k, v))
         positions = completion.mask_positions()
-        ctx = RowsContext(positions, rows, log_softmax(rows), np.zeros((k, 1)), None)
+        ctx = RowsContext(positions, rows, np.zeros((k, 1)), None)
         a, b = stream(3, "branch", case), stream(3, "branch", case)
         actions, completed = branch(state, ctx, z, a)
         expected = [sample_action(ctx, b) for _ in range(z)]
@@ -430,8 +510,7 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
             state = random_state(rng, arch)
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
             (feats,) = group_features(arch, [state], surr_cfg, [stream(11, g)], (scope,))[scope]
-            positions = scored_positions(state, scope)
-            grids = tuple(pattern_contexts(policy, feats, positions) for policy in (params, old))
+            (grids,) = objective_module._group_grids(params, old, [state], [feats], scope)
             counters = OpCounters()
             loss, grad = step_loss(
                 state, members, params, old, loss_cfg, surr_cfg,

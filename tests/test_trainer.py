@@ -277,7 +277,8 @@ def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     """Per prompt: trajectory k = 1..K in order, each at every sampled step t,
     branching from ``traj.state_at(t), traj.cache_at(t)`` with the generator
-    ``stream(seed, "branch", u, b, k, t)``."""
+    ``stream(seed, "branch", u, b, k, t)``.  An update's one ``rollout`` call
+    holds prompt b's trajectories at ``b * K .. b * K + K - 1``."""
     trainer = importlib.import_module("dispo.trainer")
     real_rollout, real_sample = trainer.rollout, SamplerConfig.sample
     real_stream, real_branch = trainer.stream, trainer.branch
@@ -307,9 +308,10 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     monkeypatch.setattr(trainer, "branch", spy_branch)
     cfg = tiny_config(n_updates=2, batch_size=2, n_rollouts=3, n_timesteps=2)
     train(cfg)
+    assert [len(trajs) for trajs in rollouts] == [2 * 3, 2 * 3]  # one call per update
     expected = [
-        ((cfg.seed, u, b, k, t), trajs[k - 1], t)
-        for (u, b), trajs, tsub in zip(itertools.product((1, 2), (0, 1)), rollouts, samples)
+        ((cfg.seed, u, b, k, t), rollouts[u - 1][b * 3 + k - 1], t)
+        for (u, b), tsub in zip(itertools.product((1, 2), (0, 1)), samples, strict=True)
         for k in range(1, 4)
         for t in tsub
     ]
