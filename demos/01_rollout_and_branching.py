@@ -56,7 +56,7 @@ def main() -> None:
     print(f"\nbranching at step {t_branch}, state {show(state.completion.tokens, mid)}:")
     mask = state.mask()
     ctx = traj.cache_at(t_branch)  # the rows the rollout computed at this state
-    actions, completed = branch(state, ctx, 4, stream(args.seed, "demo-branch"))
+    ((actions, completed),) = branch([state], [ctx], 4, [stream(args.seed, "demo-branch")])
     rewards = inst.reward(completed)  # one call scores the whole (4, L) batch
     for action, tokens, reward in zip(actions.tolist(), completed, rewards):
         print(f"  action {dict(zip(mask, action))} -> {show(tokens, mid)}   reward {reward:.3f}")

@@ -25,15 +25,20 @@ patterns once and featurizes their copies once; every policy being
 compared (current, old, reference) scores that block, one forward per
 copy, so the ratio is exactly 1 at equal parameters.  A group's forward
 grids, its ``Grids``, hold both policies' log-probabilities as one
-``(2, C, n, V)`` block, normalized by one ``log_softmax`` call, next to
-the ``(C, n, F)`` feature block; all its members are scored against them.
+``(2, C, n, V)`` block, sliced from one ``log_softmax`` call over every
+group with as many scored positions, next to the ``(C, n, F)`` feature
+block; all its members are scored against them.
 
 One kernel, ``_group_loss_and_grad``, scores a list of groups against
-their grids, which its callers compute: it stacks the groups of equal
-mask-set size and group size, so a prompt's step groups cost one gather,
-one ratio pass and one batch-axis backprop per stack.
-``aggregate_step_loss`` calls it once per prompt, and ``step_loss`` and
-``terminal_loss`` are its one-group calls.
+their grids, which its callers compute, and gives each group's loss and
+gradient: it stacks the groups of equal mask-set size and group size,
+whichever prompt they belong to, so an update's step groups cost one
+gather, one ratio pass and one batch-axis backprop per stack.
+``combined_loss`` scores all the prompts of an update together through
+``_prompt_parts``: one featurization, one grid pass, and one kernel call
+per family, after which each prompt's groups add up in order.
+``terminal_loss``, ``aggregate_step_loss`` and ``kl_penalty`` are its
+one-prompt calls, and ``step_loss`` is the kernel's one-group call.
 
 Also here: exact categorical KL penalties against a frozen reference
 policy, the weighted combination of the loss families, and
@@ -63,6 +68,8 @@ from .surrogate import (
 
 # A loss group: one state and its members' (fill action, reward) pairs.
 LossGroup = tuple[DiffusionState, Sequence[tuple[Action, float]]]
+
+_FAMILIES = ("terminal", "step", "kl")  # a prompt's loss families, in pattern-draw order
 
 
 class Grids(NamedTuple):
@@ -102,31 +109,43 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
 
 
 def _group_grids(
-    params: PolicyParams, old_params: PolicyParams, states: Sequence[DiffusionState],
-    feats: Sequence[np.ndarray], scope: str, *, counters: OpCounters | None = None,
-    kind: str = "step",
+    params: PolicyParams, states: Sequence[DiffusionState], feats: Sequence[np.ndarray],
+    scope: str, others: Sequence[tuple[PolicyParams, str]], *,
+    counters: OpCounters | None = None,
 ) -> list[Grids]:
-    """Each group's grids: both policies score its ``group_features`` block
-    ``feats[g]`` at the positions ``scope`` scores, one forward per copy,
-    and one ``log_softmax`` normalizes the group's stacked rows."""
-    out = []
-    for state, block in zip(states, feats, strict=True):
-        positions = scored_positions(state, scope)
+    """Each group's grids: the current policy and ``others[g] = (policy,
+    kind)`` score its ``group_features`` block ``feats[g]`` at the
+    positions ``scope`` scores, one forward per copy and policy, counted in
+    bucket ``kind``; one ``log_softmax`` normalizes the stacked rows of
+    every group with as many positions."""
+    positions, rows, hidden = [], [], []
+    by_size: dict[int, list[int]] = {}
+    for g, (state, block, (other, kind)) in enumerate(zip(states, feats, others, strict=True)):
+        positions.append(scored_positions(state, scope))
         cur, old = (
-            pattern_contexts(p, block, positions, counters=counters, kind=kind)
-            for p in (params, old_params)
+            pattern_contexts(p, block, positions[g], counters=counters, kind=kind)
+            for p in (params, other)
         )
-        logp = log_softmax(np.array([[c.rows for c in cur], [c.rows for c in old]]))
-        hidden = None if cur[0].hidden is None else np.array([c.hidden for c in cur])
-        out.append(Grids(positions, logp, block, hidden))
+        rows.append([c.rows for c in cur + old])
+        hidden.append(None if cur[0].hidden is None else np.array([c.hidden for c in cur]))
+        by_size.setdefault(len(positions[g]), []).append(g)
+    out: list[Grids] = [None] * len(states)  # type: ignore[list-item]
+    for idx in by_size.values():
+        logp = log_softmax(np.array([r for g in idx for r in rows[g]]))
+        start = 0
+        for g in idx:
+            stop = start + len(rows[g])
+            pair = logp[start:stop].reshape(2, len(feats[g]), *logp.shape[1:])
+            out[g] = Grids(positions[g], pair, feats[g], hidden[g])
+            start = stop
     return out
 
 
 def _group_loss_and_grad(
     params: PolicyParams, groups: Sequence[LossGroup], grids: Sequence[Grids],
     loss_cfg: LossConfig, *, scope: str, per_member_sets: bool = False,
-) -> tuple[float, np.ndarray]:
-    """Summed clipped loss and gradient of ``groups``, the one kernel of both families.
+) -> tuple[list[float], np.ndarray]:
+    """Each group's clipped loss and ``(G, D)`` gradients, the one kernel of both families.
 
     ``grids[g]`` is group ``g``'s ``Grids`` from ``_group_grids``; the kernel
     runs no forward, and backprops through their ``feats`` and ``hidden``.
@@ -134,12 +153,13 @@ def _group_loss_and_grad(
     (terminal convention: one set per rollout); otherwise one set serves
     the whole group.  One ``group_targets`` call per group checks its
     actions and gives its scored positions and ``(Z, n)`` targets.  Groups
-    of equal mask-set size and group size are stacked: a stack makes one
-    target gather with running position sums, one ratio and advantage
-    pass, one ``score_dlogits`` and one batch-axis ``backprop`` over its
-    active members, and calls ``clipped_objective`` once per member.  A
-    group's loss adds up in member order and its gradient in
-    member-then-pattern order; the groups then add up in list order.
+    of equal mask-set size and group size are stacked, whichever prompt
+    they belong to: a stack makes one target gather with running position
+    sums, one ratio and advantage pass, one ``score_dlogits`` and one
+    batch-axis ``backprop`` over its active members, and calls
+    ``clipped_objective`` once per member.  A group's loss adds up in
+    member order and its gradient in member-then-pattern order; callers
+    add the groups up with ``_sums``.
     """
     scored, stacks = [], {}
     for g, (state, members) in enumerate(groups):
@@ -193,10 +213,107 @@ def _group_loss_and_grad(
             hidden = np.array([grids[g].hidden for g in idx])[sa, copy]
         # each group's rows add up in order, from zero
         np.add.at(grads, np.array(idx)[sa], backprop(params, block, hidden, dlogits))
-    loss = 0.0
-    for value in losses:
-        loss += value
-    return loss, grads.sum(axis=0)
+    return losses, grads
+
+
+def _kl_and_grad(params: PolicyParams, grids: Sequence[Grids]) -> tuple[list[float], np.ndarray]:
+    """Each grid's exact KL, current against reference, and its ``(G, D)`` gradients.
+
+    The grids share their shape.  All copies of all grids go through one
+    pass and one batch-axis ``backprop``; a grid's value adds up its copies'
+    row sums in copy order, and its gradient its copies' gradients.
+    """
+    logp = np.array([grid.logp for grid in grids])  # [grid, policy, copy, row, token]
+    n_copies = logp.shape[2]
+    diff = logp[:, 0] - logp[:, 1]
+    p = np.exp(logp[:, 0])
+    row_kl = (p * diff).sum(axis=-1)
+    dlogits = p * (diff - row_kl[..., None]) / n_copies
+    hidden = None if grids[0].hidden is None else np.array([grid.hidden for grid in grids])
+    copy_grads = backprop(params, np.array([grid.feats for grid in grids]), hidden, dlogits)
+    values, grads = [], np.zeros((len(grids), params.dim))
+    for g in range(len(grids)):
+        total = 0.0
+        for c in range(n_copies):
+            total += float(row_kl[g, c].sum()) / n_copies
+            grads[g] += copy_grads[g, c]
+        values.append(total)
+    return values, grads
+
+
+def _sums(
+    values: Sequence[float], grads: np.ndarray, counts: Sequence[int]
+) -> list[tuple[float, np.ndarray]]:
+    """Each prompt's loss and gradient: its ``counts[b]`` consecutive groups, added in order."""
+    out, start = [], 0
+    for n in counts:
+        loss = 0.0
+        for value in values[start : start + n]:
+            loss += value
+        out.append((loss, grads[start : start + n].sum(axis=0)))
+        start += n
+    return out
+
+
+def _prompt_parts(
+    params: PolicyParams,
+    old_params: PolicyParams | None,
+    ref_params: PolicyParams | None,
+    loss_cfg: LossConfig,
+    surr_cfg: SurrogateConfig,
+    rngs: Sequence[np.random.Generator | None],
+    terminal: Sequence[LossGroup | None],
+    steps: Sequence[Sequence[LossGroup]],
+    kl_states: Sequence[DiffusionState | None],
+    *,
+    counters: OpCounters | None = None,
+) -> list[dict]:
+    """Every prompt's family losses and gradients, scored together.
+
+    Prompt ``b`` has a terminal group ``terminal[b]`` (one pattern set per
+    member) or None, the step groups ``steps[b]`` (one set each), and a KL
+    state ``kl_states[b]`` or None, and draws their patterns from
+    ``rngs[b]`` in that order.  Every copy of every family is featurized
+    in one ``group_features`` call, all grids come from one
+    ``_group_grids`` call, and each family present makes one kernel call
+    over every prompt's groups.  Returns one parts dict per prompt, an
+    absent family counting 0 with a zero gradient.
+    """
+    jobs = []  # (prompt, family, state, loss group, pattern sets), prompt by prompt
+    for b, (term, groups, kl_state) in enumerate(zip(terminal, steps, kl_states, strict=True)):
+        if term is not None:
+            jobs.append((b, "terminal", term[0], term, len(term[1])))
+        jobs += [(b, "step", group[0], group, 1) for group in groups]
+        if kl_state is not None:
+            jobs.append((b, "kl", kl_state, None, 1))
+    states = [job[2] for job in jobs]
+    gens, n_sets = [rngs[job[0]] for job in jobs], [job[4] for job in jobs]
+    feats = group_features(params.arch, states, surr_cfg, gens, n_sets=n_sets)["action"]
+    other = {"terminal": old_params, "step": old_params, "kl": ref_params}
+    grids = _group_grids(
+        params, states, feats, "action", [(other[job[1]], job[1]) for job in jobs],
+        counters=counters,
+    )
+    per_family = []
+    for kind in _FAMILIES:
+        mine = [i for i, job in enumerate(jobs) if job[1] == kind]
+        scored = ([], np.zeros((0, params.dim)))
+        if mine and kind == "kl":
+            scored = _kl_and_grad(params, [grids[i] for i in mine])
+        elif mine:
+            scored = _group_loss_and_grad(
+                params, [jobs[i][3] for i in mine], [grids[i] for i in mine], loss_cfg,
+                scope="action", per_member_sets=kind == "terminal",
+            )
+        counts = [sum(jobs[i][0] == b for i in mine) for b in range(len(rngs))]
+        per_family.append(_sums(*scored, counts))
+    return [
+        {
+            "loss_term": term[0], "loss_step": step[0], "kl": kl[0],
+            "grad_term": term[1], "grad_step": step[1], "grad_kl": kl[1],
+        }
+        for term, step, kl in zip(*per_family)
+    ]
 
 
 def step_loss(
@@ -224,8 +341,11 @@ def step_loss(
     """
     if grids is None:
         (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
-        (grids,) = _group_grids(params, old_params, [state], [feats], scope, counters=counters)
-    return _group_loss_and_grad(params, [(state, branches)], [grids], loss_cfg, scope=scope)
+        (grids,) = _group_grids(
+            params, [state], [feats], scope, [(old_params, "step")], counters=counters
+        )
+    scored = _group_loss_and_grad(params, [(state, branches)], [grids], loss_cfg, scope=scope)
+    return _sums(*scored, [1])[0]
 
 
 def aggregate_step_loss(
@@ -240,14 +360,15 @@ def aggregate_step_loss(
 ) -> tuple[float, np.ndarray]:
     """Sum of step losses over the selected states (order-stable), each scoring its action.
 
-    Patterns are drawn group by group, in the order ``step_loss`` would
-    draw them; the corrupted copies of every group are featurized together,
-    one pass per mask-set size, and one kernel call scores every group.
+    One prompt's step family in ``combined_loss``: patterns are drawn group
+    by group, in the order ``step_loss`` would draw them, and one kernel
+    call scores every group.
     """
-    states = [state for state, _ in groups]
-    feats = group_features(params.arch, states, surr_cfg, [rng] * len(groups))["action"]
-    grids = _group_grids(params, old_params, states, feats, "action", counters=counters)
-    return _group_loss_and_grad(params, groups, grids, loss_cfg, scope="action")
+    (parts,) = _prompt_parts(
+        params, old_params, None, loss_cfg, surr_cfg, [rng], [None], [groups], [None],
+        counters=counters,
+    )
+    return parts["loss_step"], parts["grad_step"]
 
 
 def terminal_loss(
@@ -267,21 +388,16 @@ def terminal_loss(
     the members of the group at the fully masked state, whose actions are
     whole completions.  Ratios come from the state-level surrogate there;
     each completion draws its own pattern set (shared between the current
-    and old policies).  All members' corrupted copies are featurized in
-    one pass.
+    and old policies).  One prompt's terminal family in ``combined_loss``.
     """
     if not completions:
         raise ContractViolation("terminal loss needs at least one completion")
     state = full_mask_state(prompt, params.arch.completion_len)
-    (feats,) = group_features(
-        params.arch, [state], surr_cfg, [rng], n_sets=len(completions)
-    )["action"]
-    grids = _group_grids(
-        params, old_params, [state], [feats], "action", counters=counters, kind="terminal"
+    (parts,) = _prompt_parts(
+        params, old_params, None, loss_cfg, surr_cfg, [rng], [(state, completions)], [[]],
+        [None], counters=counters,
     )
-    return _group_loss_and_grad(
-        params, [(state, completions)], grids, loss_cfg, scope="action", per_member_sets=True
-    )
+    return parts["loss_term"], parts["grad_term"]
 
 
 def kl_penalty(
@@ -300,80 +416,64 @@ def kl_penalty(
     identical parameters and non-negative in exact arithmetic.  One
     feature block serves both policies, and one grid holds both.
     """
-    (feats,) = group_features(params.arch, [state], surr_cfg, [rng])["action"]
-    (grid,) = _group_grids(
-        params, ref_params, [state], [feats], "action", counters=counters, kind="kl"
+    (parts,) = _prompt_parts(  # no clipped family here, so the default LossConfig goes unread
+        params, None, ref_params, LossConfig(), surr_cfg, [rng], [None], [[]], [state],
+        counters=counters,
     )
-    total = 0.0
-    grad = np.zeros(params.dim)
-    for c, (cur, ref) in enumerate(zip(*grid.logp)):
-        diff = cur - ref
-        p = np.exp(cur)
-        row_kl = (p * diff).sum(axis=-1)
-        total += float(row_kl.sum()) / len(feats)
-        dlogits = p * (diff - row_kl[:, None]) / len(feats)
-        hidden = None if grid.hidden is None else grid.hidden[c]
-        grad += backprop(params, feats[c], hidden, dlogits)
-    return total, grad
+    return parts["kl"], parts["grad_kl"]
 
 
 def combined_loss(
-    prompt: MaskedSequence,
-    completions: Sequence[tuple[Action, float]],
-    step_groups: Sequence[LossGroup],
+    prompts: Sequence[MaskedSequence],
+    completions: Sequence[Sequence[tuple[Action, float]]],
+    step_groups: Sequence[Sequence[LossGroup]],
     params: PolicyParams,
     old_params: PolicyParams,
     ref_params: PolicyParams | None,
     loss_cfg: LossConfig,
     surr_cfg: SurrogateConfig,
-    rng: np.random.Generator | None = None,
+    rngs: Sequence[np.random.Generator | None],
     *,
     counters: OpCounters | None = None,
-) -> tuple[float, np.ndarray, dict]:
-    """Weighted combination for one prompt: terminal + step + KL.
+) -> list[tuple[float, np.ndarray, dict]]:
+    """Weighted combination for each prompt: terminal + step + KL.
 
-    ``completions`` is the terminal group's members, as ``terminal_loss``
-    takes them.  The KL term is taken at the prompt's fully masked state
-    only.  Skips any family whose weight is zero without consuming its
-    forward passes or random draws, so budget accounting holds exactly.  Returns
-    the total, its gradient, and a parts dict (values and per-family
-    gradients) for logging and linearity checks.
+    Prompt ``b`` is ``prompts[b]`` with its terminal group's members
+    ``completions[b]``, as ``terminal_loss`` takes them, its step groups
+    ``step_groups[b]`` and its generator ``rngs[b]``; all prompts are
+    scored together (see ``_prompt_parts``).  The KL term is taken at each
+    prompt's fully masked state only.  Skips any family whose weight is
+    zero without consuming its forward passes or random draws, so budget
+    accounting holds exactly.  Returns, per prompt, the total, its
+    gradient, and a parts dict (values and per-family gradients) for
+    logging and linearity checks.
     """
-    parts: dict = {"loss_term": 0.0, "loss_step": 0.0, "kl": 0.0}
-    grad_term = np.zeros(params.dim)
-    grad_step = np.zeros(params.dim)
-    grad_kl = np.zeros(params.dim)
-
-    if loss_cfg.alpha_term > 0 and completions:
-        parts["loss_term"], grad_term = terminal_loss(
-            prompt, completions, params, old_params, loss_cfg, surr_cfg, rng, counters=counters
-        )
-    if loss_cfg.alpha_step > 0 and step_groups:
-        parts["loss_step"], grad_step = aggregate_step_loss(
-            step_groups, params, old_params, loss_cfg, surr_cfg, rng, counters=counters
-        )
-    if loss_cfg.kl_beta > 0:
-        if ref_params is None:
-            raise ContractViolation("kl_beta > 0 requires reference parameters")
-        kl_state = full_mask_state(prompt, params.arch.completion_len)
-        parts["kl"], grad_kl = kl_penalty(
-            params, ref_params, kl_state, surr_cfg, rng, counters=counters
-        )
-
-    loss = (
-        loss_cfg.alpha_term * parts["loss_term"]
-        + loss_cfg.alpha_step * parts["loss_step"]
-        + loss_cfg.kl_beta * parts["kl"]
+    if not len(prompts) == len(completions) == len(step_groups) == len(rngs):
+        raise ContractViolation("one terminal group, step group list and generator per prompt")
+    if loss_cfg.kl_beta > 0 and ref_params is None:
+        raise ContractViolation("kl_beta > 0 requires reference parameters")
+    full = [full_mask_state(prompt, params.arch.completion_len) for prompt in prompts]
+    every_parts = _prompt_parts(
+        params, old_params, ref_params, loss_cfg, surr_cfg, rngs,
+        [(s, c) if loss_cfg.alpha_term > 0 and c else None for s, c in zip(full, completions)],
+        [groups if loss_cfg.alpha_step > 0 else [] for groups in step_groups],
+        [s if loss_cfg.kl_beta > 0 else None for s in full],
+        counters=counters,
     )
-    grad = (
-        loss_cfg.alpha_term * grad_term
-        + loss_cfg.alpha_step * grad_step
-        + loss_cfg.kl_beta * grad_kl
-    )
-    parts["grad_term"] = grad_term
-    parts["grad_step"] = grad_step
-    parts["grad_kl"] = grad_kl
-    return loss, grad, parts
+    out = []
+    for parts in every_parts:
+        loss = (
+            loss_cfg.alpha_term * parts["loss_term"]
+            + loss_cfg.alpha_step * parts["loss_step"]
+            + loss_cfg.kl_beta * parts["kl"]
+        )
+        grad = (
+            loss_cfg.alpha_term * parts["grad_term"]
+            + loss_cfg.alpha_step * parts["grad_step"]
+            + loss_cfg.kl_beta * parts["grad_kl"]
+        )
+        out.append((loss, grad, parts))
+    return out
 
 
 @dataclass(frozen=True)

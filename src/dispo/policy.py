@@ -171,8 +171,9 @@ class RowsContext:
 
     Keeps the activations backprop needs; a rollout caches the behavior
     rows of its states without them (``feats`` None), since branching reads
-    only the rows.  Immutable with read-only arrays, so a cached context can
-    be branched from later.  A caller that normalizes a block of forwards
+    only the rows, together with their slice of the step's normalized
+    block.  Immutable with read-only arrays, so a cached context can be
+    branched from later.  A caller that normalizes a block of forwards
     stacks their ``rows`` and makes one ``log_softmax`` call; ``logp``
     serves a caller of one forward.
     """
@@ -199,6 +200,16 @@ class RowsContext:
             cached.setflags(write=False)
             object.__setattr__(self, "_logp", cached)
         return cached
+
+
+def _rows_only(ctx: RowsContext, logp: np.ndarray) -> RowsContext:
+    """``ctx`` without its activations, keeping ``logp``, its rows' log-softmax
+    sliced from a caller's normalized block, as its ``logp`` (read-only)."""
+    out = RowsContext(ctx.positions, ctx.rows, None, None)
+    logp = logp.view()
+    logp.setflags(write=False)
+    object.__setattr__(out, "_logp", logp)
+    return out
 
 
 def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:

@@ -10,8 +10,8 @@ out as the rollout of its prompt and generator alone would give it.  A
 trajectory keeps its visited completions as one ``(T+1, L)`` token array.
 The full logits grid of every visited state is cached, so groups of
 alternative continuations can later be drawn from the same state without
-re-running the policy: that is what ``branch`` does, given a state and its
-behavior rows, and it performs zero forward passes.
+re-running the policy: that is what ``branch`` does, given any number of
+states and their behavior rows, and it performs zero forward passes.
 
 Schedules must empty the completion in exactly the configured number of
 steps; an optional block size restricts commits to the left-most
@@ -32,6 +32,7 @@ from .policy import (
     RowsContext,
     _check_prompt,
     _features,
+    _rows_only,
     inverse_cdf,
     log_softmax,
     rows_context,
@@ -173,15 +174,19 @@ def rollout(
         masked = np.nonzero(completions == mid)[1].reshape(len(rngs), -1)
         row = np.arange(masked.shape[1])
         feats = _features(arch, tokens, masked)
-        for k, ctxs in enumerate(cache):
-            ctx = rows_context(params, None, tuple(masked[k].tolist()), feats=feats[k])
-            # the cache keeps the rows only: with every trajectory's features
-            # held to the end, a many-prompt call would hold them all at once
-            ctxs.append(RowsContext(ctx.positions, ctx.rows, None, None))
+        fresh = [
+            rows_context(params, None, tuple(masked[k].tolist()), feats=feats[k])
+            for k in range(len(rngs))
+        ]
         if counters is not None:
             counters.rollout_forward_passes += len(rngs)
-        rows = np.array([ctxs[-1].rows for ctxs in cache])
+        rows = np.array([ctx.rows for ctx in fresh])
         logp = log_softmax(rows)
+        for ctxs, ctx, block in zip(cache, fresh, logp):
+            # the cache keeps the rows and their log-probabilities only: with
+            # every trajectory's features held to the end, a many-prompt call
+            # would hold them all at once
+            ctxs.append(_rows_only(ctx, block))
         if greedy:
             actions = np.argmax(rows, axis=-1)
         else:
@@ -202,22 +207,41 @@ def rollout(
 
 
 def branch(
-    state: DiffusionState, ctx: RowsContext, n_branches: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n_branches`` joint actions at ``state`` from its behavior rows ``ctx``.
+    states: Sequence[DiffusionState],
+    ctxs: Sequence[RowsContext],
+    n_branches: int,
+    rngs: Sequence[np.random.Generator],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw ``n_branches`` joint actions at each state from its behavior rows.
 
-    Returns the ``(n_branches, m)`` actions, one token per position of the
-    state's mask set, and their ``(n_branches, L)`` completions from
-    ``fill``: alternative terminal sequences from the same state.  All
-    members come from one ``rng.random((n_branches, m))`` through
-    ``inverse_cdf``: the same actions, and the same generator state, as
-    ``n_branches`` successive ``sample_action`` calls.  No policy forward
-    passes happen here: the rows are computed once by the caller, such as
-    a rollout's cache (``traj.state_at(t), traj.cache_at(t)``).
+    ``ctxs[i]`` holds the rows of ``states[i]``'s mask set, such as a
+    rollout's cache (``traj.state_at(t), traj.cache_at(t)``), and
+    ``rngs[i]`` is its generator.  Entry ``i`` of the result is state
+    ``i``'s ``(n_branches, m)`` actions, one token per position of its
+    mask set, and their ``(n_branches, L)`` completions from ``fill``:
+    alternative terminal sequences from the same state.  Each state draws
+    its members from one ``rngs[i].random((n_branches, m))``, in state
+    order, and the states of one mask-set size are sampled in one stacked
+    ``inverse_cdf`` call: state ``i`` gets the same actions, and its
+    generator the same state, as ``n_branches`` successive
+    ``sample_action`` calls on ``ctxs[i]``.  No policy forward passes
+    happen here: the rows are computed once by the caller.
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
-    if ctx.positions != state.completion.mask_positions():
-        raise ContractViolation("behavior rows must cover exactly the state's masked positions")
-    actions = inverse_cdf(ctx.logp, rng.random((n_branches, len(ctx.positions))))
-    return actions, fill(state, actions)
+    if not len(states) == len(ctxs) == len(rngs):
+        raise ContractViolation(
+            f"{len(states)} states for {len(ctxs)} behavior rows and {len(rngs)} generators"
+        )
+    by_size: dict[int, list[int]] = {}
+    for i, (state, ctx) in enumerate(zip(states, ctxs)):
+        if ctx.positions != state.completion.mask_positions():
+            raise ContractViolation("behavior rows must cover exactly the state's masked positions")
+        by_size.setdefault(len(ctx.positions), []).append(i)
+    uniforms = [rng.random((n_branches, len(ctx.positions))) for ctx, rng in zip(ctxs, rngs)]
+    actions: list[np.ndarray] = [np.empty(0)] * len(states)
+    for idx in by_size.values():
+        logp = np.array([ctxs[i].logp for i in idx])[:, None]  # one row block per state
+        for i, drawn in zip(idx, inverse_cdf(logp, np.array([uniforms[i] for i in idx]))):
+            actions[i] = drawn
+    return [(a, fill(state, a)) for state, a in zip(states, actions)]

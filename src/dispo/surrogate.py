@@ -130,27 +130,32 @@ def group_features(
     cfg: SurrogateConfig,
     rngs: Sequence[np.random.Generator | None],
     scopes: Sequence[str] = ("action",),
-    n_sets: int = 1,
+    n_sets: Sequence[int] | None = None,
 ) -> dict[str, list[np.ndarray]]:
     """Draw each group's corruption patterns and featurize all its corrupted copies.
 
-    Group ``g`` at ``states[g]`` draws ``n_sets`` pattern sets from
-    ``rngs[g]``, one after another (one generator may serve several groups
-    in turn).  Every copy is featurized at the positions each scope scores,
-    one ``_features`` pass per positions count over all groups and scopes.
-    Entry ``[scope][g]`` is an ``(n_sets * n_mc, len(positions),
-    feature_dim)`` block, one row block per copy; every policy a loss
-    compares scores that same block through ``pattern_contexts``.
+    Group ``g`` at ``states[g]`` draws ``n_sets[g]`` pattern sets (one
+    without ``n_sets``) from ``rngs[g]``, one after another (one generator
+    may serve several groups in turn).  Every copy is featurized at the
+    positions each scope scores, one ``_features`` pass per positions
+    count over all groups and scopes.  Entry ``[scope][g]`` is an
+    ``(n_sets[g] * n_mc, len(positions), feature_dim)`` block, one row
+    block per copy; every policy a loss compares scores that same block
+    through ``pattern_contexts``.
     """
-    mid = arch.vocab.mask_id
-    copies = []
-    for state, rng in zip(states, rngs, strict=True):
-        masks = np.concatenate(
-            [draw_patterns(state.prompt.length, cfg, rng) for _ in range(n_sets)]
-        )
-        tokens = np.tile(state_tokens(arch, state), (len(masks), 1))
-        tokens[:, : arch.prompt_len][masks] = mid
-        copies.append(tokens)
+    if n_sets is None:
+        n_sets = [1] * len(states)
+    masks, contexts, counts = [], [], []
+    for state, rng, n in zip(states, rngs, n_sets, strict=True):
+        masks += [draw_patterns(state.prompt.length, cfg, rng) for _ in range(n)]
+        contexts.append(state_tokens(arch, state))
+        counts.append(n * cfg.n_mc)
+    # one context row per copy, group by group, with its pattern's prompt tokens masked
+    width = arch.prompt_len + arch.completion_len
+    tokens = np.repeat(np.array(contexts, dtype=np.intp).reshape(-1, width), counts, axis=0)
+    if masks:
+        tokens[:, : arch.prompt_len][np.concatenate(masks)] = arch.vocab.mask_id
+    first = np.cumsum([0] + counts).tolist()
     by_size: dict[int, list[tuple[str, int, tuple[int, ...]]]] = {}
     for scope in scopes:
         for g, state in enumerate(states):
@@ -158,13 +163,15 @@ def group_features(
             by_size.setdefault(len(positions), []).append((scope, g, positions))
     out: dict[str, list[np.ndarray]] = {scope: [np.empty(0)] * len(states) for scope in scopes}
     for jobs in by_size.values():
-        rows = [np.tile(np.array(pos, dtype=np.intp), (len(copies[g]), 1)) for _, g, pos in jobs]
+        rows = np.array([pos for _, _, pos in jobs], dtype=np.intp)
         feats = _features(
-            arch, np.concatenate([copies[g] for _, g, _ in jobs]), np.concatenate(rows)
+            arch,
+            np.concatenate([tokens[first[g] : first[g + 1]] for _, g, _ in jobs]),
+            np.repeat(rows, [counts[g] for _, g, _ in jobs], axis=0),
         )
         start = 0
         for scope, g, _ in jobs:
-            stop = start + len(copies[g])
+            stop = start + counts[g]
             out[scope][g] = feats[start:stop]
             start = stop
     return out

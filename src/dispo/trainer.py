@@ -2,11 +2,13 @@
 
 One update: freeze the behavior snapshot, roll out a group of trajectories
 per prompt in the batch (every prompt's group in one lockstep ``rollout``
-call), score terminal rewards, optionally branch at
-sampled intermediate states for step groups, assemble the combined loss
-summed over the batch, and take one optimizer step.  Every random draw
-comes from a named stream keyed by (update, prompt slot, purpose), so runs
-are bit-reproducible and resumable from a checkpoint.
+call), score terminal rewards, optionally branch at sampled intermediate
+states for step groups (every prompt's states in one ``branch`` call, one
+reward call per prompt), score every prompt's combined loss in one
+``combined_loss`` call, add the prompts' gradients up in slot order, and
+take one optimizer step.  Every random draw comes from a named stream
+keyed by (update, prompt slot, purpose), so runs are bit-reproducible and
+resumable from a checkpoint.
 
 ``count_ops`` predicts the per-prompt operation counts in closed form;
 measured counters must match it exactly, which the tests enforce.  Metrics
@@ -536,43 +538,53 @@ def train(
             [stream(root, "rollout", u, b, k) for b in range(len(insts)) for k in range(n_k)],
             counters=counters,
         )
-        for b, inst in enumerate(insts):
-            trajs = every_traj[b * n_k : (b + 1) * n_k]
-            finals = np.array([traj.final_completion() for traj in trajs])
+        trajs = [every_traj[b * n_k : (b + 1) * n_k] for b in range(len(insts))]
+        completions = []
+        for inst, group in zip(insts, trajs):
+            finals = np.array([traj.final_completion() for traj in group])
             rewards = inst.reward(finals).tolist()
             counters.reward_evals += len(finals)
-            completions = list(zip(map(tuple, finals.tolist()), rewards))
+            completions.append(list(zip(map(tuple, finals.tolist()), rewards)))
             terminal_rewards.extend(rewards)
 
-            step_groups: list[LossGroup] = []
-            if config.alpha_step > 0:
+        step_groups: list[list[LossGroup]] = [[] for _ in insts]
+        if config.alpha_step > 0 and config.n_timesteps > 0:
+            sites = []  # (prompt slot b, trajectory k, step t, trajectory), trajectory-major
+            for b, group in enumerate(trajs):
                 tsub = config.sampler.sample(
                     config.n_denoising_steps, config.n_timesteps, stream(root, "tsub", u, b)
                 )
-                z = config.n_branches
-                for k, traj in enumerate(trajs, start=1):
-                    for t in tsub:
-                        state = traj.state_at(t)
-                        rng = stream(root, "branch", u, b, k, t)
-                        actions, completed = branch(state, traj.cache_at(t), z, rng)
-                        rewards = inst.reward(completed).tolist()
-                        counters.reward_evals += len(rewards)
-                        step_rewards.extend(rewards)
-                        members = list(zip(map(tuple, actions.tolist()), rewards))
-                        step_groups.append((state, members))
-
-            loss, grad, parts = combined_loss(
-                inst.prompt,
-                completions,
-                step_groups,
-                params,
-                old_params,
-                ref_params,
-                loss_cfg,
-                surr_cfg,
-                stream(root, "loss", u, b),
-                counters=counters,
+                sites += [(b, k, t, traj) for k, traj in enumerate(group, start=1) for t in tsub]
+            states = [traj.state_at(t) for _, _, t, traj in sites]
+            branched = branch(
+                states,
+                [traj.cache_at(t) for _, _, t, traj in sites],
+                config.n_branches,
+                [stream(root, "branch", u, b, k, t) for b, k, t, _ in sites],
             )
+            z, per_prompt = config.n_branches, len(sites) // len(insts)
+            for b, inst in enumerate(insts):
+                mine = range(b * per_prompt, (b + 1) * per_prompt)
+                rewards = inst.reward(np.concatenate([branched[i][1] for i in mine])).tolist()
+                counters.reward_evals += len(rewards)
+                step_rewards.extend(rewards)
+                for j, i in enumerate(mine):
+                    members = zip(map(tuple, branched[i][0].tolist()), rewards[j * z : (j + 1) * z])
+                    step_groups[b].append((states[i], list(members)))
+
+        scored = combined_loss(
+            [inst.prompt for inst in insts],
+            completions,
+            step_groups,
+            params,
+            old_params,
+            ref_params,
+            loss_cfg,
+            surr_cfg,
+            [stream(root, "loss", u, b) for b in range(len(insts))],
+            counters=counters,
+        )
+        for b, (loss, grad, parts) in enumerate(scored):
             if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
                 if out_dir is not None:
                     _dump_divergence(Path(out_dir), u, b, loss, grad, config)

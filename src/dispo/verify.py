@@ -855,7 +855,8 @@ def trcov_protocol(
         states = [cand.state] * n_blocks
         feats = group_features(params.arch, states, surr_cfg, [patterns] * n_blocks, scopes)
         grids = {  # per scope, each trial's (current, old) grids, shared by its conditions
-            s: _group_grids(params, old_params, states, feats[s], s) * (n_trials // n_blocks)
+            s: _group_grids(params, states, feats[s], s, [(old_params, "step")] * n_blocks)
+            * (n_trials // n_blocks)
             for s in scopes
         }
         # per group size: each trial's members, and whether any trial has a positive advantage
@@ -863,8 +864,8 @@ def trcov_protocol(
         for cond in conditions:
             z = cond.n_branches
             if z not in by_size:
-                actions, completed = branch(
-                    cand.state, behavior, n_trials * z, stream(seed, "trcov-group", i, z)
+                ((actions, completed),) = branch(
+                    [cand.state], [behavior], n_trials * z, [stream(seed, "trcov-group", i, z)]
                 )
                 rewards = cand.reward(completed).reshape(n_trials, z)
                 members = list(zip(map(tuple, actions.tolist()), rewards.ravel().tolist()))

@@ -20,10 +20,12 @@ import dispo.sequences as sequences_module
 import dispo.surrogate as surrogate_module
 import dispo.verify as verify_module
 from dispo.counters import OpCounters
+from dispo.errors import ContractViolation
 from dispo.objective import (
     LossConfig,
     aggregate_step_loss,
     clipped_objective,
+    combined_loss,
     kl_penalty,
     step_loss,
     terminal_loss,
@@ -177,7 +179,10 @@ def apply_pattern(prompt, mask):
 
 
 def reference_patterns(prompt_len, cfg, rng):
-    """Pattern by pattern: its ratio (drawn, or the fixed one), then one draw per token."""
+    """Pattern by pattern: its ratio (drawn, or the fixed one), then one draw per token;
+    with corruption off, no pattern masks anything and nothing is drawn."""
+    if not cfg.corruption_enabled:
+        return np.zeros((cfg.n_mc, prompt_len), dtype=bool)
     masks = []
     for _ in range(cfg.n_mc):
         ratio = rng.uniform() if cfg.ratio_law == "uniform" else float(cfg.ratio_law)
@@ -409,7 +414,7 @@ def test_branch_equals_successive_sample_action_calls():
         positions = completion.mask_positions()
         ctx = RowsContext(positions, rows, np.zeros((k, 1)), None)
         a, b = stream(3, "branch", case), stream(3, "branch", case)
-        actions, completed = branch(state, ctx, z, a)
+        ((actions, completed),) = branch([state], [ctx], z, [a])
         expected = [sample_action(ctx, b) for _ in range(z)]
         assert [tuple(x) for x in actions.tolist()] == expected
         assert [tuple(c) for c in completed.tolist()] == [written(state, x) for x in expected]
@@ -510,7 +515,9 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
             state = random_state(rng, arch)
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
             (feats,) = group_features(arch, [state], surr_cfg, [stream(11, g)], (scope,))[scope]
-            (grids,) = objective_module._group_grids(params, old, [state], [feats], scope)
+            (grids,) = objective_module._group_grids(
+                params, [state], [feats], scope, [(old, "step")]
+            )
             counters = OpCounters()
             loss, grad = step_loss(
                 state, members, params, old, loss_cfg, surr_cfg,
@@ -525,7 +532,8 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
 
 
 def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
-    """``train`` never calls ``step_loss``: one kernel call per family and prompt.
+    """``train`` never calls ``step_loss``: one kernel call per family and update, over
+    every prompt's groups.
 
     The variance protocol still calls ``step_loss`` once per trial.
     """
@@ -557,24 +565,27 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     )
     train(cfg)
     assert step_calls == []
-    n_prompts = cfg.n_updates * cfg.batch_size
-    assert kernel_calls == [("terminal", 1), ("step", cfg.n_rollouts * cfg.n_timesteps)] * n_prompts
+    b = cfg.batch_size
+    assert kernel_calls == [
+        ("terminal", b), ("step", b * cfg.n_rollouts * cfg.n_timesteps)
+    ] * cfg.n_updates
 
     params, old, cands = trcov_problem()
     surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
     assert len(step_calls) == report.n_maskable * len(TRCOV_CONDITIONS) * 2
-    assert kernel_calls[2 * n_prompts :] == [("step", 1)] * len(step_calls)
+    assert kernel_calls[2 * cfg.n_updates :] == [("step", 1)] * len(step_calls)
 
 
 def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_one_call(
     monkeypatch,
 ):
-    """``branch`` completes all its members in one ``fill`` call, and the kernel checks
-    each loss group in one ``check_action`` call, not one call per member.
+    """``branch`` completes all of a state's members in one ``fill`` call, training
+    branches an update's states in one ``branch`` call, and the kernel checks each loss
+    group in one ``check_action`` call, not one call per member.
 
     So in training each member's tokens are validated once: in its group's call."""
-    checked, fills, branched = [], [], []
+    checked, fills, branched, calls = [], [], [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
     real_branch = rollout_module.branch
 
@@ -587,9 +598,10 @@ def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_o
         return real_fill(state, actions)
 
     def counted_branch(*args):
-        actions, completed = real_branch(*args)
-        branched.append(actions.shape)
-        return actions, completed
+        result = real_branch(*args)
+        calls.append(len(result))
+        branched.extend(actions.shape for actions, _ in result)
+        return result
 
     for module in (sequences_module, surrogate_module, policy_module):
         monkeypatch.setattr(module, "check_action", counted_check)
@@ -610,6 +622,7 @@ def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_o
     )
     train(cfg)
     n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
+    assert calls == [n_groups]  # one call per update
     assert [z for z, _ in branched] == [cfg.n_branches] * n_groups
     assert fills == branched  # one array pass per draw, over all its members
     # one call per step group (Z actions) and one per terminal group (K)
@@ -620,10 +633,12 @@ def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_o
     checked.clear()
     fills.clear()
     branched.clear()
+    calls.clear()
     params, old, cands = trcov_problem()
     surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
     # per state: one draw of n_trials * Z members per group size
+    assert calls == [1, 1] * report.n_maskable
     assert [n for n, _ in branched] == [2 * 2, 2 * 4] * report.n_maskable
     # per state and trial: one Z=2 and one Z=4 group, each scored in both scopes;
     # an all-token group's targets are its members' fills, in one call
@@ -661,6 +676,127 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
             assert kl == ref_kl
             assert np.array_equal(kl_grad, ref_kl_grad)
     assert clipped > 0
+
+
+WEIGHTS = [  # (alpha_term, alpha_step, kl_beta): everything on, then each family off
+    (1.0, 0.1, 0.01), (0.0, 0.3, 0.05), (0.7, 0.0, 0.05), (1.0, 0.2, 0.0),
+]
+SCORING_CASES = [(kind, law) for kind in ("linear", "mlp") for law in ("uniform", 0.0)]
+
+
+@pytest.mark.parametrize(
+    "kind,law", SCORING_CASES, ids=[f"{k}-{'on' if law else 'off'}" for k, law in SCORING_CASES]
+)
+def test_update_scoring_equals_the_per_prompt_reference_loop(kind, law):
+    """``combined_loss`` over an update's prompts gives, prompt by prompt, what the
+    per-member references give when each prompt draws its terminal sets, then its step
+    groups' sets, then its KL set from its own generator: every loss part and gradient,
+    the weighted total, the counters, and each generator's final state."""
+    rng, arch, params, old = loss_problem(kind, 12)
+    ref = perturb_params(params, rng, scale=2.0)
+    states = [random_state(rng, arch, p_mask=p) for p in (0.2, 0.5, 0.9)]  # mixed mask sets
+    surr_cfg = SurrogateConfig(n_mc=2, ratio_law=law)
+    n_clipped = 0
+    for case, (alpha_term, alpha_step, kl_beta) in enumerate(WEIGHTS * 2):
+        loss_cfg = LossConfig(alpha_step, alpha_term, 0.05, kl_beta)
+        for n_prompts in (1, 2, 3):
+            prompts = [random_state(rng, arch).prompt for _ in range(n_prompts)]
+            completions = [
+                [(tuple(rng.integers(0, 4, 5).tolist()), float(rng.normal())) for _ in range(k)]
+                for k in rng.integers(2, 5, n_prompts)
+            ]
+            step_groups = [
+                [
+                    (state, [(random_action(rng, state), float(rng.normal())) for _ in range(z)])
+                    for z in rng.integers(1, 4, int(rng.integers(0, 5)))
+                    for state in [states[int(rng.integers(3))]]
+                ]
+                for _ in range(n_prompts)
+            ]
+            paths = [(12, case, n_prompts, b) for b in range(n_prompts)]
+            rngs = [stream(*path) for path in paths]
+            counters = OpCounters()
+            scored = combined_loss(
+                prompts, completions, step_groups, params, old, ref, loss_cfg, surr_cfg, rngs,
+                counters=counters,
+            )
+            assert len(scored) == n_prompts
+            want = OpCounters()
+            for b, (loss, grad, parts) in enumerate(scored):
+                ref_rng = stream(*paths[b])
+                full = full_mask_state(prompts[b], 5)
+                loss_term, grad_term = 0.0, np.zeros(params.dim)
+                if alpha_term > 0:
+                    loss_term, grad_term, clipped = reference_group_loss(
+                        params, old, full, completions[b], loss_cfg, surr_cfg, ref_rng, "action",
+                        True,
+                    )
+                    n_clipped += clipped
+                    want.surrogate_terminal_calls += 2 * 2 * len(completions[b])
+                loss_step, grad_step = 0.0, np.zeros(params.dim)
+                if alpha_step > 0:
+                    for state, members in step_groups[b]:
+                        l, g, clipped = reference_group_loss(
+                            params, old, state, members, loss_cfg, surr_cfg, ref_rng, "action",
+                            False,
+                        )
+                        loss_step += l
+                        grad_step += g
+                        n_clipped += clipped
+                        want.surrogate_step_calls += 2 * 2
+                kl, grad_kl = 0.0, np.zeros(params.dim)
+                if kl_beta > 0:
+                    kl, grad_kl = reference_kl(params, ref, full, surr_cfg, ref_rng)
+                    want.surrogate_kl_calls += 2 * 2
+                assert (parts["loss_term"], parts["loss_step"], parts["kl"]) == (
+                    loss_term, loss_step, kl
+                )
+                assert np.array_equal(parts["grad_term"], grad_term)
+                assert np.array_equal(parts["grad_step"], grad_step)
+                assert np.array_equal(parts["grad_kl"], grad_kl)
+                assert loss == alpha_term * loss_term + alpha_step * loss_step + kl_beta * kl
+                assert np.array_equal(
+                    grad, alpha_term * grad_term + alpha_step * grad_step + kl_beta * grad_kl
+                )
+                assert rngs[b].bit_generator.state == ref_rng.bit_generator.state
+            assert counters == want
+    assert n_clipped > 0
+
+
+def test_many_state_branch_equals_one_state_calls():
+    """One ``branch`` call over states of mixed mask-set sizes gives each state the
+    actions, completions and generator state of its own one-state call."""
+    rng = stream(15, "diff-many-branch")
+    vocab = Vocab(4)
+    prompt = MaskedSequence((0, 1), vocab)
+    for case in range(40):
+        z, length = 1 + case % 4, int(rng.integers(1, 7))
+        states, ctxs = [], []
+        for _ in range(int(rng.integers(1, 9))):
+            k = int(rng.integers(1, length + 1))
+            masked = set(rng.permutation(length)[:k].tolist())
+            tokens = [vocab.mask_id if i in masked else int(rng.integers(4)) for i in range(length)]
+            completion = MaskedSequence(tuple(tokens), vocab)
+            rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0])), (k, 4))
+            states.append(DiffusionState(prompt, completion))
+            ctxs.append(RowsContext(completion.mask_positions(), rows, None, None))
+        many = [stream(16, case, i) for i in range(len(states))]
+        branched = branch(states, ctxs, z, many)
+        assert len(branched) == len(states)
+        for i, (state, ctx) in enumerate(zip(states, ctxs)):
+            one = stream(16, case, i)
+            ((actions, completed),) = branch([state], [ctx], z, [one])
+            assert np.array_equal(branched[i][0], actions)
+            assert np.array_equal(branched[i][1], completed)
+            assert many[i].bit_generator.state == one.bit_generator.state
+    # a context that does not match its state still raises, wherever it stands
+    empty = RowsContext((), np.zeros((0, 4)), None, None)  # no state here is fully visible
+    with pytest.raises(ContractViolation, match="masked positions"):
+        branch(
+            states + states[:1], ctxs + [empty], 1, [stream(17, i) for i in range(len(ctxs) + 1)]
+        )
+    with pytest.raises(ContractViolation, match="generators"):
+        branch(states, ctxs, 1, [stream(17)])
 
 
 # -- the variance protocol: one draw per group size and one pattern stream per state ---
@@ -842,9 +978,9 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
     params, old, cands = trcov_problem()
     branch_calls, paths, scored = [], [], []
 
-    def counted_branch(state, ctx, n_branches, rng):
-        branch_calls.append((state, n_branches))
-        return branch(state, ctx, n_branches, rng)
+    def counted_branch(states, ctxs, n_branches, rngs):
+        branch_calls.append((states, n_branches))
+        return branch(states, ctxs, n_branches, rngs)
 
     def counted_stream(*path):
         paths.append(path)
@@ -864,7 +1000,7 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
     )
     maskable = [c.state for c in cands if c.state.completion.mask_positions()]
     assert 0 < report.n_maskable == len(maskable) < report.n_candidates
-    assert branch_calls == [(state, n_trials * z) for state in maskable for z in (2, 4)]
+    assert branch_calls == [([state], n_trials * z) for state in maskable for z in (2, 4)]
     assert [p for p in paths if p[1] == "trcov-patterns"] == [
         (36, "trcov-patterns", i) for i in range(len(maskable))
     ]

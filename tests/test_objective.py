@@ -211,8 +211,8 @@ def test_combined_loss_is_linear_in_its_parts():
     completions = [((0, 1, 2), 1.0), ((2, 0, 1), 0.0)]
     groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     cfg = LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05, clip_eps=None)
-    loss, grad, parts = combined_loss(
-        PROMPT, completions, groups, params, old, ref, cfg, OFF, stream(7, "rng")
+    ((loss, grad, parts),) = combined_loss(
+        [PROMPT], [completions], [groups], params, old, ref, cfg, OFF, [stream(7, "rng")]
     )
     expect = 0.7 * parts["loss_term"] + 0.3 * parts["loss_step"] + 0.05 * parts["kl"]
     assert loss == pytest.approx(expect, abs=1e-12)
@@ -227,7 +227,7 @@ def test_zero_weight_families_consume_nothing():
     counters = OpCounters()
     cfg = LossConfig(alpha_step=0.0, alpha_term=1.0, kl_beta=0.0)
     combined_loss(
-        PROMPT, completions, groups, params, params, None, cfg, OFF, stream(8, "rng"),
+        [PROMPT], [completions], [groups], params, params, None, cfg, OFF, [stream(8, "rng")],
         counters=counters,
     )
     assert counters.surrogate_step_calls == 0
@@ -235,9 +235,21 @@ def test_zero_weight_families_consume_nothing():
     assert counters.surrogate_terminal_calls > 0
     with pytest.raises(ContractViolation):
         combined_loss(
-            PROMPT, completions, groups, params, params, None,
-            LossConfig(kl_beta=0.01), OFF, stream(8, "rng2"),
+            [PROMPT], [completions], [groups], params, params, None,
+            LossConfig(kl_beta=0.01), OFF, [stream(8, "rng2")],
         )
+    # every family off: no draw, no forward, and zero parts
+    rng, counters = stream(8, "rng3"), OpCounters()
+    before = rng.bit_generator.state
+    uniform = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    ((loss, grad, parts),) = combined_loss(
+        [PROMPT], [completions], [groups], params, params, None,
+        LossConfig(alpha_step=0.0, alpha_term=0.0), uniform, [rng], counters=counters,
+    )
+    assert rng.bit_generator.state == before and counters == OpCounters()
+    assert loss == 0.0 and not grad.any()
+    assert (parts["loss_term"], parts["loss_step"], parts["kl"]) == (0.0, 0.0, 0.0)
+    assert aggregate_step_loss([], params, params, NOCLIP, uniform, rng)[0] == 0.0
 
 
 @pytest.mark.parametrize("law", ["uniform", 0.5])

@@ -87,6 +87,38 @@ def test_cache_matches_fresh_forward_bitwise():
         assert cached.feats is None and cached.hidden is None  # the rows only
 
 
+def test_branch_reads_the_rollouts_normalized_block_without_a_log_softmax(monkeypatch):
+    """Each cached context holds its slice of its step's ``log_softmax`` block, byte-equal
+    to ``log_softmax(ctx.rows)``, so branching from the cache normalizes nothing."""
+    policy_mod = importlib.import_module("dispo.policy")
+    real = policy_mod.log_softmax
+    calls = []
+
+    def counted(rows):
+        calls.append(np.shape(rows))
+        return real(rows)
+
+    params = random_params(14)
+    prompts = [PROMPT, MaskedSequence((1, 1), VOCAB), MaskedSequence((2, 0), VOCAB)]
+    rngs = [stream(14, "roll", k) for k in range(3)]
+    for module in (policy_mod, rollout_mod):
+        monkeypatch.setattr(module, "log_softmax", counted)
+    trajs = rollout(params, prompts, 4, UnmaskSchedule(1), rngs)
+    assert len(calls) == 4  # one block per step
+    calls.clear()
+    sites = [(traj, t) for traj in trajs for t in range(1, 5)]
+    branch(
+        [traj.state_at(t) for traj, t in sites], [traj.cache_at(t) for traj, t in sites], 3,
+        [stream(14, "branch", i) for i in range(len(sites))],
+    )
+    assert calls == []
+    for traj, t in sites:
+        cached = traj.cache_at(t)
+        assert not cached.logp.flags.writeable
+        assert cached.logp.tobytes() == real(cached.rows).tobytes()
+    assert calls == []
+
+
 def test_greedy_commits_highest_confidence_eligible():
     params = random_params(4)
     sched = UnmaskSchedule(2, block_size=2)
@@ -193,7 +225,7 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", boom)
     state = traj.state_at(1)
-    actions, completions = branch(state, traj.cache_at(1), 5, stream(7, "branch"))
+    ((actions, completions),) = branch([state], [traj.cache_at(1)], 5, [stream(7, "branch")])
     assert actions.shape == (5, len(state.mask())) and completions.shape == (5, 4)
     assert (completions[:, list(state.mask())] == actions).all()
     assert PROMPT.vocab.mask_id not in completions
@@ -204,13 +236,13 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 def test_branch_is_reproducible():
     params = random_params(8)
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(8, "roll")])[0]
-    a = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
-    b = branch(traj.state_at(2), traj.cache_at(2), 3, stream(8, "branch"))
+    (a,) = branch([traj.state_at(2)], [traj.cache_at(2)], 3, [stream(8, "branch")])
+    (b,) = branch([traj.state_at(2)], [traj.cache_at(2)], 3, [stream(8, "branch")])
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ContractViolation):
         traj.cache_at(3)  # no cache at the terminal state
     with pytest.raises(ContractViolation):
-        branch(traj.state_at(1), traj.cache_at(1), 0, stream(8, "x"))
+        branch([traj.state_at(1)], [traj.cache_at(1)], 0, [stream(8, "x")])
 
 
 def test_branch_rejects_rows_of_another_mask_set():
@@ -218,15 +250,21 @@ def test_branch_rejects_rows_of_another_mask_set():
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(13, "roll")])[0]
     # step 2's rows cover two positions, step 1's state masks all four
     with pytest.raises(ContractViolation, match="masked positions"):
-        branch(traj.state_at(1), traj.cache_at(2), 2, stream(13, "x"))
+        branch([traj.state_at(1)], [traj.cache_at(2)], 2, [stream(13, "x")])
     with pytest.raises(ContractViolation, match="masked positions"):
-        branch(traj.state_at(2), traj.cache_at(1), 2, stream(13, "x"))
+        branch([traj.state_at(2)], [traj.cache_at(1)], 2, [stream(13, "x")])
+    # one mismatched state among matching ones
+    with pytest.raises(ContractViolation, match="masked positions"):
+        branch(
+            [traj.state_at(1), traj.state_at(2)], [traj.cache_at(1), traj.cache_at(1)], 2,
+            [stream(13, "x"), stream(13, "y")],
+        )
     # rows of the right size, but for other positions or in another order
     state = traj.state_at(2)
     visible = tuple(p for p in range(4) if p not in state.mask())
     for positions in (visible, state.mask()[::-1]):
         with pytest.raises(ContractViolation, match="masked positions"):
-            branch(state, rows_context(params, state, positions), 2, stream(13, "x"))
+            branch([state], [rows_context(params, state, positions)], 2, [stream(13, "x")])
 
 
 def test_state_index_bounds():

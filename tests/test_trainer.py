@@ -256,9 +256,9 @@ def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
     """Completions travel as token arrays from rollout to reward and loss.
 
     A run builds one ``MaskedSequence`` per instance prompt and, per prompt,
-    one for the rollouts' start state, one each for the terminal and KL
-    fully masked states, and one per branched state: none per rollout step
-    or per branch member.
+    one for the fully masked state that the terminal and KL families share,
+    and one per branched state: none per rollout, rollout step or branch
+    member.
     """
     built = []
     real = MaskedSequence.__post_init__
@@ -271,18 +271,19 @@ def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
     cfg = tiny_config(kl_beta=0.01, n_updates=3, batch_size=2, n_rollouts=3, n_timesteps=2)
     train(cfg)
     n_prompts = cfg.n_updates * cfg.batch_size
-    assert 0 < len(built) <= cfg.n_instances + n_prompts * (3 + cfg.n_rollouts * cfg.n_timesteps)
+    assert len(built) == cfg.n_instances + n_prompts * (1 + cfg.n_rollouts * cfg.n_timesteps)
 
 
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     """Per prompt: trajectory k = 1..K in order, each at every sampled step t,
     branching from ``traj.state_at(t), traj.cache_at(t)`` with the generator
     ``stream(seed, "branch", u, b, k, t)``.  An update's one ``rollout`` call
-    holds prompt b's trajectories at ``b * K .. b * K + K - 1``."""
+    holds prompt b's trajectories at ``b * K .. b * K + K - 1``, and its one
+    ``branch`` call holds every prompt's states in that order."""
     trainer = importlib.import_module("dispo.trainer")
     real_rollout, real_sample = trainer.rollout, SamplerConfig.sample
     real_stream, real_branch = trainer.stream, trainer.branch
-    rollouts, samples, streams, calls = [], [], [], []
+    rollouts, samples, streams, calls, branch_calls = [], [], [], [], []
 
     def spy_rollout(*args, **kwargs):
         rollouts.append(real_rollout(*args, **kwargs))
@@ -298,9 +299,10 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
             streams.append(((root, *path), rng))
         return rng
 
-    def spy_branch(state, ctx, n_branches, rng):
-        calls.append((state, ctx, n_branches, rng))
-        return real_branch(state, ctx, n_branches, rng)
+    def spy_branch(states, ctxs, n_branches, rngs):
+        branch_calls.append(len(states))
+        calls.extend((state, ctx, n_branches, rng) for state, ctx, rng in zip(states, ctxs, rngs))
+        return real_branch(states, ctxs, n_branches, rngs)
 
     monkeypatch.setattr(trainer, "rollout", spy_rollout)
     monkeypatch.setattr(SamplerConfig, "sample", spy_sample)
@@ -309,6 +311,7 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     cfg = tiny_config(n_updates=2, batch_size=2, n_rollouts=3, n_timesteps=2)
     train(cfg)
     assert [len(trajs) for trajs in rollouts] == [2 * 3, 2 * 3]  # one call per update
+    assert branch_calls == [2 * 3 * 2, 2 * 3 * 2]  # one call per update
     expected = [
         ((cfg.seed, u, b, k, t), rollouts[u - 1][b * 3 + k - 1], t)
         for (u, b), tsub in zip(itertools.product((1, 2), (0, 1)), samples, strict=True)
