@@ -52,14 +52,16 @@ def main() -> None:
     # branch at the middle step: four alternative fillings of the remaining
     # masks, all drawn from the logits the rollout already computed
     t_branch = 2
-    state = traj.state_at(t_branch)
-    print(f"\nbranching at step {t_branch}, state {show(state.completion.tokens, mid)}:")
-    mask = state.mask()
-    ctx = traj.cache_at(t_branch)  # the rows the rollout computed at this state
-    ((actions, completed),) = branch([state], [ctx], 4, [stream(args.seed, "demo-branch")])
+    row, mask = traj.states[t_branch - 1], traj.positions[t_branch - 1]
+    print(f"\nbranching at step {t_branch}, state {show(row, mid)}:")
+    # one site: its completion row, its mask positions and the log-probabilities
+    # the rollout kept there
+    (actions,), (completed,) = branch(
+        [row], [mask], [traj.logp[t_branch - 1]], 4, [stream(args.seed, "demo-branch")]
+    )
     rewards = inst.reward(completed)  # one call scores the whole (4, L) batch
     for action, tokens, reward in zip(actions.tolist(), completed, rewards):
-        print(f"  action {dict(zip(mask, action))} -> {show(tokens, mid)}   reward {reward:.3f}")
+        print(f"  action {dict(zip(mask.tolist(), action))} -> {show(tokens, mid)}   reward {reward:.3f}")
     print(f"rollout forward passes after branching: {counters.rollout_forward_passes} (unchanged)")
 
 

@@ -1,8 +1,12 @@
 """Policy-gradient objectives over branch groups and rollout groups.
 
-Credit assignment works on groups.  A loss group is ``(state, members)``:
-one state and its members' ``(action, reward)`` pairs, the one form a
-group takes from ``train`` to the loss kernel.  The members share a
+Credit assignment works on groups.  A loss group is one ``LossGroup``
+from ``train`` to the loss kernel: the state's context token row (the
+prompt, then its completion), the completion positions it scores, its
+members' ``(Z, n)`` target tokens and their ``(Z,)`` rewards.  The
+public one-group and one-prompt losses take ``(state, members)`` pairs,
+members being ``(action, reward)``, and convert them at the edge with
+``loss_group``; that form feeds the same kernel.  The members share a
 mean-reward baseline, so each member's advantage is its reward minus the
 group mean (advantages sum to zero); the kernel is the one place that
 computes it.  Two loss granularities exist:
@@ -32,7 +36,8 @@ block; all its members are scored against them.
 One kernel, ``_group_loss_and_grad``, scores a list of groups against
 their grids, which its callers compute, and gives each group's loss and
 gradient: it stacks the groups of equal mask-set size and group size,
-whichever prompt they belong to, so an update's step groups cost one
+whichever prompt they belong to, checks each stack's targets in one
+array pass (``target_stacks``), and so an update's step groups cost one
 gather, one ratio pass and one batch-axis backprop per stack.
 ``combined_loss`` scores all the prompts of an update together through
 ``_prompt_parts``: one featurization, one grid pass, and one kernel call
@@ -58,16 +63,15 @@ from .errors import ConfigurationError, ContractViolation
 from .policy import PolicyParams, backprop, log_softmax, score_dlogits
 from .sequences import Action, DiffusionState, MaskedSequence
 from .surrogate import (
+    LossGroup,
     SurrogateConfig,
     full_mask_state,
     group_features,
-    group_targets,
+    loss_group,
     pattern_contexts,
-    scored_positions,
+    stacked,
+    target_stacks,
 )
-
-# A loss group: one state and its members' (fill action, reward) pairs.
-LossGroup = tuple[DiffusionState, Sequence[tuple[Action, float]]]
 
 _FAMILIES = ("terminal", "step", "kl")  # a prompt's loss families, in pattern-draw order
 
@@ -109,27 +113,24 @@ def clipped_objective(rho: float, advantage: float, clip_eps: float | None) -> t
 
 
 def _group_grids(
-    params: PolicyParams, states: Sequence[DiffusionState], feats: Sequence[np.ndarray],
-    scope: str, others: Sequence[tuple[PolicyParams, str]], *,
-    counters: OpCounters | None = None,
+    params: PolicyParams, positions: Sequence[tuple[int, ...]], feats: Sequence[np.ndarray],
+    others: Sequence[tuple[PolicyParams, str]], *, counters: OpCounters | None = None,
 ) -> list[Grids]:
     """Each group's grids: the current policy and ``others[g] = (policy,
     kind)`` score its ``group_features`` block ``feats[g]`` at the
-    positions ``scope`` scores, one forward per copy and policy, counted in
-    bucket ``kind``; one ``log_softmax`` normalizes the stacked rows of
+    positions ``positions[g]``, one forward per copy and policy, counted
+    in bucket ``kind``; one ``log_softmax`` normalizes the stacked rows of
     every group with as many positions."""
-    positions, rows, hidden = [], [], []
+    rows, hidden = [], []
     by_size: dict[int, list[int]] = {}
-    for g, (state, block, (other, kind)) in enumerate(zip(states, feats, others, strict=True)):
-        positions.append(scored_positions(state, scope))
+    for g, (pos, block, (other, kind)) in enumerate(zip(positions, feats, others, strict=True)):
         cur, old = (
-            pattern_contexts(p, block, positions[g], counters=counters, kind=kind)
-            for p in (params, other)
+            pattern_contexts(p, block, pos, counters=counters, kind=kind) for p in (params, other)
         )
         rows.append([c.rows for c in cur + old])
         hidden.append(None if cur[0].hidden is None else np.array([c.hidden for c in cur]))
-        by_size.setdefault(len(positions[g]), []).append(g)
-    out: list[Grids] = [None] * len(states)  # type: ignore[list-item]
+        by_size.setdefault(len(pos), []).append(g)
+    out: list[Grids] = [None] * len(positions)  # type: ignore[list-item]
     for idx in by_size.values():
         logp = log_softmax(np.array([r for g in idx for r in rows[g]]))
         start = 0
@@ -143,7 +144,7 @@ def _group_grids(
 
 def _group_loss_and_grad(
     params: PolicyParams, groups: Sequence[LossGroup], grids: Sequence[Grids],
-    loss_cfg: LossConfig, *, scope: str, per_member_sets: bool = False,
+    loss_cfg: LossConfig, *, per_member_sets: bool = False,
 ) -> tuple[list[float], np.ndarray]:
     """Each group's clipped loss and ``(G, D)`` gradients, the one kernel of both families.
 
@@ -151,45 +152,36 @@ def _group_loss_and_grad(
     runs no forward, and backprops through their ``feats`` and ``hidden``.
     With ``per_member_sets`` a list holds one pattern set per member
     (terminal convention: one set per rollout); otherwise one set serves
-    the whole group.  One ``group_targets`` call per group checks its
-    actions and gives its scored positions and ``(Z, n)`` targets.  Groups
-    of equal mask-set size and group size are stacked, whichever prompt
-    they belong to: a stack makes one target gather with running position
-    sums, one ratio and advantage pass, one ``score_dlogits`` and one
-    batch-axis ``backprop`` over its active members, and calls
+    the whole group.  ``target_stacks`` checks every group's targets and
+    stacks the groups of equal mask-set size and group size, whichever
+    prompt they belong to: a stack makes one target gather with running
+    position sums, one ratio and advantage pass, one ``score_dlogits`` and
+    one batch-axis ``backprop`` over its active members, and calls
     ``clipped_objective`` once per member.  A group's loss adds up in
     member order and its gradient in member-then-pattern order; callers
     add the groups up with ``_sums``.
     """
-    scored, stacks = [], {}
-    for g, (state, members) in enumerate(groups):
-        if not members:
-            raise ContractViolation("loss group must be non-empty")
-        scored.append(group_targets(state, [a for a, _ in members], scope))
-        if grids[g].positions != scored[g][0]:
+    stacks = target_stacks(groups, params.arch.vocab)
+    for group, grid in zip(groups, grids, strict=True):
+        if grid.positions != group.positions:
             raise ContractViolation("a group's grids must cover the positions it scores")
-        stacks.setdefault(scored[g][1].shape, []).append(g)
     losses = [0.0] * len(groups)
     grads = np.zeros((len(groups), params.dim))
-    for (z, n), idx in stacks.items():
+    for (z, n), (idx, tgt) in stacks.items():
         n_groups, n_copies = len(idx), grids[idx[0]].logp.shape[1]
         n_mc = n_copies // z if per_member_sets else n_copies
-        logp = np.array([grids[g].logp for g in idx])  # [group, policy, copy, row, token]
-        tgt = np.array([scored[g][1] for g in idx])
-        picked = logp[
-            np.arange(n_groups)[:, None, None, None, None],
-            np.arange(2)[:, None, None],
-            np.arange(n_copies)[:, None],
-            np.arange(n),
-            tgt[:, :, None, None, :],
-        ]  # [group, member, policy, copy, row]: every member against every copy
+        logp = stacked([grids[g].logp for g in idx])  # [group, policy, copy, row, token]
+        # every member against every copy, [group, member, policy, copy, row]: each
+        # row's first entry in the flat block, plus the member's token there
+        rows = np.arange(0, logp.size, logp.shape[-1]).reshape(n_groups, 1, 2, n_copies, n)
+        picked = logp.reshape(-1)[rows + tgt[:, :, None, None, :]]
         lp = picked.cumsum(axis=-1)[..., -1] if n else np.zeros(picked.shape[:-1])
         if per_member_sets:  # each member's own pattern set, not the others'
             lp = lp.reshape(n_groups, z, 2, z, n_mc)[:, np.arange(z), :, np.arange(z)]
             lp = lp.swapaxes(0, 1)
         lp = lp.reshape(n_groups, z, 2, n_mc).sum(axis=-1) / n_mc  # pattern means
         rhos = np.exp(lp[..., 0] - lp[..., 1]).tolist()
-        rewards = np.array([[r for _, r in groups[g][1]] for g in idx])
+        rewards = stacked([groups[g].rewards for g in idx]).astype(np.float64, copy=False)
         advs = (rewards - rewards.sum(axis=-1, keepdims=True) / z).tolist()
         coefs = np.zeros((n_groups, z, n_mc))
         for s, g in enumerate(idx):
@@ -207,10 +199,10 @@ def _group_loss_and_grad(
         sa, za, ma = active
         copy = ma + za * n_mc if per_member_sets else ma  # each active row's copy
         dlogits = score_dlogits(np.exp(logp[sa, 0, copy]), tgt[sa, za], coefs[active])
-        block = np.array([grids[g].feats for g in idx])[sa, copy]
+        block = stacked([grids[g].feats for g in idx])[sa, copy]
         hidden = grids[idx[0]].hidden
         if hidden is not None:
-            hidden = np.array([grids[g].hidden for g in idx])[sa, copy]
+            hidden = stacked([grids[g].hidden for g in idx])[sa, copy]
         # each group's rows add up in order, from zero
         np.add.at(grads, np.array(idx)[sa], backprop(params, block, hidden, dlogits))
     return losses, grads
@@ -264,7 +256,7 @@ def _prompt_parts(
     rngs: Sequence[np.random.Generator | None],
     terminal: Sequence[LossGroup | None],
     steps: Sequence[Sequence[LossGroup]],
-    kl_states: Sequence[DiffusionState | None],
+    kl: Sequence[LossGroup | None],
     *,
     counters: OpCounters | None = None,
 ) -> list[dict]:
@@ -272,27 +264,28 @@ def _prompt_parts(
 
     Prompt ``b`` has a terminal group ``terminal[b]`` (one pattern set per
     member) or None, the step groups ``steps[b]`` (one set each), and a KL
-    state ``kl_states[b]`` or None, and draws their patterns from
-    ``rngs[b]`` in that order.  Every copy of every family is featurized
-    in one ``group_features`` call, all grids come from one
-    ``_group_grids`` call, and each family present makes one kernel call
-    over every prompt's groups.  Returns one parts dict per prompt, an
-    absent family counting 0 with a zero gradient.
+    group ``kl[b]`` (its context and positions only) or None, and draws
+    their patterns from ``rngs[b]`` in that order.  Every copy of every
+    family is featurized in one ``group_features`` call, all grids come
+    from one ``_group_grids`` call, and each family present makes one
+    kernel call over every prompt's groups.  Returns one parts dict per
+    prompt, an absent family counting 0 with a zero gradient.
     """
-    jobs = []  # (prompt, family, state, loss group, pattern sets), prompt by prompt
-    for b, (term, groups, kl_state) in enumerate(zip(terminal, steps, kl_states, strict=True)):
+    jobs = []  # (prompt, family, loss group, pattern sets), prompt by prompt
+    for b, (term, groups, kl_group) in enumerate(zip(terminal, steps, kl, strict=True)):
         if term is not None:
-            jobs.append((b, "terminal", term[0], term, len(term[1])))
-        jobs += [(b, "step", group[0], group, 1) for group in groups]
-        if kl_state is not None:
-            jobs.append((b, "kl", kl_state, None, 1))
-    states = [job[2] for job in jobs]
-    gens, n_sets = [rngs[job[0]] for job in jobs], [job[4] for job in jobs]
-    feats = group_features(params.arch, states, surr_cfg, gens, n_sets=n_sets)["action"]
+            jobs.append((b, "terminal", term, len(term.targets)))
+        jobs += [(b, "step", group, 1) for group in groups]
+        if kl_group is not None:
+            jobs.append((b, "kl", kl_group, 1))
+    positions = [job[2].positions for job in jobs]
+    feats = group_features(
+        params.arch, [job[2].tokens for job in jobs], {"action": positions}, surr_cfg,
+        [rngs[job[0]] for job in jobs], n_sets=[job[3] for job in jobs],
+    )["action"]
     other = {"terminal": old_params, "step": old_params, "kl": ref_params}
     grids = _group_grids(
-        params, states, feats, "action", [(other[job[1]], job[1]) for job in jobs],
-        counters=counters,
+        params, positions, feats, [(other[job[1]], job[1]) for job in jobs], counters=counters
     )
     per_family = []
     for kind in _FAMILIES:
@@ -302,8 +295,8 @@ def _prompt_parts(
             scored = _kl_and_grad(params, [grids[i] for i in mine])
         elif mine:
             scored = _group_loss_and_grad(
-                params, [jobs[i][3] for i in mine], [grids[i] for i in mine], loss_cfg,
-                scope="action", per_member_sets=kind == "terminal",
+                params, [jobs[i][2] for i in mine], [grids[i] for i in mine], loss_cfg,
+                per_member_sets=kind == "terminal",
             )
         counts = [sum(jobs[i][0] == b for i in mine) for b in range(len(rngs))]
         per_family.append(_sums(*scored, counts))
@@ -339,17 +332,20 @@ def step_loss(
     (several groups may share them); no pattern is drawn and no forward is
     run then.
     """
+    group = loss_group(params.arch, state, branches, scope)
     if grids is None:
-        (feats,) = group_features(params.arch, [state], surr_cfg, [rng], (scope,))[scope]
+        (feats,) = group_features(
+            params.arch, [group.tokens], {scope: [group.positions]}, surr_cfg, [rng]
+        )[scope]
         (grids,) = _group_grids(
-            params, [state], [feats], scope, [(old_params, "step")], counters=counters
+            params, [group.positions], [feats], [(old_params, "step")], counters=counters
         )
-    scored = _group_loss_and_grad(params, [(state, branches)], [grids], loss_cfg, scope=scope)
-    return _sums(*scored, [1])[0]
+    (loss,), (grad,) = _group_loss_and_grad(params, [group], [grids], loss_cfg)
+    return loss, grad
 
 
 def aggregate_step_loss(
-    groups: Sequence[LossGroup],
+    groups: Sequence[tuple[DiffusionState, Sequence[tuple[Action, float]]]],
     params: PolicyParams,
     old_params: PolicyParams,
     loss_cfg: LossConfig,
@@ -360,12 +356,13 @@ def aggregate_step_loss(
 ) -> tuple[float, np.ndarray]:
     """Sum of step losses over the selected states (order-stable), each scoring its action.
 
-    One prompt's step family in ``combined_loss``: patterns are drawn group
-    by group, in the order ``step_loss`` would draw them, and one kernel
-    call scores every group.
+    ``groups`` holds ``(state, members)`` pairs.  One prompt's step family
+    in ``combined_loss``: patterns are drawn group by group, in the order
+    ``step_loss`` would draw them, and one kernel call scores every group.
     """
     (parts,) = _prompt_parts(
-        params, old_params, None, loss_cfg, surr_cfg, [rng], [None], [groups], [None],
+        params, old_params, None, loss_cfg, surr_cfg, [rng], [None],
+        [[loss_group(params.arch, state, members) for state, members in groups]], [None],
         counters=counters,
     )
     return parts["loss_step"], parts["grad_step"]
@@ -394,8 +391,8 @@ def terminal_loss(
         raise ContractViolation("terminal loss needs at least one completion")
     state = full_mask_state(prompt, params.arch.completion_len)
     (parts,) = _prompt_parts(
-        params, old_params, None, loss_cfg, surr_cfg, [rng], [(state, completions)], [[]],
-        [None], counters=counters,
+        params, old_params, None, loss_cfg, surr_cfg, [rng],
+        [loss_group(params.arch, state, completions)], [[]], [None], counters=counters,
     )
     return parts["loss_term"], parts["grad_term"]
 
@@ -417,15 +414,14 @@ def kl_penalty(
     feature block serves both policies, and one grid holds both.
     """
     (parts,) = _prompt_parts(  # no clipped family here, so the default LossConfig goes unread
-        params, None, ref_params, LossConfig(), surr_cfg, [rng], [None], [[]], [state],
-        counters=counters,
+        params, None, ref_params, LossConfig(), surr_cfg, [rng], [None], [[]],
+        [loss_group(params.arch, state)], counters=counters,
     )
     return parts["kl"], parts["grad_kl"]
 
 
 def combined_loss(
-    prompts: Sequence[MaskedSequence],
-    completions: Sequence[Sequence[tuple[Action, float]]],
+    terminal: Sequence[LossGroup],
     step_groups: Sequence[Sequence[LossGroup]],
     params: PolicyParams,
     old_params: PolicyParams,
@@ -438,26 +434,26 @@ def combined_loss(
 ) -> list[tuple[float, np.ndarray, dict]]:
     """Weighted combination for each prompt: terminal + step + KL.
 
-    Prompt ``b`` is ``prompts[b]`` with its terminal group's members
-    ``completions[b]``, as ``terminal_loss`` takes them, its step groups
-    ``step_groups[b]`` and its generator ``rngs[b]``; all prompts are
-    scored together (see ``_prompt_parts``).  The KL term is taken at each
-    prompt's fully masked state only.  Skips any family whose weight is
-    zero without consuming its forward passes or random draws, so budget
-    accounting holds exactly.  Returns, per prompt, the total, its
-    gradient, and a parts dict (values and per-family gradients) for
-    logging and linearity checks.
+    Prompt ``b`` has its rollout group ``terminal[b]`` at its fully masked
+    state (``loss_group(arch, full_mask_state(prompt, L), completions)``),
+    its step groups ``step_groups[b]`` and its generator ``rngs[b]``; all
+    prompts are scored together (see ``_prompt_parts``).  The KL term is
+    taken at each prompt's fully masked state only, ``terminal[b]``'s
+    context.  Skips any family whose weight is zero, and a terminal group
+    without members, without consuming its forward passes or random
+    draws, so budget accounting holds exactly.  Returns, per prompt, the
+    total, its gradient, and a parts dict (values and per-family
+    gradients) for logging and linearity checks.
     """
-    if not len(prompts) == len(completions) == len(step_groups) == len(rngs):
+    if not len(terminal) == len(step_groups) == len(rngs):
         raise ContractViolation("one terminal group, step group list and generator per prompt")
     if loss_cfg.kl_beta > 0 and ref_params is None:
         raise ContractViolation("kl_beta > 0 requires reference parameters")
-    full = [full_mask_state(prompt, params.arch.completion_len) for prompt in prompts]
     every_parts = _prompt_parts(
         params, old_params, ref_params, loss_cfg, surr_cfg, rngs,
-        [(s, c) if loss_cfg.alpha_term > 0 and c else None for s, c in zip(full, completions)],
+        [g if loss_cfg.alpha_term > 0 and len(g.targets) else None for g in terminal],
         [groups if loss_cfg.alpha_step > 0 else [] for groups in step_groups],
-        [s if loss_cfg.kl_beta > 0 else None for s in full],
+        [g if loss_cfg.kl_beta > 0 else None for g in terminal],
         counters=counters,
     )
     out = []

@@ -169,18 +169,17 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
 class RowsContext:
     """One forward pass: logits rows for a set of completion positions.
 
-    Keeps the activations backprop needs; a rollout caches the behavior
-    rows of its states without them (``feats`` None), since branching reads
-    only the rows, together with their slice of the step's normalized
-    block.  Immutable with read-only arrays, so a cached context can be
-    branched from later.  A caller that normalizes a block of forwards
+    Keeps the activations backprop needs; ``Trajectory.cache_at`` builds
+    one without them (``feats`` None) from a rollout step's rows and their
+    slice of the step's normalized block.  Immutable with read-only arrays,
+    so a context can be shared.  A caller that normalizes a block of forwards
     stacks their ``rows`` and makes one ``log_softmax`` call; ``logp``
     serves a caller of one forward.
     """
 
     positions: tuple[int, ...]
     rows: np.ndarray  # logits, (n, V)
-    feats: np.ndarray | None  # (n, F); None in a rollout's cache
+    feats: np.ndarray | None  # (n, F); None from ``Trajectory.cache_at``
     hidden: np.ndarray | None  # (n, H) tanh activations, mlp only
 
     def __post_init__(self) -> None:
@@ -202,10 +201,10 @@ class RowsContext:
         return cached
 
 
-def _rows_only(ctx: RowsContext, logp: np.ndarray) -> RowsContext:
-    """``ctx`` without its activations, keeping ``logp``, its rows' log-softmax
-    sliced from a caller's normalized block, as its ``logp`` (read-only)."""
-    out = RowsContext(ctx.positions, ctx.rows, None, None)
+def _rows_only(positions: tuple[int, ...], rows: np.ndarray, logp: np.ndarray) -> RowsContext:
+    """A context of behavior ``rows`` without activations, keeping ``logp``, their
+    log-softmax sliced from a caller's normalized block, as its ``logp`` (read-only)."""
+    out = RowsContext(positions, rows, None, None)
     logp = logp.view()
     logp.setflags(write=False)
     object.__setattr__(out, "_logp", logp)
@@ -218,7 +217,7 @@ def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
         raise ConfigurationError(
             f"prompt length {prompt.length} != architecture prompt_len {arch.prompt_len}"
         )
-    if prompt.vocab != arch.vocab:
+    if prompt.vocab is not arch.vocab and prompt.vocab != arch.vocab:
         raise ConfigurationError("state vocab differs from architecture vocab")
 
 
@@ -232,9 +231,10 @@ def _check_state(arch: Arch, state: DiffusionState) -> None:
 
 
 def state_tokens(arch: Arch, state: DiffusionState) -> np.ndarray:
-    """``state``'s context, prompt then completion, as an int array (checked against ``arch``)."""
+    """``state``'s context, prompt then completion, as a read-only int array (checked
+    against ``arch``)."""
     _check_state(arch, state)
-    return np.array(state.prompt.tokens + state.completion.tokens, dtype=np.intp)
+    return state.tokens()
 
 
 def _features(arch: Arch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -400,7 +400,9 @@ def score_dlogits(
     else:
         coef = np.asarray(coef, dtype=np.float64).reshape(-1, 1, 1)
         dlogits -= coef * probs
-        dlogits[np.arange(len(targets))[:, None], np.arange(n), targets] += coef[:, :, 0]
+        # each row's target entry in the flat block
+        hot = np.arange(0, dlogits.size, dlogits.shape[-1]).reshape(targets.shape) + targets
+        dlogits.reshape(-1)[hot] += coef[:, :, 0]
     return dlogits
 
 

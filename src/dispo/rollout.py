@@ -8,10 +8,13 @@ sampled token's probability; ties break to the lowest position).  One
 prompt with its own generator, in lockstep on one token array; each comes
 out as the rollout of its prompt and generator alone would give it.  A
 trajectory keeps its visited completions as one ``(T+1, L)`` token array.
-The full logits grid of every visited state is cached, so groups of
-alternative continuations can later be drawn from the same state without
-re-running the policy: that is what ``branch`` does, given any number of
-states and their behavior rows, and it performs zero forward passes.
+Every step keeps its stacked blocks: the mask positions, the logits rows
+and their log-probabilities of all its trajectories, and each trajectory
+holds read-only views of its rows in them.  So groups of alternative
+continuations can later be drawn from the same state without re-running
+the policy: that is what ``branch`` does, given any number of sites
+(completion rows, mask positions and log-probability rows), and it
+performs zero forward passes.
 
 Schedules must empty the completion in exactly the configured number of
 steps; an optional block size restricts commits to the left-most
@@ -37,7 +40,7 @@ from .policy import (
     log_softmax,
     rows_context,
 )
-from .sequences import DiffusionState, MaskedSequence, fill
+from .sequences import DiffusionState, MaskedSequence, Vocab, fill
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,23 @@ class UnmaskSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Visited completions x_1..x_T and the terminal one, and cached logits.
+    """Visited completions x_1..x_T and the terminal one, and the behavior rows at each.
 
     Step t commits exactly the positions where row t of ``states`` differs
-    from row t-1.
+    from row t-1.  Entry t-1 of ``positions``, ``rows`` and ``logp`` is
+    state x_t's mask positions, its logits rows and their log-softmax:
+    read-only views of the rollout's step blocks, no activations.
     """
 
     prompt: MaskedSequence
     states: np.ndarray  # (T+1, L) completion tokens, read-only; the last row is terminal
-    cache: tuple[RowsContext, ...]  # length T, behavior logits at each state, no activations
+    positions: tuple[np.ndarray, ...]  # length T, (m_t,) mask positions of x_t
+    rows: tuple[np.ndarray, ...]  # length T, (m_t, V) behavior logits at x_t
+    logp: tuple[np.ndarray, ...]  # length T, (m_t, V) their log-probabilities
 
     @property
     def n_steps(self) -> int:
-        return len(self.cache)
+        return len(self.positions)
 
     def state_at(self, t: int) -> DiffusionState:
         """State x_t for t in 1..T, or the terminal state at t = T+1, built on demand."""
@@ -121,9 +128,12 @@ class Trajectory:
         return DiffusionState(self.prompt, MaskedSequence(self.states[t - 1], self.prompt.vocab))
 
     def cache_at(self, t: int) -> RowsContext:
+        """The behavior rows at x_t as a ``RowsContext``, built on demand (no activations)."""
         if not 1 <= t <= self.n_steps:
             raise ContractViolation(f"no cached logits for step {t}; valid range 1..{self.n_steps}")
-        return self.cache[t - 1]
+        return _rows_only(
+            tuple(self.positions[t - 1].tolist()), self.rows[t - 1], self.logp[t - 1]
+        )
 
     def final_completion(self) -> np.ndarray:
         return self.states[-1]
@@ -150,8 +160,9 @@ def rollout(
     position from its own generator (all sampled tokens inform
     confidence; only the committed subset persists), in one stacked
     ``inverse_cdf`` draw, and one stable argsort per step ranks every
-    trajectory's eligible positions by confidence.  Every logits grid is
-    cached, so the draws and commits match separate rollouts with the same
+    trajectory's eligible positions by confidence.  Each step's mask
+    positions, rows and log-probabilities are kept as read-only blocks,
+    so the draws and commits match separate rollouts with the same
     generators.  ``greedy=True`` takes the argmax token per position
     instead of sampling, which makes the rollout deterministic.
     """
@@ -167,7 +178,7 @@ def rollout(
     tokens = np.array([p.tokens + (mid,) * arch.completion_len for p in prompts], dtype=np.intp)
     completions = tokens[:, arch.prompt_len :]  # a view: commits land in ``tokens``
     history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (N, T+1, L)
-    cache: list[list[RowsContext]] = [[] for _ in rngs]
+    blocks = []  # per step: (N, m) positions, (N, m, V) rows and their log-probabilities
     traj = np.arange(len(rngs))[:, None]
     for step in range(1, n_steps + 1):
         # the schedule commits the same count in every trajectory, so rows align
@@ -180,13 +191,12 @@ def rollout(
         ]
         if counters is not None:
             counters.rollout_forward_passes += len(rngs)
+        # the blocks keep no features: a many-prompt call would hold them all at once
         rows = np.array([ctx.rows for ctx in fresh])
         logp = log_softmax(rows)
-        for ctxs, ctx, block in zip(cache, fresh, logp):
-            # the cache keeps the rows and their log-probabilities only: with
-            # every trajectory's features held to the end, a many-prompt call
-            # would hold them all at once
-            ctxs.append(_rows_only(ctx, block))
+        for block in (masked, rows, logp):
+            block.setflags(write=False)
+        blocks.append((masked, rows, logp))
         if greedy:
             actions = np.argmax(rows, axis=-1)
         else:
@@ -203,45 +213,65 @@ def rollout(
         history[:, step] = completions
     assert not (completions == mid).any(), "schedule validation empties the mask"
     history.setflags(write=False)
-    return [Trajectory(p, h, tuple(c)) for p, h, c in zip(prompts, history, cache)]
+    positions, rows, logp = (tuple(zip(*(b[i] for b in blocks))) for i in range(3))
+    return [
+        Trajectory(p, h, pos, r, lp)
+        for p, h, pos, r, lp in zip(prompts, history, positions, rows, logp)
+    ]
 
 
 def branch(
-    states: Sequence[DiffusionState],
-    ctxs: Sequence[RowsContext],
+    completions: np.ndarray,
+    positions: Sequence[np.ndarray],
+    logp: Sequence[np.ndarray],
     n_branches: int,
     rngs: Sequence[np.random.Generator],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw ``n_branches`` joint actions at each state from its behavior rows.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Draw ``n_branches`` joint actions at each site from its behavior rows.
 
-    ``ctxs[i]`` holds the rows of ``states[i]``'s mask set, such as a
-    rollout's cache (``traj.state_at(t), traj.cache_at(t)``), and
-    ``rngs[i]`` is its generator.  Entry ``i`` of the result is state
-    ``i``'s ``(n_branches, m)`` actions, one token per position of its
-    mask set, and their ``(n_branches, L)`` completions from ``fill``:
-    alternative terminal sequences from the same state.  Each state draws
-    its members from one ``rngs[i].random((n_branches, m))``, in state
-    order, and the states of one mask-set size are sampled in one stacked
-    ``inverse_cdf`` call: state ``i`` gets the same actions, and its
-    generator the same state, as ``n_branches`` successive
-    ``sample_action`` calls on ``ctxs[i]``.  No policy forward passes
-    happen here: the rows are computed once by the caller.
+    Site ``i`` is the completion row ``completions[i]``, ``(L,)``, its
+    mask positions ``positions[i]``, ``(m_i,)`` in order, and their
+    behavior log-probability rows ``logp[i]``, ``(m_i, V)``: a rollout's
+    ``traj.states[t-1]``, ``traj.positions[t-1]`` and ``traj.logp[t-1]``.
+    ``rngs[i]`` is its generator; one generator may serve several sites,
+    in turn.  Returns each site's ``(n_branches, m_i)`` actions and the
+    ``(S, n_branches, L)`` completions from one ``fill``: alternative
+    terminal sequences from the same state.  A site whose rows do not
+    match its positions raises before any draw.  Each site draws its
+    members from one ``rngs[i].random((n_branches, m_i))``, in site order,
+    and the sites of one mask-set size are sampled in one stacked
+    ``inverse_cdf`` call: a site gets the same actions, and its generator
+    the same state, as ``n_branches`` successive ``sample_action`` calls
+    on its rows.  The mask id is the rows' width ``V``, one past the
+    ordinary tokens.  No policy forward passes happen here: the rows are
+    computed once by the caller.
     """
     if n_branches < 1:
         raise ContractViolation("n_branches must be >= 1")
-    if not len(states) == len(ctxs) == len(rngs):
+    rows = np.asarray(completions, dtype=np.intp)
+    if not len(rows) == len(positions) == len(logp) == len(rngs):
         raise ContractViolation(
-            f"{len(states)} states for {len(ctxs)} behavior rows and {len(rngs)} generators"
+            f"{len(rows)} sites for {len(positions)} position sets, {len(logp)} behavior "
+            f"row blocks and {len(rngs)} generators"
         )
+    if not len(rows):
+        return [], np.zeros((0, n_branches, rows.shape[-1]), dtype=np.intp)
+    vocab = Vocab(logp[0].shape[-1])
+    counts = [len(p) for p in positions]
+    masked = rows == vocab.mask_id
+    if (
+        counts != [len(block) for block in logp]
+        or counts != masked.sum(axis=1).tolist()
+        or not np.array_equal(np.nonzero(masked)[1], np.concatenate(positions))
+    ):
+        raise ContractViolation("behavior rows must cover exactly the site's masked positions")
+    uniforms = [rng.random((n_branches, m)) for m, rng in zip(counts, rngs)]
     by_size: dict[int, list[int]] = {}
-    for i, (state, ctx) in enumerate(zip(states, ctxs)):
-        if ctx.positions != state.completion.mask_positions():
-            raise ContractViolation("behavior rows must cover exactly the state's masked positions")
-        by_size.setdefault(len(ctx.positions), []).append(i)
-    uniforms = [rng.random((n_branches, len(ctx.positions))) for ctx, rng in zip(ctxs, rngs)]
-    actions: list[np.ndarray] = [np.empty(0)] * len(states)
+    for i, m in enumerate(counts):
+        by_size.setdefault(m, []).append(i)
+    actions: list[np.ndarray] = [np.empty(0)] * len(rows)
     for idx in by_size.values():
-        logp = np.array([ctxs[i].logp for i in idx])[:, None]  # one row block per state
-        for i, drawn in zip(idx, inverse_cdf(logp, np.array([uniforms[i] for i in idx]))):
+        block = np.array([logp[i] for i in idx])[:, None]  # one row block per site
+        for i, drawn in zip(idx, inverse_cdf(block, np.array([uniforms[i] for i in idx]))):
             actions[i] = drawn
-    return [(a, fill(state, a)) for state, a in zip(states, actions)]
+    return actions, fill(rows, actions, vocab)

@@ -3,11 +3,13 @@
 Vocabularies, masked sequences, denoising states, and the deterministic
 fill operation.  Token ids are dense non-negative integers; the mask is
 the id one past the ordinary range.  A fill action is a plain tuple of
-tokens, one per masked position in position order.  ``fill`` writes a
-batch of actions into a state's masked positions and returns their
-``(N, L)`` completion-token array, the one completion form from rollout
-to reward; the sequence and state types serve the API edge.  Those types
-are immutable value objects, safe to share and to use as dict keys.
+tokens, one per masked position in position order.  ``fill`` writes
+batches of actions into the masked positions of completion-token rows,
+any number of rows in one array pass, and returns the completion-token
+arrays, the one completion form from rollout to reward; ``fill(state,
+actions)`` is its one-state call.  The sequence and state types serve
+the API edge.  They are immutable value objects, safe to share and to
+use as dict keys.
 """
 
 from __future__ import annotations
@@ -103,11 +105,24 @@ class DiffusionState:
     def mask(self) -> tuple[int, ...]:
         return self.completion.mask_positions()
 
+    def tokens(self) -> np.ndarray:
+        """The context, prompt then completion, as a read-only int array (built once)."""
+        cached = self.__dict__.get("_tokens")  # like ``mask_positions``: out of ==, hash, repr
+        if cached is None:
+            cached = np.array(self.prompt.tokens + self.completion.tokens, dtype=np.intp)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_tokens", cached)
+        return cached
+
 
 def check_action(state: DiffusionState, *actions: Action) -> None:
     """Require each action to hold one ordinary token per position of the mask set."""
-    n = len(state.completion.mask_positions())
-    ordinary = state.vocab.ordinary
+    _check_tokens(len(state.completion.mask_positions()), state.vocab, actions)
+
+
+def _check_tokens(n: int, vocab: Vocab, actions) -> None:
+    """``check_action`` for ``n`` positions: the first faulty action names its fault."""
+    ordinary = vocab.ordinary
     for action in actions:
         if len(action) != n:
             raise ContractViolation(
@@ -118,25 +133,43 @@ def check_action(state: DiffusionState, *actions: Action) -> None:
             raise ContractViolation(f"action token {tok} is not an ordinary token")
 
 
-def fill(state: DiffusionState, actions) -> np.ndarray:
-    """The ``(N, L)`` completions of ``state`` by the ``(N, m)`` ``actions``, in one array pass.
+def fill(rows, actions, vocab: Vocab | None = None) -> np.ndarray:
+    """Completions of masked completion rows by fill actions, in one array pass.
 
-    Row i writes ``actions[i]`` into the masked positions, in order, and
-    leaves the visible ones; a faulty action raises ``check_action``'s message.
+    ``rows`` is ``(S, L)`` completion tokens over ``vocab`` and
+    ``actions[i]`` is an ``(N, m_i)`` block, one token per masked position
+    of row ``i`` in position order; the result is ``(S, N, L)``: row ``i``
+    with each of its actions written in, its visible positions kept.
+    ``fill(state, actions)`` is the one-state call: ``(N, m)`` actions
+    give ``(N, L)`` completions.  A faulty block raises ``check_action``'s
+    message for the first faulty row.
     """
-    acts = np.asarray(actions)
-    masked = state.completion.mask_positions()
-    if acts.ndim != 2:
-        raise ContractViolation(f"actions must be an (N, m) array, got shape {acts.shape}")
-    if acts.shape[1] != len(masked) or acts.size and not (
-        acts.dtype.kind in "iu" and acts.min() >= 0 and acts.max() < state.vocab.size
+    state = rows if isinstance(rows, DiffusionState) else None
+    if state is not None:
+        acts = np.asarray(actions)
+        if acts.ndim != 2:
+            raise ContractViolation(f"actions must be an (N, m) array, got shape {acts.shape}")
+        rows, actions, vocab = state.tokens()[None, state.prompt.length :], [acts], state.vocab
+    rows = np.asarray(rows, dtype=np.intp)
+    masked = rows == vocab.mask_id
+    counts = masked.sum(axis=1).tolist()
+    blocks = [np.asarray(a) for a in actions]
+    if len(blocks) != len(rows):
+        raise ContractViolation(f"{len(blocks)} action blocks for {len(rows)} rows")
+    n = len(blocks[0]) if blocks and blocks[0].ndim else 0
+    flat = np.concatenate([a.ravel() for a in blocks]) if len(blocks) != 1 else blocks[0].ravel()
+    # as unsigned, a negative token reads as a huge one
+    if [a.shape for a in blocks] != [(n, m) for m in counts] or flat.size and not (
+        flat.dtype == np.intp and flat.view(np.uintp).max() < vocab.size
     ):
-        # the first faulty row names the fault; an empty batch, by a row of its width
-        check_action(state, *(acts.tolist() or [[0] * acts.shape[1]]))
-    out = np.empty((len(acts), state.completion.length), dtype=np.intp)
-    out[:] = state.completion.tokens
-    out[:, list(masked)] = acts
-    return out
+        for a, m in zip(blocks, counts):  # the first faulty block names the fault
+            if a.ndim != 2 or len(a) != n:
+                raise ContractViolation(f"every row needs an (N, m) block of {n} actions")
+            # an empty block, by a row of its width
+            _check_tokens(m, vocab, a.tolist() or [[0] * a.shape[1]])
+    out = np.repeat(rows[:, None], n, axis=1)
+    out[np.repeat(masked[:, None], n, axis=1)] = flat  # row, then action, then position order
+    return out if state is None else out[0]
 
 
 def enumerate_actions(state: DiffusionState, limit: int = 100_000) -> Iterator[Action]:

@@ -14,8 +14,14 @@ at a state, summing over the currently masked positions
 (``state_surrogate_logprob``/``state_surrogate_grad``).  A full
 completion's tokens are the action at the fully masked state
 ``full_mask_state(prompt, L)``: the terminal ratios are this fixed-state
-score at the fully masked state.  ``group_targets`` checks a loss group's
-actions in one ``check_action`` call and gives its ``(Z, n)`` target tokens.
+score at the fully masked state.
+
+A loss group's array form is a ``LossGroup``: the context token row
+(prompt, then the state's completion), the scored completion positions,
+the members' ``(Z, n)`` target tokens and their ``(Z,)`` rewards.
+``loss_group`` builds it from a ``(state, members)`` pair at the API
+edge; ``target_stacks`` checks every group of a list in one array pass
+per targets shape, with ``check_action``'s messages.
 
 Patterns are always shared: ``group_features`` draws a group's patterns
 and featurizes its corrupted copies once, and the current, old and
@@ -29,7 +35,7 @@ uniformly per pattern (or held fixed, or zero to disable corruption).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +51,26 @@ from .policy import (
     score_dlogits,
     state_tokens,
 )
-from .sequences import Action, DiffusionState, MaskedSequence, check_action, fill
+from .sequences import (
+    Action,
+    DiffusionState,
+    MaskedSequence,
+    Vocab,
+    _check_tokens,
+    check_action,
+    fill,
+)
 
 RatioLaw = str | float
+
+
+class LossGroup(NamedTuple):
+    """A loss group in array form: one context, its scored positions, its members."""
+
+    tokens: np.ndarray  # (prompt_len + completion_len,) context: the prompt, then the completion
+    positions: tuple[int, ...]  # the n completion positions scored, in order
+    targets: np.ndarray  # (Z, n) each member's token at each scored position
+    rewards: np.ndarray  # (Z,) each member's reward
 
 
 @dataclass(frozen=True)
@@ -107,72 +130,131 @@ def scored_positions(state: DiffusionState, scope: str = "action") -> tuple[int,
     raise ContractViolation(f"unknown scope {scope!r}")
 
 
-def group_targets(
-    state: DiffusionState, actions: Sequence[Action], scope: str = "action"
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Positions to score at ``state`` and a group's ``(Z, n)`` target tokens.
+def stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; a lone array as a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def loss_group(
+    arch: Arch,
+    state: DiffusionState,
+    members: Sequence[tuple[Action, float]] = (),
+    scope: str = "action",
+) -> LossGroup:
+    """The ``LossGroup`` of ``state`` (checked against ``arch``) and its members'
+    ``(action, reward)`` pairs, the API edge of the array form.
 
     ``scope="action"`` scores the masked positions against the actions;
     ``scope="all"`` scores every position of each filled completion (a
     visible position's features exclude its own token, so it scores like
-    a masked one), the group's ``fill``.
+    a masked one), the group's ``fill``.  Actions of the wrong width, or
+    with tokens that are not integers, raise ``check_action``'s message
+    here; the token range is checked where the group is scored
+    (``target_stacks``).
     """
     positions = scored_positions(state, scope)
-    check_action(state, *actions)
-    masked = state.completion.mask_positions()
-    targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(masked))
-    return positions, targets if scope == "action" else fill(state, targets)
+    actions = [a for a, _ in members]
+    n = len(state.completion.mask_positions())
+    try:
+        targets = np.array(actions)
+    except ValueError:  # ragged: some action has the wrong width
+        targets = None
+    if targets is None or targets.shape != (len(actions), n) or targets.dtype != np.intp:
+        if actions:
+            check_action(state, *actions)  # names the first faulty member; integral floats pass
+        targets = np.array(actions, dtype=np.intp).reshape(len(actions), n)
+    if scope == "all":
+        targets = fill(state, targets)
+    rewards = np.array([r for _, r in members], dtype=np.float64)
+    return LossGroup(state_tokens(arch, state), positions, targets, rewards)
+
+
+def target_stacks(
+    groups: Sequence[LossGroup], vocab: Vocab
+) -> dict[tuple[int, int], tuple[list[int], np.ndarray]]:
+    """The groups stacked by targets shape ``(Z, n)``: each stack's group
+    indices and its ``(G, Z, n)`` integer targets.
+
+    Every group needs one member or more, and each member one ordinary
+    token per scored position.  Each stack is checked in one array pass;
+    the first faulty group, in list order, raises ``check_action``'s
+    message for its first faulty member.
+    """
+    stacks: dict[tuple, list[int]] = {}
+    for g, group in enumerate(groups):
+        stacks.setdefault((group.targets.shape, len(group.positions)), []).append(g)
+    out = {}
+    for (shape, n), idx in stacks.items():
+        tgt = stacked([groups[g].targets for g in idx])
+        # as unsigned, a negative token reads as a huge one
+        if len(shape) == 2 and shape[0] and shape[1] == n and tgt.dtype == np.intp and (
+            not tgt.size or tgt.view(np.uintp).max() < vocab.size
+        ):
+            out[shape] = (idx, tgt)
+    if len(out) < len(stacks):  # name the first faulty group
+        for group in groups:
+            if not len(group.targets):
+                raise ContractViolation("loss group must be non-empty")
+            if group.targets.ndim == 2:
+                _check_tokens(len(group.positions), vocab, group.targets.tolist())
+            if group.targets.dtype != np.intp or group.targets.ndim != 2:
+                break
+        raise ContractViolation("a loss group's targets must be a (Z, n) array of intp tokens")
+    return out
 
 
 def group_features(
     arch: Arch,
-    states: Sequence[DiffusionState],
+    contexts: Sequence[np.ndarray],
+    positions: Mapping[str, Sequence[tuple[int, ...]]],
     cfg: SurrogateConfig,
     rngs: Sequence[np.random.Generator | None],
-    scopes: Sequence[str] = ("action",),
     n_sets: Sequence[int] | None = None,
 ) -> dict[str, list[np.ndarray]]:
     """Draw each group's corruption patterns and featurize all its corrupted copies.
 
-    Group ``g`` at ``states[g]`` draws ``n_sets[g]`` pattern sets (one
-    without ``n_sets``) from ``rngs[g]``, one after another (one generator
-    may serve several groups in turn).  Every copy is featurized at the
-    positions each scope scores, one ``_features`` pass per positions
-    count over all groups and scopes.  Entry ``[scope][g]`` is an
-    ``(n_sets[g] * n_mc, len(positions), feature_dim)`` block, one row
-    block per copy; every policy a loss compares scores that same block
-    through ``pattern_contexts``.
+    Group ``g`` is the context token row ``contexts[g]`` and draws
+    ``n_sets[g]`` pattern sets (one without ``n_sets``) from ``rngs[g]``,
+    one after another (one generator may serve several groups in turn).
+    ``positions[key][g]`` is a set of completion positions to featurize
+    group ``g``'s copies at, for each key (such as a scope); every copy is
+    featurized at them in one ``_features`` pass per positions count over
+    all groups and keys.  Entry ``[key][g]`` is an ``(n_sets[g] * n_mc,
+    len(positions[key][g]), feature_dim)`` block, one row block per copy;
+    every policy a loss compares scores that same block through
+    ``pattern_contexts``.
     """
     if n_sets is None:
-        n_sets = [1] * len(states)
-    masks, contexts, counts = [], [], []
-    for state, rng, n in zip(states, rngs, n_sets, strict=True):
-        masks += [draw_patterns(state.prompt.length, cfg, rng) for _ in range(n)]
-        contexts.append(state_tokens(arch, state))
+        n_sets = [1] * len(contexts)
+    masks, counts = [], []
+    for rng, n in zip(rngs, n_sets, strict=True):
+        masks += [draw_patterns(arch.prompt_len, cfg, rng) for _ in range(n)]
         counts.append(n * cfg.n_mc)
     # one context row per copy, group by group, with its pattern's prompt tokens masked
     width = arch.prompt_len + arch.completion_len
-    tokens = np.repeat(np.array(contexts, dtype=np.intp).reshape(-1, width), counts, axis=0)
+    rows = np.array(contexts, dtype=np.intp).reshape(-1, width)
+    if len(rows) != len(counts):
+        raise ContractViolation(f"{len(rows)} context rows of width {width} for {len(counts)} groups")
+    tokens = np.repeat(rows, counts, axis=0)
     if masks:
         tokens[:, : arch.prompt_len][np.concatenate(masks)] = arch.vocab.mask_id
     first = np.cumsum([0] + counts).tolist()
     by_size: dict[int, list[tuple[str, int, tuple[int, ...]]]] = {}
-    for scope in scopes:
-        for g, state in enumerate(states):
-            positions = scored_positions(state, scope)
-            by_size.setdefault(len(positions), []).append((scope, g, positions))
-    out: dict[str, list[np.ndarray]] = {scope: [np.empty(0)] * len(states) for scope in scopes}
+    for key, sets in positions.items():
+        for g, pos in enumerate(sets):
+            by_size.setdefault(len(pos), []).append((key, g, pos))
+    out: dict[str, list[np.ndarray]] = {key: [np.empty(0)] * len(rows) for key in positions}
     for jobs in by_size.values():
-        rows = np.array([pos for _, _, pos in jobs], dtype=np.intp)
+        cols = np.array([pos for _, _, pos in jobs], dtype=np.intp)
         feats = _features(
             arch,
             np.concatenate([tokens[first[g] : first[g + 1]] for _, g, _ in jobs]),
-            np.repeat(rows, [counts[g] for _, g, _ in jobs], axis=0),
+            np.repeat(cols, [counts[g] for _, g, _ in jobs], axis=0),
         )
         start = 0
-        for scope, g, _ in jobs:
+        for key, g, _ in jobs:
             stop = start + counts[g]
-            out[scope][g] = feats[start:stop]
+            out[key][g] = feats[start:stop]
             start = stop
     return out
 
@@ -246,9 +328,12 @@ def _state_contexts(
     rng: np.random.Generator | None,
     scope: str,
 ) -> tuple[list[RowsContext], np.ndarray]:
-    positions, (targets,) = group_targets(state, [action], scope)
-    (feats,) = group_features(params.arch, [state], cfg, [rng], (scope,))[scope]
-    return pattern_contexts(params, feats, positions), targets
+    group = loss_group(params.arch, state, [(action, 0.0)], scope)
+    ((_, tgt),) = target_stacks([group], params.arch.vocab).values()
+    (feats,) = group_features(
+        params.arch, [group.tokens], {scope: [group.positions]}, cfg, [rng]
+    )[scope]
+    return pattern_contexts(params, feats, group.positions), tgt[0, 0]
 
 
 def state_surrogate_logprob(

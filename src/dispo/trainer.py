@@ -3,8 +3,9 @@
 One update: freeze the behavior snapshot, roll out a group of trajectories
 per prompt in the batch (every prompt's group in one lockstep ``rollout``
 call), score terminal rewards, optionally branch at sampled intermediate
-states for step groups (every prompt's states in one ``branch`` call, one
-reward call per prompt), score every prompt's combined loss in one
+states for step groups (every prompt's sites in one ``branch`` call, each
+prompt's drawn in turn from its one generator, one reward call per
+prompt), score every prompt's combined loss in one
 ``combined_loss`` call, add the prompts' gradients up in slot order, and
 take one optimizer step.  Every random draw comes from a named stream
 keyed by (update, prompt slot, purpose), so runs are bit-reproducible and
@@ -529,7 +530,7 @@ def train(
         step_rewards: list[float] = []
 
         insts = [task.instances[slot] for slot in slots]
-        n_k = config.n_rollouts
+        n_k, width = config.n_rollouts, task.completion_len
         every_traj = rollout(
             old_params,
             [inst.prompt for inst in insts for _ in range(n_k)],
@@ -539,42 +540,57 @@ def train(
             counters=counters,
         )
         trajs = [every_traj[b * n_k : (b + 1) * n_k] for b in range(len(insts))]
-        completions = []
+        full = tuple(range(width))  # the fully masked state's positions
+        mid = task.vocab.mask_id
+        terminal = []
         for inst, group in zip(insts, trajs):
             finals = np.array([traj.final_completion() for traj in group])
-            rewards = inst.reward(finals).tolist()
+            rewards = inst.reward(finals)
             counters.reward_evals += len(finals)
-            completions.append(list(zip(map(tuple, finals.tolist()), rewards)))
-            terminal_rewards.extend(rewards)
+            context = np.array(inst.prompt.tokens + (mid,) * width, dtype=np.intp)
+            terminal.append(LossGroup(context, full, finals, rewards))
+            terminal_rewards.extend(rewards.tolist())
 
         step_groups: list[list[LossGroup]] = [[] for _ in insts]
         if config.alpha_step > 0 and config.n_timesteps > 0:
-            sites = []  # (prompt slot b, trajectory k, step t, trajectory), trajectory-major
+            sites = []  # (prompt slot b, step t, trajectory), trajectory-major
             for b, group in enumerate(trajs):
                 tsub = config.sampler.sample(
                     config.n_denoising_steps, config.n_timesteps, stream(root, "tsub", u, b)
                 )
-                sites += [(b, k, t, traj) for k, traj in enumerate(group, start=1) for t in tsub]
-            states = [traj.state_at(t) for _, _, t, traj in sites]
-            branched = branch(
-                states,
-                [traj.cache_at(t) for _, _, t, traj in sites],
+                sites += [(b, t, traj) for traj in group for t in tsub]
+            rows = np.array([traj.states[t - 1] for _, t, traj in sites])
+            prompts = np.array([inst.prompt.tokens for inst in insts], dtype=np.intp)
+            contexts = np.concatenate([prompts[[b for b, _, _ in sites]], rows], axis=1)
+            positions = [traj.positions[t - 1] for _, t, traj in sites]
+            # one generator per prompt draws its sites in turn, so a repeated
+            # timestep gets fresh members
+            rngs = [stream(root, "branch", u, b) for b in range(len(insts))]
+            actions, branched = branch(
+                rows,
+                positions,
+                [traj.logp[t - 1] for _, t, traj in sites],
                 config.n_branches,
-                [stream(root, "branch", u, b, k, t) for b, k, t, _ in sites],
+                [rngs[b] for b, _, _ in sites],
             )
             z, per_prompt = config.n_branches, len(sites) // len(insts)
             for b, inst in enumerate(insts):
                 mine = range(b * per_prompt, (b + 1) * per_prompt)
-                rewards = inst.reward(np.concatenate([branched[i][1] for i in mine])).tolist()
+                rewards = inst.reward(branched[mine.start : mine.stop].reshape(-1, width))
                 counters.reward_evals += len(rewards)
-                step_rewards.extend(rewards)
-                for j, i in enumerate(mine):
-                    members = zip(map(tuple, branched[i][0].tolist()), rewards[j * z : (j + 1) * z])
-                    step_groups[b].append((states[i], list(members)))
+                step_rewards.extend(rewards.tolist())
+                step_groups[b] += [
+                    LossGroup(
+                        contexts[i],
+                        tuple(positions[i].tolist()),
+                        actions[i],
+                        rewards[j * z : (j + 1) * z],
+                    )
+                    for j, i in enumerate(mine)
+                ]
 
         scored = combined_loss(
-            [inst.prompt for inst in insts],
-            completions,
+            terminal,
             step_groups,
             params,
             old_params,

@@ -60,6 +60,8 @@ from .surrogate import (
     grad_from_contexts,
     group_features,
     logprob_from_contexts,
+    loss_group,
+    scored_positions,
 )
 from .tasks import RewardFn, StringMatchInstance, Task
 
@@ -852,10 +854,13 @@ def trcov_protocol(
         behavior = rows_context(old_params, cand.state)
         patterns = stream(seed, "trcov-patterns", i)
         n_blocks = n_trials if surr_cfg.corruption_enabled else 1
-        states = [cand.state] * n_blocks
-        feats = group_features(params.arch, states, surr_cfg, [patterns] * n_blocks, scopes)
+        context = loss_group(params.arch, cand.state).tokens
+        positions = {s: [scored_positions(cand.state, s)] * n_blocks for s in scopes}
+        feats = group_features(
+            params.arch, [context] * n_blocks, positions, surr_cfg, [patterns] * n_blocks
+        )
         grids = {  # per scope, each trial's (current, old) grids, shared by its conditions
-            s: _group_grids(params, states, feats[s], s, [(old_params, "step")] * n_blocks)
+            s: _group_grids(params, positions[s], feats[s], [(old_params, "step")] * n_blocks)
             * (n_trials // n_blocks)
             for s in scopes
         }
@@ -864,8 +869,9 @@ def trcov_protocol(
         for cond in conditions:
             z = cond.n_branches
             if z not in by_size:
-                ((actions, completed),) = branch(
-                    [cand.state], [behavior], n_trials * z, [stream(seed, "trcov-group", i, z)]
+                (actions,), (completed,) = branch(
+                    [cand.state.completion.tokens], [behavior.positions], [behavior.logp],
+                    n_trials * z, [stream(seed, "trcov-group", i, z)],
                 )
                 rewards = cand.reward(completed).reshape(n_trials, z)
                 members = list(zip(map(tuple, actions.tolist()), rewards.ravel().tolist()))

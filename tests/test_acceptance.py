@@ -474,7 +474,9 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         branch_state = traj.state_at(t)
         branch_mask = branch_state.completion.mask_positions()
         branch_rng = stream(1003, "invariant-branch", t)
-        ((acts, completed),) = branch([branch_state], [traj.cache_at(t)], 4, [branch_rng])
+        (acts,), (completed,) = branch(
+            [traj.states[t - 1]], [traj.positions[t - 1]], [traj.logp[t - 1]], 4, [branch_rng]
+        )
         assert acts.shape == (4, len(branch_mask))
         assert (completed[:, list(branch_mask)] == acts).all()
         assert vocab.mask_id not in completed

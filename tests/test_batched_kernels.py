@@ -9,6 +9,8 @@ replaces.
 """
 
 import importlib
+import itertools
+import re
 import sys
 
 import numpy as np
@@ -42,7 +44,7 @@ from dispo.policy import (
     sample_action,
 )
 from dispo.rollout import UnmaskSchedule, branch
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab, check_action
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -50,6 +52,7 @@ from dispo.surrogate import (
     full_mask_state,
     group_features,
     logprob_from_contexts,
+    loss_group,
 )
 from dispo.tasks import make_task
 from dispo.trainer import RunConfig, train
@@ -380,8 +383,8 @@ def test_lockstep_rollout_equals_the_per_trajectory_loop():
             ref_rng = stream(3, "roll", case, k)
             states, rows = reference_rollout(params, prompt, n_steps, sched, ref_rng, greedy)
             assert [tuple(s) for s in traj.states.tolist()] == states
-            for ctx, ref_rows in zip(traj.cache, rows, strict=True):
-                assert ctx.rows.tobytes() == ref_rows.tobytes()
+            for cached, ref_rows in zip(traj.rows, rows, strict=True):
+                assert cached.tobytes() == ref_rows.tobytes()
             assert rngs[k].bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -414,7 +417,7 @@ def test_branch_equals_successive_sample_action_calls():
         positions = completion.mask_positions()
         ctx = RowsContext(positions, rows, np.zeros((k, 1)), None)
         a, b = stream(3, "branch", case), stream(3, "branch", case)
-        ((actions, completed),) = branch([state], [ctx], z, [a])
+        (actions,), (completed,) = branch([completion.tokens], [positions], [ctx.logp], z, [a])
         expected = [sample_action(ctx, b) for _ in range(z)]
         assert [tuple(x) for x in actions.tolist()] == expected
         assert [tuple(c) for c in completed.tolist()] == [written(state, x) for x in expected]
@@ -514,9 +517,12 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
         for g in range(4):
             state = random_state(rng, arch)
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
-            (feats,) = group_features(arch, [state], surr_cfg, [stream(11, g)], (scope,))[scope]
+            group = loss_group(arch, state, members, scope)
+            (feats,) = group_features(
+                arch, [group.tokens], {scope: [group.positions]}, surr_cfg, [stream(11, g)]
+            )[scope]
             (grids,) = objective_module._group_grids(
-                params, [state], [feats], scope, [(old, "step")]
+                params, [group.positions], [feats], [(old, "step")]
             )
             counters = OpCounters()
             loss, grad = step_loss(
@@ -577,31 +583,39 @@ def test_training_scores_a_prompts_step_groups_in_one_kernel_call(monkeypatch):
     assert kernel_calls[2 * cfg.n_updates :] == [("step", 1)] * len(step_calls)
 
 
-def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_one_call(
+def test_branch_fills_its_sites_in_one_call_and_the_kernel_checks_groups_in_array_passes(
     monkeypatch,
 ):
-    """``branch`` completes all of a state's members in one ``fill`` call, training
-    branches an update's states in one ``branch`` call, and the kernel checks each loss
-    group in one ``check_action`` call, not one call per member.
+    """Training branches an update's sites in one ``branch`` call, which completes all
+    their members in one array ``fill`` call, and the kernel checks each call's groups
+    in one ``target_stacks`` pass: no ``check_action`` call and no one-state ``fill``.
 
-    So in training each member's tokens are validated once: in its group's call."""
-    checked, fills, branched, calls = [], [], [], []
+    So in training each member's tokens are checked once, in its stack's array pass."""
+    checked, fills, branched, calls, stacked = [], [], [], [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
-    real_branch = rollout_module.branch
+    real_branch, real_stacks = rollout_module.branch, surrogate_module.target_stacks
 
     def counted_check(state, *actions):
         checked.append(len(actions))
         return real_check(state, *actions)
 
-    def counted_fill(state, actions):
-        fills.append(np.shape(actions))
-        return real_fill(state, actions)
+    def counted_fill(rows, actions, vocab=None):
+        if isinstance(rows, DiffusionState):
+            fills.append(("state", np.shape(actions)))
+        else:
+            fills.append(("rows", [np.shape(a) for a in actions]))
+        return real_fill(rows, actions, vocab)
 
     def counted_branch(*args):
-        result = real_branch(*args)
-        calls.append(len(result))
-        branched.extend(actions.shape for actions, _ in result)
-        return result
+        actions, completions = real_branch(*args)
+        calls.append(len(actions))
+        branched.extend(a.shape for a in actions)
+        assert completions.shape[:2] == (len(actions), args[3])
+        return actions, completions
+
+    def counted_stacks(groups, vocab):
+        stacked.append(len(groups))
+        return real_stacks(groups, vocab)
 
     for module in (sequences_module, surrogate_module, policy_module):
         monkeypatch.setattr(module, "check_action", counted_check)
@@ -609,6 +623,8 @@ def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_o
         monkeypatch.setattr(module, "fill", counted_fill)
     for module in (trainer_module, verify_module):
         monkeypatch.setattr(module, "branch", counted_branch)
+    for module in (surrogate_module, objective_module):
+        monkeypatch.setattr(module, "target_stacks", counted_stacks)
     cfg = RunConfig(
         task="stringmatch",
         task_params={"target_len": 4, "vocab_size": 3},
@@ -624,26 +640,31 @@ def test_branch_fills_its_members_in_one_call_and_the_kernel_checks_a_group_in_o
     n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
     assert calls == [n_groups]  # one call per update
     assert [z for z, _ in branched] == [cfg.n_branches] * n_groups
-    assert fills == branched  # one array pass per draw, over all its members
-    # one call per step group (Z actions) and one per terminal group (K)
-    assert sorted(checked) == sorted(
-        [cfg.n_branches] * n_groups + [cfg.n_rollouts] * cfg.batch_size
-    )
+    assert fills == [("rows", branched)]  # one array pass over every site's members
+    # one pass per kernel call: the terminal family's B groups, then the step family's
+    assert stacked == [cfg.batch_size, n_groups]
+    assert checked == []
 
     checked.clear()
     fills.clear()
     branched.clear()
     calls.clear()
+    stacked.clear()
     params, old, cands = trcov_problem()
     surr_cfg = SurrogateConfig(n_mc=1, ratio_law="uniform")
     report = trcov_protocol(params, old, cands, TRCOV_CONDITIONS, 2, surr_cfg, seed=35, n_boot=50)
     # per state: one draw of n_trials * Z members per group size
     assert calls == [1, 1] * report.n_maskable
     assert [n for n, _ in branched] == [2 * 2, 2 * 4] * report.n_maskable
-    # per state and trial: one Z=2 and one Z=4 group, each scored in both scopes;
-    # an all-token group's targets are its members' fills, in one call
-    assert sorted(n for n, _ in fills) == sorted([4, 8, 2, 2, 4, 4] * report.n_maskable)
-    assert sorted(checked) == sorted([2, 2, 4, 4] * report.n_maskable * 2)
+    assert [shapes for kind, shapes in fills if kind == "rows"] == [[shape] for shape in branched]
+    # per state and trial: one Z=2 and one Z=4 group scored in the all-token scope,
+    # whose targets are its members' fills, in one one-state call
+    assert sorted(shape[0] for kind, shape in fills if kind == "state") == sorted(
+        [2, 2, 4, 4] * report.n_maskable
+    )
+    # one pass per step_loss call, and no member checked one by one
+    assert stacked == [1] * report.n_maskable * len(TRCOV_CONDITIONS) * 2
+    assert checked == []
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"], ids=["linear-True", "mlp-True"])
@@ -717,8 +738,12 @@ def test_update_scoring_equals_the_per_prompt_reference_loop(kind, law):
             rngs = [stream(*path) for path in paths]
             counters = OpCounters()
             scored = combined_loss(
-                prompts, completions, step_groups, params, old, ref, loss_cfg, surr_cfg, rngs,
-                counters=counters,
+                [
+                    loss_group(arch, full_mask_state(prompt, 5), members)
+                    for prompt, members in zip(prompts, completions)
+                ],
+                [[loss_group(arch, *group) for group in groups] for groups in step_groups],
+                params, old, ref, loss_cfg, surr_cfg, rngs, counters=counters,
             )
             assert len(scored) == n_prompts
             want = OpCounters()
@@ -763,9 +788,10 @@ def test_update_scoring_equals_the_per_prompt_reference_loop(kind, law):
     assert n_clipped > 0
 
 
-def test_many_state_branch_equals_one_state_calls():
-    """One ``branch`` call over states of mixed mask-set sizes gives each state the
-    actions, completions and generator state of its own one-state call."""
+def test_many_site_branch_equals_one_state_calls():
+    """One ``branch`` call over sites of mixed mask-set sizes, from a rollout's step
+    blocks or from states of any mask set, gives each site the actions, completions
+    and generator state of its own one-site call on ``(state_at(t), cache_at(t))``."""
     rng = stream(15, "diff-many-branch")
     vocab = Vocab(4)
     prompt = MaskedSequence((0, 1), vocab)
@@ -780,23 +806,90 @@ def test_many_state_branch_equals_one_state_calls():
             rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0])), (k, 4))
             states.append(DiffusionState(prompt, completion))
             ctxs.append(RowsContext(completion.mask_positions(), rows, None, None))
+        if case % 2:  # sites at a lockstep rollout's states, in a shuffled order
+            arch = LinearArch(vocab, 2, length, window=1)
+            per_step = int(rng.integers(1, length + 1))
+            sched, n_steps = UnmaskSchedule(per_step), -(-length // per_step)
+            trajs = rollout_module.rollout(
+                init_params(arch, rng, scale=1.0), [prompt] * 3, n_steps, sched,
+                [stream(18, case, k) for k in range(3)],
+            )
+            sites = [(traj, t) for traj in trajs for t in range(1, n_steps + 1)]
+            sites = [sites[i] for i in rng.permutation(len(sites))] + sites[:2]  # repeats too
+            states = [traj.state_at(t) for traj, t in sites]
+            ctxs = [traj.cache_at(t) for traj, t in sites]
+            args = (
+                np.array([traj.states[t - 1] for traj, t in sites]),
+                [traj.positions[t - 1] for traj, t in sites],
+                [traj.logp[t - 1] for traj, t in sites],
+            )
+        else:
+            args = (
+                np.array([state.completion.tokens for state in states]),
+                [ctx.positions for ctx in ctxs],
+                [ctx.logp for ctx in ctxs],
+            )
         many = [stream(16, case, i) for i in range(len(states))]
-        branched = branch(states, ctxs, z, many)
-        assert len(branched) == len(states)
+        actions, completed = branch(*args, z, many)
+        assert len(actions) == len(completed) == len(states)
         for i, (state, ctx) in enumerate(zip(states, ctxs)):
             one = stream(16, case, i)
-            ((actions, completed),) = branch([state], [ctx], z, [one])
-            assert np.array_equal(branched[i][0], actions)
-            assert np.array_equal(branched[i][1], completed)
+            (one_actions,), (one_completed,) = branch(
+                [state.completion.tokens], [ctx.positions], [ctx.logp], z, [one]
+            )
+            assert np.array_equal(actions[i], one_actions)
+            assert np.array_equal(completed[i], one_completed)
             assert many[i].bit_generator.state == one.bit_generator.state
-    # a context that does not match its state still raises, wherever it stands
-    empty = RowsContext((), np.zeros((0, 4)), None, None)  # no state here is fully visible
+    # a site whose rows do not match its positions raises before any draw, wherever it stands
+    rows, positions, logp = args
+    rngs = [stream(17, i) for i in range(len(positions) + 1)]
+    before = [g.bit_generator.state for g in rngs]
     with pytest.raises(ContractViolation, match="masked positions"):
         branch(
-            states + states[:1], ctxs + [empty], 1, [stream(17, i) for i in range(len(ctxs) + 1)]
+            np.concatenate([rows, rows[:1]]), positions + [()], logp + [np.zeros((0, 4))], 1, rngs
         )
+    assert [g.bit_generator.state for g in rngs] == before
     with pytest.raises(ContractViolation, match="generators"):
-        branch(states, ctxs, 1, [stream(17)])
+        branch(rows, positions, logp, 1, [stream(17)])
+
+
+def test_the_kernel_names_the_first_faulty_group_whichever_stack_holds_it():
+    """The kernel checks each stack of groups in one array pass (``target_stacks``);
+    for a wrong width, a mask id or an out-of-range token it raises ``check_action``'s
+    message for the first faulty group in list order, even when a later faulty group
+    stands in a stack that is checked first."""
+    rng, arch, params, old = loss_problem("linear", 19)
+    surr_cfg, loss_cfg = SurrogateConfig(n_mc=1, ratio_law="zero"), LossConfig()
+    states = [random_state(rng, arch, p_mask=p) for p in (0.2, 0.5, 0.9)]
+    groups = []
+    for g in range(9):  # group g: state g % 3, 1 + g % 2 members
+        state = states[g % 3]
+        members = [(random_action(rng, state), float(rng.normal())) for _ in range(1 + g % 2)]
+        groups.append(loss_group(arch, state, members))
+    positions = [group.positions for group in groups]
+    feats = group_features(
+        arch, [group.tokens for group in groups], {"action": positions}, surr_cfg, [None] * 9
+    )["action"]
+    grids = objective_module._group_grids(params, positions, feats, [(old, "step")] * 9)
+    objective_module._group_loss_and_grad(params, groups, grids, loss_cfg)  # all sound
+
+    def faulty(targets, kind):
+        out = targets.copy()
+        if kind == "width":
+            return out[:, :-1]
+        out[-1, 0] = {"mask": arch.vocab.mask_id, "high": arch.vocab.size + 2, "low": -1}[kind]
+        return out
+
+    kinds = ("width", "mask", "high", "low")
+    for first in (1, 4, 7):  # group 8's stack is first seen at group 2, before 4's and 7's
+        for kind, later_kind in itertools.product(kinds, repeat=2):
+            bad = list(groups)
+            for g, k in ((first, kind), (8, later_kind)):
+                bad[g] = groups[g]._replace(targets=faulty(groups[g].targets, k))
+            with pytest.raises(ContractViolation) as want:
+                check_action(states[first % 3], *map(tuple, bad[first].targets.tolist()))
+            with pytest.raises(ContractViolation, match=re.escape(str(want.value))):
+                objective_module._group_loss_and_grad(params, bad, grids, loss_cfg)
 
 
 # -- the variance protocol: one draw per group size and one pattern stream per state ---
@@ -978,9 +1071,9 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
     params, old, cands = trcov_problem()
     branch_calls, paths, scored = [], [], []
 
-    def counted_branch(states, ctxs, n_branches, rngs):
-        branch_calls.append((states, n_branches))
-        return branch(states, ctxs, n_branches, rngs)
+    def counted_branch(completions, positions, logp, n_branches, rngs):
+        branch_calls.append(([tuple(row) for row in np.asarray(completions).tolist()], n_branches))
+        return branch(completions, positions, logp, n_branches, rngs)
 
     def counted_stream(*path):
         paths.append(path)
@@ -1000,7 +1093,9 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
     )
     maskable = [c.state for c in cands if c.state.completion.mask_positions()]
     assert 0 < report.n_maskable == len(maskable) < report.n_candidates
-    assert branch_calls == [([state], n_trials * z) for state in maskable for z in (2, 4)]
+    assert branch_calls == [
+        ([state.completion.tokens], n_trials * z) for state in maskable for z in (2, 4)
+    ]
     assert [p for p in paths if p[1] == "trcov-patterns"] == [
         (36, "trcov-patterns", i) for i in range(len(maskable))
     ]

@@ -21,6 +21,7 @@ from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
     full_mask_state,
+    loss_group,
     state_surrogate_grad,
 )
 
@@ -33,6 +34,13 @@ NOCLIP = LossConfig(clip_eps=None)
 
 def mid_state():
     return DiffusionState(PROMPT, MaskedSequence((1, VOCAB.mask_id, VOCAB.mask_id), VOCAB))
+
+
+def prompt_groups(completions, groups):
+    """A prompt's terminal group, at PROMPT's fully masked state, and its step groups,
+    in the array form ``combined_loss`` takes."""
+    terminal = loss_group(ARCH, full_mask_state(PROMPT, 3), completions)
+    return [terminal], [[loss_group(ARCH, state, members) for state, members in groups]]
 
 
 def test_advantages_sum_to_zero_in_the_step_loss():
@@ -212,7 +220,7 @@ def test_combined_loss_is_linear_in_its_parts():
     groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
     cfg = LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05, clip_eps=None)
     ((loss, grad, parts),) = combined_loss(
-        [PROMPT], [completions], [groups], params, old, ref, cfg, OFF, [stream(7, "rng")]
+        *prompt_groups(completions, groups), params, old, ref, cfg, OFF, [stream(7, "rng")]
     )
     expect = 0.7 * parts["loss_term"] + 0.3 * parts["loss_step"] + 0.05 * parts["kl"]
     assert loss == pytest.approx(expect, abs=1e-12)
@@ -227,7 +235,7 @@ def test_zero_weight_families_consume_nothing():
     counters = OpCounters()
     cfg = LossConfig(alpha_step=0.0, alpha_term=1.0, kl_beta=0.0)
     combined_loss(
-        [PROMPT], [completions], [groups], params, params, None, cfg, OFF, [stream(8, "rng")],
+        *prompt_groups(completions, groups), params, params, None, cfg, OFF, [stream(8, "rng")],
         counters=counters,
     )
     assert counters.surrogate_step_calls == 0
@@ -235,7 +243,7 @@ def test_zero_weight_families_consume_nothing():
     assert counters.surrogate_terminal_calls > 0
     with pytest.raises(ContractViolation):
         combined_loss(
-            [PROMPT], [completions], [groups], params, params, None,
+            *prompt_groups(completions, groups), params, params, None,
             LossConfig(kl_beta=0.01), OFF, [stream(8, "rng2")],
         )
     # every family off: no draw, no forward, and zero parts
@@ -243,7 +251,7 @@ def test_zero_weight_families_consume_nothing():
     before = rng.bit_generator.state
     uniform = SurrogateConfig(n_mc=2, ratio_law="uniform")
     ((loss, grad, parts),) = combined_loss(
-        [PROMPT], [completions], [groups], params, params, None,
+        *prompt_groups(completions, groups), params, params, None,
         LossConfig(alpha_step=0.0, alpha_term=0.0), uniform, [rng], counters=counters,
     )
     assert rng.bit_generator.state == before and counters == OpCounters()

@@ -22,6 +22,17 @@ def random_params(seed, scale=0.5):
     return init_params(ARCH, stream(seed, "rollout-params"), scale=scale)
 
 
+def branch_at(sites, n_branches, rngs):
+    """``branch`` at (trajectory, step t) sites, from the rows the rollout kept at x_t."""
+    return branch(
+        np.array([traj.states[t - 1] for traj, t in sites]),
+        [traj.positions[t - 1] for traj, t in sites],
+        [traj.logp[t - 1] for traj, t in sites],
+        n_branches,
+        rngs,
+    )
+
+
 def commits(traj, t):
     """Step t's commits as ((pos, token), ...) by position: where row t differs from row t-1."""
     before, after = traj.states[t - 1], traj.states[t]
@@ -81,9 +92,13 @@ def test_cache_matches_fresh_forward_bitwise():
         cached = traj.cache_at(t)
         assert np.array_equal(cached.rows, fresh)
         assert cached.positions == traj.state_at(t).mask()
-        # branch draws from this cache later, so nothing may write into it
+        # branch draws from these rows later, so nothing may write into them
         assert not cached.rows.flags.writeable
         assert not cached.logp.flags.writeable
+        for block in (traj.positions[t - 1], traj.rows[t - 1], traj.logp[t - 1]):
+            assert not block.flags.writeable
+        assert cached.rows.tobytes() == traj.rows[t - 1].tobytes()
+        assert cached.logp.tobytes() == traj.logp[t - 1].tobytes()
         assert cached.feats is None and cached.hidden is None  # the rows only
 
 
@@ -107,10 +122,7 @@ def test_branch_reads_the_rollouts_normalized_block_without_a_log_softmax(monkey
     assert len(calls) == 4  # one block per step
     calls.clear()
     sites = [(traj, t) for traj in trajs for t in range(1, 5)]
-    branch(
-        [traj.state_at(t) for traj, t in sites], [traj.cache_at(t) for traj, t in sites], 3,
-        [stream(14, "branch", i) for i in range(len(sites))],
-    )
+    branch_at(sites, 3, [stream(14, "branch", i) for i in range(len(sites))])
     assert calls == []
     for traj, t in sites:
         cached = traj.cache_at(t)
@@ -175,9 +187,11 @@ def test_lockstep_trajectories_equal_solo_rollouts():
                     )
                     assert traj.prompt is prompt
                     assert traj.states.tobytes() == solo.states.tobytes()
-                    for shared, alone in zip(traj.cache, solo.cache, strict=True):
-                        assert shared.positions == alone.positions
-                        assert shared.rows.tobytes() == alone.rows.tobytes()
+                    for field in ("positions", "rows", "logp"):
+                        for shared, alone in zip(
+                            getattr(traj, field), getattr(solo, field), strict=True
+                        ):
+                            assert shared.tobytes() == alone.tobytes()
                     assert rngs[k].bit_generator.state == rng.bit_generator.state
                     if not scale:
                         c = sched.tokens_per_step
@@ -225,7 +239,7 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", boom)
     state = traj.state_at(1)
-    ((actions, completions),) = branch([state], [traj.cache_at(1)], 5, [stream(7, "branch")])
+    (actions,), (completions,) = branch_at([(traj, 1)], 5, [stream(7, "branch")])
     assert actions.shape == (5, len(state.mask())) and completions.shape == (5, 4)
     assert (completions[:, list(state.mask())] == actions).all()
     assert PROMPT.vocab.mask_id not in completions
@@ -236,35 +250,42 @@ def test_branch_runs_no_forward_passes(monkeypatch):
 def test_branch_is_reproducible():
     params = random_params(8)
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(8, "roll")])[0]
-    (a,) = branch([traj.state_at(2)], [traj.cache_at(2)], 3, [stream(8, "branch")])
-    (b,) = branch([traj.state_at(2)], [traj.cache_at(2)], 3, [stream(8, "branch")])
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a = branch_at([(traj, 2)], 3, [stream(8, "branch")])
+    b = branch_at([(traj, 2)], 3, [stream(8, "branch")])
+    assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ContractViolation):
         traj.cache_at(3)  # no cache at the terminal state
     with pytest.raises(ContractViolation):
-        branch([traj.state_at(1)], [traj.cache_at(1)], 0, [stream(8, "x")])
+        branch_at([(traj, 1)], 0, [stream(8, "x")])
 
 
 def test_branch_rejects_rows_of_another_mask_set():
     params = random_params(13)
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(13, "roll")])[0]
+
+    def rejected(rows_at, positions, logp):
+        """``branch`` at the states ``rows_at`` refuses these positions and rows, and
+        raises before drawing from any site's generator."""
+        rngs = [stream(13, "x", i) for i in range(len(rows_at))]
+        before = [rng.bit_generator.state for rng in rngs]
+        rows = np.array([traj.states[t - 1] for t in rows_at])
+        with pytest.raises(ContractViolation, match="masked positions"):
+            branch(rows, positions, logp, 2, rngs)
+        assert [rng.bit_generator.state for rng in rngs] == before
+
     # step 2's rows cover two positions, step 1's state masks all four
-    with pytest.raises(ContractViolation, match="masked positions"):
-        branch([traj.state_at(1)], [traj.cache_at(2)], 2, [stream(13, "x")])
-    with pytest.raises(ContractViolation, match="masked positions"):
-        branch([traj.state_at(2)], [traj.cache_at(1)], 2, [stream(13, "x")])
-    # one mismatched state among matching ones
-    with pytest.raises(ContractViolation, match="masked positions"):
-        branch(
-            [traj.state_at(1), traj.state_at(2)], [traj.cache_at(1), traj.cache_at(1)], 2,
-            [stream(13, "x"), stream(13, "y")],
-        )
+    rejected([1], traj.positions[1:2], traj.logp[1:2])
+    rejected([2], traj.positions[:1], traj.logp[:1])
+    # the right positions with another step's rows, or the reverse
+    rejected([1], traj.positions[:1], traj.logp[1:2])
+    rejected([1], traj.positions[1:2], traj.logp[:1])
+    # one mismatched site among matching ones
+    rejected([1, 2], [traj.positions[0]] * 2, [traj.logp[0]] * 2)
     # rows of the right size, but for other positions or in another order
     state = traj.state_at(2)
     visible = tuple(p for p in range(4) if p not in state.mask())
     for positions in (visible, state.mask()[::-1]):
-        with pytest.raises(ContractViolation, match="masked positions"):
-            branch([state], [rows_context(params, state, positions)], 2, [stream(13, "x")])
+        rejected([2], [positions], [rows_context(params, state, positions).logp])
 
 
 def test_state_index_bounds():

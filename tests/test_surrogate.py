@@ -15,11 +15,12 @@ from dispo.surrogate import (
     draw_patterns,
     full_mask_state,
     group_features,
-    group_targets,
     logprob_from_contexts,
+    loss_group,
     pattern_contexts,
     state_surrogate_grad,
     state_surrogate_logprob,
+    target_stacks,
 )
 
 VOCAB = Vocab(3)
@@ -32,6 +33,12 @@ def mid_state(params=None):
     """A state with one committed token and two masked ones."""
     completion = MaskedSequence((VOCAB.mask_id, 1, VOCAB.mask_id), VOCAB)
     return DiffusionState(PROMPT, completion)
+
+
+def mask_features(state, cfg, rng):
+    """``state``'s one group's feature block at its mask set."""
+    context = loss_group(ARCH, state).tokens
+    return group_features(ARCH, [context], {"action": [state.mask()]}, cfg, [rng])["action"]
 
 
 def test_config_validation():
@@ -126,7 +133,7 @@ def test_pattern_average_is_consistent():
     positions, targets = state.mask(), completion.tokens
 
     def per_pattern(rng):
-        (feats,) = group_features(ARCH, [state], cfg, [rng])["action"]
+        (feats,) = mask_features(state, cfg, rng)
         ctxs = pattern_contexts(params, feats, positions)
         return logprob_from_contexts(ctxs, targets)
 
@@ -142,11 +149,11 @@ def test_forward_counters_by_kind():
     full = full_mask_state(PROMPT, 3)
     cfg = SurrogateConfig(n_mc=5, ratio_law="uniform")
     counters = OpCounters()
-    (feats,) = group_features(ARCH, [state], cfg, [stream(10, "a")])["action"]
+    (feats,) = mask_features(state, cfg, stream(10, "a"))
     pattern_contexts(params, feats, state.mask(), counters=counters)
     assert counters.surrogate_step_calls == 5
     assert counters.surrogate_terminal_calls == 0
-    (full_feats,) = group_features(ARCH, [full], cfg, [stream(10, "b")])["action"]
+    (full_feats,) = mask_features(full, cfg, stream(10, "b"))
     pattern_contexts(params, full_feats, full.mask(), counters=counters, kind="terminal")
     assert counters.surrogate_terminal_calls == 5
     pattern_contexts(params, feats, state.mask(), counters=counters, kind="kl")
@@ -156,24 +163,29 @@ def test_forward_counters_by_kind():
         pattern_contexts(params, feats, state.mask(), kind="misc")
 
 
-def test_group_targets_scopes():
+def test_loss_group_scopes():
     state = mid_state()
     actions = [(2, 0), (1, 1), (0, 2)]
-    pos, targ = group_targets(state, actions, "action")
-    assert pos == (0, 2) and targ.tolist() == [[2, 0], [1, 1], [0, 2]]
+    members = [(action, float(r)) for r, action in enumerate(actions)]
+    group = loss_group(ARCH, state, members, "action")
+    assert group.positions == (0, 2) and group.targets.tolist() == [[2, 0], [1, 1], [0, 2]]
+    assert group.tokens.tolist() == list(PROMPT.tokens + state.completion.tokens)
+    assert group.rewards.tolist() == [0.0, 1.0, 2.0]
     # every position of each filled completion: the visible token at 1 stays
-    pos, targ = group_targets(state, actions, "all")
-    assert pos == (0, 1, 2) and targ.tolist() == [[2, 1, 0], [1, 1, 1], [0, 1, 2]]
+    group = loss_group(ARCH, state, members, "all")
+    assert group.positions == (0, 1, 2) and group.targets.tolist() == [[2, 1, 0], [1, 1, 1], [0, 1, 2]]
     with pytest.raises(ContractViolation):
-        group_targets(state, actions, "some")
+        loss_group(ARCH, state, members, "some")
     for scope in ("action", "all"):
         with pytest.raises(ContractViolation, match="1 tokens for a mask set of 2"):
-            group_targets(state, [(2, 0), (2,)], scope)
+            loss_group(ARCH, state, [((2, 0), 0.0), ((2,), 1.0)], scope)
+        # an "all" group's fill names the token; an "action" group's check where it is scored
         with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
-            group_targets(state, [(2, 0), (2, VOCAB.mask_id)], scope)
+            bad = loss_group(ARCH, state, [((2, 0), 0.0), ((2, VOCAB.mask_id), 1.0)], scope)
+            target_stacks([bad], VOCAB)
     done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
-    pos, targ = group_targets(done, [(), ()], "action")
-    assert pos == () and targ.shape == (2, 0)
+    group = loss_group(ARCH, done, [((), 0.0), ((), 1.0)], "action")
+    assert group.positions == () and group.targets.shape == (2, 0)
 
 
 def test_needs_patterns_or_generator():

@@ -32,7 +32,7 @@ INSTANCE = SudokuInstance(GRID, SOLUTION)
 def states_only_trajectory(commits):
     """A trajectory of the rows that ``commits`` (per step: ((pos, token), ...)) visit.
 
-    first_violation_time reads the visited rows alone, so prompt and cache stay empty.
+    first_violation_time reads the visited rows alone, so prompt and step rows stay empty.
     """
     row = [INSTANCE.vocab.mask_id] * len(INSTANCE.empty_cells())
     rows = [list(row)]
@@ -40,7 +40,7 @@ def states_only_trajectory(commits):
         for pos, tok in step:
             row[pos] = tok
         rows.append(list(row))
-    return Trajectory(prompt=None, states=np.array(rows), cache=())
+    return Trajectory(prompt=None, states=np.array(rows), positions=(), rows=(), logp=())
 
 
 def test_solution_validity():
@@ -80,7 +80,9 @@ def test_first_violation_time_hand_trajectory():
     assert first_violation_time(INSTANCE, clean) is None
     undecodable = states_only_trajectory([((0, 4),)])
     assert first_violation_time(INSTANCE, undecodable) == 1
-    too_wide = Trajectory(prompt=None, states=np.full((2, 9), INSTANCE.vocab.mask_id), cache=())
+    too_wide = Trajectory(
+        prompt=None, states=np.full((2, 9), INSTANCE.vocab.mask_id), positions=(), rows=(), logp=()
+    )
     with pytest.raises(ContractViolation, match="state width 9 != 8 empty cells"):
         first_violation_time(INSTANCE, too_wide)
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from dispo.errors import ConfigurationError, ContractViolation, DivergenceError
-from dispo.policy import LinearArch, init_params
-from dispo.sequences import MaskedSequence, Vocab
+from dispo.policy import LinearArch, init_params, inverse_cdf
+from dispo.sequences import DiffusionState, MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig
 from dispo.tasks import RewardFn, StringMatchInstance, Task, TaskInstance, save_instances
@@ -253,33 +253,39 @@ def test_counters_match_predictions_exactly():
 
 
 def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
-    """Completions travel as token arrays from rollout to reward and loss.
+    """Completions and branch sites travel as token rows from rollout to reward and loss.
 
-    A run builds one ``MaskedSequence`` per instance prompt and, per prompt,
-    one for the fully masked state that the terminal and KL families share,
-    and one per branched state: none per rollout, rollout step or branch
-    member.
+    A run builds one ``MaskedSequence`` per instance prompt and no other:
+    none per rollout, rollout step, fully masked state, branch site or
+    branch member, and no ``DiffusionState`` at all.
     """
-    built = []
-    real = MaskedSequence.__post_init__
+    built, states = [], []
+    real, real_state = MaskedSequence.__post_init__, DiffusionState.__post_init__
 
     def counted(self):
         built.append(self)
         real(self)
 
+    def counted_state(self):
+        states.append(self)
+        real_state(self)
+
     monkeypatch.setattr(MaskedSequence, "__post_init__", counted)
+    monkeypatch.setattr(DiffusionState, "__post_init__", counted_state)
     cfg = tiny_config(kl_beta=0.01, n_updates=3, batch_size=2, n_rollouts=3, n_timesteps=2)
     train(cfg)
-    n_prompts = cfg.n_updates * cfg.batch_size
-    assert len(built) == cfg.n_instances + n_prompts * (1 + cfg.n_rollouts * cfg.n_timesteps)
+    assert len(built) == cfg.n_instances
+    assert states == []
 
 
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     """Per prompt: trajectory k = 1..K in order, each at every sampled step t,
-    branching from ``traj.state_at(t), traj.cache_at(t)`` with the generator
-    ``stream(seed, "branch", u, b, k, t)``.  An update's one ``rollout`` call
-    holds prompt b's trajectories at ``b * K .. b * K + K - 1``, and its one
-    ``branch`` call holds every prompt's states in that order."""
+    branching from the rows the rollout kept at x_t (``traj.states[t-1]``,
+    ``traj.positions[t-1]``, ``traj.logp[t-1]``: ``state_at(t)`` and
+    ``cache_at(t)`` in array form), every site of prompt b with its one
+    generator ``stream(seed, "branch", u, b)``.  An update's one ``rollout``
+    call holds prompt b's trajectories at ``b * K .. b * K + K - 1``, and its
+    one ``branch`` call holds every prompt's sites in that order."""
     trainer = importlib.import_module("dispo.trainer")
     real_rollout, real_sample = trainer.rollout, SamplerConfig.sample
     real_stream, real_branch = trainer.stream, trainer.branch
@@ -299,10 +305,13 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
             streams.append(((root, *path), rng))
         return rng
 
-    def spy_branch(states, ctxs, n_branches, rngs):
-        branch_calls.append(len(states))
-        calls.extend((state, ctx, n_branches, rng) for state, ctx, rng in zip(states, ctxs, rngs))
-        return real_branch(states, ctxs, n_branches, rngs)
+    def spy_branch(completions, positions, logp, n_branches, rngs):
+        branch_calls.append(len(completions))
+        calls.extend(
+            (row, pos, lp, n_branches, rng)
+            for row, pos, lp, rng in zip(completions, positions, logp, rngs, strict=True)
+        )
+        return real_branch(completions, positions, logp, n_branches, rngs)
 
     monkeypatch.setattr(trainer, "rollout", spy_rollout)
     monkeypatch.setattr(SamplerConfig, "sample", spy_sample)
@@ -312,16 +321,77 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     train(cfg)
     assert [len(trajs) for trajs in rollouts] == [2 * 3, 2 * 3]  # one call per update
     assert branch_calls == [2 * 3 * 2, 2 * 3 * 2]  # one call per update
+    prompts = list(itertools.product((1, 2), (0, 1)))
+    assert [path for path, _ in streams] == [(cfg.seed, u, b) for u, b in prompts]
+    made = dict(zip(prompts, (rng for _, rng in streams)))
     expected = [
-        ((cfg.seed, u, b, k, t), rollouts[u - 1][b * 3 + k - 1], t)
-        for (u, b), tsub in zip(itertools.product((1, 2), (0, 1)), samples, strict=True)
+        (made[u, b], rollouts[u - 1][b * 3 + k - 1], t)
+        for (u, b), tsub in zip(prompts, samples, strict=True)
         for k in range(1, 4)
         for t in tsub
     ]
-    assert len(calls) == len(streams) == len(expected) == 2 * 2 * 3 * 2
-    for (state, ctx, n, rng), (path, made), (want, traj, t) in zip(calls, streams, expected):
-        assert path == want and rng is made and n == cfg.n_branches
-        assert state == traj.state_at(t) and ctx is traj.cache_at(t)
+    assert len(calls) == len(expected) == 2 * 2 * 3 * 2
+    for (row, pos, lp, n, rng), (want, traj, t) in zip(calls, expected):
+        assert rng is want and n == cfg.n_branches
+        assert pos is traj.positions[t - 1] and lp is traj.logp[t - 1]
+        state, ctx = traj.state_at(t), traj.cache_at(t)
+        assert tuple(row.tolist()) == state.completion.tokens
+        assert tuple(pos.tolist()) == ctx.positions == state.mask()
+        assert lp.tobytes() == ctx.logp.tobytes()
+
+
+def test_an_update_makes_one_stream_per_prompt_and_purpose(monkeypatch):
+    """``train`` makes exactly ``1 + B*K + 3*B`` ``stream`` calls per update (batch, one
+    per rollout, then per prompt tsub, branch and loss), plus the run's task and init.
+
+    On this seed ``tsub`` repeats a timestep, and the repeated sites still draw
+    different uniforms: every site of a prompt takes its ``rng.random((Z, m))`` in
+    site order from the prompt's one generator."""
+    trainer = importlib.import_module("dispo.trainer")
+    real_stream, real_sample, real_branch = trainer.stream, SamplerConfig.sample, trainer.branch
+    labels, samples, calls = [], [], []
+
+    def spy_stream(root, label, *path):
+        labels.append(label)
+        return real_stream(root, label, *path)
+
+    def spy_sample(self, *args):
+        samples.append(real_sample(self, *args))
+        return samples[-1]
+
+    def spy_branch(completions, positions, logp, n_branches, rngs):
+        actions, completed = real_branch(completions, positions, logp, n_branches, rngs)
+        calls.append((positions, logp, actions))
+        return actions, completed
+
+    monkeypatch.setattr(trainer, "stream", spy_stream)
+    monkeypatch.setattr(SamplerConfig, "sample", spy_sample)
+    monkeypatch.setattr(trainer, "branch", spy_branch)
+    cfg = tiny_config(n_updates=3, batch_size=2, n_rollouts=3, n_timesteps=3)
+    train(cfg)
+    b, k = cfg.batch_size, cfg.n_rollouts
+    per_update = ["batch"] + ["rollout"] * (b * k) + ["tsub"] * b + ["branch"] * b + ["loss"] * b
+    assert labels == ["task", "init"] + per_update * cfg.n_updates
+    assert len(labels) == 2 + cfg.n_updates * (1 + b * k + 3 * b)
+
+    repeated = 0
+    for u, (positions, logp, actions) in enumerate(calls, start=1):
+        per_prompt = len(positions) // b
+        for slot in range(b):
+            rng = stream(cfg.seed, "branch", u, slot)
+            sites = range(slot * per_prompt, (slot + 1) * per_prompt)
+            uniforms = [rng.random((cfg.n_branches, len(positions[i]))) for i in sites]
+            for i, drawn in zip(sites, uniforms):
+                assert np.array_equal(actions[i], inverse_cdf(logp[i][None], drawn))
+            tsub = samples[(u - 1) * b + slot]
+            for first, t in enumerate(tsub):  # each trajectory's sites are its tsub, in order
+                for later in range(first + 1, len(tsub)):
+                    if tsub[later] == t:
+                        repeated += 1
+                        for traj in range(k):
+                            i, j = traj * len(tsub) + first, traj * len(tsub) + later
+                            assert not np.array_equal(uniforms[i], uniforms[j])
+    assert repeated > 0  # the seed repeats a timestep
 
 
 def test_metrics_rows_have_the_declared_columns():
