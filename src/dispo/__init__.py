@@ -23,8 +23,6 @@ from .policy import (
     MlpArch,
     PolicyParams,
     action_logprob,
-    grad_action_logprob,
-    greedy_action,
     init_params,
     load_policy,
     sample_action,
@@ -114,8 +112,6 @@ __all__ = [
     "exact_step_gradient",
     "fill",
     "first_violation_time",
-    "grad_action_logprob",
-    "greedy_action",
     "init_params",
     "kl_penalty",
     "load_policy",

@@ -169,9 +169,7 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
 class RowsContext:
     """One forward pass: logits rows for a set of completion positions.
 
-    Keeps the activations backprop needs; ``Trajectory.cache_at`` builds
-    one without them (``feats`` None) from a rollout step's rows and their
-    slice of the step's normalized block.  Immutable with read-only arrays,
+    Keeps the activations backprop needs.  Immutable with read-only arrays,
     so a context can be shared.  A caller that normalizes a block of forwards
     stacks their ``rows`` and makes one ``log_softmax`` call; ``logp``
     serves a caller of one forward.
@@ -179,7 +177,7 @@ class RowsContext:
 
     positions: tuple[int, ...]
     rows: np.ndarray  # logits, (n, V)
-    feats: np.ndarray | None  # (n, F); None from ``Trajectory.cache_at``
+    feats: np.ndarray  # (n, F)
     hidden: np.ndarray | None  # (n, H) tanh activations, mlp only
 
     def __post_init__(self) -> None:
@@ -199,16 +197,6 @@ class RowsContext:
             cached.setflags(write=False)
             object.__setattr__(self, "_logp", cached)
         return cached
-
-
-def _rows_only(positions: tuple[int, ...], rows: np.ndarray, logp: np.ndarray) -> RowsContext:
-    """A context of behavior ``rows`` without activations, keeping ``logp``, their
-    log-softmax sliced from a caller's normalized block, as its ``logp`` (read-only)."""
-    out = RowsContext(positions, rows, None, None)
-    logp = logp.view()
-    logp.setflags(write=False)
-    object.__setattr__(out, "_logp", logp)
-    return out
 
 
 def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
@@ -372,13 +360,6 @@ def action_logprob(
     return total, per_pos
 
 
-def grad_action_logprob(params: PolicyParams, state: DiffusionState, action: Action) -> np.ndarray:
-    """Exact gradient of the action log-probability w.r.t. the flat params."""
-    check_action(state, action)
-    ctx = rows_context(params, state)
-    return backprop(params, ctx.feats, ctx.hidden, score_dlogits(np.exp(ctx.logp), action))
-
-
 def score_dlogits(
     probs: np.ndarray, targets: np.ndarray | tuple[int, ...], coef: float | np.ndarray = 1.0
 ) -> np.ndarray:
@@ -427,11 +408,6 @@ def sample_action(ctx: RowsContext, rng: np.random.Generator) -> Action:
     called row by row.
     """
     return tuple(inverse_cdf(ctx.logp, rng.random(len(ctx.positions))).tolist())
-
-
-def greedy_action(ctx: RowsContext) -> Action:
-    """Argmax token per row; ties resolve to the lowest token id."""
-    return tuple(np.argmax(ctx.rows, axis=1).tolist())
 
 
 def save_policy(params: PolicyParams, path: str | Path) -> None:

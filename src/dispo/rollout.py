@@ -8,9 +8,9 @@ sampled token's probability; ties break to the lowest position).  One
 prompt with its own generator, in lockstep on one token array; each comes
 out as the rollout of its prompt and generator alone would give it.  A
 trajectory keeps its visited completions as one ``(T+1, L)`` token array.
-Every step keeps its stacked blocks: the mask positions, the logits rows
-and their log-probabilities of all its trajectories, and each trajectory
-holds read-only views of its rows in them.  So groups of alternative
+Every step keeps its stacked blocks: the mask positions and the
+log-probability rows of all its trajectories, and each trajectory holds
+read-only views of its rows in them.  So groups of alternative
 continuations can later be drawn from the same state without re-running
 the policy: that is what ``branch`` does, given any number of sites
 (completion rows, mask positions and log-probability rows), and it
@@ -30,16 +30,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
-from .policy import (
-    PolicyParams,
-    RowsContext,
-    _check_prompt,
-    _features,
-    _rows_only,
-    inverse_cdf,
-    log_softmax,
-    rows_context,
-)
+from .policy import PolicyParams, _check_prompt, _features, inverse_cdf, log_softmax, rows_context
 from .sequences import DiffusionState, MaskedSequence, Vocab, fill
 
 
@@ -106,16 +97,15 @@ class Trajectory:
     """Visited completions x_1..x_T and the terminal one, and the behavior rows at each.
 
     Step t commits exactly the positions where row t of ``states`` differs
-    from row t-1.  Entry t-1 of ``positions``, ``rows`` and ``logp`` is
-    state x_t's mask positions, its logits rows and their log-softmax:
-    read-only views of the rollout's step blocks, no activations.
+    from row t-1.  Entry t-1 of ``positions`` and ``logp`` is state x_t's
+    mask positions and the log-softmax of its logits rows: read-only views
+    of the rollout's step blocks, no activations.
     """
 
     prompt: MaskedSequence
     states: np.ndarray  # (T+1, L) completion tokens, read-only; the last row is terminal
     positions: tuple[np.ndarray, ...]  # length T, (m_t,) mask positions of x_t
-    rows: tuple[np.ndarray, ...]  # length T, (m_t, V) behavior logits at x_t
-    logp: tuple[np.ndarray, ...]  # length T, (m_t, V) their log-probabilities
+    logp: tuple[np.ndarray, ...]  # length T, (m_t, V) behavior log-probabilities at x_t
 
     @property
     def n_steps(self) -> int:
@@ -126,14 +116,6 @@ class Trajectory:
         if not 1 <= t <= self.n_steps + 1:
             raise ContractViolation(f"step index {t} outside 1..{self.n_steps + 1}")
         return DiffusionState(self.prompt, MaskedSequence(self.states[t - 1], self.prompt.vocab))
-
-    def cache_at(self, t: int) -> RowsContext:
-        """The behavior rows at x_t as a ``RowsContext``, built on demand (no activations)."""
-        if not 1 <= t <= self.n_steps:
-            raise ContractViolation(f"no cached logits for step {t}; valid range 1..{self.n_steps}")
-        return _rows_only(
-            tuple(self.positions[t - 1].tolist()), self.rows[t - 1], self.logp[t - 1]
-        )
 
     def final_completion(self) -> np.ndarray:
         return self.states[-1]
@@ -161,7 +143,7 @@ def rollout(
     confidence; only the committed subset persists), in one stacked
     ``inverse_cdf`` draw, and one stable argsort per step ranks every
     trajectory's eligible positions by confidence.  Each step's mask
-    positions, rows and log-probabilities are kept as read-only blocks,
+    positions and log-probabilities are kept as read-only blocks,
     so the draws and commits match separate rollouts with the same
     generators.  ``greedy=True`` takes the argmax token per position
     instead of sampling, which makes the rollout deterministic.
@@ -178,7 +160,7 @@ def rollout(
     tokens = np.array([p.tokens + (mid,) * arch.completion_len for p in prompts], dtype=np.intp)
     completions = tokens[:, arch.prompt_len :]  # a view: commits land in ``tokens``
     history = np.repeat(completions[:, None], n_steps + 1, axis=1)  # (N, T+1, L)
-    blocks = []  # per step: (N, m) positions, (N, m, V) rows and their log-probabilities
+    masks, logps = [], []  # per step: (N, m) positions and (N, m, V) log-probabilities
     traj = np.arange(len(rngs))[:, None]
     for step in range(1, n_steps + 1):
         # the schedule commits the same count in every trajectory, so rows align
@@ -194,9 +176,9 @@ def rollout(
         # the blocks keep no features: a many-prompt call would hold them all at once
         rows = np.array([ctx.rows for ctx in fresh])
         logp = log_softmax(rows)
-        for block in (masked, rows, logp):
+        for block, kept in ((masked, masks), (logp, logps)):
             block.setflags(write=False)
-        blocks.append((masked, rows, logp))
+            kept.append(block)
         if greedy:
             actions = np.argmax(rows, axis=-1)
         else:
@@ -213,11 +195,7 @@ def rollout(
         history[:, step] = completions
     assert not (completions == mid).any(), "schedule validation empties the mask"
     history.setflags(write=False)
-    positions, rows, logp = (tuple(zip(*(b[i] for b in blocks))) for i in range(3))
-    return [
-        Trajectory(p, h, pos, r, lp)
-        for p, h, pos, r, lp in zip(prompts, history, positions, rows, logp)
-    ]
+    return [Trajectory(*fields) for fields in zip(prompts, history, zip(*masks), zip(*logps))]
 
 
 def branch(

@@ -150,6 +150,8 @@ def fill(rows, actions, vocab: Vocab | None = None) -> np.ndarray:
         if acts.ndim != 2:
             raise ContractViolation(f"actions must be an (N, m) array, got shape {acts.shape}")
         rows, actions, vocab = state.tokens()[None, state.prompt.length :], [acts], state.vocab
+    elif vocab is None:
+        raise ContractViolation("fill on completion rows needs their vocab")
     rows = np.asarray(rows, dtype=np.intp)
     masked = rows == vocab.mask_id
     counts = masked.sum(axis=1).tolist()

@@ -84,6 +84,11 @@ class OptimizerConfig:
             raise ConfigurationError("lr must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigurationError("grad_clip must be positive when given")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ConfigurationError(f"optimizer.{name} must be in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ConfigurationError(f"optimizer.eps must be > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,8 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.arch not in ("linear", "mlp"):
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
+        if not self.init_scale >= 0:
+            raise ConfigurationError(f"policy.init_scale must be >= 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)

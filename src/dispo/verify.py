@@ -36,7 +36,7 @@ mean and the action-pair sums of c_i c_j for the per-coordinate variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,7 +65,34 @@ from .surrogate import (
 )
 from .tasks import RewardFn, StringMatchInstance, Task
 
-N_SAMPLES = 100_000  # default Monte Carlo samples per check; rel_tol holds at this count
+N_SAMPLES = 100_000  # default Monte Carlo samples per check; REL_TOL holds at this count
+Z_THRESHOLD = 4.0  # an identity check's bound on every coordinate's |z|
+REL_TOL = 0.03  # and on its relative L2 error, at N_SAMPLES
+PROP1_TOL = 0.02  # the subset-variance ratio's absolute tolerance
+SLOPE_BOUNDS = (-1.2, -0.8)  # the group-size decay's log-log slope range
+CI_LEVEL = 0.95  # the bootstrap intervals' coverage
+
+
+def _jsonable(value):
+    """``value`` with arrays and tuples as lists, through tuples and dict values."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
+class _Report:
+    """A report dataclass whose ``to_dict`` lists its fields in order, except ``_omit``."""
+
+    _omit: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {
+            f.name: _jsonable(getattr(self, f.name)) for f in fields(self) if f.name not in self._omit
+        }
 
 
 def c_factor(group_size: int) -> float:
@@ -283,7 +310,7 @@ def gradient_moments(
 
 
 @dataclass
-class GradientCheckReport:
+class GradientCheckReport(_Report):
     """Monte Carlo vs enumeration comparison for one expectation identity."""
 
     name: str
@@ -299,21 +326,18 @@ class GradientCheckReport:
     passed: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "std_err"}
-        d.update(estimate=self.estimate.tolist(), target=self.target.tolist())
-        d["notes"] = list(self.notes)
-        return d
+    _omit = ("std_err",)
 
 
 def _finish_report(
     name: str, n: int, estimate: np.ndarray, variance: np.ndarray, target: np.ndarray,
-    max_ratio: float, z_threshold: float, rel_tol: float,
+    max_ratio: float,
 ) -> GradientCheckReport:
     std_err = np.sqrt(variance) / math.sqrt(n)
     diff = estimate - target
     notes: list[str] = []
-    rel_tol *= math.sqrt(N_SAMPLES / n)  # the bound follows the Monte Carlo error
+    z_threshold = Z_THRESHOLD
+    rel_tol = REL_TOL * math.sqrt(N_SAMPLES / n)  # the bound follows the Monte Carlo error
     if max_ratio > 1e3:
         z_threshold *= 2.0
         rel_tol *= 2.0
@@ -381,7 +405,7 @@ def _step_groups(
 def _identity_check(
     params: PolicyParams, problem: OracleProblem, rng: np.random.Generator, name: str,
     old_params: PolicyParams | None, *, alpha_step: float, alpha_term: float,
-    n_branches: int, n_completions: int, n_samples: int, z_threshold: float, rel_tol: float,
+    n_branches: int, n_completions: int, n_samples: int,
 ) -> GradientCheckReport:
     """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``.
 
@@ -419,7 +443,7 @@ def _identity_check(
     grads = np.vstack([t.grads for t in tables])
     mean, var = gradient_moments(grads, np.hstack(cols), np.hstack(coefs))
     max_ratio = max(1.0, *(float(t.ratios.max()) for t in tables))
-    return _finish_report(name, n_samples, mean, var, target, max_ratio, z_threshold, rel_tol)
+    return _finish_report(name, n_samples, mean, var, target, max_ratio)
 
 
 def theorem1_check(
@@ -430,8 +454,6 @@ def theorem1_check(
     seed: int = 0,
     *,
     old_params: PolicyParams | None = None,
-    z_threshold: float = 4.0,
-    rel_tol: float = 0.03,
 ) -> GradientCheckReport:
     """Check E[-grad L_step] against ((Z-1)/Z) grad J_t on the oracle problem.
 
@@ -447,7 +469,7 @@ def theorem1_check(
     return _identity_check(
         params, problem, stream(seed, "theorem1", n_branches), name, old_params,
         alpha_step=1.0, alpha_term=0.0, n_branches=n_branches, n_completions=1,
-        n_samples=n_samples, z_threshold=z_threshold, rel_tol=rel_tol,
+        n_samples=n_samples,
     )
 
 
@@ -462,8 +484,6 @@ def theorem2_check(
     n_samples: int = N_SAMPLES,
     seed: int = 0,
     old_params: PolicyParams | None = None,
-    z_threshold: float = 4.0,
-    rel_tol: float = 0.03,
 ) -> GradientCheckReport:
     """Check the combined-loss gradient identity on the oracle problem.
 
@@ -478,13 +498,12 @@ def theorem2_check(
     return _identity_check(
         params, problem, stream(seed, "theorem2", n_branches, n_completions), name, old_params,
         alpha_step=alpha_step, alpha_term=alpha_term, n_branches=n_branches,
-        n_completions=n_completions, n_samples=n_samples, z_threshold=z_threshold,
-        rel_tol=rel_tol,
+        n_completions=n_completions, n_samples=n_samples,
     )
 
 
 @dataclass
-class Prop1Report:
+class Prop1Report(_Report):
     """Subset-scoring variance ratio against the m/L law."""
 
     n_positions: int
@@ -499,9 +518,6 @@ class Prop1Report:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def prop1_check(
     n_positions: int,
@@ -511,7 +527,6 @@ def prop1_check(
     seed: int = 0,
     *,
     reward_law: str = "uniform",
-    tol: float = 0.02,
 ) -> Prop1Report:
     """Variance of a subset-sum score estimator vs the full-sum estimator.
 
@@ -545,7 +560,7 @@ def prop1_check(
         passed = var_sub == 0.0
     else:
         ratio = var_sub / var_full
-        passed = abs(ratio - expected) <= tol
+        passed = abs(ratio - expected) <= PROP1_TOL
     return Prop1Report(
         n_positions=n_positions,
         n_scored=n_scored,
@@ -556,13 +571,13 @@ def prop1_check(
         var_full=var_full,
         ratio=ratio,
         expected=expected,
-        tol=tol,
+        tol=PROP1_TOL,
         passed=passed,
     )
 
 
 @dataclass
-class Prop2Report:
+class Prop2Report(_Report):
     """Trace-covariance decay against group size."""
 
     group_sizes: tuple[int, ...]
@@ -573,14 +588,6 @@ class Prop2Report:
     passed: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["group_sizes"] = list(self.group_sizes)
-        d["trcovs"] = list(self.trcovs)
-        d["slope_bounds"] = list(self.slope_bounds)
-        d["notes"] = list(self.notes)
-        return d
-
 
 def prop2_check(
     params: PolicyParams,
@@ -590,8 +597,6 @@ def prop2_check(
     group_sizes: tuple[int, ...] = (1, 2, 4, 8),
     n_samples: int = 20_000,
     seed: int = 0,
-    *,
-    slope_bounds: tuple[float, float] = (-1.2, -0.8),
 ) -> Prop2Report:
     """Trace covariance of the group-averaged estimator vs group size.
 
@@ -622,12 +627,12 @@ def prop2_check(
         passed = False
     else:
         slope = float(np.polyfit(np.log(group_sizes), np.log(trcovs), 1)[0])
-        passed = slope_bounds[0] <= slope <= slope_bounds[1]
+        passed = SLOPE_BOUNDS[0] <= slope <= SLOPE_BOUNDS[1]
     return Prop2Report(
         group_sizes=tuple(group_sizes),
         trcovs=tuple(trcovs),
         slope=slope,
-        slope_bounds=slope_bounds,
+        slope_bounds=SLOPE_BOUNDS,
         n_samples=n_samples,
         passed=passed,
         notes=tuple(notes),
@@ -676,10 +681,9 @@ _BOOT_BLOCK = 1024  # bootstrap resamples drawn and reduced at a time
 def bootstrap_ci(
     diffs: np.ndarray,
     n_boot: int = 10_000,
-    level: float = 0.95,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of paired differences.
+    """Percentile bootstrap interval, at ``CI_LEVEL``, for the mean of paired differences.
 
     Resamples are drawn and reduced ``_BOOT_BLOCK`` rows at a time: the same
     draws, and the same final ``rng`` state, as one ``(n_boot, n)`` draw."""
@@ -693,8 +697,8 @@ def bootstrap_ci(
         rows = min(_BOOT_BLOCK, n_boot - start)
         idx = rng.integers(0, diffs.size, size=(rows, diffs.size))
         means[start : start + rows] = diffs[idx].mean(axis=1)
-    lo = float(np.quantile(means, (1.0 - level) / 2.0))
-    hi = float(np.quantile(means, 1.0 - (1.0 - level) / 2.0))
+    lo = float(np.quantile(means, (1.0 - CI_LEVEL) / 2.0))
+    hi = float(np.quantile(means, 1.0 - (1.0 - CI_LEVEL) / 2.0))
     return lo, hi
 
 
@@ -756,7 +760,7 @@ def collect_states(
 
 
 @dataclass
-class VarianceReport:
+class VarianceReport(_Report):
     """Per-condition trace-covariance estimates with paired comparisons.
 
     Differences and their intervals are against the first condition.  The
@@ -784,21 +788,6 @@ class VarianceReport:
                     f"bootstrap interval [{lo}, {hi}] does not bracket the point {point}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "condition_names": list(self.condition_names),
-            "reference": self.reference,
-            "per_state": {k: list(v) for k, v in self.per_state.items()},
-            "estimates": dict(self.estimates),
-            "diff_point": dict(self.diff_point),
-            "diff_ci": {k: list(v) for k, v in self.diff_ci.items()},
-            "n_candidates": self.n_candidates,
-            "n_maskable": self.n_maskable,
-            "n_retained": self.n_retained,
-            "advantage_counts": dict(self.advantage_counts),
-            "n_trials": self.n_trials,
-        }
-
 
 def trcov_protocol(
     params: PolicyParams,
@@ -810,7 +799,6 @@ def trcov_protocol(
     seed: int = 0,
     *,
     n_boot: int = 10_000,
-    level: float = 0.95,
 ) -> VarianceReport:
     """Repeat same-state branching and compare gradient noise across arms.
 
@@ -911,7 +899,7 @@ def trcov_protocol(
             diffs = np.asarray(per_state[cond.name]) - ref_vals
             diff_point[cond.name] = float(diffs.mean())
             diff_ci[cond.name] = bootstrap_ci(
-                diffs, n_boot, level, stream(seed, "trcov-boot", cond.name)
+                diffs, n_boot, stream(seed, "trcov-boot", cond.name)
             )
 
     report = VarianceReport(

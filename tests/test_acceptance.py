@@ -21,7 +21,6 @@ from dispo.policy import (
     LinearArch,
     MlpArch,
     action_logprob,
-    grad_action_logprob,
     init_params,
 )
 from dispo.rollout import UnmaskSchedule, branch, rollout
@@ -225,7 +224,10 @@ def test_criterion_06_gradients_match_finite_differences(acceptance_log):
         state = DiffusionState(prompt, MaskedSequence(tokens, vocab))
         action = tuple(int(rng.integers(vocab.size)) for _ in masked_pos)
 
-        exact = grad_action_logprob(params, state, action)
+        # corruption off, one pattern: the exact action gradient
+        exact = state_surrogate_grad(
+            params, state, action, SurrogateConfig(n_mc=1, ratio_law="zero")
+        )
         fd = _fd_gradient(lambda p: action_logprob(p, state, action)[0], params)
         worst = max(worst, _rel_err(fd, exact))
 

@@ -121,10 +121,10 @@ def reference_rollout(params, prompt, n_steps, schedule, rng, greedy):
     sorted commit of the most confident eligible tokens (ties: lowest position)."""
     vocab = params.arch.vocab
     completion = [vocab.mask_id] * params.arch.completion_len
-    states, rows = [tuple(completion)], []
+    states, logps = [tuple(completion)], []
     for _ in range(n_steps):
         ctx = rows_context(params, DiffusionState(prompt, MaskedSequence(completion, vocab)))
-        rows.append(ctx.rows)
+        logps.append(log_softmax(ctx.rows))
         action = np.argmax(ctx.rows, axis=1).tolist() if greedy else reference_sample(ctx, rng)
         eligible = ctx.positions
         if schedule.block_size is not None:
@@ -139,7 +139,7 @@ def reference_rollout(params, prompt, n_steps, schedule, rng, greedy):
         for _, pos, tok in scored[: schedule.tokens_per_step]:
             completion[pos] = tok
         states.append(tuple(completion))
-    return states, rows
+    return states, logps
 
 
 def reference_logprob(ctx, positions, targets):
@@ -381,10 +381,10 @@ def test_lockstep_rollout_equals_the_per_trajectory_loop():
         trajs = rollout_module.rollout(params, prompts, n_steps, sched, rngs, greedy=greedy)
         for k, (prompt, traj) in enumerate(zip(prompts, trajs, strict=True)):
             ref_rng = stream(3, "roll", case, k)
-            states, rows = reference_rollout(params, prompt, n_steps, sched, ref_rng, greedy)
+            states, logps = reference_rollout(params, prompt, n_steps, sched, ref_rng, greedy)
             assert [tuple(s) for s in traj.states.tolist()] == states
-            for cached, ref_rows in zip(traj.rows, rows, strict=True):
-                assert cached.tobytes() == ref_rows.tobytes()
+            for cached, ref_logp in zip(traj.logp, logps, strict=True):
+                assert cached.tobytes() == ref_logp.tobytes()
             assert rngs[k].bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -791,13 +791,13 @@ def test_update_scoring_equals_the_per_prompt_reference_loop(kind, law):
 def test_many_site_branch_equals_one_state_calls():
     """One ``branch`` call over sites of mixed mask-set sizes, from a rollout's step
     blocks or from states of any mask set, gives each site the actions, completions
-    and generator state of its own one-site call on ``(state_at(t), cache_at(t))``."""
+    and generator state of its own one-site call on ``state_at(t)`` and its rows."""
     rng = stream(15, "diff-many-branch")
     vocab = Vocab(4)
     prompt = MaskedSequence((0, 1), vocab)
     for case in range(40):
         z, length = 1 + case % 4, int(rng.integers(1, 7))
-        states, ctxs = [], []
+        states, logps = [], []
         for _ in range(int(rng.integers(1, 9))):
             k = int(rng.integers(1, length + 1))
             masked = set(rng.permutation(length)[:k].tolist())
@@ -805,7 +805,7 @@ def test_many_site_branch_equals_one_state_calls():
             completion = MaskedSequence(tuple(tokens), vocab)
             rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0])), (k, 4))
             states.append(DiffusionState(prompt, completion))
-            ctxs.append(RowsContext(completion.mask_positions(), rows, None, None))
+            logps.append(log_softmax(rows))
         if case % 2:  # sites at a lockstep rollout's states, in a shuffled order
             arch = LinearArch(vocab, 2, length, window=1)
             per_step = int(rng.integers(1, length + 1))
@@ -817,7 +817,7 @@ def test_many_site_branch_equals_one_state_calls():
             sites = [(traj, t) for traj in trajs for t in range(1, n_steps + 1)]
             sites = [sites[i] for i in rng.permutation(len(sites))] + sites[:2]  # repeats too
             states = [traj.state_at(t) for traj, t in sites]
-            ctxs = [traj.cache_at(t) for traj, t in sites]
+            logps = [traj.logp[t - 1] for traj, t in sites]
             args = (
                 np.array([traj.states[t - 1] for traj, t in sites]),
                 [traj.positions[t - 1] for traj, t in sites],
@@ -826,16 +826,16 @@ def test_many_site_branch_equals_one_state_calls():
         else:
             args = (
                 np.array([state.completion.tokens for state in states]),
-                [ctx.positions for ctx in ctxs],
-                [ctx.logp for ctx in ctxs],
+                [state.mask() for state in states],
+                logps,
             )
         many = [stream(16, case, i) for i in range(len(states))]
         actions, completed = branch(*args, z, many)
         assert len(actions) == len(completed) == len(states)
-        for i, (state, ctx) in enumerate(zip(states, ctxs)):
+        for i, (state, logp) in enumerate(zip(states, logps)):
             one = stream(16, case, i)
             (one_actions,), (one_completed,) = branch(
-                [state.completion.tokens], [ctx.positions], [ctx.logp], z, [one]
+                [state.completion.tokens], [state.mask()], [logp], z, [one]
             )
             assert np.array_equal(actions[i], one_actions)
             assert np.array_equal(completed[i], one_completed)
@@ -942,7 +942,7 @@ def reference_trcov_protocol(
             diffs = np.asarray(per_state[cond.name]) - ref_vals
             diff_point[cond.name] = float(diffs.mean())
             diff_ci[cond.name] = bootstrap_ci(
-                diffs, n_boot, 0.95, stream(seed, "trcov-boot", cond.name)
+                diffs, n_boot, stream(seed, "trcov-boot", cond.name)
             )
     return VarianceReport(
         condition_names=tuple(c.name for c in conditions),

@@ -329,6 +329,21 @@ BAD_SETTINGS = {
         {"tokens_per_step": 1}, [], "schedule leaves 2 of 4 tokens masked", RUN_COMMANDS
     ),
     "block-size-0": ({"block_size": 0}, [], "block_size must be >= 1", RUN_COMMANDS),
+    "optimizer-beta1-1": (
+        {"optimizer": {"beta1": 1.0}}, [], "optimizer.beta1 must be in [0, 1), got 1.0",
+        RUN_COMMANDS,
+    ),
+    "optimizer-beta2-1": (
+        {"optimizer": {"beta2": 1.0}}, [], "optimizer.beta2 must be in [0, 1), got 1.0",
+        RUN_COMMANDS,
+    ),
+    "optimizer-eps-0": (
+        {"optimizer": {"eps": 0.0}}, [], "optimizer.eps must be > 0, got 0.0", RUN_COMMANDS
+    ),
+    "negative-init-scale": (
+        {"policy": {"init_scale": -0.1}}, [], "policy.init_scale must be >= 0, got -0.1",
+        RUN_COMMANDS,
+    ),
 }
 BAD_SETTING_RUNS = [
     pytest.param(command, *case[:3], id=f"{name}-{command}")

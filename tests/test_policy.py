@@ -11,8 +11,6 @@ from dispo.policy import (
     MlpArch,
     action_logprob,
     arch_from_descriptor,
-    grad_action_logprob,
-    greedy_action,
     init_params,
     load_policy,
     rows_context,
@@ -21,6 +19,10 @@ from dispo.policy import (
 )
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions
 from dispo.streams import stream
+from dispo.surrogate import SurrogateConfig, state_surrogate_grad
+
+# corruption off, one pattern: the surrogate gradient is the exact action gradient
+EXACT = SurrogateConfig(n_mc=1, ratio_law="zero")
 
 
 def make_state(vocab, prompt_len, completion_len, rng, n_masked=None):
@@ -109,7 +111,7 @@ def test_score_identity():
     for action in enumerate_actions(state):
         lp, _ = action_logprob(params, state, action)
         p = math.exp(lp)
-        acc += p * grad_action_logprob(params, state, action)
+        acc += p * state_surrogate_grad(params, state, action, EXACT)
         total_prob += p
     assert total_prob == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(acc)) < 1e-10
@@ -128,7 +130,7 @@ def test_gradient_matches_finite_differences(kind):
         params = init_params(arch, rng, scale=0.6)
         state = make_state(vocab, 2, 4, rng)
         action = random_action(state, rng)
-        grad = grad_action_logprob(params, state, action)
+        grad = state_surrogate_grad(params, state, action, EXACT)
         fd = np.zeros_like(grad)
         theta = params.theta
         for i in range(theta.size):
@@ -164,8 +166,8 @@ def test_greedy_breaks_ties_toward_low_token_ids():
     arch = LinearArch(vocab, prompt_len=2, completion_len=3)
     params = init_params(arch)
     state = DiffusionState(MaskedSequence((1, 2), vocab), MaskedSequence.masked(3, vocab))
-    action = greedy_action(rows_context(params, state))
-    assert action == (0, 0, 0)
+    action = np.argmax(rows_context(params, state).rows, axis=1)
+    assert action.tolist() == [0, 0, 0]
 
 
 def test_save_load_round_trip(tmp_path):

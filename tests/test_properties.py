@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dispo.errors import ConfigurationError
 from dispo.objective import LossConfig, step_loss
-from dispo.policy import LinearArch, MlpArch, action_logprob, grad_action_logprob, init_params
+from dispo.policy import LinearArch, MlpArch, action_logprob, init_params
 from dispo.rollout import UnmaskSchedule
 from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
 from dispo.streams import stream
@@ -127,7 +127,8 @@ def test_exact_gradients_match_central_differences_on_random_architectures(data)
             state_surrogate_grad(params, state, action, cfg, stream(seed, "patterns"), scope=scope),
             surrogate,
         ),
-        (grad_action_logprob(params, state, action), exact_logprob),
+        # corruption off, one pattern: the exact action gradient
+        (state_surrogate_grad(params, state, action, SurrogateConfig(1, "zero")), exact_logprob),
     ):
         fd = np.array([(fn(params.theta + e) - fn(params.theta - e)) / (2 * h) for e in steps])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)

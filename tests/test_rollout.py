@@ -8,7 +8,7 @@ import pytest
 rollout_mod = importlib.import_module("dispo.rollout")
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
-from dispo.policy import LinearArch, greedy_action, init_params, rows_context
+from dispo.policy import LinearArch, init_params, log_softmax, rows_context
 from dispo.rollout import UnmaskSchedule, branch, rollout
 from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
@@ -88,23 +88,18 @@ def test_cache_matches_fresh_forward_bitwise():
     params = random_params(3)
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(3, "roll")])[0]
     for t in range(1, traj.n_steps + 1):
-        fresh = rows_context(params, traj.state_at(t)).rows
-        cached = traj.cache_at(t)
-        assert np.array_equal(cached.rows, fresh)
-        assert cached.positions == traj.state_at(t).mask()
+        fresh = rows_context(params, traj.state_at(t))
+        assert traj.logp[t - 1].tobytes() == log_softmax(fresh.rows).tobytes()
+        assert tuple(traj.positions[t - 1].tolist()) == fresh.positions == traj.state_at(t).mask()
         # branch draws from these rows later, so nothing may write into them
-        assert not cached.rows.flags.writeable
-        assert not cached.logp.flags.writeable
-        for block in (traj.positions[t - 1], traj.rows[t - 1], traj.logp[t - 1]):
+        for block in (traj.positions[t - 1], traj.logp[t - 1]):
             assert not block.flags.writeable
-        assert cached.rows.tobytes() == traj.rows[t - 1].tobytes()
-        assert cached.logp.tobytes() == traj.logp[t - 1].tobytes()
-        assert cached.feats is None and cached.hidden is None  # the rows only
 
 
 def test_branch_reads_the_rollouts_normalized_block_without_a_log_softmax(monkeypatch):
-    """Each cached context holds its slice of its step's ``log_softmax`` block, byte-equal
-    to ``log_softmax(ctx.rows)``, so branching from the cache normalizes nothing."""
+    """Each trajectory's rows at x_t are its slice of its step's ``log_softmax`` block,
+    byte-equal to the ``log_softmax`` of a fresh forward's rows, so branching from the
+    cache normalizes nothing."""
     policy_mod = importlib.import_module("dispo.policy")
     real = policy_mod.log_softmax
     calls = []
@@ -125,9 +120,9 @@ def test_branch_reads_the_rollouts_normalized_block_without_a_log_softmax(monkey
     branch_at(sites, 3, [stream(14, "branch", i) for i in range(len(sites))])
     assert calls == []
     for traj, t in sites:
-        cached = traj.cache_at(t)
-        assert not cached.logp.flags.writeable
-        assert cached.logp.tobytes() == real(cached.rows).tobytes()
+        cached = traj.logp[t - 1]
+        assert not cached.flags.writeable
+        assert cached.tobytes() == real(rows_context(params, traj.state_at(t)).rows).tobytes()
     assert calls == []
 
 
@@ -136,13 +131,13 @@ def test_greedy_commits_highest_confidence_eligible():
     sched = UnmaskSchedule(2, block_size=2)
     traj = rollout(params, [PROMPT], 2, sched, [stream(4, "roll")], greedy=True)[0]
     for t in range(1, traj.n_steps + 1):
-        grid = traj.cache_at(t)
-        action = greedy_action(grid)
-        probs = np.exp(grid.logp)
-        eligible = set(sched.eligible(grid.positions))
+        positions = tuple(traj.positions[t - 1].tolist())
+        action = np.argmax(rows_context(params, traj.state_at(t)).rows, axis=1).tolist()
+        probs = np.exp(traj.logp[t - 1])
+        eligible = set(sched.eligible(positions))
         scored = sorted(
             (-probs[r, tok], pos, tok)
-            for r, (pos, tok) in enumerate(zip(grid.positions, action))
+            for r, (pos, tok) in enumerate(zip(positions, action))
             if pos in eligible
         )
         expect = tuple(sorted((pos, tok) for _, pos, tok in scored[:2]))
@@ -187,11 +182,14 @@ def test_lockstep_trajectories_equal_solo_rollouts():
                     )
                     assert traj.prompt is prompt
                     assert traj.states.tobytes() == solo.states.tobytes()
-                    for field in ("positions", "rows", "logp"):
+                    for field in ("positions", "logp"):
                         for shared, alone in zip(
                             getattr(traj, field), getattr(solo, field), strict=True
                         ):
                             assert shared.tobytes() == alone.tobytes()
+                    for t, logp in enumerate(traj.logp, start=1):
+                        fresh = rows_context(params, traj.state_at(t)).rows
+                        assert logp.tobytes() == log_softmax(fresh).tobytes()
                     assert rngs[k].bit_generator.state == rng.bit_generator.state
                     if not scale:
                         c = sched.tokens_per_step
@@ -219,7 +217,7 @@ def test_rollout_commits_every_position_when_the_logits_are_not_finite(greedy):
     params = init_params(ARCH).replace_theta(theta)
     sched = UnmaskSchedule(1, block_size=3)  # position 3 waits while 0-2 are masked
     (traj,) = rollout(params, [PROMPT], 4, sched, [stream(17, "roll")], greedy=greedy)
-    assert np.isnan(traj.cache_at(1).logp).any()
+    assert np.isnan(traj.logp[0]).any()
     counts = sched.mask_counts(4, 4)
     for t in range(1, traj.n_steps + 2):
         assert len(traj.state_at(t).mask()) == counts[t - 1]
@@ -253,8 +251,6 @@ def test_branch_is_reproducible():
     a = branch_at([(traj, 2)], 3, [stream(8, "branch")])
     b = branch_at([(traj, 2)], 3, [stream(8, "branch")])
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1], b[1])
-    with pytest.raises(ContractViolation):
-        traj.cache_at(3)  # no cache at the terminal state
     with pytest.raises(ContractViolation):
         branch_at([(traj, 1)], 0, [stream(8, "x")])
 

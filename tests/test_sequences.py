@@ -70,6 +70,9 @@ def test_fill_covers_mask_set_exactly():
         fill(state, np.empty((0, 3), dtype=np.intp))
     with pytest.raises(ContractViolation, match=r"\(N, m\) array, got shape \(2,\)"):
         fill(state, (2, 0))
+    # the array form reads the mask id off its vocab, so it refuses rows without one
+    with pytest.raises(ContractViolation, match="completion rows needs their vocab"):
+        fill([state.completion.tokens], [[(2, 0)]])
 
 
 def test_fill_leaves_visible_positions_untouched():

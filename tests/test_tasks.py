@@ -40,7 +40,7 @@ def states_only_trajectory(commits):
         for pos, tok in step:
             row[pos] = tok
         rows.append(list(row))
-    return Trajectory(prompt=None, states=np.array(rows), positions=(), rows=(), logp=())
+    return Trajectory(prompt=None, states=np.array(rows), positions=(), logp=())
 
 
 def test_solution_validity():
@@ -81,7 +81,7 @@ def test_first_violation_time_hand_trajectory():
     undecodable = states_only_trajectory([((0, 4),)])
     assert first_violation_time(INSTANCE, undecodable) == 1
     too_wide = Trajectory(
-        prompt=None, states=np.full((2, 9), INSTANCE.vocab.mask_id), positions=(), rows=(), logp=()
+        prompt=None, states=np.full((2, 9), INSTANCE.vocab.mask_id), positions=(), logp=()
     )
     with pytest.raises(ContractViolation, match="state width 9 != 8 empty cells"):
         first_violation_time(INSTANCE, too_wide)

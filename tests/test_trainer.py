@@ -281,8 +281,8 @@ def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     """Per prompt: trajectory k = 1..K in order, each at every sampled step t,
     branching from the rows the rollout kept at x_t (``traj.states[t-1]``,
-    ``traj.positions[t-1]``, ``traj.logp[t-1]``: ``state_at(t)`` and
-    ``cache_at(t)`` in array form), every site of prompt b with its one
+    ``traj.positions[t-1]``, ``traj.logp[t-1]``: ``state_at(t)`` in array
+    form, with its rows), every site of prompt b with its one
     generator ``stream(seed, "branch", u, b)``.  An update's one ``rollout``
     call holds prompt b's trajectories at ``b * K .. b * K + K - 1``, and its
     one ``branch`` call holds every prompt's sites in that order."""
@@ -334,10 +334,10 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     for (row, pos, lp, n, rng), (want, traj, t) in zip(calls, expected):
         assert rng is want and n == cfg.n_branches
         assert pos is traj.positions[t - 1] and lp is traj.logp[t - 1]
-        state, ctx = traj.state_at(t), traj.cache_at(t)
+        state = traj.state_at(t)
         assert tuple(row.tolist()) == state.completion.tokens
-        assert tuple(pos.tolist()) == ctx.positions == state.mask()
-        assert lp.tobytes() == ctx.logp.tobytes()
+        assert tuple(pos.tolist()) == tuple(traj.positions[t - 1].tolist()) == state.mask()
+        assert lp.tobytes() == traj.logp[t - 1].tobytes()
 
 
 def test_an_update_makes_one_stream_per_prompt_and_purpose(monkeypatch):

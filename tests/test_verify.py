@@ -240,7 +240,7 @@ def test_group_factor_scales_the_target():
 def test_relative_bound_follows_the_monte_carlo_error(monkeypatch):
     for n, tol in ((N_SAMPLES, 0.03), (4 * N_SAMPLES, 0.015), (N_SAMPLES // 4, 0.06)):
         # the moments of a constant sample: mean 1, variance 0
-        report = _finish_report("flat", n, np.ones(1), np.zeros(1), np.ones(1), 1.0, 4.0, 0.03)
+        report = _finish_report("flat", n, np.ones(1), np.zeros(1), np.ones(1), 1.0)
         assert report.rel_tol == tol
     problem, params = build_oracle_problem()
     # rel_l2 0.039 at max|z| 2.1: a fixed 0.03 bound fails this sound estimate
@@ -424,9 +424,13 @@ def test_bootstrap_ci_row_blocks_equal_the_one_shot_draw(n):
     diffs = stream(17, "boot-diffs", n).normal(size=n)
     n_boot = 2 * _BOOT_BLOCK + 333  # a last block shorter than the others
     rng, ref_rng = stream(17, "boot", n), stream(17, "boot", n)
-    interval = bootstrap_ci(diffs, n_boot, 0.9, rng)
+    interval = bootstrap_ci(diffs, n_boot, rng)
     means = diffs[ref_rng.integers(0, n, size=(n_boot, n))].mean(axis=1)
-    assert interval == (float(np.quantile(means, 0.05)), float(np.quantile(means, 0.95)))
+    level = 0.95
+    assert interval == (
+        float(np.quantile(means, (1.0 - level) / 2.0)),
+        float(np.quantile(means, 1.0 - (1.0 - level) / 2.0)),
+    )
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.random() == ref_rng.random()
 
