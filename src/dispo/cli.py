@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, read_json
+from .errors import ConfigurationError, check_out_dir, read_json
 from .streams import stream
 from .tasks import save_instances
 from .trainer import (
@@ -144,6 +144,8 @@ def _at_least_two(flag: str, value: int) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    if args.out:
+        check_out_dir(args.out)
     reports = list(battery(_at_least_two("--samples", args.samples), args.seed))
     for report in reports:
         print(_report_line(report))
@@ -160,6 +162,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_varmeasure(args: argparse.Namespace) -> int:
     n_trials = _at_least_two("--trials", args.trials)
     config = _load_run_config(args)
+    out = _out_dir(args, f"varmeasure-{config.task}-seed{config.seed}")
+    check_out_dir(out)
     task = build_task(config)
     schedule = build_schedule(config, task)
     base = init_policy(config, task)
@@ -195,7 +199,6 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
             lo, hi = report.diff_ci[name]
             extra = f"  diff vs {report.reference}: {report.diff_point[name]:+.5g} CI [{lo:.5g}, {hi:.5g}]"
         print(f"trCov[{name}] = {report.estimates[name]:.5g}{extra}")
-    out = _out_dir(args, f"varmeasure-{config.task}-seed{config.seed}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "variance_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     write_manifest(out, config, ["variance_report.json"])
@@ -205,10 +208,11 @@ def _cmd_varmeasure(args: argparse.Namespace) -> int:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
+    out = _out_dir(args, f"data-{config.task}-seed{config.seed}")
+    check_out_dir(out)
     task = build_task(config)
     build_arch(config, task)  # a pool no run could use is not written
     build_schedule(config, task)
-    out = _out_dir(args, f"data-{config.task}-seed{config.seed}")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instances.json"
     save_instances(path, task)

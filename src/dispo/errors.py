@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
-``read_json`` reads a JSON file and reports a missing, unreadable or
-malformed one as a ``ConfigurationError``.
+``read_json`` reads a JSON file and ``check_out_dir`` checks an output
+path; both report a fault as a ``ConfigurationError``.
 """
 
 import json
+import os
+from pathlib import Path
 
 
 class ContractViolation(ValueError):
@@ -28,3 +30,12 @@ def read_json(path) -> object:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def check_out_dir(path) -> None:
+    """Raise ``ConfigurationError`` naming ``path`` unless it can be an output directory:
+    it, or else its nearest existing ancestor, is a directory.  Creates nothing."""
+    path = Path(path)
+    here = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not here.is_dir():
+        raise ConfigurationError(f"output directory {path}: {here} is not a directory")

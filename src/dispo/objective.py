@@ -31,7 +31,7 @@ copy, so the ratio is exactly 1 at equal parameters.  A group's forward
 grids, its ``Grids``, hold both policies' log-probabilities as one
 ``(2, C, n, V)`` block, sliced from one ``log_softmax`` call over every
 group with as many scored positions, next to the ``(C, n, F)`` feature
-block; all its members are scored against them.
+block; each member is scored against its own copies.
 
 One kernel, ``_group_loss_and_grad``, scores a list of groups against
 their grids, which its callers compute, and gives each group's loss and
@@ -150,16 +150,16 @@ def _group_loss_and_grad(
 
     ``grids[g]`` is group ``g``'s ``Grids`` from ``_group_grids``; the kernel
     runs no forward, and backprops through their ``feats`` and ``hidden``.
-    With ``per_member_sets`` a list holds one pattern set per member
-    (terminal convention: one set per rollout); otherwise one set serves
-    the whole group.  ``target_stacks`` checks every group's targets and
-    stacks the groups of equal mask-set size and group size, whichever
-    prompt they belong to: a stack makes one target gather with running
-    position sums, one ratio and advantage pass, one ``score_dlogits`` and
-    one batch-axis ``backprop`` over its active members, and calls
-    ``clipped_objective`` once per member.  A group's loss adds up in
-    member order and its gradient in member-then-pattern order; callers
-    add the groups up with ``_sums``.
+    Member k's copies are the group's one pattern set, or with
+    ``per_member_sets`` its own set k (terminal convention: one set per
+    rollout).  ``target_stacks`` checks every group's targets and stacks
+    the groups of equal mask-set size and group size, whichever prompt
+    they belong to: a stack makes one gather of each member at its own
+    copies with running position sums, one ratio and advantage pass, one
+    ``score_dlogits`` and one batch-axis ``backprop`` over its active
+    members, and calls ``clipped_objective`` once per member.  A group's
+    loss adds up in member order and its gradient in member-then-pattern
+    order; callers add the groups up with ``_sums``.
     """
     stacks = target_stacks(groups, params.arch.vocab)
     for group, grid in zip(groups, grids, strict=True):
@@ -170,16 +170,17 @@ def _group_loss_and_grad(
     for (z, n), (idx, tgt) in stacks.items():
         n_groups, n_copies = len(idx), grids[idx[0]].logp.shape[1]
         n_mc = n_copies // z if per_member_sets else n_copies
+        # member k's copies: its own set k, or the group's one set
+        copies = np.arange(n_copies).reshape(-1, n_mc).repeat(z * n_mc // n_copies, axis=0)
         logp = stacked([grids[g].logp for g in idx])  # [group, policy, copy, row, token]
-        # every member against every copy, [group, member, policy, copy, row]: each
-        # row's first entry in the flat block, plus the member's token there
-        rows = np.arange(0, logp.size, logp.shape[-1]).reshape(n_groups, 1, 2, n_copies, n)
-        picked = logp.reshape(-1)[rows + tgt[:, :, None, None, :]]
+        # each member at its own copies, [group, member, policy, copy, row]: each row's
+        # first entry in the flat block, plus the member's token there; in C order, as the
+        # gather keeps that layout and the layout sets the order of the pattern sums
+        first = np.arange(0, logp.size, logp.shape[-1]).reshape(n_groups, 2, n_copies, n)
+        rows = first.take(copies, axis=2).swapaxes(1, 2)
+        picked = logp.reshape(-1)[np.add(rows, tgt[:, :, None, None, :], order="C")]
         lp = picked.cumsum(axis=-1)[..., -1] if n else np.zeros(picked.shape[:-1])
-        if per_member_sets:  # each member's own pattern set, not the others'
-            lp = lp.reshape(n_groups, z, 2, z, n_mc)[:, np.arange(z), :, np.arange(z)]
-            lp = lp.swapaxes(0, 1)
-        lp = lp.reshape(n_groups, z, 2, n_mc).sum(axis=-1) / n_mc  # pattern means
+        lp = lp.sum(axis=-1) / n_mc  # pattern means, [group, member, policy]
         rhos = np.exp(lp[..., 0] - lp[..., 1]).tolist()
         rewards = stacked([groups[g].rewards for g in idx]).astype(np.float64, copy=False)
         advs = (rewards - rewards.sum(axis=-1, keepdims=True) / z).tolist()
@@ -197,7 +198,7 @@ def _group_loss_and_grad(
         if not active[0].size:
             continue
         sa, za, ma = active
-        copy = ma + za * n_mc if per_member_sets else ma  # each active row's copy
+        copy = copies[za, ma]
         dlogits = score_dlogits(np.exp(logp[sa, 0, copy]), tgt[sa, za], coefs[active])
         block = stacked([grids[g].feats for g in idx])[sa, copy]
         hidden = grids[idx[0]].hidden
@@ -280,9 +281,9 @@ def _prompt_parts(
             jobs.append((b, "kl", kl_group, 1))
     positions = [job[2].positions for job in jobs]
     feats = group_features(
-        params.arch, [job[2].tokens for job in jobs], {"action": positions}, surr_cfg,
+        params.arch, [job[2].tokens for job in jobs], positions, surr_cfg,
         [rngs[job[0]] for job in jobs], n_sets=[job[3] for job in jobs],
-    )["action"]
+    )
     other = {"terminal": old_params, "step": old_params, "kl": ref_params}
     grids = _group_grids(
         params, positions, feats, [(other[job[1]], job[1]) for job in jobs], counters=counters
@@ -334,9 +335,7 @@ def step_loss(
     """
     group = loss_group(params.arch, state, branches, scope)
     if grids is None:
-        (feats,) = group_features(
-            params.arch, [group.tokens], {scope: [group.positions]}, surr_cfg, [rng]
-        )[scope]
+        (feats,) = group_features(params.arch, [group.tokens], [group.positions], surr_cfg, [rng])
         (grids,) = _group_grids(
             params, [group.positions], [feats], [(old_params, "step")], counters=counters
         )

@@ -361,29 +361,23 @@ def action_logprob(
 
 
 def score_dlogits(
-    probs: np.ndarray, targets: np.ndarray | tuple[int, ...], coef: float | np.ndarray = 1.0
+    probs: np.ndarray, targets: np.ndarray, coef: float | np.ndarray = 1.0
 ) -> np.ndarray:
-    """Logit gradient of ``coef`` times the summed log-probability of ``targets``.
+    """Logit gradient of ``coef`` times the summed log-probability of each member's targets.
 
-    ``probs`` are a forward's row probabilities, ``(n, V)``, and
-    ``targets`` holds one token per row, in row order; every row gets
-    ``coef * (onehot(target) - probs)``.  A batch ``(B, n)`` of targets
-    with one ``coef`` per member gives ``(B, n, V)``, against one
-    ``(n, V)`` block or one block per member, ``(B, n, V)``.  Feed the
-    result to ``backprop``.
+    ``targets`` is ``(B, n)``: each member's token at each row, in row
+    order; ``coef`` is one number, or one per member.  ``probs`` are row
+    probabilities, one ``(n, V)`` forward's for every member or one
+    ``(B, n, V)`` block per member.  Member ``b``'s rows get ``coef[b] *
+    (onehot(target) - probs)``; feed the ``(B, n, V)`` result to ``backprop``.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    n = targets.shape[-1]
+    coef = np.asarray(coef, dtype=np.float64).reshape(-1, 1, 1)
     dlogits = np.zeros(targets.shape + probs.shape[-1:])
-    if targets.ndim == 1:
-        dlogits -= coef * probs
-        dlogits[np.arange(n), targets] += coef
-    else:
-        coef = np.asarray(coef, dtype=np.float64).reshape(-1, 1, 1)
-        dlogits -= coef * probs
-        # each row's target entry in the flat block
-        hot = np.arange(0, dlogits.size, dlogits.shape[-1]).reshape(targets.shape) + targets
-        dlogits.reshape(-1)[hot] += coef[:, :, 0]
+    dlogits -= coef * probs
+    # each row's target entry in the flat block
+    hot = np.arange(0, dlogits.size, dlogits.shape[-1]).reshape(targets.shape) + targets
+    dlogits.reshape(-1)[hot] += coef[:, :, 0]
     return dlogits
 
 

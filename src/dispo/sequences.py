@@ -102,9 +102,6 @@ class DiffusionState:
     def vocab(self) -> Vocab:
         return self.prompt.vocab
 
-    def mask(self) -> tuple[int, ...]:
-        return self.completion.mask_positions()
-
     def tokens(self) -> np.ndarray:
         """The context, prompt then completion, as a read-only int array (built once)."""
         cached = self.__dict__.get("_tokens")  # like ``mask_positions``: out of ==, hash, repr

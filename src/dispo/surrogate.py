@@ -35,7 +35,7 @@ uniformly per pattern (or held fixed, or zero to disable corruption).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,56 +206,54 @@ def target_stacks(
 def group_features(
     arch: Arch,
     contexts: Sequence[np.ndarray],
-    positions: Mapping[str, Sequence[tuple[int, ...]]],
+    positions: Sequence[tuple[int, ...]],
     cfg: SurrogateConfig,
     rngs: Sequence[np.random.Generator | None],
     n_sets: Sequence[int] | None = None,
-) -> dict[str, list[np.ndarray]]:
+) -> list[np.ndarray]:
     """Draw each group's corruption patterns and featurize all its corrupted copies.
 
     Group ``g`` is the context token row ``contexts[g]`` and draws
     ``n_sets[g]`` pattern sets (one without ``n_sets``) from ``rngs[g]``,
     one after another (one generator may serve several groups in turn).
-    ``positions[key][g]`` is a set of completion positions to featurize
-    group ``g``'s copies at, for each key (such as a scope); every copy is
-    featurized at them in one ``_features`` pass per positions count over
-    all groups and keys.  Entry ``[key][g]`` is an ``(n_sets[g] * n_mc,
-    len(positions[key][g]), feature_dim)`` block, one row block per copy;
-    every policy a loss compares scores that same block through
-    ``pattern_contexts``.
+    Its copies are featurized at the completion positions
+    ``positions[g]``, in one ``_features`` pass per positions count over
+    all groups.  Entry ``g`` is an ``(n_sets[g] * n_mc, len(positions[g]),
+    feature_dim)`` block, one row block per copy; every policy a loss
+    compares scores that same block through ``pattern_contexts``.  The
+    counts are checked before any draw.
     """
-    if n_sets is None:
-        n_sets = [1] * len(contexts)
+    width = arch.prompt_len + arch.completion_len
+    rows = np.array(contexts, dtype=np.intp).reshape(-1, width)
+    if len(rows) != len(rngs):
+        raise ContractViolation(f"{len(rows)} context rows of width {width} for {len(rngs)} groups")
+    if len(positions) != len(rngs):
+        raise ContractViolation(f"{len(positions)} position lists for {len(rngs)} groups")
+    n_sets = [1] * len(rngs) if n_sets is None else n_sets
     masks, counts = [], []
     for rng, n in zip(rngs, n_sets, strict=True):
         masks += [draw_patterns(arch.prompt_len, cfg, rng) for _ in range(n)]
         counts.append(n * cfg.n_mc)
     # one context row per copy, group by group, with its pattern's prompt tokens masked
-    width = arch.prompt_len + arch.completion_len
-    rows = np.array(contexts, dtype=np.intp).reshape(-1, width)
-    if len(rows) != len(counts):
-        raise ContractViolation(f"{len(rows)} context rows of width {width} for {len(counts)} groups")
     tokens = np.repeat(rows, counts, axis=0)
     if masks:
         tokens[:, : arch.prompt_len][np.concatenate(masks)] = arch.vocab.mask_id
     first = np.cumsum([0] + counts).tolist()
-    by_size: dict[int, list[tuple[str, int, tuple[int, ...]]]] = {}
-    for key, sets in positions.items():
-        for g, pos in enumerate(sets):
-            by_size.setdefault(len(pos), []).append((key, g, pos))
-    out: dict[str, list[np.ndarray]] = {key: [np.empty(0)] * len(rows) for key in positions}
-    for jobs in by_size.values():
-        cols = np.array([pos for _, _, pos in jobs], dtype=np.intp)
+    by_size: dict[int, list[int]] = {}
+    for g, pos in enumerate(positions):
+        by_size.setdefault(len(pos), []).append(g)
+    out: list[np.ndarray] = [np.empty(0)] * len(rows)
+    for idx in by_size.values():
+        cols = np.array([positions[g] for g in idx], dtype=np.intp)
         feats = _features(
             arch,
-            np.concatenate([tokens[first[g] : first[g + 1]] for _, g, _ in jobs]),
-            np.repeat(cols, [counts[g] for _, g, _ in jobs], axis=0),
+            np.concatenate([tokens[first[g] : first[g + 1]] for g in idx]),
+            np.repeat(cols, [counts[g] for g in idx], axis=0),
         )
         start = 0
-        for key, g, _ in jobs:
-            stop = start + counts[g]
-            out[key][g] = feats[start:stop]
-            start = stop
+        for g in idx:
+            out[g] = feats[start : start + counts[g]]
+            start += counts[g]
     return out
 
 
@@ -310,10 +308,10 @@ def logprob_from_contexts(
 
 
 def grad_from_contexts(
-    params: PolicyParams, contexts: list[RowsContext], targets: np.ndarray | tuple[int, ...]
+    params: PolicyParams, contexts: list[RowsContext], targets: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the pattern-averaged log-probability, one per leading index of ``targets``."""
-    grad = np.zeros(np.shape(targets)[:-1] + (params.dim,))
+    """Each ``(B, n)`` targets row's gradient of its pattern-averaged log-probability."""
+    grad = np.zeros((len(targets), params.dim))
     for ctx in contexts:
         dlogits = score_dlogits(np.exp(ctx.logp), targets)
         grad += backprop(params, ctx.feats, ctx.hidden, dlogits)
@@ -330,10 +328,8 @@ def _state_contexts(
 ) -> tuple[list[RowsContext], np.ndarray]:
     group = loss_group(params.arch, state, [(action, 0.0)], scope)
     ((_, tgt),) = target_stacks([group], params.arch.vocab).values()
-    (feats,) = group_features(
-        params.arch, [group.tokens], {scope: [group.positions]}, cfg, [rng]
-    )[scope]
-    return pattern_contexts(params, feats, group.positions), tgt[0, 0]
+    (feats,) = group_features(params.arch, [group.tokens], [group.positions], cfg, [rng])
+    return pattern_contexts(params, feats, group.positions), tgt[0]
 
 
 def state_surrogate_logprob(
@@ -361,4 +357,4 @@ def state_surrogate_grad(
 ) -> np.ndarray:
     """Gradient of ``state_surrogate_logprob`` w.r.t. the flat parameters."""
     ctxs, targets = _state_contexts(params, state, action, cfg, rng, scope)
-    return grad_from_contexts(params, ctxs, targets)
+    return grad_from_contexts(params, ctxs, targets)[0]

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .counters import OpCounters
-from .errors import ConfigurationError, ContractViolation, DivergenceError, read_json
+from .errors import ConfigurationError, ContractViolation, DivergenceError, check_out_dir, read_json
 from .objective import LossConfig, LossGroup, SamplerConfig, combined_loss
 from .policy import (
     Arch,
@@ -491,6 +491,8 @@ def train(
     manifest.  Identical config and seed give identical metrics
     byte-for-byte, regardless of resumption points.
     """
+    if out_dir is not None:
+        check_out_dir(out_dir)
     task = build_task(config)
     schedule = build_schedule(config, task)
     root = config.seed

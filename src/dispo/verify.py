@@ -69,6 +69,7 @@ N_SAMPLES = 100_000  # default Monte Carlo samples per check; REL_TOL holds at t
 Z_THRESHOLD = 4.0  # an identity check's bound on every coordinate's |z|
 REL_TOL = 0.03  # and on its relative L2 error, at N_SAMPLES
 PROP1_TOL = 0.02  # the subset-variance ratio's absolute tolerance
+PROP1_SIGMA = 1.0  # the subset-variance check's score scale
 SLOPE_BOUNDS = (-1.2, -0.8)  # the group-size decay's log-log slope range
 CI_LEVEL = 0.95  # the bootstrap intervals' coverage
 
@@ -520,59 +521,37 @@ class Prop1Report(_Report):
 
 
 def prop1_check(
-    n_positions: int,
-    n_scored: int,
-    sigma: float = 1.0,
-    n_samples: int = N_SAMPLES,
-    seed: int = 0,
-    *,
-    reward_law: str = "uniform",
+    n_positions: int, n_scored: int, n_samples: int = N_SAMPLES, seed: int = 0
 ) -> Prop1Report:
     """Variance of a subset-sum score estimator vs the full-sum estimator.
 
-    Position scores are i.i.d. zero-mean with variance sigma^2 and the
-    reward is independent of them, so the ratio is exactly m/L; draws are
-    paired (the subset sums the first m of the same scores).
+    Position scores are i.i.d. N(0, PROP1_SIGMA^2) and the reward, uniform
+    on [0, 1], is independent of them, so the ratio is exactly m/L; draws
+    are paired (the subset sums the first m of the same scores).
     """
     if not 1 <= n_scored <= n_positions:
         raise ContractViolation("need 1 <= n_scored <= n_positions")
     if n_samples < 2:
         raise ContractViolation(f"variance ratios need n_samples >= 2, got {n_samples}")
     rng = stream(seed, "prop1")
-    g = rng.normal(0.0, sigma, (n_samples, n_positions)) if sigma > 0 else np.zeros(
-        (n_samples, n_positions)
-    )
-    if reward_law == "uniform":
-        r = rng.uniform(0.0, 1.0, n_samples)
-    elif reward_law == "bernoulli":
-        r = (rng.random(n_samples) < 0.5).astype(float)
-    elif reward_law == "constant":
-        r = np.ones(n_samples)
-    else:
-        raise ContractViolation(f"unknown reward law {reward_law!r}")
-    full = r * g.sum(axis=1)
-    sub = r * g[:, :n_scored].sum(axis=1)
-    var_full = float(full.var(ddof=1))
-    var_sub = float(sub.var(ddof=1))
+    g = rng.normal(0.0, PROP1_SIGMA, (n_samples, n_positions))
+    r = rng.uniform(0.0, 1.0, n_samples)
+    var_full = float((r * g.sum(axis=1)).var(ddof=1))
+    var_sub = float((r * g[:, :n_scored].sum(axis=1)).var(ddof=1))
+    ratio = var_sub / var_full
     expected = n_scored / n_positions
-    if var_full == 0.0:
-        ratio = float("nan")
-        passed = var_sub == 0.0
-    else:
-        ratio = var_sub / var_full
-        passed = abs(ratio - expected) <= PROP1_TOL
     return Prop1Report(
         n_positions=n_positions,
         n_scored=n_scored,
-        sigma=sigma,
-        reward_law=reward_law,
+        sigma=PROP1_SIGMA,
+        reward_law="uniform",
         n_samples=n_samples,
         var_sub=var_sub,
         var_full=var_full,
         ratio=ratio,
         expected=expected,
         tol=PROP1_TOL,
-        passed=passed,
+        passed=abs(ratio - expected) <= PROP1_TOL,
     )
 
 
@@ -819,10 +798,11 @@ def trcov_protocol(
     filter reads that size's ``(n_trials, Z)`` reward array once.  The
     trials' corruption patterns are drawn in turn from one generator per
     state, ``stream(seed, "trcov-patterns", i)``, and shared by every
-    condition; a state's trials are featurized together, for every scope
-    at once, and each ``(scope, trial)`` grid pair is computed once for
-    every condition of that scope.  With corruption off all copies are the
-    state itself, so one block and one grid pair per scope serve all trials.
+    condition; a state's trials are featurized together at every position,
+    each scope's grids take its positions' columns, and each ``(scope,
+    trial)`` grid pair is computed once for every condition of that scope.
+    With corruption off all copies are the state itself, so one block and
+    one grid pair per scope serve all trials.
     """
     if n_trials < 2:
         raise ContractViolation("the trial estimator needs n_trials >= 2")
@@ -843,15 +823,17 @@ def trcov_protocol(
         patterns = stream(seed, "trcov-patterns", i)
         n_blocks = n_trials if surr_cfg.corruption_enabled else 1
         context = loss_group(params.arch, cand.state).tokens
-        positions = {s: [scored_positions(cand.state, s)] * n_blocks for s in scopes}
+        every = scored_positions(cand.state, "all")
         feats = group_features(
-            params.arch, [context] * n_blocks, positions, surr_cfg, [patterns] * n_blocks
+            params.arch, [context] * n_blocks, [every] * n_blocks, surr_cfg, [patterns] * n_blocks
         )
-        grids = {  # per scope, each trial's (current, old) grids, shared by its conditions
-            s: _group_grids(params, positions[s], feats[s], [(old_params, "step")] * n_blocks)
-            * (n_trials // n_blocks)
-            for s in scopes
-        }
+        grids = {}  # per scope, each trial's (current, old) grids, shared by its conditions
+        for s in scopes:
+            pos = scored_positions(cand.state, s)
+            grids[s] = _group_grids(
+                params, [pos] * n_blocks, [f[:, list(pos)] for f in feats],
+                [(old_params, "step")] * n_blocks,
+            ) * (n_trials // n_blocks)
         # per group size: each trial's members, and whether any trial has a positive advantage
         by_size: dict[int, tuple[list[list[tuple[Action, float]]], bool]] = {}
         for cond in conditions:

@@ -284,7 +284,7 @@ def random_state(rng, arch, p_mask=0.5):
 
 
 def random_action(rng, state):
-    return tuple(int(rng.integers(state.vocab.size)) for _ in state.mask())
+    return tuple(int(rng.integers(state.vocab.size)) for _ in state.completion.mask_positions())
 
 
 # -- tests -------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_batched_logprobs_equal_the_running_sums():
     params = init_params(arch, rng, scale=1.0)
     for _ in range(20):
         state = random_state(rng, arch, p_mask=0.7)
-        positions = state.mask()
+        positions = state.completion.mask_positions()
         ctxs = [rows_context(params, random_state(rng, arch), positions) for _ in range(3)]
         targets = rng.integers(0, arch.vocab.size, (5, len(positions)))
         batched = logprob_from_contexts(ctxs, targets)
@@ -486,7 +486,7 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
         for state in states[: 1 + z % 4]:
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(z)]
             groups.append((state, members))
-    assert len({(len(state.mask()), len(members)) for state, members in groups}) < len(groups)
+    assert len({(len(state.completion.mask_positions()), len(members)) for state, members in groups}) < len(groups)
     for n_mc in (2, 9):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         loss, grad = aggregate_step_loss(
@@ -519,8 +519,8 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
             members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
             group = loss_group(arch, state, members, scope)
             (feats,) = group_features(
-                arch, [group.tokens], {scope: [group.positions]}, surr_cfg, [stream(11, g)]
-            )[scope]
+                arch, [group.tokens], [group.positions], surr_cfg, [stream(11, g)]
+            )
             (grids,) = objective_module._group_grids(
                 params, [group.positions], [feats], [(old, "step")]
             )
@@ -826,7 +826,7 @@ def test_many_site_branch_equals_one_state_calls():
         else:
             args = (
                 np.array([state.completion.tokens for state in states]),
-                [state.mask() for state in states],
+                [state.completion.mask_positions() for state in states],
                 logps,
             )
         many = [stream(16, case, i) for i in range(len(states))]
@@ -835,7 +835,7 @@ def test_many_site_branch_equals_one_state_calls():
         for i, (state, logp) in enumerate(zip(states, logps)):
             one = stream(16, case, i)
             (one_actions,), (one_completed,) = branch(
-                [state.completion.tokens], [state.mask()], [logp], z, [one]
+                [state.completion.tokens], [state.completion.mask_positions()], [logp], z, [one]
             )
             assert np.array_equal(actions[i], one_actions)
             assert np.array_equal(completed[i], one_completed)
@@ -868,8 +868,8 @@ def test_the_kernel_names_the_first_faulty_group_whichever_stack_holds_it():
         groups.append(loss_group(arch, state, members))
     positions = [group.positions for group in groups]
     feats = group_features(
-        arch, [group.tokens for group in groups], {"action": positions}, surr_cfg, [None] * 9
-    )["action"]
+        arch, [group.tokens for group in groups], positions, surr_cfg, [None] * 9
+    )
     grids = objective_module._group_grids(params, positions, feats, [(old, "step")] * 9)
     objective_module._group_loss_and_grad(params, groups, grids, loss_cfg)  # all sound
 

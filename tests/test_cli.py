@@ -460,6 +460,32 @@ def test_resume_without_the_prior_metrics_exits_two_before_any_update(
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "command, first_work",
+    [
+        ("train", "dispo.trainer.rollout"),
+        ("varmeasure", "dispo.cli.collect_states"),
+        ("verify", "dispo.cli.battery"),
+        ("gen-data", "dispo.cli.build_task"),
+    ],
+)
+@pytest.mark.parametrize("under_file", [False, True])
+def test_an_out_that_cannot_be_a_directory_exits_two_before_any_work(
+    tmp_path, capsys, monkeypatch, command, first_work, under_file
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran")
+
+    monkeypatch.setattr(first_work, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "run" if under_file else taken
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "a file\n"
+
+
 def test_task_params_beside_an_instances_file_exit_two_naming_each_key(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-data", "--config", write_config(tmp_path, TINY_TRAIN), "--out", str(data)]) == 0

@@ -39,7 +39,7 @@ def make_state(vocab, prompt_len, completion_len, rng, n_masked=None):
 
 def random_action(state, rng):
     v = state.vocab.size
-    return tuple(int(rng.integers(0, v)) for _ in state.mask())
+    return tuple(int(rng.integers(0, v)) for _ in state.completion.mask_positions())
 
 
 def test_zero_params_are_uniform():

@@ -38,7 +38,7 @@ def mid_state(params=None):
 def mask_features(state, cfg, rng):
     """``state``'s one group's feature block at its mask set."""
     context = loss_group(ARCH, state).tokens
-    return group_features(ARCH, [context], {"action": [state.mask()]}, cfg, [rng])["action"]
+    return group_features(ARCH, [context], [state.completion.mask_positions()], cfg, [rng])
 
 
 def test_config_validation():
@@ -61,6 +61,21 @@ def test_zero_law_draws_nothing_from_the_generator():
         masks = draw_patterns(4, SurrogateConfig(n_mc=3, ratio_law=law), rng)
         assert masks.dtype == bool and masks.shape == (3, 4) and not masks.any()
         assert rng.bit_generator.state == before
+
+
+def test_group_features_checks_its_counts_before_drawing():
+    rng = stream(3, "counts")
+    before = rng.bit_generator.state
+    context = loss_group(ARCH, mid_state()).tokens
+    cfg = SurrogateConfig(n_mc=2)
+    mask = mid_state().completion.mask_positions()
+    with pytest.raises(ContractViolation, match="1 context rows of width 7 for 2 groups"):
+        group_features(ARCH, [context], [mask, mask], cfg, [rng, rng])
+    with pytest.raises(ContractViolation, match="1 position lists for 2 groups"):
+        group_features(ARCH, [context, context], [mask], cfg, [rng, rng])
+    assert rng.bit_generator.state == before
+    feats = group_features(ARCH, [context, context], [mask, (0, 1, 2)], cfg, [rng, rng])
+    assert [f.shape[:2] for f in feats] == [(2, 2), (2, 3)]
 
 
 def test_fixed_ratio_extremes():
@@ -130,7 +145,7 @@ def test_pattern_average_is_consistent():
     completion = MaskedSequence((1, 2, 0), VOCAB)
     cfg = SurrogateConfig(n_mc=256, ratio_law="uniform")
     state = full_mask_state(PROMPT, 3)
-    positions, targets = state.mask(), completion.tokens
+    positions, targets = state.completion.mask_positions(), completion.tokens
 
     def per_pattern(rng):
         (feats,) = mask_features(state, cfg, rng)
@@ -150,17 +165,19 @@ def test_forward_counters_by_kind():
     cfg = SurrogateConfig(n_mc=5, ratio_law="uniform")
     counters = OpCounters()
     (feats,) = mask_features(state, cfg, stream(10, "a"))
-    pattern_contexts(params, feats, state.mask(), counters=counters)
+    pattern_contexts(params, feats, state.completion.mask_positions(), counters=counters)
     assert counters.surrogate_step_calls == 5
     assert counters.surrogate_terminal_calls == 0
     (full_feats,) = mask_features(full, cfg, stream(10, "b"))
-    pattern_contexts(params, full_feats, full.mask(), counters=counters, kind="terminal")
+    pattern_contexts(
+        params, full_feats, full.completion.mask_positions(), counters=counters, kind="terminal"
+    )
     assert counters.surrogate_terminal_calls == 5
-    pattern_contexts(params, feats, state.mask(), counters=counters, kind="kl")
+    pattern_contexts(params, feats, state.completion.mask_positions(), counters=counters, kind="kl")
     assert counters.surrogate_kl_calls == 5
     assert counters.surrogate_step_calls == 5
     with pytest.raises(ContractViolation):
-        pattern_contexts(params, feats, state.mask(), kind="misc")
+        pattern_contexts(params, feats, state.completion.mask_positions(), kind="misc")
 
 
 def test_loss_group_scopes():

@@ -336,7 +336,8 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
         assert pos is traj.positions[t - 1] and lp is traj.logp[t - 1]
         state = traj.state_at(t)
         assert tuple(row.tolist()) == state.completion.tokens
-        assert tuple(pos.tolist()) == tuple(traj.positions[t - 1].tolist()) == state.mask()
+        mask = state.completion.mask_positions()
+        assert tuple(pos.tolist()) == tuple(traj.positions[t - 1].tolist()) == mask
         assert lp.tobytes() == traj.logp[t - 1].tobytes()
 
 
