@@ -39,11 +39,11 @@ gradient: it stacks the groups of equal mask-set size and group size,
 whichever prompt they belong to, checks each stack's targets in one
 array pass (``target_stacks``), and so an update's step groups cost one
 gather, one ratio pass and one batch-axis backprop per stack.
-``combined_loss`` scores all the prompts of an update together through
-``_prompt_parts``: one featurization, one grid pass, and one kernel call
-per family, after which each prompt's groups add up in order.
-``terminal_loss``, ``aggregate_step_loss`` and ``kl_penalty`` are its
-one-prompt calls, and ``step_loss`` is the kernel's one-group call.
+``combined_loss`` scores all the prompts of an update together: one
+featurization, one grid pass and one kernel call per family, after which
+each prompt's groups add up in order.  Each one-prompt loss is one
+``combined_loss`` call weighting only its own family; ``step_loss`` on
+passed grids is the kernel's one-group call.
 
 Also here: exact categorical KL penalties against a frozen reference
 policy, the weighted combination of the loss families, and
@@ -248,66 +248,10 @@ def _sums(
     return out
 
 
-def _prompt_parts(
-    params: PolicyParams,
-    old_params: PolicyParams | None,
-    ref_params: PolicyParams | None,
-    loss_cfg: LossConfig,
-    surr_cfg: SurrogateConfig,
-    rngs: Sequence[np.random.Generator | None],
-    terminal: Sequence[LossGroup | None],
-    steps: Sequence[Sequence[LossGroup]],
-    kl: Sequence[LossGroup | None],
-    *,
-    counters: OpCounters | None = None,
-) -> list[dict]:
-    """Every prompt's family losses and gradients, scored together.
-
-    Prompt ``b`` has a terminal group ``terminal[b]`` (one pattern set per
-    member) or None, the step groups ``steps[b]`` (one set each), and a KL
-    group ``kl[b]`` (its context and positions only) or None, and draws
-    their patterns from ``rngs[b]`` in that order.  Every copy of every
-    family is featurized in one ``group_features`` call, all grids come
-    from one ``_group_grids`` call, and each family present makes one
-    kernel call over every prompt's groups.  Returns one parts dict per
-    prompt, an absent family counting 0 with a zero gradient.
-    """
-    jobs = []  # (prompt, family, loss group, pattern sets), prompt by prompt
-    for b, (term, groups, kl_group) in enumerate(zip(terminal, steps, kl, strict=True)):
-        if term is not None:
-            jobs.append((b, "terminal", term, len(term.targets)))
-        jobs += [(b, "step", group, 1) for group in groups]
-        if kl_group is not None:
-            jobs.append((b, "kl", kl_group, 1))
-    positions = [job[2].positions for job in jobs]
-    feats = group_features(
-        params.arch, [job[2].tokens for job in jobs], positions, surr_cfg,
-        [rngs[job[0]] for job in jobs], n_sets=[job[3] for job in jobs],
-    )
-    other = {"terminal": old_params, "step": old_params, "kl": ref_params}
-    grids = _group_grids(
-        params, positions, feats, [(other[job[1]], job[1]) for job in jobs], counters=counters
-    )
-    per_family = []
-    for kind in _FAMILIES:
-        mine = [i for i, job in enumerate(jobs) if job[1] == kind]
-        scored = ([], np.zeros((0, params.dim)))
-        if mine and kind == "kl":
-            scored = _kl_and_grad(params, [grids[i] for i in mine])
-        elif mine:
-            scored = _group_loss_and_grad(
-                params, [jobs[i][2] for i in mine], [grids[i] for i in mine], loss_cfg,
-                per_member_sets=kind == "terminal",
-            )
-        counts = [sum(jobs[i][0] == b for i in mine) for b in range(len(rngs))]
-        per_family.append(_sums(*scored, counts))
-    return [
-        {
-            "loss_term": term[0], "loss_step": step[0], "kl": kl[0],
-            "grad_term": term[1], "grad_step": step[1], "grad_kl": kl[1],
-        }
-        for term, step, kl in zip(*per_family)
-    ]
+def _only(weight: str, clip_eps: float | None = None) -> LossConfig:
+    """A ``LossConfig`` that scores one family, ``weight``, at weight 1."""
+    zero = {"alpha_term": 0.0, "alpha_step": 0.0, "kl_beta": 0.0}
+    return LossConfig(**{**zero, weight: 1.0}, clip_eps=clip_eps)
 
 
 def step_loss(
@@ -331,14 +275,15 @@ def step_loss(
     ``grids`` passes the group's ``Grids`` from ``_group_grids``, at the
     positions ``scope`` scores, when the caller has run them already
     (several groups may share them); no pattern is drawn and no forward is
-    run then.
+    run then; without them it is one prompt's step family in ``combined_loss``.
     """
     group = loss_group(params.arch, state, branches, scope)
     if grids is None:
-        (feats,) = group_features(params.arch, [group.tokens], [group.positions], surr_cfg, [rng])
-        (grids,) = _group_grids(
-            params, [group.positions], [feats], [(old_params, "step")], counters=counters
+        ((_, _, parts),) = combined_loss(
+            [None], [[group]], params, old_params, None, _only("alpha_step", loss_cfg.clip_eps),
+            surr_cfg, [rng], counters=counters,
         )
+        return parts["loss_step"], parts["grad_step"]
     (loss,), (grad,) = _group_loss_and_grad(params, [group], [grids], loss_cfg)
     return loss, grad
 
@@ -359,9 +304,9 @@ def aggregate_step_loss(
     in ``combined_loss``: patterns are drawn group by group, in the order
     ``step_loss`` would draw them, and one kernel call scores every group.
     """
-    (parts,) = _prompt_parts(
-        params, old_params, None, loss_cfg, surr_cfg, [rng], [None],
-        [[loss_group(params.arch, state, members) for state, members in groups]], [None],
+    ((_, _, parts),) = combined_loss(
+        [None], [[loss_group(params.arch, state, members) for state, members in groups]],
+        params, old_params, None, _only("alpha_step", loss_cfg.clip_eps), surr_cfg, [rng],
         counters=counters,
     )
     return parts["loss_step"], parts["grad_step"]
@@ -389,9 +334,9 @@ def terminal_loss(
     if not completions:
         raise ContractViolation("terminal loss needs at least one completion")
     state = full_mask_state(prompt, params.arch.completion_len)
-    (parts,) = _prompt_parts(
-        params, old_params, None, loss_cfg, surr_cfg, [rng],
-        [loss_group(params.arch, state, completions)], [[]], [None], counters=counters,
+    ((_, _, parts),) = combined_loss(
+        [loss_group(params.arch, state, completions)], [[]], params, old_params, None,
+        _only("alpha_term", loss_cfg.clip_eps), surr_cfg, [rng], counters=counters,
     )
     return parts["loss_term"], parts["grad_term"]
 
@@ -410,17 +355,18 @@ def kl_penalty(
     Average over shared corruption patterns of the sum over the state's
     masked positions of KL(current row || reference row).  Value is 0 at
     identical parameters and non-negative in exact arithmetic.  One
-    feature block serves both policies, and one grid holds both.
+    feature block serves both policies, and one grid holds both.  One
+    prompt's KL family in ``combined_loss``.
     """
-    (parts,) = _prompt_parts(  # no clipped family here, so the default LossConfig goes unread
-        params, None, ref_params, LossConfig(), surr_cfg, [rng], [None], [[]],
-        [loss_group(params.arch, state)], counters=counters,
+    ((_, _, parts),) = combined_loss(  # a group without members: its context and positions
+        [loss_group(params.arch, state)], [[]], params, None, ref_params, _only("kl_beta"),
+        surr_cfg, [rng], counters=counters,
     )
     return parts["kl"], parts["grad_kl"]
 
 
 def combined_loss(
-    terminal: Sequence[LossGroup],
+    terminal: Sequence[LossGroup | None],
     step_groups: Sequence[Sequence[LossGroup]],
     params: PolicyParams,
     old_params: PolicyParams,
@@ -435,28 +381,57 @@ def combined_loss(
 
     Prompt ``b`` has its rollout group ``terminal[b]`` at its fully masked
     state (``loss_group(arch, full_mask_state(prompt, L), completions)``),
-    its step groups ``step_groups[b]`` and its generator ``rngs[b]``; all
-    prompts are scored together (see ``_prompt_parts``).  The KL term is
-    taken at each prompt's fully masked state only, ``terminal[b]``'s
-    context.  Skips any family whose weight is zero, and a terminal group
-    without members, without consuming its forward passes or random
-    draws, so budget accounting holds exactly.  Returns, per prompt, the
-    total, its gradient, and a parts dict (values and per-family
-    gradients) for logging and linearity checks.
+    its step groups ``step_groups[b]`` and its generator ``rngs[b]``, which
+    draws its terminal, step and KL patterns in that order.  The KL term is
+    taken at ``terminal[b]``'s context only, so a None ``terminal[b]`` (no
+    rollout group) has neither a terminal nor a KL family.  All prompts
+    share one featurization, one grid pass and one kernel call per family.
+    Skips any family whose weight is zero, and a terminal group without
+    members, without consuming its forward passes or random draws, so
+    budget accounting holds exactly.  Returns, per prompt, the total, its
+    gradient, and a parts dict (unweighted values and per-family
+    gradients, 0 for a skipped family) for logging and linearity checks.
     """
     if not len(terminal) == len(step_groups) == len(rngs):
         raise ContractViolation("one terminal group, step group list and generator per prompt")
     if loss_cfg.kl_beta > 0 and ref_params is None:
         raise ContractViolation("kl_beta > 0 requires reference parameters")
-    every_parts = _prompt_parts(
-        params, old_params, ref_params, loss_cfg, surr_cfg, rngs,
-        [g if loss_cfg.alpha_term > 0 and len(g.targets) else None for g in terminal],
-        [groups if loss_cfg.alpha_step > 0 else [] for groups in step_groups],
-        [g if loss_cfg.kl_beta > 0 else None for g in terminal],
-        counters=counters,
+    jobs = []  # (prompt, family, loss group, pattern sets), prompt by prompt
+    for b, (term, groups) in enumerate(zip(terminal, step_groups)):
+        if term is not None and loss_cfg.alpha_term > 0 and len(term.targets):
+            jobs.append((b, "terminal", term, len(term.targets)))
+        if loss_cfg.alpha_step > 0:
+            jobs += [(b, "step", group, 1) for group in groups]
+        if term is not None and loss_cfg.kl_beta > 0:
+            jobs.append((b, "kl", term, 1))
+    positions = [job[2].positions for job in jobs]
+    feats = group_features(
+        params.arch, [job[2].tokens for job in jobs], positions, surr_cfg,
+        [rngs[job[0]] for job in jobs], n_sets=[job[3] for job in jobs],
     )
+    other = {"terminal": old_params, "step": old_params, "kl": ref_params}
+    grids = _group_grids(
+        params, positions, feats, [(other[job[1]], job[1]) for job in jobs], counters=counters
+    )
+    per_family = []
+    for kind in _FAMILIES:
+        mine = [i for i, job in enumerate(jobs) if job[1] == kind]
+        scored = ([], np.zeros((0, params.dim)))
+        if mine and kind == "kl":
+            scored = _kl_and_grad(params, [grids[i] for i in mine])
+        elif mine:
+            scored = _group_loss_and_grad(
+                params, [jobs[i][2] for i in mine], [grids[i] for i in mine], loss_cfg,
+                per_member_sets=kind == "terminal",
+            )
+        counts = [sum(jobs[i][0] == b for i in mine) for b in range(len(rngs))]
+        per_family.append(_sums(*scored, counts))
     out = []
-    for parts in every_parts:
+    for term, step, kl in zip(*per_family):
+        parts = {
+            "loss_term": term[0], "loss_step": step[0], "kl": kl[0],
+            "grad_term": term[1], "grad_step": step[1], "grad_kl": kl[1],
+        }
         loss = (
             loss_cfg.alpha_term * parts["loss_term"]
             + loss_cfg.alpha_step * parts["loss_step"]

@@ -230,6 +230,8 @@ def group_features(
     if len(positions) != len(rngs):
         raise ContractViolation(f"{len(positions)} position lists for {len(rngs)} groups")
     n_sets = [1] * len(rngs) if n_sets is None else n_sets
+    if len(n_sets) != len(rngs):
+        raise ContractViolation(f"{len(n_sets)} pattern-set counts for {len(rngs)} groups")
     masks, counts = [], []
     for rng, n in zip(rngs, n_sets, strict=True):
         masks += [draw_patterns(arch.prompt_len, cfg, rng) for _ in range(n)]

@@ -24,10 +24,11 @@ optimization target).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class SudokuInstance:
         if not 1 <= n_empty <= 12:
             raise ConfigurationError("n_empty must lie in 1..12 for unique 4x4 puzzles")
         for _ in range(64):
-            solution = _random_solution(rng)
+            solution = next(_solutions((0,) * 16, rng))
             cells = list(solution)
             removed = 0
             for idx in rng.permutation(16):
@@ -179,48 +180,32 @@ def _can_place(cells: list[int], idx: int, digit: int) -> bool:
     return True
 
 
-def _random_solution(rng: np.random.Generator) -> tuple[int, ...]:
-    cells = [0] * 16
+def _solutions(
+    grid: tuple[int, ...], rng: np.random.Generator | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The completions of ``grid`` (0 = empty), by depth-first search over its
+    empty cells; with ``rng``, each cell visit tries the digits in a fresh
+    random order, else in order 1..4."""
+    cells = list(grid)
+    empty = [i for i, v in enumerate(cells) if v == 0]
 
-    def backtrack(idx: int) -> bool:
-        if idx == 16:
-            return True
-        for digit in rng.permutation([1, 2, 3, 4]):
-            d = int(digit)
-            if _can_place(cells, idx, d):
-                cells[idx] = d
-                if backtrack(idx + 1):
-                    return True
-                cells[idx] = 0
-        return False
+    def fill(k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(empty):
+            yield tuple(cells)
+            return
+        idx = empty[k]
+        for digit in (1, 2, 3, 4) if rng is None else rng.permutation([1, 2, 3, 4]).tolist():
+            if _can_place(cells, idx, digit):
+                cells[idx] = digit
+                yield from fill(k + 1)
+        cells[idx] = 0
 
-    assert backtrack(0), "a 4x4 grid is always completable"
-    return tuple(cells)
+    return fill(0)
 
 
 def count_solutions(grid: tuple[int, ...], cap: int = 2) -> int:
     """Number of completions of ``grid`` (0 = empty), counted up to ``cap``."""
-    cells = list(grid)
-    empty = [i for i, v in enumerate(cells) if v == 0]
-    found = 0
-
-    def backtrack(k: int) -> bool:
-        nonlocal found
-        if k == len(empty):
-            found += 1
-            return found >= cap
-        idx = empty[k]
-        for digit in (1, 2, 3, 4):
-            if _can_place(cells, idx, digit):
-                cells[idx] = digit
-                if backtrack(k + 1):
-                    cells[idx] = 0
-                    return True
-                cells[idx] = 0
-        return False
-
-    backtrack(0)
-    return found
+    return sum(1 for _ in itertools.islice(_solutions(grid), cap))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import shutil
 import tempfile
 import typing
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,10 @@ class OptimizerConfig:
                 raise ConfigurationError(f"optimizer.{name} must be in [0, 1), got {value}")
         if not self.eps > 0:
             raise ConfigurationError(f"optimizer.eps must be > 0, got {self.eps}")
+        if not self.weight_decay >= 0:
+            raise ConfigurationError(
+                f"optimizer.weight_decay must be >= 0, got {self.weight_decay}"
+            )
 
 
 @dataclass(frozen=True)
@@ -147,19 +151,12 @@ class RunConfig:
         return LossConfig(self.alpha_step, self.alpha_term, self.clip_eps, self.kl_beta)
 
 
-_SECTION_TYPES = {
-    "sampler": SamplerConfig,
-    "surrogate": SurrogateConfig,
-    "optimizer": OptimizerConfig,
-    "policy": PolicyConfig,
-}
-
-
 def _check_type(name: str, hint, value) -> None:
     """Reject ``value`` unless it fits the field type ``hint``.
 
     Ints stand in for floats, but neither floats nor bools stand in for
-    ints, and only bools are bools.
+    ints, and only bools are bools.  A float must be finite: JSON's
+    ``NaN`` and ``Infinity`` and a ``nan`` flag parse, but no field takes them.
     """
     allowed = typing.get_args(hint) or (hint,)
     if isinstance(value, bool):
@@ -171,6 +168,8 @@ def _check_type(name: str, hint, value) -> None:
     if not ok:
         expected = " | ".join(t.__name__ for t in allowed)
         raise ConfigurationError(f"config key {name!r} must be {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"config key {name!r} must be finite, got {value!r}")
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -182,8 +181,8 @@ def config_from_dict(d: dict) -> RunConfig:
     for key, value in d.items():
         if key not in hints:
             raise ConfigurationError(f"unknown config key {key!r}")
-        if key in _SECTION_TYPES:
-            cls = _SECTION_TYPES[key]
+        cls = hints[key]
+        if is_dataclass(cls):
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config section {key!r} must be an object")
             section_hints = typing.get_type_hints(cls)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -343,6 +344,26 @@ BAD_SETTINGS = {
     "negative-init-scale": (
         {"policy": {"init_scale": -0.1}}, [], "policy.init_scale must be >= 0, got -0.1",
         RUN_COMMANDS,
+    ),
+    # JSON's NaN and Infinity literals and a "nan" flag parse as floats
+    "alpha-step-nan": (
+        {"alpha_step": math.nan}, [], "'alpha_step' must be finite, got nan", RUN_COMMANDS
+    ),
+    "alpha-step-flag-nan": (
+        {}, ["--alpha-step", "nan"], "'alpha_step' must be finite, got nan", RUN_COMMANDS
+    ),
+    "kl-beta-nan": ({"kl_beta": math.nan}, [], "'kl_beta' must be finite, got nan", RUN_COMMANDS),
+    "optimizer-lr-infinity": (
+        {"optimizer": {"lr": math.inf}}, [], "'optimizer.lr' must be finite, got inf",
+        RUN_COMMANDS,
+    ),
+    "optimizer-grad-clip-nan": (
+        {"optimizer": {"grad_clip": math.nan}}, [], "'optimizer.grad_clip' must be finite, got nan",
+        RUN_COMMANDS,
+    ),
+    "negative-weight-decay": (
+        {"optimizer": {"weight_decay": -0.5}}, [],
+        "optimizer.weight_decay must be >= 0, got -0.5", RUN_COMMANDS,
     ),
 }
 BAD_SETTING_RUNS = [

@@ -260,6 +260,37 @@ def test_zero_weight_families_consume_nothing():
     assert aggregate_step_loss([], params, params, NOCLIP, uniform, rng)[0] == 0.0
 
 
+def test_a_prompt_without_a_rollout_group_has_only_its_step_family():
+    # terminal[b] = None: no terminal and no KL family, whatever their weights
+    params = init_params(ARCH, stream(9, "p"), scale=0.5)
+    old = init_params(ARCH, stream(9, "old"), scale=0.5)
+    ref = init_params(ARCH, stream(9, "ref"), scale=0.5)
+    groups = [
+        (mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)]),
+        (mid_state(), [((1, 1), 0.5), ((0, 2), 0.0), ((2, 2), 1.0)]),
+    ]
+    steps = [[loss_group(ARCH, state, members) for state, members in groups]]
+    uniform = SurrogateConfig(n_mc=2, ratio_law="uniform")
+    runs = []
+    for cfg in (LossConfig(alpha_step=0.3, alpha_term=0.7, kl_beta=0.05), LossConfig(0.3, 0.0)):
+        rng, counters = stream(9, "rng"), OpCounters()
+        ((loss, _, parts),) = combined_loss(
+            [None], steps, params, old, ref, cfg, uniform, [rng], counters=counters
+        )
+        runs.append((counters, rng.bit_generator.state, loss, parts))
+    # the weighted call drew and ran exactly what the step-only call did
+    assert runs[0][:2] == runs[1][:2] and runs[0][0].surrogate_step_calls > 0
+    assert runs[0][0].surrogate_terminal_calls == runs[0][0].surrogate_kl_calls == 0
+    loss, parts = runs[0][2:]
+    assert (parts["loss_term"], parts["kl"]) == (0.0, 0.0)
+    assert loss == 0.3 * parts["loss_step"]
+    step, step_grad = aggregate_step_loss(
+        groups, params, old, LossConfig(), uniform, stream(9, "rng")
+    )
+    assert parts["loss_step"] == step
+    assert parts["grad_step"].tobytes() == step_grad.tobytes()
+
+
 @pytest.mark.parametrize("law", ["uniform", 0.5])
 def test_corruption_without_a_generator_is_a_named_error(law):
     params = init_params(ARCH, stream(10, "p"), scale=0.5)

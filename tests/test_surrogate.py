@@ -73,6 +73,8 @@ def test_group_features_checks_its_counts_before_drawing():
         group_features(ARCH, [context], [mask, mask], cfg, [rng, rng])
     with pytest.raises(ContractViolation, match="1 position lists for 2 groups"):
         group_features(ARCH, [context, context], [mask], cfg, [rng, rng])
+    with pytest.raises(ContractViolation, match="1 pattern-set counts for 2 groups"):
+        group_features(ARCH, [context, context], [mask, mask], cfg, [rng, rng], n_sets=[1])
     assert rng.bit_generator.state == before
     feats = group_features(ARCH, [context, context], [mask, (0, 1, 2)], cfg, [rng, rng])
     assert [f.shape[:2] for f in feats] == [(2, 2), (2, 3)]
