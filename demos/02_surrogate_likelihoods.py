@@ -1,6 +1,7 @@
 """One-step surrogate likelihoods: exactness without corruption, averaging with it.
 
-A joint mask filling is scored by re-masking the scored positions and
+A state is its context token row, the prompt then the completion.  A
+joint mask filling is scored by re-masking the scored positions and
 running a single forward pass.  With prompt corruption disabled that
 score IS the policy's factorized action log-probability.  With
 corruption on, the score averages over masked-prompt patterns, drawn as
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from dispo.policy import LinearArch, action_logprob, init_params
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -35,9 +36,8 @@ def main() -> None:
     arch = LinearArch(vocab, prompt_len=3, completion_len=4, window=2)
     params = init_params(arch, stream(args.seed, "demo-params"), scale=0.5)
 
-    prompt = MaskedSequence((0, 2, 1), vocab)
-    completion = MaskedSequence((1, vocab.mask_id, vocab.mask_id, 0), vocab)
-    state = DiffusionState(prompt, completion)
+    mid = vocab.mask_id
+    state = np.array([0, 2, 1, 1, mid, mid, 0])  # prompt (0, 2, 1), completion (1, _, _, 0)
     action = (2, 0)  # one token per masked position: 1 -> 2, 2 -> 0
 
     exact, per_pos = action_logprob(params, state, action)
@@ -55,7 +55,7 @@ def main() -> None:
 
     surrogate_on = state_surrogate_logprob(params, state, action, cfg, pattern_rng())
     print("\ncorruption on (4 masked-prompt patterns):")
-    for i, mask in enumerate(draw_patterns(prompt.length, cfg, pattern_rng())):
+    for i, mask in enumerate(draw_patterns(arch.prompt_len, cfg, pattern_rng())):
         hidden = tuple(int(p) for p in np.flatnonzero(mask))
         print(f"  pattern {i}: hidden prompt positions {hidden}")
     print(f"  pattern-averaged surrogate {surrogate_on:+.12f}")

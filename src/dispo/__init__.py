@@ -29,13 +29,7 @@ from .policy import (
     save_policy,
 )
 from .rollout import Trajectory, UnmaskSchedule, branch, rollout
-from .sequences import (
-    DiffusionState,
-    MaskedSequence,
-    Vocab,
-    enumerate_actions,
-    fill,
-)
+from .sequences import MaskedSequence, Vocab, enumerate_actions, fill
 from .streams import stream
 from .surrogate import (
     SurrogateConfig,
@@ -62,7 +56,6 @@ from .verify import (
     WeightedStates,
     bootstrap_ci,
     build_oracle_problem,
-    exact_step_gradient,
     perturb_params,
     prop1_check,
     prop2_check,
@@ -76,7 +69,6 @@ __all__ = [
     "__version__",
     "ConfigurationError",
     "ContractViolation",
-    "DiffusionState",
     "DivergenceError",
     "EvalResult",
     "LinearArch",
@@ -109,7 +101,6 @@ __all__ = [
     "count_ops",
     "enumerate_actions",
     "evaluate",
-    "exact_step_gradient",
     "fill",
     "first_violation_time",
     "init_params",

@@ -5,8 +5,9 @@ from ``train`` to the loss kernel: the state's context token row (the
 prompt, then its completion), the completion positions it scores, its
 members' ``(Z, n)`` target tokens and their ``(Z,)`` rewards.  The
 public one-group and one-prompt losses take ``(state, members)`` pairs,
-members being ``(action, reward)``, and convert them at the edge with
-``loss_group``; that form feeds the same kernel.  The members share a
+a state being its context row and members ``(action, reward)``, and
+convert them at the edge with ``loss_group``, which checks the row once;
+that form feeds the same kernel.  The members share a
 mean-reward baseline, so each member's advantage is its reward minus the
 group mean (advantages sum to zero); the kernel is the one place that
 computes it.  Two loss granularities exist:
@@ -61,7 +62,7 @@ import numpy as np
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
 from .policy import PolicyParams, backprop, log_softmax, score_dlogits
-from .sequences import Action, DiffusionState, MaskedSequence
+from .sequences import Action, MaskedSequence
 from .surrogate import (
     LossGroup,
     SurrogateConfig,
@@ -255,7 +256,7 @@ def _only(weight: str, clip_eps: float | None = None) -> LossConfig:
 
 
 def step_loss(
-    state: DiffusionState,
+    state: np.ndarray,
     branches: list[tuple[Action, float]],
     params: PolicyParams,
     old_params: PolicyParams,
@@ -267,7 +268,7 @@ def step_loss(
     scope: str = "action",
     grids: Grids | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Clipped group loss for a branch group at one intermediate state.
+    """Clipped group loss for a branch group at one intermediate state, a context row.
 
     ``branches`` pairs each sampled fill action with its terminal reward.
     One pattern set serves the whole group, so the surrogate cost is one
@@ -289,7 +290,7 @@ def step_loss(
 
 
 def aggregate_step_loss(
-    groups: Sequence[tuple[DiffusionState, Sequence[tuple[Action, float]]]],
+    groups: Sequence[tuple[np.ndarray, Sequence[tuple[Action, float]]]],
     params: PolicyParams,
     old_params: PolicyParams,
     loss_cfg: LossConfig,
@@ -344,13 +345,14 @@ def terminal_loss(
 def kl_penalty(
     params: PolicyParams,
     ref_params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     surr_cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
     counters: OpCounters | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Exact categorical KL to the reference policy at ``state``, with its gradient.
+    """Exact categorical KL to the reference policy at the context row ``state``,
+    with its gradient.
 
     Average over shared corruption patterns of the sum over the state's
     masked positions of KL(current row || reference row).  Value is 0 at

@@ -2,10 +2,14 @@
 
 A policy maps a denoising state to one independent categorical
 distribution per requested completion position, through logits computed
-from a hand-built feature vector.  Two parameterizations are provided: a
-linear softmax over the features (the default; gradients are exact outer
-products) and a small one-hidden-layer tanh network with hand-derived
-backprop, kept around to confirm results do not hinge on linearity.
+from a hand-built feature vector.  A state is its context token row, the
+prompt then the completion, ``(prompt_len + completion_len,)`` integers;
+``check_state`` checks one against an architecture, and
+``mask_positions`` reads its masked completion positions.  Two
+parameterizations are provided: a linear softmax over the features (the
+default; gradients are exact outer products) and a small one-hidden-layer
+tanh network with hand-derived backprop, kept around to confirm results do
+not hinge on linearity.
 
 Feature vector for completion position i:
 
@@ -40,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, read_json
-from .sequences import Action, DiffusionState, MaskedSequence, Vocab, check_action
+from .sequences import Action, MaskedSequence, Vocab, check_action
 
 
 @dataclass(frozen=True)
@@ -206,23 +210,39 @@ def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
             f"prompt length {prompt.length} != architecture prompt_len {arch.prompt_len}"
         )
     if prompt.vocab is not arch.vocab and prompt.vocab != arch.vocab:
-        raise ConfigurationError("state vocab differs from architecture vocab")
+        raise ConfigurationError("prompt vocab differs from architecture vocab")
 
 
-def _check_state(arch: Arch, state: DiffusionState) -> None:
-    _check_prompt(arch, state.prompt)
-    if state.completion.length != arch.completion_len:
+def check_state(arch: Arch, state) -> np.ndarray:
+    """The context row ``state``, the prompt then the completion, checked against
+    ``arch`` (its shape, its dtype and its tokens), as a read-only intp view:
+    the row itself when it is one already."""
+    row = np.asarray(state)
+    width = arch.prompt_len + arch.completion_len
+    if row.shape != (width,):
         raise ConfigurationError(
-            f"completion length {state.completion.length} != architecture completion_len "
-            f"{arch.completion_len}"
+            f"state row of shape {row.shape} does not fit the architecture: expected ({width},)"
         )
+    if row.dtype.kind not in "iu":
+        raise ContractViolation(f"state row must hold integer tokens, got dtype {row.dtype}")
+    row = row.astype(np.intp, copy=False)
+    v = arch.vocab
+    # as unsigned, a negative token reads as a huge one: one reduction checks the range
+    if row.view(np.uintp).max() > v.mask_id:
+        tok = next(t for t in row.tolist() if not 0 <= t <= v.mask_id)
+        raise ContractViolation(f"token {tok} outside vocab (size {v.size}, mask {v.mask_id})")
+    if row.flags.writeable:  # a read-only row is its own view
+        row = row.view()
+        row.setflags(write=False)
+    return row
 
 
-def state_tokens(arch: Arch, state: DiffusionState) -> np.ndarray:
-    """``state``'s context, prompt then completion, as a read-only int array (checked
-    against ``arch``)."""
-    _check_state(arch, state)
-    return state.tokens()
+def mask_positions(arch: Arch, state: np.ndarray) -> tuple[int, ...]:
+    """The masked completion positions of the context row ``state``, in order.
+
+    The row is read as given: pass it through ``check_state`` first.
+    """
+    return tuple((state[arch.prompt_len :] == arch.vocab.mask_id).nonzero()[0].tolist())
 
 
 def _features(arch: Arch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -278,23 +298,24 @@ def _unpack_mlp(arch: MlpArch, theta: np.ndarray):
 
 def rows_context(
     params: PolicyParams,
-    state: DiffusionState | None,
+    state: np.ndarray | None,
     positions: tuple[int, ...] | None = None,
     *,
     feats: np.ndarray | None = None,
 ) -> RowsContext:
     """Compute logits rows (and backprop activations) for ``positions``.
 
-    Defaults to the completion's mask set.  ``feats`` passes the rows'
-    features when a caller has computed them for a batch of states in one
-    ``_features`` pass; ``positions`` must then be given, and ``state`` is
-    not read.  One call here is one policy forward pass for accounting
-    purposes; the rows are left unnormalized (see ``RowsContext.logp``).
+    ``state`` is a context row (see ``check_state``); ``positions``
+    defaults to its mask set.  ``feats`` passes the rows' features when a
+    caller has computed them for a batch of states in one ``_features``
+    pass; ``positions`` must then be given, and ``state`` is not read.
+    One call here is one policy forward pass for accounting purposes; the
+    rows are left unnormalized (see ``RowsContext.logp``).
     """
     arch = params.arch
     if feats is None:
-        tokens = state_tokens(arch, state)
-        positions = state.completion.mask_positions() if positions is None else positions
+        tokens = check_state(arch, state)
+        positions = mask_positions(arch, tokens) if positions is None else positions
         positions = tuple(map(int, positions))
         feats = _features(arch, tokens[None], np.array(positions, dtype=np.intp)[None])[0]
     elif positions is None:
@@ -343,17 +364,19 @@ def backprop(
 
 
 def action_logprob(
-    params: PolicyParams, state: DiffusionState, action: Action
+    params: PolicyParams, state: np.ndarray, action: Action
 ) -> tuple[float, dict[int, float]]:
-    """Joint log-probability of a fill action, with per-position terms.
+    """Joint log-probability of a fill action at the context row ``state``,
+    with per-position terms.
 
     The joint factorizes over masked positions; total <= 0 always.
     """
-    check_action(state, action)
     ctx = rows_context(params, state)
+    check_action(len(ctx.positions), params.arch.vocab, [action])
     per_pos: dict[int, float] = {}
     total = 0.0
-    for r, (pos, tok) in enumerate(zip(ctx.positions, action)):
+    tokens = np.asarray(action, dtype=np.intp).tolist()
+    for r, (pos, tok) in enumerate(zip(ctx.positions, tokens)):
         lp = float(ctx.logp[r, tok])
         per_pos[pos] = lp
         total += lp

@@ -31,7 +31,7 @@ import numpy as np
 from .counters import OpCounters
 from .errors import ConfigurationError, ContractViolation
 from .policy import PolicyParams, _check_prompt, _features, inverse_cdf, log_softmax, rows_context
-from .sequences import DiffusionState, MaskedSequence, Vocab, fill
+from .sequences import MaskedSequence, Vocab, fill
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,14 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.positions)
 
-    def state_at(self, t: int) -> DiffusionState:
-        """State x_t for t in 1..T, or the terminal state at t = T+1, built on demand."""
+    def state_at(self, t: int) -> np.ndarray:
+        """State x_t for t in 1..T, or the terminal state at t = T+1, as its read-only
+        context row (the prompt, then the completion), built on demand."""
         if not 1 <= t <= self.n_steps + 1:
             raise ContractViolation(f"step index {t} outside 1..{self.n_steps + 1}")
-        return DiffusionState(self.prompt, MaskedSequence(self.states[t - 1], self.prompt.vocab))
+        row = np.concatenate([np.array(self.prompt.tokens, dtype=np.intp), self.states[t - 1]])
+        row.setflags(write=False)
+        return row
 
     def final_completion(self) -> np.ndarray:
         return self.states[-1]

@@ -1,15 +1,16 @@
 """Token-sequence domain types.
 
-Vocabularies, masked sequences, denoising states, and the deterministic
-fill operation.  Token ids are dense non-negative integers; the mask is
-the id one past the ordinary range.  A fill action is a plain tuple of
-tokens, one per masked position in position order.  ``fill`` writes
-batches of actions into the masked positions of completion-token rows,
-any number of rows in one array pass, and returns the completion-token
-arrays, the one completion form from rollout to reward; ``fill(state,
-actions)`` is its one-state call.  The sequence and state types serve
-the API edge.  They are immutable value objects, safe to share and to
-use as dict keys.
+Vocabularies, masked sequences, and the deterministic fill operation.
+Token ids are dense non-negative integers; the mask is the id one past
+the ordinary range.  A denoising state is its context token row, the
+prompt then the completion (``policy.check_state`` checks one against
+an architecture); a ``MaskedSequence`` is the prompt type of the API
+edge, an immutable value object, safe to share and to use as a dict
+key.  A fill action is a plain tuple of tokens, one per masked position
+in position order.  ``fill`` writes batches of actions into the masked
+positions of completion-token rows, any number of rows in one array
+pass, and returns the completion-token arrays, the one completion form
+from rollout to reward.
 """
 
 from __future__ import annotations
@@ -59,66 +60,20 @@ class MaskedSequence:
             v = self.vocab
             raise ContractViolation(f"token {tok} outside vocab (size {v.size}, mask {v.mask_id})")
 
-    @classmethod
-    def masked(cls, length: int, vocab: Vocab) -> "MaskedSequence":
-        """A fully masked sequence of the given length."""
-        if length < 1:
-            raise ContractViolation(f"length must be >= 1, got {length}")
-        return cls((vocab.mask_id,) * length, vocab)
-
     @property
     def length(self) -> int:
         return len(self.tokens)
 
-    def mask_positions(self) -> tuple[int, ...]:
-        # scanned once, on first use; an instance attribute, not a field, so
-        # it stays out of ==, hash and repr
-        cached = self.__dict__.get("_mask_positions")
-        if cached is None:
-            mid = self.vocab.mask_id
-            cached = tuple(i for i, t in enumerate(self.tokens) if t == mid)
-            object.__setattr__(self, "_mask_positions", cached)
-        return cached
 
-
-# A fill action at a state: one ordinary token per position of
-# ``state.completion.mask_positions()``, in that order.  The state knows the
-# positions, so the action carries only the tokens.
+# A fill action at a state: one ordinary token per masked completion position
+# (``policy.mask_positions``), in that order.  The state knows the positions,
+# so the action carries only the tokens.
 Action = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DiffusionState:
-    """A (prompt, partially masked completion) pair mid-denoising."""
-
-    prompt: MaskedSequence
-    completion: MaskedSequence
-
-    def __post_init__(self) -> None:
-        if self.prompt.vocab != self.completion.vocab:
-            raise ContractViolation("prompt and completion must share a vocab")
-
-    @property
-    def vocab(self) -> Vocab:
-        return self.prompt.vocab
-
-    def tokens(self) -> np.ndarray:
-        """The context, prompt then completion, as a read-only int array (built once)."""
-        cached = self.__dict__.get("_tokens")  # like ``mask_positions``: out of ==, hash, repr
-        if cached is None:
-            cached = np.array(self.prompt.tokens + self.completion.tokens, dtype=np.intp)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_tokens", cached)
-        return cached
-
-
-def check_action(state: DiffusionState, *actions: Action) -> None:
-    """Require each action to hold one ordinary token per position of the mask set."""
-    _check_tokens(len(state.completion.mask_positions()), state.vocab, actions)
-
-
-def _check_tokens(n: int, vocab: Vocab, actions) -> None:
-    """``check_action`` for ``n`` positions: the first faulty action names its fault."""
+def check_action(n: int, vocab: Vocab, actions) -> None:
+    """Require each action to hold one ordinary token per position of an
+    ``n``-position mask set; the first faulty action names its fault."""
     ordinary = vocab.ordinary
     for action in actions:
         if len(action) != n:
@@ -130,25 +85,15 @@ def _check_tokens(n: int, vocab: Vocab, actions) -> None:
             raise ContractViolation(f"action token {tok} is not an ordinary token")
 
 
-def fill(rows, actions, vocab: Vocab | None = None) -> np.ndarray:
+def fill(rows, actions, vocab: Vocab) -> np.ndarray:
     """Completions of masked completion rows by fill actions, in one array pass.
 
     ``rows`` is ``(S, L)`` completion tokens over ``vocab`` and
     ``actions[i]`` is an ``(N, m_i)`` block, one token per masked position
     of row ``i`` in position order; the result is ``(S, N, L)``: row ``i``
-    with each of its actions written in, its visible positions kept.
-    ``fill(state, actions)`` is the one-state call: ``(N, m)`` actions
-    give ``(N, L)`` completions.  A faulty block raises ``check_action``'s
-    message for the first faulty row.
+    with each of its actions written in, its visible positions kept.  A
+    faulty block raises ``check_action``'s message for the first faulty row.
     """
-    state = rows if isinstance(rows, DiffusionState) else None
-    if state is not None:
-        acts = np.asarray(actions)
-        if acts.ndim != 2:
-            raise ContractViolation(f"actions must be an (N, m) array, got shape {acts.shape}")
-        rows, actions, vocab = state.tokens()[None, state.prompt.length :], [acts], state.vocab
-    elif vocab is None:
-        raise ContractViolation("fill on completion rows needs their vocab")
     rows = np.asarray(rows, dtype=np.intp)
     masked = rows == vocab.mask_id
     counts = masked.sum(axis=1).tolist()
@@ -165,21 +110,19 @@ def fill(rows, actions, vocab: Vocab | None = None) -> np.ndarray:
             if a.ndim != 2 or len(a) != n:
                 raise ContractViolation(f"every row needs an (N, m) block of {n} actions")
             # an empty block, by a row of its width
-            _check_tokens(m, vocab, a.tolist() or [[0] * a.shape[1]])
+            check_action(m, vocab, a.tolist() or [[0] * a.shape[1]])
     out = np.repeat(rows[:, None], n, axis=1)
     out[np.repeat(masked[:, None], n, axis=1)] = flat  # row, then action, then position order
-    return out if state is None else out[0]
+    return out
 
 
-def enumerate_actions(state: DiffusionState, limit: int = 100_000) -> Iterator[Action]:
-    """Every joint action for ``state``'s mask set, lexicographically.
+def enumerate_actions(n: int, vocab: Vocab, limit: int = 100_000) -> Iterator[Action]:
+    """Every joint action for an ``n``-position mask set over ``vocab``, lexicographically.
 
     Refuses action spaces larger than ``limit`` (meant for oracle-scale
     enumeration only).
     """
-    n = len(state.completion.mask_positions())
-    v = state.vocab.size
-    total = v ** n
+    total = vocab.size ** n
     if total > limit:
         raise ContractViolation(f"action space of size {total} exceeds enumeration limit {limit}")
-    return itertools.product(range(v), repeat=n)
+    return itertools.product(range(vocab.size), repeat=n)

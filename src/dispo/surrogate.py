@@ -9,19 +9,20 @@ log-probabilities of the actual tokens.  Averaging over ``n_mc`` i.i.d.
 corruption patterns gives the estimator; with corruption disabled it is
 deterministic and equals the policy's factorized action log-probability.
 
-One API scores a fill action (one token per masked position, in order)
-at a state, summing over the currently masked positions
-(``state_surrogate_logprob``/``state_surrogate_grad``).  A full
-completion's tokens are the action at the fully masked state
+A state is its context token row, the prompt then the completion (see
+``policy.check_state``).  One API scores a fill action (one token per
+masked position, in order) at a state, summing over the currently masked
+positions (``state_surrogate_logprob``/``state_surrogate_grad``).  A full
+completion's tokens are the action at the fully masked state, the row
 ``full_mask_state(prompt, L)``: the terminal ratios are this fixed-state
 score at the fully masked state.
 
-A loss group's array form is a ``LossGroup``: the context token row
-(prompt, then the state's completion), the scored completion positions,
-the members' ``(Z, n)`` target tokens and their ``(Z,)`` rewards.
-``loss_group`` builds it from a ``(state, members)`` pair at the API
-edge; ``target_stacks`` checks every group of a list in one array pass
-per targets shape, with ``check_action``'s messages.
+A loss group's array form is a ``LossGroup``: the state's row, the
+scored completion positions, the members' ``(Z, n)`` target tokens and
+their ``(Z,)`` rewards.  ``loss_group`` builds it from a state row and
+its ``(action, reward)`` members at the API edge, checking the row once;
+``target_stacks`` checks every group of a list in one array pass per
+targets shape, with ``check_action``'s messages.
 
 Patterns are always shared: ``group_features`` draws a group's patterns
 and featurizes its corrupted copies once, and the current, old and
@@ -47,19 +48,12 @@ from .policy import (
     RowsContext,
     _features,
     backprop,
+    check_state,
+    mask_positions,
     rows_context,
     score_dlogits,
-    state_tokens,
 )
-from .sequences import (
-    Action,
-    DiffusionState,
-    MaskedSequence,
-    Vocab,
-    _check_tokens,
-    check_action,
-    fill,
-)
+from .sequences import Action, MaskedSequence, Vocab, check_action, fill
 
 RatioLaw = str | float
 
@@ -117,16 +111,20 @@ def draw_patterns(
     return rng.random((cfg.n_mc, prompt_len)) < float(law)
 
 
-def full_mask_state(prompt: MaskedSequence, completion_len: int) -> DiffusionState:
-    return DiffusionState(prompt, MaskedSequence.masked(completion_len, prompt.vocab))
+def full_mask_state(prompt: MaskedSequence, completion_len: int) -> np.ndarray:
+    """The context row of ``prompt`` with a fully masked completion, read-only."""
+    row = np.array(prompt.tokens + (prompt.vocab.mask_id,) * completion_len, dtype=np.intp)
+    row.setflags(write=False)
+    return row
 
 
-def scored_positions(state: DiffusionState, scope: str = "action") -> tuple[int, ...]:
-    """Completion positions a surrogate scores at ``state``: the mask set, or all of them."""
+def scored_positions(arch: Arch, state: np.ndarray, scope: str = "action") -> tuple[int, ...]:
+    """Completion positions a surrogate scores at the context row ``state``
+    (checked): the mask set, or all of them."""
     if scope == "action":
-        return state.completion.mask_positions()
+        return mask_positions(arch, check_state(arch, state))
     if scope == "all":
-        return tuple(range(state.completion.length))
+        return tuple(range(arch.completion_len))
     raise ContractViolation(f"unknown scope {scope!r}")
 
 
@@ -137,12 +135,13 @@ def stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 def loss_group(
     arch: Arch,
-    state: DiffusionState,
+    state: np.ndarray,
     members: Sequence[tuple[Action, float]] = (),
     scope: str = "action",
 ) -> LossGroup:
-    """The ``LossGroup`` of ``state`` (checked against ``arch``) and its members'
-    ``(action, reward)`` pairs, the API edge of the array form.
+    """The ``LossGroup`` of the context row ``state`` (checked against
+    ``arch``) and its members' ``(action, reward)`` pairs, the API edge of
+    the array form.
 
     ``scope="action"`` scores the masked positions against the actions;
     ``scope="all"`` scores every position of each filled completion (a
@@ -152,21 +151,24 @@ def loss_group(
     here; the token range is checked where the group is scored
     (``target_stacks``).
     """
-    positions = scored_positions(state, scope)
+    row = check_state(arch, state)
+    masked = mask_positions(arch, row)  # the mask set, scanned once
+    positions = masked if scope == "action" else scored_positions(arch, row, scope)
     actions = [a for a, _ in members]
-    n = len(state.completion.mask_positions())
+    n = len(masked)
     try:
         targets = np.array(actions)
     except ValueError:  # ragged: some action has the wrong width
         targets = None
     if targets is None or targets.shape != (len(actions), n) or targets.dtype != np.intp:
         if actions:
-            check_action(state, *actions)  # names the first faulty member; integral floats pass
+            # names the first faulty member; integral floats pass
+            check_action(n, arch.vocab, actions)
         targets = np.array(actions, dtype=np.intp).reshape(len(actions), n)
     if scope == "all":
-        targets = fill(state, targets)
+        (targets,) = fill(row[None, arch.prompt_len :], [targets], arch.vocab)
     rewards = np.array([r for _, r in members], dtype=np.float64)
-    return LossGroup(state_tokens(arch, state), positions, targets, rewards)
+    return LossGroup(row, positions, targets, rewards)
 
 
 def target_stacks(
@@ -196,7 +198,7 @@ def target_stacks(
             if not len(group.targets):
                 raise ContractViolation("loss group must be non-empty")
             if group.targets.ndim == 2:
-                _check_tokens(len(group.positions), vocab, group.targets.tolist())
+                check_action(len(group.positions), vocab, group.targets.tolist())
             if group.targets.dtype != np.intp or group.targets.ndim != 2:
                 break
         raise ContractViolation("a loss group's targets must be a (Z, n) array of intp tokens")
@@ -322,7 +324,7 @@ def grad_from_contexts(
 
 def _state_contexts(
     params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     action: Action,
     cfg: SurrogateConfig,
     rng: np.random.Generator | None,
@@ -336,21 +338,21 @@ def _state_contexts(
 
 def state_surrogate_logprob(
     params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     action: Action,
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,
     *,
     scope: str = "action",
 ) -> float:
-    """Surrogate log-likelihood of ``action`` at ``state`` (pattern average)."""
+    """Surrogate log-likelihood of ``action`` at the context row ``state`` (pattern average)."""
     ctxs, targets = _state_contexts(params, state, action, cfg, rng, scope)
     return float(logprob_from_contexts(ctxs, targets).mean())
 
 
 def state_surrogate_grad(
     params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     action: Action,
     cfg: SurrogateConfig,
     rng: np.random.Generator | None = None,

@@ -51,7 +51,7 @@ from .policy import (
 )
 from .rollout import UnmaskSchedule, branch, rollout
 from .streams import stream
-from .surrogate import SurrogateConfig
+from .surrogate import SurrogateConfig, full_mask_state
 from .tasks import TASKS, Task, first_violation_time, load_instances, make_task
 
 METRIC_COLUMNS = [
@@ -105,8 +105,10 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.arch not in ("linear", "mlp"):
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
-        if not self.init_scale >= 0:
+        if not self.init_scale >= 0:  # NaN fails too
             raise ConfigurationError(f"policy.init_scale must be >= 0, got {self.init_scale}")
+        if self.init_scale > 1e3:  # no config needs more than 0.5; 1e308 overflows the draws
+            raise ConfigurationError(f"policy.init_scale must be <= 1e3, got {self.init_scale}")
 
 
 @dataclass(frozen=True)
@@ -549,14 +551,12 @@ def train(
         )
         trajs = [every_traj[b * n_k : (b + 1) * n_k] for b in range(len(insts))]
         full = tuple(range(width))  # the fully masked state's positions
-        mid = task.vocab.mask_id
         terminal = []
         for inst, group in zip(insts, trajs):
             finals = np.array([traj.final_completion() for traj in group])
             rewards = inst.reward(finals)
             counters.reward_evals += len(finals)
-            context = np.array(inst.prompt.tokens + (mid,) * width, dtype=np.intp)
-            terminal.append(LossGroup(context, full, finals, rewards))
+            terminal.append(LossGroup(full_mask_state(inst.prompt, width), full, finals, rewards))
             terminal_rewards.extend(rewards.tolist())
 
         step_groups: list[list[LossGroup]] = [[] for _ in insts]

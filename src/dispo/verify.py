@@ -43,16 +43,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .objective import LossConfig, _group_grids, step_loss
-from .policy import PolicyParams, rows_context
+from .policy import PolicyParams, check_state, mask_positions, rows_context
 from .rollout import UnmaskSchedule, branch, rollout
-from .sequences import (
-    Action,
-    DiffusionState,
-    MaskedSequence,
-    Vocab,
-    enumerate_actions,
-    fill,
-)
+from .sequences import Action, MaskedSequence, Vocab, enumerate_actions, fill
 from .streams import stream
 from .surrogate import (
     SurrogateConfig,
@@ -60,7 +53,6 @@ from .surrogate import (
     grad_from_contexts,
     group_features,
     logprob_from_contexts,
-    loss_group,
     scored_positions,
 )
 from .tasks import RewardFn, StringMatchInstance, Task
@@ -112,11 +104,11 @@ def perturb_params(
     return params.replace_theta(params.theta + scale * direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # rows are arrays: compared and hashed by identity
 class WeightedStates:
-    """A fixed distribution over diffusion states (the d_t of one step)."""
+    """A fixed distribution over diffusion states, as context rows (the d_t of one step)."""
 
-    states: tuple[DiffusionState, ...]
+    states: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -155,7 +147,7 @@ class OracleProblem:
         if abs(sum(self.step_weights.values()) - 1.0) > 1e-9:
             raise ContractViolation("timestep weights must sum to 1")
 
-    def terminal_state(self) -> DiffusionState:
+    def terminal_state(self) -> np.ndarray:
         return full_mask_state(self.prompt, self.completion_len)
 
 
@@ -174,9 +166,7 @@ def build_oracle_problem(seed: int = 7) -> tuple[OracleProblem, PolicyParams]:
     completion_len = 3
     mid = vocab.mask_id
     full = full_mask_state(prompt, completion_len)
-    committed = [
-        DiffusionState(prompt, MaskedSequence((v, mid, mid), vocab)) for v in range(vocab.size)
-    ]
+    committed = [np.array(prompt.tokens + (v, mid, mid), dtype=np.intp) for v in range(vocab.size)]
     problem = OracleProblem(
         prompt=prompt,
         completion_len=completion_len,
@@ -224,11 +214,12 @@ class StateTables:
 def build_state_tables(
     params: PolicyParams,
     old_params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     reward: RewardFn,
     surr_cfg: SurrogateConfig,
 ) -> StateTables:
-    """Enumerate every joint action at ``state`` and score it under both parameter sets.
+    """Enumerate every joint action at the context row ``state`` and score it under
+    both parameter sets.
 
     Exact only when corruption is disabled: the surrogate is then a
     normalized distribution over joint actions, and both laws are checked
@@ -236,11 +227,13 @@ def build_state_tables(
     """
     if surr_cfg.corruption_enabled:
         raise ContractViolation("exact enumeration requires corruption disabled")
-    actions = tuple(enumerate_actions(state))
-    positions = state.completion.mask_positions()
+    arch = params.arch
+    row = check_state(arch, state)
+    positions = mask_positions(arch, row)
+    actions = tuple(enumerate_actions(len(positions), arch.vocab))
     targets = np.array(actions, dtype=np.intp).reshape(len(actions), len(positions))
-    grids = [rows_context(params, state, positions)] * surr_cfg.n_mc  # corruption-free: one grid
-    old_grids = [rows_context(old_params, state, positions)] * surr_cfg.n_mc
+    grids = [rows_context(params, row, positions)] * surr_cfg.n_mc  # corruption-free: one grid
+    old_grids = [rows_context(old_params, row, positions)] * surr_cfg.n_mc
     logp_new = logprob_from_contexts(grids, targets).mean(axis=1)
     logp_old = logprob_from_contexts(old_grids, targets).mean(axis=1)
     probs, probs_old = np.exp(logp_new), np.exp(logp_old)
@@ -252,18 +245,8 @@ def build_state_tables(
         probs=probs,
         probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
         ratios=np.exp(logp_new - logp_old),
-        rewards=reward(fill(state, targets)),
+        rewards=reward(fill(row[None, arch.prompt_len :], [targets], arch.vocab)[0]),
         grads=grad_from_contexts(params, grids, targets),
-    )
-
-
-def exact_step_gradient(
-    params: PolicyParams, weighted: WeightedStates, reward: RewardFn, surr_cfg: SurrogateConfig
-) -> np.ndarray:
-    """grad J_t by full enumeration: sum_s w(s) sum_a p(a|s) R(s,a) grad log p(a|s)."""
-    return sum(
-        w * build_state_tables(params, params, s, reward, surr_cfg).reward_gradient()
-        for s, w in zip(weighted.states, weighted.weights)
     )
 
 
@@ -570,7 +553,7 @@ class Prop2Report(_Report):
 
 def prop2_check(
     params: PolicyParams,
-    state: DiffusionState,
+    state: np.ndarray,
     reward: RewardFn,
     surr_cfg: SurrogateConfig,
     group_sizes: tuple[int, ...] = (1, 2, 4, 8),
@@ -705,11 +688,11 @@ VARIANCE_CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # rows are arrays: compared and hashed by identity
 class CandidateState:
-    """A state harvested from a rollout, with its instance's reward."""
+    """A state harvested from a rollout, as its context row, with its instance's reward."""
 
-    state: DiffusionState
+    state: np.ndarray
     reward: RewardFn
 
 
@@ -812,24 +795,25 @@ def trcov_protocol(
     if len(set(names)) != len(names):
         raise ContractViolation("condition names must be unique")
 
-    maskable = [c for c in candidates if c.state.completion.mask_positions()]
+    arch = params.arch
+    rows = [check_state(arch, c.state) for c in candidates]
+    maskable = [(c, row) for c, row in zip(candidates, rows) if mask_positions(arch, row)]
     loss_cfg = LossConfig(clip_eps=None)
     scopes = tuple(dict.fromkeys(c.scope for c in conditions))
     per_state_all: dict[str, list[float]] = {c.name: [] for c in conditions}
     survived: dict[str, list[bool]] = {c.name: [] for c in conditions}
 
-    for i, cand in enumerate(maskable):
-        behavior = rows_context(old_params, cand.state)
+    for i, (cand, row) in enumerate(maskable):
+        behavior = rows_context(old_params, row)
         patterns = stream(seed, "trcov-patterns", i)
         n_blocks = n_trials if surr_cfg.corruption_enabled else 1
-        context = loss_group(params.arch, cand.state).tokens
-        every = scored_positions(cand.state, "all")
+        every = scored_positions(arch, row, "all")
         feats = group_features(
-            params.arch, [context] * n_blocks, [every] * n_blocks, surr_cfg, [patterns] * n_blocks
+            arch, [row] * n_blocks, [every] * n_blocks, surr_cfg, [patterns] * n_blocks
         )
         grids = {}  # per scope, each trial's (current, old) grids, shared by its conditions
         for s in scopes:
-            pos = scored_positions(cand.state, s)
+            pos = scored_positions(arch, row, s)
             grids[s] = _group_grids(
                 params, [pos] * n_blocks, [f[:, list(pos)] for f in feats],
                 [(old_params, "step")] * n_blocks,
@@ -840,7 +824,7 @@ def trcov_protocol(
             z = cond.n_branches
             if z not in by_size:
                 (actions,), (completed,) = branch(
-                    [cand.state.completion.tokens], [behavior.positions], [behavior.logp],
+                    [row[arch.prompt_len :]], [behavior.positions], [behavior.logp],
                     n_trials * z, [stream(seed, "trcov-group", i, z)],
                 )
                 rewards = cand.reward(completed).reshape(n_trials, z)
@@ -853,7 +837,7 @@ def trcov_protocol(
             ghats = np.zeros((n_trials, params.dim))
             for r, group in enumerate(groups):
                 _, grad = step_loss(
-                    cand.state, group, params, old_params, loss_cfg, surr_cfg,
+                    row, group, params, old_params, loss_cfg, surr_cfg,
                     scope=cond.scope, grids=grids[cond.scope][r],
                 )
                 ghats[r] = -grad

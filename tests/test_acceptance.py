@@ -22,9 +22,10 @@ from dispo.policy import (
     MlpArch,
     action_logprob,
     init_params,
+    mask_positions,
 )
 from dispo.rollout import UnmaskSchedule, branch, rollout
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, fill
+from dispo.sequences import MaskedSequence, Vocab, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -221,7 +222,7 @@ def test_criterion_06_gradients_match_finite_differences(acceptance_log):
             vocab.mask_id if p in masked_pos else int(rng.integers(vocab.size))
             for p in range(completion_len)
         )
-        state = DiffusionState(prompt, MaskedSequence(tokens, vocab))
+        state = np.array(prompt.tokens + tokens)
         action = tuple(int(rng.integers(vocab.size)) for _ in masked_pos)
 
         # corruption off, one pattern: the exact action gradient
@@ -411,12 +412,12 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
     # group advantages sum to zero for any group: at rho = 1, with clipping
     # off, the step loss is minus the mean advantage
     state = problem.step_states[1].states[0]
-    n_masked = len(state.completion.mask_positions())
+    n_masked = len(mask_positions(params.arch, state))
     draws = stream(1000, "invariant-groups")
     for g in range(50):
         rewards = rng.normal(size=rng.integers(2, 9)).tolist()
         branches = [
-            (tuple(int(t) for t in draws.integers(0, state.vocab.size, n_masked)), r)
+            (tuple(int(t) for t in draws.integers(0, params.arch.vocab.size, n_masked)), r)
             for r in rewards
         ]
         loss, _ = step_loss(
@@ -427,7 +428,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
 
     # importance ratio is exactly one at identical parameters with shared patterns
     state = problem.step_states[2].states[1]
-    action = (0,) * len(state.completion.mask_positions())
+    action = (0,) * len(mask_positions(params.arch, state))
     lp_new = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
     lp_old = state_surrogate_logprob(params, state, action, cfg, stream(1000, "ratio-patterns"))
     assert lp_new == lp_old
@@ -448,15 +449,14 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
         )
         if vocab.mask_id not in tokens:
             tokens = (vocab.mask_id,) + tokens[1:]
-        seq = MaskedSequence(tokens, vocab)
-        state = DiffusionState(prompt, seq)
-        act = tuple(int(rng.integers(3)) for _ in seq.mask_positions())
-        (filled,) = fill(state, [act]).tolist()
+        masked = [pos for pos, tok in enumerate(tokens) if tok == vocab.mask_id]
+        act = tuple(int(rng.integers(3)) for _ in masked)
+        ((filled,),) = fill([tokens], [[act]], vocab).tolist()
         assert vocab.mask_id not in filled
-        for pos, tok in enumerate(seq.tokens):
+        for pos, tok in enumerate(tokens):
             if tok != vocab.mask_id:
                 assert filled[pos] == tok
-        for pos, tok in zip(seq.mask_positions(), act):
+        for pos, tok in zip(masked, act):
             assert filled[pos] == tok
 
     # branching covers the branch state's mask set without running the policy
@@ -473,8 +473,7 @@ def test_criterion_10_invariant_suite(acceptance_log, monkeypatch):
 
     monkeypatch.setattr(rollout_mod, "rows_context", no_forward)
     for t in (1, 2):
-        branch_state = traj.state_at(t)
-        branch_mask = branch_state.completion.mask_positions()
+        branch_mask = mask_positions(arch, traj.state_at(t))
         branch_rng = stream(1003, "invariant-branch", t)
         (acts,), (completed,) = branch(
             [traj.states[t - 1]], [traj.positions[t - 1]], [traj.logp[t - 1]], 4, [branch_rng]

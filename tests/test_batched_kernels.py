@@ -40,11 +40,12 @@ from dispo.policy import (
     _unpack_mlp,
     init_params,
     log_softmax,
+    mask_positions,
     rows_context,
     sample_action,
 )
 from dispo.rollout import UnmaskSchedule, branch
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, check_action
+from dispo.sequences import MaskedSequence, Vocab, check_action
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -73,11 +74,10 @@ trainer_module = importlib.import_module("dispo.trainer")
 # -- per-item references -------------------------------------------------------
 
 
-def written(state, action):
-    """``state``'s completion tokens with ``action`` written into its masked positions."""
+def written(completion, mid, action):
+    """The completion tokens with ``action`` written into their masked (``mid``) positions."""
     tokens = iter(action)
-    mid = state.vocab.mask_id
-    return tuple(next(tokens) if t == mid else t for t in state.completion.tokens)
+    return tuple(next(tokens) if t == mid else t for t in completion)
 
 
 def reference_features(arch, tokens, positions):
@@ -123,7 +123,7 @@ def reference_rollout(params, prompt, n_steps, schedule, rng, greedy):
     completion = [vocab.mask_id] * params.arch.completion_len
     states, logps = [tuple(completion)], []
     for _ in range(n_steps):
-        ctx = rows_context(params, DiffusionState(prompt, MaskedSequence(completion, vocab)))
+        ctx = rows_context(params, np.array(list(prompt.tokens) + completion))
         logps.append(log_softmax(ctx.rows))
         action = np.argmax(ctx.rows, axis=1).tolist() if greedy else reference_sample(ctx, rng)
         eligible = ctx.positions
@@ -194,8 +194,11 @@ def reference_patterns(prompt_len, cfg, rng):
 
 
 def reference_contexts(params, state, masks, positions):
-    copies = [DiffusionState(apply_pattern(state.prompt, m), state.completion) for m in masks]
-    return [rows_context(params, copy, positions) for copy in copies]
+    """One forward per pattern, at the state row with its prompt corrupted by the pattern."""
+    lp = params.arch.prompt_len
+    prompt = MaskedSequence(tuple(state[:lp].tolist()), params.arch.vocab)
+    copies = [apply_pattern(prompt, m).tokens + tuple(state[lp:].tolist()) for m in masks]
+    return [rows_context(params, np.array(copy), positions) for copy in copies]
 
 
 def reference_group_loss(
@@ -207,17 +210,17 @@ def reference_group_loss(
     the group's mean reward; ``scope="all"`` scores every position of the
     filled completion.
     """
-    n = len(members)
+    n, arch = len(members), params.arch
     mean_reward = np.mean([r for _, r in members])
     if per_member_patterns:
-        pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng) for _ in range(n)]
+        pattern_sets = [reference_patterns(arch.prompt_len, surr_cfg, rng) for _ in range(n)]
     else:
-        pattern_sets = [reference_patterns(state.prompt.length, surr_cfg, rng)] * n
+        pattern_sets = [reference_patterns(arch.prompt_len, surr_cfg, rng)] * n
     loss, grad, clipped, shared = 0.0, np.zeros(params.dim), 0, None
     for z, (action, _) in enumerate(members):
-        positions, targets = state.completion.mask_positions(), action
+        positions, targets = mask_positions(arch, state), action
         if scope == "all":
-            targets = written(state, action)
+            targets = written(state[arch.prompt_len :].tolist(), arch.vocab.mask_id, action)
             positions = tuple(range(len(targets)))
         pats = pattern_sets[z]
         if per_member_patterns or shared is None:
@@ -242,8 +245,8 @@ def reference_group_loss(
 
 def reference_kl(params, ref, state, surr_cfg, rng):
     total, grad = 0.0, np.zeros(params.dim)
-    positions = state.completion.mask_positions()
-    pats = reference_patterns(state.prompt.length, surr_cfg, rng)
+    positions = mask_positions(params.arch, state)
+    pats = reference_patterns(params.arch.prompt_len, surr_cfg, rng)
     for cur, base in zip(
         reference_contexts(params, state, pats, positions),
         reference_contexts(ref, state, pats, positions),
@@ -276,15 +279,21 @@ def random_tokens(rng, vocab, length, p_mask):
 
 
 def random_state(rng, arch, p_mask=0.5):
+    """A state row: a visible prompt, then a completion with at least one mask."""
     vocab = arch.vocab
-    prompt = MaskedSequence(tuple(rng.integers(0, vocab.size, arch.prompt_len).tolist()), vocab)
+    prompt = rng.integers(0, vocab.size, arch.prompt_len).tolist()
     completion = random_tokens(rng, vocab, arch.completion_len, p_mask)
     completion[int(rng.integers(arch.completion_len))] = vocab.mask_id  # never fully visible
-    return DiffusionState(prompt, MaskedSequence(tuple(completion), vocab))
+    return np.array(prompt + completion)
 
 
-def random_action(rng, state):
-    return tuple(int(rng.integers(state.vocab.size)) for _ in state.completion.mask_positions())
+def random_prompt(rng, arch):
+    """The prompt of a ``random_state`` draw."""
+    return MaskedSequence(tuple(random_state(rng, arch)[: arch.prompt_len].tolist()), arch.vocab)
+
+
+def random_action(rng, arch, state):
+    return tuple(int(rng.integers(arch.vocab.size)) for _ in mask_positions(arch, state))
 
 
 # -- tests -------------------------------------------------------------------------
@@ -408,19 +417,19 @@ def test_branch_equals_successive_sample_action_calls():
         vocab = Vocab(v)
         length = k + int(rng.integers(1, 4))
         masked = set(rng.permutation(length)[:k].tolist())
-        completion = MaskedSequence(
-            tuple(vocab.mask_id if i in masked else int(rng.integers(v)) for i in range(length)),
-            vocab,
+        completion = tuple(
+            vocab.mask_id if i in masked else int(rng.integers(v)) for i in range(length)
         )
-        state = DiffusionState(MaskedSequence((0,), vocab), completion)
         rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 40.0])), (k, v))
-        positions = completion.mask_positions()
+        positions = tuple(sorted(masked))
         ctx = RowsContext(positions, rows, np.zeros((k, 1)), None)
         a, b = stream(3, "branch", case), stream(3, "branch", case)
-        (actions,), (completed,) = branch([completion.tokens], [positions], [ctx.logp], z, [a])
+        (actions,), (completed,) = branch([completion], [positions], [ctx.logp], z, [a])
         expected = [sample_action(ctx, b) for _ in range(z)]
         assert [tuple(x) for x in actions.tolist()] == expected
-        assert [tuple(c) for c in completed.tolist()] == [written(state, x) for x in expected]
+        assert [tuple(c) for c in completed.tolist()] == [
+            written(completion, vocab.mask_id, x) for x in expected
+        ]
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -430,7 +439,7 @@ def test_batched_logprobs_equal_the_running_sums():
     params = init_params(arch, rng, scale=1.0)
     for _ in range(20):
         state = random_state(rng, arch, p_mask=0.7)
-        positions = state.completion.mask_positions()
+        positions = mask_positions(arch, state)
         ctxs = [rows_context(params, random_state(rng, arch), positions) for _ in range(3)]
         targets = rng.integers(0, arch.vocab.size, (5, len(positions)))
         batched = logprob_from_contexts(ctxs, targets)
@@ -465,7 +474,7 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         for g in range(6):
             state = random_state(rng, arch)
-            members = [(random_action(rng, state), float(rng.normal())) for _ in range(4)]
+            members = [(random_action(rng, arch, state), float(rng.normal())) for _ in range(4)]
             loss, grad = step_loss(
                 state, members, params, old, loss_cfg, surr_cfg, stream(6, n_mc, g), scope=scope
             )
@@ -484,9 +493,10 @@ def test_step_losses_equal_the_per_member_reference(kind, scope):
     states, groups = [random_state(rng, arch) for _ in range(4)], []
     for z in (2, 3, 1, 9, 2, 3, 4, 9, 2, 5):
         for state in states[: 1 + z % 4]:
-            members = [(random_action(rng, state), float(rng.normal())) for _ in range(z)]
+            members = [(random_action(rng, arch, state), float(rng.normal())) for _ in range(z)]
             groups.append((state, members))
-    assert len({(len(state.completion.mask_positions()), len(members)) for state, members in groups}) < len(groups)
+    shapes = {(len(mask_positions(arch, state)), len(members)) for state, members in groups}
+    assert len(shapes) < len(groups)
     for n_mc in (2, 9):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
         loss, grad = aggregate_step_loss(
@@ -516,7 +526,7 @@ def test_step_loss_on_passed_grids_equals_the_self_drawing_step_loss(kind, scope
         surr_cfg = SurrogateConfig(n_mc=3, ratio_law=ratio_law)
         for g in range(4):
             state = random_state(rng, arch)
-            members = [(random_action(rng, state), float(rng.normal())) for _ in range(3)]
+            members = [(random_action(rng, arch, state), float(rng.normal())) for _ in range(3)]
             group = loss_group(arch, state, members, scope)
             (feats,) = group_features(
                 arch, [group.tokens], [group.positions], surr_cfg, [stream(11, g)]
@@ -588,23 +598,26 @@ def test_branch_fills_its_sites_in_one_call_and_the_kernel_checks_groups_in_arra
 ):
     """Training branches an update's sites in one ``branch`` call, which completes all
     their members in one array ``fill`` call, and the kernel checks each call's groups
-    in one ``target_stacks`` pass: no ``check_action`` call and no one-state ``fill``.
+    in one ``target_stacks`` pass: no ``check_action`` call and no ``loss_group`` fill.
 
     So in training each member's tokens are checked once, in its stack's array pass."""
     checked, fills, branched, calls, stacked = [], [], [], [], []
     real_check, real_fill = sequences_module.check_action, sequences_module.fill
     real_branch, real_stacks = rollout_module.branch, surrogate_module.target_stacks
 
-    def counted_check(state, *actions):
+    def counted_check(n, vocab, actions):
+        actions = list(actions)
         checked.append(len(actions))
-        return real_check(state, *actions)
+        return real_check(n, vocab, actions)
 
-    def counted_fill(rows, actions, vocab=None):
-        if isinstance(rows, DiffusionState):
-            fills.append(("state", np.shape(actions)))
-        else:
-            fills.append(("rows", [np.shape(a) for a in actions]))
-        return real_fill(rows, actions, vocab)
+    def counted_fill(caller):
+        """``fill``, recording each call's block shapes under the caller's name."""
+
+        def counted(rows, actions, vocab):
+            fills.append((caller, [np.shape(a) for a in actions]))
+            return real_fill(rows, actions, vocab)
+
+        return counted
 
     def counted_branch(*args):
         actions, completions = real_branch(*args)
@@ -619,8 +632,9 @@ def test_branch_fills_its_sites_in_one_call_and_the_kernel_checks_groups_in_arra
 
     for module in (sequences_module, surrogate_module, policy_module):
         monkeypatch.setattr(module, "check_action", counted_check)
-    for module in (rollout_module, surrogate_module, verify_module):
-        monkeypatch.setattr(module, "fill", counted_fill)
+    monkeypatch.setattr(rollout_module, "fill", counted_fill("branch"))
+    for module in (surrogate_module, verify_module):
+        monkeypatch.setattr(module, "fill", counted_fill("loss_group"))
     for module in (trainer_module, verify_module):
         monkeypatch.setattr(module, "branch", counted_branch)
     for module in (surrogate_module, objective_module):
@@ -640,7 +654,7 @@ def test_branch_fills_its_sites_in_one_call_and_the_kernel_checks_groups_in_arra
     n_groups = cfg.batch_size * cfg.n_rollouts * cfg.n_timesteps
     assert calls == [n_groups]  # one call per update
     assert [z for z, _ in branched] == [cfg.n_branches] * n_groups
-    assert fills == [("rows", branched)]  # one array pass over every site's members
+    assert fills == [("branch", branched)]  # one array pass over every site's members
     # one pass per kernel call: the terminal family's B groups, then the step family's
     assert stacked == [cfg.batch_size, n_groups]
     assert checked == []
@@ -656,12 +670,12 @@ def test_branch_fills_its_sites_in_one_call_and_the_kernel_checks_groups_in_arra
     # per state: one draw of n_trials * Z members per group size
     assert calls == [1, 1] * report.n_maskable
     assert [n for n, _ in branched] == [2 * 2, 2 * 4] * report.n_maskable
-    assert [shapes for kind, shapes in fills if kind == "rows"] == [[shape] for shape in branched]
+    assert [shapes for kind, shapes in fills if kind == "branch"] == [[s] for s in branched]
     # per state and trial: one Z=2 and one Z=4 group scored in the all-token scope,
-    # whose targets are its members' fills, in one one-state call
-    assert sorted(shape[0] for kind, shape in fills if kind == "state") == sorted(
-        [2, 2, 4, 4] * report.n_maskable
-    )
+    # whose targets are its members' fills, in one one-row call
+    scored = [shapes for kind, shapes in fills if kind == "loss_group"]
+    assert all(len(shapes) == 1 for shapes in scored)
+    assert sorted(shape[0] for (shape,) in scored) == sorted([2, 2, 4, 4] * report.n_maskable)
     # one pass per step_loss call, and no member checked one by one
     assert stacked == [1] * report.n_maskable * len(TRCOV_CONDITIONS) * 2
     assert checked == []
@@ -674,7 +688,7 @@ def test_terminal_and_kl_losses_equal_the_per_member_reference(kind):
     clipped = 0
     for n_mc in (1, 2, 9):
         surr_cfg = SurrogateConfig(n_mc=n_mc, ratio_law="uniform")
-        prompt = random_state(rng, arch).prompt
+        prompt = random_prompt(rng, arch)
         completions = [
             (tuple(rng.integers(0, 4, 5).tolist()), float(rng.normal())) for _ in range(4)
         ]
@@ -721,14 +735,17 @@ def test_update_scoring_equals_the_per_prompt_reference_loop(kind, law):
     for case, (alpha_term, alpha_step, kl_beta) in enumerate(WEIGHTS * 2):
         loss_cfg = LossConfig(alpha_step, alpha_term, 0.05, kl_beta)
         for n_prompts in (1, 2, 3):
-            prompts = [random_state(rng, arch).prompt for _ in range(n_prompts)]
+            prompts = [random_prompt(rng, arch) for _ in range(n_prompts)]
             completions = [
                 [(tuple(rng.integers(0, 4, 5).tolist()), float(rng.normal())) for _ in range(k)]
                 for k in rng.integers(2, 5, n_prompts)
             ]
             step_groups = [
                 [
-                    (state, [(random_action(rng, state), float(rng.normal())) for _ in range(z)])
+                    (
+                        state,
+                        [(random_action(rng, arch, state), float(rng.normal())) for _ in range(z)],
+                    )
                     for z in rng.integers(1, 4, int(rng.integers(0, 5)))
                     for state in [states[int(rng.integers(3))]]
                 ]
@@ -797,17 +814,16 @@ def test_many_site_branch_equals_one_state_calls():
     prompt = MaskedSequence((0, 1), vocab)
     for case in range(40):
         z, length = 1 + case % 4, int(rng.integers(1, 7))
+        arch = LinearArch(vocab, 2, length, window=1)
         states, logps = [], []
         for _ in range(int(rng.integers(1, 9))):
             k = int(rng.integers(1, length + 1))
             masked = set(rng.permutation(length)[:k].tolist())
             tokens = [vocab.mask_id if i in masked else int(rng.integers(4)) for i in range(length)]
-            completion = MaskedSequence(tuple(tokens), vocab)
             rows = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0])), (k, 4))
-            states.append(DiffusionState(prompt, completion))
+            states.append(np.array(prompt.tokens + tuple(tokens)))
             logps.append(log_softmax(rows))
         if case % 2:  # sites at a lockstep rollout's states, in a shuffled order
-            arch = LinearArch(vocab, 2, length, window=1)
             per_step = int(rng.integers(1, length + 1))
             sched, n_steps = UnmaskSchedule(per_step), -(-length // per_step)
             trajs = rollout_module.rollout(
@@ -825,8 +841,8 @@ def test_many_site_branch_equals_one_state_calls():
             )
         else:
             args = (
-                np.array([state.completion.tokens for state in states]),
-                [state.completion.mask_positions() for state in states],
+                np.array([state[2:] for state in states]),
+                [mask_positions(arch, state) for state in states],
                 logps,
             )
         many = [stream(16, case, i) for i in range(len(states))]
@@ -835,7 +851,7 @@ def test_many_site_branch_equals_one_state_calls():
         for i, (state, logp) in enumerate(zip(states, logps)):
             one = stream(16, case, i)
             (one_actions,), (one_completed,) = branch(
-                [state.completion.tokens], [state.completion.mask_positions()], [logp], z, [one]
+                [state[2:]], [mask_positions(arch, state)], [logp], z, [one]
             )
             assert np.array_equal(actions[i], one_actions)
             assert np.array_equal(completed[i], one_completed)
@@ -864,7 +880,7 @@ def test_the_kernel_names_the_first_faulty_group_whichever_stack_holds_it():
     groups = []
     for g in range(9):  # group g: state g % 3, 1 + g % 2 members
         state = states[g % 3]
-        members = [(random_action(rng, state), float(rng.normal())) for _ in range(1 + g % 2)]
+        members = [(random_action(rng, arch, state), float(rng.normal())) for _ in range(1 + g % 2)]
         groups.append(loss_group(arch, state, members))
     positions = [group.positions for group in groups]
     feats = group_features(
@@ -887,7 +903,8 @@ def test_the_kernel_names_the_first_faulty_group_whichever_stack_holds_it():
             for g, k in ((first, kind), (8, later_kind)):
                 bad[g] = groups[g]._replace(targets=faulty(groups[g].targets, k))
             with pytest.raises(ContractViolation) as want:
-                check_action(states[first % 3], *map(tuple, bad[first].targets.tolist()))
+                n = len(mask_positions(arch, states[first % 3]))
+                check_action(n, arch.vocab, map(tuple, bad[first].targets.tolist()))
             with pytest.raises(ContractViolation, match=re.escape(str(want.value))):
                 objective_module._group_loss_and_grad(params, bad, grids, loss_cfg)
 
@@ -901,12 +918,14 @@ def reference_trcov_protocol(
     """The per-trial loop: trial ``r`` of state ``i`` takes members ``r*Z .. r*Z+Z-1``
     of the state's one Z-sized draw, sampled one by one, and the ``r``-th pattern set
     of the state's pattern stream, rebuilt by every condition."""
-    maskable = [c for c in candidates if c.state.completion.mask_positions()]
+    arch = params.arch
+    maskable = [c for c in candidates if mask_positions(arch, c.state)]
     loss_cfg = LossConfig(clip_eps=None)
     per_state_all = {c.name: [] for c in conditions}
     survived = {c.name: [] for c in conditions}
     for i, cand in enumerate(maskable):
         behavior = rows_context(old_params, cand.state)
+        completion = cand.state[arch.prompt_len :].tolist()
         for cond in conditions:
             z = cond.n_branches
             rng = stream(seed, "trcov-group", i, z)
@@ -915,7 +934,7 @@ def reference_trcov_protocol(
             any_positive = False
             for r in range(n_trials):
                 members = [
-                    (action, cand.reward(written(cand.state, action)))
+                    (action, cand.reward(written(completion, arch.vocab.mask_id, action)))
                     for action in draws[r * z : (r + 1) * z]
                 ]
                 rewards = [rw for _, rw in members]
@@ -923,7 +942,7 @@ def reference_trcov_protocol(
                     any_positive = True
                 patterns = stream(seed, "trcov-patterns", i)
                 for _ in range(r):  # the earlier trials' pattern sets
-                    draw_patterns(cand.state.prompt.length, surr_cfg, patterns)
+                    draw_patterns(arch.prompt_len, surr_cfg, patterns)
                 _, grad = step_loss(
                     cand.state, members, params, old_params, loss_cfg, surr_cfg,
                     patterns, scope=cond.scope,
@@ -980,8 +999,8 @@ def trcov_problem():
     cands = collect_states(
         collector, task, 3, UnmaskSchedule(2), (1, 2, 3), seed=32, rollouts_per_instance=2
     )
-    done = MaskedSequence((0,) * 6, task.vocab)
-    cands.insert(2, CandidateState(DiffusionState(cands[-1].state.prompt, done), cands[-1].reward))
+    done = np.concatenate([cands[-1].state[: task.prompt_len], np.zeros(6, dtype=np.intp)])
+    cands.insert(2, CandidateState(done, cands[-1].reward))
     return params, old, cands
 
 
@@ -1091,10 +1110,11 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
     report = trcov_protocol(
         params, old, cands, TRCOV_CONDITIONS, n_trials, surr_cfg, seed=36, n_boot=50
     )
-    maskable = [c.state for c in cands if c.state.completion.mask_positions()]
+    lp = params.arch.prompt_len
+    maskable = [c.state for c in cands if mask_positions(params.arch, c.state)]
     assert 0 < report.n_maskable == len(maskable) < report.n_candidates
     assert branch_calls == [
-        ([state.completion.tokens], n_trials * z) for state in maskable for z in (2, 4)
+        ([tuple(state[lp:].tolist())], n_trials * z) for state in maskable for z in (2, 4)
     ]
     assert [p for p in paths if p[1] == "trcov-patterns"] == [
         (36, "trcov-patterns", i) for i in range(len(maskable))
@@ -1109,7 +1129,7 @@ def test_trcov_protocol_draws_a_states_trials_in_one_branch_call_per_group_size(
         for j, cond in enumerate(TRCOV_CONDITIONS):
             for r in range(n_trials):
                 at, z, scope, members = scored[(i * len(TRCOV_CONDITIONS) + j) * n_trials + r]
-                assert (at, z, scope) == (state, cond.n_branches, cond.scope)
+                assert np.array_equal(at, state) and (z, scope) == (cond.n_branches, cond.scope)
                 by_key.setdefault((z, r), []).append(members)
         assert sorted(by_key) == [(z, r) for z in (2, 4) for r in range(n_trials)]
         for lists in by_key.values():

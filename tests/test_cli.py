@@ -345,6 +345,10 @@ BAD_SETTINGS = {
         {"policy": {"init_scale": -0.1}}, [], "policy.init_scale must be >= 0, got -0.1",
         RUN_COMMANDS,
     ),
+    "huge-init-scale": (
+        {"policy": {"init_scale": 1e308}}, [], "policy.init_scale must be <= 1e3, got 1e+308",
+        RUN_COMMANDS,
+    ),
     # JSON's NaN and Infinity literals and a "nan" flag parse as floats
     "alpha-step-nan": (
         {"alpha_step": math.nan}, [], "'alpha_step' must be finite, got nan", RUN_COMMANDS

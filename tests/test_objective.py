@@ -16,7 +16,7 @@ from dispo.objective import (
     terminal_loss,
 )
 from dispo.policy import LinearArch, init_params
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -32,8 +32,11 @@ OFF = SurrogateConfig(n_mc=1, ratio_law="zero")
 NOCLIP = LossConfig(clip_eps=None)
 
 
+MID_COMPLETION = (1, VOCAB.mask_id, VOCAB.mask_id)
+
+
 def mid_state():
-    return DiffusionState(PROMPT, MaskedSequence((1, VOCAB.mask_id, VOCAB.mask_id), VOCAB))
+    return np.array(PROMPT.tokens + MID_COMPLETION)
 
 
 def prompt_groups(completions, groups):
@@ -84,7 +87,7 @@ def test_step_losses_reject_a_malformed_action_by_name(bad, message):
     [
         ((0, 1), "action has 2 tokens for a mask set of 3 positions"),
         ((0, 1, 2, 0), "action has 4 tokens for a mask set of 3 positions"),
-        (mid_state().completion.tokens, "action token 3 is not an ordinary token"),
+        (MID_COMPLETION, "action token 3 is not an ordinary token"),
     ],
 )
 def test_terminal_loss_rejects_a_malformed_completion_by_name(bad, message):
@@ -150,7 +153,7 @@ def test_terminal_loss_two_rollout_example():
     with pytest.raises(ContractViolation):
         terminal_loss(PROMPT, [], params, params, NOCLIP, OFF)
     with pytest.raises(ContractViolation):
-        terminal_loss(PROMPT, [(mid_state().completion.tokens, 1.0)], params, params, NOCLIP, OFF)
+        terminal_loss(PROMPT, [(MID_COMPLETION, 1.0)], params, params, NOCLIP, OFF)
 
 
 def test_step_loss_gradient_matches_finite_differences():
@@ -188,7 +191,7 @@ def test_kl_penalty_properties():
     val, _ = kl_penalty(params, ref, state, cfg, stream(5, "pat"))
     assert val > 0.0
     # a state with nothing masked has no rows to compare
-    done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
+    done = np.array(PROMPT.tokens + (0, 1, 2))
     zero, gz = kl_penalty(params, ref, done, cfg, stream(5, "pat"))
     assert zero == 0.0 and not gz.any()
 

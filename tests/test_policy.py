@@ -6,50 +6,51 @@ import numpy as np
 import pytest
 
 from dispo.errors import ConfigurationError, ContractViolation
+from dispo.objective import LossConfig, step_loss
 from dispo.policy import (
     LinearArch,
     MlpArch,
     action_logprob,
     arch_from_descriptor,
+    check_state,
     init_params,
     load_policy,
+    mask_positions,
     rows_context,
     sample_action,
     save_policy,
 )
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions
+from dispo.sequences import Vocab, enumerate_actions
 from dispo.streams import stream
-from dispo.surrogate import SurrogateConfig, state_surrogate_grad
+from dispo.surrogate import SurrogateConfig, state_surrogate_grad, state_surrogate_logprob
+from dispo.verify import build_state_tables
 
 # corruption off, one pattern: the surrogate gradient is the exact action gradient
 EXACT = SurrogateConfig(n_mc=1, ratio_law="zero")
 
 
 def make_state(vocab, prompt_len, completion_len, rng, n_masked=None):
-    """Random state with a random visible prompt and ``n_masked`` mask slots."""
+    """Random state row with a random visible prompt and ``n_masked`` mask slots."""
     v = vocab.size
-    prompt = MaskedSequence(tuple(int(t) for t in rng.integers(0, v, prompt_len)), vocab)
+    prompt = [int(t) for t in rng.integers(0, v, prompt_len)]
     toks = [int(t) for t in rng.integers(0, v, completion_len)]
     if n_masked is None:
         n_masked = int(rng.integers(1, completion_len + 1))
     for p in rng.choice(completion_len, size=n_masked, replace=False):
         toks[p] = vocab.mask_id
-    return DiffusionState(prompt, MaskedSequence(tuple(toks), vocab))
+    return np.array(prompt + toks)
 
 
-def random_action(state, rng):
-    v = state.vocab.size
-    return tuple(int(rng.integers(0, v)) for _ in state.completion.mask_positions())
+def random_action(arch, state, rng):
+    v = arch.vocab.size
+    return tuple(int(rng.integers(0, v)) for _ in mask_positions(arch, state))
 
 
 def test_zero_params_are_uniform():
     vocab = Vocab(3)
     arch = LinearArch(vocab, prompt_len=2, completion_len=4)
     params = init_params(arch)
-    state = DiffusionState(
-        MaskedSequence((0, 1), vocab),
-        MaskedSequence((2, vocab.mask_id, 0, vocab.mask_id), vocab),
-    )
+    state = np.array([0, 1, 2, vocab.mask_id, 0, vocab.mask_id])
     total, per_pos = action_logprob(params, state, (0, 2))
     assert total == pytest.approx(2 * math.log(1 / 3), abs=1e-12)
     assert set(per_pos) == {1, 3}
@@ -60,10 +61,7 @@ def test_zero_params_are_uniform():
 def test_action_logprob_rejects_malformed_actions():
     vocab = Vocab(3)
     params = init_params(LinearArch(vocab, prompt_len=2, completion_len=4))
-    state = DiffusionState(
-        MaskedSequence((0, 1), vocab),
-        MaskedSequence((2, vocab.mask_id, 0, vocab.mask_id), vocab),
-    )
+    state = np.array([0, 1, 2, vocab.mask_id, 0, vocab.mask_id])
     with pytest.raises(ContractViolation, match="3 tokens for a mask set of 2"):
         action_logprob(params, state, (0, 2, 1))
     with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
@@ -77,7 +75,7 @@ def test_large_bias_saturates_one_token():
     w = np.zeros((vocab.size, arch.feature_dim))
     w[1, -1] = 1e3
     params = init_params(arch).replace_theta(w.ravel())
-    state = DiffusionState(MaskedSequence((0, 0), vocab), MaskedSequence.masked(3, vocab))
+    state = np.array([0, 0] + [vocab.mask_id] * 3)
     total, _ = action_logprob(params, state, (1, 1, 1))
     assert abs(total) < 1e-9
     probs = np.exp(rows_context(params, state).logp)
@@ -108,7 +106,7 @@ def test_score_identity():
     state = make_state(vocab, 2, 3, rng, n_masked=2)
     acc = np.zeros(params.dim)
     total_prob = 0.0
-    for action in enumerate_actions(state):
+    for action in enumerate_actions(2, vocab):
         lp, _ = action_logprob(params, state, action)
         p = math.exp(lp)
         acc += p * state_surrogate_grad(params, state, action, EXACT)
@@ -129,7 +127,7 @@ def test_gradient_matches_finite_differences(kind):
             arch = MlpArch(vocab, prompt_len=2, completion_len=4, window=1, hidden=5)
         params = init_params(arch, rng, scale=0.6)
         state = make_state(vocab, 2, 4, rng)
-        action = random_action(state, rng)
+        action = random_action(arch, state, rng)
         grad = state_surrogate_grad(params, state, action, EXACT)
         fd = np.zeros_like(grad)
         theta = params.theta
@@ -165,7 +163,7 @@ def test_greedy_breaks_ties_toward_low_token_ids():
     vocab = Vocab(4)
     arch = LinearArch(vocab, prompt_len=2, completion_len=3)
     params = init_params(arch)
-    state = DiffusionState(MaskedSequence((1, 2), vocab), MaskedSequence.masked(3, vocab))
+    state = np.array([1, 2] + [vocab.mask_id] * 3)
     action = np.argmax(rows_context(params, state).rows, axis=1)
     assert action.tolist() == [0, 0, 0]
 
@@ -198,8 +196,57 @@ def test_state_shape_checks():
     vocab = Vocab(3)
     arch = LinearArch(vocab, prompt_len=2, completion_len=3)
     params = init_params(arch)
-    bad = DiffusionState(MaskedSequence((0, 1, 2), vocab), MaskedSequence.masked(3, vocab))
+    bad = np.array([0, 1, 2] + [vocab.mask_id] * 3)  # a prompt one token too long
     with pytest.raises(ConfigurationError):
         rows_context(params, bad)
     with pytest.raises(ContractViolation):
         init_params(arch, rng=None, scale=0.5)
+
+
+# every entry that takes a state row, called at the row ``state``
+ROW_ENTRIES = {
+    "rows_context": lambda params, state: rows_context(params, state),
+    "action_logprob": lambda params, state: action_logprob(params, state, (0, 1)),
+    "step_loss": lambda params, state: step_loss(
+        state, [((0, 1), 1.0), ((1, 0), 0.0)], params, params, LossConfig(), EXACT
+    ),
+    "state_surrogate_logprob": lambda params, state: state_surrogate_logprob(
+        params, state, (0, 1), EXACT
+    ),
+    "build_state_tables": lambda params, state: build_state_tables(
+        params, params, state, lambda done: np.zeros(len(done)), EXACT
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+def test_state_row_entries_reject_malformed_rows(entry):
+    vocab = Vocab(3)
+    params = init_params(LinearArch(vocab, prompt_len=2, completion_len=3))
+    mid = vocab.mask_id
+    good = np.array([0, 1, 2, mid, mid])
+    call = ROW_ENTRIES[entry]
+    call(params, good)  # the well-formed row passes
+    with pytest.raises(ConfigurationError, match=r"expected \(5,\)"):
+        call(params, good[:-1])
+    with pytest.raises(ContractViolation, match="integer tokens"):
+        call(params, good.astype(np.float64))
+    for tok in (-1, mid + 1):
+        bad = good.copy()
+        bad[1] = tok
+        with pytest.raises(ContractViolation, match=f"token {tok} outside vocab"):
+            call(params, bad)
+
+
+def test_check_state_returns_a_read_only_view_of_its_row():
+    vocab = Vocab(3)
+    arch = LinearArch(vocab, prompt_len=2, completion_len=3)
+    state = np.array([0, 1, 2, vocab.mask_id, 0], dtype=np.intp)
+    row = check_state(arch, state)
+    assert np.array_equal(row, state) and row.dtype == np.intp
+    assert np.shares_memory(row, state)  # a view, not a copy
+    assert not row.flags.writeable and state.flags.writeable
+    assert mask_positions(arch, row) == (1,)
+    mid = vocab.mask_id
+    for completion, masked in (((mid, 2, mid), (0, 2)), ((0, 2, 1), ()), ((mid,) * 3, (0, 1, 2))):
+        assert mask_positions(arch, check_state(arch, (2, 2) + completion)) == masked

@@ -9,7 +9,7 @@ from dispo.errors import ConfigurationError
 from dispo.objective import LossConfig, step_loss
 from dispo.policy import LinearArch, MlpArch, action_logprob, init_params
 from dispo.rollout import UnmaskSchedule
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
+from dispo.sequences import Vocab, enumerate_actions, fill
 from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig, state_surrogate_grad, state_surrogate_logprob
 
@@ -29,9 +29,7 @@ def test_advantages_sum_to_zero(rewards):
     vocab = Vocab(3)
     arch = LinearArch(vocab, prompt_len=2, completion_len=3, window=1)
     params = init_params(arch, stream(40, "p"), scale=0.5)
-    state = DiffusionState(
-        MaskedSequence((0, 2), vocab), MaskedSequence((1, vocab.mask_id, vocab.mask_id), vocab)
-    )
+    state = np.array([0, 2, 1, vocab.mask_id, vocab.mask_id])
     branches = [((z % 3, z // 3 % 3), r) for z, r in enumerate(rewards)]
     cfg = SurrogateConfig(n_mc=2, ratio_law="uniform")
     loss, _ = step_loss(
@@ -74,17 +72,16 @@ def test_fills_of_enumerated_actions_are_distinct_complete_and_keep_visible_toke
 ):
     # -1 stands for the mask
     vocab = Vocab(vocab_size)
-    completion = MaskedSequence(tuple(vocab.mask_id if t < 0 else t for t in tokens), vocab)
-    state = DiffusionState(MaskedSequence((0,), vocab), completion)
-    mask = completion.mask_positions()
-    actions = np.array(list(enumerate_actions(state)), dtype=np.intp)
-    fills = fill(state, actions)
+    completion = [vocab.mask_id if t < 0 else t for t in tokens]
+    mask = [p for p, t in enumerate(completion) if t == vocab.mask_id]
+    actions = np.array(list(enumerate_actions(len(mask), vocab)), dtype=np.intp)
+    (fills,) = fill([completion], [actions.reshape(len(actions), len(mask))], vocab)
     assert fills.shape == (vocab_size ** len(mask), len(tokens))
     assert len({tuple(row) for row in fills.tolist()}) == len(fills)
     assert vocab.mask_id not in fills
     for p in range(len(tokens)):
         if p not in mask:
-            assert (fills[:, p] == completion.tokens[p]).all()
+            assert (fills[:, p] == completion[p]).all()
 
 
 
@@ -103,11 +100,11 @@ def test_exact_gradients_match_central_differences_on_random_architectures(data)
     seed = draw(st.integers(0, 2**32 - 1))
     params = init_params(arch, stream(seed, "theta"), scale=0.7)
     token = st.integers(0, vocab.size - 1)
-    prompt = MaskedSequence(tuple(draw(st.lists(token, min_size=prompt_len, max_size=prompt_len))), vocab)
+    prompt = draw(st.lists(token, min_size=prompt_len, max_size=prompt_len))
     order = draw(st.permutations(range(completion_len)))
     masked = sorted(order[: draw(st.integers(1, completion_len))])
-    completion = tuple(vocab.mask_id if p in masked else draw(token) for p in range(completion_len))
-    state = DiffusionState(prompt, MaskedSequence(completion, vocab))
+    completion = [vocab.mask_id if p in masked else draw(token) for p in range(completion_len)]
+    state = np.array(prompt + completion)
     action = tuple(draw(token) for _ in masked)
     scope = draw(st.sampled_from(["action", "all"]))
     cfg = SurrogateConfig(n_mc=draw(st.integers(1, 3)), ratio_law="uniform")

@@ -8,7 +8,7 @@ import pytest
 rollout_mod = importlib.import_module("dispo.rollout")
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
-from dispo.policy import LinearArch, init_params, log_softmax, rows_context
+from dispo.policy import LinearArch, init_params, log_softmax, mask_positions, rows_context
 from dispo.rollout import UnmaskSchedule, branch, rollout
 from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
@@ -69,7 +69,7 @@ def test_mask_sets_shrink_on_schedule():
     traj = rollout(params, [PROMPT], 2, sched, [stream(1, "roll")])[0]
     counts = sched.mask_counts(4, 2)
     for t in range(1, traj.n_steps + 2):
-        assert len(traj.state_at(t).completion.mask_positions()) == counts[t - 1]
+        assert len(mask_positions(ARCH, traj.state_at(t))) == counts[t - 1]
     assert traj.states.shape == (traj.n_steps + 1, 4) and not traj.states.flags.writeable
     assert (traj.final_completion() == traj.states[-1]).all()
     assert PROMPT.vocab.mask_id not in traj.final_completion()
@@ -81,7 +81,7 @@ def test_committed_tokens_persist():
     for t in range(1, traj.n_steps + 1):
         for pos, tok in commits(traj, t):
             for later in range(t + 1, traj.n_steps + 2):
-                assert traj.state_at(later).completion.tokens[pos] == tok
+                assert traj.state_at(later)[ARCH.prompt_len + pos] == tok
 
 
 def test_cache_matches_fresh_forward_bitwise():
@@ -90,7 +90,7 @@ def test_cache_matches_fresh_forward_bitwise():
     for t in range(1, traj.n_steps + 1):
         fresh = rows_context(params, traj.state_at(t))
         assert traj.logp[t - 1].tobytes() == log_softmax(fresh.rows).tobytes()
-        mask = traj.state_at(t).completion.mask_positions()
+        mask = mask_positions(ARCH, traj.state_at(t))
         assert tuple(traj.positions[t - 1].tolist()) == fresh.positions == mask
         # branch draws from these rows later, so nothing may write into them
         for block in (traj.positions[t - 1], traj.logp[t - 1]):
@@ -221,9 +221,9 @@ def test_rollout_commits_every_position_when_the_logits_are_not_finite(greedy):
     assert np.isnan(traj.logp[0]).any()
     counts = sched.mask_counts(4, 4)
     for t in range(1, traj.n_steps + 2):
-        assert len(traj.state_at(t).completion.mask_positions()) == counts[t - 1]
+        assert len(mask_positions(ARCH, traj.state_at(t))) == counts[t - 1]
         if t <= traj.n_steps:  # every commit lies in the left-most incomplete block
-            eligible = sched.eligible(traj.state_at(t).completion.mask_positions())
+            eligible = sched.eligible(mask_positions(ARCH, traj.state_at(t)))
             assert {pos for pos, _ in commits(traj, t)} <= set(eligible)
     assert VOCAB.mask_id not in traj.final_completion()
     assert set(traj.final_completion().tolist()) <= set(range(VOCAB.size))
@@ -239,12 +239,12 @@ def test_branch_runs_no_forward_passes(monkeypatch):
     monkeypatch.setattr(rollout_mod, "rows_context", boom)
     state = traj.state_at(1)
     (actions,), (completions,) = branch_at([(traj, 1)], 5, [stream(7, "branch")])
-    mask = state.completion.mask_positions()
+    mask = mask_positions(ARCH, state)
     assert actions.shape == (5, len(mask)) and completions.shape == (5, 4)
     assert (completions[:, list(mask)] == actions).all()
     assert PROMPT.vocab.mask_id not in completions
-    visible = [p for p in range(4) if p not in state.completion.mask_positions()]
-    assert (completions[:, visible] == np.array(state.completion.tokens)[visible]).all()
+    visible = [p for p in range(4) if p not in mask_positions(ARCH, state)]
+    assert (completions[:, visible] == state[ARCH.prompt_len :][visible]).all()
 
 
 def test_branch_is_reproducible():
@@ -281,16 +281,18 @@ def test_branch_rejects_rows_of_another_mask_set():
     rejected([1, 2], [traj.positions[0]] * 2, [traj.logp[0]] * 2)
     # rows of the right size, but for other positions or in another order
     state = traj.state_at(2)
-    visible = tuple(p for p in range(4) if p not in state.completion.mask_positions())
-    for positions in (visible, state.completion.mask_positions()[::-1]):
+    visible = tuple(p for p in range(4) if p not in mask_positions(ARCH, state))
+    for positions in (visible, mask_positions(ARCH, state)[::-1]):
         rejected([2], [positions], [rows_context(params, state, positions).logp])
 
 
 def test_state_index_bounds():
     params = random_params(9)
     traj = rollout(params, [PROMPT], 2, UnmaskSchedule(2), [stream(9, "roll")])[0]
-    assert traj.state_at(3).completion.mask_positions() == ()
-    assert traj.state_at(3).completion.tokens == tuple(traj.final_completion().tolist())
+    assert mask_positions(ARCH, traj.state_at(3)) == ()
+    final = traj.state_at(3)  # the context row: the prompt, then the completion
+    assert final.tolist() == list(PROMPT.tokens) + traj.final_completion().tolist()
+    assert final.dtype == np.intp and not final.flags.writeable
     with pytest.raises(ContractViolation):
         traj.state_at(0)
     with pytest.raises(ContractViolation):

@@ -7,8 +7,8 @@ import pytest
 
 from dispo.counters import OpCounters
 from dispo.errors import ConfigurationError, ContractViolation
-from dispo.policy import LinearArch, MlpArch, action_logprob, init_params
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab
+from dispo.policy import LinearArch, MlpArch, action_logprob, init_params, mask_positions
+from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -30,15 +30,14 @@ OFF = SurrogateConfig(n_mc=1, ratio_law="zero")
 
 
 def mid_state(params=None):
-    """A state with one committed token and two masked ones."""
-    completion = MaskedSequence((VOCAB.mask_id, 1, VOCAB.mask_id), VOCAB)
-    return DiffusionState(PROMPT, completion)
+    """A state row with one committed token and two masked ones."""
+    return np.array(PROMPT.tokens + (VOCAB.mask_id, 1, VOCAB.mask_id))
 
 
 def mask_features(state, cfg, rng):
     """``state``'s one group's feature block at its mask set."""
     context = loss_group(ARCH, state).tokens
-    return group_features(ARCH, [context], [state.completion.mask_positions()], cfg, [rng])
+    return group_features(ARCH, [context], [mask_positions(ARCH, state)], cfg, [rng])
 
 
 def test_config_validation():
@@ -68,7 +67,7 @@ def test_group_features_checks_its_counts_before_drawing():
     before = rng.bit_generator.state
     context = loss_group(ARCH, mid_state()).tokens
     cfg = SurrogateConfig(n_mc=2)
-    mask = mid_state().completion.mask_positions()
+    mask = mask_positions(ARCH, mid_state())
     with pytest.raises(ContractViolation, match="1 context rows of width 7 for 2 groups"):
         group_features(ARCH, [context], [mask, mask], cfg, [rng, rng])
     with pytest.raises(ContractViolation, match="1 position lists for 2 groups"):
@@ -88,11 +87,9 @@ def test_fixed_ratio_extremes():
 
 def test_uniform_policy_sequence_value():
     params = init_params(ARCH)
-    completion = MaskedSequence((0, 1, 2), VOCAB)
     cfg = SurrogateConfig(n_mc=3, ratio_law="uniform")
-    lp = state_surrogate_logprob(
-        params, full_mask_state(PROMPT, 3), completion.tokens, cfg, stream(4, "uni")
-    )
+    full = full_mask_state(PROMPT, 3)
+    lp = state_surrogate_logprob(params, full, (0, 1, 2), cfg, stream(4, "uni"))
     assert lp == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
 
 
@@ -103,6 +100,12 @@ def test_corruption_off_equals_action_logprob():
     surr = state_surrogate_logprob(params, state, action, OFF, stream(5, "unused"))
     exact, _ = action_logprob(params, state, action)
     assert surr == exact
+    # integral non-int tokens pass check_action, and both routes score them as ints
+    want, _ = action_logprob(params, state, (1, 0))
+    for action in ((1.0, 0), (True, 0)):
+        surr = state_surrogate_logprob(params, state, action, OFF)
+        exact, per_pos = action_logprob(params, state, action)
+        assert surr == exact == want and set(per_pos) == {0, 2}
 
 
 @pytest.mark.parametrize("scope", ["action", "all"])
@@ -144,10 +147,9 @@ def test_shared_patterns_make_ratio_exactly_one():
 def test_pattern_average_is_consistent():
     # two independent 256-pattern estimates agree within 3 combined stderr
     params = init_params(ARCH, stream(9, "p"), scale=0.8)
-    completion = MaskedSequence((1, 2, 0), VOCAB)
     cfg = SurrogateConfig(n_mc=256, ratio_law="uniform")
     state = full_mask_state(PROMPT, 3)
-    positions, targets = state.completion.mask_positions(), completion.tokens
+    positions, targets = mask_positions(ARCH, state), (1, 2, 0)
 
     def per_pattern(rng):
         (feats,) = mask_features(state, cfg, rng)
@@ -167,19 +169,19 @@ def test_forward_counters_by_kind():
     cfg = SurrogateConfig(n_mc=5, ratio_law="uniform")
     counters = OpCounters()
     (feats,) = mask_features(state, cfg, stream(10, "a"))
-    pattern_contexts(params, feats, state.completion.mask_positions(), counters=counters)
+    pattern_contexts(params, feats, mask_positions(ARCH, state), counters=counters)
     assert counters.surrogate_step_calls == 5
     assert counters.surrogate_terminal_calls == 0
     (full_feats,) = mask_features(full, cfg, stream(10, "b"))
     pattern_contexts(
-        params, full_feats, full.completion.mask_positions(), counters=counters, kind="terminal"
+        params, full_feats, mask_positions(ARCH, full), counters=counters, kind="terminal"
     )
     assert counters.surrogate_terminal_calls == 5
-    pattern_contexts(params, feats, state.completion.mask_positions(), counters=counters, kind="kl")
+    pattern_contexts(params, feats, mask_positions(ARCH, state), counters=counters, kind="kl")
     assert counters.surrogate_kl_calls == 5
     assert counters.surrogate_step_calls == 5
     with pytest.raises(ContractViolation):
-        pattern_contexts(params, feats, state.completion.mask_positions(), kind="misc")
+        pattern_contexts(params, feats, mask_positions(ARCH, state), kind="misc")
 
 
 def test_loss_group_scopes():
@@ -188,7 +190,7 @@ def test_loss_group_scopes():
     members = [(action, float(r)) for r, action in enumerate(actions)]
     group = loss_group(ARCH, state, members, "action")
     assert group.positions == (0, 2) and group.targets.tolist() == [[2, 0], [1, 1], [0, 2]]
-    assert group.tokens.tolist() == list(PROMPT.tokens + state.completion.tokens)
+    assert group.tokens.tolist() == state.tolist() and not group.tokens.flags.writeable
     assert group.rewards.tolist() == [0.0, 1.0, 2.0]
     # every position of each filled completion: the visible token at 1 stays
     group = loss_group(ARCH, state, members, "all")
@@ -202,7 +204,7 @@ def test_loss_group_scopes():
         with pytest.raises(ContractViolation, match="token 3 is not an ordinary"):
             bad = loss_group(ARCH, state, [((2, 0), 0.0), ((2, VOCAB.mask_id), 1.0)], scope)
             target_stacks([bad], VOCAB)
-    done = DiffusionState(PROMPT, MaskedSequence((0, 1, 2), VOCAB))
+    done = np.array(PROMPT.tokens + (0, 1, 2))
     group = loss_group(ARCH, done, [((), 0.0), ((), 1.0)], "action")
     assert group.positions == () and group.targets.shape == (2, 0)
 

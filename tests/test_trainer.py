@@ -10,7 +10,7 @@ import pytest
 
 from dispo.errors import ConfigurationError, ContractViolation, DivergenceError
 from dispo.policy import LinearArch, init_params, inverse_cdf
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab
+from dispo.sequences import MaskedSequence, Vocab
 from dispo.streams import stream
 from dispo.surrogate import SurrogateConfig
 from dispo.tasks import RewardFn, StringMatchInstance, Task, TaskInstance, save_instances
@@ -96,6 +96,11 @@ def test_run_config_validation():
         OptimizerConfig(grad_clip=0.0)
     with pytest.raises(ConfigurationError):
         PolicyConfig(arch="transformer")
+    # init_scale lies in [0, 1e3]; NaN fails the bound too
+    for scale in (-0.1, 1e3 + 1, 1e308, float("nan")):
+        with pytest.raises(ConfigurationError, match="policy.init_scale must be"):
+            PolicyConfig(init_scale=scale)
+    assert PolicyConfig(init_scale=1e3).init_scale == 1e3
 
 
 def test_count_ops_formulas():
@@ -257,25 +262,19 @@ def test_training_builds_masked_sequences_only_at_the_api_edge(monkeypatch):
 
     A run builds one ``MaskedSequence`` per instance prompt and no other:
     none per rollout, rollout step, fully masked state, branch site or
-    branch member, and no ``DiffusionState`` at all.
+    branch member (a state is its context token row).
     """
-    built, states = [], []
-    real, real_state = MaskedSequence.__post_init__, DiffusionState.__post_init__
+    built = []
+    real = MaskedSequence.__post_init__
 
     def counted(self):
         built.append(self)
         real(self)
 
-    def counted_state(self):
-        states.append(self)
-        real_state(self)
-
     monkeypatch.setattr(MaskedSequence, "__post_init__", counted)
-    monkeypatch.setattr(DiffusionState, "__post_init__", counted_state)
     cfg = tiny_config(kl_beta=0.01, n_updates=3, batch_size=2, n_rollouts=3, n_timesteps=2)
     train(cfg)
     assert len(built) == cfg.n_instances
-    assert states == []
 
 
 def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
@@ -334,9 +333,10 @@ def test_train_branches_trajectory_major_at_cached_states(monkeypatch):
     for (row, pos, lp, n, rng), (want, traj, t) in zip(calls, expected):
         assert rng is want and n == cfg.n_branches
         assert pos is traj.positions[t - 1] and lp is traj.logp[t - 1]
-        state = traj.state_at(t)
-        assert tuple(row.tolist()) == state.completion.tokens
-        mask = state.completion.mask_positions()
+        state, n = traj.state_at(t), traj.prompt.length
+        assert state[:n].tolist() == list(traj.prompt.tokens)
+        assert row.tolist() == state[n:].tolist()
+        mask = tuple(np.flatnonzero(state[n:] == traj.prompt.vocab.mask_id).tolist())
         assert tuple(pos.tolist()) == tuple(traj.positions[t - 1].tolist()) == mask
         assert lp.tobytes() == traj.logp[t - 1].tobytes()
 

@@ -8,9 +8,9 @@ import pytest
 from dispo import verify
 from dispo.errors import ContractViolation
 from dispo.objective import LossConfig, step_loss, terminal_loss
-from dispo.policy import LinearArch, init_params
+from dispo.policy import LinearArch, init_params, mask_positions
 from dispo.rollout import UnmaskSchedule
-from dispo.sequences import DiffusionState, MaskedSequence, Vocab, enumerate_actions, fill
+from dispo.sequences import enumerate_actions, fill
 from dispo.streams import stream
 from dispo.surrogate import (
     SurrogateConfig,
@@ -32,7 +32,6 @@ from dispo.verify import (
     build_state_tables,
     c_factor,
     collect_states,
-    exact_step_gradient,
     gradient_moments,
     group_coefficients,
     perturb_params,
@@ -46,6 +45,14 @@ from dispo.verify import (
 )
 
 OFF = SurrogateConfig(n_mc=1, ratio_law="zero")
+
+
+def exact_step_gradient(params, weighted, reward, surr_cfg):
+    """grad J_t by full enumeration: sum_s w(s) sum_a p(a|s) R(s,a) grad log p(a|s)."""
+    return sum(
+        w * build_state_tables(params, params, s, reward, surr_cfg).reward_gradient()
+        for s, w in zip(weighted.states, weighted.weights)
+    )
 
 
 def dense_rows(grads, cols, coefs):
@@ -115,6 +122,9 @@ def test_zero_patterns_and_perturbation():
 def test_weighted_states_validation():
     problem, _ = build_oracle_problem()
     state = problem.terminal_state()
+    # rows are arrays, so a distribution compares and hashes by identity
+    mix = problem.step_states[2]
+    assert mix == mix and mix != WeightedStates(mix.states, mix.weights) and hash(mix)
     with pytest.raises(ContractViolation):
         WeightedStates((state,), (0.5,))
     with pytest.raises(ContractViolation):
@@ -155,9 +165,11 @@ def test_exact_gradient_matches_finite_differences():
         p = params.replace_theta(theta)
         total = 0.0
         for state, w in zip(weighted.states, weighted.weights):
-            for action in enumerate_actions(state):
+            n = len(mask_positions(p.arch, state))
+            for action in enumerate_actions(n, p.arch.vocab):
                 lp = state_surrogate_logprob(p, state, action, problem.surrogate)
-                r = problem.reward(fill(state, [action])[0])
+                (done,) = fill([state[p.arch.prompt_len :]], [[action]], p.arch.vocab)[0]
+                r = problem.reward(done)
                 total += w * math.exp(lp) * r
         return total
 
@@ -448,7 +460,8 @@ def test_collect_states_shapes():
     sched = UnmaskSchedule(2)
     cands = collect_states(params, task, 2, sched, (1, 2), seed=18, rollouts_per_instance=2)
     assert len(cands) == 3 * 2 * 2
-    assert {len(c.state.completion.mask_positions()) for c in cands} == {4, 2}
+    assert {len(mask_positions(params.arch, c.state)) for c in cands} == {4, 2}
+    assert len(set(cands)) == len(cands)  # hashable, by identity
 
 
 def test_trcov_protocol_report_structure():
