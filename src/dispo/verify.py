@@ -88,10 +88,15 @@ class _Report:
         }
 
 
+def _check_group_size(name: str, size: int) -> None:
+    """Refuse a group size that is not an integer >= 1, naming its argument."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise ContractViolation(f"{name} must be an integer >= 1, got {size!r}")
+
+
 def c_factor(group_size: int) -> float:
     """The group-mean-baseline scale (n-1)/n for a group of size n."""
-    if group_size < 1:
-        raise ContractViolation("group size must be >= 1")
+    _check_group_size("group_size", group_size)
     return (group_size - 1) / group_size
 
 
@@ -243,18 +248,55 @@ def build_state_tables(
     return StateTables(
         actions=actions,
         probs=probs,
-        probs_old=probs_old / probs_old.sum(),  # remove float residue for rng.choice
+        probs_old=probs_old / probs_old.sum(),  # no float residue in the sampler's law check and CDF
         ratios=np.exp(logp_new - logp_old),
         rewards=reward(fill(row[None, arch.prompt_len :], [targets], arch.vocab)[0]),
         grads=grad_from_contexts(params, grids, targets),
     )
 
 
+_GUIDE_BUCKETS = 1024  # guide-table buckets: a power of two, so u * M and its floor are exact
+_LAW_ATOL = math.sqrt(np.finfo(np.float64).eps)  # a law's allowed |sum - 1|, as Generator.choice's
+
+
+def _draw_categorical(
+    p: np.ndarray, size: int | tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """Indices drawn from the law ``p``: the draws of ``Generator.choice(len(p), size, p=p)``.
+
+    Both take one ``rng.random(size)`` call and invert the same CDF, the index
+    of u being #{cdf <= u}.  A guide table (Chen and Asau's indexed search)
+    holds that count at the lower edge of each of M equal buckets of [0, 1);
+    it holds for every u in the bucket unless a CDF value lies strictly
+    inside it, and only those buckets' uniforms take the binary search.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ContractViolation(f"a sampling law must be 1-D, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ContractViolation("a sampling law must have finite probabilities")
+    if (p < 0).any():
+        raise ContractViolation("a sampling law must have non-negative probabilities")
+    total = float(p.sum())
+    if abs(total - 1.0) > _LAW_ATOL:
+        raise ContractViolation(f"a sampling law must sum to 1, got {total!r}")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], "right")
+    guide = np.where(cdf.searchsorted(edges[1:], "left") > lo, -1, lo)  # -1: a CDF value inside
+    u = rng.random(size)
+    idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    hard = idx < 0
+    idx[hard] = cdf.searchsorted(u[hard], "right")
+    return idx
+
+
 def sample_group_indices(
     tables: StateTables, group_size: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, group_size) action indices drawn i.i.d. from the behavior law."""
-    return rng.choice(tables.n_actions, size=(n_samples, group_size), p=tables.probs_old)
+    return _draw_categorical(tables.probs_old, (n_samples, group_size), rng)
 
 
 def group_coefficients(tables: StateTables, idx: np.ndarray) -> np.ndarray:
@@ -373,7 +415,7 @@ def _step_groups(
                 build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
             )
             laws.append(problem.step_weights[t] * w)
-    cell_ids = rng.choice(len(cells), size=n_samples, p=np.asarray(laws))
+    cell_ids = _draw_categorical(np.asarray(laws), n_samples, rng)
     cols = np.empty((n_samples, group_size), dtype=np.intp)
     coefs = np.empty((n_samples, group_size))
     for c, tables in enumerate(cells):
@@ -387,18 +429,22 @@ def _step_groups(
 
 
 def _identity_check(
-    params: PolicyParams, problem: OracleProblem, rng: np.random.Generator, name: str,
+    params: PolicyParams, problem: OracleProblem, seed: int, labels: tuple, name: str,
     old_params: PolicyParams | None, *, alpha_step: float, alpha_term: float,
     n_branches: int, n_completions: int, n_samples: int,
 ) -> GradientCheckReport:
-    """The body of both checks (see ``theorem2_check``), drawing every sample from ``rng``.
+    """The body of both checks (see ``theorem2_check``), drawing every sample from
+    ``stream(seed, *labels)`` once the arguments are checked.
 
     The target comes from the sampled tables, under their current law.
     """
+    _check_group_size("n_branches", n_branches)
+    _check_group_size("n_completions", n_completions)
     if n_samples < 2:
         raise ContractViolation(f"identity checks need n_samples >= 2, got {n_samples}")
     if min(alpha_step, alpha_term) < 0 or max(alpha_step, alpha_term) <= 0:
         raise ContractViolation("loss weights must be >= 0 with at least one positive")
+    rng = stream(seed, *labels)
     behavior = params if old_params is None else old_params
     tables: list[StateTables] = []
     cols, coefs = [], []
@@ -451,7 +497,7 @@ def theorem1_check(
     mode = "on-policy" if old_params is None else "off-policy"
     name = f"step-gradient-identity Z={n_branches} {mode}"
     return _identity_check(
-        params, problem, stream(seed, "theorem1", n_branches), name, old_params,
+        params, problem, seed, ("theorem1", n_branches), name, old_params,
         alpha_step=1.0, alpha_term=0.0, n_branches=n_branches, n_completions=1,
         n_samples=n_samples,
     )
@@ -480,7 +526,7 @@ def theorem2_check(
     """
     name = f"combined-gradient-identity a_step={alpha_step} a_term={alpha_term}"
     return _identity_check(
-        params, problem, stream(seed, "theorem2", n_branches, n_completions), name, old_params,
+        params, problem, seed, ("theorem2", n_branches, n_completions), name, old_params,
         alpha_step=alpha_step, alpha_term=alpha_term, n_branches=n_branches,
         n_completions=n_completions, n_samples=n_samples,
     )
@@ -566,8 +612,13 @@ def prop2_check(
     state), so the estimator is an average of Z i.i.d. terms and its trace
     covariance must fall like 1/Z; the report carries the fitted log-log
     slope.  Group size 1 is admissible here precisely because the baseline
-    does not depend on the sampled group.
+    does not depend on the sampled group.  The fit needs at least two
+    distinct sizes.
     """
+    for z in group_sizes:
+        _check_group_size("group_sizes", z)
+    if len(set(group_sizes)) < 2:
+        raise ContractViolation(f"group_sizes must hold two distinct sizes, got {group_sizes!r}")
     if n_samples < 2:
         raise ContractViolation(f"trace covariances need n_samples >= 2, got {n_samples}")
     tables = build_state_tables(params, params, state, reward, surr_cfg)

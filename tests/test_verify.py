@@ -26,6 +26,8 @@ from dispo.verify import (
     VarianceCondition,
     WeightedStates,
     _BOOT_BLOCK,
+    _GUIDE_BUCKETS,
+    _draw_categorical,
     _finish_report,
     bootstrap_ci,
     build_oracle_problem,
@@ -290,6 +292,131 @@ def test_gradient_moments_match_the_materialized_rows(group_size, off_policy):
     assert_moments_match(mean, var, dense_rows(tables.grads, idx, coefs))
     assert np.all(var[[0, 4, 9]] == 0.0)
     assert (group_size == 1) == np.all(var == 0.0)  # a group of one has no advantage
+
+
+class FixedUniforms(np.random.Generator):
+    """A generator whose ``random`` returns the given uniforms, for both samplers to invert."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.uniforms.reshape(size).copy()
+
+
+def sampler_laws():
+    """Laws with zeros at either end and inside, CDF values on bucket edges, a tiny tail and a
+    sum just off 1, then the battery's own behavior laws and its cell law."""
+    rng = stream(40, "sampler-laws")
+    laws = [rng.dirichlet(np.full(k, alpha)) for k in range(2, 28) for alpha in (0.1, 1.0)]
+    laws += [
+        np.array([0.0, 0.3, 0.7]),
+        np.array([0.3, 0.0, 0.0, 0.7]),
+        np.array([0.3, 0.7, 0.0]),
+        np.array([1.0]),
+        np.array([0.5, 0.25, 0.125, 0.125]),
+        np.array([1 - 1e-12, 1e-12]),
+        np.array([0.5, 0.5 + 1e-9]),  # off by less than the tolerance: drawn, as by rng.choice
+        np.full(_GUIDE_BUCKETS, 1.0 / _GUIDE_BUCKETS),  # every CDF value on a bucket edge
+    ]
+    problem, params = build_oracle_problem()
+    old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
+    states = [problem.terminal_state()]
+    states += [s for t in sorted(problem.step_states) for s in problem.step_states[t].states]
+    for behavior in (params, old):
+        laws += [
+            build_state_tables(params, behavior, s, problem.reward, problem.surrogate).probs_old
+            for s in states
+        ]
+    laws.append(np.array([
+        problem.step_weights[t] * w
+        for t in sorted(problem.step_states)
+        for w in problem.step_states[t].weights
+    ]))
+    return laws
+
+
+@pytest.mark.parametrize("size", [500, (300, 3), 0, (0, 2)], ids=str)
+def test_the_sampler_draws_as_rng_choice_and_leaves_the_same_state(size):
+    for i, p in enumerate(sampler_laws()):
+        a, b = stream(41, "sampler", i), stream(41, "sampler", i)
+        got = _draw_categorical(p, size, a)
+        assert np.array_equal(got, b.choice(len(p), size, p=p)), p
+        assert got.shape == np.empty(size).shape
+        assert a.random() == b.random()
+
+
+def test_the_sampler_inverts_edge_uniforms_as_rng_choice():
+    """Uniforms on and beside every bucket edge and every CDF value of each law."""
+    m = _GUIDE_BUCKETS
+    for p in sampler_laws():
+        cdf = np.cumsum(p) / np.sum(p)
+        points = np.concatenate([np.arange(m) / m, cdf[cdf < 1.0]])
+        uniforms = np.concatenate(
+            [points, np.nextafter(points, 1.0), np.nextafter(points, 0.0), [1.0 - 2.0**-53]]
+        )
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        got = _draw_categorical(p, uniforms.size, FixedUniforms(uniforms))
+        assert np.array_equal(got, FixedUniforms(uniforms).choice(len(p), uniforms.size, p=p))
+
+
+@pytest.mark.parametrize(
+    "law, fault",
+    [
+        (np.full((2, 2), 0.25), "1-D"),
+        (np.array([0.5, np.nan, 0.5]), "finite"),
+        (np.array([0.5, np.inf]), "finite"),
+        (np.array([1.2, -0.2]), "non-negative"),
+        (np.array([0.5, 0.4]), "sum to 1"),
+        (np.array([0.5, 0.5 + 1e-7]), "sum to 1"),
+        (np.array([]), "sum to 1"),
+    ],
+)
+def test_the_sampler_refuses_a_bad_law(law, fault):
+    with pytest.raises(ContractViolation, match=fault):
+        _draw_categorical(law, 10, stream(42, "bad-law"))
+
+
+def prop2_with(group_sizes):
+    def check(params, problem, **kwargs):
+        state = problem.terminal_state()
+        return prop2_check(params, state, problem.reward, problem.surrogate, group_sizes, **kwargs)
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, argument",
+    [
+        (prop2_with((0, 1, 2)), {}, "group_sizes"),
+        (prop2_with((-1, 2)), {}, "group_sizes"),
+        (prop2_with((1, 1)), {}, "group_sizes"),
+        (prop2_with((2,)), {}, "group_sizes"),
+        (prop2_with((1.0, 2)), {}, "group_sizes"),
+        (theorem1_check, {"n_branches": -1}, "n_branches"),
+        (theorem1_check, {"n_branches": 0}, "n_branches"),
+        (theorem2_check, {"n_branches": 0}, "n_branches"),
+        (theorem2_check, {"n_completions": -2}, "n_completions"),
+        (theorem2_check, {"n_completions": 0}, "n_completions"),
+    ],
+    ids=[
+        "prop2-zero", "prop2-negative", "prop2-repeated", "prop2-one-size", "prop2-float",
+        "theorem1-negative", "theorem1-zero", "theorem2-zero-branches",
+        "theorem2-negative-completions", "theorem2-zero-completions",
+    ],
+)
+def test_sampling_checks_refuse_bad_group_sizes_before_drawing(
+    monkeypatch, check, kwargs, argument
+):
+    problem, params = build_oracle_problem()
+
+    def no_stream(*args):
+        raise AssertionError("a stream was built before the arguments were checked")
+
+    monkeypatch.setattr(verify, "stream", no_stream)
+    with pytest.raises(ContractViolation, match=argument):
+        check(params, problem, n_samples=10, **kwargs)
 
 
 @pytest.mark.parametrize(
