@@ -28,8 +28,7 @@ prompts flow through the window and histogram slots unchanged.
 
 A forward (``rows_context``) returns logits rows and activations only.
 Callers that hold a block of forwards normalize it with one
-``log_softmax`` call; a single context derives its own ``logp`` on
-first use.
+``log_softmax`` call; a single context's ``logp`` normalizes its rows.
 
 Parameters are a flat float64 vector; checkpoints are the raw vector plus
 a JSON sidecar describing the architecture.
@@ -40,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,14 +169,13 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class RowsContext:
-    """One forward pass: logits rows for a set of completion positions.
+class RowsContext(NamedTuple):
+    """One forward pass: logits rows for a set of completion positions,
+    and the activations backprop needs.
 
-    Keeps the activations backprop needs.  Immutable with read-only arrays,
-    so a context can be shared.  A caller that normalizes a block of forwards
-    stacks their ``rows`` and makes one ``log_softmax`` call; ``logp``
-    serves a caller of one forward.
+    A caller that normalizes a block of forwards stacks their ``rows`` and
+    makes one ``log_softmax`` call; ``logp`` normalizes one forward's rows
+    on each read.
     """
 
     positions: tuple[int, ...]
@@ -184,23 +183,10 @@ class RowsContext:
     feats: np.ndarray  # (n, F)
     hidden: np.ndarray | None  # (n, H) tanh activations, mlp only
 
-    def __post_init__(self) -> None:
-        for arr in (self.rows, self.feats, self.hidden):
-            if arr is not None:
-                arr.setflags(write=False)
-        if self.rows.shape[0] != len(self.positions):
-            raise ContractViolation("one row per position required")
-
     @property
     def logp(self) -> np.ndarray:
-        """Log-softmax rows, (n, V), read-only: derived on first use, then kept."""
-        # an instance attribute, not a field, so it stays out of ==, hash and repr
-        cached = self.__dict__.get("_logp")
-        if cached is None:
-            cached = log_softmax(self.rows)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_logp", cached)
-        return cached
+        """Log-softmax rows, (n, V)."""
+        return log_softmax(self.rows)
 
 
 def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
@@ -211,6 +197,16 @@ def _check_prompt(arch: Arch, prompt: MaskedSequence) -> None:
         )
     if prompt.vocab is not arch.vocab and prompt.vocab != arch.vocab:
         raise ConfigurationError("prompt vocab differs from architecture vocab")
+
+
+def _check_token_range(vocab: Vocab, tokens: np.ndarray) -> None:
+    """Require every intp entry of ``tokens`` to be an ordinary token or the mask id."""
+    # as unsigned, a negative token reads as a huge one: one reduction checks the range
+    if tokens.size and tokens.view(np.uintp).max() > vocab.mask_id:
+        tok = next(t for t in tokens.ravel().tolist() if not 0 <= t <= vocab.mask_id)
+        raise ContractViolation(
+            f"token {tok} outside vocab (size {vocab.size}, mask {vocab.mask_id})"
+        )
 
 
 def check_state(arch: Arch, state) -> np.ndarray:
@@ -226,11 +222,7 @@ def check_state(arch: Arch, state) -> np.ndarray:
     if row.dtype.kind not in "iu":
         raise ContractViolation(f"state row must hold integer tokens, got dtype {row.dtype}")
     row = row.astype(np.intp, copy=False)
-    v = arch.vocab
-    # as unsigned, a negative token reads as a huge one: one reduction checks the range
-    if row.view(np.uintp).max() > v.mask_id:
-        tok = next(t for t in row.tolist() if not 0 <= t <= v.mask_id)
-        raise ContractViolation(f"token {tok} outside vocab (size {v.size}, mask {v.mask_id})")
+    _check_token_range(arch.vocab, row)
     if row.flags.writeable:  # a read-only row is its own view
         row = row.view()
         row.setflags(write=False)

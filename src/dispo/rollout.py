@@ -49,9 +49,10 @@ class UnmaskSchedule:
 
     def eligible_mask(self, masked: np.ndarray) -> np.ndarray:
         """Which masked positions may commit, per row of ``masked``, ``(..., m)``:
-        all, or those in the row's left-most incomplete block."""
+        all, or those in the row's left-most incomplete block.  A block size
+        above every masked position makes one block."""
         masked = np.asarray(masked, dtype=np.intp)
-        if self.block_size is None or not masked.size:
+        if self.block_size is None or not masked.size or int(masked.max()) < self.block_size:
             return np.ones(masked.shape, dtype=bool)
         blocks = masked // self.block_size
         return blocks == blocks.min(axis=-1, keepdims=True)

@@ -46,9 +46,11 @@ from .policy import (
     Arch,
     PolicyParams,
     RowsContext,
+    _check_token_range,
     _features,
     backprop,
     check_state,
+    log_softmax,
     mask_positions,
     rows_context,
     score_dlogits,
@@ -177,30 +179,37 @@ def target_stacks(
     """The groups stacked by targets shape ``(Z, n)``: each stack's group
     indices and its ``(G, Z, n)`` integer targets.
 
-    Every group needs one member or more, and each member one ordinary
-    token per scored position.  Each stack is checked in one array pass;
-    the first faulty group, in list order, raises ``check_action``'s
-    message for its first faulty member.
+    Every group needs one member or more, each member one ordinary token
+    per scored position, and one reward per member.  Each stack is checked
+    in one array pass; the first faulty group, in list order, raises
+    ``check_action``'s message for its first faulty member, or names its
+    rewards' shape.
     """
     stacks: dict[tuple, list[int]] = {}
     for g, group in enumerate(groups):
-        stacks.setdefault((group.targets.shape, len(group.positions)), []).append(g)
+        key = (group.targets.shape, len(group.positions), np.shape(group.rewards))
+        stacks.setdefault(key, []).append(g)
     out = {}
-    for (shape, n), idx in stacks.items():
+    for (shape, n, rewards), idx in stacks.items():
         tgt = stacked([groups[g].targets for g in idx])
         # as unsigned, a negative token reads as a huge one
-        if len(shape) == 2 and shape[0] and shape[1] == n and tgt.dtype == np.intp and (
-            not tgt.size or tgt.view(np.uintp).max() < vocab.size
+        if len(shape) == 2 and shape[0] and shape[1] == n and rewards == shape[:1] and (
+            tgt.dtype == np.intp and (not tgt.size or tgt.view(np.uintp).max() < vocab.size)
         ):
             out[shape] = (idx, tgt)
     if len(out) < len(stacks):  # name the first faulty group
-        for group in groups:
+        for g, group in enumerate(groups):
             if not len(group.targets):
                 raise ContractViolation("loss group must be non-empty")
             if group.targets.ndim == 2:
                 check_action(len(group.positions), vocab, group.targets.tolist())
             if group.targets.dtype != np.intp or group.targets.ndim != 2:
                 break
+            if np.shape(group.rewards) != group.targets.shape[:1]:
+                raise ContractViolation(
+                    f"loss group {g} has rewards of shape {np.shape(group.rewards)} "
+                    f"for {len(group.targets)} members"
+                )
         raise ContractViolation("a loss group's targets must be a (Z, n) array of intp tokens")
     return out
 
@@ -223,10 +232,11 @@ def group_features(
     all groups.  Entry ``g`` is an ``(n_sets[g] * n_mc, len(positions[g]),
     feature_dim)`` block, one row block per copy; every policy a loss
     compares scores that same block through ``pattern_contexts``.  The
-    counts are checked before any draw.
+    counts and every row's tokens are checked before any draw.
     """
     width = arch.prompt_len + arch.completion_len
     rows = np.array(contexts, dtype=np.intp).reshape(-1, width)
+    _check_token_range(arch.vocab, rows)
     if len(rows) != len(rngs):
         raise ContractViolation(f"{len(rows)} context rows of width {width} for {len(rngs)} groups")
     if len(positions) != len(rngs):
@@ -272,8 +282,8 @@ def pattern_contexts(
     """One forward pass per corrupted copy of a ``group_features`` block.
 
     Every context covers the same ``positions``, so any number of actions
-    can be scored against one set of grids.  Each forward bumps the
-    counter bucket named by ``kind`` ("step", "terminal", or "kl").
+    can be scored against one set of grids.  The forwards are counted in
+    the counter bucket named by ``kind`` ("step", "terminal", or "kl").
     """
     field = {
         "step": "surrogate_step_calls",
@@ -282,12 +292,9 @@ def pattern_contexts(
     }.get(kind)
     if field is None:
         raise ContractViolation(f"unknown surrogate call kind {kind!r}")
-    out = []
-    for rows in feats:
-        ctx = rows_context(params, None, positions, feats=rows)
-        if counters is not None:
-            setattr(counters, field, getattr(counters, field) + 1)
-        out.append(ctx)
+    out = [rows_context(params, None, positions, feats=rows) for rows in feats]
+    if counters is not None:
+        setattr(counters, field, getattr(counters, field) + len(out))
     return out
 
 
@@ -302,7 +309,7 @@ def logprob_from_contexts(
     up in order, as a running sum from zero.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    logp = np.stack([ctx.logp for ctx in contexts])
+    logp = log_softmax(np.stack([ctx.rows for ctx in contexts]))
     n = logp.shape[1]
     m = np.arange(len(contexts))[:, None]
     picked = logp[m, np.arange(n), targets[..., None, :]]  # (..., contexts, rows)

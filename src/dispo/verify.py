@@ -700,6 +700,7 @@ def bootstrap_ci(
 
     Resamples are drawn and reduced ``_BOOT_BLOCK`` rows at a time: the same
     draws, and the same final ``rng`` state, as one ``(n_boot, n)`` draw."""
+    _check_group_size("n_boot", n_boot)
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.size < 2:
         raise ContractViolation("bootstrap needs at least 2 paired samples")
@@ -840,6 +841,7 @@ def trcov_protocol(
     """
     if n_trials < 2:
         raise ContractViolation("the trial estimator needs n_trials >= 2")
+    _check_group_size("n_boot", n_boot)
     if not conditions:
         raise ContractViolation("at least one condition is required")
     names = [c.name for c in conditions]
@@ -856,6 +858,7 @@ def trcov_protocol(
 
     for i, (cand, row) in enumerate(maskable):
         behavior = rows_context(old_params, row)
+        behavior_logp = behavior.logp  # normalized once: every group size branches from it
         patterns = stream(seed, "trcov-patterns", i)
         n_blocks = n_trials if surr_cfg.corruption_enabled else 1
         every = scored_positions(arch, row, "all")
@@ -875,7 +878,7 @@ def trcov_protocol(
             z = cond.n_branches
             if z not in by_size:
                 (actions,), (completed,) = branch(
-                    [row[arch.prompt_len :]], [behavior.positions], [behavior.logp],
+                    [row[arch.prompt_len :]], [behavior.positions], [behavior_logp],
                     n_trials * z, [stream(seed, "trcov-group", i, z)],
                 )
                 rewards = cand.reward(completed).reshape(n_trials, z)

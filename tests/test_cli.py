@@ -404,6 +404,17 @@ def test_seeds_past_32_bits_stay_valid(tmp_path, capsys):
     assert main(["gen-data", *argv, "--out", str(tmp_path / "data")]) == 0
 
 
+def test_a_block_size_past_64_bits_trains_as_one_block(tmp_path, capsys):
+    runs = {}
+    for size in (None, 2**63):
+        cfg = write_config(tmp_path, dict(TINY_TRAIN, n_updates=2, block_size=size), f"{size}.json")
+        assert main(["count-ops", "--config", cfg]) == 0
+        runs[size] = tmp_path / f"run-{size}"
+        assert main(["train", "--config", cfg, "--out", str(runs[size])]) == 0
+    metrics = [(run / "metrics.csv").read_bytes() for run in runs.values()]
+    assert metrics[0] == metrics[1]
+
+
 def _npz(**arrays) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, **arrays)

@@ -294,6 +294,39 @@ def test_a_prompt_without_a_rollout_group_has_only_its_step_family():
     assert parts["grad_step"].tobytes() == step_grad.tobytes()
 
 
+def test_a_step_group_whose_rewards_do_not_fit_its_members_is_refused():
+    params = init_params(ARCH, stream(11, "p"), scale=0.5)
+    members = [((0, 1), 1.0), ((2, 0), 0.0)]
+    sound = loss_group(ARCH, mid_state(), members)
+    cfg = LossConfig(alpha_step=1.0, alpha_term=0.0)
+    combined_loss([None], [[sound, sound]], params, params, None, cfg, OFF, [None])
+    for rewards in ([1.0, 0.0, 5.0], [1.0], [[1.0, 0.0]]):
+        bad = sound._replace(rewards=np.array(rewards))
+        for g, groups in enumerate(([bad], [sound, bad])):
+            with pytest.raises(ContractViolation, match=f"loss group {g} has rewards of shape"):
+                combined_loss([None], [groups], params, params, None, cfg, OFF, [None])
+
+
+def test_a_context_row_with_an_out_of_range_token_is_refused():
+    # vocab 3, mask id 3: a prompt token and a completion token outside [0, 3]
+    params = init_params(ARCH, stream(12, "p"), scale=0.5)
+    completions = [((0, 1, 2), 1.0), ((2, 0, 1), 0.0)]
+    groups = [(mid_state(), [((0, 1), 1.0), ((2, 0), 0.0)])]
+    cfg = LossConfig(alpha_step=0.5, alpha_term=1.0)
+    (terminal,), ((step,),) = prompt_groups(completions, groups)
+    for family, row, tok in (
+        ("terminal", [0, 7, 3, 3, 3], 7),
+        ("terminal", [-1, 2, 3, 3, 3], -1),
+        ("step", [0, 2, 5, 3, 3], 5),
+        ("step", [0, 2, 1, 3, -2], -2),
+    ):
+        bad = np.array(row)
+        term = terminal._replace(tokens=bad) if family == "terminal" else terminal
+        steps = [[step._replace(tokens=bad) if family == "step" else step]]
+        with pytest.raises(ContractViolation, match=rf"token {tok} outside vocab \(size 3, mask 3\)"):
+            combined_loss([term], steps, params, params, None, cfg, OFF, [None])
+
+
 @pytest.mark.parametrize("law", ["uniform", 0.5])
 def test_corruption_without_a_generator_is_a_named_error(law):
     params = init_params(ARCH, stream(10, "p"), scale=0.5)

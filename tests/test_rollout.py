@@ -63,6 +63,16 @@ def test_block_schedule_restricts_eligibility():
     assert sched.mask_counts(4, 4) == [4, 3, 2, 1, 0]
 
 
+def test_a_block_wider_than_every_masked_position_is_one_block():
+    masked = np.array([[0, 2, 3], [1, 2, 4]])
+    whole = UnmaskSchedule(2)
+    for size in (5, 2**62, 2**63, 2**80):
+        sched = UnmaskSchedule(2, block_size=size)
+        assert sched.eligible_mask(masked).tolist() == whole.eligible_mask(masked).tolist()
+        assert sched.eligible((1, 3)) == (1, 3)
+        assert sched.mask_counts(5, 3) == whole.mask_counts(5, 3) == [5, 3, 1, 0]
+
+
 def test_mask_sets_shrink_on_schedule():
     params = random_params(1)
     sched = UnmaskSchedule(2)

@@ -550,6 +550,21 @@ def test_bootstrap_ci_behaviour():
         bootstrap_ci(np.array([1.0]))
 
 
+@pytest.mark.parametrize("n_boot", [0, -1, 2.5, True])
+def test_a_bootstrap_count_that_is_not_a_positive_integer_is_refused_before_any_draw(n_boot):
+    rng = stream(16, "boot-count")
+    before = rng.bit_generator.state
+    with pytest.raises(ContractViolation, match="n_boot must be an integer >= 1"):
+        bootstrap_ci(np.arange(4.0), n_boot, rng)
+    assert rng.bit_generator.state == before
+    task, collector = make_probe_task_and_params(0.4)
+    cands = collect_states(collector, task, 2, UnmaskSchedule(2), (2,), seed=19)
+    with pytest.raises(ContractViolation, match="n_boot must be an integer >= 1"):
+        trcov_protocol(
+            collector, collector, cands, [VarianceCondition("action-z2")], 4, OFF, n_boot=n_boot
+        )
+
+
 @pytest.mark.parametrize("n", [7, 63])
 def test_bootstrap_ci_row_blocks_equal_the_one_shot_draw(n):
     """Drawing the resamples in row blocks gives the interval of one ``(n_boot, n)``
