@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -45,6 +46,10 @@ _BOXES = [
     (0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13), (10, 11, 14, 15),
 ]
 SUDOKU_UNITS = _ROWS + _COLS + _BOXES
+_PEERS = tuple(  # per cell, a getter of its row, column and box mates' values on a board
+    operator.itemgetter(*sorted({c for unit in SUDOKU_UNITS if i in unit for c in unit} - {i}))
+    for i in range(16)
+)
 
 
 def _json_ints(name: str, values) -> tuple[int, ...]:
@@ -174,10 +179,7 @@ def first_violation_time(instance: SudokuInstance, traj: Trajectory) -> int | No
 
 
 def _can_place(cells: list[int], idx: int, digit: int) -> bool:
-    for unit in SUDOKU_UNITS:
-        if idx in unit and any(cells[c] == digit for c in unit if c != idx):
-            return False
-    return True
+    return digit not in _PEERS[idx](cells)
 
 
 def _solutions(

@@ -31,6 +31,8 @@ The Monte Carlo side never materializes per-replicate gradients.  A
 replicate's -grad L is sum_j c_j * G[a_j] over its sampled members, so the
 checks need only sufficient statistics: the per-action sums of c for the
 mean and the action-pair sums of c_i c_j for the per-coordinate variance.
+They are added ``_BLOCK`` replicates at a time, in replicate order, so
+only the drawn indices are held in full and no report depends on the block.
 """
 
 from __future__ import annotations
@@ -88,10 +90,10 @@ class _Report:
         }
 
 
-def _check_group_size(name: str, size: int) -> None:
-    """Refuse a group size that is not an integer >= 1, naming its argument."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-        raise ContractViolation(f"{name} must be an integer >= 1, got {size!r}")
+def _check_group_size(name: str, size: int, least: int = 1) -> None:
+    """Refuse a group size that is not an integer >= ``least``, naming its argument."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {size!r}")
 
 
 def c_factor(group_size: int) -> float:
@@ -257,6 +259,7 @@ def build_state_tables(
 
 _GUIDE_BUCKETS = 1024  # guide-table buckets: a power of two, so u * M and its floor are exact
 _LAW_ATOL = math.sqrt(np.finfo(np.float64).eps)  # a law's allowed |sum - 1|, as Generator.choice's
+_BLOCK = 8192  # Monte Carlo uniforms or replicates drawn, scattered and reduced at a time
 
 
 def _draw_categorical(
@@ -264,11 +267,13 @@ def _draw_categorical(
 ) -> np.ndarray:
     """Indices drawn from the law ``p``: the draws of ``Generator.choice(len(p), size, p=p)``.
 
-    Both take one ``rng.random(size)`` call and invert the same CDF, the index
-    of u being #{cdf <= u}.  A guide table (Chen and Asau's indexed search)
-    holds that count at the lower edge of each of M equal buckets of [0, 1);
-    it holds for every u in the bucket unless a CDF value lies strictly
-    inside it, and only those buckets' uniforms take the binary search.
+    Both invert the same CDF, the index of u being #{cdf <= u}, on the same
+    uniforms: ``choice`` draws them in one ``rng.random(size)`` call, this
+    ``_BLOCK`` at a time (the same numbers and final state).  A guide table
+    (Chen and Asau's indexed search) holds that count at the lower edge of
+    each of M equal buckets of [0, 1); it holds for every u in the bucket
+    unless a CDF value lies strictly inside it, and only those buckets'
+    uniforms take the binary search.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
@@ -285,11 +290,15 @@ def _draw_categorical(
     edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
     lo = cdf.searchsorted(edges[:-1], "right")
     guide = np.where(cdf.searchsorted(edges[1:], "left") > lo, -1, lo)  # -1: a CDF value inside
-    u = rng.random(size)
-    idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
-    hard = idx < 0
-    idx[hard] = cdf.searchsorted(u[hard], "right")
-    return idx
+    out = np.empty(size, dtype=np.intp)
+    flat = out.reshape(-1)  # a view: filled in C order, as the uniforms come
+    for start in range(0, flat.size, _BLOCK):
+        u = rng.random(min(_BLOCK, flat.size - start))
+        idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+        hard = idx < 0
+        idx[hard] = cdf.searchsorted(u[hard], "right")
+        flat[start : start + u.size] = idx
+    return out
 
 
 def sample_group_indices(
@@ -311,28 +320,45 @@ def group_coefficients(tables: StateTables, idx: np.ndarray) -> np.ndarray:
     return tables.ratios[idx] * adv / idx.shape[1]
 
 
-def gradient_moments(
-    grads: np.ndarray, cols: np.ndarray, coefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and unbiased variance of rows sum_j coefs[r, j] * grads[cols[r, j]].
+class _Moments:
+    """Running sums for the column mean and unbiased variance of the rows
+    sum_j coefs[r, j] * grads[cols[r, j]], added a block of rows at a time.
 
     No row is built.  The mean needs the per-action coefficient sums w,
     and sum_r row_r[d]^2 = G[:, d]^T M G[:, d] with M = sum_r c_r c_r^T
-    over action slots, accumulated one member pair (i <= j) at a time with
-    the off-diagonal pairs doubled.  A gradient column that is zero in
-    every table therefore gets a variance of exactly 0.
+    over action slots, kept as one action-pair sum per member pair
+    (i <= j), off-diagonal pairs doubled, and summed pair after pair.
+    ``np.add.at`` adds each row after the one before, so blocks added in
+    row order give the bits of one ``np.bincount`` over every row.
     """
-    n, width = cols.shape
-    a = grads.shape[0]
-    w = np.bincount(cols.ravel(), coefs.ravel(), minlength=a)
-    gram = np.zeros(a * a)
-    for i in range(width):
-        for j in range(i, width):
-            pair = coefs[:, i] * coefs[:, j] * (1.0 if i == j else 2.0)
-            gram += np.bincount(cols[:, i] * a + cols[:, j], pair, minlength=a * a)
-    mean = (w / n) @ grads
-    sumsq = ((gram.reshape(a, a) @ grads) * grads).sum(axis=0)
-    return mean, np.maximum(sumsq - n * mean**2, 0.0) / (n - 1)
+
+    def __init__(self, n_actions: int, width: int) -> None:
+        self.n = 0
+        self.w = np.zeros(n_actions)
+        self.pairs = [(i, j, 1.0 if i == j else 2.0) for i in range(width) for j in range(i, width)]
+        self.gram = np.zeros((len(self.pairs), n_actions * n_actions))
+
+    def add(self, cols: np.ndarray, coefs: np.ndarray) -> None:
+        self.n += cols.shape[0]
+        np.add.at(self.w, cols.ravel(), coefs.ravel())
+        for m, (i, j, scale) in zip(self.gram, self.pairs):
+            np.add.at(m, cols[:, i] * len(self.w) + cols[:, j], coefs[:, i] * coefs[:, j] * scale)
+
+    def moments(self, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and variance; a column of ``grads`` that is all zero gets a variance of 0."""
+        a, n = self.w.size, self.n
+        mean = (self.w / n) @ grads
+        sumsq = ((self.gram.sum(axis=0).reshape(a, a) @ grads) * grads).sum(axis=0)
+        return mean, np.maximum(sumsq - n * mean**2, 0.0) / (n - 1)
+
+
+def gradient_moments(
+    grads: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and unbiased variance of rows sum_j coefs[r, j] * grads[cols[r, j]], at once."""
+    acc = _Moments(grads.shape[0], cols.shape[1])
+    acc.add(cols, coefs)
+    return acc.moments(grads)
 
 
 @dataclass
@@ -394,40 +420,6 @@ def _finish_report(
     )
 
 
-def _step_groups(
-    params: PolicyParams, behavior: PolicyParams, problem: OracleProblem, group_size: int,
-    n_samples: int, rng: np.random.Generator, offset: int,
-) -> tuple[list[StateTables], list[float], np.ndarray, np.ndarray]:
-    """Every (step, state) cell's tables and law, and one sampled step group per replicate.
-
-    Every replicate first draws its cell from the cells' law (sampler
-    weight times state weight), then a group of actions inside that cell;
-    cells are processed in blocks but replicate draws stay i.i.d.  The
-    groups come back as (n_samples, Z) columns into the cells' gradient
-    tables, stacked in order after ``offset`` rows, and their coefficients.
-    """
-    cells: list[StateTables] = []
-    laws: list[float] = []
-    for t in sorted(problem.step_states):
-        weighted = problem.step_states[t]
-        for state, w in zip(weighted.states, weighted.weights):
-            cells.append(
-                build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
-            )
-            laws.append(problem.step_weights[t] * w)
-    cell_ids = _draw_categorical(np.asarray(laws), n_samples, rng)
-    cols = np.empty((n_samples, group_size), dtype=np.intp)
-    coefs = np.empty((n_samples, group_size))
-    for c, tables in enumerate(cells):
-        members = np.flatnonzero(cell_ids == c)
-        if members.size:
-            idx = sample_group_indices(tables, group_size, members.size, rng)
-            cols[members] = offset + idx
-            coefs[members] = group_coefficients(tables, idx)
-        offset += tables.n_actions
-    return cells, laws, cols, coefs
-
-
 def _identity_check(
     params: PolicyParams, problem: OracleProblem, seed: int, labels: tuple, name: str,
     old_params: PolicyParams | None, *, alpha_step: float, alpha_term: float,
@@ -436,7 +428,11 @@ def _identity_check(
     """The body of both checks (see ``theorem2_check``), drawing every sample from
     ``stream(seed, *labels)`` once the arguments are checked.
 
-    The target comes from the sampled tables, under their current law.
+    A replicate's step group draws its (step, state) cell from the cells'
+    law (sampler weight times state weight), then its actions in that cell:
+    every cell first, then each cell's groups in replicate order.  Groups
+    are columns of all tables stacked, and the moments add the replicates
+    in order.  The target comes from the sampled tables, under their current law.
     """
     _check_group_size("n_branches", n_branches)
     _check_group_size("n_completions", n_completions)
@@ -446,34 +442,56 @@ def _identity_check(
         raise ContractViolation("loss weights must be >= 0 with at least one positive")
     rng = stream(seed, *labels)
     behavior = params if old_params is None else old_params
+
+    def tables_at(state: np.ndarray) -> StateTables:
+        return build_state_tables(params, behavior, state, problem.reward, problem.surrogate)
+
     tables: list[StateTables] = []
-    cols, coefs = [], []
+    draws, alphas = [], []  # per loss side: (n_samples, group size) columns, and its weight
     target = np.zeros(params.dim)
 
     if alpha_term > 0:
-        terminal = problem.terminal_state()
-        seq_tables = build_state_tables(params, behavior, terminal, problem.reward, problem.surrogate)
-        idx = sample_group_indices(seq_tables, n_completions, n_samples, rng)
+        seq_tables = tables_at(problem.terminal_state())
         tables.append(seq_tables)
-        cols.append(idx)
-        coefs.append(alpha_term * group_coefficients(seq_tables, idx))
+        draws.append(sample_group_indices(seq_tables, n_completions, n_samples, rng))
+        alphas.append(alpha_term)
         target += alpha_term * c_factor(n_completions) * seq_tables.reward_gradient()
 
     if alpha_step > 0:
+        cells, laws = [], []
+        for t in sorted(problem.step_states):
+            weighted = problem.step_states[t]
+            for state, w in zip(weighted.states, weighted.weights):
+                cells.append(tables_at(state))
+                laws.append(problem.step_weights[t] * w)
+        cell_ids = _draw_categorical(np.asarray(laws), n_samples, rng)
+        ends = np.cumsum(np.bincount(cell_ids, minlength=len(cells)))
+        order = np.argsort(cell_ids, kind="stable")  # replicates cell by cell, each cell's in order
+        del cell_ids  # freed first: the drawn indices alone set the peak
+        step = np.empty((n_samples, n_branches), dtype=np.intp)
         offset = sum(t.n_actions for t in tables)
-        cells, laws, step_cols, step_coefs = _step_groups(
-            params, behavior, problem, n_branches, n_samples, rng, offset
-        )
+        for cell, start, end in zip(cells, np.r_[0, ends[:-1]], ends):
+            for s in range(start, end, _BLOCK):
+                rows = order[s : min(s + _BLOCK, end)]
+                step[rows] = offset + sample_group_indices(cell, n_branches, rows.size, rng)
+            offset += cell.n_actions
         tables += cells
-        cols.append(step_cols)
-        coefs.append(alpha_step * step_coefs)
+        draws.append(step)
+        alphas.append(alpha_step)
         mix = sum(w * cell.reward_gradient() for w, cell in zip(laws, cells))
         target += alpha_step * c_factor(n_branches) * mix
 
-    grads = np.vstack([t.grads for t in tables])
-    mean, var = gradient_moments(grads, np.hstack(cols), np.hstack(coefs))
-    max_ratio = max(1.0, *(float(t.ratios.max()) for t in tables))
-    return _finish_report(name, n_samples, mean, var, target, max_ratio)
+    stack = StateTables(  # one action space: its columns are every state's actions, in order
+        tuple(a for t in tables for a in t.actions),
+        *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(StateTables)[1:]),
+    )
+    acc = _Moments(stack.n_actions, sum(d.shape[1] for d in draws))
+    for s in range(0, n_samples, _BLOCK):
+        blocks = [d[s : s + _BLOCK] for d in draws]
+        coefs = [a * group_coefficients(stack, b) for a, b in zip(alphas, blocks)]
+        acc.add(np.hstack(blocks), np.hstack(coefs))
+    mean, var = acc.moments(stack.grads)
+    return _finish_report(name, n_samples, mean, var, target, max(1.0, float(stack.ratios.max())))
 
 
 def theorem1_check(
@@ -563,10 +581,14 @@ def prop1_check(
     if n_samples < 2:
         raise ContractViolation(f"variance ratios need n_samples >= 2, got {n_samples}")
     rng = stream(seed, "prop1")
-    g = rng.normal(0.0, PROP1_SIGMA, (n_samples, n_positions))
+    full, sub = np.empty(n_samples), np.empty(n_samples)  # each replicate's two score sums
+    for s in range(0, n_samples, _BLOCK):
+        g = rng.normal(0.0, PROP1_SIGMA, (min(_BLOCK, n_samples - s), n_positions))
+        full[s : s + len(g)] = g.sum(axis=1)
+        sub[s : s + len(g)] = g[:, :n_scored].sum(axis=1)
     r = rng.uniform(0.0, 1.0, n_samples)
-    var_full = float((r * g.sum(axis=1)).var(ddof=1))
-    var_sub = float((r * g[:, :n_scored].sum(axis=1)).var(ddof=1))
+    var_full = float((r * full).var(ddof=1))
+    var_sub = float((r * sub).var(ddof=1))
     ratio = var_sub / var_full
     expected = n_scored / n_positions
     return Prop1Report(
@@ -839,8 +861,7 @@ def trcov_protocol(
     With corruption off all copies are the state itself, so one block and
     one grid pair per scope serve all trials.
     """
-    if n_trials < 2:
-        raise ContractViolation("the trial estimator needs n_trials >= 2")
+    _check_group_size("n_trials", n_trials, least=2)  # the trial estimator's least count
     _check_group_size("n_boot", n_boot)
     if not conditions:
         raise ContractViolation("at least one condition is required")

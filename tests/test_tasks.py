@@ -7,6 +7,7 @@ from dispo.errors import ConfigurationError, ContractViolation
 from dispo.rollout import Trajectory
 from dispo.streams import stream
 from dispo.tasks import (
+    SUDOKU_UNITS,
     RewardFn,
     StringMatchInstance,
     SudokuInstance,
@@ -17,6 +18,7 @@ from dispo.tasks import (
     save_instances,
     sudoku_valid_solution,
 )
+from dispo.tasks import _can_place
 
 SOLUTION = (
     1, 2, 3, 4,
@@ -97,6 +99,19 @@ def test_generated_sudoku_is_unique_and_consistent():
     assert again == inst
     with pytest.raises(ConfigurationError):
         SudokuInstance.generate(rng, n_empty=0)
+
+
+def test_the_peer_table_places_a_digit_as_the_unit_scan_does():
+    rng = stream(6, "boards")
+    for _ in range(300):
+        cells = rng.integers(0, 5, 16).tolist()
+        for idx in range(16):
+            for digit in (1, 2, 3, 4):
+                clash = any(
+                    idx in unit and any(cells[c] == digit for c in unit if c != idx)
+                    for unit in SUDOKU_UNITS
+                )
+                assert _can_place(cells, idx, digit) == (not clash), (cells, idx, digit)
 
 
 def test_stringmatch_reward():

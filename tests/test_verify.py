@@ -1,6 +1,8 @@
 """Oracle machinery: enumeration targets, MC fast paths, variance tools."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from dispo.verify import (
     _GUIDE_BUCKETS,
     _draw_categorical,
     _finish_report,
+    battery,
     bootstrap_ci,
     build_oracle_problem,
     build_state_tables,
@@ -294,15 +297,82 @@ def test_gradient_moments_match_the_materialized_rows(group_size, off_policy):
     assert (group_size == 1) == np.all(var == 0.0)  # a group of one has no advantage
 
 
+def bincount_moments(grads, cols, coefs):
+    """The one-shot reference: per-action and per-pair sums by ``np.bincount`` over every row."""
+    n, width = cols.shape
+    a = grads.shape[0]
+    w = np.bincount(cols.ravel(), coefs.ravel(), minlength=a)
+    gram = np.zeros(a * a)
+    for i in range(width):
+        for j in range(i, width):
+            pair = coefs[:, i] * coefs[:, j] * (1.0 if i == j else 2.0)
+            gram += np.bincount(cols[:, i] * a + cols[:, j], pair, minlength=a * a)
+    mean = (w / n) @ grads
+    sumsq = ((gram.reshape(a, a) @ grads) * grads).sum(axis=0)
+    return mean, np.maximum(sumsq - n * mean**2, 0.0) / (n - 1)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+@pytest.mark.parametrize("group_size", [1, 3, 4])
+def test_moments_added_in_row_blocks_equal_one_bincount_bitwise(monkeypatch, group_size, block):
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    rng = stream(31, "blocks", group_size)
+    tables = random_tables(rng, 9, 6, [2], off_policy=True)
+    idx = sample_group_indices(tables, group_size, 701, rng)
+    coefs = group_coefficients(tables, idx)
+    acc = verify._Moments(tables.n_actions, group_size)
+    for start in range(0, len(idx), verify._BLOCK):
+        acc.add(idx[start : start + verify._BLOCK], coefs[start : start + verify._BLOCK])
+    ref_mean, ref_var = bincount_moments(tables.grads, idx, coefs)
+    for mean, var in (acc.moments(tables.grads), gradient_moments(tables.grads, idx, coefs)):
+        assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+
+
+@pytest.fixture(scope="module")
+def battery_at_the_default_block():
+    return json.dumps([r.to_dict() for r in battery(1003, seed=5)])
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_the_battery_reports_do_not_depend_on_the_block_size(
+    monkeypatch, battery_at_the_default_block, block
+):
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    assert json.dumps([r.to_dict() for r in battery(1003, seed=5)]) == battery_at_the_default_block
+
+
+def test_the_monte_carlo_checks_stay_small_at_200k_samples():
+    """Only the drawn indices are held at full length: 40 bytes a sample for this check,
+    where materialized columns and coefficients took 176."""
+    problem, params = build_oracle_problem()
+    old = perturb_params(params, stream(11, "verify-perturb"), scale=0.01)
+    for check in (
+        lambda: theorem1_check(params, problem, n_branches=4, n_samples=200_000, old_params=old),
+        lambda: prop1_check(16, 4, 200_000),
+    ):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
 class FixedUniforms(np.random.Generator):
-    """A generator whose ``random`` returns the given uniforms, for both samplers to invert."""
+    """A generator whose ``random`` calls hand out the given uniforms in sequence, for both
+    samplers to invert."""
 
     def __init__(self, uniforms):
         super().__init__(np.random.PCG64(0))
         self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        self.used = 0
 
     def random(self, size=None, dtype=np.float64, out=None):
-        return self.uniforms.reshape(size).copy()
+        n = int(np.prod(size))
+        taken = self.uniforms[self.used : self.used + n]
+        self.used += n
+        return taken.reshape(size).copy()
 
 
 def sampler_laws():
@@ -359,6 +429,19 @@ def test_the_sampler_inverts_edge_uniforms_as_rng_choice():
         uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
         got = _draw_categorical(p, uniforms.size, FixedUniforms(uniforms))
         assert np.array_equal(got, FixedUniforms(uniforms).choice(len(p), uniforms.size, p=p))
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_the_sampler_draws_across_block_edges_as_in_one_call(monkeypatch, block):
+    """Its uniforms come ``_BLOCK`` at a time: the numbers and final state of one call."""
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    for size in (500, (300, 3)):
+        test_the_sampler_draws_as_rng_choice_and_leaves_the_same_state(size)
+
+
+def test_the_sampler_inverts_edge_uniforms_across_block_edges(monkeypatch):
+    monkeypatch.setattr(verify, "_BLOCK", 7)  # FixedUniforms hands out its uniforms in sequence
+    test_the_sampler_inverts_edge_uniforms_as_rng_choice()
 
 
 @pytest.mark.parametrize(
@@ -562,6 +645,23 @@ def test_a_bootstrap_count_that_is_not_a_positive_integer_is_refused_before_any_
     with pytest.raises(ContractViolation, match="n_boot must be an integer >= 1"):
         trcov_protocol(
             collector, collector, cands, [VarianceCondition("action-z2")], 4, OFF, n_boot=n_boot
+        )
+
+
+@pytest.mark.parametrize("n_trials", [2.5, 3.0, True, 1])
+def test_a_trial_count_that_is_not_an_integer_of_at_least_two_is_refused_before_any_draw(
+    monkeypatch, n_trials
+):
+    task, collector = make_probe_task_and_params(0.4)
+    cands = collect_states(collector, task, 2, UnmaskSchedule(2), (2,), seed=19)
+
+    def no_stream(*args):
+        raise AssertionError("a stream was built before the arguments were checked")
+
+    monkeypatch.setattr(verify, "stream", no_stream)
+    with pytest.raises(ContractViolation, match="n_trials must be an integer >= 2"):
+        trcov_protocol(
+            collector, collector, cands, [VarianceCondition("action-z2")], n_trials, OFF
         )
 
 
